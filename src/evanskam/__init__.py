@@ -52,7 +52,6 @@ from .mfg_diagnostics import MfgResidualReport, mfg_residuals, minmax_upper_boun
 from .torus_grid import (
     ScalarField,
     TorusGrid,
-    VectorField,
     integrate,
     partial_derivative,
     project_zero_mean,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "TorusGrid",
     "ScalarField",
-    "VectorField",
     "partial_derivative",
     "integrate",
     "project_zero_mean",

@@ -18,7 +18,7 @@ from .battery import run_battery
 from .effective import legendre_transform, sweep_P, write_effective_csv, write_legendre_csv
 from .evans_solver import SolverConfig, minimize
 from .hamiltonians import NyquistError, check_nyquist, hamiltonian_from_json
-from .mather_limits import k_sweep, pendulum_reference, write_ksweep_csv
+from .mather_limits import classical_reference, k_sweep, write_ksweep_csv
 from .mfg_diagnostics import mfg_residuals
 from .torus_grid import GridError, TorusGrid, write_field
 
@@ -32,6 +32,13 @@ EXIT_NONCONVERGED = 3
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
+
+
+def _numeric(value, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{what} must be numeric: {exc}") from exc
 
 
 class RunConfig:
@@ -62,20 +69,20 @@ class RunConfig:
         except (GridError, ValueError, TypeError) as exc:
             raise ConfigError(f"invalid grid block: {exc}") from exc
 
-        solver_block = dict(raw.get("solver", {}))
+        solver_block = dict(self.block("solver", required=False))
         if "k" not in solver_block:
             raise ConfigError("solver block must set k")
         if method_override is not None:
             solver_block["method"] = method_override
-        if "P" in solver_block and solver_block["P"] is not None:
-            solver_block["P"] = tuple(np.atleast_1d(solver_block["P"]))
-        if "lambda_schedule" in solver_block:
-            solver_block["lambda_schedule"] = tuple(solver_block["lambda_schedule"])
         known = set(SolverConfig.__dataclass_fields__)
         unknown = set(solver_block) - known
         if unknown:
             raise ConfigError(f"unknown solver fields: {sorted(unknown)}")
         try:
+            if "P" in solver_block and solver_block["P"] is not None:
+                solver_block["P"] = tuple(np.atleast_1d(solver_block["P"]))
+            if "lambda_schedule" in solver_block:
+                solver_block["lambda_schedule"] = tuple(solver_block["lambda_schedule"])
             self.solver = SolverConfig(**solver_block)
             self.solver.momentum(self.ham.d)
         except (ValueError, TypeError) as exc:
@@ -86,16 +93,20 @@ class RunConfig:
         except NyquistError as exc:
             raise ConfigError(str(exc)) from exc
 
-        out_block = raw.get("output", {})
+        out_block = self.block("output", required=False)
         self.out_dir = Path(out_override) if out_override else Path(out_block.get("dir", "."))
         self.field_format = out_block.get("field_format", "csv")
         if self.field_format not in ("csv", "binary"):
             raise ConfigError(f"unknown field_format {self.field_format!r}")
 
-    def block(self, name: str) -> dict:
-        blk = self.raw.get(name)
+    def block(self, name: str, required: bool = True) -> dict:
+        if name not in self.raw:
+            if required:
+                raise ConfigError(f"missing required block {name!r}")
+            return {}
+        blk = self.raw[name]
         if not isinstance(blk, dict):
-            raise ConfigError(f"missing required block {name!r}")
+            raise ConfigError(f"block {name!r} must be a JSON object")
         return blk
 
     def ensure_out_dir(self) -> Path:
@@ -151,7 +162,7 @@ def cmd_sweep(args) -> int:
     block = cfg.block("sweep")
     if "P_grid" not in block:
         raise ConfigError("sweep block must set P_grid")
-    P_grid = np.asarray(block["P_grid"], dtype=float)
+    P_grid = _numeric(block["P_grid"], "sweep.P_grid")
     table = sweep_P(cfg.ham, cfg.grid, cfg.solver.k, P_grid, config=cfg.solver, jobs=max(1, args.jobs))
     sidecar = {
         "grid": {"d": cfg.grid.d, "n_x": cfg.grid.n_x, "n_t": cfg.grid.n_t},
@@ -159,7 +170,7 @@ def cmd_sweep(args) -> int:
     }
     write_effective_csv(table, out / "effective_table.csv", sidecar=sidecar)
     if "Q_grid" in block:
-        leg = legendre_transform(table, np.asarray(block["Q_grid"], dtype=float))
+        leg = legendre_transform(table, _numeric(block["Q_grid"], "sweep.Q_grid"))
         write_legendre_csv(leg, out / "legendre_table.csv")
     if not bool(np.all(table.converged)):
         bad = np.flatnonzero(~table.converged).tolist()
@@ -174,11 +185,16 @@ def cmd_limit(args) -> int:
     block = cfg.block("limit")
     if "k_list" not in block:
         raise ConfigError("limit block must set k_list")
-    P = block.get("P", [0.0] * cfg.ham.d)
-    report = k_sweep(cfg.ham, cfg.grid, P, block["k_list"], config=cfg.solver)
+    k_list = _numeric(block["k_list"], "limit.k_list")
+    if k_list.ndim != 1 or k_list.size == 0 or not (k_list[0] > 0 and np.all(np.diff(k_list) > 0)):
+        raise ConfigError("limit.k_list must be a nonempty, positive, strictly increasing list")
+    P = np.atleast_1d(_numeric(block.get("P", [0.0] * cfg.ham.d), "limit.P"))
+    if P.shape != (cfg.ham.d,):
+        raise ConfigError(f"limit.P has shape {P.shape}, expected ({cfg.ham.d},)")
+    report = k_sweep(cfg.ham, cfg.grid, P, k_list, config=cfg.solver)
     sidecar = {
-        "P": list(np.atleast_1d(np.asarray(P, dtype=float))),
-        "k_list": [float(k) for k in block["k_list"]],
+        "P": list(P),
+        "k_list": [float(k) for k in k_list],
         "grid": {"d": cfg.grid.d, "n_x": cfg.grid.n_x, "n_t": cfg.grid.n_t},
     }
     write_ksweep_csv(report, out / "ksweep.csv", sidecar=sidecar)
@@ -203,18 +219,12 @@ def cmd_check(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _load_config(args)
-    block = cfg.raw.get("oracle", {})
-    P = float(block.get("P", 0.0))
-    if cfg.ham.d != 1 or any(not spec.is_zero() for spec in cfg.ham.eta):
-        raise ConfigError("the classical reference needs d=1 and zero drift eta")
-    if cfg.ham.V.depends_on(1):
-        raise ConfigError("the classical reference needs a time-independent potential")
-    from .hamiltonians import FourierSpec
-
-    scaled = FourierSpec.build(
-        1, [(t.freq[:1], cfg.ham.lam * t.cos, cfg.ham.lam * t.sin) for t in cfg.ham.V.terms]
-    )
-    value = pendulum_reference(scaled, P)
+    P = _numeric(cfg.block("oracle", required=False).get("P", 0.0), "oracle.P")
+    if P.ndim != 0:
+        raise ConfigError("oracle.P must be a single number")
+    value = classical_reference(cfg.ham, float(P))
+    if value is None:
+        raise ConfigError("the classical reference needs d=1, zero drift eta and a time-independent potential")
     print(repr(value))
     return EXIT_OK
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -106,7 +106,7 @@ def sweep_P(
     """
     base = config if config is not None else SolverConfig(k=k)
     if base.k != k:
-        base = SolverConfig(**{**base.__dict__, "k": k})
+        base = replace(base, k=k)
     pts = _as_points(P_values, ham.d)
     n = pts.shape[0]
     hbar = np.full(n, np.nan)
@@ -115,24 +115,18 @@ def sweep_P(
 
     def record(i: int, res: SolveResult) -> None:
         hbar[i] = res.hbar
-        m = res.m.values
-        grid_coords_t = grid.coords()[-1]
-        for comp in range(ham.d):
-            eta_i = ham.lam * ham.eta[comp].evaluate(grid_coords_t)
-            du_i = grid.deriv(res.u.values, comp, res.method)
-            Q[i, comp] = grid.integrate(m * (pts[i, comp] + du_i + eta_i))
+        Q[i] = res.rotation
         converged[i] = res.converged
 
     if jobs > 1:
-        tasks = [(ham, grid, SolverConfig(**{**base.__dict__, "P": tuple(pts[i])})) for i in range(n)]
+        tasks = [(ham, grid, replace(base, P=tuple(pts[i]))) for i in range(n)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for i, res in enumerate(pool.map(_solve_entry, tasks)):
                 record(i, res)
     else:
         warm = None
         for i in range(n):
-            cfg = SolverConfig(**{**base.__dict__, "P": tuple(pts[i])})
-            res = minimize(ham, grid, cfg, warm_start=warm)
+            res = minimize(ham, grid, replace(base, P=tuple(pts[i])), warm_start=warm)
             record(i, res)
             warm = res.u
     return EffectiveTable(k=k, P_grid=pts, hbar=hbar, Q=Q, converged=converged)

@@ -43,6 +43,7 @@ __all__ = [
     "gradient",
     "linearized_el_apply",
     "minimize",
+    "evaluate_state",
     "hbar_bounds",
     "lipschitz_bound",
 ]
@@ -109,11 +110,16 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class SolveResult:
-    """Minimizer, effective constant and certificates of one solve."""
+    """Minimizer, effective constant and certificates of one solve.
+
+    ``rotation`` is the rotation vector mean(m * H_p) of the final iterate,
+    the P-derivative of hbar.
+    """
 
     u: ScalarField
     hbar: float
     m: ScalarField
+    rotation: np.ndarray
     grad_norm: float
     lip_norm: float
     iterations: int
@@ -189,13 +195,17 @@ class _HamOnGrid:
 
 
 class _State:
-    """Everything derived from one iterate u: derivatives, momenta, J, m."""
+    """Everything derived from one iterate u: derivatives, momenta, J, m.
 
-    __slots__ = ("u", "du", "ut", "w", "f", "J", "m")
+    ``hog`` is the tabulated Hamiltonian the state was evaluated against.
+    """
+
+    __slots__ = ("hog", "u", "du", "ut", "w", "f", "J", "m")
 
     def __init__(self, grid: TorusGrid, hog: _HamOnGrid, cfg: SolverConfig, P: np.ndarray, u: np.ndarray):
         d = hog.d
         method = cfg.method
+        self.hog = hog
         self.u = u
         self.du = [grid.deriv(u, a, method) for a in range(d)]
         self.ut = grid.deriv(u, d, method)
@@ -347,13 +357,23 @@ def _as_array(grid: TorusGrid, u) -> np.ndarray:
     return arr
 
 
+def evaluate_state(ham: MechanicalHamiltonian, grid: TorusGrid, config: SolverConfig, u) -> _State:
+    """Evaluate the iterate u: derivatives, momenta H_p, f = u_t + H, J and m.
+
+    The one place outside the Newton loop that tabulates the Hamiltonian and
+    assembles H_p = P + grad u + lam*eta; certificates call it with their own
+    Hamiltonian and config, so a result paired with the wrong ones shows.
+    """
+    check_nyquist(ham, grid)
+    arr = _as_array(grid, u)
+    return _State(grid, _HamOnGrid(ham, grid), config, config.momentum(ham.d), arr)
+
+
 def objective(
     ham: MechanicalHamiltonian, grid: TorusGrid, config: SolverConfig, u
 ) -> tuple[float, ScalarField]:
     """Value of J at u together with the softmax density m (mean one)."""
-    check_nyquist(ham, grid)
-    arr = _as_array(grid, u)
-    st = _State(grid, _HamOnGrid(ham, grid), config, config.momentum(ham.d), arr)
+    st = evaluate_state(ham, grid, config, u)
     return st.J, ScalarField(grid, st.m)
 
 
@@ -363,9 +383,7 @@ def gradient(ham: MechanicalHamiltonian, grid: TorusGrid, config: SolverConfig, 
     Exactly zero-mean, and mean(g*v) equals the directional derivative of J
     along v up to rounding, by skew-adjointness of the discrete derivative.
     """
-    check_nyquist(ham, grid)
-    arr = _as_array(grid, u)
-    st = _State(grid, _HamOnGrid(ham, grid), config, config.momentum(ham.d), arr)
+    st = evaluate_state(ham, grid, config, u)
     return ScalarField(grid, _gradient_arrays(grid, config, st))
 
 
@@ -379,11 +397,8 @@ def linearized_el_apply(
     + grad v . H_pp grad v)) / k; constants are its null space.  At critical
     points the form is the Hessian of J divided by k.
     """
-    check_nyquist(ham, grid)
-    arr_u = _as_array(grid, u)
-    arr_v = _as_array(grid, v)
-    st = _State(grid, _HamOnGrid(ham, grid), config, config.momentum(ham.d), arr_u)
-    out = _operator_apply(grid, config, st, arr_v, hessian_scale=False, with_epsilon=False)
+    st = evaluate_state(ham, grid, config, u)
+    out = _operator_apply(grid, config, st, _as_array(grid, v), hessian_scale=False, with_epsilon=False)
     return ScalarField(grid, out)
 
 
@@ -392,16 +407,11 @@ def hbar_bounds(ham: MechanicalHamiltonian, grid: TorusGrid, P=None) -> tuple[fl
 
     With the momentum shift the solve targets the shifted Hamiltonian
     H(z, P + .), whose value at zero momentum is H(z, P); the pointwise
-    minimum over p is lam*V regardless of P.
+    minimum over p is lam*V regardless of P.  H(z, P) is f at u = 0.
     """
-    hog = _HamOnGrid(ham, grid)
-    P = SolverConfig(k=1.0, P=None if P is None else tuple(np.atleast_1d(P))).momentum(ham.d)
-    lo = float(np.min(hog.V))
-    H_at_P = np.broadcast_to(hog.V, grid.shape).copy()
-    for i in range(ham.d):
-        H_at_P = H_at_P + 0.5 * (P[i] + hog.eta[i]) ** 2
-    hi = float(np.max(H_at_P))
-    return lo, hi
+    cfg = SolverConfig(k=1.0, P=None if P is None else tuple(np.atleast_1d(P)))
+    st = evaluate_state(ham, grid, cfg, grid.zeros())
+    return float(np.min(st.hog.V)), float(np.max(st.f))
 
 
 # -- Newton / continuation driver ----------------------------------------------
@@ -469,10 +479,6 @@ def _newton_stage(grid: TorusGrid, hog: _HamOnGrid, cfg: SolverConfig, P: np.nda
         iterations += 1
         if stalled >= 3:
             break
-    else:
-        g = _gradient_arrays(grid, cfg, st)
-        grad_norm = grid.norm(g)
-        converged = grad_norm <= cfg.grad_tol
     if not converged and iterations > 0:
         g = _gradient_arrays(grid, cfg, st)
         grad_norm = grid.norm(g)
@@ -540,6 +546,7 @@ def minimize(
         u=ScalarField(grid, u),
         hbar=st.J,
         m=ScalarField(grid, st.m),
+        rotation=np.array([grid.integrate(st.m * wi) for wi in st.w]),
         grad_norm=grad_norm,
         lip_norm=_lip_norm(st),
         iterations=total_iterations,

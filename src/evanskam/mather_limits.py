@@ -16,12 +16,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .evans_solver import SolveResult, SolverConfig, _HamOnGrid, _State, minimize
+from .evans_solver import SolveResult, SolverConfig, evaluate_state, minimize
 from .hamiltonians import FourierSpec, MechanicalHamiltonian
 from .torus_grid import TorusGrid
 
@@ -33,6 +33,7 @@ __all__ = [
     "holonomy_test_fields",
     "aronsson_residual",
     "k_sweep",
+    "classical_reference",
     "pendulum_reference",
 ]
 
@@ -84,15 +85,14 @@ def mather_diagnostics(
     if result.u.grid != grid or result.m.grid != grid:
         raise ValueError("result fields live on a different grid")
     P = config.momentum(ham.d)
-    hog = _HamOnGrid(ham, grid)
-    st = _State(grid, hog, config, P, result.u.values)
+    st = evaluate_state(ham, grid, config, result.u)
     m = result.m.values
     k = config.k
 
     # L(z, H_p) with velocity H_p = w: |w|^2/2 - lam*eta.w - lam*V
-    L = -np.broadcast_to(hog.V, grid.shape).astype(float)
+    L = -np.broadcast_to(st.hog.V, grid.shape).astype(float)
     for i in range(ham.d):
-        L = L + 0.5 * st.w[i] ** 2 - hog.eta[i] * st.w[i]
+        L = L + 0.5 * st.w[i] ** 2 - st.hog.eta[i] * st.w[i]
     action = grid.integrate(m * L)
     entropy = k * grid.integrate(m * (st.f - result.hbar))
     rotation = np.array([grid.integrate(m * st.w[i]) for i in range(ham.d)])
@@ -144,8 +144,7 @@ def holonomy_residual(
     """
     if test_fields is None:
         test_fields = holonomy_test_fields(grid)
-    P = config.momentum(ham.d)
-    st = _State(grid, _HamOnGrid(ham, grid), config, P, result.u.values)
+    st = evaluate_state(ham, grid, config, result.u)
     m = result.m.values
     worst = 0.0
     for phi in test_fields:
@@ -156,26 +155,15 @@ def holonomy_residual(
     return worst
 
 
-def aronsson_residual(
-    ham: MechanicalHamiltonian,
-    grid: TorusGrid,
-    config: SolverConfig,
-    u: np.ndarray | None = None,
-    result: SolveResult | None = None,
-) -> float:
+def aronsson_residual(ham: MechanicalHamiltonian, grid: TorusGrid, config: SolverConfig, u) -> float:
     """Sup norm of the formal sharp-limit equation applied to a minimizer.
 
     The residual  u_tt + 2 H_p . grad u_t + D^2u(H_p, H_p) + H_t + H_x . H_p
     equals -(1/k) * (laplacian of u, for the mechanical family) at exact
     critical points, so it shrinks along sharpness sweeps.
     """
-    if u is None:
-        if result is None:
-            raise ValueError("pass either u or result")
-        u = result.u.values
-    P = config.momentum(ham.d)
-    hog = _HamOnGrid(ham, grid)
-    st = _State(grid, hog, config, P, u)
+    st = evaluate_state(ham, grid, config, u)
+    hog, u = st.hog, st.u
     d = ham.d
     ut = st.ut
     res = grid.deriv2(u, d)  # u_tt
@@ -240,7 +228,7 @@ def k_sweep(
     rows: list[KSweepRow] = []
     warm = None
     for k in ks:
-        cfg = SolverConfig(**{**base.__dict__, "k": k, "P": P_tuple, "k_continuation": False})
+        cfg = replace(base, k=k, P=P_tuple, k_continuation=False)
         res = minimize(ham, grid, cfg, warm_start=warm)
         warm = res.u
         diag = mather_diagnostics(ham, grid, cfg, res)
@@ -252,22 +240,12 @@ def k_sweep(
                 entropy_over_k=diag.entropy_over_k,
                 sup_excess_pos=sup_pos,
                 lip_norm=res.lip_norm,
-                aronsson_residual=aronsson_residual(ham, grid, cfg, u=res.u.values),
+                aronsson_residual=aronsson_residual(ham, grid, cfg, res.u),
                 converged=res.converged,
             )
         )
 
-    hbar_ref = None
-    if (
-        ham.d == 1
-        and all(spec.is_zero() for spec in ham.eta)
-        and not ham.V.depends_on(1)
-    ):
-        scaled = FourierSpec.build(
-            1, [(t.freq[:1], ham.lam * t.cos, ham.lam * t.sin) for t in ham.V.terms]
-        )
-        hbar_ref = pendulum_reference(scaled, float(P_tuple[0]))
-    return KSweepReport(rows=rows, hbar_ref=hbar_ref)
+    return KSweepReport(rows=rows, hbar_ref=classical_reference(ham, P_tuple[0]))
 
 
 def write_ksweep_csv(report: KSweepReport, path, sidecar: dict | None = None) -> None:
@@ -284,6 +262,19 @@ def write_ksweep_csv(report: KSweepReport, path, sidecar: dict | None = None) ->
         with open(str(path) + ".json", "w") as fh:
             json.dump({"hbar_ref": report.hbar_ref, **sidecar}, fh, sort_keys=True, indent=2)
             fh.write("\n")
+
+
+def classical_reference(ham: MechanicalHamiltonian, P: float) -> float | None:
+    """Classical cell-problem value of ``ham`` at momentum P, when it applies.
+
+    The oracle covers d = 1 with zero drift eta and a time-independent
+    potential; it is evaluated on lam*V.  Returns None for any other
+    Hamiltonian.
+    """
+    if ham.d != 1 or not all(spec.is_zero() for spec in ham.eta) or ham.V.depends_on(1):
+        return None
+    scaled = FourierSpec.build(1, [(t.freq[:1], ham.lam * t.cos, ham.lam * t.sin) for t in ham.V.terms])
+    return pendulum_reference(scaled, float(P))
 
 
 def pendulum_reference(V: FourierSpec, P: float, n_quad: int = 10_000, tol: float = 1e-10) -> float:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evans_solver import SolveResult, SolverConfig, _HamOnGrid, _State, _as_array
-from .hamiltonians import MechanicalHamiltonian, check_nyquist
+from .evans_solver import SolveResult, SolverConfig, evaluate_state
+from .hamiltonians import MechanicalHamiltonian
 from .torus_grid import ScalarField, TorusGrid
 
 __all__ = ["MfgResidualReport", "mfg_residuals", "minmax_upper_bound"]
@@ -51,7 +51,7 @@ def mfg_residuals(
     """Residuals of the discrete mean-field-game system for a solve."""
     if result.u.grid != grid or result.m.grid != grid:
         raise ValueError("result fields live on a different grid")
-    st = _State(grid, _HamOnGrid(ham, grid), config, config.momentum(ham.d), result.u.values)
+    st = evaluate_state(ham, grid, config, result.u)
     m = result.m.values
     # log of stored m; entries that underflowed to zero are clamped at the
     # smallest positive double (k <= 1e6 keeps this unreachable in practice)
@@ -81,7 +81,5 @@ def minmax_upper_bound(
     Any C^1 candidate gives a bound; feeding computed minimizers along a
     sharpness sweep tightens it.  Shift invariant, so u need not be zero-mean.
     """
-    check_nyquist(ham, grid)
     cfg = SolverConfig(k=1.0, P=None if P is None else tuple(np.atleast_1d(P)), method=method)
-    st = _State(grid, _HamOnGrid(ham, grid), cfg, cfg.momentum(ham.d), _as_array(grid, u))
-    return float(np.max(st.f))
+    return float(np.max(evaluate_state(ham, grid, cfg, u).f))

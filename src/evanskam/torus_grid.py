@@ -24,7 +24,6 @@ __all__ = [
     "GridError",
     "TorusGrid",
     "ScalarField",
-    "VectorField",
     "partial_derivative",
     "integrate",
     "project_zero_mean",
@@ -68,10 +67,6 @@ class TorusGrid:
     @property
     def n_axes(self) -> int:
         return self.d + 1
-
-    @property
-    def time_axis(self) -> int:
-        return self.d
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -203,28 +198,6 @@ class ScalarField:
 
     def mean(self) -> float:
         return self.grid.integrate(self.values)
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """Per-axis components on a common grid, stacked along a leading axis."""
-
-    grid: TorusGrid
-    components: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.components, dtype=float)
-        if arr.ndim != self.grid.n_axes + 1 or arr.shape[1:] != self.grid.shape:
-            raise GridError(
-                f"components shape {arr.shape} does not match (n_comp, *{self.grid.shape})"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise GridError("vector field components must be finite")
-        object.__setattr__(self, "components", arr)
-
-    @property
-    def n_components(self) -> int:
-        return self.components.shape[0]
 
 
 def partial_derivative(f: ScalarField, axis: int, method: str = "spectral") -> ScalarField:

@@ -319,7 +319,7 @@ def test_criterion_8_mfg_certification(battery):
     bad_u = grid.project_zero_mean(res.u.values + 0.1 * np.broadcast_to(np.sin(2 * np.pi * x), grid.shape))
     _, bad_m = objective(ham, grid, cfg, bad_u)
     bad = type(res)(
-        u=ScalarField(grid, bad_u), hbar=res.hbar, m=bad_m, grad_norm=res.grad_norm,
+        u=ScalarField(grid, bad_u), hbar=res.hbar, m=bad_m, rotation=res.rotation, grad_norm=res.grad_norm,
         lip_norm=res.lip_norm, iterations=res.iterations, converged=False,
         k=cfg.k, P=res.P, lam=res.lam, epsilon=0.0, method=cfg.method,
     )

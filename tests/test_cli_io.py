@@ -84,6 +84,16 @@ class TestSolveCommand:
         path = write_config(tmp_path, cfg)
         assert main(["solve", "--config", path]) == 2
 
+    @pytest.mark.parametrize(
+        "patch",
+        [{"solver": 5}, {"output": "x"}, {"solver": {"k": 8.0, "lambda_schedule": 1.0}}],
+        ids=["solver-not-object", "output-not-object", "scalar-lambda-schedule"],
+    )
+    def test_malformed_block_exit_2(self, tmp_path, capsys, patch):
+        path = write_config(tmp_path, t1_config(tmp_path / "out", **patch))
+        assert main(["solve", "--config", path]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
     def test_nonconvergence_exit_3(self, tmp_path, capsys):
         cfg = pendulum_config(tmp_path / "out")
         cfg["solver"] = {"k": 16.0, "P": [2.0], "max_newton": 1}
@@ -174,6 +184,17 @@ class TestSweepCommand:
         path = write_config(tmp_path, t1_config(tmp_path / "out"))
         assert main(["sweep", "--config", path]) == 2
 
+    @pytest.mark.parametrize(
+        "sweep", [5, {"P_grid": ["a", "b"]}, {"P_grid": [0.0], "Q_grid": "x"}],
+        ids=["not-object", "nonnumeric-P-grid", "nonnumeric-Q-grid"],
+    )
+    def test_malformed_sweep_block_exit_2(self, tmp_path, capsys, sweep):
+        cfg = t1_config(tmp_path / "out", sweep=sweep)
+        cfg["grid"] = {"d": 1, "n_x": 16, "n_t": 16}
+        path = write_config(tmp_path, cfg)
+        assert main(["sweep", "--config", path]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
 
 class TestLimitCommand:
     def test_report_rows(self, tmp_path):
@@ -197,6 +218,16 @@ class TestLimitCommand:
         del cfg["hamiltonian"]["V"]
         path = write_config(tmp_path, cfg)
         assert main(["limit", "--config", path]) == 2
+
+    @pytest.mark.parametrize(
+        "limit",
+        [5, {"k_list": [8, 4]}, {"k_list": ["a", "b"]}, {"k_list": [4, 8], "P": [0.0, 1.0]}],
+        ids=["not-object", "decreasing-k-list", "nonnumeric-k-list", "wrong-P-shape"],
+    )
+    def test_malformed_limit_block_exit_2(self, tmp_path, capsys, limit):
+        path = write_config(tmp_path, t1_config(tmp_path / "out", limit=limit))
+        assert main(["limit", "--config", path]) == 2
+        assert "configuration error:" in capsys.readouterr().err
 
 
 class TestCheckCommand:
@@ -249,3 +280,9 @@ class TestOracleCommand:
         cfg = t1_config(tmp_path / "out", oracle={"P": 0.0})
         path = write_config(tmp_path, cfg)
         assert main(["oracle", "--config", path]) == 2
+
+    @pytest.mark.parametrize("oracle", [5, {"P": [2.0]}, {"P": "x"}], ids=["not-object", "list-P", "nonnumeric-P"])
+    def test_malformed_oracle_block_exit_2(self, tmp_path, capsys, oracle):
+        path = write_config(tmp_path, pendulum_config(tmp_path / "out", oracle=oracle))
+        assert main(["oracle", "--config", path]) == 2
+        assert "configuration error:" in capsys.readouterr().err

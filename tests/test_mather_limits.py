@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    mixed_hamiltonian,
     pendulum_hamiltonian,
     t1_hamiltonian,
     trivial_hamiltonian,
@@ -10,6 +11,7 @@ from evanskam.evans_solver import SolverConfig, minimize, objective
 from evanskam.hamiltonians import FourierSpec
 from evanskam.mather_limits import (
     aronsson_residual,
+    classical_reference,
     holonomy_residual,
     holonomy_test_fields,
     k_sweep,
@@ -120,6 +122,7 @@ class TestHolonomy:
             u=ScalarField(grid, grid.project_zero_mean(bad_u)),
             hbar=res.hbar,
             m=bad_m,
+            rotation=res.rotation,
             grad_norm=res.grad_norm,
             lip_norm=res.lip_norm,
             iterations=res.iterations,
@@ -238,6 +241,12 @@ class TestPendulumReference:
         V = FourierSpec.build(2, [((1, 1), 1.0, 0.0)])
         with pytest.raises(ValueError):
             pendulum_reference(V, 0.0)
+
+    def test_classical_reference_scales_and_gates(self):
+        V = FourierSpec.build(1, [((1,), 0.5, 0.0)])
+        assert classical_reference(pendulum_hamiltonian().with_lambda(0.5), 2.0) == pendulum_reference(V, 2.0)
+        assert classical_reference(t1_hamiltonian(), 0.0) is None
+        assert classical_reference(mixed_hamiltonian(), 0.0) is None
 
     def test_limit_of_sharpness_sweep_approaches_reference(self):
         # hbar_k from the solver climbs toward the classical value

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import pendulum_hamiltonian, t1_hamiltonian, trivial_hamiltonian
 from evanskam.evans_solver import SolverConfig, minimize
+from evanskam.mather_limits import mather_diagnostics
 from evanskam.mfg_diagnostics import mfg_residuals, minmax_upper_bound
 from evanskam.torus_grid import TorusGrid
 
@@ -37,6 +38,19 @@ class TestMfgResiduals:
         assert res.converged
         assert rep.transport_residual <= cfg.grad_tol
         assert rep.transport_residual == pytest.approx(res.grad_norm, rel=1e-10, abs=1e-15)
+
+    def test_certificates_reevaluate_with_the_callers_config(self):
+        # certificates re-derive H_p from result.u with the config they are
+        # given, so a result paired with the wrong momentum must fail them
+        grid = TorusGrid(1, 32, 32)
+        cfg = SolverConfig(k=8.0, P=(1.5,))
+        ham = pendulum_hamiltonian()
+        res = minimize(ham, grid, cfg)
+        assert mfg_residuals(ham, grid, cfg, res).transport_residual <= cfg.grad_tol
+        assert np.array_equal(res.rotation, mather_diagnostics(ham, grid, cfg, res).rotation)
+        wrong = SolverConfig(k=8.0, P=(1.0,))
+        assert mfg_residuals(ham, grid, wrong, res).transport_residual > 1e-2
+        assert mather_diagnostics(ham, grid, wrong, res).identity_gap > 1e-2
 
     def test_hjb_identity_is_construction(self):
         # (1/k) log m equals u_t + H - hbar by the softmax normalization, so

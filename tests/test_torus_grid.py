@@ -7,7 +7,6 @@ from evanskam.torus_grid import (
     GridError,
     ScalarField,
     TorusGrid,
-    VectorField,
     integrate,
     partial_derivative,
     project_zero_mean,
@@ -203,13 +202,6 @@ class TestFieldTypes:
         vals[1, 1] = np.inf
         with pytest.raises(GridError):
             ScalarField(g, vals)
-
-    def test_vector_field(self):
-        g = TorusGrid(1, 8, 8)
-        vf = VectorField(g, np.zeros((2, 8, 8)))
-        assert vf.n_components == 2
-        with pytest.raises(GridError):
-            VectorField(g, np.zeros((2, 8, 4)))
 
 
 class TestFieldIO:
