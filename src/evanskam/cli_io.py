@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .battery import run_battery
-from .effective import legendre_transform, sweep_P, write_effective_csv, write_legendre_csv
+from .effective import _as_points, legendre_transform, sweep_P, write_effective_csv, write_legendre_csv
 from .evans_solver import SolverConfig, minimize
 from .hamiltonians import NyquistError, check_nyquist, hamiltonian_from_json
 from .mather_limits import classical_reference, k_sweep, write_ksweep_csv
@@ -94,7 +94,10 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
         out_block = self.block("output", required=False)
-        self.out_dir = Path(out_override) if out_override else Path(out_block.get("dir", "."))
+        out_dir = out_block.get("dir", ".")
+        if not isinstance(out_dir, str):
+            raise ConfigError(f"output.dir must be a string, got {out_dir!r}")
+        self.out_dir = Path(out_override) if out_override else Path(out_dir)
         self.field_format = out_block.get("field_format", "csv")
         if self.field_format not in ("csv", "binary"):
             raise ConfigError(f"unknown field_format {self.field_format!r}")
@@ -162,7 +165,10 @@ def cmd_sweep(args) -> int:
     block = cfg.block("sweep")
     if "P_grid" not in block:
         raise ConfigError("sweep block must set P_grid")
-    P_grid = _numeric(block["P_grid"], "sweep.P_grid")
+    try:
+        P_grid = _as_points(block["P_grid"], cfg.ham.d)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"sweep.P_grid: {exc}") from exc
     table = sweep_P(cfg.ham, cfg.grid, cfg.solver.k, P_grid, config=cfg.solver, jobs=max(1, args.jobs))
     sidecar = {
         "grid": {"d": cfg.grid.d, "n_x": cfg.grid.n_x, "n_t": cfg.grid.n_t},

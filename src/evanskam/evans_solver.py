@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -192,6 +193,7 @@ class _HamOnGrid:
         self.V = lam * ham.V.evaluate(*coords)
         self.gradV = [lam * ham.V.partial(a).evaluate(*coords) for a in range(ham.d)]
         self.V_t = lam * ham.V.partial(ham.d).evaluate(*coords)
+        self.autonomous = not ham.V.depends_on(ham.d) and not any(spec.depends_on(0) for spec in ham.eta)
 
 
 class _State:
@@ -272,20 +274,97 @@ def _operator_apply(
     out = -out
     if with_epsilon and cfg.epsilon > 0.0:
         for a in range(d + 1):
-            out = out - k * cfg.epsilon * grid.deriv(grid.deriv(v, a, method), a, method)
+            out = out - cfg.epsilon * grid.deriv(grid.deriv(v, a, method), a, method)
     if not hessian_scale:
         out = out / k
     return out
 
 
+# Largest spatial node count n_x**d for which the time-mean plane of the
+# preconditioner is an exact dense block (one Cholesky per Newton step):
+# every d = 1 grid up to n_x = 256 and d = 2 grids up to 16^2, the largest
+# sizes whose solve times were measured against the surrogate.
+_BLOCK_MAX_NODES = 256
+
+
+@lru_cache(maxsize=4)
+def _spatial_derivatives(n_x: int, d: int, method: str) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The 1-d derivative matrix of ``method`` and the spatial D_b as column stacks.
+
+    ``Db[b][..., j]`` is D_b applied to the j-th spatial unit field, shaped
+    (n_x,)*d + (n_x**d,); in d = 2 it comes from the 1-d matrix through the
+    Kronecker structure.
+    """
+    line = TorusGrid(1, n_x, 1)
+    unit = np.eye(n_x)
+    D = np.stack([line.deriv(unit[:, j : j + 1], 0, method)[:, 0] for j in range(n_x)], axis=1)
+    cols = np.eye(n_x**d).reshape((n_x,) * d + (n_x**d,))
+    Db = [_along(D, cols, b) for b in range(d)]
+    for arr in (D, *Db):
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return D, Db
+
+
+def _along(D: np.ndarray, X: np.ndarray, axis: int) -> np.ndarray:
+    return np.moveaxis(np.tensordot(D, X, axes=(1, axis)), 0, axis)
+
+
+def _time_mean_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
+    """Exact inverse of the damped Newton operator on time-independent fields.
+
+    On v independent of t the time mean of the operator is the spatial
+    A0 = sum_ab D_a^T diag(c_ab) D_b + mu, c_ab = mean_t(m*(k*w_a*w_b + delta_ab))
+    (+ eps*delta_ab).  Constants are an eigenvector of A0 with eigenvalue
+    mu and never part of a residual, so they are lifted to the mean diagonal
+    (the solve on zero-mean fields is unchanged).  A0 is then equilibrated by
+    its diagonal, shifted by a round-off 1e-14 and Cholesky-factored; the
+    returned map solves it for a zero-mean time-mean residual through the
+    inverse factor.  None above ``_BLOCK_MAX_NODES`` spatial nodes, and for
+    time-dependent Hamiltonians: their Newton systems live mostly off the
+    time-mean plane, so the block saves no CG iterations there while every
+    apply pays for reading the dense factor.
+    """
+    d, n = grid.d, grid.n_x
+    N = n**d
+    if N > _BLOCK_MAX_NODES or not st.hog.autonomous:
+        return None
+    D, Db = _spatial_derivatives(n, d, cfg.method)
+    k = cfg.k
+    A0 = mu * np.eye(N)
+    for a in range(d):
+        flux = 0.0
+        for b in range(d):
+            delta = float(a == b)
+            c = np.mean(st.m * (k * st.w[a] * st.w[b] + delta), axis=-1) + cfg.epsilon * delta
+            flux = flux + c[..., None] * Db[b]
+        A0 += _along(D.T, flux, a).reshape(N, N)
+    A0 += np.mean(np.diag(A0)) / N
+    s = 1.0 / np.sqrt(np.diag(A0))
+    B = s[:, None] * A0 * s[None, :]
+    B[np.diag_indices(N)] += 1e-14
+    # A0^-1 = W^T W, applied as two matvecs: forming W^T W loses the small-m
+    # directions once mu is near the Newton loop's floor
+    W = np.linalg.inv(np.linalg.cholesky(B)) * s[None, :]
+
+    def solve(rbar: np.ndarray) -> np.ndarray:
+        return (W.T @ (W @ rbar.ravel())).reshape(rbar.shape)
+
+    return solve
+
+
 def _make_preconditioner(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
-    """Constant-coefficient surrogate of the Newton operator, inverted in Fourier.
+    """Fourier-diagonal surrogate of the Newton operator plus an exact time-mean block.
 
     The quadratic form k*mean(m*(v_t + H_p.grad v)^2) + mean(m*|grad v|^2) is
     approximated by freezing m at its mean (one) and H_p at the rotation
     vector; the surrogate k*(k_t + wbar.k_x)^2 + |k_x|^2 + mu is diagonal in
     Fourier space and captures the transport anisotropy that otherwise
-    throttles the inner solve.
+    throttles the inner solve.  The surrogate is blind to m, which spans many
+    decades where the Mather measure concentrates, so for autonomous
+    Hamiltonians on grids of at most ``_BLOCK_MAX_NODES`` spatial nodes the
+    time frequency 0 plane is replaced by ``_time_mean_block``.  Their Newton
+    systems never leave that plane, and there the preconditioner is the exact
+    inverse; the combined map stays symmetric positive definite.
     """
     d = len(st.w)
     k = cfg.k
@@ -302,14 +381,20 @@ def _make_preconditioner(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: f
     spatial = sum(mults[i] ** 2 for i in range(d))
     sym = k * transport**2 + spatial + mu
     if cfg.epsilon > 0.0:
-        sym = sym + cfg.k * cfg.epsilon * (spatial + kt**2)
+        sym = sym + cfg.epsilon * (spatial + kt**2)
     sym = np.asarray(np.broadcast_to(sym, np.broadcast(*mults).shape)).copy()
     sym.flat[0] = 1.0  # DC bin is never excited (zero-mean subspace)
     inv = 1.0 / sym
     axes = tuple(range(d + 1))
+    block = _time_mean_block(grid, cfg, st, mu)
+    if block is not None:
+        inv[..., 0] = 0.0
 
     def apply_inverse(r: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv, s=grid.shape, axes=axes)
+        out = np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv, s=grid.shape, axes=axes)
+        if block is not None:
+            out += block(np.mean(r, axis=-1))[..., None]
+        return out
 
     return apply_inverse
 

@@ -94,6 +94,13 @@ class TestSolveCommand:
         assert main(["solve", "--config", path]) == 2
         assert "configuration error:" in capsys.readouterr().err
 
+    def test_nonstring_output_dir_exit_2(self, tmp_path, capsys):
+        cfg = t1_config(tmp_path / "out")
+        cfg["output"]["dir"] = 5
+        path = write_config(tmp_path, cfg)
+        assert main(["solve", "--config", path]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
     def test_nonconvergence_exit_3(self, tmp_path, capsys):
         cfg = pendulum_config(tmp_path / "out")
         cfg["solver"] = {"k": 16.0, "P": [2.0], "max_newton": 1}
@@ -190,6 +197,13 @@ class TestSweepCommand:
     )
     def test_malformed_sweep_block_exit_2(self, tmp_path, capsys, sweep):
         cfg = t1_config(tmp_path / "out", sweep=sweep)
+        cfg["grid"] = {"d": 1, "n_x": 16, "n_t": 16}
+        path = write_config(tmp_path, cfg)
+        assert main(["sweep", "--config", path]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
+    def test_wrong_dimension_P_grid_exit_2(self, tmp_path, capsys):
+        cfg = t1_config(tmp_path / "out", sweep={"P_grid": [[0.0, 1.0]]})
         cfg["grid"] = {"d": 1, "n_x": 16, "n_t": 16}
         path = write_config(tmp_path, cfg)
         assert main(["sweep", "--config", path]) == 2

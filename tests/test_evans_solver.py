@@ -13,6 +13,8 @@ from conftest import (
 )
 from evanskam.evans_solver import (
     SolverConfig,
+    _operator_apply,
+    evaluate_state,
     gradient,
     hbar_bounds,
     linearized_el_apply,
@@ -231,6 +233,35 @@ class TestLinearizedOperator:
         Jm, _ = objective(ham, grid, cfg, u - h * v)
         second = (Jp - 2 * J0 + Jm) / h**2
         assert abs(cfg.k * Bvv - second) <= 1e-5 * (1 + abs(second))
+
+
+class TestNewtonOperatorEpsilon:
+    def test_epsilon_part_matches_gradient_difference(self, rng):
+        # the Tikhonov term is linear, so its part of the Newton operator must
+        # equal the central difference of its part of the gradient (weight
+        # eps, not k*eps)
+        grid = TorusGrid(1, 16, 16)
+        ham = mixed_hamiltonian()
+        cfg = SolverConfig(k=8.0, epsilon=1e-3)
+        plain = SolverConfig(k=8.0)
+        u = random_zero_mean(grid, rng)
+        v = random_zero_mean(grid, rng)
+        st = evaluate_state(ham, grid, cfg, u)
+        op = _operator_apply(grid, cfg, st, v, hessian_scale=True, with_epsilon=True)
+        op_eps = op - _operator_apply(grid, cfg, st, v, hessian_scale=True, with_epsilon=False)
+
+        def g_eps(x):
+            return gradient(ham, grid, cfg, x).values - gradient(ham, grid, plain, x).values
+
+        h = 1e-3
+        fd = (g_eps(u + h * v) - g_eps(u - h * v)) / (2 * h)
+        assert grid.norm(op_eps - fd) <= 1e-6 * grid.norm(fd)
+
+    def test_regularized_pendulum_converges(self):
+        grid = TorusGrid(1, 64, 8)
+        res = minimize(pendulum_hamiltonian(), grid, SolverConfig(k=16.0, P=(0.2,), epsilon=1e-3, grad_tol=1e-11))
+        assert res.converged
+        assert res.iterations <= 40
 
 
 class TestMinimize:

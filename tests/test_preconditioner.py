@@ -1,0 +1,158 @@
+"""The Newton preconditioner: Fourier surrogate plus an exact time-mean block.
+
+On time-independent fields the damped Newton operator reduces to a spatial
+operator with time-averaged coefficients, which the preconditioner inverts
+exactly for autonomous Hamiltonians on grids up to ``_BLOCK_MAX_NODES``
+spatial nodes; the other time frequencies, larger grids and time-dependent
+Hamiltonians keep the m-blind Fourier surrogate.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import mixed_hamiltonian, pendulum_hamiltonian
+from evanskam.effective import sweep_P
+from evanskam.evans_solver import (
+    _BLOCK_MAX_NODES,
+    SolverConfig,
+    _make_preconditioner,
+    _operator_apply,
+    _time_mean_block,
+    evaluate_state,
+    minimize,
+)
+from evanskam.hamiltonians import FourierSpec, MechanicalHamiltonian
+from evanskam.torus_grid import TorusGrid
+
+
+def separable_2d() -> MechanicalHamiltonian:
+    V = FourierSpec.build(3, [((1, 0, 0), 1.0, 0.0), ((0, 1, 0), 0.5, 0.0)])
+    return MechanicalHamiltonian(d=2, eta=(FourierSpec.zero(1),) * 2, V=V)
+
+
+def damped_operator(grid, cfg, st, mu):
+    return lambda v: _operator_apply(grid, cfg, st, v, hessian_scale=True, with_epsilon=True) + mu * v
+
+
+def solved_state(ham, grid, cfg):
+    res = minimize(ham, grid, cfg)
+    assert res.converged
+    return evaluate_state(ham, grid, cfg, res.u)
+
+
+def clamped_state():
+    # k*(f - max f) reaches about -2800, far below exp underflow: m sits at
+    # the smallest positive normal on most of the torus
+    grid = TorusGrid(1, 64, 8)
+    cfg = SolverConfig(k=16.0, P=(0.2,))
+    u = 3.0 * np.cos(2 * np.pi * grid.coords()[0]) * np.ones(grid.shape)
+    st = evaluate_state(pendulum_hamiltonian(), grid, cfg, grid.project_zero_mean(u))
+    assert np.min(st.m) < 1e-300
+    return grid, cfg, st
+
+
+def states():
+    yield clamped_state()
+    grid = TorusGrid(1, 32, 16)
+    cfg = SolverConfig(k=8.0, P=(0.5,), epsilon=1e-3)
+    u = 0.1 * np.sin(2 * np.pi * (grid.coords()[0] + grid.coords()[1]))
+    yield grid, cfg, evaluate_state(mixed_hamiltonian(), grid, cfg, grid.project_zero_mean(u))
+    grid = TorusGrid(1, 64, 8)
+    cfg = SolverConfig(k=16.0, P=(-0.1,), grad_tol=1e-11)
+    yield grid, cfg, solved_state(pendulum_hamiltonian(), grid, cfg)
+
+
+def check_symmetric_positive(rng, grid, cfg, st, mu):
+    M = _make_preconditioner(grid, cfg, st, mu)
+    for _ in range(3):
+        x = grid.project_zero_mean(rng.standard_normal(grid.shape))
+        y = grid.project_zero_mean(rng.standard_normal(grid.shape))
+        xMy, Mxy = grid.inner(x, M(y)), grid.inner(M(x), y)
+        assert abs(xMy - Mxy) <= 1e-12 * grid.norm(x) * grid.norm(M(y))
+        assert grid.inner(x, M(x)) > 0.0
+
+
+def check_exact(rng, grid, cfg, st, mus=(1e-9, 1e-4, 1.0)):
+    spatial = (grid.n_x,) * grid.d + (1,)
+    for mu in mus:
+        A = damped_operator(grid, cfg, st, mu)
+        M = _make_preconditioner(grid, cfg, st, mu)
+        for _ in range(3):
+            v = grid.project_zero_mean(rng.standard_normal(spatial) * np.ones(grid.shape))
+            r = A(v)
+            assert grid.norm(A(M(r)) - r) <= 1e-8 * grid.norm(r)
+
+
+class TestSymmetricPositive:
+    @pytest.mark.parametrize("mu", [1e-11, 1e-4, 1.0])
+    def test_symmetric_and_positive_on_zero_mean_fields(self, rng, mu):
+        for grid, cfg, st in states():
+            check_symmetric_positive(rng, grid, cfg, st, mu)
+
+    def test_constants_not_amplified(self):
+        # constants are never part of a residual, but round-off puts them
+        # there; like the surrogate's unit DC bin, the block must not return
+        # them scaled by 1/mu
+        for grid, cfg, st in states():
+            ones = np.ones(grid.shape)
+            assert grid.norm(_make_preconditioner(grid, cfg, st, 1e-11)(ones)) <= grid.norm(ones)
+
+
+class TestTimeMeanBlockExact:
+    @pytest.mark.parametrize(
+        "n_t, P, epsilon, method",
+        [(1, -0.1, 0.0, "spectral"), (8, -0.1, 0.0, "spectral"), (8, 0.3, 1e-3, "spectral"), (8, 0.0, 0.0, "central4")],
+    )
+    def test_inverse_on_time_independent_fields_1d(self, rng, n_t, P, epsilon, method):
+        grid = TorusGrid(1, 64, n_t)
+        cfg = SolverConfig(k=16.0, P=(P,), epsilon=epsilon, method=method, grad_tol=1e-10)
+        st = solved_state(pendulum_hamiltonian(), grid, cfg)
+        check_exact(rng, grid, cfg, st)
+
+    def test_inverse_on_time_independent_fields_2d(self, rng):
+        grid = TorusGrid(2, 8, 4)
+        cfg = SolverConfig(k=8.0, P=(0.3, 0.1))
+        st = solved_state(separable_2d(), grid, cfg)
+        check_exact(rng, grid, cfg, st)
+
+    def test_inverse_at_the_clamp(self, rng):
+        check_exact(rng, *clamped_state())
+
+    def test_no_block_above_the_cap(self):
+        grid = TorusGrid(2, 18, 2)
+        assert grid.n_x**grid.d > _BLOCK_MAX_NODES
+        cfg = SolverConfig(k=4.0, P=(0.1, 0.2))
+        st = evaluate_state(separable_2d(), grid, cfg, grid.zeros())
+        assert _time_mean_block(grid, cfg, st, 1.0) is None
+
+    def test_no_block_for_time_dependent_hamiltonians(self):
+        grid = TorusGrid(1, 16, 16)
+        cfg = SolverConfig(k=4.0, P=(0.5,))
+        st = evaluate_state(mixed_hamiltonian(), grid, cfg, grid.zeros())
+        assert _time_mean_block(grid, cfg, st, 1.0) is None
+
+
+class TestAtTheCap:
+    # the largest block, with m down to about 1e-36 and a damping near the
+    # Newton loop's floor: the factorization must not raise or lose exactness
+    @pytest.fixture(scope="class")
+    def cap_state(self):
+        grid = TorusGrid(2, 16, 4)
+        assert grid.n_x**grid.d == _BLOCK_MAX_NODES
+        cfg = SolverConfig(k=32.0, P=(0.3, 0.1))
+        return grid, cfg, solved_state(separable_2d(), grid, cfg)
+
+    def test_symmetric_and_positive(self, rng, cap_state):
+        check_symmetric_positive(rng, *cap_state, mu=1e-11)
+
+    def test_inverse_on_time_independent_fields(self, rng, cap_state):
+        check_exact(rng, *cap_state, mus=(1e-11, 1e-4))
+
+
+def test_criterion_6_grid_converges_everywhere():
+    # the flat branch |P| <= 0.4, where m spans about 1e-13 to 10, used to
+    # leave entries unconverged at the CG cap
+    P_grid = np.round(np.arange(-2.0, 2.0001, 0.1), 10)
+    cfg = SolverConfig(k=16.0, grad_tol=1e-11)
+    table = sweep_P(pendulum_hamiltonian(), TorusGrid(1, 64, 8), 16.0, P_grid, config=cfg)
+    assert table.converged.tolist() == [True] * 41
