@@ -132,7 +132,14 @@ def _load_config(args) -> RunConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return RunConfig(raw, out_override=args.out, method_override=args.method)
+    return RunConfig(raw, out_override=getattr(args, "out", None), method_override=getattr(args, "method", None))
+
+
+def _points(values, d: int, what: str) -> np.ndarray:
+    try:
+        return _as_points(values, d)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def _write_json(path: Path, obj) -> None:
@@ -165,19 +172,20 @@ def cmd_sweep(args) -> int:
     block = cfg.block("sweep")
     if "P_grid" not in block:
         raise ConfigError("sweep block must set P_grid")
-    try:
-        P_grid = _as_points(block["P_grid"], cfg.ham.d)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"sweep.P_grid: {exc}") from exc
+    P_grid = _points(block["P_grid"], cfg.ham.d, "sweep.P_grid")
+    Q_grid = None
+    if "Q_grid" in block:
+        Q_grid = _points(block["Q_grid"], cfg.ham.d, "sweep.Q_grid")
+        if cfg.ham.d == 1 and len(P_grid) < 3:
+            raise ConfigError("sweep.Q_grid needs a P_grid of at least 3 entries for the convexity check")
     table = sweep_P(cfg.ham, cfg.grid, cfg.solver.k, P_grid, config=cfg.solver, jobs=max(1, args.jobs))
     sidecar = {
         "grid": {"d": cfg.grid.d, "n_x": cfg.grid.n_x, "n_t": cfg.grid.n_t},
         "solver": {k: v for k, v in cfg.solver.__dict__.items() if k != "P"},
     }
     write_effective_csv(table, out / "effective_table.csv", sidecar=sidecar)
-    if "Q_grid" in block:
-        leg = legendre_transform(table, _numeric(block["Q_grid"], "sweep.Q_grid"))
-        write_legendre_csv(leg, out / "legendre_table.csv")
+    if Q_grid is not None:
+        write_legendre_csv(legendre_transform(table, Q_grid), out / "legendre_table.csv")
     if not bool(np.all(table.converged)):
         bad = np.flatnonzero(~table.converged).tolist()
         print(f"sweep entries did not converge: {bad}", file=sys.stderr)
@@ -241,22 +249,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exponential-averaging cell problems on the space-time torus",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "solve": (cmd_solve, "minimize once and persist (u, m, hbar) with residual certificates"),
-        "sweep": (cmd_sweep, "effective-Hamiltonian table over a momentum grid, plus Legendre dual"),
-        "limit": (cmd_limit, "sharpness sweep with limit-trend diagnostics"),
-        "check": (cmd_check, "run the named invariant battery"),
-        "oracle": (cmd_oracle, "classical cell-problem reference value for autonomous d=1 potentials"),
+    flags = {
+        "--config": dict(default=None, help="path to a JSON run configuration"),
+        "--out": dict(default=None, help="output directory (overrides config)"),
+        "--method": dict(choices=["spectral", "central4"], default=None, help="override differentiation method"),
+        "--jobs": dict(type=int, default=1, help="parallel cold-start workers for sweep entries"),
+        "--seed": dict(type=int, default=0, help="seed for randomized check batteries"),
+        "--inject-error": dict(default=None, help="test hook: flip a sign inside the named invariant"),
     }
-    for name, (fn, help_text) in specs.items():
+    run_flags = ("--config", "--out", "--method")
+    specs = {
+        "solve": (cmd_solve, "minimize once and persist (u, m, hbar) with residual certificates", run_flags),
+        "sweep": (
+            cmd_sweep, "effective-Hamiltonian table over a momentum grid, plus Legendre dual", (*run_flags, "--jobs")
+        ),
+        "limit": (cmd_limit, "sharpness sweep with limit-trend diagnostics", run_flags),
+        "check": (cmd_check, "run the named invariant battery", ("--seed", "--inject-error")),
+        "oracle": (cmd_oracle, "classical cell-problem reference value for autonomous d=1 potentials", ("--config",)),
+    }
+    for name, (fn, help_text, names) in specs.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None, help="path to a JSON run configuration")
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel cold-start workers for sweep entries")
-        p.add_argument("--method", choices=["spectral", "central4"], default=None, help="override differentiation method")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized check batteries")
-        if name == "check":
-            p.add_argument("--inject-error", default=None, help="test hook: flip a sign inside the named invariant")
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
         p.set_defaults(fn=fn)
     return parser
 

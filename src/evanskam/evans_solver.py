@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .hamiltonians import ChiParams, MechanicalHamiltonian, check_nyquist
 from .torus_grid import ScalarField, TorusGrid
@@ -150,11 +149,12 @@ class SolveResult:
 class LipschitzCertificate:
     """A priori gradient bound K derived from the linear drift bound chi.
 
-    K is the smallest value (up to bisection tolerance) such that
-    g(a) = integral_a^K 2 du / (chi(u) + 1) reaches 2 with a = K * 1e-9;
-    closed forms of g are used for linear chi.  Solutions of the
-    critical-point equation satisfy max|Du| <= K in the continuum, so the
-    certificate is a monitor for computed minimizers, not an assumption.
+    K is the smallest value (up to a 1e-10 relative nudge) such that
+    g(a) = integral_a^K 2 du / (chi(u) + 1) reaches 2 with a = K * a_ratio
+    (1e-9 by default); for linear chi both g and K have closed forms.
+    Solutions of the critical-point equation satisfy max|Du| <= K in the
+    continuum, so the certificate is a monitor for computed minimizers, not
+    an assumption.
     """
 
     chi: ChiParams
@@ -645,28 +645,21 @@ def minimize(
 
 
 def lipschitz_bound(chi: ChiParams, a_ratio: float = 1e-9) -> LipschitzCertificate:
-    """Smallest K (to 1e-9) whose barrier integral reaches 2 from a = K*a_ratio.
+    """Smallest K whose barrier integral reaches 2 from a = K*a_ratio, nudged up by 1e-10.
 
-    Closed forms for linear chi(s) = c*s + d0:
-        c > 0:  g(a) = (2/c) * log((c*K + d0 + 1) / (c*a + d0 + 1))
-        c = 0:  g(a) = 2*(K - a) / (d0 + 1)
-    A linear chi always satisfies the divergence condition
-    integral^inf ds/(chi(s)+1) = inf, so a root always exists.
+    With a = a_ratio*K, g(a) = 2 has a closed form for linear chi(s) = c*s + d0:
+        c > 0:  K = (d0 + 1) * (e^c - 1) / (c * (1 - a_ratio*e^c))
+        c = 0:  K = (d0 + 1) / (1 - a_ratio)
+    Because a scales with K, no root exists once a_ratio*e^c >= 1, that is
+    c >= log(1/a_ratio); a ValueError is raised there.
     """
     c, d0 = chi.c, chi.d0
-
-    def g_minus_two(K: float) -> float:
-        a = a_ratio * K
-        if c > 0:
-            val = (2.0 / c) * math.log((c * K + d0 + 1.0) / (c * a + d0 + 1.0))
-        else:
-            val = 2.0 * (K - a) / (d0 + 1.0)
-        return val - 2.0
-
-    lo = 1e-12
-    hi = 1.0
-    while g_minus_two(hi) < 0.0:
-        hi *= 2.0
-    K = float(brentq(g_minus_two, lo, hi, xtol=1e-12, rtol=8.881784197001252e-16))
+    if c > 0:
+        margin = 1.0 - a_ratio * math.exp(c) if c < -math.log(a_ratio) else 0.0
+        if not margin > 0.0:
+            raise ValueError(f"no Lipschitz certificate for c={c} at a_ratio={a_ratio}: needs c < log(1/a_ratio)")
+        K = (d0 + 1.0) * math.expm1(c) / (c * margin)
+    else:
+        K = (d0 + 1.0) / (1.0 - a_ratio)
     K += 1e-10 * (1.0 + K)  # land on the >= 2 side of the root
     return LipschitzCertificate(chi=chi, a=a_ratio * K, K=K)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .evans_solver import SolveResult, SolverConfig, evaluate_state, minimize
 from .hamiltonians import FourierSpec, MechanicalHamiltonian
@@ -201,9 +200,6 @@ class KSweepReport:
     rows: list[KSweepRow]
     hbar_ref: float | None
 
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows])
-
 
 def k_sweep(
     ham: MechanicalHamiltonian,
@@ -305,5 +301,13 @@ def pendulum_reference(V: FourierSpec, P: float, n_quad: int = 10_000, tol: floa
     p_abs = abs(float(P))
     if p_abs <= p_crit:
         return v_max
-    hi = v_max + 0.5 * p_abs**2 + 1.0
-    return float(brentq(lambda E: momentum_of(E) - p_abs, v_max, hi, xtol=tol))
+    lo, hi = v_max, v_max + 0.5 * p_abs**2 + 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # tol below the float spacing at the root
+            break
+        if momentum_of(mid) < p_abs:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -258,11 +258,11 @@ def test_criterion_7_limit_trends():
     ham = pendulum_hamiltonian()
     grid = TorusGrid(1, 128, 128)
     rep = k_sweep(ham, grid, (0.0,), [4, 8, 16, 32, 64])
-    hbar = rep.column("hbar")
-    s_over_k = np.abs(rep.column("entropy_over_k"))
-    aron = rep.column("aronsson_residual")
-    lip = rep.column("lip_norm")
-    sup_pos = rep.column("sup_excess_pos")
+    hbar = np.array([r.hbar for r in rep.rows])
+    s_over_k = np.abs([r.entropy_over_k for r in rep.rows])
+    aron = np.array([r.aronsson_residual for r in rep.rows])
+    lip = np.array([r.lip_norm for r in rep.rows])
+    sup_pos = np.array([r.sup_excess_pos for r in rep.rows])
 
     ref = rep.hbar_ref
     clauses = [
@@ -285,7 +285,7 @@ def test_criterion_7_limit_trends():
     # so the second-order residual is genuinely nonzero and must shrink
     grid2 = TorusGrid(1, 64, 8)
     rep2 = k_sweep(ham, grid2, (2.0,), [8, 64])
-    aron2 = rep2.column("aronsson_residual")
+    aron2 = np.array([r.aronsson_residual for r in rep2.rows])
     clauses.append(
         ("supplementary P=2: residual at 64 < at 8 (nonzero)", aron2[1] < aron2[0] and aron2[0] > 1e-6, f"{aron2[0]:.2e} -> {aron2[1]:.2e}")
     )

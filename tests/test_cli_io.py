@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,8 +196,15 @@ class TestSweepCommand:
         assert main(["sweep", "--config", path]) == 2
 
     @pytest.mark.parametrize(
-        "sweep", [5, {"P_grid": ["a", "b"]}, {"P_grid": [0.0], "Q_grid": "x"}],
-        ids=["not-object", "nonnumeric-P-grid", "nonnumeric-Q-grid"],
+        "sweep",
+        [
+            5,
+            {"P_grid": ["a", "b"]},
+            {"P_grid": [0.0], "Q_grid": "x"},
+            {"P_grid": [-1.0, 0.0, 1.0], "Q_grid": [[0.0, 1.0]]},
+            {"P_grid": [0.0, 1.0], "Q_grid": [0.0]},
+        ],
+        ids=["not-object", "nonnumeric-P-grid", "nonnumeric-Q-grid", "wrong-dimension-Q-grid", "short-P-grid-with-Q-grid"],
     )
     def test_malformed_sweep_block_exit_2(self, tmp_path, capsys, sweep):
         cfg = t1_config(tmp_path / "out", sweep=sweep)
@@ -201,6 +212,7 @@ class TestSweepCommand:
         path = write_config(tmp_path, cfg)
         assert main(["sweep", "--config", path]) == 2
         assert "configuration error:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "effective_table.csv").exists()  # rejected before any entry is solved
 
     def test_wrong_dimension_P_grid_exit_2(self, tmp_path, capsys):
         cfg = t1_config(tmp_path / "out", sweep={"P_grid": [[0.0, 1.0]]})
@@ -300,3 +312,25 @@ class TestOracleCommand:
         path = write_config(tmp_path, pendulum_config(tmp_path / "out", oracle=oracle))
         assert main(["oracle", "--config", path]) == 2
         assert "configuration error:" in capsys.readouterr().err
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "--method", "central4"], ["solve", "--config", "cfg.json", "--jobs", "2"], ["oracle", "--out", "d"]],
+        ids=["check-method", "solve-jobs", "oracle-out"],
+    )
+    def test_flag_not_read_by_command_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_import_does_not_load_scipy():
+    # the suite itself imports scipy for its oracles, so check in a fresh interpreter
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import evanskam, sys; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

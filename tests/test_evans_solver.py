@@ -398,6 +398,18 @@ class TestLipschitzBound:
         cert = lipschitz_bound(ChiParams(c=0.0, d0=1.0))
         assert cert.K == pytest.approx(2.0, abs=1e-6)
 
+    def test_steep_slope_below_limit_is_finite(self):
+        # c = 20 sits just below log(1/a_ratio) = 20.72 at the default a_ratio
+        cert = lipschitz_bound(ChiParams(c=20.0, d0=0.0))
+        assert math.isfinite(cert.K)
+        assert cert.g(cert.a) >= 2.0
+
+    @pytest.mark.parametrize("c", [21.0, 25.0, 800.0])
+    def test_no_certificate_beyond_limit(self, c):
+        # a = a_ratio*K grows with K, so g(a) < 2 for every K once a_ratio*e^c >= 1
+        with pytest.raises(ValueError, match=f"c={c}"):
+            lipschitz_bound(ChiParams(c=c, d0=0.0))
+
     def test_monitor_on_solver_battery(self):
         # the named mechanical cases converge to 1e-9 across the full k range;
         # the strongly time-coupled mixed case is checked separately below,

@@ -185,12 +185,12 @@ class TestKSweep:
         grid = TorusGrid(1, 64, 8)
         rep = k_sweep(pendulum_hamiltonian(), grid, (0.0,), [4, 8, 16, 32, 64])
         assert rep.hbar_ref == pytest.approx(1.0, abs=1e-9)
-        hbar = rep.column("hbar")
+        hbar = np.array([r.hbar for r in rep.rows])
         assert np.all(np.diff(hbar) > 0)
         assert hbar[-1] > 0.8
-        s_over_k = np.abs(rep.column("entropy_over_k"))
+        s_over_k = np.abs([r.entropy_over_k for r in rep.rows])
         assert s_over_k[-1] < s_over_k[1]
-        sup_pos = rep.column("sup_excess_pos")
+        sup_pos = np.array([r.sup_excess_pos for r in rep.rows])
         assert np.all(sup_pos >= -1e-15)
         assert np.all(np.diff(sup_pos) <= 0.2 * sup_pos[:-1] + 1e-12)
 
@@ -215,6 +215,12 @@ class TestPendulumReference:
         V = FourierSpec.zero(1)
         for P in (0.0, 0.5, 2.0):
             assert pendulum_reference(V, P) == pytest.approx(0.5 * P**2, abs=1e-9)
+
+    def test_bisection_honours_tol(self):
+        # V = 0: the root of sqrt(2E) = P is E = P^2/2, bracketed to within tol
+        V = FourierSpec.zero(1)
+        assert pendulum_reference(V, 2.0, tol=1e-12) == pytest.approx(2.0, abs=1e-12)
+        assert pendulum_reference(V, 2.0, tol=0.0) == pytest.approx(2.0, abs=1e-14)
 
     def test_flat_branch_is_max_V(self):
         V = FourierSpec.build(1, [((1,), 1.0, 0.0)])
