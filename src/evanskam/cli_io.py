@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .battery import run_battery
-from .effective import _as_points, legendre_transform, sweep_P, write_effective_csv, write_legendre_csv
+from .effective import _as_points, _convexity_grid, legendre_transform, sweep_P, write_effective_csv, write_legendre_csv
 from .evans_solver import SolverConfig, minimize
 from .hamiltonians import NyquistError, check_nyquist, hamiltonian_from_json
 from .mather_limits import classical_reference, k_sweep, write_ksweep_csv
@@ -176,8 +176,10 @@ def cmd_sweep(args) -> int:
     Q_grid = None
     if "Q_grid" in block:
         Q_grid = _points(block["Q_grid"], cfg.ham.d, "sweep.Q_grid")
-        if cfg.ham.d == 1 and len(P_grid) < 3:
-            raise ConfigError("sweep.Q_grid needs a P_grid of at least 3 entries for the convexity check")
+        try:
+            _convexity_grid(P_grid)
+        except ValueError as exc:
+            raise ConfigError(f"sweep.P_grid with a Q_grid: {exc}") from exc
     table = sweep_P(cfg.ham, cfg.grid, cfg.solver.k, P_grid, config=cfg.solver, jobs=max(1, args.jobs))
     sidecar = {
         "grid": {"d": cfg.grid.d, "n_x": cfg.grid.n_x, "n_t": cfg.grid.n_t},

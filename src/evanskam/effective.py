@@ -152,7 +152,34 @@ def convexity_check(values) -> ConvexityReport:
     )
 
 
+def _convexity_grid(P_grid: np.ndarray) -> tuple[int, ...]:
+    """Shape of the uniform product grid that the convexity check reads ``P_grid`` as.
+
+    d = 1 needs at least 3 entries; d = 2 a row-major rectangular grid,
+    P[i*n1 + j] = (a_i, b_j).  Each axis must be uniformly spaced: every step
+    within a relative 1e-9 of the first, which is nonzero.  Raises
+    ValueError otherwise.
+    """
+    if P_grid.shape[1] == 1:
+        if len(P_grid) < 3:
+            raise ValueError("the convexity check needs a P_grid of at least 3 entries")
+        shape, lines = (len(P_grid),), [P_grid[:, 0]]
+    else:
+        n0 = len(np.unique(P_grid[:, 0]))
+        n1 = len(P_grid) // n0
+        rect = P_grid.reshape(n0, n1, 2) if n0 * n1 == len(P_grid) else None
+        if rect is None or np.any(rect[:, :, 0] != rect[:, :1, 0]) or np.any(rect[:, :, 1] != rect[:1, :, 1]):
+            raise ValueError("the convexity check needs a d = 2 P_grid that is a row-major rectangular grid")
+        shape, lines = (n0, n1), [rect[:, 0, 0], rect[0, :, 1]]
+    for axis, line in enumerate(lines):
+        steps = np.diff(line)
+        if steps.size and not (steps[0] != 0.0 and np.all(np.abs(steps - steps[0]) <= 1e-9 * abs(steps[0]))):
+            raise ValueError(f"the convexity check needs a uniformly spaced P_grid (axis {axis} is not)")
+    return shape
+
+
 def _check_table_convex(table: EffectiveTable, tol: float) -> None:
+    shape = _convexity_grid(table.P_grid)
     if table.d == 1:
         rep = convexity_check(table.hbar)
         if rep.max_violation > tol:
@@ -163,12 +190,8 @@ def _check_table_convex(table: EffectiveTable, tol: float) -> None:
                 f"hbar={table.hbar[i - 1 : i + 2].tolist()}"
             )
         return
-    # d = 2 tables arrive row-major on a rectangular grid; check axis-wise
-    # second differences over each grid line.
-    pts = table.P_grid
-    n0 = len(np.unique(pts[:, 0]))
-    n1 = len(pts) // n0
-    grid_vals = table.hbar.reshape(n0, n1)
+    # d = 2: axis-wise second differences over each grid line
+    grid_vals = table.hbar.reshape(shape)
     for axis in range(2):
         second = np.diff(grid_vals, n=2, axis=axis)
         if second.size and float(np.max(-0.5 * second)) > tol:

@@ -280,33 +280,106 @@ def _operator_apply(
     return out
 
 
-# Largest spatial node count n_x**d for which the time-mean plane of the
-# preconditioner is an exact dense block (one Cholesky per Newton step):
-# every d = 1 grid up to n_x = 256 and d = 2 grids up to 16^2, the largest
-# sizes whose solve times were measured against the surrogate.
+# Largest node counts for which the preconditioner factors a dense block of
+# the Newton operator (one Cholesky per Newton step).  The time-mean plane of
+# autonomous problems has n_x**d nodes: every d = 1 grid up to n_x = 256 and
+# d = 2 grids up to 16^2, the largest sizes whose solve times were measured
+# against the surrogate.
 _BLOCK_MAX_NODES = 256
+# Time-dependent problems couple every time frequency, so their block is the
+# whole operator on n_x**d * n_t nodes.  At 512 the 1-d time-coupled case on
+# 32x16 converges in 25-55 CG iterations where the surrogate stalled after
+# 38k-86k; at 1024 the factor costs 32x32 problems more than the surrogate's
+# CG iterations do (drift only: 0.02 s -> 1.45 s per solve).
+_SPACETIME_MAX_NODES = 512
+
+
+def _derivative_matrix(n: int, method: str) -> np.ndarray:
+    line = TorusGrid(1, n, 1)
+    unit = np.eye(n)
+    return np.stack([line.deriv(unit[:, j : j + 1], 0, method)[:, 0] for j in range(n)], axis=1)
 
 
 @lru_cache(maxsize=4)
-def _spatial_derivatives(n_x: int, d: int, method: str) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The 1-d derivative matrix of ``method`` and the spatial D_b as column stacks.
+def _derivative_columns(shape: tuple[int, ...], method: str) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The 1-d derivative matrix of ``method`` per axis of ``shape``, and each D_b as a column stack.
 
-    ``Db[b][..., j]`` is D_b applied to the j-th spatial unit field, shaped
-    (n_x,)*d + (n_x**d,); in d = 2 it comes from the 1-d matrix through the
-    Kronecker structure.
+    ``cols[b][..., j]`` is D_b applied to the j-th unit field, shaped
+    shape + (N,) with N = prod(shape); it comes from the 1-d matrices through
+    the Kronecker structure.
     """
-    line = TorusGrid(1, n_x, 1)
-    unit = np.eye(n_x)
-    D = np.stack([line.deriv(unit[:, j : j + 1], 0, method)[:, 0] for j in range(n_x)], axis=1)
-    cols = np.eye(n_x**d).reshape((n_x,) * d + (n_x**d,))
-    Db = [_along(D, cols, b) for b in range(d)]
-    for arr in (D, *Db):
+    Ds = [_derivative_matrix(n, method) for n in shape]
+    N = math.prod(shape)
+    unit = np.eye(N).reshape(shape + (N,))
+    cols = [_along(D, unit, b) for b, D in enumerate(Ds)]
+    for arr in (*Ds, *cols):
         arr.flags.writeable = False  # shared by every caller through the cache
-    return D, Db
+    return Ds, cols
 
 
 def _along(D: np.ndarray, X: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(D, X, axes=(1, axis)), 0, axis)
+
+
+def _assemble(shape: tuple[int, ...], method: str, coef: list[list[np.ndarray]], mu: float) -> np.ndarray:
+    """Dense sum_ab D_a^T diag(coef[a][b]) D_b + mu over the axes of ``shape``.
+
+    Each term costs O(N^2 * n_a) through the column stacks, not O(N^3).
+    """
+    Ds, cols = _derivative_columns(shape, method)
+    N = math.prod(shape)
+    A = mu * np.eye(N)
+    for a, Da in enumerate(Ds):
+        flux = 0.0
+        for b, c in enumerate(coef[a]):
+            flux = flux + c[..., None] * cols[b]
+        A += _along(Da.T, flux, a).reshape(N, N)
+    return A
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by 2x2 block recursion.
+
+    [[L11, 0], [L21, L22]]^-1 = [[X11, 0], [-X22 L21 X11, X22]] with X11, X22
+    the inverses of the diagonal blocks.  numpy has no triangular inverse;
+    np.linalg.inv, a pivoted LU of the whole matrix, costs 3-4x the Cholesky
+    factorization, the recursion less than one.  Blocks of at most 128 rows,
+    which covers the time-mean block of every d = 1 grid in configs/, go to
+    np.linalg.inv unsplit.
+    """
+    n = L.shape[0]
+    if n <= 128:
+        return np.linalg.inv(L)
+    h = n // 2
+    X = np.zeros_like(L)
+    X[:h, :h] = _lower_inverse(L[:h, :h])
+    X[h:, h:] = _lower_inverse(L[h:, h:])
+    X[h:, :h] = -X[h:, h:] @ (L[h:, :h] @ X[:h, :h])
+    return X
+
+
+def _factored_inverse(A: np.ndarray):
+    """Solve map of a damped Newton block A = mu + (symmetric positive semidefinite).
+
+    Constants are an eigenvector of A with eigenvalue mu and never part of a
+    residual, so they are lifted to the mean diagonal (the solve on
+    zero-mean fields is unchanged).  A is then equilibrated by its diagonal,
+    shifted by a round-off 1e-14 and Cholesky-factored; the returned map
+    applies A^-1 = W^T W as two matvecs with W the scaled inverse factor:
+    forming W^T W loses the small-m directions once mu is near the Newton
+    loop's floor.
+    """
+    N = A.shape[0]
+    A += np.mean(np.diag(A)) / N
+    s = 1.0 / np.sqrt(np.diag(A))
+    B = s[:, None] * A * s[None, :]
+    B[np.diag_indices(N)] += 1e-14
+    W = _lower_inverse(np.linalg.cholesky(B)) * s[None, :]
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        return (W.T @ (W @ r.ravel())).reshape(r.shape)
+
+    return solve
 
 
 def _time_mean_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
@@ -314,58 +387,64 @@ def _time_mean_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float
 
     On v independent of t the time mean of the operator is the spatial
     A0 = sum_ab D_a^T diag(c_ab) D_b + mu, c_ab = mean_t(m*(k*w_a*w_b + delta_ab))
-    (+ eps*delta_ab).  Constants are an eigenvector of A0 with eigenvalue
-    mu and never part of a residual, so they are lifted to the mean diagonal
-    (the solve on zero-mean fields is unchanged).  A0 is then equilibrated by
-    its diagonal, shifted by a round-off 1e-14 and Cholesky-factored; the
-    returned map solves it for a zero-mean time-mean residual through the
-    inverse factor.  None above ``_BLOCK_MAX_NODES`` spatial nodes, and for
-    time-dependent Hamiltonians: their Newton systems live mostly off the
-    time-mean plane, so the block saves no CG iterations there while every
-    apply pays for reading the dense factor.
+    (+ eps*delta_ab), inverted by ``_factored_inverse`` for a zero-mean
+    time-mean residual.  None above ``_BLOCK_MAX_NODES`` spatial nodes, and
+    for time-dependent Hamiltonians, whose Newton systems live mostly off the
+    time-mean plane.
     """
     d, n = grid.d, grid.n_x
-    N = n**d
-    if N > _BLOCK_MAX_NODES or not st.hog.autonomous:
+    if n**d > _BLOCK_MAX_NODES or not st.hog.autonomous:
         return None
-    D, Db = _spatial_derivatives(n, d, cfg.method)
     k = cfg.k
-    A0 = mu * np.eye(N)
-    for a in range(d):
-        flux = 0.0
-        for b in range(d):
-            delta = float(a == b)
-            c = np.mean(st.m * (k * st.w[a] * st.w[b] + delta), axis=-1) + cfg.epsilon * delta
-            flux = flux + c[..., None] * Db[b]
-        A0 += _along(D.T, flux, a).reshape(N, N)
-    A0 += np.mean(np.diag(A0)) / N
-    s = 1.0 / np.sqrt(np.diag(A0))
-    B = s[:, None] * A0 * s[None, :]
-    B[np.diag_indices(N)] += 1e-14
-    # A0^-1 = W^T W, applied as two matvecs: forming W^T W loses the small-m
-    # directions once mu is near the Newton loop's floor
-    W = np.linalg.inv(np.linalg.cholesky(B)) * s[None, :]
+    coef = [
+        [np.mean(st.m * (k * st.w[a] * st.w[b] + float(a == b)), axis=-1) + cfg.epsilon * float(a == b) for b in range(d)]
+        for a in range(d)
+    ]
+    return _factored_inverse(_assemble((n,) * d, cfg.method, coef, mu))
 
-    def solve(rbar: np.ndarray) -> np.ndarray:
-        return (W.T @ (W @ rbar.ravel())).reshape(rbar.shape)
 
-    return solve
+def _spacetime_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
+    """Exact inverse of the whole damped Newton operator, for time-dependent Hamiltonians.
+
+    The operator is A = k*T^T diag(m) T + sum_i D_i^T diag(m) D_i
+    + eps*sum_a D_a^T D_a + mu with the transport derivative
+    T = D_t + sum_i diag(w_i) D_i, that is sum_ab D_a^T diag(c_ab) D_b over
+    the space-time axes with c_ab = k*m*v_a*v_b + delta_ab*(m*[a spatial] + eps)
+    and v = (w, 1).  None above ``_SPACETIME_MAX_NODES`` nodes and for
+    autonomous Hamiltonians, whose Newton systems ``_time_mean_block`` covers.
+    """
+    if grid.n_nodes > _SPACETIME_MAX_NODES or st.hog.autonomous:
+        return None
+    d = grid.d
+    km = cfg.k * st.m
+    v = [*st.w, 1.0]
+    coef = [[km * v[a] * v[b] for b in range(d + 1)] for a in range(d + 1)]
+    for a in range(d + 1):
+        coef[a][a] = coef[a][a] + (st.m if a < d else 0.0) + cfg.epsilon
+    return _factored_inverse(_assemble(grid.shape, cfg.method, coef, mu))
 
 
 def _make_preconditioner(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
-    """Fourier-diagonal surrogate of the Newton operator plus an exact time-mean block.
+    """Inverse of the damped Newton operator: exact on small grids, a Fourier surrogate elsewhere.
 
-    The quadratic form k*mean(m*(v_t + H_p.grad v)^2) + mean(m*|grad v|^2) is
-    approximated by freezing m at its mean (one) and H_p at the rotation
-    vector; the surrogate k*(k_t + wbar.k_x)^2 + |k_x|^2 + mu is diagonal in
-    Fourier space and captures the transport anisotropy that otherwise
-    throttles the inner solve.  The surrogate is blind to m, which spans many
-    decades where the Mather measure concentrates, so for autonomous
-    Hamiltonians on grids of at most ``_BLOCK_MAX_NODES`` spatial nodes the
-    time frequency 0 plane is replaced by ``_time_mean_block``.  Their Newton
-    systems never leave that plane, and there the preconditioner is the exact
-    inverse; the combined map stays symmetric positive definite.
+    For time-dependent Hamiltonians on grids of at most
+    ``_SPACETIME_MAX_NODES`` nodes the preconditioner is ``_spacetime_block``,
+    the exact inverse, and PCG takes about one iteration per Newton step.
+    Otherwise the quadratic form k*mean(m*(v_t + H_p.grad v)^2) +
+    mean(m*|grad v|^2) is approximated by freezing m at its mean (one) and
+    H_p at the rotation vector; the surrogate k*(k_t + wbar.k_x)^2 + |k_x|^2
+    + mu is diagonal in Fourier space and captures the transport anisotropy
+    that otherwise throttles the inner solve.  The surrogate is blind to m,
+    which spans many decades where the Mather measure concentrates, so for
+    autonomous Hamiltonians on grids of at most ``_BLOCK_MAX_NODES`` spatial
+    nodes the time frequency 0 plane is replaced by ``_time_mean_block``.
+    Their Newton systems never leave that plane, and there the
+    preconditioner is the exact inverse; the combined map stays symmetric
+    positive definite.
     """
+    exact = _spacetime_block(grid, cfg, st, mu)
+    if exact is not None:
+        return exact
     d = len(st.w)
     k = cfg.k
     wbar = [grid.integrate(st.m * st.w[i]) for i in range(d)]

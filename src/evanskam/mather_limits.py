@@ -83,18 +83,23 @@ def mather_diagnostics(
     """
     if result.u.grid != grid or result.m.grid != grid:
         raise ValueError("result fields live on a different grid")
-    P = config.momentum(ham.d)
-    st = evaluate_state(ham, grid, config, result.u)
+    return _mather_diagnostics(grid, config, result, evaluate_state(ham, grid, config, result.u))
+
+
+def _mather_diagnostics(grid: TorusGrid, config: SolverConfig, result: SolveResult, st) -> MatherDiagnostics:
+    """``mather_diagnostics`` on the state ``st`` evaluated at ``result.u``."""
+    d = grid.d
+    P = config.momentum(d)
     m = result.m.values
     k = config.k
 
     # L(z, H_p) with velocity H_p = w: |w|^2/2 - lam*eta.w - lam*V
     L = -np.broadcast_to(st.hog.V, grid.shape).astype(float)
-    for i in range(ham.d):
+    for i in range(d):
         L = L + 0.5 * st.w[i] ** 2 - st.hog.eta[i] * st.w[i]
     action = grid.integrate(m * L)
     entropy = k * grid.integrate(m * (st.f - result.hbar))
-    rotation = np.array([grid.integrate(m * st.w[i]) for i in range(ham.d)])
+    rotation = np.array([grid.integrate(m * st.w[i]) for i in range(d)])
     gap = abs(action + entropy / k + result.hbar - float(P @ rotation))
     return MatherDiagnostics(
         k=k,
@@ -161,9 +166,13 @@ def aronsson_residual(ham: MechanicalHamiltonian, grid: TorusGrid, config: Solve
     equals -(1/k) * (laplacian of u, for the mechanical family) at exact
     critical points, so it shrinks along sharpness sweeps.
     """
-    st = evaluate_state(ham, grid, config, u)
+    return _aronsson_residual(grid, config, evaluate_state(ham, grid, config, u))
+
+
+def _aronsson_residual(grid: TorusGrid, config: SolverConfig, st) -> float:
+    """``aronsson_residual`` on the evaluated state ``st``."""
     hog, u = st.hog, st.u
-    d = ham.d
+    d = grid.d
     ut = st.ut
     res = grid.deriv2(u, d)  # u_tt
     for i in range(d):
@@ -227,7 +236,8 @@ def k_sweep(
         cfg = replace(base, k=k, P=P_tuple, k_continuation=False)
         res = minimize(ham, grid, cfg, warm_start=warm)
         warm = res.u
-        diag = mather_diagnostics(ham, grid, cfg, res)
+        st = evaluate_state(ham, grid, cfg, res.u)  # one evaluation serves both diagnostics
+        diag = _mather_diagnostics(grid, cfg, res, st)
         sup_pos = max(0.0, math.log(float(np.max(res.m.values))) / k)
         rows.append(
             KSweepRow(
@@ -236,7 +246,7 @@ def k_sweep(
                 entropy_over_k=diag.entropy_over_k,
                 sup_excess_pos=sup_pos,
                 lip_norm=res.lip_norm,
-                aronsson_residual=aronsson_residual(ham, grid, cfg, res.u),
+                aronsson_residual=_aronsson_residual(grid, cfg, st),
                 converged=res.converged,
             )
         )

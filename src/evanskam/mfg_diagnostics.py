@@ -14,7 +14,7 @@ mean-square norm the solver stopped in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,8 +23,6 @@ from .hamiltonians import MechanicalHamiltonian
 from .torus_grid import ScalarField, TorusGrid
 
 __all__ = ["MfgResidualReport", "mfg_residuals", "minmax_upper_bound"]
-
-CSV_COLUMNS = ("hjb_residual", "transport_residual", "mean_u", "mass_m", "sup_excess")
 
 
 @dataclass(frozen=True)
@@ -36,10 +34,7 @@ class MfgResidualReport:
     sup_excess: float
 
     def to_json_dict(self) -> dict:
-        return {name: getattr(self, name) for name in CSV_COLUMNS}
-
-    def csv_row(self) -> list[float]:
-        return [getattr(self, name) for name in CSV_COLUMNS]
+        return asdict(self)
 
 
 def mfg_residuals(

@@ -40,6 +40,20 @@ def mixed_hamiltonian() -> MechanicalHamiltonian:
     return MechanicalHamiltonian(d=1, eta=(eta,), V=V)
 
 
+def tc1_hamiltonian() -> MechanicalHamiltonian:
+    """V = cos(2 pi x) + 0.3 sin(2 pi (x + t)), eta = cos(2 pi t)/2: time-coupled d = 1."""
+    eta = FourierSpec.build(1, [((1,), 0.5, 0.0)])
+    V = FourierSpec.build(2, [((1, 0), 1.0, 0.0), ((1, 1), 0.0, 0.3)])
+    return MechanicalHamiltonian(d=1, eta=(eta,), V=V)
+
+
+def tc2_hamiltonian() -> MechanicalHamiltonian:
+    """V = cos(2 pi x) + cos(2 pi y)/2 + 0.3 sin(2 pi (x + t)), eta = (cos(2 pi t)/2, 0)."""
+    eta = FourierSpec.build(1, [((1,), 0.5, 0.0)])
+    V = FourierSpec.build(3, [((1, 0, 0), 1.0, 0.0), ((0, 1, 0), 0.5, 0.0), ((1, 0, 1), 0.0, 0.3)])
+    return MechanicalHamiltonian(d=2, eta=(eta, FourierSpec.zero(1)), V=V)
+
+
 def t1_minimizer(P: float, n_t: int) -> np.ndarray:
     """Zero-mean closed-form minimizer of the t1 case on an n_t time grid."""
     t = np.arange(n_t) / n_t

@@ -221,6 +221,26 @@ class TestSweepCommand:
         assert main(["sweep", "--config", path]) == 2
         assert "configuration error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "d, sweep",
+        [
+            (2, {"P_grid": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], "Q_grid": [[0.0, 0.0]]}),
+            (2, {"P_grid": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "Q_grid": [[0.0, 0.0]]}),
+            (1, {"P_grid": [-1.0, 0.0, 0.5, 1.0], "Q_grid": [0.0]}),
+        ],
+        ids=["non-rectangular-d2", "column-major-d2", "nonuniform-d1"],
+    )
+    def test_P_grid_unfit_for_the_convexity_check_exit_2(self, tmp_path, capsys, d, sweep):
+        cfg = t1_config(tmp_path / "out", sweep=sweep)
+        cfg["grid"] = {"d": d, "n_x": 4, "n_t": 4}
+        if d == 2:
+            cfg["hamiltonian"] = {"d": 2, "eta": [[], []], "V": [], "lambda": 1.0}
+            cfg["solver"] = {"k": 4.0}
+        path = write_config(tmp_path, cfg)
+        assert main(["sweep", "--config", path]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "effective_table.csv").exists()  # rejected before any entry is solved
+
 
 class TestLimitCommand:
     def test_report_rows(self, tmp_path):

@@ -1,22 +1,28 @@
-"""The Newton preconditioner: Fourier surrogate plus an exact time-mean block.
+"""The Newton preconditioner: exact dense blocks on small grids, a Fourier surrogate elsewhere.
 
-On time-independent fields the damped Newton operator reduces to a spatial
-operator with time-averaged coefficients, which the preconditioner inverts
-exactly for autonomous Hamiltonians on grids up to ``_BLOCK_MAX_NODES``
-spatial nodes; the other time frequencies, larger grids and time-dependent
-Hamiltonians keep the m-blind Fourier surrogate.
+Time-dependent Hamiltonians on grids of at most ``_SPACETIME_MAX_NODES``
+space-time nodes get the exact inverse of the whole damped Newton operator.
+For autonomous Hamiltonians the operator on time-independent fields reduces
+to a spatial operator with time-averaged coefficients, which the
+preconditioner inverts exactly on grids up to ``_BLOCK_MAX_NODES`` spatial
+nodes.  The other time frequencies, and larger grids of either kind, keep
+the m-blind Fourier surrogate.
 """
 
 import numpy as np
 import pytest
 
-from conftest import mixed_hamiltonian, pendulum_hamiltonian
+from conftest import mixed_hamiltonian, pendulum_hamiltonian, tc1_hamiltonian, tc2_hamiltonian
+from evanskam import evans_solver
+from evanskam.battery import _battery_hamiltonian
 from evanskam.effective import sweep_P
 from evanskam.evans_solver import (
     _BLOCK_MAX_NODES,
+    _SPACETIME_MAX_NODES,
     SolverConfig,
     _make_preconditioner,
     _operator_apply,
+    _spacetime_block,
     _time_mean_block,
     evaluate_state,
     minimize,
@@ -156,3 +162,79 @@ def test_criterion_6_grid_converges_everywhere():
     cfg = SolverConfig(k=16.0, grad_tol=1e-11)
     table = sweep_P(pendulum_hamiltonian(), TorusGrid(1, 64, 8), 16.0, P_grid, config=cfg)
     assert table.converged.tolist() == [True] * 41
+
+
+def residual_field(rng, grid):
+    """A random zero-mean field in the range of the derivative operators.
+
+    Both methods annihilate the constant and the alternating mode of every
+    axis, so no residual has a component on their products.  There the
+    damped operator is mu alone, and A(M(r)) would return the round-off of
+    A's own applies amplified by 1/mu.
+    """
+    spec = np.fft.fftn(rng.standard_normal(grid.shape))
+    null = np.ones(grid.shape, bool)
+    for axis, n in enumerate(grid.shape):
+        shp = [1] * grid.n_axes
+        shp[axis] = n
+        null = null & np.isin(np.arange(n), (0, n // 2)).reshape(shp)
+    spec[null] = 0.0
+    return np.real(np.fft.ifftn(spec))
+
+
+SPACETIME_CASES = {
+    "epsilon": (tc1_hamiltonian, TorusGrid(1, 16, 16), SolverConfig(k=8.0, P=(0.0,), epsilon=1e-3)),
+    "central4": (mixed_hamiltonian, TorusGrid(1, 16, 16), SolverConfig(k=4.0, P=(0.5,), method="central4")),
+    "d2": (tc2_hamiltonian, TorusGrid(2, 8, 4), SolverConfig(k=8.0, P=(0.5, 0.2))),
+    "large-k": (tc1_hamiltonian, TorusGrid(1, 16, 16), SolverConfig(k=64.0, P=(0.0,), k_continuation=True)),
+}
+
+
+class TestSpacetimeBlockExact:
+    @pytest.fixture(scope="class", params=sorted(SPACETIME_CASES))
+    def case(self, request):
+        ham, grid, cfg = SPACETIME_CASES[request.param]
+        return request.param, grid, cfg, solved_state(ham(), grid, cfg)
+
+    @pytest.mark.parametrize("mu", [1e-11, 1e-4, 1.0])
+    def test_inverse_on_residual_fields(self, rng, case, mu):
+        name, grid, cfg, st = case
+        assert grid.n_nodes <= _SPACETIME_MAX_NODES
+        if name == "large-k":
+            assert np.min(st.m) <= 1e-30
+        assert _spacetime_block(grid, cfg, st, mu) is not None
+        A = damped_operator(grid, cfg, st, mu)
+        M = _make_preconditioner(grid, cfg, st, mu)
+        for _ in range(3):
+            r = residual_field(rng, grid)
+            assert grid.norm(A(M(r)) - r) <= 1e-8 * grid.norm(r)
+
+    def test_no_block_above_the_cap(self):
+        grid = TorusGrid(1, 32, 32)
+        assert grid.n_nodes > _SPACETIME_MAX_NODES
+        cfg = SolverConfig(k=4.0, P=(0.5,))
+        st = evaluate_state(mixed_hamiltonian(), grid, cfg, grid.zeros())
+        assert _spacetime_block(grid, cfg, st, 1.0) is None
+
+    def test_no_block_for_autonomous_hamiltonians(self):
+        grid = TorusGrid(1, 16, 16)
+        cfg = SolverConfig(k=4.0, P=(0.5,))
+        st = evaluate_state(pendulum_hamiltonian(), grid, cfg, grid.zeros())
+        assert _spacetime_block(grid, cfg, st, 1.0) is None
+
+
+def test_battery_solve_takes_at_most_two_cg_per_newton_step(monkeypatch):
+    # the 16x16 time-coupled solve of the check command; counted, not timed
+    counts = []
+    pcg = evans_solver._pcg
+
+    def counting(*args, **kwargs):
+        step, iterations = pcg(*args, **kwargs)
+        counts.append(iterations)
+        return step, iterations
+
+    monkeypatch.setattr(evans_solver, "_pcg", counting)
+    res = minimize(_battery_hamiltonian(), TorusGrid(1, 16, 16), SolverConfig(k=4.0))
+    assert res.converged
+    assert len(counts) == res.iterations
+    assert max(counts) <= 2
