@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -119,6 +118,10 @@ def sweep_P(
         converged[i] = res.converged
 
     if jobs > 1:
+        # imported here: the process pool drags in multiprocessing, which
+        # every CLI process would otherwise pay for at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         tasks = [(ham, grid, replace(base, P=tuple(pts[i]))) for i in range(n)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for i, res in enumerate(pool.map(_solve_entry, tasks)):

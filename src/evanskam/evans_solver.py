@@ -179,6 +179,10 @@ class LipschitzCertificate:
 # -- Hamiltonian data tabulated on a grid -------------------------------------
 
 
+def _is_autonomous(ham: MechanicalHamiltonian) -> bool:
+    return not ham.V.depends_on(ham.d) and not any(spec.depends_on(0) for spec in ham.eta)
+
+
 class _HamOnGrid:
     """lam-scaled eta, V and their derivatives broadcast over the grid."""
 
@@ -193,7 +197,38 @@ class _HamOnGrid:
         self.V = lam * ham.V.evaluate(*coords)
         self.gradV = [lam * ham.V.partial(a).evaluate(*coords) for a in range(ham.d)]
         self.V_t = lam * ham.V.partial(ham.d).evaluate(*coords)
-        self.autonomous = not ham.V.depends_on(ham.d) and not any(spec.depends_on(0) for spec in ham.eta)
+        self.autonomous = _is_autonomous(ham)
+
+
+@dataclass(frozen=True)
+class _TimePlane(TorusGrid):
+    """One time plane of a grid with ``n_rep`` planes, for fields constant in t.
+
+    Node means (``integrate``, ``inner``, ``norm``, ``project_zero_mean``)
+    are taken over the field repeated ``n_rep`` times along t, so numpy sums
+    the same values in the same order as on the full grid.  Wherever the
+    full grid's own time means are exact (n_rep = 2, 4, 8, 16, 32) a solve
+    here matches the full-grid one bit for bit.  Plain means over the plane
+    round differently and move the precision-floor entries of the
+    criterion-6 grid.
+    """
+
+    n_rep: int = 1
+
+    def full(self, values: np.ndarray) -> np.ndarray:
+        return np.repeat(values, self.n_rep, axis=-1)
+
+    def integrate(self, values: np.ndarray) -> float:
+        return super().integrate(self.full(values))
+
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        return super().integrate(self.full(a * b))
+
+    def norm(self, values: np.ndarray) -> float:
+        return super().norm(self.full(values))
+
+    def project_zero_mean(self, values: np.ndarray) -> np.ndarray:
+        return values - np.mean(self.full(values))
 
 
 class _State:
@@ -221,13 +256,13 @@ class _State:
         # clamp at the smallest positive normal: keeps m strictly positive
         # even where exp underflows, at no visible cost to the mass
         weights = np.maximum(np.exp(k * (self.f - fmax)), np.finfo(float).tiny)
-        Z = float(np.mean(weights))
+        Z = grid.integrate(weights)
         self.J = fmax + math.log(Z) / k
         if cfg.epsilon > 0.0:
             sq = self.ut**2
             for g in self.du:
                 sq = sq + g**2
-            self.J += 0.5 * cfg.epsilon * float(np.mean(sq))
+            self.J += 0.5 * cfg.epsilon * grid.integrate(sq)
         self.m = weights / Z
 
 
@@ -343,12 +378,13 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
     [[L11, 0], [L21, L22]]^-1 = [[X11, 0], [-X22 L21 X11, X22]] with X11, X22
     the inverses of the diagonal blocks.  numpy has no triangular inverse;
     np.linalg.inv, a pivoted LU of the whole matrix, costs 3-4x the Cholesky
-    factorization, the recursion less than one.  Blocks of at most 128 rows,
-    which covers the time-mean block of every d = 1 grid in configs/, go to
+    factorization, the recursion less than one.  Splitting pays from 128
+    rows on (one BLAS thread: 0.81 ms unsplit against 0.38 ms at 128 rows,
+    7.1 against 4.1 ms at 512); blocks of at most 64 rows go to
     np.linalg.inv unsplit.
     """
     n = L.shape[0]
-    if n <= 128:
+    if n <= 64:
         return np.linalg.inv(L)
     h = n // 2
     X = np.zeros_like(L)
@@ -367,14 +403,19 @@ def _factored_inverse(A: np.ndarray):
     shifted by a round-off 1e-14 and Cholesky-factored; the returned map
     applies A^-1 = W^T W as two matvecs with W the scaled inverse factor:
     forming W^T W loses the small-m directions once mu is near the Newton
-    loop's floor.
+    loop's floor.  None when the Cholesky factorization fails, which m
+    spanning some 300 decades at a tiny mu can cause.
     """
     N = A.shape[0]
     A += np.mean(np.diag(A)) / N
     s = 1.0 / np.sqrt(np.diag(A))
     B = s[:, None] * A * s[None, :]
     B[np.diag_indices(N)] += 1e-14
-    W = _lower_inverse(np.linalg.cholesky(B)) * s[None, :]
+    try:
+        L = np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:
+        return None
+    W = _lower_inverse(L) * s[None, :]
 
     def solve(r: np.ndarray) -> np.ndarray:
         return (W.T @ (W @ r.ravel())).reshape(r.shape)
@@ -388,9 +429,9 @@ def _time_mean_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float
     On v independent of t the time mean of the operator is the spatial
     A0 = sum_ab D_a^T diag(c_ab) D_b + mu, c_ab = mean_t(m*(k*w_a*w_b + delta_ab))
     (+ eps*delta_ab), inverted by ``_factored_inverse`` for a zero-mean
-    time-mean residual.  None above ``_BLOCK_MAX_NODES`` spatial nodes, and
-    for time-dependent Hamiltonians, whose Newton systems live mostly off the
-    time-mean plane.
+    time-mean residual.  None above ``_BLOCK_MAX_NODES`` spatial nodes, for
+    time-dependent Hamiltonians, whose Newton systems live mostly off the
+    time-mean plane, and where the factorization fails.
     """
     d, n = grid.d, grid.n_x
     if n**d > _BLOCK_MAX_NODES or not st.hog.autonomous:
@@ -410,8 +451,9 @@ def _spacetime_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float
     + eps*sum_a D_a^T D_a + mu with the transport derivative
     T = D_t + sum_i diag(w_i) D_i, that is sum_ab D_a^T diag(c_ab) D_b over
     the space-time axes with c_ab = k*m*v_a*v_b + delta_ab*(m*[a spatial] + eps)
-    and v = (w, 1).  None above ``_SPACETIME_MAX_NODES`` nodes and for
-    autonomous Hamiltonians, whose Newton systems ``_time_mean_block`` covers.
+    and v = (w, 1).  None above ``_SPACETIME_MAX_NODES`` nodes, for
+    autonomous Hamiltonians, whose Newton systems ``_time_mean_block`` covers,
+    and where the factorization fails.
     """
     if grid.n_nodes > _SPACETIME_MAX_NODES or st.hog.autonomous:
         return None
@@ -440,11 +482,16 @@ def _make_preconditioner(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: f
     nodes the time frequency 0 plane is replaced by ``_time_mean_block``.
     Their Newton systems never leave that plane, and there the
     preconditioner is the exact inverse; the combined map stays symmetric
-    positive definite.
+    positive definite.  On a grid of one time plane the block is the whole
+    map.  A Newton step whose block cannot be factored gets the surrogate on
+    every plane.
     """
     exact = _spacetime_block(grid, cfg, st, mu)
     if exact is not None:
         return exact
+    block = _time_mean_block(grid, cfg, st, mu)
+    if block is not None and grid.n_t == 1:
+        return lambda r: block(r[..., 0])[..., None]
     d = len(st.w)
     k = cfg.k
     wbar = [grid.integrate(st.m * st.w[i]) for i in range(d)]
@@ -465,7 +512,6 @@ def _make_preconditioner(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: f
     sym.flat[0] = 1.0  # DC bin is never excited (zero-mean subspace)
     inv = 1.0 / sym
     axes = tuple(range(d + 1))
-    block = _time_mean_block(grid, cfg, st, mu)
     if block is not None:
         inv[..., 0] = 0.0
 
@@ -657,6 +703,21 @@ def _lip_norm(st: _State) -> float:
     return float(np.sqrt(np.max(sq)))
 
 
+def _solve_grid(ham: MechanicalHamiltonian, grid: TorusGrid, u0: np.ndarray | None) -> TorusGrid:
+    """The grid the Newton loop runs on: one time plane when the solve cannot depend on t.
+
+    For an autonomous Hamiltonian the objective is invariant under time
+    shifts and strictly convex on zero-mean fields, so from u = 0 or a warm
+    start constant in t every Newton iterate stays constant in t.  Such
+    solves run on a ``_TimePlane``; all others on ``grid`` itself.
+    """
+    if grid.n_t == 1 or not _is_autonomous(ham):
+        return grid
+    if u0 is not None and np.any(u0 != u0[..., :1]):
+        return grid
+    return _TimePlane(grid.d, grid.n_x, 1, n_rep=grid.n_t)
+
+
 def minimize(
     ham: MechanicalHamiltonian,
     grid: TorusGrid,
@@ -669,7 +730,9 @@ def minimize(
     ``config.lambda_schedule`` (u = 0 is the exact solution of the first,
     weightless stage); a warm start skips the homotopy and solves at the
     target weight directly.  With ``config.k_continuation`` the target k is
-    reached by doubling from 4, warm-starting each solve.
+    reached by doubling from 4, warm-starting each solve.  Autonomous solves
+    from a start constant in t run on one time plane (``_solve_grid``) and
+    return u and m spread over ``grid``.
     """
     check_nyquist(ham, grid)
     P = config.momentum(ham.d)
@@ -690,27 +753,32 @@ def minimize(
         final.iterations += inner_iters
         return final
 
+    u0 = None if warm_start is None else _as_array(grid, warm_start)
+    plane = _solve_grid(ham, grid, u0)
     total_iterations = 0
     all_converged = True
-    if warm_start is None:
-        u = grid.zeros()
+    if u0 is None:
+        u = plane.zeros()
         for s in config.lambda_schedule:
-            hog = _HamOnGrid(ham.with_lambda(s * ham.lam), grid)
-            u, st, grad_norm, iters, conv = _newton_stage(grid, hog, config, P, u)
+            hog = _HamOnGrid(ham.with_lambda(s * ham.lam), plane)
+            u, st, grad_norm, iters, conv = _newton_stage(plane, hog, config, P, u)
             total_iterations += iters
             all_converged = all_converged and conv
     else:
-        u0 = _as_array(grid, warm_start)
-        hog = _HamOnGrid(ham, grid)
-        u, st, grad_norm, iters, conv = _newton_stage(grid, hog, config, P, u0)
+        hog = _HamOnGrid(ham, plane)
+        u0 = u0[..., : plane.n_t]  # the first time plane when the solve runs on one
+        u, st, grad_norm, iters, conv = _newton_stage(plane, hog, config, P, u0)
         total_iterations += iters
         all_converged = conv
+    m = st.m
+    if plane is not grid:
+        u, m = plane.full(u), plane.full(m)
 
     return SolveResult(
         u=ScalarField(grid, u),
         hbar=st.J,
-        m=ScalarField(grid, st.m),
-        rotation=np.array([grid.integrate(st.m * wi) for wi in st.w]),
+        m=ScalarField(grid, m),
+        rotation=np.array([plane.integrate(st.m * wi) for wi in st.w]),
         grad_norm=grad_norm,
         lip_norm=_lip_norm(st),
         iterations=total_iterations,

@@ -40,6 +40,12 @@ def mixed_hamiltonian() -> MechanicalHamiltonian:
     return MechanicalHamiltonian(d=1, eta=(eta,), V=V)
 
 
+def separable_2d() -> MechanicalHamiltonian:
+    """V = cos(2 pi x) + cos(2 pi y)/2, eta = 0: autonomous d = 2."""
+    V = FourierSpec.build(3, [((1, 0, 0), 1.0, 0.0), ((0, 1, 0), 0.5, 0.0)])
+    return MechanicalHamiltonian(d=2, eta=(FourierSpec.zero(1),) * 2, V=V)
+
+
 def tc1_hamiltonian() -> MechanicalHamiltonian:
     """V = cos(2 pi x) + 0.3 sin(2 pi (x + t)), eta = cos(2 pi t)/2: time-coupled d = 1."""
     eta = FourierSpec.build(1, [((1,), 0.5, 0.0)])

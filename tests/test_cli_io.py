@@ -354,3 +354,16 @@ def test_import_does_not_load_scipy():
     code = "import evanskam, sys; assert 'scipy' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_does_not_load_the_process_pool():
+    # only `sweep --jobs N` with N > 1 needs it; every CLI process imports cli_io
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = (
+        "import evanskam.cli_io, sys; "
+        "loaded = [m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules]; "
+        "assert not loaded, loaded"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

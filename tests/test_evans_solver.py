@@ -1,4 +1,7 @@
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +10,14 @@ from conftest import (
     flux_oracle_hbar,
     mixed_hamiltonian,
     pendulum_hamiltonian,
+    separable_2d,
     t1_hamiltonian,
     t1_minimizer,
     tc1_hamiltonian,
     trivial_hamiltonian,
 )
+from evanskam import evans_solver
+from evanskam.cli_io import RunConfig
 from evanskam.evans_solver import (
     SolverConfig,
     _operator_apply,
@@ -452,3 +458,105 @@ class TestTimeCoupledRegression:
         res = minimize(tc1_hamiltonian(), TorusGrid(1, 32, 16), SolverConfig(k=k, P=(0.0,), grad_tol=1e-9))
         assert res.converged, res.grad_norm
         assert abs(res.hbar - hbar) <= 1e-9
+
+
+def warm_chain(ham, grid, cfg, P_values):
+    results, warm = [], None
+    for P in P_values:
+        res = minimize(ham, grid, replace(cfg, P=(float(P),)), warm_start=warm)
+        results.append(res)
+        warm = res.u
+    return results
+
+
+def assert_same_bits(a, b):
+    assert a.hbar == b.hbar
+    assert np.array_equal(a.rotation, b.rotation)
+    assert np.array_equal(a.u.values, b.u.values)
+    assert np.array_equal(a.m.values, b.m.values)
+    assert (a.iterations, a.converged, a.grad_norm) == (b.iterations, b.converged, b.grad_norm)
+
+
+class TestTimePlane:
+    """Autonomous solves from a start constant in t run on one time plane.
+
+    The full-grid run is the reference: with the plane switched off, every
+    solve below must come out the same to the last bit.
+    """
+
+    @staticmethod
+    def full_grid_only(monkeypatch):
+        monkeypatch.setattr(evans_solver, "_solve_grid", lambda ham, grid, u0: grid)
+
+    @staticmethod
+    def recorded_grids(monkeypatch):
+        grids = []
+        stage = evans_solver._newton_stage
+
+        def recording(grid, *args):
+            grids.append(grid)
+            return stage(grid, *args)
+
+        monkeypatch.setattr(evans_solver, "_newton_stage", recording)
+        return grids
+
+    def test_warm_started_sweep_matches_the_full_grid(self, monkeypatch):
+        # -1.87 ends at the precision floor, unconverged: plain means over the
+        # plane would change which entries of the criterion-6 grid stop there
+        ham, grid, cfg = pendulum_hamiltonian(), TorusGrid(1, 64, 8), SolverConfig(k=16.0, grad_tol=1e-11)
+        P_values = np.round(-1.97 + 0.1 * np.arange(5), 10)
+        plane = warm_chain(ham, grid, cfg, P_values)
+        self.full_grid_only(monkeypatch)
+        for a, b in zip(plane, warm_chain(ham, grid, cfg, P_values)):
+            assert_same_bits(a, b)
+
+    def test_solve_config_matches_the_full_grid(self, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "configs" / "pendulum_solve.json"
+        run = RunConfig(json.loads(path.read_text()))
+        assert run.grid.shape == (64, 16)
+        plane = minimize(run.ham, run.grid, run.solver)
+        self.full_grid_only(monkeypatch)
+        assert_same_bits(plane, minimize(run.ham, run.grid, run.solver))
+
+    def test_separable_2d_matches_the_full_grid(self, monkeypatch):
+        grid, cfg = TorusGrid(2, 16, 4), SolverConfig(k=16.0, P=(0.3, 0.1))
+        plane = minimize(separable_2d(), grid, cfg)
+        assert plane.converged
+        self.full_grid_only(monkeypatch)
+        assert_same_bits(plane, minimize(separable_2d(), grid, cfg))
+
+    def test_solves_on_one_plane_and_returns_the_callers_grid(self, monkeypatch):
+        grids = self.recorded_grids(monkeypatch)
+        grid = TorusGrid(1, 32, 8)
+        res = minimize(pendulum_hamiltonian(), grid, SolverConfig(k=8.0, P=(1.0,)))
+        assert {g.n_t for g in grids} == {1}
+        assert res.u.grid == grid and res.m.grid == grid
+        assert res.u.values.shape == res.m.values.shape == grid.shape
+        assert np.all(res.u.values == res.u.values[:, :1])
+
+    def test_time_dependent_warm_start_takes_the_full_grid(self, monkeypatch):
+        grid, cfg = TorusGrid(1, 32, 8), SolverConfig(k=8.0, P=(1.0,))
+        cold = minimize(pendulum_hamiltonian(), grid, cfg)
+        grids = self.recorded_grids(monkeypatch)
+        minimize(pendulum_hamiltonian(), grid, cfg, warm_start=cold.u)
+        t = grid.coords()[1]
+        res = minimize(pendulum_hamiltonian(), grid, cfg, warm_start=cold.u.values + 1e-3 * np.cos(2 * np.pi * t))
+        assert [g.n_t for g in grids] == [1, 8]
+        assert res.converged
+
+    def test_time_dependent_hamiltonian_takes_the_full_grid(self, monkeypatch):
+        grids = self.recorded_grids(monkeypatch)
+        minimize(tc1_hamiltonian(), TorusGrid(1, 16, 16), SolverConfig(k=4.0))
+        assert {g.n_t for g in grids} == {16}
+
+    def test_zero_amplitude_time_frequency_is_autonomous(self, monkeypatch):
+        # frequency 3 in t is above the Nyquist limit of one plane, but a
+        # zero coefficient makes V independent of t
+        V = FourierSpec.build(2, [((1, 0), 1.0, 0.0), ((1, 3), 0.0, 0.0)])
+        ham = MechanicalHamiltonian(d=1, eta=(FourierSpec.zero(1),), V=V)
+        grid, cfg = TorusGrid(1, 32, 8), SolverConfig(k=8.0, P=(1.0,))
+        grids = self.recorded_grids(monkeypatch)
+        res = minimize(ham, grid, cfg)
+        assert {g.n_t for g in grids} == {1}
+        assert res.converged
+        assert res.hbar == minimize(pendulum_hamiltonian(), grid, cfg).hbar

@@ -12,7 +12,7 @@ the m-blind Fourier surrogate.
 import numpy as np
 import pytest
 
-from conftest import mixed_hamiltonian, pendulum_hamiltonian, tc1_hamiltonian, tc2_hamiltonian
+from conftest import mixed_hamiltonian, pendulum_hamiltonian, separable_2d, tc1_hamiltonian, tc2_hamiltonian
 from evanskam import evans_solver
 from evanskam.battery import _battery_hamiltonian
 from evanskam.effective import sweep_P
@@ -20,6 +20,7 @@ from evanskam.evans_solver import (
     _BLOCK_MAX_NODES,
     _SPACETIME_MAX_NODES,
     SolverConfig,
+    _lower_inverse,
     _make_preconditioner,
     _operator_apply,
     _spacetime_block,
@@ -27,13 +28,7 @@ from evanskam.evans_solver import (
     evaluate_state,
     minimize,
 )
-from evanskam.hamiltonians import FourierSpec, MechanicalHamiltonian
 from evanskam.torus_grid import TorusGrid
-
-
-def separable_2d() -> MechanicalHamiltonian:
-    V = FourierSpec.build(3, [((1, 0, 0), 1.0, 0.0), ((0, 1, 0), 0.5, 0.0)])
-    return MechanicalHamiltonian(d=2, eta=(FourierSpec.zero(1),) * 2, V=V)
 
 
 def damped_operator(grid, cfg, st, mu):
@@ -153,6 +148,24 @@ class TestAtTheCap:
 
     def test_inverse_on_time_independent_fields(self, rng, cap_state):
         check_exact(rng, *cap_state, mus=(1e-11, 1e-4))
+
+
+def test_failed_factor_falls_back_to_the_surrogate(rng):
+    # m down to 5.7e-306 over whole x-ranges: at mu = 1e-11 the Cholesky
+    # factorization of the space-time block fails
+    grid = TorusGrid(1, 32, 16)
+    cfg = SolverConfig(k=16.0)
+    u = 3.0 * np.cos(2 * np.pi * grid.coords()[0]) * np.ones(grid.shape)
+    st = evaluate_state(mixed_hamiltonian(), grid, cfg, grid.project_zero_mean(u))
+    assert grid.n_nodes <= _SPACETIME_MAX_NODES
+    assert _spacetime_block(grid, cfg, st, 1e-11) is None
+    check_symmetric_positive(rng, grid, cfg, st, 1e-11)
+
+
+@pytest.mark.parametrize("n", [64, 65, 256, 300])
+def test_lower_inverse(rng, n):
+    L = np.tril(rng.standard_normal((n, n))) + n * np.eye(n)
+    assert np.allclose(_lower_inverse(L) @ L, np.eye(n), rtol=0.0, atol=1e-12)
 
 
 def test_criterion_6_grid_converges_everywhere():
