@@ -53,7 +53,6 @@ from .torus_grid import (
     ScalarField,
     TorusGrid,
     integrate,
-    partial_derivative,
     project_zero_mean,
     read_field,
     write_field,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "TorusGrid",
     "ScalarField",
-    "partial_derivative",
     "integrate",
     "project_zero_mean",
     "read_field",

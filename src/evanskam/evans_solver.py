@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 DEFAULT_LAMBDA_SCHEDULE = (0.0, 0.25, 0.5, 0.75, 1.0)
+_TINY = np.finfo(float).tiny
 
 
 class LineSearchError(RuntimeError):
@@ -204,31 +205,22 @@ class _HamOnGrid:
 class _TimePlane(TorusGrid):
     """One time plane of a grid with ``n_rep`` planes, for fields constant in t.
 
-    Node means (``integrate``, ``inner``, ``norm``, ``project_zero_mean``)
-    are taken over the field repeated ``n_rep`` times along t, so numpy sums
-    the same values in the same order as on the full grid.  Wherever the
-    full grid's own time means are exact (n_rep = 2, 4, 8, 16, 32) a solve
-    here matches the full-grid one bit for bit.  Plain means over the plane
-    round differently and move the precision-floor entries of the
-    criterion-6 grid.
+    Node means are taken over the field repeated ``n_rep`` times along t, so
+    numpy sums the same values in the same order as on the full grid;
+    ``inner``, ``norm`` and ``project_zero_mean`` go through ``integrate``
+    and inherit it.  Wherever the full grid's own time means are exact
+    (n_rep = 2, 4, 8, 16, 32) a solve here matches the full-grid one bit for
+    bit.  Plain means over the plane round differently and move the
+    precision-floor entries of the criterion-6 grid.
     """
 
     n_rep: int = 1
 
     def full(self, values: np.ndarray) -> np.ndarray:
-        return np.repeat(values, self.n_rep, axis=-1)
+        return values.repeat(self.n_rep, axis=-1)
 
     def integrate(self, values: np.ndarray) -> float:
         return super().integrate(self.full(values))
-
-    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        return super().integrate(self.full(a * b))
-
-    def norm(self, values: np.ndarray) -> float:
-        return super().norm(self.full(values))
-
-    def project_zero_mean(self, values: np.ndarray) -> np.ndarray:
-        return values - np.mean(self.full(values))
 
 
 class _State:
@@ -244,18 +236,19 @@ class _State:
         method = cfg.method
         self.hog = hog
         self.u = u
+        timed = grid.n_t > 1  # on one time plane u_t is exactly zero
         self.du = [grid.deriv(u, a, method) for a in range(d)]
-        self.ut = grid.deriv(u, d, method)
+        self.ut = grid.deriv(u, d, method) if timed else np.zeros(grid.shape)
         self.w = [P[i] + self.du[i] + hog.eta[i] for i in range(d)]
-        f = self.ut + hog.V
+        f = self.ut + hog.V if timed else hog.V
         for wi in self.w:
-            f = f + 0.5 * wi**2
-        self.f = np.asarray(np.broadcast_to(f, grid.shape))
+            f = f + 0.5 * wi**2  # grad u has the grid's shape, so f has it too
+        self.f = f
         k = cfg.k
-        fmax = float(np.max(self.f))
+        fmax = float(self.f.max())
         # clamp at the smallest positive normal: keeps m strictly positive
         # even where exp underflows, at no visible cost to the mass
-        weights = np.maximum(np.exp(k * (self.f - fmax)), np.finfo(float).tiny)
+        weights = np.maximum(np.exp(k * (self.f - fmax)), _TINY)
         Z = grid.integrate(weights)
         self.J = fmax + math.log(Z) / k
         if cfg.epsilon > 0.0:
@@ -269,12 +262,13 @@ class _State:
 def _gradient_arrays(grid: TorusGrid, cfg: SolverConfig, st: _State) -> np.ndarray:
     d = len(st.w)
     method = cfg.method
-    g = grid.deriv(st.m, d, method)
+    timed = grid.n_t > 1  # on one time plane every time derivative is exactly zero
+    g = grid.deriv(st.m, d, method) if timed else 0.0
     for i in range(d):
         g = g + grid.deriv(st.m * st.w[i], i, method)
     g = -g
     if cfg.epsilon > 0.0:
-        for a in range(d + 1):
+        for a in range(d + timed):
             g = g - cfg.epsilon * grid.deriv(grid.deriv(st.u, a, method), a, method)
     return g
 
@@ -296,19 +290,19 @@ def _operator_apply(
     d = len(st.w)
     k = cfg.k
     method = cfg.method
+    timed = grid.n_t > 1  # on one time plane every time derivative is exactly zero
     dv = [grid.deriv(v, a, method) for a in range(d)]
-    vt = grid.deriv(v, d, method)
-    wv = vt.copy()
+    wv = grid.deriv(v, d, method) if timed else 0.0
     for i in range(d):
         wv = wv + st.w[i] * dv[i]
     mwv = st.m * wv
-    out = k * grid.deriv(mwv, d, method)
+    out = k * grid.deriv(mwv, d, method) if timed else 0.0
     for i in range(d):
         out = out + k * grid.deriv(mwv * st.w[i], i, method)
         out = out + grid.deriv(st.m * dv[i], i, method)  # H_pp = identity
     out = -out
     if with_epsilon and cfg.epsilon > 0.0:
-        for a in range(d + 1):
+        for a in range(d + timed):
             out = out - cfg.epsilon * grid.deriv(grid.deriv(v, a, method), a, method)
     if not hessian_scale:
         out = out / k
@@ -353,6 +347,8 @@ def _derivative_columns(shape: tuple[int, ...], method: str) -> tuple[list[np.nd
 
 
 def _along(D: np.ndarray, X: np.ndarray, axis: int) -> np.ndarray:
+    if X.ndim == 2 and axis == 0:
+        return np.dot(D, X)  # the product tensordot forms here, without its set-up
     return np.moveaxis(np.tensordot(D, X, axes=(1, axis)), 0, axis)
 
 
@@ -410,7 +406,7 @@ def _factored_inverse(A: np.ndarray):
     A += np.mean(np.diag(A)) / N
     s = 1.0 / np.sqrt(np.diag(A))
     B = s[:, None] * A * s[None, :]
-    B[np.diag_indices(N)] += 1e-14
+    B.flat[:: N + 1] += 1e-14
     try:
         L = np.linalg.cholesky(B)
     except np.linalg.LinAlgError:
@@ -437,8 +433,9 @@ def _time_mean_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float
     if n**d > _BLOCK_MAX_NODES or not st.hog.autonomous:
         return None
     k = cfg.k
+    time_mean = (lambda c: c[..., 0]) if grid.n_t == 1 else (lambda c: np.mean(c, axis=-1))
     coef = [
-        [np.mean(st.m * (k * st.w[a] * st.w[b] + float(a == b)), axis=-1) + cfg.epsilon * float(a == b) for b in range(d)]
+        [time_mean(st.m * (k * st.w[a] * st.w[b] + float(a == b))) + cfg.epsilon * float(a == b) for b in range(d)]
         for a in range(d)
     ]
     return _factored_inverse(_assemble((n,) * d, cfg.method, coef, mu))

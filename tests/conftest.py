@@ -67,6 +67,17 @@ def t1_minimizer(P: float, n_t: int) -> np.ndarray:
     return u - u.mean()
 
 
+def assert_bitwise(a, b) -> None:
+    """Same dtype, shape and bytes.
+
+    Stricter than np.array_equal, which passes a flipped -0.0 and a changed
+    NaN payload; either would change a written repr.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
 def flux_oracle_hbar(k: float, P: float, n: int = 4096) -> float:
     """Reference hbar(P) for the pendulum from the constant-flux equation."""
     x = (np.arange(n) + 0.5) / n

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    assert_bitwise,
     flux_oracle_hbar,
     mixed_hamiltonian,
     pendulum_hamiltonian,
@@ -30,6 +31,7 @@ from evanskam.evans_solver import (
     objective,
 )
 from evanskam.hamiltonians import ChiParams, FourierSpec, MechanicalHamiltonian, NyquistError, chi_bound
+from evanskam.mather_limits import aronsson_residual
 from evanskam.torus_grid import TorusGrid
 
 
@@ -470,11 +472,9 @@ def warm_chain(ham, grid, cfg, P_values):
 
 
 def assert_same_bits(a, b):
-    assert a.hbar == b.hbar
-    assert np.array_equal(a.rotation, b.rotation)
-    assert np.array_equal(a.u.values, b.u.values)
-    assert np.array_equal(a.m.values, b.m.values)
-    assert (a.iterations, a.converged, a.grad_norm) == (b.iterations, b.converged, b.grad_norm)
+    for x, y in ((a.hbar, b.hbar), (a.rotation, b.rotation), (a.u.values, b.u.values), (a.m.values, b.m.values), (a.grad_norm, b.grad_norm)):
+        assert_bitwise(x, y)
+    assert (a.iterations, a.converged) == (b.iterations, b.converged)
 
 
 class TestTimePlane:
@@ -560,3 +560,28 @@ class TestTimePlane:
         assert {g.n_t for g in grids} == {1}
         assert res.converged
         assert res.hbar == minimize(pendulum_hamiltonian(), grid, cfg).hbar
+
+    def test_one_plane_takes_no_time_derivative(self, monkeypatch):
+        axes = []
+        deriv = TorusGrid.deriv
+
+        def counting(grid, values, axis, method="spectral"):
+            axes.append((grid.n_t, axis == grid.d))
+            return deriv(grid, values, axis, method)
+
+        monkeypatch.setattr(TorusGrid, "deriv", counting)
+        res = minimize(pendulum_hamiltonian(), TorusGrid(1, 64, 8), SolverConfig(k=16.0, P=(0.5,)))
+        assert res.converged
+        assert axes and set(axes) == {(1, False)}
+
+    @pytest.mark.parametrize("n_rep", [1, 8])
+    def test_state_keeps_a_zero_time_derivative_field(self, n_rep):
+        # _lip_norm and the Aronsson residual read st.ut
+        grid = evans_solver._TimePlane(1, 32, 1, n_rep=n_rep)
+        cfg = SolverConfig(k=8.0, P=(1.0,))
+        res = minimize(pendulum_hamiltonian(), grid, cfg)
+        st = evaluate_state(pendulum_hamiltonian(), grid, cfg, res.u)
+        assert isinstance(st.ut, np.ndarray) and st.ut.shape == st.f.shape == grid.shape
+        assert not st.ut.any()
+        assert res.lip_norm == float(np.sqrt(np.max(st.du[0] ** 2)))
+        assert math.isfinite(aronsson_residual(pendulum_hamiltonian(), grid, cfg, res.u))

@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from conftest import assert_bitwise
+from evanskam import torus_grid
+from evanskam.evans_solver import _TimePlane
 from evanskam.torus_grid import (
     GridError,
     ScalarField,
     TorusGrid,
     integrate,
-    partial_derivative,
     project_zero_mean,
     read_field,
     write_field,
@@ -57,26 +59,23 @@ class TestPartialDerivative:
     def test_sine_exact(self):
         g = TorusGrid(1, 16, 4)
         x, _ = g.coords()
-        f = ScalarField(g, np.broadcast_to(np.sin(2 * np.pi * x), g.shape))
-        df = partial_derivative(f, 0)
+        df = g.deriv(np.broadcast_to(np.sin(2 * np.pi * x), g.shape), 0)
         exact = 2 * np.pi * np.cos(2 * np.pi * np.broadcast_to(x, g.shape))
-        assert np.max(np.abs(df.values - exact)) <= 1e-12
+        assert np.max(np.abs(df - exact)) <= 1e-12
 
     def test_constant_derivative_zero(self):
         g = TorusGrid(1, 8, 8)
-        f = ScalarField(g, np.ones(g.shape))
         for axis in (0, 1):
             for method in ("spectral", "central4"):
-                assert np.max(np.abs(partial_derivative(f, axis, method).values)) == 0.0
+                assert np.max(np.abs(g.deriv(np.ones(g.shape), axis, method))) == 0.0
 
     def test_time_derivative_against_closed_form(self):
         # oracle: d/dt [cos(2 pi x) cos(4 pi t)] = -4 pi cos(2 pi x) sin(4 pi t)
         g = TorusGrid(1, 16, 32)
         x, t = g.coords()
-        f = ScalarField(g, np.cos(2 * np.pi * x) * np.cos(4 * np.pi * t))
         exact = -4 * np.pi * np.cos(2 * np.pi * x) * np.sin(4 * np.pi * t)
-        df = partial_derivative(f, 1)
-        assert np.max(np.abs(df.values - exact)) <= 1e-10
+        df = g.deriv(np.cos(2 * np.pi * x) * np.cos(4 * np.pi * t), 1)
+        assert np.max(np.abs(df - exact)) <= 1e-10
 
     def test_central4_fourth_order(self):
         errs = []
@@ -99,6 +98,18 @@ class TestPartialDerivative:
         bad[0, 0] = np.nan
         with pytest.raises(GridError):
             g.deriv(bad, 0)
+
+    @pytest.mark.parametrize("shape", [(1, 8, 8), (1, 8, 1), (2, 6, 4), (2, 6, 1)])
+    @pytest.mark.parametrize("method", ["spectral", "central4"])
+    def test_nonfinite_rejected_on_every_axis(self, shape, method):
+        # a time axis of length 1 returns zeros, but only after the check
+        g = TorusGrid(*shape)
+        for bad_value in (np.nan, np.inf):
+            bad = g.zeros()
+            bad.flat[3] = bad_value
+            for axis in range(g.n_axes):
+                with pytest.raises(GridError):
+                    g.deriv(bad, axis, method)
 
     @pytest.mark.parametrize("method", ["spectral", "central4"])
     def test_mean_annihilation(self, method, rng):
@@ -125,6 +136,64 @@ class TestPartialDerivative:
         f = np.broadcast_to(np.sin(2 * np.pi * x), g.shape)
         exact = -((2 * np.pi) ** 2) * f
         assert np.max(np.abs(g.deriv2(f, 0) - exact)) <= 1e-10
+
+
+def uncached_spectral(arr: np.ndarray, axis: int) -> np.ndarray:
+    """The spectral derivative with its multiplier built afresh."""
+    n = arr.shape[axis]
+    mult = 2j * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
+    mult[-1] = 0.0
+    shp = [1] * arr.ndim
+    shp[axis] = mult.size
+    return np.fft.irfft(np.fft.rfft(arr, axis=axis) * mult.reshape(shp), n=n, axis=axis)
+
+
+class TestKernelBits:
+    """The node-mean and derivative kernels give the bits of their plain numpy forms."""
+
+    @staticmethod
+    def wide_field(rng, shape):
+        # magnitudes over six decades and an offset, so rounding shows
+        vals = 3.7 + rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+        vals.flat[0] = -0.0
+        return vals
+
+    @pytest.mark.parametrize("shape", [(3,), (6,), (64,), (128, 128)])
+    def test_node_means_match_np_mean(self, shape, rng):
+        g = TorusGrid(1, 8, 8)  # node means read the values alone
+        a, b = self.wide_field(rng, shape), self.wide_field(rng, shape)
+        assert_bitwise(g.integrate(a), float(np.mean(a)))
+        assert_bitwise(g.inner(a, b), float(np.mean(a * b)))
+        assert_bitwise(g.norm(a), float(np.sqrt(np.mean(np.square(a)))))
+        assert_bitwise(g.project_zero_mean(a), a - np.mean(a))
+
+    @pytest.mark.parametrize("n_rep", [2, 6, 8, 128])
+    def test_time_plane_means_match_the_full_grid(self, n_rep, rng):
+        plane = _TimePlane(1, 64, 1, n_rep=n_rep)
+        a, b = self.wide_field(rng, plane.shape), self.wide_field(rng, plane.shape)
+
+        def full(v):
+            return np.repeat(v, n_rep, axis=-1)
+
+        assert_bitwise(plane.integrate(a), float(np.mean(full(a))))
+        assert_bitwise(plane.inner(a, b), float(np.mean(full(a) * full(b))))
+        assert_bitwise(plane.norm(a), float(np.sqrt(np.mean(np.square(full(a))))))
+        assert_bitwise(plane.project_zero_mean(a), a - np.mean(full(a)))
+
+    @pytest.mark.parametrize("shape", [(1, 64, 8), (2, 16, 4)])
+    def test_spectral_deriv_matches_the_uncached_formula(self, shape, rng):
+        g = TorusGrid(*shape)
+        u = self.wide_field(rng, g.shape)
+        for axis in range(g.n_axes):
+            for _ in range(2):  # the second call reads the cached multiplier
+                assert_bitwise(g.deriv(u, axis), uncached_spectral(u, axis))
+
+    def test_cached_multiplier_is_read_only(self):
+        g = TorusGrid(1, 16, 4)
+        g.deriv(g.zeros(), 0)
+        mult = torus_grid._SPECTRAL_MULTIPLIERS[(16, 2, 0)]
+        with pytest.raises(ValueError):
+            mult[1, 0] = 0.0
 
 
 class TestIntegrate:
