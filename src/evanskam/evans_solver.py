@@ -83,6 +83,14 @@ class SolverConfig:
     k_continuation: bool = False
 
     def __post_init__(self) -> None:
+        for names, kind, ok in (
+            (("k", "grad_tol", "cg_tol", "epsilon"), "a finite number", math.isfinite),
+            (("max_newton", "cg_max"), "an integer", lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool)),
+            (("dealias", "k_continuation"), "a boolean", lambda v: isinstance(v, (bool, np.bool_))),
+        ):
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise ValueError(f"{name} must be {kind}, got {getattr(self, name)!r}")
         if self.k <= 0:
             raise ValueError(f"k must be positive, got {self.k}")
         if self.grad_tol <= 0 or self.cg_tol <= 0:
@@ -92,6 +100,8 @@ class SolverConfig:
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         sched = tuple(float(s) for s in self.lambda_schedule)
+        if not all(math.isfinite(s) for s in sched):
+            raise ValueError(f"lambda_schedule entries must be finite, got {sched!r}")
         if not sched or any(b <= a for a, b in zip(sched, sched[1:])) or sched[-1] != 1.0:
             raise ValueError("lambda_schedule must be strictly increasing in [0,1] and end at 1")
         if any(s < 0.0 for s in sched):
@@ -219,6 +229,12 @@ class _TimePlane(TorusGrid):
     def full(self, values: np.ndarray) -> np.ndarray:
         return values.repeat(self.n_rep, axis=-1)
 
+    def restrict(self, values: np.ndarray) -> np.ndarray:
+        """A field of the full grid on the plane: its first plane if constant in t, else its time mean."""
+        if np.all(values == values[..., :1]):
+            return values[..., :1]  # the time mean can round
+        return values.mean(axis=-1, keepdims=True)
+
     def integrate(self, values: np.ndarray) -> float:
         return super().integrate(self.full(values))
 
@@ -273,19 +289,12 @@ def _gradient_arrays(grid: TorusGrid, cfg: SolverConfig, st: _State) -> np.ndarr
     return g
 
 
-def _operator_apply(
-    grid: TorusGrid,
-    cfg: SolverConfig,
-    st: _State,
-    v: np.ndarray,
-    hessian_scale: bool,
-    with_epsilon: bool,
-) -> np.ndarray:
-    """Linearized critical-point operator at the iterate of ``st``.
+def _operator_apply(grid: TorusGrid, cfg: SolverConfig, st: _State, v: np.ndarray) -> np.ndarray:
+    """Gauss-Newton Hessian of J at the iterate of ``st``, applied to v.
 
-    With ``hessian_scale`` the result is the Gauss-Newton Hessian of J
-    (k times the normalized operator exposed publicly); its quadratic form is
-    mean(m * (k*(v_t + H_p.grad v)^2 + |grad v|^2)) for the mechanical family.
+    Its quadratic form is mean(m * (k*(v_t + H_p.grad v)^2 + |grad v|^2))
+    + eps*mean(|Dv|^2) for the mechanical family; with eps = 0 it is k times
+    the normalized operator exposed publicly.
     """
     d = len(st.w)
     k = cfg.k
@@ -301,11 +310,9 @@ def _operator_apply(
         out = out + k * grid.deriv(mwv * st.w[i], i, method)
         out = out + grid.deriv(st.m * dv[i], i, method)  # H_pp = identity
     out = -out
-    if with_epsilon and cfg.epsilon > 0.0:
+    if cfg.epsilon > 0.0:
         for a in range(d + timed):
             out = out - cfg.epsilon * grid.deriv(grid.deriv(v, a, method), a, method)
-    if not hessian_scale:
-        out = out / k
     return out
 
 
@@ -419,76 +426,52 @@ def _factored_inverse(A: np.ndarray):
     return solve
 
 
-def _time_mean_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
-    """Exact inverse of the damped Newton operator on time-independent fields.
+def _dense_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
+    """Exact inverse of the damped Newton operator on small grids, or None.
 
-    On v independent of t the time mean of the operator is the spatial
-    A0 = sum_ab D_a^T diag(c_ab) D_b + mu, c_ab = mean_t(m*(k*w_a*w_b + delta_ab))
-    (+ eps*delta_ab), inverted by ``_factored_inverse`` for a zero-mean
-    time-mean residual.  None above ``_BLOCK_MAX_NODES`` spatial nodes, for
-    time-dependent Hamiltonians, whose Newton systems live mostly off the
-    time-mean plane, and where the factorization fails.
+    The operator is A = sum_ab D_a^T diag(c_ab) D_b + mu over the space-time
+    axes, with c_ab = m*(k*v_a*v_b + delta_ab*[a spatial]) + eps*delta_ab and
+    v = (w, 1): k*T^T diag(m) T for the transport derivative
+    T = D_t + sum_i diag(w_i) D_i, plus sum_i D_i^T diag(m) D_i and the
+    Tikhonov term.  For an autonomous Hamiltonian the Newton systems stay on
+    fields constant in t (``_solve_grid``), where A is the spatial operator
+    with time-averaged c_ab: the block spans the spatial axes, acts on the
+    time mean of a residual and repeats its solve over t.  Otherwise it spans
+    every axis.  None above ``_BLOCK_MAX_NODES`` spatial nodes (autonomous) or
+    ``_SPACETIME_MAX_NODES`` space-time nodes (otherwise), and where the
+    factorization fails.
     """
-    d, n = grid.d, grid.n_x
-    if n**d > _BLOCK_MAX_NODES or not st.hog.autonomous:
+    autonomous = st.hog.autonomous
+    shape = grid.shape[:-1] if autonomous else grid.shape
+    if math.prod(shape) > (_BLOCK_MAX_NODES if autonomous else _SPACETIME_MAX_NODES):
         return None
-    k = cfg.k
-    time_mean = (lambda c: c[..., 0]) if grid.n_t == 1 else (lambda c: np.mean(c, axis=-1))
+    d, n_t, k, v, axes = grid.d, grid.n_t, cfg.k, [*st.w, 1.0], range(len(shape))
+    mean_t = (lambda c: c.sum(axis=-1) / n_t) if autonomous else (lambda c: c)  # sum / n: np.mean's bits
     coef = [
-        [time_mean(st.m * (k * st.w[a] * st.w[b] + float(a == b))) + cfg.epsilon * float(a == b) for b in range(d)]
-        for a in range(d)
+        [mean_t(st.m * (k * v[a] * v[b] + float(a == b and a < d))) + cfg.epsilon * float(a == b) for b in axes]
+        for a in axes
     ]
-    return _factored_inverse(_assemble((n,) * d, cfg.method, coef, mu))
-
-
-def _spacetime_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
-    """Exact inverse of the whole damped Newton operator, for time-dependent Hamiltonians.
-
-    The operator is A = k*T^T diag(m) T + sum_i D_i^T diag(m) D_i
-    + eps*sum_a D_a^T D_a + mu with the transport derivative
-    T = D_t + sum_i diag(w_i) D_i, that is sum_ab D_a^T diag(c_ab) D_b over
-    the space-time axes with c_ab = k*m*v_a*v_b + delta_ab*(m*[a spatial] + eps)
-    and v = (w, 1).  None above ``_SPACETIME_MAX_NODES`` nodes, for
-    autonomous Hamiltonians, whose Newton systems ``_time_mean_block`` covers,
-    and where the factorization fails.
-    """
-    if grid.n_nodes > _SPACETIME_MAX_NODES or st.hog.autonomous:
-        return None
-    d = grid.d
-    km = cfg.k * st.m
-    v = [*st.w, 1.0]
-    coef = [[km * v[a] * v[b] for b in range(d + 1)] for a in range(d + 1)]
-    for a in range(d + 1):
-        coef[a][a] = coef[a][a] + (st.m if a < d else 0.0) + cfg.epsilon
-    return _factored_inverse(_assemble(grid.shape, cfg.method, coef, mu))
+    solve = _factored_inverse(_assemble(shape, cfg.method, coef, mu))
+    if solve is None or math.prod(shape) == grid.n_nodes:
+        return solve
+    return lambda r: solve(r.sum(axis=-1) / n_t)[..., None].repeat(n_t, axis=-1)
 
 
 def _make_preconditioner(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
-    """Inverse of the damped Newton operator: exact on small grids, a Fourier surrogate elsewhere.
+    """Inverse of the damped Newton operator: the dense block if it forms, else a Fourier surrogate.
 
-    For time-dependent Hamiltonians on grids of at most
-    ``_SPACETIME_MAX_NODES`` nodes the preconditioner is ``_spacetime_block``,
-    the exact inverse, and PCG takes about one iteration per Newton step.
-    Otherwise the quadratic form k*mean(m*(v_t + H_p.grad v)^2) +
-    mean(m*|grad v|^2) is approximated by freezing m at its mean (one) and
-    H_p at the rotation vector; the surrogate k*(k_t + wbar.k_x)^2 + |k_x|^2
-    + mu is diagonal in Fourier space and captures the transport anisotropy
-    that otherwise throttles the inner solve.  The surrogate is blind to m,
-    which spans many decades where the Mather measure concentrates, so for
-    autonomous Hamiltonians on grids of at most ``_BLOCK_MAX_NODES`` spatial
-    nodes the time frequency 0 plane is replaced by ``_time_mean_block``.
-    Their Newton systems never leave that plane, and there the
-    preconditioner is the exact inverse; the combined map stays symmetric
-    positive definite.  On a grid of one time plane the block is the whole
-    map.  A Newton step whose block cannot be factored gets the surrogate on
-    every plane.
+    ``_dense_block`` is the exact inverse, and PCG takes about one iteration
+    per Newton step.  Above its caps, or where its factorization fails, the
+    quadratic form k*mean(m*(v_t + H_p.grad v)^2) + mean(m*|grad v|^2) is
+    approximated by freezing m at its mean (one) and H_p at the rotation
+    vector; the surrogate k*(k_t + wbar.k_x)^2 + |k_x|^2 + mu is diagonal in
+    Fourier space and captures the transport anisotropy that otherwise
+    throttles the inner solve, but it is blind to m, which spans many decades
+    where the Mather measure concentrates.
     """
-    exact = _spacetime_block(grid, cfg, st, mu)
-    if exact is not None:
-        return exact
-    block = _time_mean_block(grid, cfg, st, mu)
-    if block is not None and grid.n_t == 1:
-        return lambda r: block(r[..., 0])[..., None]
+    block = _dense_block(grid, cfg, st, mu)
+    if block is not None:
+        return block
     d = len(st.w)
     k = cfg.k
     wbar = [grid.integrate(st.m * st.w[i]) for i in range(d)]
@@ -509,14 +492,9 @@ def _make_preconditioner(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: f
     sym.flat[0] = 1.0  # DC bin is never excited (zero-mean subspace)
     inv = 1.0 / sym
     axes = tuple(range(d + 1))
-    if block is not None:
-        inv[..., 0] = 0.0
 
     def apply_inverse(r: np.ndarray) -> np.ndarray:
-        out = np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv, s=grid.shape, axes=axes)
-        if block is not None:
-            out += block(np.mean(r, axis=-1))[..., None]
-        return out
+        return np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv, s=grid.shape, axes=axes)
 
     return apply_inverse
 
@@ -605,7 +583,7 @@ def linearized_el_apply(
     points the form is the Hessian of J divided by k.
     """
     st = evaluate_state(ham, grid, config, u)
-    out = _operator_apply(grid, config, st, _as_array(grid, v), hessian_scale=False, with_epsilon=False)
+    out = _operator_apply(grid, replace(config, epsilon=0.0), st, _as_array(grid, v)) / config.k
     return ScalarField(grid, out)
 
 
@@ -647,7 +625,7 @@ def _newton_stage(grid: TorusGrid, hog: _HamOnGrid, cfg: SolverConfig, P: np.nda
         apply_minv = _make_preconditioner(grid, cfg, st, mu)
 
         def apply_damped(v: np.ndarray) -> np.ndarray:
-            return _operator_apply(grid, cfg, st, v, hessian_scale=True, with_epsilon=True) + mu * v
+            return _operator_apply(grid, cfg, st, v) + mu * v
 
         forcing = max(cfg.cg_tol, min(0.1, math.sqrt(grad_norm)))
         step, _ = _pcg(apply_damped, apply_minv, -g, grid, forcing, cfg.cg_max)
@@ -700,17 +678,16 @@ def _lip_norm(st: _State) -> float:
     return float(np.sqrt(np.max(sq)))
 
 
-def _solve_grid(ham: MechanicalHamiltonian, grid: TorusGrid, u0: np.ndarray | None) -> TorusGrid:
-    """The grid the Newton loop runs on: one time plane when the solve cannot depend on t.
+def _solve_grid(ham: MechanicalHamiltonian, grid: TorusGrid) -> TorusGrid:
+    """The grid the Newton loop runs on: one time plane for autonomous Hamiltonians.
 
-    For an autonomous Hamiltonian the objective is invariant under time
-    shifts and strictly convex on zero-mean fields, so from u = 0 or a warm
-    start constant in t every Newton iterate stays constant in t.  Such
-    solves run on a ``_TimePlane``; all others on ``grid`` itself.
+    For an autonomous Hamiltonian J is convex and invariant under time
+    shifts, so J(mean_t u) <= J(u) and the minimizer is constant in t
+    (Evans, Calc. Var. PDE 17, 2003).  Such solves run on a ``_TimePlane``
+    from the plane of their start (``_TimePlane.restrict``); all others on
+    ``grid`` itself.
     """
     if grid.n_t == 1 or not _is_autonomous(ham):
-        return grid
-    if u0 is not None and np.any(u0 != u0[..., :1]):
         return grid
     return _TimePlane(grid.d, grid.n_x, 1, n_rep=grid.n_t)
 
@@ -728,8 +705,8 @@ def minimize(
     weightless stage); a warm start skips the homotopy and solves at the
     target weight directly.  With ``config.k_continuation`` the target k is
     reached by doubling from 4, warm-starting each solve.  Autonomous solves
-    from a start constant in t run on one time plane (``_solve_grid``) and
-    return u and m spread over ``grid``.
+    run on one time plane (``_solve_grid``), a warm start that varies in t
+    from its time mean, and return u and m spread over ``grid``.
     """
     check_nyquist(ham, grid)
     P = config.momentum(ham.d)
@@ -751,7 +728,7 @@ def minimize(
         return final
 
     u0 = None if warm_start is None else _as_array(grid, warm_start)
-    plane = _solve_grid(ham, grid, u0)
+    plane = _solve_grid(ham, grid)
     total_iterations = 0
     all_converged = True
     if u0 is None:
@@ -763,7 +740,8 @@ def minimize(
             all_converged = all_converged and conv
     else:
         hog = _HamOnGrid(ham, plane)
-        u0 = u0[..., : plane.n_t]  # the first time plane when the solve runs on one
+        if plane is not grid:
+            u0 = plane.restrict(u0)
         u, st, grad_norm, iters, conv = _newton_stage(plane, hog, config, P, u0)
         total_iterations += iters
         all_converged = conv

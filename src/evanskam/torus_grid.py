@@ -87,9 +87,6 @@ class TorusGrid:
         self._check_axis(axis)
         return self.n_x if axis < self.d else self.n_t
 
-    def spacing(self, axis: int) -> float:
-        return 1.0 / self.axis_size(axis)
-
     def coords(self) -> tuple[np.ndarray, ...]:
         """Node coordinates as an open mesh, broadcastable to ``shape``."""
         out = []

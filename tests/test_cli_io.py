@@ -98,6 +98,28 @@ class TestSolveCommand:
         assert main(["solve", "--config", path]) == 2
         assert "configuration error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_newton", 2.5),
+            ("cg_max", True),
+            ("lambda_schedule", [float("nan"), 1.0]),
+            ("grad_tol", float("nan")),
+            ("epsilon", float("nan")),
+            ("k_continuation", "false"),
+            ("dealias", 0),
+            ("k", float("nan")),
+            ("cg_tol", float("inf")),
+        ],
+    )
+    def test_malformed_solver_field_exit_2(self, tmp_path, capsys, field, value):
+        cfg = pendulum_config(tmp_path / "out", grid={"d": 1, "n_x": 16, "n_t": 4})
+        cfg["solver"] = {"k": 8.0, "P": [0.5], field: value}
+        path = write_config(tmp_path, cfg)
+        assert main(["solve", "--config", path]) == 2
+        assert "configuration error: invalid solver block:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # rejected before any solve
+
     def test_nonstring_output_dir_exit_2(self, tmp_path, capsys):
         cfg = t1_config(tmp_path / "out")
         cfg["output"]["dir"] = 5

@@ -58,6 +58,32 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(k=1.0, method="upwind")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("k", math.nan),
+            ("k", math.inf),
+            ("grad_tol", math.nan),
+            ("cg_tol", math.inf),
+            ("epsilon", math.nan),
+            ("epsilon", math.inf),
+            ("lambda_schedule", (math.nan, 1.0)),
+            ("lambda_schedule", (0.0, math.inf)),
+            ("max_newton", 2.5),
+            ("max_newton", True),
+            ("cg_max", 10.0),
+            ("dealias", 1),
+            ("k_continuation", "false"),
+        ],
+    )
+    def test_malformed_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{"k": 1.0, field: value})
+
+    def test_well_formed_fields_accepted(self):
+        cfg = SolverConfig(k=8, max_newton=np.int64(5), cg_max=7, dealias=np.bool_(True), k_continuation=False)
+        assert (cfg.k, cfg.max_newton, cfg.cg_max) == (8, 5, 7)
+
     def test_momentum_resolution(self):
         cfg = SolverConfig(k=1.0)
         assert np.array_equal(cfg.momentum(2), np.zeros(2))
@@ -256,8 +282,8 @@ class TestNewtonOperatorEpsilon:
         u = random_zero_mean(grid, rng)
         v = random_zero_mean(grid, rng)
         st = evaluate_state(ham, grid, cfg, u)
-        op = _operator_apply(grid, cfg, st, v, hessian_scale=True, with_epsilon=True)
-        op_eps = op - _operator_apply(grid, cfg, st, v, hessian_scale=True, with_epsilon=False)
+        op = _operator_apply(grid, cfg, st, v)
+        op_eps = op - _operator_apply(grid, plain, st, v)
 
         def g_eps(x):
             return gradient(ham, grid, cfg, x).values - gradient(ham, grid, plain, x).values
@@ -486,7 +512,7 @@ class TestTimePlane:
 
     @staticmethod
     def full_grid_only(monkeypatch):
-        monkeypatch.setattr(evans_solver, "_solve_grid", lambda ham, grid, u0: grid)
+        monkeypatch.setattr(evans_solver, "_solve_grid", lambda ham, grid: grid)
 
     @staticmethod
     def recorded_grids(monkeypatch):
@@ -534,15 +560,33 @@ class TestTimePlane:
         assert res.u.values.shape == res.m.values.shape == grid.shape
         assert np.all(res.u.values == res.u.values[:, :1])
 
-    def test_time_dependent_warm_start_takes_the_full_grid(self, monkeypatch):
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
+    @pytest.mark.parametrize("method", ["spectral", "central4"])
+    def test_time_mean_never_raises_the_objective(self, epsilon, method):
+        # J is convex and invariant under time shifts for an autonomous
+        # Hamiltonian, so J(mean_t u) <= J(u): the routing to one plane rests on this
+        rng = np.random.default_rng(11)
+        cases = [(pendulum_hamiltonian(), TorusGrid(1, 32, 8), (0.7,)), (separable_2d(), TorusGrid(2, 8, 6), (0.3, 0.1))]
+        for ham, grid, P in cases:
+            cfg = SolverConfig(k=8.0, P=P, epsilon=epsilon, method=method)
+            for _ in range(5):
+                u = random_zero_mean(grid, rng)
+                assert np.ptp(u - u.mean(axis=-1, keepdims=True)) > 0.1
+                mean = np.broadcast_to(u.mean(axis=-1, keepdims=True), grid.shape)
+                assert objective(ham, grid, cfg, mean)[0] <= objective(ham, grid, cfg, u)[0] + 1e-14
+
+    def test_time_dependent_warm_start_runs_on_one_plane(self, monkeypatch):
+        # it starts from its time mean: the minimizer is constant in t
         grid, cfg = TorusGrid(1, 32, 8), SolverConfig(k=8.0, P=(1.0,))
         cold = minimize(pendulum_hamiltonian(), grid, cfg)
         grids = self.recorded_grids(monkeypatch)
         minimize(pendulum_hamiltonian(), grid, cfg, warm_start=cold.u)
         t = grid.coords()[1]
         res = minimize(pendulum_hamiltonian(), grid, cfg, warm_start=cold.u.values + 1e-3 * np.cos(2 * np.pi * t))
-        assert [g.n_t for g in grids] == [1, 8]
+        assert [g.n_t for g in grids] == [1, 1]
         assert res.converged
+        assert np.all(res.u.values == res.u.values[:, :1])
+        assert abs(res.hbar - cold.hbar) <= 1e-10
 
     def test_time_dependent_hamiltonian_takes_the_full_grid(self, monkeypatch):
         grids = self.recorded_grids(monkeypatch)

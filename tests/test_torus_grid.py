@@ -41,7 +41,6 @@ class TestGridConstruction:
         x, t = g.coords()
         assert np.allclose(x.ravel(), np.arange(8) / 8)
         assert np.allclose(t.ravel(), np.arange(4) / 4)
-        assert g.spacing(0) == 1 / 8 and g.spacing(1) == 1 / 4
 
     @pytest.mark.parametrize("d,n_x,n_t", [(3, 8, 8), (1, 7, 8), (1, 8, 7), (1, 0, 8), (1, 8, -2)])
     def test_invalid_grids_rejected(self, d, n_x, n_t):
