@@ -3,7 +3,7 @@
 Each check is small enough to run on a 16x16 grid in well under a second;
 the whole battery stays below ten seconds.  ``inject_error`` flips a sign
 inside the named check, which must then fail: a negative control proving the
-battery can catch a broken build.
+battery can catch a broken build; only the ``INJECTION_POINTS`` have a sign.
 """
 
 from __future__ import annotations
@@ -27,7 +27,11 @@ from .hamiltonians import (
 from .mfg_diagnostics import mfg_residuals, minmax_upper_bound
 from .torus_grid import TorusGrid
 
-__all__ = ["CheckResult", "run_battery", "BATTERY_NAMES"]
+__all__ = ["CheckResult", "run_battery", "BATTERY_NAMES", "INJECTION_POINTS"]
+
+INJECTION_POINTS = (
+    "spectral-adjointness", "hamiltonian-derivatives", "diffusion-factorization", "gradient-finite-difference"
+)
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,8 @@ def _random_field(grid: TorusGrid, rng: np.random.Generator, max_freq: int = 3) 
 
 
 def run_battery(seed: int = 0, inject_error: str | None = None) -> list[CheckResult]:
+    if inject_error is not None and inject_error not in INJECTION_POINTS:
+        raise ValueError(f"no injection point {inject_error!r}; choose from {', '.join(INJECTION_POINTS)}")
     rng = np.random.default_rng(seed)
     grid = TorusGrid(1, 16, 16)
     ham = _battery_hamiltonian()

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .battery import run_battery
+from .battery import INJECTION_POINTS, run_battery
 from .effective import _as_points, _convexity_grid, legendre_transform, sweep_P, write_effective_csv, write_legendre_csv
 from .evans_solver import SolverConfig, minimize
 from .hamiltonians import NyquistError, check_nyquist, hamiltonian_from_json
@@ -245,6 +245,16 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:  # numpy takes no negative seed
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evanskam",
@@ -256,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--out": dict(default=None, help="output directory (overrides config)"),
         "--method": dict(choices=["spectral", "central4"], default=None, help="override differentiation method"),
         "--jobs": dict(type=int, default=1, help="parallel cold-start workers for sweep entries"),
-        "--seed": dict(type=int, default=0, help="seed for randomized check batteries"),
-        "--inject-error": dict(default=None, help="test hook: flip a sign inside the named invariant"),
+        "--seed": dict(type=_seed, default=0, help="nonnegative seed for randomized check batteries"),
+        "--inject-error": dict(choices=INJECTION_POINTS, help="test hook: flip a sign inside the named invariant"),
     }
     run_flags = ("--config", "--out", "--method")
     specs = {

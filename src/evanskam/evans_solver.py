@@ -19,8 +19,8 @@ operator (the Gauss-Newton choice: the softmax covariance rank-one term is
 dropped, so the operator equals the true Hessian at critical points), solved
 by conjugate gradients restricted to the zero-mean subspace; a homotopy in
 the Hamiltonian weight lam, warm-started stage by stage from u = 0, reaches
-stiff configurations, and an optional outer doubling continuation in k is
-available for sharp runs.
+stiff configurations, and an optional doubling continuation in k adds
+further stages for sharp runs.
 """
 
 from __future__ import annotations
@@ -268,11 +268,15 @@ class _State:
         Z = grid.integrate(weights)
         self.J = fmax + math.log(Z) / k
         if cfg.epsilon > 0.0:
-            sq = self.ut**2
-            for g in self.du:
-                sq = sq + g**2
-            self.J += 0.5 * cfg.epsilon * grid.integrate(sq)
+            self.J += 0.5 * cfg.epsilon * grid.integrate(self.grad_sq())
         self.m = weights / Z
+
+    def grad_sq(self) -> np.ndarray:
+        """|Du|^2 over the space-time axes."""
+        sq = self.ut**2
+        for g in self.du:
+            sq = sq + g**2
+        return sq
 
 
 def _gradient_arrays(grid: TorusGrid, cfg: SolverConfig, st: _State) -> np.ndarray:
@@ -603,21 +607,25 @@ def hbar_bounds(ham: MechanicalHamiltonian, grid: TorusGrid, P=None) -> tuple[fl
 
 
 def _newton_stage(grid: TorusGrid, hog: _HamOnGrid, cfg: SolverConfig, P: np.ndarray, u0: np.ndarray):
-    u = grid.project_zero_mean(u0)
-    if cfg.dealias:
-        u = grid.project_zero_mean(grid.dealias(u))
+    """Damped Newton at one (k, lam) from u0: (u, state, grad_norm, iterations, grad_norm <= grad_tol).
+
+    The gradient is taken at the top of every iterate, the last included; the
+    loop stops at ``grad_tol``, after ``max_newton`` steps or on the stall rule.
+    """
+
+    def admissible(v: np.ndarray) -> np.ndarray:
+        v = grid.project_zero_mean(v)
+        return grid.project_zero_mean(grid.dealias(v)) if cfg.dealias else v
+
+    u = admissible(u0)
     st = _State(grid, hog, cfg, P, u)
-    iterations = 0
-    converged = False
-    grad_norm = math.inf
+    iterations = stalled = 0
     prev_grad_norm = math.inf
-    stalled = 0
-    for _ in range(cfg.max_newton):
+    while True:
         g = _gradient_arrays(grid, cfg, st)
         grad_norm = grid.norm(g)
-        if grad_norm <= cfg.grad_tol:
-            converged = True
-            break
+        if grad_norm <= cfg.grad_tol or iterations == cfg.max_newton or stalled >= 3:
+            return u, st, grad_norm, iterations, grad_norm <= cfg.grad_tol
         # Levenberg damping proportional to the gradient norm: bounds the
         # worst-conditioned directions in the global phase and vanishes near
         # the solution, so local quadratic convergence is untouched.
@@ -639,9 +647,7 @@ def _newton_stage(grid: TorusGrid, hog: _HamOnGrid, cfg: SolverConfig, P: np.nda
         # objective differences drop below representable resolution.
         floor = 1e-14 * (1.0 + abs(st.J))
         while alpha >= 1e-12:
-            u_try = grid.project_zero_mean(u + alpha * step)
-            if cfg.dealias:
-                u_try = grid.project_zero_mean(grid.dealias(u_try))
+            u_try = admissible(u + alpha * step)
             st_try = _State(grid, hog, cfg, P, u_try)
             if st_try.J <= st.J + 1e-4 * alpha * slope + floor:
                 accepted = (u_try, st_try)
@@ -662,20 +668,6 @@ def _newton_stage(grid: TorusGrid, hog: _HamOnGrid, cfg: SolverConfig, P: np.nda
         prev_grad_norm = grad_norm
         u, st = accepted
         iterations += 1
-        if stalled >= 3:
-            break
-    if not converged and iterations > 0:
-        g = _gradient_arrays(grid, cfg, st)
-        grad_norm = grid.norm(g)
-        converged = grad_norm <= cfg.grad_tol
-    return u, st, grad_norm, iterations, converged
-
-
-def _lip_norm(st: _State) -> float:
-    sq = st.ut**2
-    for g in st.du:
-        sq = sq + g**2
-    return float(np.sqrt(np.max(sq)))
 
 
 def _solve_grid(ham: MechanicalHamiltonian, grid: TorusGrid) -> TorusGrid:
@@ -700,51 +692,36 @@ def minimize(
 ) -> SolveResult:
     """Minimize J over zero-mean fields and return the full solve record.
 
-    Cold starts run the homotopy in the Hamiltonian weight over
-    ``config.lambda_schedule`` (u = 0 is the exact solution of the first,
-    weightless stage); a warm start skips the homotopy and solves at the
-    target weight directly.  With ``config.k_continuation`` the target k is
-    reached by doubling from 4, warm-starting each solve.  Autonomous solves
-    run on one time plane (``_solve_grid``), a warm start that varies in t
-    from its time mean, and return u and m spread over ``grid``.
+    The solve is one list of Newton stages (k, lam), each started from the
+    last.  A cold start runs the homotopy over ``config.lambda_schedule`` at
+    the first k (u = 0 solves its weightless stage), then one stage at lam = 1
+    per later k; with ``config.k_continuation`` the ks double from 4 up to
+    ``config.k``.  A warm start is the one stage (``config.k``, 1).
+    ``converged`` holds when every stage at ``config.k`` converged.  Autonomous
+    solves run on one time plane (``_solve_grid``), a warm start that varies
+    in t from its time mean, and return u and m spread over ``grid``.
     """
     check_nyquist(ham, grid)
     P = config.momentum(ham.d)
-
-    if config.k_continuation and warm_start is None and config.k > 4.0:
-        ks: list[float] = []
-        kk = 4.0
-        while kk < config.k:
-            ks.append(kk)
-            kk *= 2.0
-        u_prev: ScalarField | None = None
-        inner_iters = 0
-        for kk in ks:
-            res = minimize(ham, grid, replace(config, k=kk, k_continuation=False), warm_start=u_prev)
-            u_prev = res.u
-            inner_iters += res.iterations
-        final = minimize(ham, grid, replace(config, k_continuation=False), warm_start=u_prev)
-        final.iterations += inner_iters
-        return final
-
-    u0 = None if warm_start is None else _as_array(grid, warm_start)
     plane = _solve_grid(ham, grid)
-    total_iterations = 0
-    all_converged = True
-    if u0 is None:
+    ks, rung = [config.k], 4.0
+    while config.k_continuation and rung < config.k:
+        ks.insert(-1, rung)
+        rung *= 2.0
+    if warm_start is None:
+        stages = [(ks[0], s) for s in config.lambda_schedule] + [(k, 1.0) for k in ks[1:]]
         u = plane.zeros()
-        for s in config.lambda_schedule:
-            hog = _HamOnGrid(ham.with_lambda(s * ham.lam), plane)
-            u, st, grad_norm, iters, conv = _newton_stage(plane, hog, config, P, u)
-            total_iterations += iters
-            all_converged = all_converged and conv
     else:
-        hog = _HamOnGrid(ham, plane)
+        stages = [(config.k, 1.0)]
+        u = _as_array(grid, warm_start)
         if plane is not grid:
-            u0 = plane.restrict(u0)
-        u, st, grad_norm, iters, conv = _newton_stage(plane, hog, config, P, u0)
+            u = plane.restrict(u)
+    total_iterations, converged = 0, True
+    for k, lam in stages:
+        hog = _HamOnGrid(ham.with_lambda(lam * ham.lam), plane)
+        u, st, grad_norm, iters, conv = _newton_stage(plane, hog, replace(config, k=k), P, u)
         total_iterations += iters
-        all_converged = conv
+        converged = converged and (conv or k != config.k)
     m = st.m
     if plane is not grid:
         u, m = plane.full(u), plane.full(m)
@@ -755,9 +732,9 @@ def minimize(
         m=ScalarField(grid, m),
         rotation=np.array([plane.integrate(st.m * wi) for wi in st.w]),
         grad_norm=grad_norm,
-        lip_norm=_lip_norm(st),
+        lip_norm=float(np.sqrt(np.max(st.grad_sq()))),
         iterations=total_iterations,
-        converged=all_converged,
+        converged=converged,
         k=config.k,
         P=P,
         lam=ham.lam,

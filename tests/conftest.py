@@ -108,6 +108,7 @@ def flux_oracle_dhbar(k: float, P: float, step: float = 1e-4) -> float:
     return (flux_oracle_hbar(k, P + step) - flux_oracle_hbar(k, P - step)) / (2 * step)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng() -> np.random.Generator:
+    """A fresh generator per test: its draws do not depend on which tests ran before."""
     return np.random.default_rng(12345)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evanskam.battery import BATTERY_NAMES, run_battery
+from evanskam.battery import BATTERY_NAMES, INJECTION_POINTS, run_battery
 from evanskam.cli_io import main
 from evanskam.torus_grid import read_field
 
@@ -324,6 +324,31 @@ class TestCheckCommand:
     def test_injected_error_other_check(self, capsys):
         assert main(["check", "--inject-error", "diffusion-factorization"]) == 1
         assert "FAIL  diffusion-factorization" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", INJECTION_POINTS)
+    def test_every_injection_point_fails_its_check(self, name, capsys):
+        assert main(["check", "--inject-error", name]) == 1
+        captured = capsys.readouterr()
+        assert f"FAIL  {name}" in captured.out
+        assert captured.err.strip() == f"failed invariants: {name}"
+
+    @pytest.mark.parametrize("name", ["bogus", "objective-convexity"])
+    def test_name_without_injection_point_exit_2(self, name, capsys):
+        # objective-convexity is a check, but it has no sign to flip: a clean run would exit 0
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--inject-error", name])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="no injection point"):
+            run_battery(inject_error=name)
+
+    @pytest.mark.parametrize("seed", ["-1", "-7", "1.5", "abc"])
+    def test_invalid_seed_exit_2(self, seed, capsys):
+        # a negative seed used to reach numpy and exit 1 with a traceback
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--seed", seed])
+        assert exc.value.code == 2
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
 
     def test_seed_changes_samples_not_verdict(self):
         for seed in (0, 1, 7):

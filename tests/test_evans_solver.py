@@ -503,6 +503,62 @@ def assert_same_bits(a, b):
     assert (a.iterations, a.converged) == (b.iterations, b.converged)
 
 
+def continuation_chain(ham, grid, cfg):
+    """The public solves that k_continuation stands for: cold at k = 4, then warm at 8, 16, ... and cfg.k."""
+    ks = [4.0]
+    while 2.0 * ks[-1] < cfg.k:
+        ks.append(2.0 * ks[-1])
+    chain = []
+    for k in [*ks, cfg.k]:
+        warm = chain[-1].u if chain else None
+        chain.append(minimize(ham, grid, replace(cfg, k=k, k_continuation=False), warm_start=warm))
+    return chain
+
+
+class TestKContinuation:
+    @pytest.mark.parametrize(
+        "ham, grid, k, P, max_newton, rungs_converged",
+        [
+            (pendulum_hamiltonian, TorusGrid(1, 64, 16), 64.0, (2.0,), 60, True),
+            (pendulum_hamiltonian, TorusGrid(1, 32, 8), 20.0, (1.0,), 60, True),
+            (tc1_hamiltonian, TorusGrid(1, 16, 16), 64.0, (0.0,), 60, True),
+            (separable_2d, TorusGrid(2, 16, 4), 32.0, (0.3, 0.1), 60, True),
+            # the cap stops earlier solves short, and the one at the target k still converges
+            (pendulum_hamiltonian, TorusGrid(1, 64, 16), 64.0, (2.0,), 4, False),
+            # the cap stops the solve at the target k short as well
+            (tc1_hamiltonian, TorusGrid(1, 16, 16), 64.0, (0.0,), 5, False),
+        ],
+        ids=["pendulum-k64", "pendulum-k20", "tc1-k64", "separable-2d", "capped-rungs", "capped"],
+    )
+    def test_matches_the_public_chain(self, ham, grid, k, P, max_newton, rungs_converged):
+        cfg = SolverConfig(k=k, P=P, max_newton=max_newton, k_continuation=True)
+        res = minimize(ham(), grid, cfg)
+        chain = continuation_chain(ham(), grid, cfg)
+        final = chain[-1]
+        for x, y in (
+            (res.u.values, final.u.values),
+            (res.m.values, final.m.values),
+            (res.hbar, final.hbar),
+            (res.rotation, final.rotation),
+            (res.grad_norm, final.grad_norm),
+            (res.lip_norm, final.lip_norm),
+        ):
+            assert_bitwise(x, y)
+        assert res.iterations == sum(r.iterations for r in chain)
+        assert res.converged == final.converged
+        assert all(r.converged for r in chain[:-1]) == rungs_converged
+
+    def test_no_ladder_at_or_below_k4(self):
+        ham, grid, cfg = pendulum_hamiltonian(), TorusGrid(1, 32, 8), SolverConfig(k=4.0, P=(1.0,))
+        assert_same_bits(minimize(ham, grid, replace(cfg, k_continuation=True)), minimize(ham, grid, cfg))
+
+    def test_warm_start_takes_no_ladder(self):
+        ham, grid, cfg = pendulum_hamiltonian(), TorusGrid(1, 32, 8), SolverConfig(k=32.0, P=(1.0,))
+        warm = minimize(ham, grid, replace(cfg, k=16.0)).u
+        cont = minimize(ham, grid, replace(cfg, k_continuation=True), warm_start=warm)
+        assert_same_bits(cont, minimize(ham, grid, cfg, warm_start=warm))
+
+
 class TestTimePlane:
     """Autonomous solves from a start constant in t run on one time plane.
 

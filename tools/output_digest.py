@@ -13,7 +13,11 @@ temporary directory, and prints one JSON object:
 - for the criterion-6 sweep shifted by 0.01*j, j = -4..4, built as
   ``perfbench`` builds it (base grid plus the shift, not re-rounded): one
   sha256 over the 369 solve records (u, m, hbar, Q, grad_norm, iterations,
-  converged; dtype, shape and bytes of each) and the unconverged P values.
+  converged; dtype, shape and bytes of each) and the unconverged P values;
+- for the library solves in ``LIBRARY_SOLVES``, options that no config
+  reaches (``k_continuation``, ``dealias``, ``epsilon``, ``central4``, a
+  d = 2 grid, a ``max_newton`` cap): per solve, the sha256 of its record
+  (the fields above plus lip_norm) with its iterations and converged flag.
 
 Two trees produce identical output exactly when these results agree to the
 bit, so ``diff`` of two digests is the whole comparison.
@@ -46,11 +50,71 @@ COMMANDS = {
     "check": ["check", "--seed", "0"],
     "oracle": ["oracle", "--config", "configs/pendulum_sweep.json"],
 }
+CRITERION6_FIELDS = ("u", "m", "hbar", "rotation", "grad_norm", "iterations", "converged")
+LIBRARY_FIELDS = (*CRITERION6_FIELDS[:5], "lip_norm", *CRITERION6_FIELDS[5:])
+# name: (Hamiltonian, TorusGrid arguments (d, n_x, n_t), SolverConfig fields)
+LIBRARY_SOLVES = {
+    "k-continuation-pendulum": ("pendulum", (1, 64, 16), dict(k=64.0, P=(2.0,), k_continuation=True)),
+    "k-continuation-tc1": ("tc1", (1, 16, 16), dict(k=64.0, P=(0.0,), k_continuation=True)),
+    "k-continuation-tc1-k2048": ("tc1", (1, 16, 16), dict(k=2048.0, P=(0.0,), k_continuation=True)),
+    "k-continuation-separable-2d": ("separable-2d", (2, 16, 4), dict(k=32.0, P=(0.3, 0.1), k_continuation=True)),
+    # the cap stops earlier rungs short, yet the solve at the target k converges
+    "k-continuation-capped-rungs": ("pendulum", (1, 64, 16), dict(k=64.0, P=(2.0,), k_continuation=True, max_newton=4)),
+    "k-continuation-capped": ("tc1", (1, 16, 16), dict(k=64.0, P=(0.0,), k_continuation=True, max_newton=5)),
+    "k-continuation-odd-k": ("pendulum", (1, 32, 8), dict(k=20.0, P=(1.0,), k_continuation=True)),
+    "capped": ("pendulum", (1, 32, 32), dict(k=16.0, P=(2.0,), max_newton=1)),
+    "dealias-t1": ("t1", (1, 64, 64), dict(k=8.0, dealias=True)),
+    "dealias-pendulum": ("pendulum", (1, 32, 8), dict(k=8.0, P=(0.5,), dealias=True)),
+    "epsilon": ("pendulum", (1, 64, 8), dict(k=16.0, P=(0.2,), epsilon=1e-3, grad_tol=1e-11)),
+    "epsilon-tc1": ("tc1", (1, 16, 16), dict(k=4.0, epsilon=1e-3)),
+    "central4-t1": ("t1", (1, 64, 64), dict(k=8.0, method="central4")),
+    "central4-tc1": ("tc1", (1, 16, 16), dict(k=8.0, method="central4")),
+    "separable-2d": ("separable-2d", (2, 16, 4), dict(k=16.0, P=(0.3, 0.1))),
+}
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def record_digest(results, fields: tuple[str, ...]) -> str:
+    """sha256 over the dtype, shape and bytes of the named fields of every result."""
+    import numpy as np
+
+    digest = hashlib.sha256()
+    for res in results:
+        for name in fields:
+            value = getattr(res, name)
+            arr = np.asarray(getattr(value, "values", value))
+            digest.update(f"{arr.dtype.str}{arr.shape}".encode())
+            digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+def library_solves() -> dict:
+    """Solve every case of ``LIBRARY_SOLVES`` with the importable evanskam."""
+    from evanskam import FourierSpec, MechanicalHamiltonian, SolverConfig, TorusGrid, minimize
+
+    zero_eta, pendulum = (FourierSpec.zero(1),), ((1, 0), 1.0, 0.0)
+    hams = {
+        "pendulum": MechanicalHamiltonian(d=1, eta=zero_eta, V=FourierSpec.build(2, [pendulum])),
+        # eta = cos(2 pi t): hbar = P^2/2 + 1/4 in closed form
+        "t1": MechanicalHamiltonian(d=1, eta=(FourierSpec.build(1, [((1,), 1.0, 0.0)]),), V=FourierSpec.zero(2)),
+        # V = cos(2 pi x) + 0.3 sin(2 pi (x + t)), eta = cos(2 pi t)/2: time-coupled
+        "tc1": MechanicalHamiltonian(
+            d=1, eta=(FourierSpec.build(1, [((1,), 0.5, 0.0)]),), V=FourierSpec.build(2, [pendulum, ((1, 1), 0.0, 0.3)])
+        ),
+        "separable-2d": MechanicalHamiltonian(
+            d=2, eta=zero_eta * 2, V=FourierSpec.build(3, [((1, 0, 0), 1.0, 0.0), ((0, 1, 0), 0.5, 0.0)])
+        ),
+    }
+    out = {}
+    for name, (ham, shape, options) in LIBRARY_SOLVES.items():
+        res = minimize(hams[ham], TorusGrid(*shape), SolverConfig(**options))
+        digest = record_digest([res], LIBRARY_FIELDS)
+        out[name] = {"sha256": digest, "iterations": res.iterations, "converged": res.converged}
+    return out
 
 
 def criterion6_entries() -> dict:
@@ -76,15 +140,9 @@ def criterion6_entries() -> dict:
             effective.sweep_P(ham, grid, 16.0, base + 0.01 * j, config=config)
     finally:
         effective.minimize = solve
-    digest = hashlib.sha256()
-    for res in records:
-        for value in (res.u.values, res.m.values, res.hbar, res.rotation, res.grad_norm, res.iterations, res.converged):
-            arr = np.asarray(value)
-            digest.update(f"{arr.dtype.str}{arr.shape}".encode())
-            digest.update(arr.tobytes())
     return {
         "entries": len(records),
-        "sha256": digest.hexdigest(),
+        "sha256": record_digest(records, CRITERION6_FIELDS),
         "unconverged_P": [round(float(res.P[0]), 10) for res in records if not res.converged],
     }
 
@@ -109,8 +167,8 @@ def run_commands(tree: Path, env: dict) -> dict:
 
 
 def main(argv: list[str]) -> int:
-    if argv[:1] == ["--criterion6"]:
-        print(json.dumps(criterion6_entries()))
+    if argv[:1] == ["--records"]:
+        print(json.dumps({"criterion6": criterion6_entries(), "library": library_solves()}))
         return 0
     if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
@@ -118,10 +176,10 @@ def main(argv: list[str]) -> int:
     tree = Path(argv[0]).resolve()
     env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(tree / "src")}
     entries = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--criterion6"],
+        [sys.executable, str(Path(__file__).resolve()), "--records"],
         env=env, capture_output=True, text=True, check=True, timeout=600,
     )
-    report = {"commands": run_commands(tree, env), "criterion6": json.loads(entries.stdout)}
+    report = {"commands": run_commands(tree, env), **json.loads(entries.stdout)}
     print(json.dumps(report, indent=1, sort_keys=True))
     return 0
 
