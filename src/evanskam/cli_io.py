@@ -180,7 +180,7 @@ def cmd_sweep(args) -> int:
             _convexity_grid(P_grid)
         except ValueError as exc:
             raise ConfigError(f"sweep.P_grid with a Q_grid: {exc}") from exc
-    table = sweep_P(cfg.ham, cfg.grid, cfg.solver.k, P_grid, config=cfg.solver, jobs=max(1, args.jobs))
+    table = sweep_P(cfg.ham, cfg.grid, cfg.solver.k, P_grid, config=cfg.solver, jobs=args.jobs)
     sidecar = {
         "grid": {"d": cfg.grid.d, "n_x": cfg.grid.n_x, "n_t": cfg.grid.n_t},
         "solver": {k: v for k, v in cfg.solver.__dict__.items() if k != "P"},
@@ -245,14 +245,19 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:  # numpy takes no negative seed
-        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
-    return seed
+def _int_at_least(low: int, rule: str):
+    """An argparse type for integers >= ``low``; anything else is a usage error (exit 2) stating ``rule``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,8 +270,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--config": dict(default=None, help="path to a JSON run configuration"),
         "--out": dict(default=None, help="output directory (overrides config)"),
         "--method": dict(choices=["spectral", "central4"], default=None, help="override differentiation method"),
-        "--jobs": dict(type=int, default=1, help="parallel cold-start workers for sweep entries"),
-        "--seed": dict(type=_seed, default=0, help="nonnegative seed for randomized check batteries"),
+        "--jobs": dict(
+            type=_int_at_least(1, "jobs must be a positive integer"),
+            default=1,
+            help="parallel cold-start workers for sweep entries",
+        ),
+        "--seed": dict(
+            type=_int_at_least(0, "seed must be a nonnegative integer"),  # numpy takes no negative seed
+            default=0,
+            help="nonnegative seed for randomized check batteries",
+        ),
         "--inject-error": dict(choices=INJECTION_POINTS, help="test hook: flip a sign inside the named invariant"),
     }
     run_flags = ("--config", "--out", "--method")

@@ -79,14 +79,13 @@ class SolverConfig:
     cg_max: int = 500
     epsilon: float = 0.0
     method: str = "spectral"
-    dealias: bool = False
     k_continuation: bool = False
 
     def __post_init__(self) -> None:
         for names, kind, ok in (
             (("k", "grad_tol", "cg_tol", "epsilon"), "a finite number", math.isfinite),
             (("max_newton", "cg_max"), "an integer", lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool)),
-            (("dealias", "k_continuation"), "a boolean", lambda v: isinstance(v, (bool, np.bool_))),
+            (("k_continuation",), "a boolean", lambda v: isinstance(v, (bool, np.bool_))),
         ):
             for name in names:
                 if not ok(getattr(self, name)):
@@ -208,7 +207,6 @@ class _HamOnGrid:
         self.V = lam * ham.V.evaluate(*coords)
         self.gradV = [lam * ham.V.partial(a).evaluate(*coords) for a in range(ham.d)]
         self.V_t = lam * ham.V.partial(ham.d).evaluate(*coords)
-        self.autonomous = _is_autonomous(ham)
 
 
 @dataclass(frozen=True)
@@ -218,10 +216,8 @@ class _TimePlane(TorusGrid):
     Node means are taken over the field repeated ``n_rep`` times along t, so
     numpy sums the same values in the same order as on the full grid;
     ``inner``, ``norm`` and ``project_zero_mean`` go through ``integrate``
-    and inherit it.  Wherever the full grid's own time means are exact
-    (n_rep = 2, 4, 8, 16, 32) a solve here matches the full-grid one bit for
-    bit.  Plain means over the plane round differently and move the
-    precision-floor entries of the criterion-6 grid.
+    and inherit it.  Plain means over the plane round differently and move
+    the precision-floor entries of the criterion-6 grid.
     """
 
     n_rep: int = 1
@@ -321,12 +317,12 @@ def _operator_apply(grid: TorusGrid, cfg: SolverConfig, st: _State, v: np.ndarra
 
 
 # Largest node counts for which the preconditioner factors a dense block of
-# the Newton operator (one Cholesky per Newton step).  The time-mean plane of
-# autonomous problems has n_x**d nodes: every d = 1 grid up to n_x = 256 and
-# d = 2 grids up to 16^2, the largest sizes whose solve times were measured
-# against the surrogate.
+# the Newton operator (one Cholesky per Newton step).  A solve grid of one
+# time plane, where every autonomous solve runs (``_solve_grid``), has n_x**d
+# nodes: every d = 1 grid up to n_x = 256 and d = 2 grids up to 16^2, the
+# largest sizes whose solve times were measured against the surrogate.
 _BLOCK_MAX_NODES = 256
-# Time-dependent problems couple every time frequency, so their block is the
+# A solve grid with n_t > 1 couples every time frequency, so its block is the
 # whole operator on n_x**d * n_t nodes.  At 512 the 1-d time-coupled case on
 # 32x16 converges in 25-55 CG iterations where the surrogate stalled after
 # 38k-86k; at 1024 the factor costs 32x32 problems more than the surrogate's
@@ -431,34 +427,27 @@ def _factored_inverse(A: np.ndarray):
 
 
 def _dense_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
-    """Exact inverse of the damped Newton operator on small grids, or None.
+    """Exact inverse of the damped Newton operator on small solve grids, or None.
 
-    The operator is A = sum_ab D_a^T diag(c_ab) D_b + mu over the space-time
-    axes, with c_ab = m*(k*v_a*v_b + delta_ab*[a spatial]) + eps*delta_ab and
-    v = (w, 1): k*T^T diag(m) T for the transport derivative
-    T = D_t + sum_i diag(w_i) D_i, plus sum_i D_i^T diag(m) D_i and the
-    Tikhonov term.  For an autonomous Hamiltonian the Newton systems stay on
-    fields constant in t (``_solve_grid``), where A is the spatial operator
-    with time-averaged c_ab: the block spans the spatial axes, acts on the
-    time mean of a residual and repeats its solve over t.  Otherwise it spans
-    every axis.  None above ``_BLOCK_MAX_NODES`` spatial nodes (autonomous) or
-    ``_SPACETIME_MAX_NODES`` space-time nodes (otherwise), and where the
-    factorization fails.
+    The operator is A = sum_ab D_a^T diag(c_ab) D_b + mu over the axes of the
+    solve grid, with c_ab = m*(k*v_a*v_b + delta_ab*[a spatial])
+    + eps*delta_ab and v = (w, 1): k*T^T diag(m) T for the transport
+    derivative T = D_t + sum_i diag(w_i) D_i, plus sum_i D_i^T diag(m) D_i and
+    the Tikhonov term.  On one time plane D_t is zero and the block spans the
+    spatial axes alone.  None above ``_BLOCK_MAX_NODES`` nodes (one plane) or
+    ``_SPACETIME_MAX_NODES`` nodes (n_t > 1), and where the factorization
+    fails.
     """
-    autonomous = st.hog.autonomous
-    shape = grid.shape[:-1] if autonomous else grid.shape
-    if math.prod(shape) > (_BLOCK_MAX_NODES if autonomous else _SPACETIME_MAX_NODES):
+    timed = grid.n_t > 1  # on one time plane every time derivative is exactly zero
+    shape = grid.shape if timed else grid.shape[:-1]
+    if math.prod(shape) > (_SPACETIME_MAX_NODES if timed else _BLOCK_MAX_NODES):
         return None
-    d, n_t, k, v, axes = grid.d, grid.n_t, cfg.k, [*st.w, 1.0], range(len(shape))
-    mean_t = (lambda c: c.sum(axis=-1) / n_t) if autonomous else (lambda c: c)  # sum / n: np.mean's bits
+    d, k, eps, v, axes = grid.d, cfg.k, cfg.epsilon, [*st.w, 1.0], range(len(shape))
     coef = [
-        [mean_t(st.m * (k * v[a] * v[b] + float(a == b and a < d))) + cfg.epsilon * float(a == b) for b in axes]
+        [(st.m * (k * v[a] * v[b] + float(a == b and a < d))).reshape(shape) + eps * float(a == b) for b in axes]
         for a in axes
     ]
-    solve = _factored_inverse(_assemble(shape, cfg.method, coef, mu))
-    if solve is None or math.prod(shape) == grid.n_nodes:
-        return solve
-    return lambda r: solve(r.sum(axis=-1) / n_t)[..., None].repeat(n_t, axis=-1)
+    return _factored_inverse(_assemble(shape, cfg.method, coef, mu))
 
 
 def _make_preconditioner(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
@@ -613,11 +602,7 @@ def _newton_stage(grid: TorusGrid, hog: _HamOnGrid, cfg: SolverConfig, P: np.nda
     loop stops at ``grad_tol``, after ``max_newton`` steps or on the stall rule.
     """
 
-    def admissible(v: np.ndarray) -> np.ndarray:
-        v = grid.project_zero_mean(v)
-        return grid.project_zero_mean(grid.dealias(v)) if cfg.dealias else v
-
-    u = admissible(u0)
+    u = grid.project_zero_mean(u0)
     st = _State(grid, hog, cfg, P, u)
     iterations = stalled = 0
     prev_grad_norm = math.inf
@@ -647,7 +632,7 @@ def _newton_stage(grid: TorusGrid, hog: _HamOnGrid, cfg: SolverConfig, P: np.nda
         # objective differences drop below representable resolution.
         floor = 1e-14 * (1.0 + abs(st.J))
         while alpha >= 1e-12:
-            u_try = admissible(u + alpha * step)
+            u_try = grid.project_zero_mean(u + alpha * step)
             st_try = _State(grid, hog, cfg, P, u_try)
             if st_try.J <= st.J + 1e-4 * alpha * slope + floor:
                 accepted = (u_try, st_try)

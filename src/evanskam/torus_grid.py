@@ -177,21 +177,6 @@ class TorusGrid:
         shp[axis] = mult.size
         return np.fft.irfft(spec * mult.reshape(shp), n=n, axis=axis)
 
-    def dealias(self, values: np.ndarray) -> np.ndarray:
-        """Two-thirds-rule filter: zero all modes with |freq| > n/3 on any axis."""
-        arr = self._check_values(values)
-        spec = np.fft.fftn(arr)
-        for axis in range(self.n_axes):
-            n = self.axis_size(axis)
-            if n == 1:
-                continue
-            k = np.fft.fftfreq(n, d=1.0 / n)
-            keep = (np.abs(k) <= n // 3).astype(float)
-            shp = [1] * arr.ndim
-            shp[axis] = n
-            spec = spec * keep.reshape(shp)
-        return np.real(np.fft.ifftn(spec))
-
 
 @dataclass(frozen=True)
 class ScalarField:

@@ -97,7 +97,9 @@ def flux_oracle_hbar(k: float, P: float, n: int = 4096) -> float:
                     break
             return w
 
-        logC = brentq(lambda lc: float(np.mean(w_of_logC(lc))) - Pa, -60.0, 60.0, xtol=1e-13)
+        # log C = log w + k*(w^2/2 + V) grows like k*hbar: the bracket grows with k
+        bound = 60.0 + k * (Pa * Pa / 2 + 2.0)
+        logC = brentq(lambda lc: float(np.mean(w_of_logC(lc))) - Pa, -bound, bound, xtol=1e-13)
         w = sign * w_of_logC(logC)
     f = 0.5 * w * w + V
     M = float(f.max())

@@ -107,7 +107,6 @@ class TestSolveCommand:
             ("grad_tol", float("nan")),
             ("epsilon", float("nan")),
             ("k_continuation", "false"),
-            ("dealias", 0),
             ("k", float("nan")),
             ("cg_tol", float("inf")),
         ],
@@ -119,6 +118,15 @@ class TestSolveCommand:
         assert main(["solve", "--config", path]) == 2
         assert "configuration error: invalid solver block:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # rejected before any solve
+
+    def test_removed_dealias_field_exit_2(self, tmp_path, capsys):
+        # the two-thirds filter is gone; configs that still set it are refused
+        cfg = pendulum_config(tmp_path / "out", grid={"d": 1, "n_x": 16, "n_t": 4})
+        cfg["solver"] = {"k": 8.0, "P": [0.5], "dealias": False}
+        path = write_config(tmp_path, cfg)
+        assert main(["solve", "--config", path]) == 2
+        assert "unknown solver fields: ['dealias']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_nonstring_output_dir_exit_2(self, tmp_path, capsys):
         cfg = t1_config(tmp_path / "out")
@@ -212,6 +220,16 @@ class TestSweepCommand:
         par_rows = (tmp_path / "par" / "effective_table.csv").read_text().splitlines()[1:]
         for a, b in zip(seq_rows, par_rows):
             assert abs(float(a.split(",")[1]) - float(b.split(",")[1])) <= 1e-8
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "abc"])
+    def test_invalid_jobs_exit_2(self, tmp_path, capsys, jobs):
+        # values below 1 used to run serially and exit 0
+        path = write_config(tmp_path, pendulum_config(tmp_path / "out", sweep={"P_grid": [0.0]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", path, "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "jobs must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_sweep_block_exit_2(self, tmp_path):
         path = write_config(tmp_path, t1_config(tmp_path / "out"))

@@ -1,12 +1,12 @@
-"""The Newton preconditioner: one exact dense block on small grids, a Fourier surrogate elsewhere.
+"""The Newton preconditioner: one exact dense block on small solve grids, a Fourier surrogate elsewhere.
 
-Time-dependent Hamiltonians on grids of at most ``_SPACETIME_MAX_NODES``
-space-time nodes get the exact inverse of the whole damped Newton operator.
-For autonomous Hamiltonians the Newton systems stay on time-independent
-fields, where the operator reduces to a spatial one with time-averaged
-coefficients; the block inverts it exactly on grids up to
-``_BLOCK_MAX_NODES`` spatial nodes, acting on the time mean of a residual.
-Larger grids of either kind keep the m-blind Fourier surrogate.
+The block is the exact inverse of the damped Newton operator on the grid
+the Newton loop runs on (``_solve_grid``).  Autonomous Hamiltonians are
+solved on one time plane, where the operator is spatial; the block inverts
+it on up to ``_BLOCK_MAX_NODES`` nodes.  A grid with n_t > 1 gets the
+whole space-time operator on up to ``_SPACETIME_MAX_NODES`` nodes.  Larger
+grids of either kind keep the m-blind Fourier surrogate.  Autonomous states
+below are therefore built on ``_solve_grid(ham, grid)``.
 """
 
 import numpy as np
@@ -24,6 +24,7 @@ from evanskam.evans_solver import (
     _dense_block,
     _make_preconditioner,
     _operator_apply,
+    _solve_grid,
     evaluate_state,
     minimize,
 )
@@ -35,15 +36,17 @@ def damped_operator(grid, cfg, st, mu):
 
 
 def solved_state(ham, grid, cfg):
+    """(solve grid, cfg, state of the solution there): the grid is the one ``minimize`` runs on."""
     res = minimize(ham, grid, cfg)
     assert res.converged
-    return evaluate_state(ham, grid, cfg, res.u)
+    plane = _solve_grid(ham, grid)
+    return plane, cfg, evaluate_state(ham, plane, cfg, res.u.values[..., : plane.n_t])
 
 
 def clamped_state():
     # k*(f - max f) reaches about -2800, far below exp underflow: m sits at
     # the smallest positive normal on most of the torus
-    grid = TorusGrid(1, 64, 8)
+    grid = _solve_grid(pendulum_hamiltonian(), TorusGrid(1, 64, 8))
     cfg = SolverConfig(k=16.0, P=(0.2,))
     u = 3.0 * np.cos(2 * np.pi * grid.coords()[0]) * np.ones(grid.shape)
     st = evaluate_state(pendulum_hamiltonian(), grid, cfg, grid.project_zero_mean(u))
@@ -57,9 +60,7 @@ def states():
     cfg = SolverConfig(k=8.0, P=(0.5,), epsilon=1e-3)
     u = 0.1 * np.sin(2 * np.pi * (grid.coords()[0] + grid.coords()[1]))
     yield grid, cfg, evaluate_state(mixed_hamiltonian(), grid, cfg, grid.project_zero_mean(u))
-    grid = TorusGrid(1, 64, 8)
-    cfg = SolverConfig(k=16.0, P=(-0.1,), grad_tol=1e-11)
-    yield grid, cfg, solved_state(pendulum_hamiltonian(), grid, cfg)
+    yield solved_state(pendulum_hamiltonian(), TorusGrid(1, 64, 8), SolverConfig(k=16.0, P=(-0.1,), grad_tol=1e-11))
 
 
 def check_symmetric_positive(rng, grid, cfg, st, mu):
@@ -104,38 +105,21 @@ class TestTimeMeanBlockExact:
         [(1, -0.1, 0.0, "spectral"), (8, -0.1, 0.0, "spectral"), (8, 0.3, 1e-3, "spectral"), (8, 0.0, 0.0, "central4")],
     )
     def test_inverse_on_time_independent_fields_1d(self, rng, n_t, P, epsilon, method):
-        grid = TorusGrid(1, 64, n_t)
         cfg = SolverConfig(k=16.0, P=(P,), epsilon=epsilon, method=method, grad_tol=1e-10)
-        st = solved_state(pendulum_hamiltonian(), grid, cfg)
-        check_exact(rng, grid, cfg, st)
+        check_exact(rng, *solved_state(pendulum_hamiltonian(), TorusGrid(1, 64, n_t), cfg))
 
     def test_inverse_on_time_independent_fields_2d(self, rng):
-        grid = TorusGrid(2, 8, 4)
-        cfg = SolverConfig(k=8.0, P=(0.3, 0.1))
-        st = solved_state(separable_2d(), grid, cfg)
-        check_exact(rng, grid, cfg, st)
+        check_exact(rng, *solved_state(separable_2d(), TorusGrid(2, 8, 4), SolverConfig(k=8.0, P=(0.3, 0.1))))
 
     def test_inverse_at_the_clamp(self, rng):
         check_exact(rng, *clamped_state())
 
     def test_no_block_above_the_cap(self):
-        grid = TorusGrid(2, 18, 2)
-        assert grid.n_x**grid.d > _BLOCK_MAX_NODES
+        grid = _solve_grid(separable_2d(), TorusGrid(2, 18, 2))
+        assert grid.n_nodes > _BLOCK_MAX_NODES
         cfg = SolverConfig(k=4.0, P=(0.1, 0.2))
         st = evaluate_state(separable_2d(), grid, cfg, grid.zeros())
         assert _dense_block(grid, cfg, st, 1.0) is None
-
-    def test_block_returns_fields_constant_in_t(self):
-        # a full-grid autonomous state: the block solves the time mean
-        rng = np.random.default_rng(3)
-        grid = TorusGrid(1, 16, 16)
-        cfg = SolverConfig(k=4.0, P=(0.5,))
-        st = evaluate_state(pendulum_hamiltonian(), grid, cfg, grid.zeros())
-        block = _dense_block(grid, cfg, st, 1.0)
-        for _ in range(3):
-            out = block(grid.project_zero_mean(rng.standard_normal(grid.shape)))
-            assert out.shape == grid.shape
-            assert np.all(out == out[:, :1])
 
 
 class TestAtTheCap:
@@ -143,10 +127,9 @@ class TestAtTheCap:
     # Newton loop's floor: the factorization must not raise or lose exactness
     @pytest.fixture(scope="class")
     def cap_state(self):
-        grid = TorusGrid(2, 16, 4)
-        assert grid.n_x**grid.d == _BLOCK_MAX_NODES
-        cfg = SolverConfig(k=32.0, P=(0.3, 0.1))
-        return grid, cfg, solved_state(separable_2d(), grid, cfg)
+        grid, cfg, st = solved_state(separable_2d(), TorusGrid(2, 16, 4), SolverConfig(k=32.0, P=(0.3, 0.1)))
+        assert grid.n_nodes == _BLOCK_MAX_NODES
+        return grid, cfg, st
 
     def test_symmetric_and_positive(self, rng, cap_state):
         check_symmetric_positive(rng, *cap_state, mu=1e-11)
@@ -225,7 +208,7 @@ class TestSpacetimeBlockExact:
     @pytest.fixture(scope="class", params=sorted(SPACETIME_CASES))
     def case(self, request):
         ham, grid, cfg = SPACETIME_CASES[request.param]
-        return request.param, grid, cfg, solved_state(ham(), grid, cfg)
+        return request.param, *solved_state(ham(), grid, cfg)
 
     @pytest.mark.parametrize("mu", [1e-11, 1e-4, 1.0])
     def test_inverse_on_residual_fields(self, rng, case, mu):
@@ -236,6 +219,17 @@ class TestSpacetimeBlockExact:
         assert _dense_block(grid, cfg, st, mu) is not None
         A = damped_operator(grid, cfg, st, mu)
         M = _make_preconditioner(grid, cfg, st, mu)
+        for _ in range(3):
+            r = residual_field(rng, grid)
+            assert grid.norm(A(M(r)) - r) <= 1e-8 * grid.norm(r)
+
+    def test_autonomous_state_on_a_full_grid(self, rng):
+        # minimize never builds one (``_solve_grid``), but the block keys on
+        # the grid alone: a full grid gets the space-time inverse
+        grid = TorusGrid(1, 16, 16)
+        cfg = SolverConfig(k=4.0, P=(0.5,))
+        st = evaluate_state(pendulum_hamiltonian(), grid, cfg, grid.zeros())
+        A, M = damped_operator(grid, cfg, st, 1.0), _dense_block(grid, cfg, st, 1.0)
         for _ in range(3):
             r = residual_field(rng, grid)
             assert grid.norm(A(M(r)) - r) <= 1e-8 * grid.norm(r)

@@ -243,21 +243,6 @@ class TestProjectZeroMean:
         assert np.max(np.abs(out.values - s)) <= 1e-14
 
 
-class TestDealias:
-    def test_filter_removes_high_modes(self):
-        g = TorusGrid(1, 24, 4)
-        x, _ = g.coords()
-        low = np.broadcast_to(np.cos(2 * np.pi * x), g.shape)
-        high = np.broadcast_to(np.cos(2 * np.pi * 10 * x), g.shape)
-        out = g.dealias(low + high)
-        assert np.max(np.abs(out - low)) <= 1e-12
-
-    def test_filter_keeps_low_band(self, rng):
-        g = TorusGrid(1, 16, 16)
-        f = random_band_limited(g, rng, max_freq=3)
-        assert np.max(np.abs(g.dealias(f) - f)) <= 1e-12
-
-
 class TestFieldTypes:
     def test_shape_mismatch_rejected(self):
         g = TorusGrid(1, 8, 8)
