@@ -36,9 +36,16 @@ class ConfigError(ValueError):
 
 def _numeric(value, what: str) -> np.ndarray:
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value, dtype=float)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{what} must be numeric: {exc}") from exc
+    return _finite(arr, what)
+
+
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{what} must be finite, got {arr.tolist()!r}")
+    return arr
 
 
 class RunConfig:
@@ -81,8 +88,6 @@ class RunConfig:
         try:
             if "P" in solver_block and solver_block["P"] is not None:
                 solver_block["P"] = tuple(np.atleast_1d(solver_block["P"]))
-            if "lambda_schedule" in solver_block:
-                solver_block["lambda_schedule"] = tuple(solver_block["lambda_schedule"])
             self.solver = SolverConfig(**solver_block)
             self.solver.momentum(self.ham.d)
         except (ValueError, TypeError) as exc:
@@ -137,9 +142,10 @@ def _load_config(args) -> RunConfig:
 
 def _points(values, d: int, what: str) -> np.ndarray:
     try:
-        return _as_points(values, d)
+        pts = _as_points(values, d)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
+    return _finite(pts, what)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -168,7 +174,6 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    out = cfg.ensure_out_dir()
     block = cfg.block("sweep")
     if "P_grid" not in block:
         raise ConfigError("sweep block must set P_grid")
@@ -180,6 +185,7 @@ def cmd_sweep(args) -> int:
             _convexity_grid(P_grid)
         except ValueError as exc:
             raise ConfigError(f"sweep.P_grid with a Q_grid: {exc}") from exc
+    out = cfg.ensure_out_dir()
     table = sweep_P(cfg.ham, cfg.grid, cfg.solver.k, P_grid, config=cfg.solver, jobs=args.jobs)
     sidecar = {
         "grid": {"d": cfg.grid.d, "n_x": cfg.grid.n_x, "n_t": cfg.grid.n_t},
@@ -197,7 +203,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_limit(args) -> int:
     cfg = _load_config(args)
-    out = cfg.ensure_out_dir()
     block = cfg.block("limit")
     if "k_list" not in block:
         raise ConfigError("limit block must set k_list")
@@ -207,6 +212,7 @@ def cmd_limit(args) -> int:
     P = np.atleast_1d(_numeric(block.get("P", [0.0] * cfg.ham.d), "limit.P"))
     if P.shape != (cfg.ham.d,):
         raise ConfigError(f"limit.P has shape {P.shape}, expected ({cfg.ham.d},)")
+    out = cfg.ensure_out_dir()
     report = k_sweep(cfg.ham, cfg.grid, P, k_list, config=cfg.solver)
     sidecar = {
         "P": list(P),

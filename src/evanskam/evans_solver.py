@@ -26,6 +26,7 @@ further stages for sharp runs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -48,8 +49,18 @@ __all__ = [
     "lipschitz_bound",
 ]
 
-DEFAULT_LAMBDA_SCHEDULE = (0.0, 0.25, 0.5, 0.75, 1.0)
+# Homotopy in the Hamiltonian weight lam that a cold start runs at its first k.
+_LAMBDA_SCHEDULE = (0.0, 0.25, 0.5, 0.75, 1.0)
+# Floor of the inexact-Newton forcing term (CG's relative residual target),
+# and the cap on CG iterations per Newton step.
+_FORCING_FLOOR = 1e-12
+_CG_MAX = 500
 _TINY = np.finfo(float).tiny
+
+
+def _is_finite_number(v) -> bool:
+    """A finite real number; booleans, which Python counts as integers, are not one."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 class LineSearchError(RuntimeError):
@@ -66,46 +77,34 @@ class SolverConfig:
 
     ``P`` is the constant momentum shift (one entry per spatial axis); the
     shift enters as grad u -> P + grad u, which keeps every iterate periodic.
-    ``epsilon`` adds an optional Tikhonov term eps/2 * mean|Du|^2; the default
-    0 solves the plain objective and results record whether it was needed.
+    The solve minimizes the plain objective J; the lam homotopy, the CG
+    forcing floor and the CG cap are module constants.
     """
 
     k: float
     P: tuple[float, ...] | float | None = None
     grad_tol: float = 1e-9
     max_newton: int = 60
-    lambda_schedule: tuple[float, ...] = DEFAULT_LAMBDA_SCHEDULE
-    cg_tol: float = 1e-12
-    cg_max: int = 500
-    epsilon: float = 0.0
     method: str = "spectral"
     k_continuation: bool = False
 
     def __post_init__(self) -> None:
         for names, kind, ok in (
-            (("k", "grad_tol", "cg_tol", "epsilon"), "a finite number", math.isfinite),
-            (("max_newton", "cg_max"), "an integer", lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool)),
+            (("k", "grad_tol"), "a finite number", _is_finite_number),
+            (("max_newton",), "an integer", lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool)),
             (("k_continuation",), "a boolean", lambda v: isinstance(v, (bool, np.bool_))),
         ):
             for name in names:
                 if not ok(getattr(self, name)):
                     raise ValueError(f"{name} must be {kind}, got {getattr(self, name)!r}")
+        if self.P is not None and not all(map(_is_finite_number, np.asarray(self.P, dtype=object).ravel())):
+            raise ValueError(f"P must be None or finite numbers, got {self.P!r}")
         if self.k <= 0:
             raise ValueError(f"k must be positive, got {self.k}")
-        if self.grad_tol <= 0 or self.cg_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_newton < 1 or self.cg_max < 1:
-            raise ValueError("iteration caps must be at least 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        sched = tuple(float(s) for s in self.lambda_schedule)
-        if not all(math.isfinite(s) for s in sched):
-            raise ValueError(f"lambda_schedule entries must be finite, got {sched!r}")
-        if not sched or any(b <= a for a, b in zip(sched, sched[1:])) or sched[-1] != 1.0:
-            raise ValueError("lambda_schedule must be strictly increasing in [0,1] and end at 1")
-        if any(s < 0.0 for s in sched):
-            raise ValueError("lambda_schedule entries must be nonnegative")
-        object.__setattr__(self, "lambda_schedule", sched)
+        if self.grad_tol <= 0:
+            raise ValueError("grad_tol must be positive")
+        if self.max_newton < 1:
+            raise ValueError("max_newton must be at least 1")
         if self.method not in ("spectral", "central4"):
             raise ValueError(f"unknown differentiation method {self.method!r}")
 
@@ -137,7 +136,6 @@ class SolveResult:
     k: float
     P: np.ndarray
     lam: float
-    epsilon: float
     method: str
 
     def metadata(self) -> dict:
@@ -150,7 +148,6 @@ class SolveResult:
             "lip_norm": self.lip_norm,
             "iterations": self.iterations,
             "converged": self.converged,
-            "epsilon": self.epsilon,
             "method": self.method,
         }
 
@@ -263,8 +260,6 @@ class _State:
         weights = np.maximum(np.exp(k * (self.f - fmax)), _TINY)
         Z = grid.integrate(weights)
         self.J = fmax + math.log(Z) / k
-        if cfg.epsilon > 0.0:
-            self.J += 0.5 * cfg.epsilon * grid.integrate(self.grad_sq())
         self.m = weights / Z
 
     def grad_sq(self) -> np.ndarray:
@@ -282,19 +277,15 @@ def _gradient_arrays(grid: TorusGrid, cfg: SolverConfig, st: _State) -> np.ndarr
     g = grid.deriv(st.m, d, method) if timed else 0.0
     for i in range(d):
         g = g + grid.deriv(st.m * st.w[i], i, method)
-    g = -g
-    if cfg.epsilon > 0.0:
-        for a in range(d + timed):
-            g = g - cfg.epsilon * grid.deriv(grid.deriv(st.u, a, method), a, method)
-    return g
+    return -g
 
 
 def _operator_apply(grid: TorusGrid, cfg: SolverConfig, st: _State, v: np.ndarray) -> np.ndarray:
     """Gauss-Newton Hessian of J at the iterate of ``st``, applied to v.
 
     Its quadratic form is mean(m * (k*(v_t + H_p.grad v)^2 + |grad v|^2))
-    + eps*mean(|Dv|^2) for the mechanical family; with eps = 0 it is k times
-    the normalized operator exposed publicly.
+    for the mechanical family, k times the normalized operator exposed
+    publicly.
     """
     d = len(st.w)
     k = cfg.k
@@ -309,11 +300,7 @@ def _operator_apply(grid: TorusGrid, cfg: SolverConfig, st: _State, v: np.ndarra
     for i in range(d):
         out = out + k * grid.deriv(mwv * st.w[i], i, method)
         out = out + grid.deriv(st.m * dv[i], i, method)  # H_pp = identity
-    out = -out
-    if cfg.epsilon > 0.0:
-        for a in range(d + timed):
-            out = out - cfg.epsilon * grid.deriv(grid.deriv(v, a, method), a, method)
-    return out
+    return -out
 
 
 # Largest node counts for which the preconditioner factors a dense block of
@@ -430,23 +417,19 @@ def _dense_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
     """Exact inverse of the damped Newton operator on small solve grids, or None.
 
     The operator is A = sum_ab D_a^T diag(c_ab) D_b + mu over the axes of the
-    solve grid, with c_ab = m*(k*v_a*v_b + delta_ab*[a spatial])
-    + eps*delta_ab and v = (w, 1): k*T^T diag(m) T for the transport
-    derivative T = D_t + sum_i diag(w_i) D_i, plus sum_i D_i^T diag(m) D_i and
-    the Tikhonov term.  On one time plane D_t is zero and the block spans the
-    spatial axes alone.  None above ``_BLOCK_MAX_NODES`` nodes (one plane) or
-    ``_SPACETIME_MAX_NODES`` nodes (n_t > 1), and where the factorization
-    fails.
+    solve grid, with c_ab = m*(k*v_a*v_b + delta_ab*[a spatial]) and
+    v = (w, 1): k*T^T diag(m) T for the transport derivative
+    T = D_t + sum_i diag(w_i) D_i, plus sum_i D_i^T diag(m) D_i.  On one time
+    plane D_t is zero and the block spans the spatial axes alone.  None above
+    ``_BLOCK_MAX_NODES`` nodes (one plane) or ``_SPACETIME_MAX_NODES`` nodes
+    (n_t > 1), and where the factorization fails.
     """
     timed = grid.n_t > 1  # on one time plane every time derivative is exactly zero
     shape = grid.shape if timed else grid.shape[:-1]
     if math.prod(shape) > (_SPACETIME_MAX_NODES if timed else _BLOCK_MAX_NODES):
         return None
-    d, k, eps, v, axes = grid.d, cfg.k, cfg.epsilon, [*st.w, 1.0], range(len(shape))
-    coef = [
-        [(st.m * (k * v[a] * v[b] + float(a == b and a < d))).reshape(shape) + eps * float(a == b) for b in axes]
-        for a in axes
-    ]
+    d, k, v, axes = grid.d, cfg.k, [*st.w, 1.0], range(len(shape))
+    coef = [[(st.m * (k * v[a] * v[b] + float(a == b and a < d))).reshape(shape) for b in axes] for a in axes]
     return _factored_inverse(_assemble(shape, cfg.method, coef, mu))
 
 
@@ -475,12 +458,9 @@ def _make_preconditioner(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: f
         shp = [1] * (d + 1)
         shp[axis] = freq.size
         mults.append(2.0 * np.pi * freq.reshape(shp))
-    kt = mults[d]
-    transport = kt + sum(wbar[i] * mults[i] for i in range(d))
+    transport = mults[d] + sum(wbar[i] * mults[i] for i in range(d))
     spatial = sum(mults[i] ** 2 for i in range(d))
     sym = k * transport**2 + spatial + mu
-    if cfg.epsilon > 0.0:
-        sym = sym + cfg.epsilon * (spatial + kt**2)
     sym = np.asarray(np.broadcast_to(sym, np.broadcast(*mults).shape)).copy()
     sym.flat[0] = 1.0  # DC bin is never excited (zero-mean subspace)
     inv = 1.0 / sym
@@ -576,7 +556,7 @@ def linearized_el_apply(
     points the form is the Hessian of J divided by k.
     """
     st = evaluate_state(ham, grid, config, u)
-    out = _operator_apply(grid, replace(config, epsilon=0.0), st, _as_array(grid, v)) / config.k
+    out = _operator_apply(grid, config, st, _as_array(grid, v)) / config.k
     return ScalarField(grid, out)
 
 
@@ -620,8 +600,8 @@ def _newton_stage(grid: TorusGrid, hog: _HamOnGrid, cfg: SolverConfig, P: np.nda
         def apply_damped(v: np.ndarray) -> np.ndarray:
             return _operator_apply(grid, cfg, st, v) + mu * v
 
-        forcing = max(cfg.cg_tol, min(0.1, math.sqrt(grad_norm)))
-        step, _ = _pcg(apply_damped, apply_minv, -g, grid, forcing, cfg.cg_max)
+        forcing = max(_FORCING_FLOOR, min(0.1, math.sqrt(grad_norm)))
+        step, _ = _pcg(apply_damped, apply_minv, -g, grid, forcing, _CG_MAX)
         slope = grid.inner(g, step)
         if slope >= 0.0:  # roundoff produced a non-descent direction
             step = -g
@@ -678,7 +658,7 @@ def minimize(
     """Minimize J over zero-mean fields and return the full solve record.
 
     The solve is one list of Newton stages (k, lam), each started from the
-    last.  A cold start runs the homotopy over ``config.lambda_schedule`` at
+    last.  A cold start runs the homotopy over ``_LAMBDA_SCHEDULE`` at
     the first k (u = 0 solves its weightless stage), then one stage at lam = 1
     per later k; with ``config.k_continuation`` the ks double from 4 up to
     ``config.k``.  A warm start is the one stage (``config.k``, 1).
@@ -694,7 +674,7 @@ def minimize(
         ks.insert(-1, rung)
         rung *= 2.0
     if warm_start is None:
-        stages = [(ks[0], s) for s in config.lambda_schedule] + [(k, 1.0) for k in ks[1:]]
+        stages = [(ks[0], s) for s in _LAMBDA_SCHEDULE] + [(k, 1.0) for k in ks[1:]]
         u = plane.zeros()
     else:
         stages = [(config.k, 1.0)]
@@ -723,7 +703,6 @@ def minimize(
         k=config.k,
         P=P,
         lam=ham.lam,
-        epsilon=config.epsilon,
         method=config.method,
     )
 

@@ -12,6 +12,7 @@ Hamiltonian is forming a corner, so the demanded 5e-3 is not attainable by
 any solver.  All other clauses of criterion 6 pass.
 """
 
+import dataclasses
 import math
 import time
 
@@ -318,11 +319,7 @@ def test_criterion_8_mfg_certification(battery):
     x = grid.coords()[0]
     bad_u = grid.project_zero_mean(res.u.values + 0.1 * np.broadcast_to(np.sin(2 * np.pi * x), grid.shape))
     _, bad_m = objective(ham, grid, cfg, bad_u)
-    bad = type(res)(
-        u=ScalarField(grid, bad_u), hbar=res.hbar, m=bad_m, rotation=res.rotation, grad_norm=res.grad_norm,
-        lip_norm=res.lip_norm, iterations=res.iterations, converged=False,
-        k=cfg.k, P=res.P, lam=res.lam, epsilon=0.0, method=cfg.method,
-    )
+    bad = dataclasses.replace(res, u=ScalarField(grid, bad_u), m=bad_m, converged=False)
     bad_hol = holonomy_residual(ham, grid, cfg, bad)
     clauses.append(("negative control (perturbed u) > 1e-3", bad_hol > 1e-3, f"{bad_hol:.2e}"))
     report(8, "mfg-certification", clauses, time.perf_counter() - t0, 120.0)

@@ -102,13 +102,14 @@ class TestSolveCommand:
         "field, value",
         [
             ("max_newton", 2.5),
-            ("cg_max", True),
-            ("lambda_schedule", [float("nan"), 1.0]),
             ("grad_tol", float("nan")),
-            ("epsilon", float("nan")),
             ("k_continuation", "false"),
             ("k", float("nan")),
-            ("cg_tol", float("inf")),
+            ("k", True),
+            ("grad_tol", True),
+            ("P", True),
+            ("P", [float("nan")]),
+            ("P", [float("inf")]),
         ],
     )
     def test_malformed_solver_field_exit_2(self, tmp_path, capsys, field, value):
@@ -119,13 +120,23 @@ class TestSolveCommand:
         assert "configuration error: invalid solver block:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # rejected before any solve
 
-    def test_removed_dealias_field_exit_2(self, tmp_path, capsys):
-        # the two-thirds filter is gone; configs that still set it are refused
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dealias", False),
+            ("epsilon", 0.0),
+            ("lambda_schedule", [0.0, 0.5, 1.0]),
+            ("cg_tol", 1e-12),
+            ("cg_max", 500),
+        ],
+    )
+    def test_removed_solver_field_exit_2(self, tmp_path, capsys, field, value):
+        # a field the solver no longer has is refused, not ignored
         cfg = pendulum_config(tmp_path / "out", grid={"d": 1, "n_x": 16, "n_t": 4})
-        cfg["solver"] = {"k": 8.0, "P": [0.5], "dealias": False}
+        cfg["solver"] = {"k": 8.0, "P": [0.5], field: value}
         path = write_config(tmp_path, cfg)
         assert main(["solve", "--config", path]) == 2
-        assert "unknown solver fields: ['dealias']" in capsys.readouterr().err
+        assert f"unknown solver fields: ['{field}']" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_nonstring_output_dir_exit_2(self, tmp_path, capsys):
@@ -243,8 +254,16 @@ class TestSweepCommand:
             {"P_grid": [0.0], "Q_grid": "x"},
             {"P_grid": [-1.0, 0.0, 1.0], "Q_grid": [[0.0, 1.0]]},
             {"P_grid": [0.0, 1.0], "Q_grid": [0.0]},
+            {"P_grid": [0.0, float("nan"), 1.0]},
         ],
-        ids=["not-object", "nonnumeric-P-grid", "nonnumeric-Q-grid", "wrong-dimension-Q-grid", "short-P-grid-with-Q-grid"],
+        ids=[
+            "not-object",
+            "nonnumeric-P-grid",
+            "nonnumeric-Q-grid",
+            "wrong-dimension-Q-grid",
+            "short-P-grid-with-Q-grid",
+            "nan-P-grid",
+        ],
     )
     def test_malformed_sweep_block_exit_2(self, tmp_path, capsys, sweep):
         cfg = t1_config(tmp_path / "out", sweep=sweep)
@@ -252,7 +271,7 @@ class TestSweepCommand:
         path = write_config(tmp_path, cfg)
         assert main(["sweep", "--config", path]) == 2
         assert "configuration error:" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "effective_table.csv").exists()  # rejected before any entry is solved
+        assert not (tmp_path / "out").exists()  # rejected before any entry is solved
 
     def test_wrong_dimension_P_grid_exit_2(self, tmp_path, capsys):
         cfg = t1_config(tmp_path / "out", sweep={"P_grid": [[0.0, 1.0]]})
@@ -307,13 +326,21 @@ class TestLimitCommand:
 
     @pytest.mark.parametrize(
         "limit",
-        [5, {"k_list": [8, 4]}, {"k_list": ["a", "b"]}, {"k_list": [4, 8], "P": [0.0, 1.0]}],
-        ids=["not-object", "decreasing-k-list", "nonnumeric-k-list", "wrong-P-shape"],
+        [
+            5,
+            {"k_list": [8, 4]},
+            {"k_list": ["a", "b"]},
+            {"k_list": [4, 8], "P": [0.0, 1.0]},
+            {"k_list": [4, float("inf")]},
+            {"k_list": [4], "P": [float("nan")]},
+        ],
+        ids=["not-object", "decreasing-k-list", "nonnumeric-k-list", "wrong-P-shape", "infinite-k", "nan-P"],
     )
     def test_malformed_limit_block_exit_2(self, tmp_path, capsys, limit):
         path = write_config(tmp_path, t1_config(tmp_path / "out", limit=limit))
         assert main(["limit", "--config", path]) == 2
         assert "configuration error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # rejected before any solve
 
 
 class TestCheckCommand:
@@ -392,11 +419,17 @@ class TestOracleCommand:
         path = write_config(tmp_path, cfg)
         assert main(["oracle", "--config", path]) == 2
 
-    @pytest.mark.parametrize("oracle", [5, {"P": [2.0]}, {"P": "x"}], ids=["not-object", "list-P", "nonnumeric-P"])
+    @pytest.mark.parametrize(
+        "oracle",
+        [5, {"P": [2.0]}, {"P": "x"}, {"P": float("nan")}, {"P": float("-inf")}],
+        ids=["not-object", "list-P", "nonnumeric-P", "nan-P", "infinite-P"],
+    )
     def test_malformed_oracle_block_exit_2(self, tmp_path, capsys, oracle):
         path = write_config(tmp_path, pendulum_config(tmp_path / "out", oracle=oracle))
         assert main(["oracle", "--config", path]) == 2
-        assert "configuration error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "configuration error:" in captured.err
+        assert captured.out == ""
 
 
 class TestParser:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -118,21 +120,7 @@ class TestHolonomy:
         x = grid.coords()[0]
         bad_u = res.u.values + 0.1 * np.broadcast_to(np.sin(2 * np.pi * x), grid.shape)
         _, bad_m = objective(ham, grid, cfg, bad_u)
-        bad = type(res)(
-            u=ScalarField(grid, grid.project_zero_mean(bad_u)),
-            hbar=res.hbar,
-            m=bad_m,
-            rotation=res.rotation,
-            grad_norm=res.grad_norm,
-            lip_norm=res.lip_norm,
-            iterations=res.iterations,
-            converged=False,
-            k=cfg.k,
-            P=res.P,
-            lam=res.lam,
-            epsilon=0.0,
-            method="spectral",
-        )
+        bad = replace(res, u=ScalarField(grid, grid.project_zero_mean(bad_u)), m=bad_m, converged=False)
         assert holonomy_residual(ham, grid, cfg, bad) > 1e-3
 
 

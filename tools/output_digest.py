@@ -15,8 +15,8 @@ temporary directory, and prints one JSON object:
   sha256 over the 369 solve records (u, m, hbar, Q, grad_norm, iterations,
   converged; dtype, shape and bytes of each) and the unconverged P values;
 - for the library solves in ``LIBRARY_SOLVES``, options that no config
-  reaches (``k_continuation``, ``epsilon``, ``central4``, a d = 2 grid, a
-  ``max_newton`` cap): per solve, the sha256 of its record
+  reaches (``k_continuation``, ``central4``, a d = 2 grid, a ``max_newton``
+  cap): per solve, the sha256 of its record
   (the fields above plus lip_norm) with its iterations and converged flag.
 
 Two trees produce identical output exactly when these results agree to the
@@ -63,8 +63,6 @@ LIBRARY_SOLVES = {
     "k-continuation-capped": ("tc1", (1, 16, 16), dict(k=64.0, P=(0.0,), k_continuation=True, max_newton=5)),
     "k-continuation-odd-k": ("pendulum", (1, 32, 8), dict(k=20.0, P=(1.0,), k_continuation=True)),
     "capped": ("pendulum", (1, 32, 32), dict(k=16.0, P=(2.0,), max_newton=1)),
-    "epsilon": ("pendulum", (1, 64, 8), dict(k=16.0, P=(0.2,), epsilon=1e-3, grad_tol=1e-11)),
-    "epsilon-tc1": ("tc1", (1, 16, 16), dict(k=4.0, epsilon=1e-3)),
     "central4-t1": ("t1", (1, 64, 64), dict(k=8.0, method="central4")),
     "central4-tc1": ("tc1", (1, 16, 16), dict(k=8.0, method="central4")),
     "separable-2d": ("separable-2d", (2, 16, 4), dict(k=16.0, P=(0.3, 0.1))),
@@ -109,7 +107,11 @@ def library_solves() -> dict:
     }
     out = {}
     for name, (ham, shape, options) in LIBRARY_SOLVES.items():
-        res = minimize(hams[ham], TorusGrid(*shape), SolverConfig(**options))
+        try:
+            res = minimize(hams[ham], TorusGrid(*shape), SolverConfig(**options))
+        except Exception:
+            print(f"library solve {name!r} failed:", file=sys.stderr)
+            raise
         digest = record_digest([res], LIBRARY_FIELDS)
         out[name] = {"sha256": digest, "iterations": res.iterations, "converged": res.converged}
     return out
@@ -175,8 +177,11 @@ def main(argv: list[str]) -> int:
     env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(tree / "src")}
     entries = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--records"],
-        env=env, capture_output=True, text=True, check=True, timeout=600,
+        env=env, capture_output=True, text=True, timeout=600,
     )
+    if entries.returncode != 0:
+        print(f"the solves of {tree} failed:\n{entries.stderr}", file=sys.stderr, end="")
+        return 1
     report = {"commands": run_commands(tree, env), **json.loads(entries.stdout)}
     print(json.dumps(report, indent=1, sort_keys=True))
     return 0
