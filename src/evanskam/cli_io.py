@@ -17,7 +17,7 @@ import numpy as np
 from .battery import INJECTION_POINTS, run_battery
 from .effective import _as_points, _convexity_grid, legendre_transform, sweep_P, write_effective_csv, write_legendre_csv
 from .evans_solver import SolverConfig, minimize
-from .hamiltonians import NyquistError, check_nyquist, hamiltonian_from_json
+from .hamiltonians import NyquistError, _json_integer, check_nyquist, hamiltonian_from_json
 from .mather_limits import classical_reference, k_sweep, write_ksweep_csv
 from .mfg_diagnostics import mfg_residuals
 from .torus_grid import GridError, TorusGrid, write_field
@@ -55,10 +55,12 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("top-level configuration must be a JSON object")
         self.raw = raw
+        if "hamiltonian" not in raw:
+            raise ConfigError("missing required block 'hamiltonian'")
         try:
             self.ham = hamiltonian_from_json(raw["hamiltonian"])
         except KeyError as exc:
-            raise ConfigError(f"missing required block {exc}") from exc
+            raise ConfigError(f"invalid hamiltonian block: missing field {exc}") from exc
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid hamiltonian block: {exc}") from exc
 
@@ -66,11 +68,7 @@ class RunConfig:
         if not isinstance(grid_block, dict):
             raise ConfigError("missing required block 'grid'")
         try:
-            self.grid = TorusGrid(
-                d=int(grid_block["d"]),
-                n_x=int(grid_block["n_x"]),
-                n_t=int(grid_block["n_t"]),
-            )
+            self.grid = TorusGrid(**{name: _json_integer(grid_block[name], name) for name in ("d", "n_x", "n_t")})
         except KeyError as exc:
             raise ConfigError(f"grid block missing field {exc}") from exc
         except (GridError, ValueError, TypeError) as exc:

@@ -83,6 +83,16 @@ def _as_points(values, d: int | None = None) -> np.ndarray:
     return pts
 
 
+def _secant_coefficient(P0: np.ndarray, P1: np.ndarray, P2: np.ndarray) -> float:
+    """c = <P2 - P1, P1 - P0> / |P1 - P0|^2: the step to P2 measured along the step to P1.
+
+    1 on a uniform line; at most 0 where the path turns back or stands still.
+    """
+    prev = P1 - P0
+    norm2 = float(prev @ prev)
+    return float((P2 - P1) @ prev) / norm2 if norm2 > 0.0 else 0.0
+
+
 def _solve_entry(args) -> SolveResult:
     ham, grid, cfg = args
     return minimize(ham, grid, cfg)
@@ -98,10 +108,16 @@ def sweep_P(
 ) -> EffectiveTable:
     """Solve across a momentum grid and tabulate hbar(P) and Q(P).
 
-    Entries warm-start from the neighboring P by default.  ``jobs > 1``
-    switches to independent cold starts in a process pool; cold-start values
-    must agree with the warm-started chain to solver accuracy, which the test
-    suite checks.  Failed entries are flagged and the sweep continues.
+    Entries are solved in order by default.  The first starts cold, the
+    second from the first's u, and entry i+1 from the secant predictor
+    u_i + c*(u_i - u_{i-1}) with c from ``_secant_coefficient`` (1 on a
+    uniform 1-d grid): u_P is smooth in P, so the predictor is O(dP^2) from
+    the solution where u_i is O(dP) off.  Where the path turns back or stands
+    still (c <= 0, as at the row ends of a 2-d raster) the entry starts from
+    u_i.  ``jobs > 1`` switches to independent cold starts in a process pool;
+    cold-start values must agree with the warm-started chain to solver
+    accuracy, which the test suite checks.  Failed entries are flagged and
+    the sweep continues.
     """
     base = config if config is not None else SolverConfig(k=k)
     if base.k != k:
@@ -127,11 +143,16 @@ def sweep_P(
             for i, res in enumerate(pool.map(_solve_entry, tasks)):
                 record(i, res)
     else:
-        warm = None
+        u_prev = u = None
         for i in range(n):
-            res = minimize(ham, grid, replace(base, P=tuple(pts[i])), warm_start=warm)
+            start = u
+            if u_prev is not None:
+                c = _secant_coefficient(pts[i - 2], pts[i - 1], pts[i])
+                if c > 0.0:
+                    start = u + c * (u - u_prev)
+            res = minimize(ham, grid, replace(base, P=tuple(pts[i])), warm_start=start)
             record(i, res)
-            warm = res.u
+            u_prev, u = u, res.u.values
     return EffectiveTable(k=k, P_grid=pts, hbar=hbar, Q=Q, converged=converged)
 
 

@@ -26,13 +26,12 @@ further stages for sharp runs.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .hamiltonians import ChiParams, MechanicalHamiltonian, check_nyquist
+from .hamiltonians import ChiParams, MechanicalHamiltonian, _is_finite_number, check_nyquist
 from .torus_grid import ScalarField, TorusGrid
 
 __all__ = [
@@ -55,12 +54,14 @@ _LAMBDA_SCHEDULE = (0.0, 0.25, 0.5, 0.75, 1.0)
 # and the cap on CG iterations per Newton step.
 _FORCING_FLOOR = 1e-12
 _CG_MAX = 500
+# Consecutive stalled Newton steps after which a stage stops unconverged.
+# At the rounding floor every step redraws a gradient of about 1e-11, the
+# size of the criterion-6 grad_tol, so 3 stalls stopped steep sweep entries
+# by rounding luck: over the nine shifted criterion-6 grids (369 entries),
+# 3 leaves 4 entries unconverged, and 7 once sweeps start from a secant
+# predictor; 6 leaves one, P = -1.94, whose floor sits above 1e-11.
+_STALL_LIMIT = 6
 _TINY = np.finfo(float).tiny
-
-
-def _is_finite_number(v) -> bool:
-    """A finite real number; booleans, which Python counts as integers, are not one."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 class LineSearchError(RuntimeError):
@@ -477,18 +478,21 @@ def _pcg(apply_op, apply_minv, b: np.ndarray, grid: TorusGrid, rel_tol: float, m
 
     The operator and the preconditioner both map zero-mean fields to
     zero-mean fields; starting from zero, every iterate stays in the
-    subspace, where the operator is positive definite.
+    subspace, where the operator is positive definite.  The preconditioner
+    is applied at the top of an iteration, so the residual that meets
+    ``rel_tol`` or the cap is never preconditioned.
     """
     x = np.zeros_like(b)
     r = b.copy()
     b2 = grid.inner(b, b)
     if b2 == 0.0:
         return x, 0
-    z = apply_minv(r)
-    p = z.copy()
-    rz = grid.inner(r, z)
     it = 0
     while it < max_iter and grid.inner(r, r) > rel_tol**2 * b2:
+        z = apply_minv(r)
+        rz_new = grid.inner(r, z)
+        p = z if it == 0 else z + (rz_new / rz) * p
+        rz = rz_new
         Ap = apply_op(p)
         pAp = grid.inner(p, Ap)
         if pAp <= 0.0 or rz <= 0.0:
@@ -496,10 +500,6 @@ def _pcg(apply_op, apply_minv, b: np.ndarray, grid: TorusGrid, rel_tol: float, m
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        z = apply_minv(r)
-        rz_new = grid.inner(r, z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
         it += 1
     return grid.project_zero_mean(x), it
 
@@ -579,7 +579,9 @@ def _newton_stage(grid: TorusGrid, hog: _HamOnGrid, cfg: SolverConfig, P: np.nda
     """Damped Newton at one (k, lam) from u0: (u, state, grad_norm, iterations, grad_norm <= grad_tol).
 
     The gradient is taken at the top of every iterate, the last included; the
-    loop stops at ``grad_tol``, after ``max_newton`` steps or on the stall rule.
+    loop stops at ``grad_tol``, after ``max_newton`` steps or after
+    ``_STALL_LIMIT`` consecutive stalled steps, each of which neither lowers J
+    beyond rounding nor halves the gradient norm.
     """
 
     u = grid.project_zero_mean(u0)
@@ -589,7 +591,7 @@ def _newton_stage(grid: TorusGrid, hog: _HamOnGrid, cfg: SolverConfig, P: np.nda
     while True:
         g = _gradient_arrays(grid, cfg, st)
         grad_norm = grid.norm(g)
-        if grad_norm <= cfg.grad_tol or iterations == cfg.max_newton or stalled >= 3:
+        if grad_norm <= cfg.grad_tol or iterations == cfg.max_newton or stalled >= _STALL_LIMIT:
             return u, st, grad_norm, iterations, grad_norm <= cfg.grad_tol
         # Levenberg damping proportional to the gradient norm: bounds the
         # worst-conditioned directions in the global phase and vanishes near

@@ -13,6 +13,8 @@ produces verified (c, d0) for a concrete instance.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
 
@@ -123,7 +125,17 @@ class FourierSpec:
 
     @staticmethod
     def from_json_obj(obj: list, nvars: int) -> "FourierSpec":
-        return FourierSpec.build(nvars, [(t["freq"], t.get("cos", 0.0), t.get("sin", 0.0)) for t in obj])
+        return FourierSpec.build(
+            nvars,
+            [
+                (
+                    [_json_integer(f, "a frequency") for f in t["freq"]],
+                    _json_number(t.get("cos", 0.0), "cos"),
+                    _json_number(t.get("sin", 0.0), "sin"),
+                )
+                for t in obj
+            ],
+        )
 
 
 @dataclass(frozen=True)
@@ -342,10 +354,35 @@ def hamiltonian_to_json(ham: MechanicalHamiltonian) -> dict:
     }
 
 
+def _is_finite_number(v) -> bool:
+    """A finite real number that fits a float; booleans, which Python counts as integers, are not one."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _json_number(value, what: str) -> float:
+    """A finite number of a JSON config as a float; strings, booleans and NaN raise ValueError."""
+    if not _is_finite_number(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _json_integer(value, what: str) -> int:
+    """An integral number of a JSON config (16 or 16.0) as an int; 16.7, strings and booleans raise ValueError."""
+    if not (_is_finite_number(value) and float(value).is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def hamiltonian_from_json(obj: dict) -> MechanicalHamiltonian:
-    d = int(obj["d"])
+    """The Hamiltonian of a JSON object; a non-finite, boolean or string number raises ValueError."""
+    d = _json_integer(obj["d"], "d")
     eta = tuple(FourierSpec.from_json_obj(comp, 1) for comp in obj.get("eta", [[]] * d))
     if len(eta) != d:
         raise ValueError(f"expected {d} eta components, got {len(eta)}")
     V = FourierSpec.from_json_obj(obj["V"], d + 1)
-    return MechanicalHamiltonian(d=d, eta=eta, V=V, lam=float(obj.get("lambda", 1.0)))
+    return MechanicalHamiltonian(d=d, eta=eta, V=V, lam=_json_number(obj.get("lambda", 1.0), "lambda"))

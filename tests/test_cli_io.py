@@ -110,6 +110,7 @@ class TestSolveCommand:
             ("P", True),
             ("P", [float("nan")]),
             ("P", [float("inf")]),
+            pytest.param("k", 10**400, id="k-huge"),
         ],
     )
     def test_malformed_solver_field_exit_2(self, tmp_path, capsys, field, value):
@@ -119,6 +120,70 @@ class TestSolveCommand:
         assert main(["solve", "--config", path]) == 2
         assert "configuration error: invalid solver block:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # rejected before any solve
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("V", 0, "cos"), float("nan")),
+            (("V", 0, "sin"), float("inf")),
+            (("V", 0, "cos"), True),
+            (("V", 0, "cos"), "1.0"),
+            (("V", 0, "freq", 0), 1.5),
+            (("lambda",), True),
+            (("lambda",), float("nan")),
+            (("d",), 1.5),
+            (("d",), True),
+        ],
+        ids=["nan-cos", "inf-sin", "bool-cos", "string-cos", "fractional-freq", "bool-lambda", "nan-lambda",
+             "fractional-d", "bool-d"],
+    )
+    def test_malformed_hamiltonian_field_exit_2(self, tmp_path, capsys, path, value):
+        cfg = pendulum_config(tmp_path / "out", grid={"d": 1, "n_x": 16, "n_t": 4})
+        target = cfg["hamiltonian"]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "configuration error: invalid hamiltonian block:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # rejected before any solve
+
+    @pytest.mark.parametrize("field", ["V", "d", "freq"])
+    def test_missing_hamiltonian_field_exit_2(self, tmp_path, capsys, field):
+        # a missing field of the block is named as such, not as a missing block
+        cfg = pendulum_config(tmp_path / "out", grid={"d": 1, "n_x": 16, "n_t": 4})
+        del (cfg["hamiltonian"]["V"][0] if field == "freq" else cfg["hamiltonian"])[field]
+        assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
+        assert f"invalid hamiltonian block: missing field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_x", 16.7),
+            ("n_t", 4.5),
+            ("d", True),
+            ("n_x", "16"),
+            ("n_t", float("nan")),
+            ("n_x", float("inf")),
+            ("n_x", 10**400),
+        ],
+        ids=["fractional-n_x", "fractional-n_t", "bool-d", "string-n_x", "nan-n_t", "inf-n_x", "huge-n_x"],
+    )
+    def test_malformed_grid_field_exit_2(self, tmp_path, capsys, field, value):
+        cfg = pendulum_config(tmp_path / "out", grid={"d": 1, "n_x": 16, "n_t": 4})
+        cfg["grid"][field] = value
+        path = write_config(tmp_path, cfg)
+        assert main(["solve", "--config", path]) == 2
+        assert f"configuration error: invalid grid block: {field} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_grid_accepted(self, tmp_path):
+        # 16.0 is the integer 16, not a truncated 16.7
+        cfg = pendulum_config(tmp_path / "out", grid={"d": 1.0, "n_x": 16.0, "n_t": 4.0})
+        assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 0
+        meta = json.loads((tmp_path / "out" / "solve.json").read_text())
+        assert read_field(tmp_path / "out" / "u.field.csv").grid.shape == (16, 4)
+        assert meta["converged"] is True
 
     @pytest.mark.parametrize(
         "field, value",

@@ -8,6 +8,7 @@ from conftest import (
     t1_hamiltonian,
     trivial_hamiltonian,
 )
+from evanskam import effective
 from evanskam.effective import (
     EffectiveTable,
     NonconvexTableError,
@@ -73,6 +74,45 @@ class TestSweep:
         seq = sweep_P(ham, grid, 8.0, P_vals)
         par = sweep_P(ham, grid, 8.0, P_vals, jobs=2)
         assert np.max(np.abs(seq.hbar - par.hbar)) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "P0, P1, P2, c",
+        [
+            ((-0.2,), (-0.1,), (0.0,), 1.0),
+            ((0.0,), (0.2,), (0.3,), 0.5),
+            ((0.0,), (1.0,), (0.0,), -1.0),
+            ((0.5,), (0.5,), (1.0,), 0.0),  # P1 repeats P0: no direction to extend
+            ((-0.5, -0.5), (-0.5, 0.5), (0.5, -0.5), -1.0),  # a row-major raster turning to its next row
+        ],
+        ids=["uniform", "half-step", "reversal", "repeated", "raster-turn"],
+    )
+    def test_secant_coefficient(self, P0, P1, P2, c):
+        assert effective._secant_coefficient(np.array(P0), np.array(P1), np.array(P2)) == pytest.approx(c, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "P_vals, secant", [([0.0, 0.5, 1.0, 1.25], True), ([0.0, 0.5, 0.25, 0.5], False)], ids=["onward", "zigzag"]
+    )
+    def test_warm_starts(self, monkeypatch, P_vals, secant):
+        # entry 1 starts from u_0; later entries from u_i + c*(u_i - u_{i-1})
+        # while the path goes on (c > 0), from u_i where it turns back; the
+        # dyadic P values make c exact in any order of operations
+        starts, results = [], []
+        solve = effective.minimize
+
+        def recording(*args, warm_start=None):
+            starts.append(warm_start)
+            results.append(solve(*args, warm_start=warm_start))
+            return results[-1]
+
+        monkeypatch.setattr(effective, "minimize", recording)
+        sweep_P(pendulum_hamiltonian(), TorusGrid(1, 32, 8), 8.0, P_vals)
+        u = [res.u.values for res in results]
+        assert starts[0] is None
+        assert np.array_equal(starts[1], u[0])
+        for i in (2, 3):
+            c = (P_vals[i] - P_vals[i - 1]) / (P_vals[i - 1] - P_vals[i - 2])
+            expected = u[i - 1] + c * (u[i - 1] - u[i - 2]) if secant else u[i - 1]
+            assert np.array_equal(starts[i], expected)
 
     def test_failed_entries_flagged_sweep_continues(self):
         grid = TorusGrid(1, 32, 8)

@@ -13,7 +13,9 @@ temporary directory, and prints one JSON object:
 - for the criterion-6 sweep shifted by 0.01*j, j = -4..4, built as
   ``perfbench`` builds it (base grid plus the shift, not re-rounded): one
   sha256 over the 369 solve records (u, m, hbar, Q, grad_norm, iterations,
-  converged; dtype, shape and bytes of each) and the unconverged P values;
+  converged; dtype, shape and bytes of each), the total of their Newton
+  iterations, so a change in step count shows as its own line, and the
+  unconverged P values;
 - for the library solves in ``LIBRARY_SOLVES``, options that no config
   reaches (``k_continuation``, ``central4``, a d = 2 grid, a ``max_newton``
   cap): per solve, the sha256 of its record
@@ -143,6 +145,7 @@ def criterion6_entries() -> dict:
     return {
         "entries": len(records),
         "sha256": record_digest(records, CRITERION6_FIELDS),
+        "newton_iterations": sum(res.iterations for res in records),
         "unconverged_P": [round(float(res.P[0]), 10) for res in records if not res.converged],
     }
 
