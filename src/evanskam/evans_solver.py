@@ -16,11 +16,13 @@ tolerance.
 
 Newton steps use the positive-semidefinite linearized critical-point
 operator (the Gauss-Newton choice: the softmax covariance rank-one term is
-dropped, so the operator equals the true Hessian at critical points), solved
-by conjugate gradients restricted to the zero-mean subspace; a homotopy in
-the Hamiltonian weight lam, warm-started stage by stage from u = 0, reaches
-stiff configurations, and an optional doubling continuation in k adds
-further stages for sharp runs.
+dropped, so the operator equals the true Hessian at critical points).  On
+small solve grids the damped operator is one dense block and each step is
+one direct solve with it; larger grids solve it by conjugate gradients with
+a Fourier preconditioner, restricted to the zero-mean subspace.  A homotopy
+in the Hamiltonian weight lam, warm-started stage by stage from u = 0,
+reaches stiff configurations, and an optional doubling continuation in k
+adds further stages for sharp runs.
 """
 
 from __future__ import annotations
@@ -56,10 +58,10 @@ _FORCING_FLOOR = 1e-12
 _CG_MAX = 500
 # Consecutive stalled Newton steps after which a stage stops unconverged.
 # At the rounding floor every step redraws a gradient of about 1e-11, the
-# size of the criterion-6 grad_tol, so 3 stalls stopped steep sweep entries
-# by rounding luck: over the nine shifted criterion-6 grids (369 entries),
-# 3 leaves 4 entries unconverged, and 7 once sweeps start from a secant
-# predictor; 6 leaves one, P = -1.94, whose floor sits above 1e-11.
+# size of the criterion-6 grad_tol, so a short limit stops steep sweep
+# entries by rounding luck.  Over the nine shifted criterion-6 grids (369
+# secant-started entries, direct block steps), 3 leaves 4 entries
+# unconverged, 4 leaves 3, 5 leaves one (P = 2.0) and 6 none.
 _STALL_LIMIT = 6
 _TINY = np.finfo(float).tiny
 
@@ -304,17 +306,18 @@ def _operator_apply(grid: TorusGrid, cfg: SolverConfig, st: _State, v: np.ndarra
     return -out
 
 
-# Largest node counts for which the preconditioner factors a dense block of
-# the Newton operator (one Cholesky per Newton step).  A solve grid of one
-# time plane, where every autonomous solve runs (``_solve_grid``), has n_x**d
-# nodes: every d = 1 grid up to n_x = 256 and d = 2 grids up to 16^2, the
-# largest sizes whose solve times were measured against the surrogate.
+# Largest node counts for which a Newton step is a direct solve with a dense
+# block of the Newton operator (one Cholesky and one LU per Newton step).  A
+# solve grid of one time plane, where every autonomous solve runs
+# (``_solve_grid``), has n_x**d nodes: every d = 1 grid up to n_x = 256 and
+# d = 2 grids up to 16^2, the largest sizes whose solve times were measured
+# against the surrogate.
 _BLOCK_MAX_NODES = 256
 # A solve grid with n_t > 1 couples every time frequency, so its block is the
 # whole operator on n_x**d * n_t nodes.  At 512 the 1-d time-coupled case on
-# 32x16 converges in 25-55 CG iterations where the surrogate stalled after
-# 38k-86k; at 1024 the factor costs 32x32 problems more than the surrogate's
-# CG iterations do (drift only: 0.02 s -> 1.45 s per solve).
+# 32x16 converges in 25-55 Newton steps where the surrogate's CG stalled
+# after 38k-86k iterations; at 1024 the factor costs 32x32 problems more than
+# the surrogate's CG iterations do (drift only: 0.02 s -> 1.45 s per solve).
 _SPACETIME_MAX_NODES = 512
 
 
@@ -363,39 +366,17 @@ def _assemble(shape: tuple[int, ...], method: str, coef: list[list[np.ndarray]],
     return A
 
 
-def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix by 2x2 block recursion.
-
-    [[L11, 0], [L21, L22]]^-1 = [[X11, 0], [-X22 L21 X11, X22]] with X11, X22
-    the inverses of the diagonal blocks.  numpy has no triangular inverse;
-    np.linalg.inv, a pivoted LU of the whole matrix, costs 3-4x the Cholesky
-    factorization, the recursion less than one.  Splitting pays from 128
-    rows on (one BLAS thread: 0.81 ms unsplit against 0.38 ms at 128 rows,
-    7.1 against 4.1 ms at 512); blocks of at most 64 rows go to
-    np.linalg.inv unsplit.
-    """
-    n = L.shape[0]
-    if n <= 64:
-        return np.linalg.inv(L)
-    h = n // 2
-    X = np.zeros_like(L)
-    X[:h, :h] = _lower_inverse(L[:h, :h])
-    X[h:, h:] = _lower_inverse(L[h:, h:])
-    X[h:, :h] = -X[h:, h:] @ (L[h:, :h] @ X[:h, :h])
-    return X
-
-
-def _factored_inverse(A: np.ndarray):
+def _block_solve(A: np.ndarray):
     """Solve map of a damped Newton block A = mu + (symmetric positive semidefinite).
 
     Constants are an eigenvector of A with eigenvalue mu and never part of a
     residual, so they are lifted to the mean diagonal (the solve on
     zero-mean fields is unchanged).  A is then equilibrated by its diagonal,
-    shifted by a round-off 1e-14 and Cholesky-factored; the returned map
-    applies A^-1 = W^T W as two matvecs with W the scaled inverse factor:
-    forming W^T W loses the small-m directions once mu is near the Newton
-    loop's floor.  None when the Cholesky factorization fails, which m
-    spanning some 300 decades at a tiny mu can cause.
+    B = s A s with s = diag^-1/2, and shifted by a round-off 1e-14.  A
+    Cholesky factorization tests B for positive definiteness, and the
+    returned map is one LU solve with B, which is not symmetric to
+    rounding.  None when the Cholesky factorization fails, which m spanning
+    some 300 decades at a tiny mu can cause.
     """
     N = A.shape[0]
     A += np.mean(np.diag(A)) / N
@@ -403,25 +384,25 @@ def _factored_inverse(A: np.ndarray):
     B = s[:, None] * A * s[None, :]
     B.flat[:: N + 1] += 1e-14
     try:
-        L = np.linalg.cholesky(B)
+        np.linalg.cholesky(B)
     except np.linalg.LinAlgError:
         return None
-    W = _lower_inverse(L) * s[None, :]
 
     def solve(r: np.ndarray) -> np.ndarray:
-        return (W.T @ (W @ r.ravel())).reshape(r.shape)
+        return (s * np.linalg.solve(B, s * r.ravel())).reshape(r.shape)
 
     return solve
 
 
 def _dense_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
-    """Exact inverse of the damped Newton operator on small solve grids, or None.
+    """Exact solve with the damped Newton operator on small solve grids, or None.
 
     The operator is A = sum_ab D_a^T diag(c_ab) D_b + mu over the axes of the
     solve grid, with c_ab = m*(k*v_a*v_b + delta_ab*[a spatial]) and
     v = (w, 1): k*T^T diag(m) T for the transport derivative
     T = D_t + sum_i diag(w_i) D_i, plus sum_i D_i^T diag(m) D_i.  On one time
-    plane D_t is zero and the block spans the spatial axes alone.  None above
+    plane D_t is zero and the block spans the spatial axes alone.  The Newton
+    step is this map applied to -g, with no CG iteration.  None above
     ``_BLOCK_MAX_NODES`` nodes (one plane) or ``_SPACETIME_MAX_NODES`` nodes
     (n_t > 1), and where the factorization fails.
     """
@@ -431,14 +412,13 @@ def _dense_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
         return None
     d, k, v, axes = grid.d, cfg.k, [*st.w, 1.0], range(len(shape))
     coef = [[(st.m * (k * v[a] * v[b] + float(a == b and a < d))).reshape(shape) for b in axes] for a in axes]
-    return _factored_inverse(_assemble(shape, cfg.method, coef, mu))
+    return _block_solve(_assemble(shape, cfg.method, coef, mu))
 
 
-def _make_preconditioner(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
-    """Inverse of the damped Newton operator: the dense block if it forms, else a Fourier surrogate.
+def _fourier_surrogate(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
+    """Approximate inverse of the damped Newton operator, the PCG preconditioner where no dense block forms.
 
-    ``_dense_block`` is the exact inverse, and PCG takes about one iteration
-    per Newton step.  Above its caps, or where its factorization fails, the
+    Above the block caps, or where the block's factorization fails, the
     quadratic form k*mean(m*(v_t + H_p.grad v)^2) + mean(m*|grad v|^2) is
     approximated by freezing m at its mean (one) and H_p at the rotation
     vector; the surrogate k*(k_t + wbar.k_x)^2 + |k_x|^2 + mu is diagonal in
@@ -446,9 +426,6 @@ def _make_preconditioner(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: f
     throttles the inner solve, but it is blind to m, which spans many decades
     where the Mather measure concentrates.
     """
-    block = _dense_block(grid, cfg, st, mu)
-    if block is not None:
-        return block
     d = len(st.w)
     k = cfg.k
     wbar = [grid.integrate(st.m * st.w[i]) for i in range(d)]
@@ -476,11 +453,13 @@ def _make_preconditioner(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: f
 def _pcg(apply_op, apply_minv, b: np.ndarray, grid: TorusGrid, rel_tol: float, max_iter: int):
     """Preconditioned conjugate gradients in the node-mean inner product.
 
-    The operator and the preconditioner both map zero-mean fields to
-    zero-mean fields; starting from zero, every iterate stays in the
-    subspace, where the operator is positive definite.  The preconditioner
-    is applied at the top of an iteration, so the residual that meets
-    ``rel_tol`` or the cap is never preconditioned.
+    The inner solve of a Newton step where no dense block forms, with the
+    Fourier surrogate as preconditioner.  The operator and the
+    preconditioner both map zero-mean fields to zero-mean fields; starting
+    from zero, every iterate stays in the subspace, where the operator is
+    positive definite.  The preconditioner is applied at the top of an
+    iteration, so the residual that meets ``rel_tol`` or the cap is never
+    preconditioned.
     """
     x = np.zeros_like(b)
     r = b.copy()
@@ -578,10 +557,13 @@ def hbar_bounds(ham: MechanicalHamiltonian, grid: TorusGrid, P=None) -> tuple[fl
 def _newton_stage(grid: TorusGrid, hog: _HamOnGrid, cfg: SolverConfig, P: np.ndarray, u0: np.ndarray):
     """Damped Newton at one (k, lam) from u0: (u, state, grad_norm, iterations, grad_norm <= grad_tol).
 
-    The gradient is taken at the top of every iterate, the last included; the
-    loop stops at ``grad_tol``, after ``max_newton`` steps or after
-    ``_STALL_LIMIT`` consecutive stalled steps, each of which neither lowers J
-    beyond rounding nor halves the gradient norm.
+    The gradient is taken at the top of every iterate, the last included.
+    The step solves the damped Newton system directly with the dense block
+    where it forms (``_dense_block``), else by PCG with the Fourier
+    surrogate to an inexact-Newton forcing tolerance.  The loop stops at
+    ``grad_tol``, after ``max_newton`` steps or after ``_STALL_LIMIT``
+    consecutive stalled steps, each of which neither lowers J beyond
+    rounding nor halves the gradient norm.
     """
 
     u = grid.project_zero_mean(u0)
@@ -597,13 +579,17 @@ def _newton_stage(grid: TorusGrid, hog: _HamOnGrid, cfg: SolverConfig, P: np.nda
         # worst-conditioned directions in the global phase and vanishes near
         # the solution, so local quadratic convergence is untouched.
         mu = min(1.0, grad_norm)
-        apply_minv = _make_preconditioner(grid, cfg, st, mu)
+        block = _dense_block(grid, cfg, st, mu)
+        if block is not None:
+            step = block(-g)  # exact: the line search projects it
+        else:
 
-        def apply_damped(v: np.ndarray) -> np.ndarray:
-            return _operator_apply(grid, cfg, st, v) + mu * v
+            def apply_damped(v: np.ndarray) -> np.ndarray:
+                return _operator_apply(grid, cfg, st, v) + mu * v
 
-        forcing = max(_FORCING_FLOOR, min(0.1, math.sqrt(grad_norm)))
-        step, _ = _pcg(apply_damped, apply_minv, -g, grid, forcing, _CG_MAX)
+            forcing = max(_FORCING_FLOOR, min(0.1, math.sqrt(grad_norm)))
+            surrogate = _fourier_surrogate(grid, cfg, st, mu)
+            step, _ = _pcg(apply_damped, surrogate, -g, grid, forcing, _CG_MAX)
         slope = grid.inner(g, step)
         if slope >= 0.0:  # roundoff produced a non-descent direction
             step = -g

@@ -124,18 +124,25 @@ class FourierSpec:
         return [{"freq": list(t.freq), "cos": t.cos, "sin": t.sin} for t in self.terms]
 
     @staticmethod
-    def from_json_obj(obj: list, nvars: int) -> "FourierSpec":
-        return FourierSpec.build(
-            nvars,
-            [
-                (
-                    [_json_integer(f, "a frequency") for f in t["freq"]],
-                    _json_number(t.get("cos", 0.0), "cos"),
-                    _json_number(t.get("sin", 0.0), "sin"),
-                )
-                for t in obj
-            ],
-        )
+    def from_json_obj(obj: list, nvars: int, what: str = "a Fourier series") -> "FourierSpec":
+        """The series of a JSON list of terms {"freq": [nvars integers], "cos": c, "sin": s}.
+
+        A value of the wrong shape raises ValueError naming ``what`` and the
+        expected shape; a term without "freq" raises KeyError.
+        """
+        integers = "1 integer" if nvars == 1 else f"{nvars} integers"
+        term = f'{{"freq": [{integers}], "cos": c, "sin": s}}'
+        if not isinstance(obj, list):
+            raise ValueError(f"{what} must be a list of terms {term}, got {obj!r}")
+        terms = []
+        for t in obj:
+            if not isinstance(t, dict):
+                raise ValueError(f"each term of {what} must be an object {term}, got {t!r}")
+            if not isinstance(t["freq"], list):
+                raise ValueError(f"'freq' of a term of {what} must be a list of {integers}, got {t['freq']!r}")
+            freq = [_json_integer(f, "a frequency") for f in t["freq"]]
+            terms.append((freq, _json_number(t.get("cos", 0.0), "cos"), _json_number(t.get("sin", 0.0), "sin")))
+        return FourierSpec.build(nvars, terms)
 
 
 @dataclass(frozen=True)
@@ -379,10 +386,19 @@ def _json_integer(value, what: str) -> int:
 
 
 def hamiltonian_from_json(obj: dict) -> MechanicalHamiltonian:
-    """The Hamiltonian of a JSON object; a non-finite, boolean or string number raises ValueError."""
+    """The Hamiltonian of a JSON object.
+
+    A non-finite, boolean or string number, or a field of the wrong shape,
+    raises ValueError naming the field; a missing field raises KeyError.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f'the block must be an object with "d", "eta", "V" and "lambda", got {obj!r}')
     d = _json_integer(obj["d"], "d")
-    eta = tuple(FourierSpec.from_json_obj(comp, 1) for comp in obj.get("eta", [[]] * d))
+    eta_obj = obj.get("eta", [[]] * d)
+    if not isinstance(eta_obj, list):
+        raise ValueError(f"eta must be a list of {d} Fourier series in t (one list of terms per axis), got {eta_obj!r}")
+    eta = tuple(FourierSpec.from_json_obj(comp, 1, f"eta[{i}]") for i, comp in enumerate(eta_obj))
     if len(eta) != d:
         raise ValueError(f"expected {d} eta components, got {len(eta)}")
-    V = FourierSpec.from_json_obj(obj["V"], d + 1)
+    V = FourierSpec.from_json_obj(obj["V"], d + 1, "V")
     return MechanicalHamiltonian(d=d, eta=eta, V=V, lam=_json_number(obj.get("lambda", 1.0), "lambda"))

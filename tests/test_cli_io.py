@@ -147,6 +147,33 @@ class TestSolveCommand:
         assert "configuration error: invalid hamiltonian block:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # rejected before any solve
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("V", {"freq": [1, 0]}, 'V must be a list of terms {"freq": [2 integers], "cos": c, "sin": s}'),
+            ("V", [[[1, 0], 1.0, 0.0]], 'each term of V must be an object {"freq": [2 integers]'),
+            ("V", [{"freq": 1, "cos": 1.0}], "'freq' of a term of V must be a list of 2 integers"),
+            ("eta", None, "eta must be a list of 1 Fourier series in t"),
+            ("eta", [{"freq": [1], "cos": 1.0}], 'eta[0] must be a list of terms {"freq": [1 integer]'),
+        ],
+        ids=["V-object", "term-list", "freq-scalar", "eta-null", "eta-term-not-in-list"],
+    )
+    def test_misshapen_hamiltonian_field_exit_2(self, tmp_path, capsys, field, value, message):
+        # the message names the field and the shape it needs, not Python's
+        # own indexing error
+        cfg = pendulum_config(tmp_path / "out", grid={"d": 1, "n_x": 16, "n_t": 4})
+        cfg["hamiltonian"][field] = value
+        assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
+        assert f"invalid hamiltonian block: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_hamiltonian_block_not_an_object_exit_2(self, tmp_path, capsys):
+        cfg = pendulum_config(tmp_path / "out", grid={"d": 1, "n_x": 16, "n_t": 4})
+        cfg["hamiltonian"] = [1]
+        assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "invalid hamiltonian block: the block must be an object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("field", ["V", "d", "freq"])
     def test_missing_hamiltonian_field_exit_2(self, tmp_path, capsys, field):
         # a missing field of the block is named as such, not as a missing block

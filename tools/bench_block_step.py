@@ -1,0 +1,226 @@
+"""Time the dense-block Newton step and the criterion-6 sweep of one or more source trees.
+
+    python tools/bench_block_step.py NAME=TREE [NAME=TREE ...] [--rounds N] > BENCH_block_step.json
+
+Each TREE is a checkout of this repository.  Every round runs one fresh
+interpreter per tree, with BLAS pinned to one thread, and alternates the
+order of the trees from round to round.  A child imports TREE's evanskam
+and reports, as medians over its own repeats:
+
+- for each block case (64, 128 and 256 nodes on one time plane of the
+  pendulum, 512 space-time nodes of tc1 32x16): ``block_s``, the time of one
+  damped block step, ``_dense_block(...)`` built and applied to the
+  negative gradient; its split into ``assemble_s`` (``_assemble``),
+  ``cholesky_s``, ``lu_solve_s`` (``np.linalg.solve``), ``inv_s``
+  (``np.linalg.inv``) and ``other_s`` (the rest: coefficients,
+  equilibration, matrix products); and ``newton_step_s``, one whole step of
+  ``_newton_stage`` (gradient, inner solve, line search) from the same
+  state;
+- for the criterion-6 sweep (41 entries, pendulum 64x8, k = 16,
+  ``grad_tol`` 1e-11): its wall time, its Newton steps, and the time per
+  Newton step.
+
+The report gives, per tree and per number, the median over the rounds and
+the range.  Timings depend on the machine and its load; compare trees only
+within one report.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+# name: (Hamiltonian, TorusGrid arguments (d, n_x, n_t), k, P, damping mu, repeats)
+BLOCK_CASES = {
+    "plane-64": ("pendulum", (1, 64, 8), 16.0, 0.5, 1e-6, 200),
+    "plane-128": ("pendulum", (1, 128, 8), 16.0, 0.5, 1e-6, 100),
+    "plane-256": ("pendulum", (1, 256, 8), 16.0, 0.5, 1e-6, 40),
+    "spacetime-512": ("tc1", (1, 32, 16), 8.0, 0.0, 1e-6, 20),
+}
+SWEEP_REPEATS = 3
+
+
+def hamiltonians() -> dict:
+    from evanskam import FourierSpec, MechanicalHamiltonian
+
+    pendulum = ((1, 0), 1.0, 0.0)
+    return {
+        "pendulum": MechanicalHamiltonian(d=1, eta=(FourierSpec.zero(1),), V=FourierSpec.build(2, [pendulum])),
+        # V = cos(2 pi x) + 0.3 sin(2 pi (x + t)), eta = cos(2 pi t)/2: time-coupled
+        "tc1": MechanicalHamiltonian(
+            d=1, eta=(FourierSpec.build(1, [((1,), 0.5, 0.0)]),), V=FourierSpec.build(2, [pendulum, ((1, 1), 0.0, 0.3)])
+        ),
+    }
+
+
+class PhaseClock:
+    """Accumulates the time spent inside named callables while installed on their owners."""
+
+    def __init__(self, targets: dict):
+        self.targets = targets  # phase name: (owner, attribute)
+        self.spent = dict.fromkeys(targets, 0.0)
+        self.saved = {}
+
+    def __enter__(self):
+        from time import perf_counter
+
+        for name, (owner, attr) in self.targets.items():
+            original = getattr(owner, attr)
+            self.saved[name] = original
+
+            def timed(*args, _f=original, _name=name, **kwargs):
+                start = perf_counter()
+                try:
+                    return _f(*args, **kwargs)
+                finally:
+                    self.spent[_name] += perf_counter() - start
+
+            setattr(owner, attr, timed)
+        return self
+
+    def __exit__(self, *exc):
+        for name, (owner, attr) in self.targets.items():
+            setattr(owner, attr, self.saved[name])
+
+
+def block_case(name: str) -> dict:
+    from dataclasses import replace
+    from time import perf_counter
+
+    import numpy as np
+
+    from evanskam import SolverConfig, TorusGrid, evans_solver
+
+    ham_name, shape, k, P, mu, repeats = BLOCK_CASES[name]
+    ham = hamiltonians()[ham_name]
+    grid = evans_solver._solve_grid(ham, TorusGrid(*shape))
+    cfg = SolverConfig(k=k, P=(P,))
+    u = grid.project_zero_mean(0.3 * np.sin(2 * np.pi * (grid.coords()[0] + 0.25)) * np.ones(grid.shape))
+    st = evans_solver.evaluate_state(ham, grid, cfg, u)
+    g = evans_solver._gradient_arrays(grid, cfg, st)
+    phases = {
+        "assemble_s": (evans_solver, "_assemble"),
+        "cholesky_s": (np.linalg, "cholesky"),
+        "lu_solve_s": (np.linalg, "solve"),
+        "inv_s": (np.linalg, "inv"),
+    }
+    totals, splits = [], []
+    for _ in range(repeats):
+        with PhaseClock(phases) as clock:
+            start = perf_counter()
+            evans_solver._dense_block(grid, cfg, st, mu)(-g)
+            totals.append(perf_counter() - start)
+        splits.append(clock.spent)
+    out = {"nodes": grid.n_nodes, "block_s": statistics.median(totals)}
+    for phase in phases:
+        out[phase] = statistics.median(s[phase] for s in splits)
+    out["other_s"] = statistics.median(t - sum(s.values()) for t, s in zip(totals, splits))
+    hog, one_step = evans_solver._HamOnGrid(ham, grid), replace(cfg, max_newton=1)
+    steps = []
+    for _ in range(repeats):
+        start = perf_counter()
+        evans_solver._newton_stage(grid, hog, one_step, cfg.momentum(1), u)
+        steps.append(perf_counter() - start)
+    out["newton_step_s"] = statistics.median(steps)
+    return out
+
+
+def criterion6_sweep() -> dict:
+    from time import perf_counter
+
+    import numpy as np
+
+    from evanskam import SolverConfig, TorusGrid, effective
+
+    ham, grid = hamiltonians()["pendulum"], TorusGrid(1, 64, 8)
+    config = SolverConfig(k=16.0, grad_tol=1e-11)
+    P_grid = np.round(np.arange(-2.0, 2.0001, 0.1), 10)
+    solve, steps = effective.minimize, []
+
+    def counting(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        steps.append(res.iterations)
+        return res
+
+    effective.minimize = counting
+    walls = []
+    try:
+        for _ in range(SWEEP_REPEATS):
+            steps.clear()
+            start = perf_counter()
+            effective.sweep_P(ham, grid, 16.0, P_grid, config=config)
+            walls.append(perf_counter() - start)
+    finally:
+        effective.minimize = solve
+    wall = statistics.median(walls)
+    return {"wall_s": wall, "newton_steps": sum(steps), "s_per_newton_step": wall / sum(steps)}
+
+
+def child() -> dict:
+    return {"blocks": {name: block_case(name) for name in BLOCK_CASES}, "criterion6_sweep": criterion6_sweep()}
+
+
+def summarize(runs: list[dict]) -> dict:
+    """Median and range over the rounds of every number a child reports."""
+
+    def merge(values: list):
+        if isinstance(values[0], dict):
+            return {key: merge([v[key] for v in values]) for key in values[0]}
+        if all(v == values[0] for v in values):
+            return values[0]
+        return {"median": statistics.median(values), "min": min(values), "max": max(values)}
+
+    return merge(runs)
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--child"]:
+        print(json.dumps(child()))
+        return 0
+    rounds = 5
+    if "--rounds" in argv:
+        i = argv.index("--rounds")
+        rounds = int(argv[i + 1])
+        argv = argv[:i] + argv[i + 2 :]
+    trees = dict(arg.split("=", 1) for arg in argv if "=" in arg)
+    if not trees or len(trees) != len(argv) or rounds < 1:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    names = list(trees)
+    runs = {name: [] for name in names}
+    for r in range(rounds):
+        for name in names if r % 2 == 0 else names[::-1]:
+            env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(Path(trees[name]).resolve() / "src")}
+            proc = subprocess.run(
+                [sys.executable, str(Path(__file__).resolve()), "--child"],
+                env=env, capture_output=True, text=True, timeout=600,
+            )
+            if proc.returncode != 0:
+                print(f"the run of {name} failed:\n{proc.stderr}", file=sys.stderr, end="")
+                return 1
+            runs[name].append(json.loads(proc.stdout))
+    import numpy as np
+
+    report = {
+        "command": "python tools/bench_block_step.py " + " ".join(f"{n}=<tree>" for n in names) + f" --rounds {rounds}",
+        "machine": {
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas_threads": 1,
+        },
+        "rounds": rounds,
+        **{name: summarize(runs[name]) for name in names},
+    }
+    print(json.dumps(report, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
