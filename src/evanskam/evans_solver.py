@@ -19,10 +19,10 @@ operator (the Gauss-Newton choice: the softmax covariance rank-one term is
 dropped, so the operator equals the true Hessian at critical points).  On
 small solve grids the damped operator is one dense block and each step is
 one direct solve with it; larger grids solve it by conjugate gradients with
-a Fourier preconditioner, restricted to the zero-mean subspace.  A homotopy
-in the Hamiltonian weight lam, warm-started stage by stage from u = 0,
-reaches stiff configurations, and an optional doubling continuation in k
-adds further stages for sharp runs.
+a Fourier preconditioner, restricted to the zero-mean subspace.  J is
+convex at every k, so a cold start needs no homotopy in the Hamiltonian: it
+climbs a doubling ladder in k from u = 0, each stage warm-started from the
+last.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ __all__ = [
     "lipschitz_bound",
 ]
 
-# Homotopy in the Hamiltonian weight lam that a cold start runs at its first k.
-_LAMBDA_SCHEDULE = (0.0, 0.25, 0.5, 0.75, 1.0)
 # Floor of the inexact-Newton forcing term (CG's relative residual target),
 # and the cap on CG iterations per Newton step.
 _FORCING_FLOOR = 1e-12
@@ -60,8 +58,8 @@ _CG_MAX = 500
 # At the rounding floor every step redraws a gradient of about 1e-11, the
 # size of the criterion-6 grad_tol, so a short limit stops steep sweep
 # entries by rounding luck.  Over the nine shifted criterion-6 grids (369
-# secant-started entries, direct block steps), 3 leaves 4 entries
-# unconverged, 4 leaves 3, 5 leaves one (P = 2.0) and 6 none.
+# secant-started entries, direct block steps), 3 leaves 11 entries
+# unconverged, 4 leaves 3, 5 leaves one (P = 1.86) and 6 none.
 _STALL_LIMIT = 6
 _TINY = np.finfo(float).tiny
 
@@ -80,8 +78,8 @@ class SolverConfig:
 
     ``P`` is the constant momentum shift (one entry per spatial axis); the
     shift enters as grad u -> P + grad u, which keeps every iterate periodic.
-    The solve minimizes the plain objective J; the lam homotopy, the CG
-    forcing floor and the CG cap are module constants.
+    The solve minimizes the plain objective J; the CG forcing floor and the
+    CG cap are module constants.
     """
 
     k: float
@@ -89,13 +87,11 @@ class SolverConfig:
     grad_tol: float = 1e-9
     max_newton: int = 60
     method: str = "spectral"
-    k_continuation: bool = False
 
     def __post_init__(self) -> None:
         for names, kind, ok in (
             (("k", "grad_tol"), "a finite number", _is_finite_number),
             (("max_newton",), "an integer", lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool)),
-            (("k_continuation",), "a boolean", lambda v: isinstance(v, (bool, np.bool_))),
         ):
             for name in names:
                 if not ok(getattr(self, name)):
@@ -201,38 +197,11 @@ class _HamOnGrid:
         t = coords[-1]
         lam = ham.lam
         self.d = ham.d
-        self.lam = lam
         self.eta = [lam * spec.evaluate(t) for spec in ham.eta]
         self.eta_prime = [lam * spec.partial(0).evaluate(t) for spec in ham.eta]
         self.V = lam * ham.V.evaluate(*coords)
         self.gradV = [lam * ham.V.partial(a).evaluate(*coords) for a in range(ham.d)]
         self.V_t = lam * ham.V.partial(ham.d).evaluate(*coords)
-
-
-@dataclass(frozen=True)
-class _TimePlane(TorusGrid):
-    """One time plane of a grid with ``n_rep`` planes, for fields constant in t.
-
-    Node means are taken over the field repeated ``n_rep`` times along t, so
-    numpy sums the same values in the same order as on the full grid;
-    ``inner``, ``norm`` and ``project_zero_mean`` go through ``integrate``
-    and inherit it.  Plain means over the plane round differently and move
-    the precision-floor entries of the criterion-6 grid.
-    """
-
-    n_rep: int = 1
-
-    def full(self, values: np.ndarray) -> np.ndarray:
-        return values.repeat(self.n_rep, axis=-1)
-
-    def restrict(self, values: np.ndarray) -> np.ndarray:
-        """A field of the full grid on the plane: its first plane if constant in t, else its time mean."""
-        if np.all(values == values[..., :1]):
-            return values[..., :1]  # the time mean can round
-        return values.mean(axis=-1, keepdims=True)
-
-    def integrate(self, values: np.ndarray) -> float:
-        return super().integrate(self.full(values))
 
 
 class _State:
@@ -307,11 +276,10 @@ def _operator_apply(grid: TorusGrid, cfg: SolverConfig, st: _State, v: np.ndarra
 
 
 # Largest node counts for which a Newton step is a direct solve with a dense
-# block of the Newton operator (one Cholesky and one LU per Newton step).  A
-# solve grid of one time plane, where every autonomous solve runs
-# (``_solve_grid``), has n_x**d nodes: every d = 1 grid up to n_x = 256 and
-# d = 2 grids up to 16^2, the largest sizes whose solve times were measured
-# against the surrogate.
+# block of the Newton operator (one LU per Newton step).  A solve grid of one
+# time plane, where every autonomous solve runs (``_solve_grid``), has
+# n_x**d nodes: every d = 1 grid up to n_x = 256 and d = 2 grids up to 16^2,
+# the largest sizes whose solve times were measured against the surrogate.
 _BLOCK_MAX_NODES = 256
 # A solve grid with n_t > 1 couples every time frequency, so its block is the
 # whole operator on n_x**d * n_t nodes.  At 512 the 1-d time-coupled case on
@@ -372,21 +340,15 @@ def _block_solve(A: np.ndarray):
     Constants are an eigenvector of A with eigenvalue mu and never part of a
     residual, so they are lifted to the mean diagonal (the solve on
     zero-mean fields is unchanged).  A is then equilibrated by its diagonal,
-    B = s A s with s = diag^-1/2, and shifted by a round-off 1e-14.  A
-    Cholesky factorization tests B for positive definiteness, and the
-    returned map is one LU solve with B, which is not symmetric to
-    rounding.  None when the Cholesky factorization fails, which m spanning
-    some 300 decades at a tiny mu can cause.
+    B = s A s with s = diag^-1/2, and shifted by a round-off 1e-14.  The
+    returned map is one LU solve with B, which is not symmetric to rounding;
+    it raises ``LinAlgError`` where B is exactly singular.
     """
     N = A.shape[0]
     A += np.mean(np.diag(A)) / N
     s = 1.0 / np.sqrt(np.diag(A))
     B = s[:, None] * A * s[None, :]
     B.flat[:: N + 1] += 1e-14
-    try:
-        np.linalg.cholesky(B)
-    except np.linalg.LinAlgError:
-        return None
 
     def solve(r: np.ndarray) -> np.ndarray:
         return (s * np.linalg.solve(B, s * r.ravel())).reshape(r.shape)
@@ -404,7 +366,7 @@ def _dense_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
     plane D_t is zero and the block spans the spatial axes alone.  The Newton
     step is this map applied to -g, with no CG iteration.  None above
     ``_BLOCK_MAX_NODES`` nodes (one plane) or ``_SPACETIME_MAX_NODES`` nodes
-    (n_t > 1), and where the factorization fails.
+    (n_t > 1).
     """
     timed = grid.n_t > 1  # on one time plane every time derivative is exactly zero
     shape = grid.shape if timed else grid.shape[:-1]
@@ -418,7 +380,7 @@ def _dense_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
 def _fourier_surrogate(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
     """Approximate inverse of the damped Newton operator, the PCG preconditioner where no dense block forms.
 
-    Above the block caps, or where the block's factorization fails, the
+    Above the block caps, or where the block's solve fails, the
     quadratic form k*mean(m*(v_t + H_p.grad v)^2) + mean(m*|grad v|^2) is
     approximated by freezing m at its mean (one) and H_p at the rotation
     vector; the surrogate k*(k_t + wbar.k_x)^2 + |k_x|^2 + mu is diagonal in
@@ -555,15 +517,15 @@ def hbar_bounds(ham: MechanicalHamiltonian, grid: TorusGrid, P=None) -> tuple[fl
 
 
 def _newton_stage(grid: TorusGrid, hog: _HamOnGrid, cfg: SolverConfig, P: np.ndarray, u0: np.ndarray):
-    """Damped Newton at one (k, lam) from u0: (u, state, grad_norm, iterations, grad_norm <= grad_tol).
+    """Damped Newton at one k from u0: (u, state, grad_norm, iterations, grad_norm <= grad_tol).
 
     The gradient is taken at the top of every iterate, the last included.
     The step solves the damped Newton system directly with the dense block
-    where it forms (``_dense_block``), else by PCG with the Fourier
-    surrogate to an inexact-Newton forcing tolerance.  The loop stops at
-    ``grad_tol``, after ``max_newton`` steps or after ``_STALL_LIMIT``
-    consecutive stalled steps, each of which neither lowers J beyond
-    rounding nor halves the gradient norm.
+    where it forms (``_dense_block``) and gives a finite step, else by PCG
+    with the Fourier surrogate to an inexact-Newton forcing tolerance.  The
+    loop stops at ``grad_tol``, after ``max_newton`` steps or after
+    ``_STALL_LIMIT`` consecutive stalled steps, each of which neither lowers
+    J beyond rounding nor halves the gradient norm.
     """
 
     u = grid.project_zero_mean(u0)
@@ -579,10 +541,13 @@ def _newton_stage(grid: TorusGrid, hog: _HamOnGrid, cfg: SolverConfig, P: np.nda
         # worst-conditioned directions in the global phase and vanishes near
         # the solution, so local quadratic convergence is untouched.
         mu = min(1.0, grad_norm)
-        block = _dense_block(grid, cfg, st, mu)
+        block, step = _dense_block(grid, cfg, st, mu), None
         if block is not None:
-            step = block(-g)  # exact: the line search projects it
-        else:
+            try:
+                step = block(-g)  # exact: the line search projects it
+            except np.linalg.LinAlgError:  # B exactly singular
+                pass
+        if step is None or not np.isfinite(step).all():
 
             def apply_damped(v: np.ndarray) -> np.ndarray:
                 return _operator_apply(grid, cfg, st, v) + mu * v
@@ -628,13 +593,12 @@ def _solve_grid(ham: MechanicalHamiltonian, grid: TorusGrid) -> TorusGrid:
 
     For an autonomous Hamiltonian J is convex and invariant under time
     shifts, so J(mean_t u) <= J(u) and the minimizer is constant in t
-    (Evans, Calc. Var. PDE 17, 2003).  Such solves run on a ``_TimePlane``
-    from the plane of their start (``_TimePlane.restrict``); all others on
-    ``grid`` itself.
+    (Evans, Calc. Var. PDE 17, 2003).  Such solves run on one plane,
+    ``TorusGrid(d, n_x, 1)``; all others on ``grid`` itself.
     """
     if grid.n_t == 1 or not _is_autonomous(ham):
         return grid
-    return _TimePlane(grid.d, grid.n_x, 1, n_rep=grid.n_t)
+    return TorusGrid(grid.d, grid.n_x, 1)
 
 
 def minimize(
@@ -645,45 +609,41 @@ def minimize(
 ) -> SolveResult:
     """Minimize J over zero-mean fields and return the full solve record.
 
-    The solve is one list of Newton stages (k, lam), each started from the
-    last.  A cold start runs the homotopy over ``_LAMBDA_SCHEDULE`` at
-    the first k (u = 0 solves its weightless stage), then one stage at lam = 1
-    per later k; with ``config.k_continuation`` the ks double from 4 up to
-    ``config.k``.  A warm start is the one stage (``config.k``, 1).
-    ``converged`` holds when every stage at ``config.k`` converged.  Autonomous
-    solves run on one time plane (``_solve_grid``), a warm start that varies
-    in t from its time mean, and return u and m spread over ``grid``.
+    The solve is one list of Newton stages, each started from the last.  A
+    cold start climbs the doubling ladder k = 4, 8, ... below ``config.k``
+    from u = 0 and ends at ``config.k``; at ``config.k`` <= 4 it has no
+    ladder.  A warm start is the one stage at ``config.k``.  ``converged``
+    is the flag of the last stage, the only one at ``config.k``.  Autonomous
+    solves run on one time plane (``_solve_grid``), a warm start from its
+    time mean, and return u and m repeated over the time axis of ``grid``.
     """
     check_nyquist(ham, grid)
     P = config.momentum(ham.d)
     plane = _solve_grid(ham, grid)
-    ks, rung = [config.k], 4.0
-    while config.k_continuation and rung < config.k:
-        ks.insert(-1, rung)
-        rung *= 2.0
     if warm_start is None:
-        stages = [(ks[0], s) for s in _LAMBDA_SCHEDULE] + [(k, 1.0) for k in ks[1:]]
+        ks, rung = [config.k], 4.0
+        while rung < config.k:
+            ks.insert(-1, rung)
+            rung *= 2.0
         u = plane.zeros()
     else:
-        stages = [(config.k, 1.0)]
+        ks = [config.k]
         u = _as_array(grid, warm_start)
         if plane is not grid:
-            u = plane.restrict(u)
-    total_iterations, converged = 0, True
-    for k, lam in stages:
-        hog = _HamOnGrid(ham.with_lambda(lam * ham.lam), plane)
-        u, st, grad_norm, iters, conv = _newton_stage(plane, hog, replace(config, k=k), P, u)
+            u = u.mean(axis=-1, keepdims=True)
+    hog = _HamOnGrid(ham, plane)
+    total_iterations = 0
+    for k in ks:
+        u, st, grad_norm, iters, converged = _newton_stage(plane, hog, replace(config, k=k), P, u)
         total_iterations += iters
-        converged = converged and (conv or k != config.k)
-    m = st.m
-    if plane is not grid:
-        u, m = plane.full(u), plane.full(m)
+    n_rep = grid.n_t // plane.n_t
 
     return SolveResult(
-        u=ScalarField(grid, u),
+        u=ScalarField(grid, u.repeat(n_rep, axis=-1)),
         hbar=st.J,
-        m=ScalarField(grid, m),
-        rotation=np.array([plane.integrate(st.m * wi) for wi in st.w]),
+        m=ScalarField(grid, st.m.repeat(n_rep, axis=-1)),
+        # the caller's node mean of m*H_p, the bits that mather_diagnostics gives
+        rotation=np.array([grid.integrate((st.m * wi).repeat(n_rep, axis=-1)) for wi in st.w]),
         grad_norm=grad_norm,
         lip_norm=float(np.sqrt(np.max(st.grad_sq()))),
         iterations=total_iterations,

@@ -1,7 +1,7 @@
 """The mechanical Hamiltonian family and its calculus on the torus.
 
-The family is H(x,t,p) = |p + lam*eta(t)|^2/2 + lam*V(x,t) with a homotopy
-weight lam in [0,1]; eta has one component per spatial axis and depends on
+The family is H(x,t,p) = |p + lam*eta(t)|^2/2 + lam*V(x,t) with a weight
+lam in [0,1]; eta has one component per spatial axis and depends on
 time only, V lives on the full space-time torus.  Both are finite Fourier
 series rather than callables so a configuration serializes exactly and runs
 reproduce bit for bit.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -149,9 +149,8 @@ class FourierSpec:
 class MechanicalHamiltonian:
     """H(x,t,p) = |p + lam*eta(t)|^2/2 + lam*V(x,t).
 
-    Immutable; the continuation schedule produces rescaled copies through
-    :meth:`with_lambda`.  The momentum Hessian is the identity, so the family
-    is strictly convex and superlinear for every lam.
+    Immutable.  The momentum Hessian is the identity, so the family is
+    strictly convex and superlinear for every lam.
     """
 
     d: int
@@ -171,9 +170,6 @@ class MechanicalHamiltonian:
             raise ValueError(f"V must have arity d+1={self.d + 1}, got {self.V.nvars}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must lie in [0,1], got {self.lam}")
-
-    def with_lambda(self, lam: float) -> "MechanicalHamiltonian":
-        return replace(self, lam=float(lam))
 
 
 @dataclass(frozen=True)
@@ -280,8 +276,7 @@ def chi_bound(
     """Fit and verify a linear bound |b(z,q)| <= c|q| + d0 for the drift.
 
     The maxima are taken on a dense refinement of ``grid`` (which contains the
-    grid nodes), at the top of the homotopy (lam = 1) so one bound covers the
-    whole continuation family:
+    grid nodes), at lam = 1 so one bound covers every weight lam in [0, 1]:
 
         c  = max(|eta'(t)| + |grad V(x,t)|),
         d0 = c * max|eta(t)| + max|V_t(x,t)|.

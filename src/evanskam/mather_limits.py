@@ -233,7 +233,7 @@ def k_sweep(
     rows: list[KSweepRow] = []
     warm = None
     for k in ks:
-        cfg = replace(base, k=k, P=P_tuple, k_continuation=False)
+        cfg = replace(base, k=k, P=P_tuple)
         res = minimize(ham, grid, cfg, warm_start=warm)
         warm = res.u
         st = evaluate_state(ham, grid, cfg, res.u)  # one evaluation serves both diagnostics

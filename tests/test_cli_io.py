@@ -103,7 +103,7 @@ class TestSolveCommand:
         [
             ("max_newton", 2.5),
             ("grad_tol", float("nan")),
-            ("k_continuation", "false"),
+            ("max_newton", "5"),
             ("k", float("nan")),
             ("k", True),
             ("grad_tol", True),
@@ -220,6 +220,8 @@ class TestSolveCommand:
             ("lambda_schedule", [0.0, 0.5, 1.0]),
             ("cg_tol", 1e-12),
             ("cg_max", 500),
+            ("k_continuation", "false"),
+            ("k_continuation", True),
         ],
     )
     def test_removed_solver_field_exit_2(self, tmp_path, capsys, field, value):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -87,7 +89,7 @@ class TestEvaluate:
             assert abs(val.H_t - fd_t) / scale <= 1e-7
 
     def test_lambda_scaling(self):
-        ham = pendulum_hamiltonian().with_lambda(0.5)
+        ham = replace(pendulum_hamiltonian(), lam=0.5)
         val = evaluate(ham, [0.0, 0.0], [0.0])
         assert val.H == pytest.approx(0.5)  # 0.5 * V(0) = 0.5
 
@@ -236,7 +238,7 @@ class TestNyquist:
 
 class TestJson:
     def test_round_trip(self):
-        ham = mixed_hamiltonian().with_lambda(0.75)
+        ham = replace(mixed_hamiltonian(), lam=0.75)
         obj = hamiltonian_to_json(ham)
         back = hamiltonian_from_json(obj)
         assert back == ham

@@ -238,7 +238,7 @@ class TestPendulumReference:
 
     def test_classical_reference_scales_and_gates(self):
         V = FourierSpec.build(1, [((1,), 0.5, 0.0)])
-        assert classical_reference(pendulum_hamiltonian().with_lambda(0.5), 2.0) == pendulum_reference(V, 2.0)
+        assert classical_reference(replace(pendulum_hamiltonian(), lam=0.5), 2.0) == pendulum_reference(V, 2.0)
         assert classical_reference(t1_hamiltonian(), 0.0) is None
         assert classical_reference(mixed_hamiltonian(), 0.0) is None
 

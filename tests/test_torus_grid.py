@@ -5,7 +5,6 @@ import pytest
 
 from conftest import assert_bitwise
 from evanskam import torus_grid
-from evanskam.evans_solver import _TimePlane
 from evanskam.torus_grid import (
     GridError,
     ScalarField,
@@ -165,19 +164,6 @@ class TestKernelBits:
         assert_bitwise(g.inner(a, b), float(np.mean(a * b)))
         assert_bitwise(g.norm(a), float(np.sqrt(np.mean(np.square(a)))))
         assert_bitwise(g.project_zero_mean(a), a - np.mean(a))
-
-    @pytest.mark.parametrize("n_rep", [2, 6, 8, 128])
-    def test_time_plane_means_match_the_full_grid(self, n_rep, rng):
-        plane = _TimePlane(1, 64, 1, n_rep=n_rep)
-        a, b = self.wide_field(rng, plane.shape), self.wide_field(rng, plane.shape)
-
-        def full(v):
-            return np.repeat(v, n_rep, axis=-1)
-
-        assert_bitwise(plane.integrate(a), float(np.mean(full(a))))
-        assert_bitwise(plane.inner(a, b), float(np.mean(full(a) * full(b))))
-        assert_bitwise(plane.norm(a), float(np.sqrt(np.mean(np.square(full(a))))))
-        assert_bitwise(plane.project_zero_mean(a), a - np.mean(full(a)))
 
     @pytest.mark.parametrize("shape", [(1, 64, 8), (2, 16, 4)])
     def test_spectral_deriv_matches_the_uncached_formula(self, shape, rng):

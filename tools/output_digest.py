@@ -16,9 +16,9 @@ temporary directory, and prints one JSON object:
   converged; dtype, shape and bytes of each), the total of their Newton
   iterations, so a change in step count shows as its own line, and the
   unconverged P values;
-- for the library solves in ``LIBRARY_SOLVES``, options that no config
-  reaches (``k_continuation``, ``central4``, a d = 2 grid, a ``max_newton``
-  cap): per solve, the sha256 of its record
+- for the library solves in ``LIBRARY_SOLVES``, cases that no config
+  reaches (cold starts up a long k ladder, ``central4``, a d = 2 grid, a
+  ``max_newton`` cap): per solve, the sha256 of its record
   (the fields above plus lip_norm) with its iterations and converged flag.
 
 Two trees produce identical output exactly when these results agree to the
@@ -56,14 +56,14 @@ CRITERION6_FIELDS = ("u", "m", "hbar", "rotation", "grad_norm", "iterations", "c
 LIBRARY_FIELDS = (*CRITERION6_FIELDS[:5], "lip_norm", *CRITERION6_FIELDS[5:])
 # name: (Hamiltonian, TorusGrid arguments (d, n_x, n_t), SolverConfig fields)
 LIBRARY_SOLVES = {
-    "k-continuation-pendulum": ("pendulum", (1, 64, 16), dict(k=64.0, P=(2.0,), k_continuation=True)),
-    "k-continuation-tc1": ("tc1", (1, 16, 16), dict(k=64.0, P=(0.0,), k_continuation=True)),
-    "k-continuation-tc1-k2048": ("tc1", (1, 16, 16), dict(k=2048.0, P=(0.0,), k_continuation=True)),
-    "k-continuation-separable-2d": ("separable-2d", (2, 16, 4), dict(k=32.0, P=(0.3, 0.1), k_continuation=True)),
+    "ladder-pendulum": ("pendulum", (1, 64, 16), dict(k=64.0, P=(2.0,))),
+    "ladder-tc1": ("tc1", (1, 16, 16), dict(k=64.0, P=(0.0,))),
+    "ladder-tc1-k2048": ("tc1", (1, 16, 16), dict(k=2048.0, P=(0.0,))),
+    "ladder-separable-2d": ("separable-2d", (2, 16, 4), dict(k=32.0, P=(0.3, 0.1))),
     # the cap stops earlier rungs short, yet the solve at the target k converges
-    "k-continuation-capped-rungs": ("pendulum", (1, 64, 16), dict(k=64.0, P=(2.0,), k_continuation=True, max_newton=4)),
-    "k-continuation-capped": ("tc1", (1, 16, 16), dict(k=64.0, P=(0.0,), k_continuation=True, max_newton=5)),
-    "k-continuation-odd-k": ("pendulum", (1, 32, 8), dict(k=20.0, P=(1.0,), k_continuation=True)),
+    "ladder-capped-rungs": ("pendulum", (1, 64, 16), dict(k=64.0, P=(2.0,), max_newton=4)),
+    "ladder-capped": ("tc1", (1, 16, 16), dict(k=64.0, P=(0.0,), max_newton=5)),
+    "ladder-odd-k": ("pendulum", (1, 32, 8), dict(k=20.0, P=(1.0,))),
     "capped": ("pendulum", (1, 32, 32), dict(k=16.0, P=(2.0,), max_newton=1)),
     "central4-t1": ("t1", (1, 64, 64), dict(k=8.0, method="central4")),
     "central4-tc1": ("tc1", (1, 16, 16), dict(k=8.0, method="central4")),
