@@ -93,11 +93,6 @@ def _secant_coefficient(P0: np.ndarray, P1: np.ndarray, P2: np.ndarray) -> float
     return float((P2 - P1) @ prev) / norm2 if norm2 > 0.0 else 0.0
 
 
-def _solve_entry(args) -> SolveResult:
-    ham, grid, cfg = args
-    return minimize(ham, grid, cfg)
-
-
 def sweep_P(
     ham: MechanicalHamiltonian,
     grid: TorusGrid,
@@ -138,9 +133,9 @@ def sweep_P(
         # every CLI process would otherwise pay for at start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        tasks = [(ham, grid, replace(base, P=tuple(pts[i]))) for i in range(n)]
+        cfgs = [replace(base, P=tuple(pts[i])) for i in range(n)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for i, res in enumerate(pool.map(_solve_entry, tasks)):
+            for i, res in enumerate(pool.map(minimize, [ham] * n, [grid] * n, cfgs)):
                 record(i, res)
     else:
         u_prev = u = None

@@ -225,14 +225,7 @@ class _State:
         for wi in self.w:
             f = f + 0.5 * wi**2  # grad u has the grid's shape, so f has it too
         self.f = f
-        k = cfg.k
-        fmax = float(self.f.max())
-        # clamp at the smallest positive normal: keeps m strictly positive
-        # even where exp underflows, at no visible cost to the mass
-        weights = np.maximum(np.exp(k * (self.f - fmax)), _TINY)
-        Z = grid.integrate(weights)
-        self.J = fmax + math.log(Z) / k
-        self.m = weights / Z
+        self.J, self.m = _softmax(grid, cfg.k, f)
 
     def grad_sq(self) -> np.ndarray:
         """|Du|^2 over the space-time axes."""
@@ -240,6 +233,16 @@ class _State:
         for g in self.du:
             sq = sq + g**2
         return sq
+
+
+def _softmax(grid: TorusGrid, k: float, f: np.ndarray) -> tuple[float, np.ndarray]:
+    """J = (1/k) log mean(exp(k*f)), shifted by max f, and the weights m with mean one."""
+    fmax = float(f.max())
+    # clamp at the smallest positive normal: keeps m strictly positive
+    # even where exp underflows, at no visible cost to the mass
+    weights = np.maximum(np.exp(k * (f - fmax)), _TINY)
+    Z = grid.integrate(weights)
+    return fmax + math.log(Z) / k, weights / Z
 
 
 def _gradient_arrays(grid: TorusGrid, cfg: SolverConfig, st: _State) -> np.ndarray:
@@ -275,18 +278,16 @@ def _operator_apply(grid: TorusGrid, cfg: SolverConfig, st: _State, v: np.ndarra
     return -out
 
 
-# Largest node counts for which a Newton step is a direct solve with a dense
-# block of the Newton operator (one LU per Newton step).  A solve grid of one
-# time plane, where every autonomous solve runs (``_solve_grid``), has
-# n_x**d nodes: every d = 1 grid up to n_x = 256 and d = 2 grids up to 16^2,
-# the largest sizes whose solve times were measured against the surrogate.
-_BLOCK_MAX_NODES = 256
-# A solve grid with n_t > 1 couples every time frequency, so its block is the
-# whole operator on n_x**d * n_t nodes.  At 512 the 1-d time-coupled case on
-# 32x16 converges in 25-55 Newton steps where the surrogate's CG stalled
-# after 38k-86k iterations; at 1024 the factor costs 32x32 problems more than
-# the surrogate's CG iterations do (drift only: 0.02 s -> 1.45 s per solve).
-_SPACETIME_MAX_NODES = 512
+# Largest solve grid, in nodes, on which a Newton step is a direct solve with
+# a dense block of the Newton operator (one LU per Newton step).  The block
+# spans the solve grid's axes: the spatial ones on the one time plane of an
+# autonomous solve (``_solve_grid``), every space-time axis when n_t > 1.
+# At 512 the 1-d time-coupled case on 32x16 converges in 11-37 Newton steps
+# where the surrogate's CG stalled after 38k-86k iterations, and one-plane
+# grids of 257-512 nodes converge in 13-16 steps where PCG left them
+# unconverged; at 1024 the factor costs 32x32 problems more than the
+# surrogate's CG iterations do (drift only: 0.02 s -> 0.93 s per solve).
+_BLOCK_MAX_NODES = 512
 
 
 def _derivative_matrix(n: int, method: str) -> np.ndarray:
@@ -365,13 +366,12 @@ def _dense_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
     T = D_t + sum_i diag(w_i) D_i, plus sum_i D_i^T diag(m) D_i.  On one time
     plane D_t is zero and the block spans the spatial axes alone.  The Newton
     step is this map applied to -g, with no CG iteration.  None above
-    ``_BLOCK_MAX_NODES`` nodes (one plane) or ``_SPACETIME_MAX_NODES`` nodes
-    (n_t > 1).
+    ``_BLOCK_MAX_NODES`` nodes.
     """
+    if grid.n_nodes > _BLOCK_MAX_NODES:
+        return None
     timed = grid.n_t > 1  # on one time plane every time derivative is exactly zero
     shape = grid.shape if timed else grid.shape[:-1]
-    if math.prod(shape) > (_SPACETIME_MAX_NODES if timed else _BLOCK_MAX_NODES):
-        return None
     d, k, v, axes = grid.d, cfg.k, [*st.w, 1.0], range(len(shape))
     coef = [[(st.m * (k * v[a] * v[b] + float(a == b and a < d))).reshape(shape) for b in axes] for a in axes]
     return _block_solve(_assemble(shape, cfg.method, coef, mu))
@@ -380,7 +380,7 @@ def _dense_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
 def _fourier_surrogate(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
     """Approximate inverse of the damped Newton operator, the PCG preconditioner where no dense block forms.
 
-    Above the block caps, or where the block's solve fails, the
+    Above the block cap, or where the block's solve fails, the
     quadratic form k*mean(m*(v_t + H_p.grad v)^2) + mean(m*|grad v|^2) is
     approximated by freezing m at its mean (one) and H_p at the rotation
     vector; the surrogate k*(k_t + wbar.k_x)^2 + |k_x|^2 + mu is diagonal in
@@ -516,10 +516,14 @@ def hbar_bounds(ham: MechanicalHamiltonian, grid: TorusGrid, P=None) -> tuple[fl
 # -- Newton / continuation driver ----------------------------------------------
 
 
-def _newton_stage(grid: TorusGrid, hog: _HamOnGrid, cfg: SolverConfig, P: np.ndarray, u0: np.ndarray):
+def _newton_stage(
+    grid: TorusGrid, hog: _HamOnGrid, cfg: SolverConfig, P: np.ndarray, u0: np.ndarray, st0: _State | None = None
+):
     """Damped Newton at one k from u0: (u, state, grad_norm, iterations, grad_norm <= grad_tol).
 
-    The gradient is taken at the top of every iterate, the last included.
+    ``st0``, when given, is the state of the zero-mean u0 at this k, already
+    evaluated by the caller.  The gradient is taken at the top of every
+    iterate, the last included.
     The step solves the damped Newton system directly with the dense block
     where it forms (``_dense_block``) and gives a finite step, else by PCG
     with the Fourier surrogate to an inexact-Newton forcing tolerance.  The
@@ -528,8 +532,8 @@ def _newton_stage(grid: TorusGrid, hog: _HamOnGrid, cfg: SolverConfig, P: np.nda
     J beyond rounding nor halves the gradient norm.
     """
 
-    u = grid.project_zero_mean(u0)
-    st = _State(grid, hog, cfg, P, u)
+    st = st0 if st0 is not None else _State(grid, hog, cfg, P, grid.project_zero_mean(u0))
+    u = st.u
     iterations = stalled = 0
     prev_grad_norm = math.inf
     while True:
@@ -612,29 +616,38 @@ def minimize(
     The solve is one list of Newton stages, each started from the last.  A
     cold start climbs the doubling ladder k = 4, 8, ... below ``config.k``
     from u = 0 and ends at ``config.k``; at ``config.k`` <= 4 it has no
-    ladder.  A warm start is the one stage at ``config.k``.  ``converged``
-    is the flag of the last stage, the only one at ``config.k``.  Autonomous
-    solves run on one time plane (``_solve_grid``), a warm start from its
-    time mean, and return u and m repeated over the time axis of ``grid``.
+    ladder.  A warm start is the one stage at ``config.k``, unless J there
+    exceeds J at u = 0: then the solve starts cold, because such a start (a
+    secant predictor that overshoots, say) can need more than
+    ``max_newton`` steps.  ``converged`` is the flag of the last stage, the
+    only one at ``config.k``.  Autonomous solves run on one time plane
+    (``_solve_grid``), a warm start from its time mean, and return u and m
+    repeated over the time axis of ``grid``.
     """
     check_nyquist(ham, grid)
     P = config.momentum(ham.d)
     plane = _solve_grid(ham, grid)
-    if warm_start is None:
-        ks, rung = [config.k], 4.0
+    hog = _HamOnGrid(ham, plane)
+    ks, u, start = [config.k], plane.zeros(), None
+    if warm_start is not None:
+        warm = _as_array(grid, warm_start)
+        if plane is not grid:
+            warm = warm.mean(axis=-1, keepdims=True)
+        start = _State(plane, hog, config, P, plane.project_zero_mean(warm))
+        f0 = hog.V  # f at u = 0, with the bits _State gives it
+        for P_i, eta_i in zip(P, hog.eta):
+            f0 = f0 + 0.5 * (P_i + eta_i) ** 2
+        if start.J > _softmax(plane, config.k, np.broadcast_to(f0, plane.shape))[0]:
+            start = None
+    if start is None:
+        rung = 4.0
         while rung < config.k:
             ks.insert(-1, rung)
             rung *= 2.0
-        u = plane.zeros()
-    else:
-        ks = [config.k]
-        u = _as_array(grid, warm_start)
-        if plane is not grid:
-            u = u.mean(axis=-1, keepdims=True)
-    hog = _HamOnGrid(ham, plane)
     total_iterations = 0
     for k in ks:
-        u, st, grad_norm, iters, converged = _newton_stage(plane, hog, replace(config, k=k), P, u)
+        u, st, grad_norm, iters, converged = _newton_stage(plane, hog, replace(config, k=k), P, u, start)
+        start = None  # evaluated at config.k: it can only start the first stage
         total_iterations += iters
     n_rep = grid.n_t // plane.n_t
 

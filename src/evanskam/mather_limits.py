@@ -219,6 +219,11 @@ def k_sweep(
 ) -> KSweepReport:
     """Warm-started sweep over increasing sharpness values.
 
+    Each k starts from the solve at the previous one.  Where k is more than
+    twice the previous k, warm solves at 2, 4, ... times the previous k
+    (below k) come between them and are not reported: one warm stage over a
+    wider jump in k can run out of Newton steps.
+
     Per k the report records hbar, entropy over k, the positive part of the
     sup excess computed as (1/k) log(max m), the gradient sup norm, and the
     sharp-limit equation residual.  When the Hamiltonian is one-dimensional,
@@ -232,8 +237,12 @@ def k_sweep(
     P_tuple = tuple(np.atleast_1d(np.asarray(P, dtype=float)))
     rows: list[KSweepRow] = []
     warm = None
-    for k in ks:
+    for i, k in enumerate(ks):
         cfg = replace(base, k=k, P=P_tuple)
+        rung = 2.0 * ks[i - 1] if i else k
+        while rung < k:  # unreported warm solves on the doubling rungs below k
+            warm = minimize(ham, grid, replace(cfg, k=rung), warm_start=warm).u
+            rung *= 2.0
         res = minimize(ham, grid, cfg, warm_start=warm)
         warm = res.u
         st = evaluate_state(ham, grid, cfg, res.u)  # one evaluation serves both diagnostics

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from conftest import (
     flux_oracle_hbar,
     pendulum_hamiltonian,
     t1_hamiltonian,
+    tc1_hamiltonian,
     trivial_hamiltonian,
 )
 from evanskam import effective
@@ -20,7 +23,7 @@ from evanskam.effective import (
     write_effective_csv,
     write_legendre_csv,
 )
-from evanskam.evans_solver import SolverConfig
+from evanskam.evans_solver import SolverConfig, minimize
 from evanskam.torus_grid import TorusGrid
 
 
@@ -74,6 +77,19 @@ class TestSweep:
         seq = sweep_P(ham, grid, 8.0, P_vals)
         par = sweep_P(ham, grid, 8.0, P_vals, jobs=2)
         assert np.max(np.abs(seq.hbar - par.hbar)) <= 1e-8
+
+    def test_time_coupled_serial_sweep_matches_cold_solves(self):
+        # a secant start worse than u = 0 starts cold: without that rule 6 of
+        # these 9 entries stopped unconverged, each failure feeding the next
+        # predictor (hbar up to 49.79 against 0.92-0.98 cold)
+        ham, grid, cfg = tc1_hamiltonian(), TorusGrid(1, 16, 16), SolverConfig(k=16.0, grad_tol=1e-9)
+        P_vals = np.linspace(-1.0, 1.0, 9)
+        tab = sweep_P(ham, grid, 16.0, P_vals, config=cfg)
+        assert tab.converged.all()
+        cold = [minimize(ham, grid, replace(cfg, P=(P,))) for P in P_vals]
+        assert all(res.converged for res in cold)
+        assert np.max(np.abs(tab.hbar - [res.hbar for res in cold])) <= 1e-9
+        assert np.max(np.abs(tab.Q[:, 0] - [res.rotation[0] for res in cold])) <= 1e-9
 
     @pytest.mark.parametrize(
         "P0, P1, P2, c",

@@ -7,6 +7,7 @@ from conftest import (
     mixed_hamiltonian,
     pendulum_hamiltonian,
     t1_hamiltonian,
+    tc1_hamiltonian,
     trivial_hamiltonian,
 )
 from evanskam.evans_solver import SolverConfig, minimize, objective
@@ -181,6 +182,18 @@ class TestKSweep:
         sup_pos = np.array([r.sup_excess_pos for r in rep.rows])
         assert np.all(sup_pos >= -1e-15)
         assert np.all(np.diff(sup_pos) <= 0.2 * sup_pos[:-1] + 1e-12)
+
+    def test_wide_k_jump_climbs_doubling_rungs(self):
+        # one warm stage from k = 8 to 128 stopped unconverged (hbar
+        # 0.9904566501 against 0.9904425011 cold); the unreported rungs 16,
+        # 32 and 64 carry it
+        ham, grid = tc1_hamiltonian(), TorusGrid(1, 16, 16)
+        rep = k_sweep(ham, grid, (0.0,), [8, 128])
+        assert [row.k for row in rep.rows] == [8.0, 128.0]
+        assert all(row.converged for row in rep.rows)
+        cold = minimize(ham, grid, SolverConfig(k=128.0, P=(0.0,)))
+        assert cold.converged
+        assert abs(rep.rows[-1].hbar - cold.hbar) <= 1e-9
 
     def test_increasing_k_required(self):
         grid = TorusGrid(1, 16, 16)

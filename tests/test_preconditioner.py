@@ -2,13 +2,13 @@
 
 The block is a direct solve with the damped Newton operator on the grid
 the Newton loop runs on (``_solve_grid``), and a Newton step that gets it
-runs no CG.  Autonomous Hamiltonians are solved on one time plane, where
-the operator is spatial; the block solves it on up to ``_BLOCK_MAX_NODES``
-nodes.  A grid with n_t > 1 gets the whole space-time operator on up to
-``_SPACETIME_MAX_NODES`` nodes.  Larger grids of either kind, and states
-whose block solve raises or gives a step that is not finite, run PCG with
-the m-blind Fourier surrogate.
-Autonomous states below are therefore built on ``_solve_grid(ham, grid)``.
+runs no CG.  One rule picks it: the solve grid has at most
+``_BLOCK_MAX_NODES`` nodes.  Autonomous Hamiltonians are solved on one time
+plane, where the block spans the spatial axes; a grid with n_t > 1 gets the
+whole space-time operator.  Larger solve grids, and states whose block
+solve raises or gives a step that is not finite, run PCG with the m-blind
+Fourier surrogate.  Autonomous states below are therefore built on
+``_solve_grid(ham, grid)``.
 """
 
 import json
@@ -24,7 +24,6 @@ from evanskam.cli_io import RunConfig
 from evanskam.effective import sweep_P
 from evanskam.evans_solver import (
     _BLOCK_MAX_NODES,
-    _SPACETIME_MAX_NODES,
     SolverConfig,
     _dense_block,
     _fourier_surrogate,
@@ -142,20 +141,28 @@ class TestTimeMeanBlockExact:
     def test_inverse_at_the_clamp(self, rng):
         check_exact(rng, *clamped_state())
 
-    def test_no_block_above_the_cap(self):
-        grid = _solve_grid(separable_2d(), TorusGrid(2, 18, 2))
-        assert grid.n_nodes > _BLOCK_MAX_NODES
-        cfg = SolverConfig(k=4.0, P=(0.1, 0.2))
-        st = evaluate_state(separable_2d(), grid, cfg, grid.zeros())
-        assert _dense_block(grid, cfg, st, 1.0) is None
+
+@pytest.mark.parametrize(
+    "ham, grid, P",
+    [(separable_2d, TorusGrid(2, 24, 2), (0.1, 0.2)), (mixed_hamiltonian, TorusGrid(1, 32, 32), (0.5,))],
+    ids=["one-plane-24x24", "spacetime-32x32"],
+)
+def test_no_block_above_the_cap(ham, grid, P):
+    # one cap for either kind of solve grid
+    grid = _solve_grid(ham(), grid)
+    assert grid.n_nodes > _BLOCK_MAX_NODES
+    cfg = SolverConfig(k=4.0, P=P)
+    st = evaluate_state(ham(), grid, cfg, grid.zeros())
+    assert _dense_block(grid, cfg, st, 1.0) is None
 
 
 class TestAtTheCap:
-    # the largest block, with m down to about 1e-36 and a damping near the
-    # Newton loop's floor: the block solve must not raise or lose exactness
+    # the largest block, one plane of 512 nodes with m down to about 6e-10,
+    # and a damping near the Newton loop's floor: the block solve must not
+    # raise or lose exactness
     @pytest.fixture(scope="class")
     def cap_state(self):
-        grid, cfg, st = solved_state(separable_2d(), TorusGrid(2, 16, 4), SolverConfig(k=32.0, P=(0.3, 0.1)))
+        grid, cfg, st = solved_state(pendulum_hamiltonian(), TorusGrid(1, 512, 8), SolverConfig(k=16.0, P=(0.3,)))
         assert grid.n_nodes == _BLOCK_MAX_NODES
         return grid, cfg, st
 
@@ -174,7 +181,7 @@ def test_block_steps_where_m_underflows(rng):
     cfg = SolverConfig(k=16.0)
     u = 3.0 * np.cos(2 * np.pi * grid.coords()[0]) * np.ones(grid.shape)
     st = evaluate_state(mixed_hamiltonian(), grid, cfg, grid.project_zero_mean(u))
-    assert grid.n_nodes <= _SPACETIME_MAX_NODES
+    assert grid.n_nodes <= _BLOCK_MAX_NODES
     assert np.min(st.m) < 1e-300
     g = evans_solver._gradient_arrays(grid, cfg, st)
     step = block(grid, cfg, st, 1e-11)(-g)
@@ -287,7 +294,7 @@ class TestSpacetimeBlockExact:
     @pytest.mark.parametrize("mu", [1e-11, 1e-4, 1.0])
     def test_inverse_on_residual_fields(self, rng, case, mu):
         name, grid, cfg, st = case
-        assert grid.n_nodes <= _SPACETIME_MAX_NODES
+        assert grid.n_nodes <= _BLOCK_MAX_NODES
         if name == "large-k":
             assert np.min(st.m) <= 1e-30
         A, M = damped_operator(grid, cfg, st, mu), block(grid, cfg, st, mu)
@@ -305,13 +312,6 @@ class TestSpacetimeBlockExact:
         for _ in range(3):
             r = residual_field(rng, grid)
             assert grid.norm(A(M(r)) - r) <= 1e-8 * grid.norm(r)
-
-    def test_no_block_above_the_cap(self):
-        grid = TorusGrid(1, 32, 32)
-        assert grid.n_nodes > _SPACETIME_MAX_NODES
-        cfg = SolverConfig(k=4.0, P=(0.5,))
-        st = evaluate_state(mixed_hamiltonian(), grid, cfg, grid.zeros())
-        assert _dense_block(grid, cfg, st, 1.0) is None
 
 
 def pcg_iterations(monkeypatch) -> list[int]:
@@ -348,11 +348,11 @@ def test_criterion_6_sweep_takes_no_cg(monkeypatch):
 
 
 def test_solve_above_the_cap_runs_pcg(monkeypatch):
-    # the drift config's 64x64 grid is time-coupled, far above the
-    # space-time cap: every Newton step runs PCG with the surrogate
+    # the drift config's 64x64 grid is time-coupled, far above the cap:
+    # every Newton step runs PCG with the surrogate
     path = Path(__file__).resolve().parents[1] / "configs" / "drift_solve.json"
     run = RunConfig(json.loads(path.read_text()))
-    assert run.grid.n_nodes > _SPACETIME_MAX_NODES
+    assert run.grid.n_nodes > _BLOCK_MAX_NODES
     counts = pcg_iterations(monkeypatch)
     res = minimize(run.ham, run.grid, run.solver)
     assert res.converged

@@ -17,8 +17,9 @@ temporary directory, and prints one JSON object:
   iterations, so a change in step count shows as its own line, and the
   unconverged P values;
 - for the library solves in ``LIBRARY_SOLVES``, cases that no config
-  reaches (cold starts up a long k ladder, ``central4``, a d = 2 grid, a
-  ``max_newton`` cap): per solve, the sha256 of its record
+  reaches (cold starts up a long k ladder, ``central4``, d = 2 grids, one
+  of them a one-plane grid above 256 nodes, a ``max_newton`` cap): per
+  solve, the sha256 of its record
   (the fields above plus lip_norm) with its iterations and converged flag.
 
 Two trees produce identical output exactly when these results agree to the
@@ -68,6 +69,8 @@ LIBRARY_SOLVES = {
     "central4-t1": ("t1", (1, 64, 64), dict(k=8.0, method="central4")),
     "central4-tc1": ("tc1", (1, 16, 16), dict(k=8.0, method="central4")),
     "separable-2d": ("separable-2d", (2, 16, 4), dict(k=16.0, P=(0.3, 0.1))),
+    # one plane of 324 nodes: converges only with the dense block step
+    "separable-2d-18": ("separable-2d", (2, 18, 4), dict(k=16.0, P=(0.3, 0.1))),
 }
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
