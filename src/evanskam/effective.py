@@ -33,6 +33,9 @@ __all__ = [
     "write_legendre_csv",
 ]
 
+# Largest midpoint-convexity violation the Legendre transform accepts.
+_CONVEXITY_TOL = 1e-7
+
 
 class NonconvexTableError(ValueError):
     """A table violated midpoint convexity beyond tolerance."""
@@ -72,13 +75,13 @@ class ConvexityReport:
     worst_index: int
 
 
-def _as_points(values, d: int | None = None) -> np.ndarray:
+def _as_points(values, d: int) -> np.ndarray:
     pts = np.asarray(values, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2:
         raise ValueError(f"expected a list of momentum vectors, got shape {pts.shape}")
-    if d is not None and pts.shape[1] != d:
+    if pts.shape[1] != d:
         raise ValueError(f"momentum vectors have dimension {pts.shape[1]}, expected {d}")
     return pts
 
@@ -217,22 +220,22 @@ def _check_table_convex(table: EffectiveTable, tol: float) -> None:
             raise NonconvexTableError(f"midpoint convexity violated along axis {axis}")
 
 
-def legendre_transform(table: EffectiveTable, Q_values, convexity_tol: float = 1e-7) -> LegendreTable:
+def legendre_transform(table: EffectiveTable, Q_values) -> LegendreTable:
     """Discrete Legendre transform lbar(Q) = max_P [P.Q - hbar(P)].
 
-    The input table must be convex (checked first); applying the transform
-    twice recovers the table up to grid resolution, since convex functions
-    are biconjugate.
+    The input table must be convex to ``_CONVEXITY_TOL`` (checked first);
+    applying the transform twice recovers the table up to grid resolution,
+    since convex functions are biconjugate.
     """
-    _check_table_convex(table, convexity_tol)
+    _check_table_convex(table, _CONVEXITY_TOL)
     Q_pts = _as_points(Q_values, table.d)
     scores = Q_pts @ table.P_grid.T - table.hbar[None, :]
     return LegendreTable(k=table.k, Q_grid=Q_pts, lbar=np.max(scores, axis=1))
 
 
-def biconjugate(table: EffectiveTable, convexity_tol: float = 1e-7) -> np.ndarray:
+def biconjugate(table: EffectiveTable) -> np.ndarray:
     """Transform twice against the table's own grids; returns hbar** on P_grid."""
-    leg = legendre_transform(table, table.Q, convexity_tol)
+    leg = legendre_transform(table, table.Q)
     scores = table.P_grid @ leg.Q_grid.T - leg.lbar[None, :]
     return np.max(scores, axis=1)
 

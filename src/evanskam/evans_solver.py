@@ -62,6 +62,10 @@ _CG_MAX = 500
 # unconverged, 4 leaves 3, 5 leaves one (P = 1.86) and 6 none.
 _STALL_LIMIT = 6
 _TINY = np.finfo(float).tiny
+# The Lipschitz certificate's inner radius a = K * _A_RATIO, and the slack
+# its monitor allows a computed gradient bound over K.
+_A_RATIO = 1e-9
+_MONITOR_SLACK = 0.10
 
 
 class LineSearchError(RuntimeError):
@@ -156,8 +160,8 @@ class LipschitzCertificate:
     """A priori gradient bound K derived from the linear drift bound chi.
 
     K is the smallest value (up to a 1e-10 relative nudge) such that
-    g(a) = integral_a^K 2 du / (chi(u) + 1) reaches 2 with a = K * a_ratio
-    (1e-9 by default); for linear chi both g and K have closed forms.
+    g(a) = integral_a^K 2 du / (chi(u) + 1) reaches 2 with
+    a = K * ``_A_RATIO``; for linear chi both g and K have closed forms.
     Solutions of the critical-point equation satisfy max|Du| <= K in the
     continuum, so the certificate is a monitor for computed minimizers, not
     an assumption.
@@ -177,9 +181,9 @@ class LipschitzCertificate:
             return (2.0 / c) * math.log((c * self.K + d0 + 1.0) / (c * t + d0 + 1.0))
         return 2.0 * (self.K - t) / (d0 + 1.0)
 
-    def monitor(self, lip_norm: float, slack: float = 0.10) -> bool:
-        """True when a computed gradient bound sits within the certified K."""
-        return lip_norm <= self.K * (1.0 + slack)
+    def monitor(self, lip_norm: float) -> bool:
+        """True when a computed gradient bound sits within the certified K, up to ``_MONITOR_SLACK``."""
+        return lip_norm <= self.K * (1.0 + _MONITOR_SLACK)
 
 
 # -- Hamiltonian data tabulated on a grid -------------------------------------
@@ -255,26 +259,32 @@ def _gradient_arrays(grid: TorusGrid, cfg: SolverConfig, st: _State) -> np.ndarr
     return -g
 
 
-def _operator_apply(grid: TorusGrid, cfg: SolverConfig, st: _State, v: np.ndarray) -> np.ndarray:
-    """Gauss-Newton Hessian of J at the iterate of ``st``, applied to v.
+def _newton_coefficients(grid: TorusGrid, k: float, m, w: list) -> list[list]:
+    """The coefficients c_ab of the Newton operator sum_ab D_a^T diag(c_ab) D_b.
 
-    Its quadratic form is mean(m * (k*(v_t + H_p.grad v)^2 + |grad v|^2))
-    for the mechanical family, k times the normalized operator exposed
-    publicly.
+    c_ab = m*(k*v_a*v_b + delta_ab*[a spatial]) with v = (w, 1), w = H_p:
+    k*T^T diag(m) T for the transport derivative T = D_t + sum_i diag(w_i) D_i,
+    plus sum_i D_i^T diag(m) D_i.  The axes are the solve grid's: the spatial
+    ones alone on one time plane, where D_t is zero, every space-time axis
+    otherwise.  ``m`` and ``w`` are fields, or numbers for frozen coefficients.
     """
-    d = len(st.w)
-    k = cfg.k
-    method = cfg.method
-    timed = grid.n_t > 1  # on one time plane every time derivative is exactly zero
-    dv = [grid.deriv(v, a, method) for a in range(d)]
-    wv = grid.deriv(v, d, method) if timed else 0.0
-    for i in range(d):
-        wv = wv + st.w[i] * dv[i]
-    mwv = st.m * wv
-    out = k * grid.deriv(mwv, d, method) if timed else 0.0
-    for i in range(d):
-        out = out + k * grid.deriv(mwv * st.w[i], i, method)
-        out = out + grid.deriv(st.m * dv[i], i, method)  # H_pp = identity
+    d, v = grid.d, [*w, 1.0]
+    axes = range(grid.n_axes if grid.n_t > 1 else d)
+    return [[m * (k * v[a] * v[b] + float(a == b and a < d)) for b in axes] for a in axes]
+
+
+def _operator_apply(grid: TorusGrid, method: str, coef: list[list[np.ndarray]], v: np.ndarray) -> np.ndarray:
+    """-sum_a D_a(sum_b c_ab * D_b v), the Newton operator of ``coef`` applied to v matrix-free.
+
+    With ``_newton_coefficients`` at the iterate it is the Gauss-Newton
+    Hessian of J: its quadratic form is mean(m * (k*(v_t + H_p.grad v)^2 +
+    |grad v|^2)) for the mechanical family, k times the normalized operator
+    exposed publicly.
+    """
+    dv = [grid.deriv(v, b, method) for b in range(len(coef))]
+    out = 0.0
+    for a, row in enumerate(coef):
+        out = out + grid.deriv(sum(c * g for c, g in zip(row, dv)), a, method)
     return -out
 
 
@@ -361,47 +371,33 @@ def _dense_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
     """Exact solve with the damped Newton operator on small solve grids, or None.
 
     The operator is A = sum_ab D_a^T diag(c_ab) D_b + mu over the axes of the
-    solve grid, with c_ab = m*(k*v_a*v_b + delta_ab*[a spatial]) and
-    v = (w, 1): k*T^T diag(m) T for the transport derivative
-    T = D_t + sum_i diag(w_i) D_i, plus sum_i D_i^T diag(m) D_i.  On one time
-    plane D_t is zero and the block spans the spatial axes alone.  The Newton
-    step is this map applied to -g, with no CG iteration.  None above
-    ``_BLOCK_MAX_NODES`` nodes.
+    solve grid (``_newton_coefficients``).  The Newton step is this map
+    applied to -g, with no CG iteration.  None above ``_BLOCK_MAX_NODES``
+    nodes.
     """
     if grid.n_nodes > _BLOCK_MAX_NODES:
         return None
-    timed = grid.n_t > 1  # on one time plane every time derivative is exactly zero
-    shape = grid.shape if timed else grid.shape[:-1]
-    d, k, v, axes = grid.d, cfg.k, [*st.w, 1.0], range(len(shape))
-    coef = [[(st.m * (k * v[a] * v[b] + float(a == b and a < d))).reshape(shape) for b in axes] for a in axes]
-    return _block_solve(_assemble(shape, cfg.method, coef, mu))
+    coef = _newton_coefficients(grid, cfg.k, st.m, st.w)
+    shape = grid.shape[: len(coef)]
+    return _block_solve(_assemble(shape, cfg.method, [[c.reshape(shape) for c in row] for row in coef], mu))
 
 
 def _fourier_surrogate(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
     """Approximate inverse of the damped Newton operator, the PCG preconditioner where no dense block forms.
 
-    Above the block cap, or where the block's solve fails, the
-    quadratic form k*mean(m*(v_t + H_p.grad v)^2) + mean(m*|grad v|^2) is
-    approximated by freezing m at its mean (one) and H_p at the rotation
-    vector; the surrogate k*(k_t + wbar.k_x)^2 + |k_x|^2 + mu is diagonal in
+    Above the block cap, or where the block's solve fails, the operator's
+    coefficients are frozen at m = 1 (its mean) and H_p = wbar, the rotation
+    vector.  The surrogate mu + sum_ab cbar_ab*xi_a*xi_b is then diagonal in
     Fourier space and captures the transport anisotropy that otherwise
     throttles the inner solve, but it is blind to m, which spans many decades
     where the Mather measure concentrates.
     """
-    d = len(st.w)
-    k = cfg.k
-    wbar = [grid.integrate(st.m * st.w[i]) for i in range(d)]
-    mults = []
-    for axis in range(d + 1):
-        n = grid.axis_size(axis)
-        freq = np.fft.rfftfreq(n, d=1.0 / n) if axis == d else np.fft.fftfreq(n, d=1.0 / n)
-        shp = [1] * (d + 1)
-        shp[axis] = freq.size
-        mults.append(2.0 * np.pi * freq.reshape(shp))
-    transport = mults[d] + sum(wbar[i] * mults[i] for i in range(d))
-    spatial = sum(mults[i] ** 2 for i in range(d))
-    sym = k * transport**2 + spatial + mu
-    sym = np.asarray(np.broadcast_to(sym, np.broadcast(*mults).shape)).copy()
+    d = grid.d
+    cbar = _newton_coefficients(grid, cfg.k, 1.0, [grid.integrate(st.m * wi) for wi in st.w])
+    freqs = [np.fft.fftfreq(n, d=1.0 / n) for n in grid.shape[:d]] + [np.fft.rfftfreq(grid.n_t, d=1.0 / grid.n_t)]
+    xi = [2.0 * np.pi * f.reshape([-1 if i == a else 1 for i in range(d + 1)]) for a, f in enumerate(freqs)]
+    # every pair of the solve grid's axes has a term: sym spans the rfftn bins
+    sym = mu + sum(c * xi[a] * xi[b] for a, row in enumerate(cbar) for b, c in enumerate(row))
     sym.flat[0] = 1.0  # DC bin is never excited (zero-mean subspace)
     inv = 1.0 / sym
     axes = tuple(range(d + 1))
@@ -497,7 +493,8 @@ def linearized_el_apply(
     points the form is the Hessian of J divided by k.
     """
     st = evaluate_state(ham, grid, config, u)
-    out = _operator_apply(grid, config, st, _as_array(grid, v)) / config.k
+    coef = _newton_coefficients(grid, config.k, st.m, st.w)
+    out = _operator_apply(grid, config.method, coef, _as_array(grid, v)) / config.k
     return ScalarField(grid, out)
 
 
@@ -552,9 +549,10 @@ def _newton_stage(
             except np.linalg.LinAlgError:  # B exactly singular
                 pass
         if step is None or not np.isfinite(step).all():
+            coef = _newton_coefficients(grid, cfg.k, st.m, st.w)
 
             def apply_damped(v: np.ndarray) -> np.ndarray:
-                return _operator_apply(grid, cfg, st, v) + mu * v
+                return _operator_apply(grid, cfg.method, coef, v) + mu * v
 
             forcing = max(_FORCING_FLOOR, min(0.1, math.sqrt(grad_norm)))
             surrogate = _fourier_surrogate(grid, cfg, st, mu)
@@ -668,22 +666,22 @@ def minimize(
     )
 
 
-def lipschitz_bound(chi: ChiParams, a_ratio: float = 1e-9) -> LipschitzCertificate:
-    """Smallest K whose barrier integral reaches 2 from a = K*a_ratio, nudged up by 1e-10.
+def lipschitz_bound(chi: ChiParams) -> LipschitzCertificate:
+    """Smallest K whose barrier integral reaches 2 from a = K*_A_RATIO, nudged up by 1e-10.
 
-    With a = a_ratio*K, g(a) = 2 has a closed form for linear chi(s) = c*s + d0:
-        c > 0:  K = (d0 + 1) * (e^c - 1) / (c * (1 - a_ratio*e^c))
-        c = 0:  K = (d0 + 1) / (1 - a_ratio)
-    Because a scales with K, no root exists once a_ratio*e^c >= 1, that is
-    c >= log(1/a_ratio); a ValueError is raised there.
+    With a = _A_RATIO*K, g(a) = 2 has a closed form for linear chi(s) = c*s + d0:
+        c > 0:  K = (d0 + 1) * (e^c - 1) / (c * (1 - _A_RATIO*e^c))
+        c = 0:  K = (d0 + 1) / (1 - _A_RATIO)
+    Because a scales with K, no root exists once _A_RATIO*e^c >= 1, that is
+    c >= log(1/_A_RATIO); a ValueError is raised there.
     """
     c, d0 = chi.c, chi.d0
     if c > 0:
-        margin = 1.0 - a_ratio * math.exp(c) if c < -math.log(a_ratio) else 0.0
+        margin = 1.0 - _A_RATIO * math.exp(c) if c < -math.log(_A_RATIO) else 0.0
         if not margin > 0.0:
-            raise ValueError(f"no Lipschitz certificate for c={c} at a_ratio={a_ratio}: needs c < log(1/a_ratio)")
+            raise ValueError(f"no Lipschitz certificate for c={c} at a_ratio={_A_RATIO}: needs c < log(1/a_ratio)")
         K = (d0 + 1.0) * math.expm1(c) / (c * margin)
     else:
-        K = (d0 + 1.0) / (1.0 - a_ratio)
+        K = (d0 + 1.0) / (1.0 - _A_RATIO)
     K += 1e-10 * (1.0 + K)  # land on the >= 2 side of the root
-    return LipschitzCertificate(chi=chi, a=a_ratio * K, K=K)
+    return LipschitzCertificate(chi=chi, a=_A_RATIO * K, K=K)

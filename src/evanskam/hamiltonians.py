@@ -258,21 +258,22 @@ def drift_diffusion(ham: MechanicalHamiltonian, k: float, z, q):
     return a, sigma, b
 
 
-def _refinement(grid: TorusGrid, budget: int = 300_000) -> TorusGrid:
+# Node budget of the refinement on which chi_bound takes its maxima, and the
+# number of random momenta its spot-check draws.
+_REFINE_BUDGET = 300_000
+_CHI_SAMPLES = 64
+
+
+def _refinement(grid: TorusGrid) -> TorusGrid:
     for factor in (8, 4, 2, 1):
         n_x = grid.n_x * factor
         n_t = grid.n_t * factor if grid.n_t > 1 else 1
-        if n_x**grid.d * n_t <= budget:
+        if n_x**grid.d * n_t <= _REFINE_BUDGET:
             return TorusGrid(grid.d, n_x, n_t)
     return grid
 
 
-def chi_bound(
-    ham: MechanicalHamiltonian,
-    grid: TorusGrid,
-    n_q_samples: int = 64,
-    rng_seed: int = 0,
-) -> ChiParams:
+def chi_bound(ham: MechanicalHamiltonian, grid: TorusGrid, rng_seed: int = 0) -> ChiParams:
     """Fit and verify a linear bound |b(z,q)| <= c|q| + d0 for the drift.
 
     The maxima are taken on a dense refinement of ``grid`` (which contains the
@@ -281,9 +282,9 @@ def chi_bound(
         c  = max(|eta'(t)| + |grad V(x,t)|),
         d0 = c * max|eta(t)| + max|V_t(x,t)|.
 
-    The bound is then spot-checked on random q with |q| <= 10*(1 + max|eta|)
-    over the refined mesh; a violation raises :class:`ChiVerificationError`
-    with the offending sample.
+    The bound is then spot-checked on ``_CHI_SAMPLES`` random q with
+    |q| <= 10*(1 + max|eta|) over the refined mesh; a violation raises
+    :class:`ChiVerificationError` with the offending sample.
     """
     fine = _refinement(grid)
     coords = fine.coords()
@@ -308,9 +309,9 @@ def chi_bound(
     lam = ham.lam
     q_max = 10.0 * (1.0 + max_eta)
     rng = np.random.default_rng(rng_seed)
-    dirs = rng.normal(size=(n_q_samples, d + 1))
+    dirs = rng.normal(size=(_CHI_SAMPLES, d + 1))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
-    radii = rng.uniform(0.0, q_max, size=n_q_samples)
+    radii = rng.uniform(0.0, q_max, size=_CHI_SAMPLES)
     tol = 1e-9 * (1.0 + c + d0)
     for q_vec, r in zip(dirs, radii):
         q = r * q_vec

@@ -36,6 +36,9 @@ __all__ = [
     "pendulum_reference",
 ]
 
+# Midpoint-rule nodes of the quadrature in ``pendulum_reference``.
+_N_QUAD = 10_000
+
 
 @dataclass(frozen=True)
 class MatherDiagnostics:
@@ -55,18 +58,6 @@ class MatherDiagnostics:
     sup_excess: float
     identity_gap: float
     converged: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "action": self.action,
-            "entropy": self.entropy,
-            "entropy_over_k": self.entropy_over_k,
-            "rotation": [float(q) for q in self.rotation],
-            "sup_excess": self.sup_excess,
-            "identity_gap": self.identity_gap,
-            "converged": self.converged,
-        }
 
 
 def mather_diagnostics(
@@ -113,8 +104,8 @@ def _mather_diagnostics(grid: TorusGrid, config: SolverConfig, result: SolveResu
     )
 
 
-def holonomy_test_fields(grid: TorusGrid, count: int = 20) -> list[np.ndarray]:
-    """A fixed battery of low-frequency trigonometric test functions."""
+def holonomy_test_fields(grid: TorusGrid) -> list[np.ndarray]:
+    """A fixed battery of 20 low-frequency test functions: cos and sin of 10 frequencies."""
     if grid.d == 1:
         freq_list = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 0), (0, 2), (2, 1), (1, 2), (2, -1), (2, 2)]
     else:
@@ -129,9 +120,7 @@ def holonomy_test_fields(grid: TorusGrid, count: int = 20) -> list[np.ndarray]:
         phase = np.broadcast_to(np.asarray(phase), grid.shape)
         fields.append(np.cos(phase))
         fields.append(np.sin(phase))
-        if len(fields) >= count:
-            break
-    return fields[:count]
+    return fields
 
 
 def holonomy_residual(
@@ -139,19 +128,16 @@ def holonomy_residual(
     grid: TorusGrid,
     config: SolverConfig,
     result: SolveResult,
-    test_fields: list[np.ndarray] | None = None,
 ) -> float:
     """max_j |mean(m * (phi_j_t + grad phi_j . H_p))| over the test battery.
 
     Each term equals mean(gradient * phi_j) by skew-adjointness, so the
     residual is bounded by the test-field norms times the transport residual.
     """
-    if test_fields is None:
-        test_fields = holonomy_test_fields(grid)
     st = evaluate_state(ham, grid, config, result.u)
     m = result.m.values
     worst = 0.0
-    for phi in test_fields:
+    for phi in holonomy_test_fields(grid):
         val = grid.deriv(phi, ham.d, config.method)
         for i in range(ham.d):
             val = val + grid.deriv(phi, i, config.method) * st.w[i]
@@ -292,13 +278,13 @@ def classical_reference(ham: MechanicalHamiltonian, P: float) -> float | None:
     return pendulum_reference(scaled, float(P))
 
 
-def pendulum_reference(V: FourierSpec, P: float, n_quad: int = 10_000, tol: float = 1e-10) -> float:
+def pendulum_reference(V: FourierSpec, P: float, tol: float = 1e-10) -> float:
     """Classical cell-problem value for H = p^2/2 + V(x) on the circle.
 
     Independent of the variational solver: below the critical momentum
     P* = integral sqrt(2*(max V - V)) the value is max V; above it, the unique
     E >= max V with integral sqrt(2*(E - V)) = |P|, found by bisection over a
-    midpoint-rule quadrature.
+    midpoint-rule quadrature of ``_N_QUAD`` nodes.
     """
     if V.nvars == 2:
         if V.depends_on(1):
@@ -307,10 +293,10 @@ def pendulum_reference(V: FourierSpec, P: float, n_quad: int = 10_000, tol: floa
     elif V.nvars != 1:
         raise ValueError("reference requires a one-dimensional potential")
 
-    x_mid = (np.arange(n_quad) + 0.5) / n_quad
-    Vq = np.asarray(V.evaluate(x_mid), dtype=float) + np.zeros(n_quad)
+    x_mid = (np.arange(_N_QUAD) + 0.5) / _N_QUAD
+    Vq = np.asarray(V.evaluate(x_mid), dtype=float) + np.zeros(_N_QUAD)
     # include the uniform nodes so band-limited maxima land exactly
-    V_nodes = np.asarray(V.evaluate(np.arange(n_quad) / n_quad), dtype=float) + np.zeros(n_quad)
+    V_nodes = np.asarray(V.evaluate(np.arange(_N_QUAD) / _N_QUAD), dtype=float) + np.zeros(_N_QUAD)
     v_max = float(max(np.max(Vq), np.max(V_nodes)))
 
     def momentum_of(E: float) -> float:

@@ -69,12 +69,11 @@ def minmax_upper_bound(
     grid: TorusGrid,
     u: ScalarField | np.ndarray,
     P=None,
-    method: str = "spectral",
 ) -> float:
     """max_z (u_t + H(z, P + grad u)): an upper bound for the effective constant.
 
     Any C^1 candidate gives a bound; feeding computed minimizers along a
     sharpness sweep tightens it.  Shift invariant, so u need not be zero-mean.
     """
-    cfg = SolverConfig(k=1.0, P=None if P is None else tuple(np.atleast_1d(P)), method=method)
+    cfg = SolverConfig(k=1.0, P=None if P is None else tuple(np.atleast_1d(P)))
     return float(np.max(evaluate_state(ham, grid, cfg, u).f))

@@ -15,6 +15,7 @@ from conftest import (
     t1_hamiltonian,
     t1_minimizer,
     tc1_hamiltonian,
+    tc2_hamiltonian,
     trivial_hamiltonian,
 )
 from evanskam import evans_solver
@@ -219,22 +220,25 @@ class TestLinearizedOperator:
             assert abs(Bvw - Bwv) <= 1e-10 * (1 + abs(Bvw))
 
     def test_positivity_and_assembled_form(self, rng):
-        # oracle: assemble mean(m (k (v_t + H_p v_x)^2 + v_x^2)) / k directly
-        grid = TorusGrid(1, 16, 16)
-        cfg = SolverConfig(k=4.0)
-        ham = mixed_hamiltonian()
-        u = random_zero_mean(grid, rng)
-        _, m = objective(ham, grid, cfg, u)
-        t = grid.coords()[-1]
-        w = cfg.momentum(1)[0] + grid.deriv(u, 0) + ham.lam * ham.eta[0].evaluate(t)
-        for _ in range(5):
-            v = random_zero_mean(grid, rng)
-            Bvv = grid.inner(v, linearized_el_apply(ham, grid, cfg, u, v).values)
-            vx = grid.deriv(v, 0)
-            vt = grid.deriv(v, 1)
-            direct = grid.integrate(m.values * (cfg.k * (vt + w * vx) ** 2 + vx**2)) / cfg.k
-            assert Bvv >= -1e-12
-            assert abs(Bvv - direct) <= 1e-9 * (1 + abs(direct))
+        # oracle: assemble mean(m (k (v_t + H_p . grad v)^2 + |grad v|^2)) / k
+        # directly; the d = 2 case has the cross terms of three axes
+        for ham, grid, cfg in (
+            (mixed_hamiltonian(), TorusGrid(1, 16, 16), SolverConfig(k=4.0)),
+            (tc2_hamiltonian(), TorusGrid(2, 8, 8), SolverConfig(k=4.0, P=(0.5, 0.2))),
+        ):
+            d = ham.d
+            u = random_zero_mean(grid, rng)
+            _, m = objective(ham, grid, cfg, u)
+            t = grid.coords()[-1]
+            w = [cfg.momentum(d)[i] + grid.deriv(u, i) + ham.lam * ham.eta[i].evaluate(t) for i in range(d)]
+            for _ in range(5):
+                v = random_zero_mean(grid, rng)
+                Bvv = grid.inner(v, linearized_el_apply(ham, grid, cfg, u, v).values)
+                dv = [grid.deriv(v, i) for i in range(d)]
+                transport = grid.deriv(v, d) + sum(wi * g for wi, g in zip(w, dv))
+                direct = grid.integrate(m.values * (cfg.k * transport**2 + sum(g**2 for g in dv))) / cfg.k
+                assert Bvv >= -1e-12
+                assert abs(Bvv - direct) <= 1e-9 * (1 + abs(direct))
 
     def test_hessian_scale_at_critical_point(self):
         # at a critical point, k * B(v, v) equals the second difference of J
@@ -428,7 +432,7 @@ class TestLipschitzBound:
         assert cert.K == pytest.approx(2.0, abs=1e-6)
 
     def test_steep_slope_below_limit_is_finite(self):
-        # c = 20 sits just below log(1/a_ratio) = 20.72 at the default a_ratio
+        # c = 20 sits just below log(1/a_ratio) = 20.72 at a_ratio = 1e-9
         cert = lipschitz_bound(ChiParams(c=20.0, d0=0.0))
         assert math.isfinite(cert.K)
         assert cert.g(cert.a) >= 2.0

@@ -27,16 +27,19 @@ from evanskam.evans_solver import (
     SolverConfig,
     _dense_block,
     _fourier_surrogate,
+    _newton_coefficients,
     _operator_apply,
     _solve_grid,
     evaluate_state,
     minimize,
 )
+from evanskam.hamiltonians import FourierSpec, MechanicalHamiltonian
 from evanskam.torus_grid import TorusGrid
 
 
 def damped_operator(grid, cfg, st, mu):
-    return lambda v: _operator_apply(grid, cfg, st, v) + mu * v
+    coef = _newton_coefficients(grid, cfg.k, st.m, st.w)
+    return lambda v: _operator_apply(grid, cfg.method, coef, v) + mu * v
 
 
 def solved_state(ham, grid, cfg):
@@ -124,6 +127,33 @@ class TestSymmetricPositive:
             ones = np.ones(grid.shape)
             for M in (block(grid, cfg, st, 1e-11), _fourier_surrogate(grid, cfg, st, 1e-11)):
                 assert grid.norm(M(ones)) <= grid.norm(ones)
+
+
+def nyquist_free_field(rng, grid):
+    """A random zero-mean field with no content on the Nyquist bin of any axis."""
+    spec = np.fft.fftn(rng.standard_normal(grid.shape))
+    for axis, n in enumerate(grid.shape):
+        spec[(slice(None),) * axis + (n // 2,)] = 0.0
+    spec.flat[0] = 0.0
+    return np.real(np.fft.ifftn(spec))
+
+
+@pytest.mark.parametrize("mu", [1e-11, 1e-4, 1.0])
+@pytest.mark.parametrize(
+    "grid, P", [(TorusGrid(1, 16, 16), (0.5,)), (TorusGrid(2, 8, 8), (0.5, 0.2))], ids=["d1-16x16", "d2-8x8x8"]
+)
+def test_surrogate_inverts_the_constant_coefficient_operator(rng, grid, P, mu):
+    # V = eta = 0 at u = 0 gives m = 1 and H_p = P everywhere, the frozen
+    # coefficients of the surrogate, so the surrogate is the exact inverse of
+    # the damped operator on every mode the spectral derivative keeps
+    d = grid.d
+    ham = MechanicalHamiltonian(d=d, eta=(FourierSpec.zero(1),) * d, V=FourierSpec.zero(d + 1))
+    cfg = SolverConfig(k=4.0, P=P)
+    st = evaluate_state(ham, grid, cfg, grid.zeros())
+    A, M = damped_operator(grid, cfg, st, mu), _fourier_surrogate(grid, cfg, st, mu)
+    for _ in range(3):
+        v = nyquist_free_field(rng, grid)
+        assert grid.norm(M(A(v)) - v) <= 1e-11 * grid.norm(v)
 
 
 class TestTimeMeanBlockExact:

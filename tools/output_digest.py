@@ -18,7 +18,8 @@ temporary directory, and prints one JSON object:
   unconverged P values;
 - for the library solves in ``LIBRARY_SOLVES``, cases that no config
   reaches (cold starts up a long k ladder, ``central4``, d = 2 grids, one
-  of them a one-plane grid above 256 nodes, a ``max_newton`` cap): per
+  of them a one-plane grid above 256 nodes and one a space-time grid above
+  the dense-block cap, which runs PCG, a ``max_newton`` cap): per
   solve, the sha256 of its record
   (the fields above plus lip_norm) with its iterations and converged flag.
 
@@ -71,6 +72,8 @@ LIBRARY_SOLVES = {
     "separable-2d": ("separable-2d", (2, 16, 4), dict(k=16.0, P=(0.3, 0.1))),
     # one plane of 324 nodes: converges only with the dense block step
     "separable-2d-18": ("separable-2d", (2, 18, 4), dict(k=16.0, P=(0.3, 0.1))),
+    # 1,728 space-time nodes: every Newton step runs PCG with the surrogate
+    "pcg-tc2-12": ("tc2", (2, 12, 12), dict(k=4.0, P=(0.5, 0.2))),
 }
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -105,6 +108,12 @@ def library_solves() -> dict:
         # V = cos(2 pi x) + 0.3 sin(2 pi (x + t)), eta = cos(2 pi t)/2: time-coupled
         "tc1": MechanicalHamiltonian(
             d=1, eta=(FourierSpec.build(1, [((1,), 0.5, 0.0)]),), V=FourierSpec.build(2, [pendulum, ((1, 1), 0.0, 0.3)])
+        ),
+        # V = cos(2 pi x) + cos(2 pi y)/2 + 0.3 sin(2 pi (x + t)), eta = (cos(2 pi t)/2, 0)
+        "tc2": MechanicalHamiltonian(
+            d=2,
+            eta=(FourierSpec.build(1, [((1,), 0.5, 0.0)]), FourierSpec.zero(1)),
+            V=FourierSpec.build(3, [((1, 0, 0), 1.0, 0.0), ((0, 1, 0), 0.5, 0.0), ((1, 0, 1), 0.0, 0.3)]),
         ),
         "separable-2d": MechanicalHamiltonian(
             d=2, eta=zero_eta * 2, V=FourierSpec.build(3, [((1, 0, 0), 1.0, 0.0), ((0, 1, 0), 0.5, 0.0)])
