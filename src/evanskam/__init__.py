@@ -31,6 +31,7 @@ from .hamiltonians import (
     ChiParams,
     FourierSpec,
     FourierTerm,
+    HamiltonianTable,
     MechanicalHamiltonian,
     NyquistError,
     chi_bound,
@@ -70,6 +71,7 @@ __all__ = [
     "FourierSpec",
     "FourierTerm",
     "MechanicalHamiltonian",
+    "HamiltonianTable",
     "ChiParams",
     "NyquistError",
     "evaluate",

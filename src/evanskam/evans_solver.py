@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hamiltonians import ChiParams, MechanicalHamiltonian, _is_finite_number, check_nyquist
+from .hamiltonians import ChiParams, HamiltonianTable, MechanicalHamiltonian, _is_finite_number, check_nyquist
 from .torus_grid import ScalarField, TorusGrid
 
 __all__ = [
@@ -193,39 +193,24 @@ def _is_autonomous(ham: MechanicalHamiltonian) -> bool:
     return not ham.V.depends_on(ham.d) and not any(spec.depends_on(0) for spec in ham.eta)
 
 
-class _HamOnGrid:
-    """lam-scaled eta, V and their derivatives broadcast over the grid."""
-
-    def __init__(self, ham: MechanicalHamiltonian, grid: TorusGrid):
-        coords = grid.coords()
-        t = coords[-1]
-        lam = ham.lam
-        self.d = ham.d
-        self.eta = [lam * spec.evaluate(t) for spec in ham.eta]
-        self.eta_prime = [lam * spec.partial(0).evaluate(t) for spec in ham.eta]
-        self.V = lam * ham.V.evaluate(*coords)
-        self.gradV = [lam * ham.V.partial(a).evaluate(*coords) for a in range(ham.d)]
-        self.V_t = lam * ham.V.partial(ham.d).evaluate(*coords)
-
-
 class _State:
     """Everything derived from one iterate u: derivatives, momenta, J, m.
 
-    ``hog`` is the tabulated Hamiltonian the state was evaluated against.
+    ``table`` is the grid's HamiltonianTable that the state was evaluated against.
     """
 
-    __slots__ = ("hog", "u", "du", "ut", "w", "f", "J", "m")
+    __slots__ = ("table", "u", "du", "ut", "w", "f", "J", "m")
 
-    def __init__(self, grid: TorusGrid, hog: _HamOnGrid, cfg: SolverConfig, P: np.ndarray, u: np.ndarray):
-        d = hog.d
+    def __init__(self, grid: TorusGrid, table: HamiltonianTable, cfg: SolverConfig, P: np.ndarray, u: np.ndarray):
+        d = table.d
         method = cfg.method
-        self.hog = hog
+        self.table = table
         self.u = u
         timed = grid.n_t > 1  # on one time plane u_t is exactly zero
         self.du = [grid.deriv(u, a, method) for a in range(d)]
         self.ut = grid.deriv(u, d, method) if timed else np.zeros(grid.shape)
-        self.w = [P[i] + self.du[i] + hog.eta[i] for i in range(d)]
-        f = self.ut + hog.V if timed else hog.V
+        self.w = table.H_p([P[i] + self.du[i] for i in range(d)])
+        f = self.ut + table.V if timed else table.V
         for wi in self.w:
             f = f + 0.5 * wi**2  # grad u has the grid's shape, so f has it too
         self.f = f
@@ -455,13 +440,13 @@ def _as_array(grid: TorusGrid, u) -> np.ndarray:
 def evaluate_state(ham: MechanicalHamiltonian, grid: TorusGrid, config: SolverConfig, u) -> _State:
     """Evaluate the iterate u: derivatives, momenta H_p, f = u_t + H, J and m.
 
-    The one place outside the Newton loop that tabulates the Hamiltonian and
-    assembles H_p = P + grad u + lam*eta; certificates call it with their own
-    Hamiltonian and config, so a result paired with the wrong ones shows.
+    The Hamiltonian is tabulated on ``grid`` (``HamiltonianTable``);
+    certificates call this with their own Hamiltonian and config, so a
+    result paired with the wrong ones shows.
     """
     check_nyquist(ham, grid)
     arr = _as_array(grid, u)
-    return _State(grid, _HamOnGrid(ham, grid), config, config.momentum(ham.d), arr)
+    return _State(grid, HamiltonianTable(ham, grid.coords()), config, config.momentum(ham.d), arr)
 
 
 def objective(
@@ -503,18 +488,20 @@ def hbar_bounds(ham: MechanicalHamiltonian, grid: TorusGrid, P=None) -> tuple[fl
 
     With the momentum shift the solve targets the shifted Hamiltonian
     H(z, P + .), whose value at zero momentum is H(z, P); the pointwise
-    minimum over p is lam*V regardless of P.  H(z, P) is f at u = 0.
+    minimum over p is lam*V regardless of P.
     """
-    cfg = SolverConfig(k=1.0, P=None if P is None else tuple(np.atleast_1d(P)))
-    st = evaluate_state(ham, grid, cfg, grid.zeros())
-    return float(np.min(st.hog.V)), float(np.max(st.f))
+    P = SolverConfig(k=1.0, P=None if P is None else tuple(np.atleast_1d(P))).momentum(ham.d)
+    check_nyquist(ham, grid)
+    table = HamiltonianTable(ham, grid.coords())
+    return float(np.min(table.V)), float(np.max(table.H(table.H_p(P))))
 
 
 # -- Newton / continuation driver ----------------------------------------------
 
 
 def _newton_stage(
-    grid: TorusGrid, hog: _HamOnGrid, cfg: SolverConfig, P: np.ndarray, u0: np.ndarray, st0: _State | None = None
+    grid: TorusGrid, table: HamiltonianTable, cfg: SolverConfig, P: np.ndarray, u0: np.ndarray,
+    st0: _State | None = None,
 ):
     """Damped Newton at one k from u0: (u, state, grad_norm, iterations, grad_norm <= grad_tol).
 
@@ -529,7 +516,7 @@ def _newton_stage(
     J beyond rounding nor halves the gradient norm.
     """
 
-    st = st0 if st0 is not None else _State(grid, hog, cfg, P, grid.project_zero_mean(u0))
+    st = st0 if st0 is not None else _State(grid, table, cfg, P, grid.project_zero_mean(u0))
     u = st.u
     iterations = stalled = 0
     prev_grad_norm = math.inf
@@ -568,7 +555,7 @@ def _newton_stage(
         floor = 1e-14 * (1.0 + abs(st.J))
         while alpha >= 1e-12:
             u_try = grid.project_zero_mean(u + alpha * step)
-            st_try = _State(grid, hog, cfg, P, u_try)
+            st_try = _State(grid, table, cfg, P, u_try)
             if st_try.J <= st.J + 1e-4 * alpha * slope + floor:
                 accepted = (u_try, st_try)
                 break
@@ -625,16 +612,14 @@ def minimize(
     check_nyquist(ham, grid)
     P = config.momentum(ham.d)
     plane = _solve_grid(ham, grid)
-    hog = _HamOnGrid(ham, plane)
+    table = HamiltonianTable(ham, plane.coords())
     ks, u, start = [config.k], plane.zeros(), None
     if warm_start is not None:
         warm = _as_array(grid, warm_start)
         if plane is not grid:
             warm = warm.mean(axis=-1, keepdims=True)
-        start = _State(plane, hog, config, P, plane.project_zero_mean(warm))
-        f0 = hog.V  # f at u = 0, with the bits _State gives it
-        for P_i, eta_i in zip(P, hog.eta):
-            f0 = f0 + 0.5 * (P_i + eta_i) ** 2
+        start = _State(plane, table, config, P, plane.project_zero_mean(warm))
+        f0 = table.H(table.H_p(P))  # f at u = 0, with the bits _State gives it
         if start.J > _softmax(plane, config.k, np.broadcast_to(f0, plane.shape))[0]:
             start = None
     if start is None:
@@ -644,7 +629,7 @@ def minimize(
             rung *= 2.0
     total_iterations = 0
     for k in ks:
-        u, st, grad_norm, iters, converged = _newton_stage(plane, hog, replace(config, k=k), P, u, start)
+        u, st, grad_norm, iters, converged = _newton_stage(plane, table, replace(config, k=k), P, u, start)
         start = None  # evaluated at config.k: it can only start the first stage
         total_iterations += iters
     n_rep = grid.n_t // plane.n_t

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -30,6 +30,7 @@ __all__ = [
     "MechanicalHamiltonian",
     "ChiParams",
     "HamiltonianValue",
+    "HamiltonianTable",
     "evaluate",
     "lagrangian",
     "drift_diffusion",
@@ -195,41 +196,69 @@ class HamiltonianValue(NamedTuple):
     H_t: float
 
 
-def _eta_values(ham: MechanicalHamiltonian, t) -> np.ndarray:
-    return np.array([spec.evaluate(t) for spec in ham.eta], dtype=float)
+class HamiltonianTable:
+    """lam*eta, lam*eta', lam*V, lam*grad V and lam*V_t at broadcastable coordinates, and the family's formulas on them.
 
+    ``coords`` are d + 1 arrays, x_1..x_d then t: a grid's open mesh
+    (``TorusGrid.coords()``) or the components of one point.  Momenta and
+    velocities are lists of d components that broadcast against them.  The
+    solver, the certificates, ``evaluate``, ``lagrangian``,
+    ``drift_diffusion`` and ``chi_bound`` all read H, L and the drift here.
+    """
 
-def _eta_prime_values(ham: MechanicalHamiltonian, t) -> np.ndarray:
-    return np.array([spec.partial(0).evaluate(t) for spec in ham.eta], dtype=float)
+    def __init__(self, ham: MechanicalHamiltonian, coords: Sequence[np.ndarray]):
+        t, lam = coords[-1], ham.lam
+        self.d = ham.d
+        self.eta = [lam * spec.evaluate(t) for spec in ham.eta]
+        self.eta_prime = [lam * spec.partial(0).evaluate(t) for spec in ham.eta]
+        self.V = lam * ham.V.evaluate(*coords)
+        self.gradV = [lam * ham.V.partial(a).evaluate(*coords) for a in range(ham.d)]
+        self.V_t = lam * ham.V.partial(ham.d).evaluate(*coords)
+
+    def H_p(self, p) -> list:
+        """w = H_p(z, p) = p + lam*eta, per axis."""
+        return [p_i + eta_i for p_i, eta_i in zip(p, self.eta)]
+
+    def H(self, w):
+        """H = lam*V + |w|^2/2 at w = H_p, summed from lam*V in axis order."""
+        out = self.V
+        for w_i in w:
+            out = out + 0.5 * w_i**2
+        return out
+
+    def H_t(self, w):
+        """H_t = lam*V_t + w . lam*eta' at w = H_p."""
+        out = self.V_t
+        for w_i, e_i in zip(w, self.eta_prime):
+            out = out + w_i * e_i
+        return out
+
+    def drift(self, w, start=0.0):
+        """start + b, b = H_t + H_x . H_p the drift at w = H_p, added term by term."""
+        out = start + self.H_t(w)
+        for g_i, w_i in zip(self.gradV, w):
+            out = out + g_i * w_i
+        return out
+
+    def L(self, v):
+        """L = |v|^2/2 - lam*eta.v - lam*V, the Legendre transform of H in p; L + H = p.v at v = H_p."""
+        out = -self.V
+        for v_i, e_i in zip(v, self.eta):
+            out = out + 0.5 * v_i**2 - e_i * v_i
+        return out
 
 
 def evaluate(ham: MechanicalHamiltonian, z, p) -> HamiltonianValue:
     """Pointwise H and its momentum/space/time derivatives at (z, p)."""
-    z = np.asarray(z, dtype=float).reshape(ham.d + 1)
-    p = np.asarray(p, dtype=float).reshape(ham.d)
-    x, t = z[: ham.d], z[ham.d]
-    lam = ham.lam
-    w = p + lam * _eta_values(ham, t)
-    V = float(ham.V.evaluate(*x, t))
-    H = 0.5 * float(w @ w) + lam * V
-    H_x = lam * np.array([float(ham.V.partial(a).evaluate(*x, t)) for a in range(ham.d)])
-    V_t = float(ham.V.partial(ham.d).evaluate(*x, t))
-    H_t = float(w @ (lam * _eta_prime_values(ham, t))) + lam * V_t
-    return HamiltonianValue(H=H, H_p=w, H_pp=np.eye(ham.d), H_x=H_x, H_t=H_t)
+    table = HamiltonianTable(ham, np.asarray(z, dtype=float).reshape(ham.d + 1))
+    w = np.array(table.H_p(np.asarray(p, dtype=float).reshape(ham.d)))
+    return HamiltonianValue(float(table.H(w)), w, np.eye(ham.d), np.array(table.gradV), float(table.H_t(w)))
 
 
 def lagrangian(ham: MechanicalHamiltonian, z, v) -> float:
-    """Legendre transform of H in p, in closed form for the mechanical family.
-
-    L(z,v) = |v|^2/2 - lam*eta(t).v - lam*V(x,t); Fenchel equality
-    L + H = p.v holds exactly at v = H_p(z,p).
-    """
-    z = np.asarray(z, dtype=float).reshape(ham.d + 1)
-    v = np.asarray(v, dtype=float).reshape(ham.d)
-    x, t = z[: ham.d], z[ham.d]
-    lam = ham.lam
-    eta = _eta_values(ham, t)
-    return 0.5 * float(v @ v) - lam * float(eta @ v) - lam * float(ham.V.evaluate(*x, t))
+    """Legendre transform of H in p, in closed form for the mechanical family (``HamiltonianTable.L``)."""
+    table = HamiltonianTable(ham, np.asarray(z, dtype=float).reshape(ham.d + 1))
+    return float(table.L(np.asarray(v, dtype=float).reshape(ham.d)))
 
 
 def drift_diffusion(ham: MechanicalHamiltonian, k: float, z, q):
@@ -241,21 +270,18 @@ def drift_diffusion(ham: MechanicalHamiltonian, k: float, z, q):
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    q = np.asarray(q, dtype=float).reshape(ham.d + 1)
-    p = q[: ham.d]
-    val = evaluate(ham, z, p)
     d = ham.d
+    table = HamiltonianTable(ham, np.asarray(z, dtype=float).reshape(ham.d + 1))
+    w = np.array(table.H_p(np.asarray(q, dtype=float).reshape(d + 1)[:d]))
     a = np.zeros((d + 1, d + 1))
-    a[:d, :d] = val.H_pp / k + np.outer(val.H_p, val.H_p)
-    a[:d, d] = val.H_p
-    a[d, :d] = val.H_p
+    a[:d, :d] = np.eye(d) / k + np.outer(w, w)
+    a[:d, d] = a[d, :d] = w
     a[d, d] = 1.0
     sigma = np.zeros((d + 1, d + 1))
     sigma[:d, :d] = np.sqrt(1.0 / k) * np.eye(d)  # (H_pp/k)^(1/2) for identity H_pp
-    sigma[:d, d] = val.H_p
+    sigma[:d, d] = w
     sigma[d, d] = 1.0
-    b = val.H_t + float(val.H_x @ val.H_p)
-    return a, sigma, b
+    return a, sigma, float(table.drift(w))
 
 
 # Node budget of the refinement on which chi_bound takes its maxima, and the
@@ -288,25 +314,20 @@ def chi_bound(ham: MechanicalHamiltonian, grid: TorusGrid, rng_seed: int = 0) ->
     """
     fine = _refinement(grid)
     coords = fine.coords()
-    t = coords[-1]
     d = ham.d
+    unit = HamiltonianTable(replace(ham, lam=1.0), coords)
 
-    eta = [np.broadcast_to(spec.evaluate(t), fine.shape) for spec in ham.eta]
-    eta_p = [np.broadcast_to(spec.partial(0).evaluate(t), fine.shape) for spec in ham.eta]
-    gradV = [np.broadcast_to(ham.V.partial(a).evaluate(*coords), fine.shape) for a in range(d)]
-    V_t = np.broadcast_to(ham.V.partial(d).evaluate(*coords), fine.shape)
-
-    abs_eta = np.sqrt(sum(e**2 for e in eta))
-    abs_eta_p = np.sqrt(sum(e**2 for e in eta_p))
-    abs_gradV = np.sqrt(sum(g**2 for g in gradV))
+    abs_eta = np.sqrt(sum(e**2 for e in unit.eta))
+    abs_eta_p = np.sqrt(sum(e**2 for e in unit.eta_prime))
+    abs_gradV = np.sqrt(sum(g**2 for g in unit.gradV))
 
     c = float(np.max(abs_eta_p + abs_gradV))
-    max_eta = float(np.max(abs_eta)) if d else 0.0
-    d0 = c * max_eta + float(np.max(np.abs(V_t)))
+    max_eta = float(np.max(abs_eta))
+    d0 = c * max_eta + float(np.max(np.abs(unit.V_t)))
     params = ChiParams(c=c, d0=d0)
 
     # spot-check at the instance's own lam
-    lam = ham.lam
+    own = unit if ham.lam == 1.0 else HamiltonianTable(ham, coords)
     q_max = 10.0 * (1.0 + max_eta)
     rng = np.random.default_rng(rng_seed)
     dirs = rng.normal(size=(_CHI_SAMPLES, d + 1))
@@ -315,10 +336,7 @@ def chi_bound(ham: MechanicalHamiltonian, grid: TorusGrid, rng_seed: int = 0) ->
     tol = 1e-9 * (1.0 + c + d0)
     for q_vec, r in zip(dirs, radii):
         q = r * q_vec
-        p = q[:d]
-        b = lam * V_t
-        for i in range(d):
-            b = b + (p[i] + lam * eta[i]) * (lam * eta_p[i] + lam * gradV[i])
+        b = own.drift(own.H_p(q[:d]))
         excess = np.abs(b) - (params(r) + tol)
         if np.any(excess > 0):
             idx = np.unravel_index(int(np.argmax(excess)), fine.shape)

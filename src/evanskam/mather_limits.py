@@ -84,11 +84,7 @@ def _mather_diagnostics(grid: TorusGrid, config: SolverConfig, result: SolveResu
     m = result.m.values
     k = config.k
 
-    # L(z, H_p) with velocity H_p = w: |w|^2/2 - lam*eta.w - lam*V
-    L = -np.broadcast_to(st.hog.V, grid.shape).astype(float)
-    for i in range(d):
-        L = L + 0.5 * st.w[i] ** 2 - st.hog.eta[i] * st.w[i]
-    action = grid.integrate(m * L)
+    action = grid.integrate(m * st.table.L(st.w))  # L(z, v) at the velocity v = H_p
     entropy = k * grid.integrate(m * (st.f - result.hbar))
     rotation = np.array([grid.integrate(m * st.w[i]) for i in range(d)])
     gap = abs(action + entropy / k + result.hbar - float(P @ rotation))
@@ -157,7 +153,7 @@ def aronsson_residual(ham: MechanicalHamiltonian, grid: TorusGrid, config: Solve
 
 def _aronsson_residual(grid: TorusGrid, config: SolverConfig, st) -> float:
     """``aronsson_residual`` on the evaluated state ``st``."""
-    hog, u = st.hog, st.u
+    u = st.u
     d = grid.d
     ut = st.ut
     res = grid.deriv2(u, d)  # u_tt
@@ -170,12 +166,7 @@ def _aronsson_residual(grid: TorusGrid, config: SolverConfig, st) -> float:
             else:
                 dij = grid.deriv(grid.deriv(u, i, config.method), j, config.method)
             res = res + dij * st.w[i] * st.w[j]
-    H_t = np.broadcast_to(hog.V_t, grid.shape).astype(float)
-    for i in range(d):
-        H_t = H_t + st.w[i] * hog.eta_prime[i]
-    res = res + H_t
-    for i in range(d):
-        res = res + hog.gradV[i] * st.w[i]
+    res = st.table.drift(st.w, res)  # + H_t + H_x . H_p
     return float(np.max(np.abs(res)))
 
 

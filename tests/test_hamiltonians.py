@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import mixed_hamiltonian, pendulum_hamiltonian, t1_hamiltonian, trivial_hamiltonian
+from conftest import mixed_hamiltonian, pendulum_hamiltonian, t1_hamiltonian, tc2_hamiltonian, trivial_hamiltonian
+from evanskam.evans_solver import SolverConfig, evaluate_state
 from evanskam.hamiltonians import (
     FourierSpec,
     MechanicalHamiltonian,
@@ -74,19 +75,22 @@ class TestEvaluate:
         assert val.H_x[0] == pytest.approx(-2 * np.pi)
 
     def test_derivatives_match_finite_differences(self, rng):
-        ham = mixed_hamiltonian()
         h = 1e-6
-        for _ in range(100):
-            z = rng.uniform(0, 1, size=2)
-            p = rng.uniform(-2, 2, size=1)
-            val = evaluate(ham, z, p)
-            scale = 1.0 + abs(val.H)
-            fd_p = (evaluate(ham, z, p + h).H - evaluate(ham, z, p - h).H) / (2 * h)
-            fd_x = (evaluate(ham, z + [h, 0], p).H - evaluate(ham, z - [h, 0], p).H) / (2 * h)
-            fd_t = (evaluate(ham, z + [0, h], p).H - evaluate(ham, z - [0, h], p).H) / (2 * h)
-            assert abs(val.H_p[0] - fd_p) / scale <= 1e-7
-            assert abs(val.H_x[0] - fd_x) / scale <= 1e-7
-            assert abs(val.H_t - fd_t) / scale <= 1e-7
+        for ham in (mixed_hamiltonian(), tc2_hamiltonian()):
+            d = ham.d
+            for _ in range(100):
+                z = rng.uniform(0, 1, size=d + 1)
+                p = rng.uniform(-2, 2, size=d)
+                val = evaluate(ham, z, p)
+                scale = 1.0 + abs(val.H)
+                for a, step in enumerate(h * np.eye(d)):
+                    fd_p = (evaluate(ham, z, p + step).H - evaluate(ham, z, p - step).H) / (2 * h)
+                    assert abs(val.H_p[a] - fd_p) / scale <= 1e-7
+                # x (and y for d = 2), then t
+                for a, step in enumerate(h * np.eye(d + 1)):
+                    fd_z = (evaluate(ham, z + step, p).H - evaluate(ham, z - step, p).H) / (2 * h)
+                    exact = val.H_t if a == d else val.H_x[a]
+                    assert abs(exact - fd_z) / scale <= 1e-7
 
     def test_lambda_scaling(self):
         ham = replace(pendulum_hamiltonian(), lam=0.5)
@@ -101,6 +105,43 @@ class TestEvaluate:
         assert val.H == pytest.approx(0.5 + 1.0)
         assert np.allclose(val.H_p, [1.0, 0.0])
         assert np.allclose(val.H_pp, np.eye(2))
+
+
+class TestPointwiseMatchesGrid:
+    """The pointwise API gives, node by node, what the solver and the certificates read from the grid."""
+
+    @pytest.mark.parametrize(
+        "ham, grid, P",
+        [
+            # the Hamiltonian of the check battery
+            (mixed_hamiltonian(), TorusGrid(1, 16, 16), (0.3,)),
+            (tc2_hamiltonian(), TorusGrid(2, 8, 8), (0.5, 0.2)),
+        ],
+        ids=["battery-16x16", "tc2-8x8x8"],
+    )
+    def test_evaluate_lagrangian_and_drift_match_the_state(self, ham, grid, P, rng):
+        u = grid.project_zero_mean(0.1 * rng.normal(size=grid.shape))
+        st = evaluate_state(ham, grid, SolverConfig(k=4.0, P=P), u)
+        d = ham.d
+        coords = [np.broadcast_to(c, grid.shape) for c in grid.coords()]
+        fields = {
+            "H_p": np.stack(st.w),
+            "H": st.f - st.ut,
+            "L": st.table.L(st.w),
+            "drift": st.table.drift(st.w),
+        }
+        pointwise = {name: np.zeros_like(f) for name, f in fields.items()}
+        for idx in np.ndindex(grid.shape):
+            z = [c[idx] for c in coords]
+            p = [P[i] + st.du[i][idx] for i in range(d)]
+            val = evaluate(ham, z, p)
+            pointwise["H_p"][(slice(None), *idx)] = val.H_p
+            pointwise["H"][idx] = val.H
+            pointwise["L"][idx] = lagrangian(ham, z, val.H_p)
+            pointwise["drift"][idx] = drift_diffusion(ham, 4.0, z, [*p, st.ut[idx]])[2]
+        for name, field in fields.items():
+            err = np.max(np.abs(pointwise[name] - field))
+            assert err <= 1e-13 * np.max(np.abs(field)), name
 
 
 class TestLagrangian:

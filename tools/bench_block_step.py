@@ -12,11 +12,10 @@ and reports, as medians over its own repeats:
   of one damped block step, ``_dense_block(...)`` built and applied to the
   negative gradient (the case is null for a tree whose ``_dense_block``
   forms no block there); its split into ``assemble_s`` (``_assemble``),
-  ``cholesky_s``, ``lu_solve_s`` (``np.linalg.solve``), ``inv_s``
-  (``np.linalg.inv``) and ``other_s`` (the rest: coefficients,
-  equilibration, matrix products); and ``newton_step_s``, one whole step of
-  ``_newton_stage`` (gradient, inner solve, line search) from the same
-  state;
+  ``lu_solve_s`` (``np.linalg.solve``) and ``other_s`` (the rest:
+  coefficients, equilibration, matrix products); and ``newton_step_s``,
+  one whole step of ``_newton_stage`` (gradient, inner solve, line search)
+  from the same state;
 - for the criterion-6 sweep (41 entries, pendulum 64x8, k = 16,
   ``grad_tol`` 1e-11): its wall time, its Newton steps, and the time per
   Newton step.
@@ -110,9 +109,7 @@ def block_case(name: str) -> dict | None:
         return None
     phases = {
         "assemble_s": (evans_solver, "_assemble"),
-        "cholesky_s": (np.linalg, "cholesky"),
         "lu_solve_s": (np.linalg, "solve"),
-        "inv_s": (np.linalg, "inv"),
     }
     totals, splits = [], []
     for _ in range(repeats):
@@ -125,11 +122,12 @@ def block_case(name: str) -> dict | None:
     for phase in phases:
         out[phase] = statistics.median(s[phase] for s in splits)
     out["other_s"] = statistics.median(t - sum(s.values()) for t, s in zip(totals, splits))
-    hog, one_step = evans_solver._HamOnGrid(ham, grid), replace(cfg, max_newton=1)
+    # the state's tabulated Hamiltonian: ``table`` here, ``hog`` in trees before HamiltonianTable
+    table, one_step = getattr(st, "table", None) or st.hog, replace(cfg, max_newton=1)
     steps = []
     for _ in range(repeats):
         start = perf_counter()
-        evans_solver._newton_stage(grid, hog, one_step, cfg.momentum(1), u)
+        evans_solver._newton_stage(grid, table, one_step, cfg.momentum(1), u)
         steps.append(perf_counter() - start)
     out["newton_step_s"] = statistics.median(steps)
     return out
