@@ -30,7 +30,8 @@ from .torus_grid import TorusGrid
 __all__ = ["CheckResult", "run_battery", "INJECTION_POINTS"]
 
 INJECTION_POINTS = (
-    "spectral-adjointness", "hamiltonian-derivatives", "diffusion-factorization", "gradient-finite-difference"
+    "spectral-adjointness", "hamiltonian-derivatives", "diffusion-factorization", "gradient-finite-difference",
+    "state-legendre-identity",
 )
 # Largest frequency per axis of the terms of ``_random_field``.
 _MAX_FREQ = 3
@@ -230,7 +231,22 @@ def run_battery(seed: int = 0, inject_error: str | None = None) -> list[CheckRes
     rel = abs(bvv - quad_direct) / (1.0 + abs(quad_direct))
     check("operator-positivity", bvv >= -1e-12 and rel <= 1e-9, f"B(v,v)={bvv:.3e}, assembly defect {rel:.2e}")
 
-    # 18. solve + effective-constant bounds
+    # 18. the solver's f against the Legendre form u_t + p.w - L(w), p = P + grad u, w = H_p(p),
+    # at random iterates; its own generator leaves every other check's draws as they were
+    state_rng = np.random.default_rng((seed, 18))
+    state_cfg = SolverConfig(k=4.0, P=(0.37,))
+    table = HamiltonianTable(ham, grid.coords())
+    worst = 0.0
+    for _ in range(4):
+        u_s = _random_field(grid, state_rng)
+        f_s = es.evaluate_state(ham, grid, state_cfg, u_s).f
+        p_s = [state_cfg.momentum(1)[0] + grid.deriv(u_s, 0)]
+        w_s = table.H_p(p_s)
+        legendre = grid.deriv(u_s, 1) + p_s[0] * w_s[0] - injected("state-legendre-identity") * table.L(w_s)
+        worst = max(worst, float(np.max(np.abs(f_s - legendre)) / np.max(np.abs(legendre))))
+    check("state-legendre-identity", worst <= 1e-13, f"max relative |f - (u_t + p.w - L)| {worst:.2e}")
+
+    # 19. solve + effective-constant bounds
     res = minimize(ham, grid, cfg)
     lo_b, hi_b = hbar_bounds(ham, grid)
     check(
@@ -239,7 +255,7 @@ def run_battery(seed: int = 0, inject_error: str | None = None) -> list[CheckRes
         f"hbar={res.hbar:.6f} in [{lo_b:.3f}, {hi_b:.3f}], converged={res.converged}",
     )
 
-    # 19. mean-field-game certificates of the solve
+    # 20. mean-field-game certificates of the solve
     rep = mfg_residuals(ham, grid, cfg, res)
     ok = (
         rep.hjb_residual <= 1e-10
@@ -250,11 +266,11 @@ def run_battery(seed: int = 0, inject_error: str | None = None) -> list[CheckRes
     )
     check("mfg-certificates", ok, f"hjb={rep.hjb_residual:.2e}, transport={rep.transport_residual:.2e}, mass defect={abs(rep.mass_m-1):.2e}")
 
-    # 20. min-max upper bound dominates the soft average
+    # 21. min-max upper bound dominates the soft average
     ub = minmax_upper_bound(ham, grid, res.u)
     check("minmax-dominates-hbar", ub >= res.hbar - 1e-9, f"upper={ub:.6f} vs hbar={res.hbar:.6f}")
 
-    # 21. Lipschitz certificate covers the computed minimizer
+    # 22. Lipschitz certificate covers the computed minimizer
     cert = lipschitz_bound(chi)
     check(
         "lipschitz-certificate",
@@ -262,7 +278,7 @@ def run_battery(seed: int = 0, inject_error: str | None = None) -> list[CheckRes
         f"lip_norm={res.lip_norm:.4f} vs K={cert.K:.4f}",
     )
 
-    # 22. convexity margin of a quadratic table
+    # 23. convexity margin of a quadratic table
     repc = convexity_check(0.5 * np.arange(-1.0, 1.0001, 0.25) ** 2)
     check(
         "convexity-check-quadratic",

@@ -8,11 +8,11 @@ over zero-mean fields u.  The log transform keeps every k <= 1e6 finite
 (max subtraction inside) and makes the optimal value the effective constant
 hbar directly; its softmax weights are the density m with unit mass.
 
-Because the spectral derivative is exactly skew-adjoint in the node-mean
-inner product, the discrete gradient of J is literally the discrete
-transport residual -(m_t + div(m H_p)); driving the gradient norm below
-grad_tol therefore certifies the discrete mean-field-game system at that
-tolerance.
+Every derivative, the dense block's included, is the grid's circulant
+matrix per axis (``torus_grid.derivative_matrix``), exactly skew, so the
+discrete gradient of J is literally the discrete transport residual
+-(m_t + div(m H_p)); driving the gradient norm below grad_tol therefore
+certifies the discrete mean-field-game system at that tolerance.
 
 Newton steps use the positive-semidefinite linearized critical-point
 operator (the Gauss-Newton choice: the softmax covariance rank-one term is
@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .hamiltonians import ChiParams, HamiltonianTable, MechanicalHamiltonian, _is_finite_number, check_nyquist
-from .torus_grid import ScalarField, TorusGrid
+from .torus_grid import ScalarField, TorusGrid, derivative_matrix
 
 __all__ = [
     "SolverConfig",
@@ -58,8 +58,8 @@ _CG_MAX = 500
 # At the rounding floor every step redraws a gradient of about 1e-11, the
 # size of the criterion-6 grad_tol, so a short limit stops steep sweep
 # entries by rounding luck.  Over the nine shifted criterion-6 grids (369
-# secant-started entries, direct block steps), 3 leaves 11 entries
-# unconverged, 4 leaves 3, 5 leaves one (P = 1.86) and 6 none.
+# secant-started entries, direct block steps), every limit from 3 to 6
+# leaves none unconverged; with FFT derivatives 3 left 11, 5 left one.
 _STALL_LIMIT = 6
 _TINY = np.finfo(float).tiny
 # The Lipschitz certificate's inner radius a = K * _A_RATIO, and the slack
@@ -235,12 +235,10 @@ def _softmax(grid: TorusGrid, k: float, f: np.ndarray) -> tuple[float, np.ndarra
 
 
 def _gradient_arrays(grid: TorusGrid, cfg: SolverConfig, st: _State) -> np.ndarray:
-    d = len(st.w)
-    method = cfg.method
-    timed = grid.n_t > 1  # on one time plane every time derivative is exactly zero
-    g = grid.deriv(st.m, d, method) if timed else 0.0
-    for i in range(d):
-        g = g + grid.deriv(st.m * st.w[i], i, method)
+    g = grid.deriv(st.m, grid.d, cfg.method) if grid.n_t > 1 else None  # no time derivative on one time plane
+    for i in range(grid.d):
+        term = grid.deriv(st.m * st.w[i], i, cfg.method)
+        g = term if g is None else g + term
     return -g
 
 
@@ -285,27 +283,15 @@ def _operator_apply(grid: TorusGrid, method: str, coef: list[list[np.ndarray]], 
 _BLOCK_MAX_NODES = 512
 
 
-def _derivative_matrix(n: int, method: str) -> np.ndarray:
-    line = TorusGrid(1, n, 1)
-    unit = np.eye(n)
-    return np.stack([line.deriv(unit[:, j : j + 1], 0, method)[:, 0] for j in range(n)], axis=1)
-
-
 @lru_cache(maxsize=4)
-def _derivative_columns(shape: tuple[int, ...], method: str) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The 1-d derivative matrix of ``method`` per axis of ``shape``, and each D_b as a column stack.
-
-    ``cols[b][..., j]`` is D_b applied to the j-th unit field, shaped
-    shape + (N,) with N = prod(shape); it comes from the 1-d matrices through
-    the Kronecker structure.
-    """
-    Ds = [_derivative_matrix(n, method) for n in shape]
+def _derivative_columns(shape: tuple[int, ...], method: str) -> list[np.ndarray]:
+    """Each D_b of ``method`` over the axes of ``shape`` as a column stack: ``cols[b][..., j]`` = D_b e_j."""
     N = math.prod(shape)
     unit = np.eye(N).reshape(shape + (N,))
-    cols = [_along(D, unit, b) for b, D in enumerate(Ds)]
-    for arr in (*Ds, *cols):
+    cols = [_along(derivative_matrix(n, method), unit, b) for b, n in enumerate(shape)]
+    for arr in cols:
         arr.flags.writeable = False  # shared by every caller through the cache
-    return Ds, cols
+    return cols
 
 
 def _along(D: np.ndarray, X: np.ndarray, axis: int) -> np.ndarray:
@@ -319,19 +305,23 @@ def _assemble(shape: tuple[int, ...], method: str, coef: list[list[np.ndarray]],
 
     Each term costs O(N^2 * n_a) through the column stacks, not O(N^3).
     """
-    Ds, cols = _derivative_columns(shape, method)
+    cols = _derivative_columns(shape, method)
     N = math.prod(shape)
-    A = mu * np.eye(N)
-    for a, Da in enumerate(Ds):
-        flux = 0.0
-        for b, c in enumerate(coef[a]):
-            flux = flux + c[..., None] * cols[b]
-        A += _along(Da.T, flux, a).reshape(N, N)
+    for a, n in enumerate(shape):
+        flux = coef[a][0][..., None] * cols[0]
+        for b in range(1, len(coef[a])):
+            flux += coef[a][b][..., None] * cols[b]
+        term = _along(derivative_matrix(n, method).T, flux, a).reshape(N, N)
+        if a:
+            A += term
+        else:  # mu joins the first term, in the order of mu*I + term_0 + term_1 + ...
+            A = term
+            np.einsum("ii->i", A)[:] += mu
     return A
 
 
 def _block_solve(A: np.ndarray):
-    """Solve map of a damped Newton block A = mu + (symmetric positive semidefinite).
+    """Solve map of a damped Newton block A = mu + (symmetric positive semidefinite), overwriting A.
 
     Constants are an eigenvector of A with eigenvalue mu and never part of a
     residual, so they are lifted to the mean diagonal (the solve on
@@ -340,14 +330,15 @@ def _block_solve(A: np.ndarray):
     returned map is one LU solve with B, which is not symmetric to rounding;
     it raises ``LinAlgError`` where B is exactly singular.
     """
-    N = A.shape[0]
-    A += np.mean(np.diag(A)) / N
-    s = 1.0 / np.sqrt(np.diag(A))
-    B = s[:, None] * A * s[None, :]
-    B.flat[:: N + 1] += 1e-14
+    diag = np.einsum("ii->i", A)  # a writable view of A's diagonal
+    A += diag.sum() / diag.size / diag.size  # the mean diagonal over N, with np.mean's bits
+    s = 1.0 / np.sqrt(diag)
+    A *= s[:, None]
+    A *= s
+    diag += 1e-14
 
     def solve(r: np.ndarray) -> np.ndarray:
-        return (s * np.linalg.solve(B, s * r.ravel())).reshape(r.shape)
+        return (s * np.linalg.solve(A, s * r.ravel())).reshape(r.shape)
 
     return solve
 
@@ -577,6 +568,15 @@ def _newton_stage(
         iterations += 1
 
 
+@lru_cache(maxsize=8)
+def _plane_table(ham: MechanicalHamiltonian, plane: TorusGrid) -> HamiltonianTable:
+    """``ham`` tabulated on the solve grid ``plane``, read-only: every solve of a P sweep shares it."""
+    table = HamiltonianTable(ham, plane.coords())
+    for arr in (*table.eta, *table.eta_prime, table.V, *table.gradV, table.V_t):
+        arr.flags.writeable = False
+    return table
+
+
 def _solve_grid(ham: MechanicalHamiltonian, grid: TorusGrid) -> TorusGrid:
     """The grid the Newton loop runs on: one time plane for autonomous Hamiltonians.
 
@@ -612,24 +612,24 @@ def minimize(
     check_nyquist(ham, grid)
     P = config.momentum(ham.d)
     plane = _solve_grid(ham, grid)
-    table = HamiltonianTable(ham, plane.coords())
-    ks, u, start = [config.k], plane.zeros(), None
+    table = _plane_table(ham, plane)
+    stages, u, start = [config], plane.zeros(), None
     if warm_start is not None:
         warm = _as_array(grid, warm_start)
         if plane is not grid:
             warm = warm.mean(axis=-1, keepdims=True)
         start = _State(plane, table, config, P, plane.project_zero_mean(warm))
-        f0 = table.H(table.H_p(P))  # f at u = 0, with the bits _State gives it
-        if start.J > _softmax(plane, config.k, np.broadcast_to(f0, plane.shape))[0]:
+        # f at u = 0 has the bits _State gives it, and table.V gives it the plane's shape
+        if start.J > _softmax(plane, config.k, table.H(table.H_p(P)))[0]:
             start = None
     if start is None:
         rung = 4.0
         while rung < config.k:
-            ks.insert(-1, rung)
+            stages.insert(-1, replace(config, k=rung))
             rung *= 2.0
     total_iterations = 0
-    for k in ks:
-        u, st, grad_norm, iters, converged = _newton_stage(plane, table, replace(config, k=k), P, u, start)
+    for cfg in stages:
+        u, st, grad_norm, iters, converged = _newton_stage(plane, table, cfg, P, u, start)
         start = None  # evaluated at config.k: it can only start the first stage
         total_iterations += iters
     n_rep = grid.n_t // plane.n_t

@@ -7,25 +7,28 @@ that ordering is also the on-disk serialization order.
 
 The default derivative is the discrete Fourier one (exact for trigonometric
 polynomials below the Nyquist frequency); a fourth-order centered stencil is
-available as a robustness fallback.  Both derivative operators are exactly
-skew-adjoint in the node-mean inner product and annihilate constants, which
-downstream code relies on: the discrete gradient of the exponential objective
-is then literally the discrete transport residual.
+available as a robustness fallback.  Each is one cached circulant matrix per
+axis length (``derivative_matrix``), exactly skew (D^T = -D to the bit), and
+``deriv`` maps constants to exact zeros, which downstream code relies on: the
+discrete gradient of the exponential objective is then literally the
+discrete transport residual.
 
 Solves call the kernels thousands of times on small grids, so node means are
-one sum and one division (the bits of ``np.mean``), and spectral multipliers
-are built once per (size, rank, axis) and kept read-only.
+one sum and one division (the bits of ``np.mean``), and a derivative is one
+BLAS matvec per grid line, whose bits do not depend on the number of lines.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "GridError",
+    "derivative_matrix",
     "TorusGrid",
     "ScalarField",
     "integrate",
@@ -36,13 +39,34 @@ __all__ = [
 
 _ORDERING = "row-major, time-last"
 
-# 2*pi*i*freq, Nyquist zeroed, shaped for one axis; keyed on (n, ndim, axis).
-# Built per call it costs a third of the FFT pair on a 64-point axis.
-_SPECTRAL_MULTIPLIERS: dict[tuple[int, int, int], np.ndarray] = {}
-
 
 class GridError(ValueError):
     """Invalid grid construction or a field/grid mismatch."""
+
+
+@lru_cache(maxsize=None)
+def derivative_matrix(n: int, method: str) -> np.ndarray:
+    """The circulant first-derivative matrix on n periodic nodes, cached and read-only.
+
+    ``spectral``: D_ij = pi*(-1)^(i-j)*cot(pi*(i-j)/n), Nyquist mode dropped
+    (Trefethen, Spectral Methods in MATLAB, ch. 3); ``central4``: the
+    five-point stencil.  Offsets k and n - k take opposite weights from one
+    evaluation, so D^T = -D to the bit.
+    """
+    col = np.zeros(n)  # the weight at offset i - j; the Nyquist offset n/2 keeps 0
+    k = np.arange(1, (n + 1) // 2)
+    if method == "spectral":
+        col[k] = np.pi * (-1.0) ** k / np.tan(np.pi * k / n)
+    elif method == "central4":
+        if n < 5:
+            raise GridError("central4 differentiation needs at least 5 points per axis")
+        col[1:3] = -8.0 * n / 12.0, n / 12.0
+    else:
+        raise GridError(f"unknown differentiation method {method!r}")
+    col[n - k] = -col[k]
+    D = np.stack([np.roll(col, j) for j in range(n)], axis=1)  # D_ij = col[(i - j) mod n]
+    D.flags.writeable = False  # shared by every later call
+    return D
 
 
 @dataclass(frozen=True)
@@ -135,34 +159,10 @@ class TorusGrid:
         n = arr.shape[axis]
         if n == 1:
             return np.zeros_like(arr)
-        if method == "spectral":
-            return self._deriv_spectral(arr, axis, n)
-        if method == "central4":
-            return self._deriv_central4(arr, axis, n)
-        raise GridError(f"unknown differentiation method {method!r}")
-
-    def _deriv_spectral(self, arr: np.ndarray, axis: int, n: int) -> np.ndarray:
-        key = (n, arr.ndim, axis)
-        mult = _SPECTRAL_MULTIPLIERS.get(key)
-        if mult is None:
-            mult = 2j * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
-            mult[-1] = 0.0  # Nyquist must be zeroed to keep the operator real and skew-adjoint
-            shp = [1] * arr.ndim
-            shp[axis] = mult.size
-            mult = mult.reshape(shp)
-            mult.flags.writeable = False  # shared by every later call
-            _SPECTRAL_MULTIPLIERS[key] = mult
-        return np.fft.irfft(np.fft.rfft(arr, axis=axis) * mult, n=n, axis=axis)
-
-    def _deriv_central4(self, arr: np.ndarray, axis: int, n: int) -> np.ndarray:
-        if n < 5:
-            raise GridError("central4 differentiation needs at least 5 points per axis")
-        h = 1.0 / n
-
-        def sh(off: int) -> np.ndarray:
-            return np.roll(arr, -off, axis=axis)
-
-        return (8.0 * (sh(1) - sh(-1)) - (sh(2) - sh(-2))) / (12.0 * h)
+        # one matvec per line (one GEMM rounds differently); the shift by its first value zeroes constant lines
+        x, out = arr.swapaxes(axis, -1), np.empty(arr.shape)
+        np.matmul(derivative_matrix(n, method), (x - x[..., :1])[..., None], out=out.swapaxes(axis, -1)[..., None])
+        return out
 
     def deriv2(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Spectral second derivative in a single transform (Nyquist kept)."""

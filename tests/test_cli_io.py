@@ -470,6 +470,7 @@ class TestCheckCommand:
             "operator-symmetry",
             "operator-null-constants",
             "operator-positivity",
+            "state-legendre-identity",
             "hbar-jensen-bounds",
             "mfg-certificates",
             "minmax-dominates-hbar",

@@ -137,13 +137,41 @@ class TestPartialDerivative:
 
 
 def uncached_spectral(arr: np.ndarray, axis: int) -> np.ndarray:
-    """The spectral derivative with its multiplier built afresh."""
+    """The spectral derivative by its definition: FFT, times 2*pi*i*freq with the Nyquist bin zeroed, inverse FFT."""
     n = arr.shape[axis]
     mult = 2j * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
     mult[-1] = 0.0
     shp = [1] * arr.ndim
     shp[axis] = mult.size
     return np.fft.irfft(np.fft.rfft(arr, axis=axis) * mult.reshape(shp), n=n, axis=axis)
+
+
+def roll_central4(arr: np.ndarray, axis: int) -> np.ndarray:
+    """The five-point stencil by shifted copies of the field."""
+    n = arr.shape[axis]
+
+    def sh(off: int) -> np.ndarray:
+        return np.roll(arr, -off, axis=axis)
+
+    return (8.0 * (sh(1) - sh(-1)) - (sh(2) - sh(-2))) * (n / 12.0)
+
+
+def fresh_spectral_matrix(n: int) -> np.ndarray:
+    """pi*(-1)^(i-j)*cot(pi*(i-j)/n) built afresh, offsets above n/2 negated from their mirrors."""
+    col = np.zeros(n)
+    k = np.arange(1, (n + 1) // 2)
+    col[k] = np.pi * (-1.0) ** k / np.tan(np.pi * k / n)
+    col[n - k] = -col[k]
+    idx = np.arange(n)
+    return col[(idx[:, None] - idx[None, :]) % n]
+
+
+def lines_grid(n: int, L: int) -> TorusGrid:
+    """A d = 1 grid object of shape (n, L) for any L: its checks are bypassed, since odd L is no valid n_t."""
+    g = object.__new__(TorusGrid)
+    for name, value in (("d", 1), ("n_x", n), ("n_t", L)):
+        object.__setattr__(g, name, value)
+    return g
 
 
 class TestKernelBits:
@@ -167,18 +195,67 @@ class TestKernelBits:
 
     @pytest.mark.parametrize("shape", [(1, 64, 8), (2, 16, 4)])
     def test_spectral_deriv_matches_the_uncached_formula(self, shape, rng):
+        # a freshly built matrix applied to each line, shifted by its first value
         g = TorusGrid(*shape)
         u = self.wide_field(rng, g.shape)
         for axis in range(g.n_axes):
-            for _ in range(2):  # the second call reads the cached multiplier
-                assert_bitwise(g.deriv(u, axis), uncached_spectral(u, axis))
+            D = fresh_spectral_matrix(g.shape[axis])
+            expected = np.apply_along_axis(lambda line: D @ (line - line[0]), axis, u)
+            for _ in range(2):  # the second call reads the cached matrix
+                assert_bitwise(g.deriv(u, axis), expected)
 
     def test_cached_multiplier_is_read_only(self):
         g = TorusGrid(1, 16, 4)
         g.deriv(g.zeros(), 0)
-        mult = torus_grid._SPECTRAL_MULTIPLIERS[(16, 2, 0)]
+        D = torus_grid.derivative_matrix(16, "spectral")
+        assert torus_grid.derivative_matrix(16, "spectral") is D
         with pytest.raises(ValueError):
-            mult[1, 0] = 0.0
+            D[1, 0] = 0.0
+
+    def test_deriv_agrees_with_the_fft_definition(self, rng):
+        for n in range(2, 257, 2):
+            for g in (TorusGrid(1, n, n), TorusGrid(2, n, 2), TorusGrid(2, 2, n)):
+                u = self.wide_field(rng, g.shape)
+                for axis in range(g.n_axes):
+                    ref = uncached_spectral(u, axis)
+                    err = np.max(np.abs(g.deriv(u, axis) - ref))
+                    assert err <= 1e-14 * np.max(np.abs(ref)), (g, axis, err)
+
+    @pytest.mark.parametrize("shape", [(1, 6, 8), (1, 64, 16), (2, 16, 6)])
+    def test_central4_agrees_with_the_roll_formula(self, shape, rng):
+        g = TorusGrid(*shape)
+        u = self.wide_field(rng, g.shape)
+        for axis in range(g.n_axes):
+            ref = roll_central4(u, axis)
+            assert np.max(np.abs(g.deriv(u, axis, "central4") - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("method", ["spectral", "central4"])
+    @pytest.mark.parametrize("n", [6, 8, 16, 64, 128, 256])
+    def test_derivative_matrix_is_exactly_odd(self, method, n):
+        D = torus_grid.derivative_matrix(n, method)
+        assert np.array_equal(D.T, -D)  # exact float equality; zeros only differ in sign
+
+    @pytest.mark.parametrize("method", ["spectral", "central4"])
+    @pytest.mark.parametrize("shape", [(1, 8, 8), (1, 64, 1), (2, 6, 6), (2, 16, 8)])
+    def test_constants_along_the_axis_map_to_exact_zeros(self, method, shape, rng):
+        # constant along the differentiated axis, varying along the others
+        g = TorusGrid(*shape)
+        for axis in range(g.n_axes):
+            u = np.repeat(self.wide_field(rng, g.shape).take([0], axis=axis), g.shape[axis], axis=axis)
+            assert np.all(g.deriv(u, axis, method) == 0.0)
+
+    @pytest.mark.parametrize("L", [1, 3, 8, 17])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_each_line_has_the_bits_of_its_own_call(self, L, axis, rng):
+        # what lets a certificate on the caller's grid reproduce a one-plane solve to the bit
+        n = 64
+        shape = (n, L) if axis == 0 else (L, n)
+        u = self.wide_field(rng, shape)
+        whole = lines_grid(*shape).deriv(u, axis)
+        for j in range(L):
+            line = u.take([j], axis=1 - axis)
+            alone = lines_grid(*line.shape).deriv(line, axis)
+            assert_bitwise(whole.take([j], axis=1 - axis), alone)
 
 
 class TestIntegrate:

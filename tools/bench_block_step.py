@@ -1,4 +1,4 @@
-"""Time the dense-block Newton step and the criterion-6 sweep of one or more source trees.
+"""Time the derivative kernel, the matrix-free apply, the dense-block step and the criterion-6 sweep of source trees.
 
     python tools/bench_block_step.py NAME=TREE [NAME=TREE ...] [--rounds N] > BENCH_block_step.json
 
@@ -18,7 +18,11 @@ and reports, as medians over its own repeats:
   from the same state;
 - for the criterion-6 sweep (41 entries, pendulum 64x8, k = 16,
   ``grad_tol`` 1e-11): its wall time, its Newton steps, and the time per
-  Newton step.
+  Newton step;
+- for each grid of ``DERIV_SHAPES``: ``axis<a>_s``, one ``TorusGrid.deriv``
+  call along each axis longer than one node;
+- for each case of ``APPLY_CASES``: ``apply_s``, one ``_operator_apply``
+  of the Newton coefficients at a smooth iterate to a random field.
 
 The report gives, per tree and per number, the median over the rounds and
 the range.  Timings depend on the machine and its load; compare trees only
@@ -45,6 +49,24 @@ BLOCK_CASES = {
     "spacetime-512": ("tc1", (1, 32, 16), 8.0, 0.0, 1e-6, 20),
 }
 SWEEP_REPEATS = 3
+# name: TorusGrid arguments (d, n_x, n_t)
+DERIV_SHAPES = {
+    "64x1": (1, 64, 1),
+    "128x1": (1, 128, 1),
+    "256x1": (1, 256, 1),
+    "16x16x8": (2, 16, 8),
+    "12x12x12": (2, 12, 12),
+    "64x64": (1, 64, 64),
+    "32x32x16": (2, 32, 16),
+    "128x128": (1, 128, 128),
+}
+# name: (Hamiltonian, TorusGrid arguments (d, n_x, n_t), k, P)
+APPLY_CASES = {
+    "tc1-64x16": ("tc1", (1, 64, 16), 4.0, (0.0,)),
+    "tc1-256x16": ("tc1", (1, 256, 16), 4.0, (0.0,)),
+    "tc2-12x12x12": ("tc2", (2, 12, 12), 4.0, (0.5, 0.2)),
+    "drift-64x64": ("drift", (1, 64, 64), 8.0, (0.3,)),
+}
 
 
 def hamiltonians() -> dict:
@@ -57,6 +79,14 @@ def hamiltonians() -> dict:
         "tc1": MechanicalHamiltonian(
             d=1, eta=(FourierSpec.build(1, [((1,), 0.5, 0.0)]),), V=FourierSpec.build(2, [pendulum, ((1, 1), 0.0, 0.3)])
         ),
+        # V = cos(2 pi x) + cos(2 pi y)/2 + 0.3 sin(2 pi (x + t)), eta = (cos(2 pi t)/2, 0)
+        "tc2": MechanicalHamiltonian(
+            d=2,
+            eta=(FourierSpec.build(1, [((1,), 0.5, 0.0)]), FourierSpec.zero(1)),
+            V=FourierSpec.build(3, [((1, 0, 0), 1.0, 0.0), ((0, 1, 0), 0.5, 0.0), ((1, 0, 1), 0.0, 0.3)]),
+        ),
+        # eta = cos(2 pi t), V = 0: drift only
+        "drift": MechanicalHamiltonian(d=1, eta=(FourierSpec.build(1, [((1,), 1.0, 0.0)]),), V=FourierSpec.zero(2)),
     }
 
 
@@ -164,8 +194,57 @@ def criterion6_sweep() -> dict:
     return {"wall_s": wall, "newton_steps": sum(steps), "s_per_newton_step": wall / sum(steps)}
 
 
+def per_call_s(call, repeats: int = 7, target_s: float = 0.02) -> float:
+    """Median over ``repeats`` of the mean time of one call, in loops of about ``target_s``."""
+    from time import perf_counter
+
+    start = perf_counter()
+    call()
+    number = max(1, int(target_s / max(perf_counter() - start, 1e-7)))
+    times = []
+    for _ in range(repeats):
+        start = perf_counter()
+        for _ in range(number):
+            call()
+        times.append((perf_counter() - start) / number)
+    return statistics.median(times)
+
+
+def deriv_case(shape: tuple[int, int, int]) -> dict:
+    import numpy as np
+
+    from evanskam import TorusGrid
+
+    grid = TorusGrid(*shape)
+    u = np.random.default_rng(0).normal(size=grid.shape)
+    return {
+        f"axis{a}_s": per_call_s(lambda a=a: grid.deriv(u, a)) for a in range(grid.n_axes) if grid.shape[a] > 1
+    }
+
+
+def apply_case(name: str) -> dict:
+    import numpy as np
+
+    from evanskam import SolverConfig, TorusGrid, evans_solver
+
+    ham_name, shape, k, P = APPLY_CASES[name]
+    grid, cfg = TorusGrid(*shape), SolverConfig(k=k, P=P)
+    x, t = grid.coords()[0], grid.coords()[-1]
+    u = grid.project_zero_mean(0.05 * np.sin(2 * np.pi * (x + t)) * np.ones(grid.shape))
+    st = evans_solver.evaluate_state(hamiltonians()[ham_name], grid, cfg, u)
+    coef = evans_solver._newton_coefficients(grid, k, st.m, st.w)
+    v = np.random.default_rng(0).normal(size=grid.shape)
+    apply_s = per_call_s(lambda: evans_solver._operator_apply(grid, "spectral", coef, v))
+    return {"nodes": grid.n_nodes, "apply_s": apply_s}
+
+
 def child() -> dict:
-    return {"blocks": {name: block_case(name) for name in BLOCK_CASES}, "criterion6_sweep": criterion6_sweep()}
+    return {
+        "blocks": {name: block_case(name) for name in BLOCK_CASES},
+        "criterion6_sweep": criterion6_sweep(),
+        "deriv": {name: deriv_case(shape) for name, shape in DERIV_SHAPES.items()},
+        "operator_apply": {name: apply_case(name) for name in APPLY_CASES},
+    }
 
 
 def summarize(runs: list[dict]) -> dict:
