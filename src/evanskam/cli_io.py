@@ -17,10 +17,10 @@ import numpy as np
 from .battery import INJECTION_POINTS, run_battery
 from .effective import _as_points, _convexity_grid, legendre_transform, sweep_P, write_effective_csv, write_legendre_csv
 from .evans_solver import SolverConfig, minimize
-from .hamiltonians import NyquistError, _json_integer, check_nyquist, hamiltonian_from_json
+from .hamiltonians import NyquistError, _is_finite_number, _json_integer, check_nyquist, hamiltonian_from_json
 from .mather_limits import classical_reference, k_sweep, write_ksweep_csv
 from .mfg_diagnostics import mfg_residuals
-from .torus_grid import GridError, TorusGrid, write_field
+from .torus_grid import GridError, TorusGrid, derivative_matrix, write_field
 
 __all__ = ["ConfigError", "RunConfig", "main", "cmd_solve", "cmd_sweep", "cmd_limit", "cmd_check", "cmd_oracle"]
 
@@ -35,17 +35,11 @@ class ConfigError(ValueError):
 
 
 def _numeric(value, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{what} must be numeric: {exc}") from exc
-    return _finite(arr, what)
-
-
-def _finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{what} must be finite, got {arr.tolist()!r}")
-    return arr
+    """A JSON number, or nested lists of them, as a float array; strings and booleans are not numbers."""
+    bad = [v for v in np.asarray(value, dtype=object).ravel() if not _is_finite_number(v)]
+    if bad:
+        raise ConfigError(f"{what} must hold finite numbers only, got {bad[0]!r}")
+    return np.asarray(value, dtype=float)
 
 
 class RunConfig:
@@ -88,6 +82,8 @@ class RunConfig:
                 solver_block["P"] = tuple(np.atleast_1d(solver_block["P"]))
             self.solver = SolverConfig(**solver_block)
             self.solver.momentum(self.ham.d)
+            for n in {self.grid.n_x, self.grid.n_t} - {1}:  # the certificates differentiate every axis
+                derivative_matrix(n, self.solver.method)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid solver block: {exc}") from exc
 
@@ -139,11 +135,11 @@ def _load_config(args) -> RunConfig:
 
 
 def _points(values, d: int, what: str) -> np.ndarray:
+    pts = _numeric(values, what)
     try:
-        pts = _as_points(values, d)
-    except (ValueError, TypeError) as exc:
+        return _as_points(pts, d)
+    except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
-    return _finite(pts, what)
 
 
 def _write_json(path: Path, obj) -> None:

@@ -12,7 +12,10 @@ Every derivative, the dense block's included, is the grid's circulant
 matrix per axis (``torus_grid.derivative_matrix``), exactly skew, so the
 discrete gradient of J is literally the discrete transport residual
 -(m_t + div(m H_p)); driving the gradient norm below grad_tol therefore
-certifies the discrete mean-field-game system at that tolerance.
+certifies the discrete mean-field-game system at that tolerance.  The
+transport derivative T = D_t + H_p . grad and its adjoint form are written
+once, on the evaluated state (``_State.transport`` and
+``_State.flux_divergence``), for the gradient and every certificate.
 
 Newton steps use the positive-semidefinite linearized critical-point
 operator (the Gauss-Newton choice: the softmax covariance rank-one term is
@@ -196,14 +199,17 @@ def _is_autonomous(ham: MechanicalHamiltonian) -> bool:
 class _State:
     """Everything derived from one iterate u: derivatives, momenta, J, m.
 
-    ``table`` is the grid's HamiltonianTable that the state was evaluated against.
+    ``table`` is the grid's HamiltonianTable that the state was evaluated
+    against; ``transport`` and ``flux_divergence`` differentiate on its
+    ``grid`` with its ``method``.
     """
 
-    __slots__ = ("table", "u", "du", "ut", "w", "f", "J", "m")
+    __slots__ = ("grid", "method", "table", "u", "du", "ut", "w", "f", "J", "m")
 
     def __init__(self, grid: TorusGrid, table: HamiltonianTable, cfg: SolverConfig, P: np.ndarray, u: np.ndarray):
         d = table.d
         method = cfg.method
+        self.grid, self.method = grid, method
         self.table = table
         self.u = u
         timed = grid.n_t > 1  # on one time plane u_t is exactly zero
@@ -215,6 +221,28 @@ class _State:
             f = f + 0.5 * wi**2  # grad u has the grid's shape, so f has it too
         self.f = f
         self.J, self.m = _softmax(grid, cfg.k, f)
+
+    def transport(self, x: np.ndarray) -> np.ndarray:
+        """T x = x_t + sum_i w_i * D_i x, the derivative along the momenta w = H_p (no x_t on one time plane)."""
+        grid, method = self.grid, self.method
+        out = grid.deriv(x, grid.d, method) if grid.n_t > 1 else None
+        for i, wi in enumerate(self.w):
+            term = grid.deriv(x, i, method) * wi
+            out = term if out is None else out + term
+        return out
+
+    def flux_divergence(self, y: np.ndarray) -> np.ndarray:
+        """y_t + div(y w) = -T^T y, the transport derivative's adjoint form (no y_t on one time plane).
+
+        At y = m it is the transport residual of the mean-field-game system,
+        and minus the gradient of J.
+        """
+        grid, method = self.grid, self.method
+        out = grid.deriv(y, grid.d, method) if grid.n_t > 1 else None
+        for i, wi in enumerate(self.w):
+            term = grid.deriv(y * wi, i, method)
+            out = term if out is None else out + term
+        return out
 
     def grad_sq(self) -> np.ndarray:
         """|Du|^2 over the space-time axes."""
@@ -232,14 +260,6 @@ def _softmax(grid: TorusGrid, k: float, f: np.ndarray) -> tuple[float, np.ndarra
     weights = np.maximum(np.exp(k * (f - fmax)), _TINY)
     Z = grid.integrate(weights)
     return fmax + math.log(Z) / k, weights / Z
-
-
-def _gradient_arrays(grid: TorusGrid, cfg: SolverConfig, st: _State) -> np.ndarray:
-    g = grid.deriv(st.m, grid.d, cfg.method) if grid.n_t > 1 else None  # no time derivative on one time plane
-    for i in range(grid.d):
-        term = grid.deriv(st.m * st.w[i], i, cfg.method)
-        g = term if g is None else g + term
-    return -g
 
 
 def _newton_coefficients(grid: TorusGrid, k: float, m, w: list) -> list[list]:
@@ -455,7 +475,7 @@ def gradient(ham: MechanicalHamiltonian, grid: TorusGrid, config: SolverConfig, 
     along v up to rounding, by skew-adjointness of the discrete derivative.
     """
     st = evaluate_state(ham, grid, config, u)
-    return ScalarField(grid, _gradient_arrays(grid, config, st))
+    return ScalarField(grid, -st.flux_divergence(st.m))
 
 
 def linearized_el_apply(
@@ -512,7 +532,7 @@ def _newton_stage(
     iterations = stalled = 0
     prev_grad_norm = math.inf
     while True:
-        g = _gradient_arrays(grid, cfg, st)
+        g = -st.flux_divergence(st.m)
         grad_norm = grid.norm(g)
         if grad_norm <= cfg.grad_tol or iterations == cfg.max_newton or stalled >= _STALL_LIMIT:
             return u, st, grad_norm, iterations, grad_norm <= cfg.grad_tol

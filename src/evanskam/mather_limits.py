@@ -5,10 +5,11 @@ marginal m, so every integral against it reduces to an integral against m;
 the measure itself is never materialized.  Diagnostics check the action and
 entropy identities and the holonomy constraint; the k-sweep records the
 trends that the sharp limit prescribes (entropy over k vanishing, the
-second-order residual of the formal limit equation shrinking, uniformly
-bounded gradients), and a classical one-dimensional cell-problem oracle
-provides the reference value of the limiting effective constant for
-autonomous potentials.
+residual of the formal limit equation shrinking, uniformly bounded
+gradients), and a classical one-dimensional cell-problem oracle provides the
+reference value of the limiting effective constant for autonomous
+potentials.  The holonomy test and the limit equation apply the solver
+state's transport derivative T = D_t + H_p . grad, the latter twice.
 """
 
 from __future__ import annotations
@@ -132,40 +133,26 @@ def holonomy_residual(
     """
     st = evaluate_state(ham, grid, config, result.u)
     m = result.m.values
-    worst = 0.0
-    for phi in holonomy_test_fields(grid):
-        val = grid.deriv(phi, ham.d, config.method)
-        for i in range(ham.d):
-            val = val + grid.deriv(phi, i, config.method) * st.w[i]
-        worst = max(worst, abs(grid.integrate(m * val)))
-    return worst
+    return max(abs(grid.integrate(m * st.transport(phi))) for phi in holonomy_test_fields(grid))
 
 
 def aronsson_residual(ham: MechanicalHamiltonian, grid: TorusGrid, config: SolverConfig, u) -> float:
     """Sup norm of the formal sharp-limit equation applied to a minimizer.
 
-    The residual  u_tt + 2 H_p . grad u_t + D^2u(H_p, H_p) + H_t + H_x . H_p
-    equals -(1/k) * (laplacian of u, for the mechanical family) at exact
-    critical points, so it shrinks along sharpness sweeps.
+    The residual  T(T u) + H_t + H_x . H_p, with the transport derivative
+    T = D_t + H_p . grad and H_p frozen, expands to
+    u_tt + 2 H_p . grad u_t + D^2u(H_p, H_p) + H_t + H_x . H_p.  It equals
+    -(1/k) * (laplacian of u, for the mechanical family) at exact critical
+    points, so it shrinks along sharpness sweeps.  Every second derivative
+    is a product of first-derivative matrices, which drop the Nyquist mode
+    of u that the solve does not determine.
     """
-    return _aronsson_residual(grid, config, evaluate_state(ham, grid, config, u))
+    return _aronsson_residual(evaluate_state(ham, grid, config, u))
 
 
-def _aronsson_residual(grid: TorusGrid, config: SolverConfig, st) -> float:
-    """``aronsson_residual`` on the evaluated state ``st``."""
-    u = st.u
-    d = grid.d
-    ut = st.ut
-    res = grid.deriv2(u, d)  # u_tt
-    for i in range(d):
-        res = res + 2.0 * st.w[i] * grid.deriv(ut, i, config.method)
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                dij = grid.deriv2(u, i)
-            else:
-                dij = grid.deriv(grid.deriv(u, i, config.method), j, config.method)
-            res = res + dij * st.w[i] * st.w[j]
+def _aronsson_residual(st) -> float:
+    """``aronsson_residual`` on the evaluated state ``st``: sum_b v_b * T(D_b u) with v = (H_p, 1)."""
+    res = sum(vb * st.transport(du) for vb, du in zip([*st.w, 1.0], [*st.du, st.ut]))
     res = st.table.drift(st.w, res)  # + H_t + H_x . H_p
     return float(np.max(np.abs(res)))
 
@@ -232,7 +219,7 @@ def k_sweep(
                 entropy_over_k=diag.entropy_over_k,
                 sup_excess_pos=sup_pos,
                 lip_norm=res.lip_norm,
-                aronsson_residual=_aronsson_residual(grid, cfg, st),
+                aronsson_residual=_aronsson_residual(st),
                 converged=res.converged,
             )
         )

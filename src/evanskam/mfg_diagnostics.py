@@ -8,8 +8,8 @@ The minimizing pair (u, m) must satisfy, on the grid,
 
 The first line holds by construction of the softmax density, so its sup-norm
 residual is a regression tripwire for normalization bugs; the transport
-residual is the same array as the solver gradient and is reported in the
-mean-square norm the solver stopped in.
+residual is minus the solver gradient, from the same ``flux_divergence``,
+and is reported in the mean-square norm the solver stopped in.
 """
 
 from __future__ import annotations
@@ -52,12 +52,9 @@ def mfg_residuals(
     # smallest positive double (k <= 1e6 keeps this unreachable in practice)
     log_m = np.log(np.maximum(m, np.finfo(float).tiny))
     hjb = float(np.max(np.abs(st.f - log_m / config.k - result.hbar)))
-    transport = grid.deriv(m, ham.d, config.method)
-    for i in range(ham.d):
-        transport = transport + grid.deriv(m * st.w[i], i, config.method)
     return MfgResidualReport(
         hjb_residual=hjb,
-        transport_residual=grid.norm(transport),
+        transport_residual=grid.norm(st.flux_divergence(m)),
         mean_u=result.u.mean(),
         mass_m=result.m.mean(),
         sup_excess=float(np.max(st.f)) - result.hbar,

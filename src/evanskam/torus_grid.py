@@ -11,7 +11,8 @@ available as a robustness fallback.  Each is one cached circulant matrix per
 axis length (``derivative_matrix``), exactly skew (D^T = -D to the bit), and
 ``deriv`` maps constants to exact zeros, which downstream code relies on: the
 discrete gradient of the exponential objective is then literally the
-discrete transport residual.
+discrete transport residual.  A second derivative is two ``deriv`` calls,
+so it drops the Nyquist mode too.
 
 Solves call the kernels thousands of times on small grids, so node means are
 one sum and one division (the bits of ``np.mean``), and a derivative is one
@@ -163,19 +164,6 @@ class TorusGrid:
         x, out = arr.swapaxes(axis, -1), np.empty(arr.shape)
         np.matmul(derivative_matrix(n, method), (x - x[..., :1])[..., None], out=out.swapaxes(axis, -1)[..., None])
         return out
-
-    def deriv2(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """Spectral second derivative in a single transform (Nyquist kept)."""
-        self._check_axis(axis)
-        arr = self._check_values(values)
-        n = self.axis_size(axis)
-        if n == 1:
-            return np.zeros_like(arr)
-        spec = np.fft.rfft(arr, axis=axis)
-        mult = -((2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / n)) ** 2)
-        shp = [1] * arr.ndim
-        shp[axis] = mult.size
-        return np.fft.irfft(spec * mult.reshape(shp), n=n, axis=axis)
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,18 @@ class TestSolveCommand:
         assert "configuration error: invalid solver block:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # rejected before any solve
 
+    @pytest.mark.parametrize("via", ["flag", "field"])
+    def test_central4_on_a_short_axis_exit_2(self, tmp_path, capsys, via):
+        # the 4-node time axis is differentiated only by the certificates,
+        # after the solve; the check comes before any output exists
+        cfg = pendulum_config(tmp_path / "out", grid={"d": 1, "n_x": 16, "n_t": 4})
+        flag = ["--method", "central4"] if via == "flag" else []
+        if via == "field":
+            cfg["solver"]["method"] = "central4"
+        assert main(["solve", "--config", write_config(tmp_path, cfg), *flag]) == 2
+        assert "configuration error: invalid solver block: central4" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "path, value",
         [
@@ -548,6 +560,38 @@ class TestOracleCommand:
         captured = capsys.readouterr()
         assert "configuration error:" in captured.err
         assert captured.out == ""
+
+
+class TestNumericBlocks:
+    @pytest.mark.parametrize(
+        "command, field, value",
+        [
+            ("oracle", "P", "2.0"),
+            ("oracle", "P", True),
+            ("limit", "k_list", ["4", "8"]),
+            ("limit", "k_list", [True, 8]),
+            ("limit", "P", ["2.0"]),
+            ("limit", "P", True),
+            ("sweep", "P_grid", ["0.0", "0.5", "1.0"]),
+            ("sweep", "P_grid", [False, True, 0.5]),
+            ("sweep", "Q_grid", ["0.0"]),
+            ("sweep", "Q_grid", [True]),
+        ],
+        ids=[
+            "string-oracle-P", "bool-oracle-P", "string-k-list", "bool-k-list", "string-limit-P", "bool-limit-P",
+            "string-P-grid", "bool-P-grid", "string-Q-grid", "bool-Q-grid",
+        ],
+    )
+    def test_string_or_boolean_exit_2(self, tmp_path, capsys, command, field, value):
+        # numpy converts "2.0" and true to numbers; JSON strings and booleans are not
+        block = {"oracle": {}, "limit": {"k_list": [4, 8], "P": [0.0]}, "sweep": {"P_grid": [0.0, 0.5, 1.0]}}[command]
+        cfg = pendulum_config(tmp_path / "out", grid={"d": 1, "n_x": 16, "n_t": 4})
+        cfg[command] = {**block, field: value}
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert f"configuration error: {command}.{field} must hold finite numbers only" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
 
 class TestParser:

@@ -199,6 +199,23 @@ class TestGradient:
         assert np.max(np.abs(g.values)) <= 1e-10
 
 
+class TestTransport:
+    @pytest.mark.parametrize("method", ["spectral", "central4"])
+    @pytest.mark.parametrize("case", ["tc1-16x16", "tc2-8x8x8"])
+    def test_flux_divergence_is_minus_the_adjoint(self, rng, case, method):
+        # mean(y * T x) = -mean(x * (y_t + div(y w))), since every D is skew;
+        # relative to the Cauchy-Schwarz bound on mean(y * T x).  White-noise
+        # x and y overlap in every Fourier mode, so no term of T can hide.
+        ham, grid = {"tc1-16x16": (tc1_hamiltonian(), TorusGrid(1, 16, 16)),
+                     "tc2-8x8x8": (tc2_hamiltonian(), TorusGrid(2, 8, 8))}[case]
+        st = evaluate_state(ham, grid, SolverConfig(k=8.0, method=method), random_zero_mean(grid, rng))
+        for _ in range(3):
+            x, y = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
+            Tx = st.transport(x)
+            lhs, rhs = grid.inner(y, Tx), -grid.inner(x, st.flux_divergence(y))
+            assert abs(lhs - rhs) <= 1e-13 * grid.norm(y) * grid.norm(Tx)
+
+
 class TestLinearizedOperator:
     def test_constants_in_null_space(self, rng):
         grid = TorusGrid(1, 16, 16)

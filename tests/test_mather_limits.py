@@ -143,11 +143,26 @@ class TestAronsson:
             cfg = SolverConfig(k=k, P=(2.0,))
             res = minimize(ham, grid, cfg, warm_start=warm)
             warm = res.u
-            lap = grid.deriv2(res.u.values, 0) + grid.deriv2(res.u.values, 1)
+            u = res.u.values
+            lap = grid.deriv(grid.deriv(u, 0), 0) + grid.deriv(grid.deriv(u, 1), 1)
             vals[k] = (aronsson_residual(ham, grid, cfg, u=res.u.values), float(np.max(np.abs(lap))) / k)
         for k, (r, pred) in vals.items():
             assert r == pytest.approx(pred, rel=1e-5)
         assert vals[64.0][0] < vals[8.0][0]
+
+
+    @pytest.mark.parametrize("k", [4.0, 64.0])
+    def test_blind_to_the_nyquist_mode_of_u(self, k):
+        # the solve does not determine u's Nyquist mode, so the residual must
+        # not see it: a second derivative that kept it would scale it by
+        # (pi*n_x)^2
+        grid = TorusGrid(1, 128, 128)
+        ham, cfg = pendulum_hamiltonian(), SolverConfig(k=k, P=(2.0,))
+        res = minimize(ham, grid, cfg)
+        assert res.converged
+        nyquist = 1e-12 * (-1.0) ** np.arange(grid.n_x)[:, None]
+        base = aronsson_residual(ham, grid, cfg, u=res.u.values)
+        assert abs(aronsson_residual(ham, grid, cfg, u=res.u.values + nyquist) - base) <= 1e-10
 
 
 class TestKSweep:

@@ -134,7 +134,7 @@ def block_case(name: str) -> dict | None:
     cfg = SolverConfig(k=k, P=(P,))
     u = grid.project_zero_mean(0.3 * np.sin(2 * np.pi * (grid.coords()[0] + 0.25)) * np.ones(grid.shape))
     st = evans_solver.evaluate_state(ham, grid, cfg, u)
-    g = evans_solver._gradient_arrays(grid, cfg, st)
+    g = evans_solver.gradient(ham, grid, cfg, u).values
     if evans_solver._dense_block(grid, cfg, st, mu) is None:
         return None
     phases = {

@@ -21,7 +21,10 @@ temporary directory, and prints one JSON object:
   of them a one-plane grid above 256 nodes and one a space-time grid above
   the dense-block cap, which runs PCG, a ``max_newton`` cap): per
   solve, the sha256 of its record
-  (the fields above plus lip_norm) with its iterations and converged flag.
+  (the fields above plus lip_norm) with its iterations and converged flag,
+  and one sha256 per certificate of the solve, so that each shows on its
+  own: the ``mfg_residuals`` fields, ``holonomy_residual`` and
+  ``aronsson_residual``.
 
 Two trees produce identical output exactly when these results agree to the
 bit, so ``diff`` of two digests is the whole comparison.
@@ -82,23 +85,30 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def record_digest(results, fields: tuple[str, ...]) -> str:
-    """sha256 over the dtype, shape and bytes of the named fields of every result."""
+def value_digest(values) -> str:
+    """sha256 over the dtype, shape and bytes of every value (a field's values for a ScalarField)."""
     import numpy as np
 
     digest = hashlib.sha256()
-    for res in results:
-        for name in fields:
-            value = getattr(res, name)
-            arr = np.asarray(getattr(value, "values", value))
-            digest.update(f"{arr.dtype.str}{arr.shape}".encode())
-            digest.update(arr.tobytes())
+    for value in values:
+        arr = np.asarray(getattr(value, "values", value))
+        digest.update(f"{arr.dtype.str}{arr.shape}".encode())
+        digest.update(arr.tobytes())
     return digest.hexdigest()
 
 
+def record_digest(results, fields: tuple[str, ...]) -> str:
+    """sha256 over the dtype, shape and bytes of the named fields of every result."""
+    return value_digest(getattr(res, name) for res in results for name in fields)
+
+
 def library_solves() -> dict:
-    """Solve every case of ``LIBRARY_SOLVES`` with the importable evanskam."""
+    """Solve every case of ``LIBRARY_SOLVES`` with the importable evanskam, and certify each solve."""
+    from dataclasses import astuple
+
     from evanskam import FourierSpec, MechanicalHamiltonian, SolverConfig, TorusGrid, minimize
+    from evanskam.mather_limits import aronsson_residual, holonomy_residual
+    from evanskam.mfg_diagnostics import mfg_residuals
 
     zero_eta, pendulum = (FourierSpec.zero(1),), ((1, 0), 1.0, 0.0)
     hams = {
@@ -120,14 +130,21 @@ def library_solves() -> dict:
         ),
     }
     out = {}
-    for name, (ham, shape, options) in LIBRARY_SOLVES.items():
+    for name, (ham_name, shape, options) in LIBRARY_SOLVES.items():
+        ham, grid, config = hams[ham_name], TorusGrid(*shape), SolverConfig(**options)
         try:
-            res = minimize(hams[ham], TorusGrid(*shape), SolverConfig(**options))
+            res = minimize(ham, grid, config)
         except Exception:
             print(f"library solve {name!r} failed:", file=sys.stderr)
             raise
-        digest = record_digest([res], LIBRARY_FIELDS)
-        out[name] = {"sha256": digest, "iterations": res.iterations, "converged": res.converged}
+        out[name] = {
+            "sha256": record_digest([res], LIBRARY_FIELDS),
+            "iterations": res.iterations,
+            "converged": res.converged,
+            "mfg_residuals": value_digest(astuple(mfg_residuals(ham, grid, config, res))),
+            "holonomy_residual": value_digest([holonomy_residual(ham, grid, config, res)]),
+            "aronsson_residual": value_digest([aronsson_residual(ham, grid, config, res.u)]),
+        }
     return out
 
 
