@@ -20,7 +20,7 @@ from .evans_solver import SolverConfig, minimize
 from .hamiltonians import NyquistError, _is_finite_number, _json_integer, check_nyquist, hamiltonian_from_json
 from .mather_limits import classical_reference, k_sweep, write_ksweep_csv
 from .mfg_diagnostics import mfg_residuals
-from .torus_grid import GridError, TorusGrid, derivative_matrix, write_field
+from .torus_grid import GridError, TorusGrid, derivative_matrix, write_field, write_json
 
 __all__ = ["ConfigError", "RunConfig", "main", "cmd_solve", "cmd_sweep", "cmd_limit", "cmd_check", "cmd_oracle"]
 
@@ -142,10 +142,6 @@ def _points(values, d: int, what: str) -> np.ndarray:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
 def _field_ext(fmt: str) -> str:
     return "csv" if fmt == "csv" else "bin"
 
@@ -155,8 +151,8 @@ def cmd_solve(args) -> int:
     out = cfg.ensure_out_dir()
     result = minimize(cfg.ham, cfg.grid, cfg.solver)
     report = mfg_residuals(cfg.ham, cfg.grid, cfg.solver, result)
-    _write_json(out / "solve.json", result.metadata())
-    _write_json(out / "residuals.json", report.to_json_dict())
+    write_json(out / "solve.json", result.metadata())
+    write_json(out / "residuals.json", report.to_json_dict())
     ext = _field_ext(cfg.field_format)
     write_field(out / f"u.field.{ext}", result.u, cfg.field_format)
     write_field(out / f"m.field.{ext}", result.m, cfg.field_format)

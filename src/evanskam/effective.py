@@ -10,15 +10,13 @@ correctness over speed).
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .evans_solver import SolveResult, SolverConfig, minimize
 from .hamiltonians import MechanicalHamiltonian
-from .torus_grid import TorusGrid
+from .torus_grid import TorusGrid, write_table
 
 __all__ = [
     "NonconvexTableError",
@@ -262,26 +260,14 @@ def rotation_consistency(table: EffectiveTable) -> tuple[float, np.ndarray]:
 
 def write_effective_csv(table: EffectiveTable, path, sidecar: dict | None = None) -> None:
     d = table.d
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"P{i}" for i in range(d)] + ["hbar"] + [f"Q{i}" for i in range(d)] + ["converged"])
-        for i in range(len(table)):
-            writer.writerow(
-                [repr(float(v)) for v in table.P_grid[i]]
-                + [repr(float(table.hbar[i]))]
-                + [repr(float(v)) for v in table.Q[i]]
-                + [int(table.converged[i])]
-            )
-    if sidecar is not None:
-        with open(str(path) + ".json", "w") as fh:
-            json.dump({"k": table.k, **sidecar}, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    write_table(
+        path,
+        [f"P{i}" for i in range(d)] + ["hbar"] + [f"Q{i}" for i in range(d)] + ["converged"],
+        ([*table.P_grid[i], table.hbar[i], *table.Q[i], table.converged[i]] for i in range(len(table))),
+        None if sidecar is None else {"k": table.k, **sidecar},
+    )
 
 
 def write_legendre_csv(table: LegendreTable, path) -> None:
     d = table.Q_grid.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"Q{i}" for i in range(d)] + ["lbar"])
-        for i in range(table.Q_grid.shape[0]):
-            writer.writerow([repr(float(v)) for v in table.Q_grid[i]] + [repr(float(table.lbar[i]))])
+    write_table(path, [f"Q{i}" for i in range(d)] + ["lbar"], ([*q, lbar] for q, lbar in zip(table.Q_grid, table.lbar)))

@@ -25,7 +25,8 @@ one direct solve with it; larger grids solve it by conjugate gradients with
 a Fourier preconditioner, restricted to the zero-mean subspace.  J is
 convex at every k, so a cold start needs no homotopy in the Hamiltonian: it
 climbs a doubling ladder in k from u = 0, each stage warm-started from the
-last.
+last, and a solve warm-started from another solve climbs the same ladder
+from that solve's k.
 """
 
 from __future__ import annotations
@@ -441,6 +442,11 @@ def _pcg(apply_op, apply_minv, b: np.ndarray, grid: TorusGrid, rel_tol: float, m
 
 
 def _as_array(grid: TorusGrid, u) -> np.ndarray:
+    """The values of a field u on ``grid``, or of a solve's u whose u and m both live on ``grid``."""
+    if isinstance(u, SolveResult):
+        if u.u.grid != grid or u.m.grid != grid:
+            raise ValueError("result fields live on a different grid")
+        u = u.u
     arr = u.values if isinstance(u, ScalarField) else np.asarray(u, dtype=float)
     arr = grid._check_values(arr)
     if not np.all(np.isfinite(arr)):
@@ -451,9 +457,11 @@ def _as_array(grid: TorusGrid, u) -> np.ndarray:
 def evaluate_state(ham: MechanicalHamiltonian, grid: TorusGrid, config: SolverConfig, u) -> _State:
     """Evaluate the iterate u: derivatives, momenta H_p, f = u_t + H, J and m.
 
-    The Hamiltonian is tabulated on ``grid`` (``HamiltonianTable``);
-    certificates call this with their own Hamiltonian and config, so a
-    result paired with the wrong ones shows.
+    u is a field, or a ``SolveResult`` whose u and m must both live on
+    ``grid``.  The Hamiltonian is tabulated on ``grid``
+    (``HamiltonianTable``); certificates call this with the result and
+    their own Hamiltonian and config, so a result paired with the wrong
+    ones shows.
     """
     check_nyquist(ham, grid)
     arr = _as_array(grid, u)
@@ -614,16 +622,18 @@ def minimize(
     ham: MechanicalHamiltonian,
     grid: TorusGrid,
     config: SolverConfig,
-    warm_start: ScalarField | np.ndarray | None = None,
+    warm_start: SolveResult | ScalarField | np.ndarray | None = None,
 ) -> SolveResult:
     """Minimize J over zero-mean fields and return the full solve record.
 
-    The solve is one list of Newton stages, each started from the last.  A
-    cold start climbs the doubling ladder k = 4, 8, ... below ``config.k``
-    from u = 0 and ends at ``config.k``; at ``config.k`` <= 4 it has no
-    ladder.  A warm start is the one stage at ``config.k``, unless J there
-    exceeds J at u = 0: then the solve starts cold, because such a start (a
-    secant predictor that overshoots, say) can need more than
+    The solve is one list of Newton stages, each started from the last: the
+    doubling ladder k = 2*k0, 4*k0, ... below ``config.k``, then
+    ``config.k``.  A cold start climbs it from u = 0 with k0 = 2, so at
+    ``config.k`` <= 4 it has no ladder.  A ``SolveResult`` warm start climbs
+    it from that result's u with k0 = its k, and a field warm start is the
+    one stage at ``config.k``.  Where J at a warm start exceeds J at u = 0,
+    at the first stage's k, the solve starts cold instead, because such a
+    start (a secant predictor that overshoots, say) can need more than
     ``max_newton`` steps.  ``converged`` is the flag of the last stage, the
     only one at ``config.k``.  Autonomous solves run on one time plane
     (``_solve_grid``), a warm start from its time mean, and return u and m
@@ -634,23 +644,23 @@ def minimize(
     plane = _solve_grid(ham, grid)
     table = _plane_table(ham, plane)
     stages, u, start = [config], plane.zeros(), None
+    k0 = warm_start.k if isinstance(warm_start, SolveResult) else 2.0 if warm_start is None else config.k
+    rung = 2.0 * k0
+    while rung < config.k:
+        stages.insert(-1, replace(config, k=rung))
+        rung *= 2.0
     if warm_start is not None:
         warm = _as_array(grid, warm_start)
         if plane is not grid:
             warm = warm.mean(axis=-1, keepdims=True)
-        start = _State(plane, table, config, P, plane.project_zero_mean(warm))
+        start = _State(plane, table, stages[0], P, plane.project_zero_mean(warm))
         # f at u = 0 has the bits _State gives it, and table.V gives it the plane's shape
-        if start.J > _softmax(plane, config.k, table.H(table.H_p(P)))[0]:
-            start = None
-    if start is None:
-        rung = 4.0
-        while rung < config.k:
-            stages.insert(-1, replace(config, k=rung))
-            rung *= 2.0
+        if start.J > _softmax(plane, stages[0].k, table.H(table.H_p(P)))[0]:
+            return minimize(ham, grid, config)
     total_iterations = 0
     for cfg in stages:
         u, st, grad_norm, iters, converged = _newton_stage(plane, table, cfg, P, u, start)
-        start = None  # evaluated at config.k: it can only start the first stage
+        start = None  # evaluated at the first stage's k: it can only start that stage
         total_iterations += iters
     n_rep = grid.n_t // plane.n_t
 

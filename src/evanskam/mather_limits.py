@@ -14,16 +14,14 @@ state's transport derivative T = D_t + H_p . grad, the latter twice.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
 from .evans_solver import SolveResult, SolverConfig, evaluate_state, minimize
 from .hamiltonians import FourierSpec, MechanicalHamiltonian
-from .torus_grid import TorusGrid
+from .torus_grid import TorusGrid, write_table
 
 __all__ = [
     "MatherDiagnostics",
@@ -73,9 +71,7 @@ def mather_diagnostics(
     m log m, which is exact by the pointwise identity and immune to underflow
     where m is negligible.
     """
-    if result.u.grid != grid or result.m.grid != grid:
-        raise ValueError("result fields live on a different grid")
-    return _mather_diagnostics(grid, config, result, evaluate_state(ham, grid, config, result.u))
+    return _mather_diagnostics(grid, config, result, evaluate_state(ham, grid, config, result))
 
 
 def _mather_diagnostics(grid: TorusGrid, config: SolverConfig, result: SolveResult, st) -> MatherDiagnostics:
@@ -131,7 +127,7 @@ def holonomy_residual(
     Each term equals mean(gradient * phi_j) by skew-adjointness, so the
     residual is bounded by the test-field norms times the transport residual.
     """
-    st = evaluate_state(ham, grid, config, result.u)
+    st = evaluate_state(ham, grid, config, result)
     m = result.m.values
     return max(abs(grid.integrate(m * st.transport(phi))) for phi in holonomy_test_fields(grid))
 
@@ -183,10 +179,10 @@ def k_sweep(
 ) -> KSweepReport:
     """Warm-started sweep over increasing sharpness values.
 
-    Each k starts from the solve at the previous one.  Where k is more than
-    twice the previous k, warm solves at 2, 4, ... times the previous k
-    (below k) come between them and are not reported: one warm stage over a
-    wider jump in k can run out of Newton steps.
+    Each k starts from the solve at the previous one (``minimize`` with that
+    ``SolveResult``), which climbs the unreported doubling rungs 2, 4, ...
+    times the previous k below k first: one warm stage over a wider jump in
+    k can run out of Newton steps.
 
     Per k the report records hbar, entropy over k, the positive part of the
     sup excess computed as (1/k) log(max m), the gradient sup norm, and the
@@ -200,15 +196,10 @@ def k_sweep(
     base = config if config is not None else SolverConfig(k=ks[0])
     P_tuple = tuple(np.atleast_1d(np.asarray(P, dtype=float)))
     rows: list[KSweepRow] = []
-    warm = None
-    for i, k in enumerate(ks):
+    res = None
+    for k in ks:
         cfg = replace(base, k=k, P=P_tuple)
-        rung = 2.0 * ks[i - 1] if i else k
-        while rung < k:  # unreported warm solves on the doubling rungs below k
-            warm = minimize(ham, grid, replace(cfg, k=rung), warm_start=warm).u
-            rung *= 2.0
-        res = minimize(ham, grid, cfg, warm_start=warm)
-        warm = res.u
+        res = minimize(ham, grid, cfg, warm_start=res)
         st = evaluate_state(ham, grid, cfg, res.u)  # one evaluation serves both diagnostics
         diag = _mather_diagnostics(grid, cfg, res, st)
         sup_pos = max(0.0, math.log(float(np.max(res.m.values))) / k)
@@ -228,19 +219,12 @@ def k_sweep(
 
 
 def write_ksweep_csv(report: KSweepReport, path, sidecar: dict | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "hbar", "entropy_over_k", "sup_excess_pos", "lip_norm", "aronsson_residual", "converged"])
-        for r in report.rows:
-            writer.writerow(
-                [repr(float(r.k)), repr(float(r.hbar)), repr(float(r.entropy_over_k)),
-                 repr(float(r.sup_excess_pos)), repr(float(r.lip_norm)),
-                 repr(float(r.aronsson_residual)), int(r.converged)]
-            )
-    if sidecar is not None:
-        with open(str(path) + ".json", "w") as fh:
-            json.dump({"hbar_ref": report.hbar_ref, **sidecar}, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    write_table(
+        path,
+        ["k", "hbar", "entropy_over_k", "sup_excess_pos", "lip_norm", "aronsson_residual", "converged"],
+        (astuple(r) for r in report.rows),
+        None if sidecar is None else {"hbar_ref": report.hbar_ref, **sidecar},
+    )
 
 
 def classical_reference(ham: MechanicalHamiltonian, P: float) -> float | None:

@@ -44,9 +44,7 @@ def mfg_residuals(
     result: SolveResult,
 ) -> MfgResidualReport:
     """Residuals of the discrete mean-field-game system for a solve."""
-    if result.u.grid != grid or result.m.grid != grid:
-        raise ValueError("result fields live on a different grid")
-    st = evaluate_state(ham, grid, config, result.u)
+    st = evaluate_state(ham, grid, config, result)
     m = result.m.values
     # log of stored m; entries that underflowed to zero are clamped at the
     # smallest positive double (k <= 1e6 keeps this unreachable in practice)

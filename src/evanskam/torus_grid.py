@@ -21,6 +21,7 @@ BLAS matvec per grid line, whose bits do not depend on the number of lines.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,6 +37,8 @@ __all__ = [
     "project_zero_mean",
     "write_field",
     "read_field",
+    "write_table",
+    "write_json",
 ]
 
 _ORDERING = "row-major, time-last"
@@ -223,6 +226,25 @@ def write_field(path, f: ScalarField, fmt: str = "csv") -> None:
         with open(path, "wb") as fh:
             fh.write((header + "\n").encode("ascii"))
             fh.write(flat.astype("<f8").tobytes())
+
+
+def write_table(path, header: list[str], rows, sidecar: dict | None = None) -> None:
+    """A CSV table of numbers, each float as its repr and each flag as 0 or 1.
+
+    ``sidecar``, when given, goes to ``path`` + ".json" (``write_json``).
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([int(v) if isinstance(v, (bool, np.bool_)) else repr(float(v)) for v in row] for row in rows)
+    if sidecar is not None:
+        write_json(str(path) + ".json", sidecar)
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as JSON with sorted keys, two-space indents and a closing newline."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def read_field(path) -> ScalarField:

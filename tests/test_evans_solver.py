@@ -576,6 +576,36 @@ class TestKContinuation:
         minimize(ham, grid, cfg)
         assert ks[1:] == [4.0, 8.0, 16.0, 32.0]
 
+    def test_solve_result_start_climbs_from_its_k(self, monkeypatch):
+        ham, grid, cfg = tc1_hamiltonian(), TorusGrid(1, 16, 16), SolverConfig(k=128.0, P=(0.0,))
+        warm = minimize(ham, grid, replace(cfg, k=8.0))
+        ks = self.recorded_ks(monkeypatch)
+        assert minimize(ham, grid, cfg, warm_start=warm).converged
+        assert ks == [16.0, 32.0, 64.0, 128.0]
+
+    @pytest.mark.parametrize("k_warm", [32.0, 64.0], ids=["at-target", "above-target"])
+    def test_solve_result_start_at_or_above_target_takes_no_ladder(self, monkeypatch, k_warm):
+        ham, grid, cfg = pendulum_hamiltonian(), TorusGrid(1, 32, 8), SolverConfig(k=32.0, P=(1.0,))
+        warm = minimize(ham, grid, replace(cfg, k=k_warm))
+        ks = self.recorded_ks(monkeypatch)
+        assert minimize(ham, grid, cfg, warm_start=warm).converged
+        assert ks == [32.0]
+
+    @pytest.mark.parametrize(
+        "ham, grid", [(pendulum_hamiltonian, TorusGrid(1, 32, 8)), (tc1_hamiltonian, TorusGrid(1, 16, 16))],
+        ids=["pendulum", "tc1"],
+    )
+    def test_guard_sends_a_bad_start_up_the_cold_ladder(self, monkeypatch, ham, grid):
+        # the P = -1 minimizer raises J at P = 1 above J at u = 0 at the
+        # first rung's k = 16, so the solve starts cold instead
+        cfg = SolverConfig(k=128.0, P=(1.0,))
+        warm = minimize(ham(), grid, replace(cfg, k=8.0, P=(-1.0,)))
+        ks = self.recorded_ks(monkeypatch)
+        res = minimize(ham(), grid, cfg, warm_start=warm)
+        assert ks == [4.0, 8.0, 16.0, 32.0, 64.0, 128.0]
+        assert res.converged
+        assert_bitwise(res.u.values, minimize(ham(), grid, cfg).u.values)
+
     @pytest.mark.parametrize("k, max_total, max_entry", [(16.0, 640, 18), (64.0, 880, 28)], ids=["k16", "k64"])
     def test_cold_criterion_6_entries(self, k, max_total, max_entry):
         # every entry of the criterion-6 grid solved cold, at lam = 1 from

@@ -1,9 +1,10 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from conftest import (
+    assert_bitwise,
     mixed_hamiltonian,
     pendulum_hamiltonian,
     t1_hamiltonian,
@@ -13,6 +14,7 @@ from conftest import (
 from evanskam.evans_solver import SolverConfig, minimize, objective
 from evanskam.hamiltonians import FourierSpec
 from evanskam.mather_limits import (
+    KSweepRow,
     aronsson_residual,
     classical_reference,
     holonomy_residual,
@@ -209,6 +211,29 @@ class TestKSweep:
         cold = minimize(ham, grid, SolverConfig(k=128.0, P=(0.0,)))
         assert cold.converged
         assert abs(rep.rows[-1].hbar - cold.hbar) <= 1e-9
+
+    def test_rungs_match_the_public_chain(self):
+        # the reported rows equal those of public solves at every doubling
+        # rung, each warm-started from the last solve's u
+        ham, grid = tc1_hamiltonian(), TorusGrid(1, 16, 16)
+        rep = k_sweep(ham, grid, (0.0,), [8, 128])
+        chain = []
+        for k in (8.0, 16.0, 32.0, 64.0, 128.0):
+            warm = chain[-1].u if chain else None
+            chain.append(minimize(ham, grid, SolverConfig(k=k, P=(0.0,)), warm_start=warm))
+        for row, res in zip(rep.rows, (chain[0], chain[-1])):
+            cfg = SolverConfig(k=res.k, P=(0.0,))
+            expected = KSweepRow(
+                k=res.k,
+                hbar=res.hbar,
+                entropy_over_k=mather_diagnostics(ham, grid, cfg, res).entropy_over_k,
+                sup_excess_pos=max(0.0, np.log(np.max(res.m.values)) / res.k),
+                lip_norm=res.lip_norm,
+                aronsson_residual=aronsson_residual(ham, grid, cfg, res.u),
+                converged=res.converged,
+            )
+            for x, y in zip(astuple(row), astuple(expected)):
+                assert_bitwise(x, y)
 
     def test_increasing_k_required(self):
         grid = TorusGrid(1, 16, 16)

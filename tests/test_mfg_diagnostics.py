@@ -3,9 +3,9 @@ import pytest
 
 from conftest import pendulum_hamiltonian, t1_hamiltonian, trivial_hamiltonian
 from evanskam.evans_solver import SolverConfig, minimize
-from evanskam.mather_limits import mather_diagnostics
+from evanskam.mather_limits import holonomy_residual, mather_diagnostics
 from evanskam.mfg_diagnostics import mfg_residuals, minmax_upper_bound
-from evanskam.torus_grid import TorusGrid
+from evanskam.torus_grid import ScalarField, TorusGrid
 
 
 class TestMfgResiduals:
@@ -78,6 +78,15 @@ class TestMfgResiduals:
         res = minimize(trivial_hamiltonian(), grid, cfg)
         with pytest.raises(ValueError):
             mfg_residuals(trivial_hamiltonian(), other, cfg, res)
+
+    @pytest.mark.parametrize("certificate", [mfg_residuals, mather_diagnostics, holonomy_residual])
+    def test_result_fields_on_another_grid_rejected(self, certificate):
+        # m on one time plane: broadcasting against the 32x8 grid would hide it
+        ham, grid, cfg = pendulum_hamiltonian(), TorusGrid(1, 32, 8), SolverConfig(k=8.0, P=(1.0,))
+        res = minimize(ham, grid, cfg)
+        res.m = ScalarField(TorusGrid(1, 32, 1), res.m.values[:, :1])
+        with pytest.raises(ValueError, match="different grid"):
+            certificate(ham, grid, cfg, res)
 
     def test_json_and_csv_forms(self):
         grid = TorusGrid(1, 16, 16)

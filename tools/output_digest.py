@@ -24,7 +24,11 @@ temporary directory, and prints one JSON object:
   (the fields above plus lip_norm) with its iterations and converged flag,
   and one sha256 per certificate of the solve, so that each shows on its
   own: the ``mfg_residuals`` fields, ``holonomy_residual`` and
-  ``aronsson_residual``.
+  ``aronsson_residual``;
+- for the library k sweeps in ``LIBRARY_K_SWEEPS``, listed ks more than
+  twice apart, so the doubling rungs between them run unreported (one
+  time-coupled sweep, one autonomous sweep with odd ks): one sha256 per
+  reported row over every field of the row, and the reference value.
 
 Two trees produce identical output exactly when these results agree to the
 bit, so ``diff`` of two digests is the whole comparison.
@@ -78,6 +82,11 @@ LIBRARY_SOLVES = {
     # 1,728 space-time nodes: every Newton step runs PCG with the surrogate
     "pcg-tc2-12": ("tc2", (2, 12, 12), dict(k=4.0, P=(0.5, 0.2))),
 }
+# name: (Hamiltonian, TorusGrid arguments (d, n_x, n_t), P, k list)
+LIBRARY_K_SWEEPS = {
+    "ksweep-tc1": ("tc1", (1, 16, 16), (0.0,), [8, 128]),
+    "ksweep-pendulum-odd-k": ("pendulum", (1, 64, 16), (2.0,), [5, 40, 100]),
+}
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -102,16 +111,12 @@ def record_digest(results, fields: tuple[str, ...]) -> str:
     return value_digest(getattr(res, name) for res in results for name in fields)
 
 
-def library_solves() -> dict:
-    """Solve every case of ``LIBRARY_SOLVES`` with the importable evanskam, and certify each solve."""
-    from dataclasses import astuple
-
-    from evanskam import FourierSpec, MechanicalHamiltonian, SolverConfig, TorusGrid, minimize
-    from evanskam.mather_limits import aronsson_residual, holonomy_residual
-    from evanskam.mfg_diagnostics import mfg_residuals
+def library_hamiltonians() -> dict:
+    """The Hamiltonians of the library cases, built with the importable evanskam."""
+    from evanskam import FourierSpec, MechanicalHamiltonian
 
     zero_eta, pendulum = (FourierSpec.zero(1),), ((1, 0), 1.0, 0.0)
-    hams = {
+    return {
         "pendulum": MechanicalHamiltonian(d=1, eta=zero_eta, V=FourierSpec.build(2, [pendulum])),
         # eta = cos(2 pi t): hbar = P^2/2 + 1/4 in closed form
         "t1": MechanicalHamiltonian(d=1, eta=(FourierSpec.build(1, [((1,), 1.0, 0.0)]),), V=FourierSpec.zero(2)),
@@ -129,6 +134,17 @@ def library_solves() -> dict:
             d=2, eta=zero_eta * 2, V=FourierSpec.build(3, [((1, 0, 0), 1.0, 0.0), ((0, 1, 0), 0.5, 0.0)])
         ),
     }
+
+
+def library_solves() -> dict:
+    """Solve every case of ``LIBRARY_SOLVES`` with the importable evanskam, and certify each solve."""
+    from dataclasses import astuple
+
+    from evanskam import SolverConfig, TorusGrid, minimize
+    from evanskam.mather_limits import aronsson_residual, holonomy_residual
+    from evanskam.mfg_diagnostics import mfg_residuals
+
+    hams = library_hamiltonians()
     out = {}
     for name, (ham_name, shape, options) in LIBRARY_SOLVES.items():
         ham, grid, config = hams[ham_name], TorusGrid(*shape), SolverConfig(**options)
@@ -145,6 +161,21 @@ def library_solves() -> dict:
             "holonomy_residual": value_digest([holonomy_residual(ham, grid, config, res)]),
             "aronsson_residual": value_digest([aronsson_residual(ham, grid, config, res.u)]),
         }
+    return out
+
+
+def library_k_sweeps() -> dict:
+    """Run every case of ``LIBRARY_K_SWEEPS`` with the importable evanskam; digest each reported row."""
+    from dataclasses import astuple
+
+    from evanskam import TorusGrid
+    from evanskam.mather_limits import k_sweep
+
+    hams = library_hamiltonians()
+    out = {}
+    for name, (ham_name, shape, P, ks) in LIBRARY_K_SWEEPS.items():
+        rep = k_sweep(hams[ham_name], TorusGrid(*shape), P, ks)
+        out[name] = {"rows": [value_digest(astuple(row)) for row in rep.rows], "hbar_ref": rep.hbar_ref}
     return out
 
 
@@ -200,7 +231,9 @@ def run_commands(tree: Path, env: dict) -> dict:
 
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--records"]:
-        print(json.dumps({"criterion6": criterion6_entries(), "library": library_solves()}))
+        print(json.dumps(
+            {"criterion6": criterion6_entries(), "library": library_solves(), "k_sweeps": library_k_sweeps()}
+        ))
         return 0
     if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
