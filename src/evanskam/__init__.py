@@ -36,10 +36,8 @@ from .hamiltonians import (
     NyquistError,
     chi_bound,
     drift_diffusion,
-    evaluate,
     hamiltonian_from_json,
     hamiltonian_to_json,
-    lagrangian,
 )
 from .mather_limits import (
     KSweepReport,
@@ -53,8 +51,6 @@ from .mfg_diagnostics import MfgResidualReport, mfg_residuals, minmax_upper_boun
 from .torus_grid import (
     ScalarField,
     TorusGrid,
-    integrate,
-    project_zero_mean,
     read_field,
     write_field,
 )
@@ -64,8 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "TorusGrid",
     "ScalarField",
-    "integrate",
-    "project_zero_mean",
     "read_field",
     "write_field",
     "FourierSpec",
@@ -74,8 +68,6 @@ __all__ = [
     "HamiltonianTable",
     "ChiParams",
     "NyquistError",
-    "evaluate",
-    "lagrangian",
     "drift_diffusion",
     "chi_bound",
     "hamiltonian_to_json",

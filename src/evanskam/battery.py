@@ -22,7 +22,6 @@ from .hamiltonians import (
     MechanicalHamiltonian,
     chi_bound,
     drift_diffusion,
-    evaluate,
 )
 from .mfg_diagnostics import mfg_residuals, minmax_upper_bound
 from .torus_grid import TorusGrid
@@ -62,6 +61,12 @@ def _random_field(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
         phase = 2.0 * np.pi * (kx * coords[0] + kt * coords[-1]) + float(rng.uniform(0, 2 * np.pi))
         out = out + amp * np.cos(phase)
     return grid.project_zero_mean(out)
+
+
+def _sample_points(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n points z in [0, 1)^2 and momenta p in [-2, 2), drawn z then p point by point, stacked as (2, n) and (1, n)."""
+    draws = [(rng.uniform(0, 1, size=2), rng.uniform(-2, 2, size=1)) for _ in range(n)]
+    return np.array([z for z, _ in draws]).T, np.array([p for _, p in draws]).T
 
 
 def run_battery(seed: int = 0, inject_error: str | None = None) -> list[CheckResult]:
@@ -111,23 +116,26 @@ def run_battery(seed: int = 0, inject_error: str | None = None) -> list[CheckRes
     defect = float(np.max(np.abs(p1 - p2))) + abs(float(np.mean(p1)))
     check("zero-mean-projection", defect <= 1e-14, f"defect {defect:.2e}")
 
-    # 6. Hamiltonian derivatives vs centered finite differences
-    worst = 0.0
+    # 6. Hamiltonian derivatives vs centered finite differences, one table per stack of points
+    z, p = _sample_points(rng, 100)
     h = 1e-6
-    for _ in range(100):
-        z = rng.uniform(0, 1, size=2)
-        p = rng.uniform(-2, 2, size=1)
-        val = evaluate(ham, z, p)
-        fd_p = (evaluate(ham, z, p + h).H - evaluate(ham, z, p - h).H) / (2 * h)
-        fd_x = (evaluate(ham, z + [h, 0], p).H - evaluate(ham, z - [h, 0], p).H) / (2 * h)
-        fd_t = (evaluate(ham, z + [0, h], p).H - evaluate(ham, z - [0, h], p).H) / (2 * h)
-        scale = 1.0 + abs(val.H)
-        worst = max(
-            worst,
-            abs(injected("hamiltonian-derivatives") * val.H_p[0] - fd_p) / scale,
-            abs(val.H_x[0] - fd_x) / scale,
-            abs(val.H_t - fd_t) / scale,
-        )
+
+    def H_at(z_s):
+        table = HamiltonianTable(ham, z_s)
+        return table.H(table.H_p(p))
+
+    base = HamiltonianTable(ham, z)
+    w = base.H_p(p)
+    fd_p = (base.H(base.H_p(p + h)) - base.H(base.H_p(p - h))) / (2 * h)
+    e_x, e_t = np.array([[h], [0.0]]), np.array([[0.0], [h]])
+    fd_x = (H_at(z + e_x) - H_at(z - e_x)) / (2 * h)
+    fd_t = (H_at(z + e_t) - H_at(z - e_t)) / (2 * h)
+    scale = 1.0 + np.abs(base.H(w))
+    worst = max(
+        float(np.max(np.abs(injected("hamiltonian-derivatives") * w[0] - fd_p) / scale)),
+        float(np.max(np.abs(base.gradV[0] - fd_x) / scale)),
+        float(np.max(np.abs(base.H_t(w) - fd_t) / scale)),
+    )
     check("hamiltonian-derivatives", worst <= 1e-7, f"max relative defect {worst:.2e}")
 
     # 7. diffusion factorization a = sigma sigma^T
@@ -151,24 +159,18 @@ def run_battery(seed: int = 0, inject_error: str | None = None) -> list[CheckRes
     check("drift-k-independence", worst == 0.0, f"max |b(1) - b(1e6)| {worst:.2e}")
 
     # 9. Fenchel equality at v = H_p
-    worst = 0.0
-    for _ in range(50):
-        z = rng.uniform(0, 1, size=2)
-        p = rng.uniform(-2, 2, size=1)
-        table = HamiltonianTable(ham, z)
-        w = table.H_p(p)
-        worst = max(worst, abs(float(table.L(w) + table.H(w) - p[0] * w[0])))
+    z, p = _sample_points(rng, 50)
+    table = HamiltonianTable(ham, z)
+    w = table.H_p(p)
+    worst = float(np.max(np.abs(table.L(w) + table.H(w) - p[0] * w[0])))
     check("fenchel-equality", worst <= 1e-12, f"max |L + H - p.v| {worst:.2e}")
 
-    # 10. Fenchel inequality over a velocity grid
-    lo = np.inf
-    for _ in range(10):
-        z = rng.uniform(0, 1, size=2)
-        p = rng.uniform(-2, 2, size=1)
-        table = HamiltonianTable(ham, z)
-        w = table.H_p(p)
-        v_grid = w[0] + np.arange(-1.0, 1.0001, 0.01)
-        lo = min(lo, float(np.min(table.L([v_grid]) + table.H(w) - p[0] * v_grid)))
+    # 10. Fenchel inequality over a velocity grid: one row of velocities per point
+    z, p = (a[..., None] for a in _sample_points(rng, 10))
+    table = HamiltonianTable(ham, z)
+    w = table.H_p(p)
+    v_grid = w[0] + np.arange(-1.0, 1.0001, 0.01)
+    lo = float(np.min(table.L([v_grid]) + table.H(w) - p[0] * v_grid))
     check("fenchel-grid-inequality", -1e-9 <= lo <= 1e-3, f"min grid gap {lo:.2e}")
 
     # 11. drift bound chi fitted and verified on samples

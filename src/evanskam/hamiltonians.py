@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,10 +29,7 @@ __all__ = [
     "FourierSpec",
     "MechanicalHamiltonian",
     "ChiParams",
-    "HamiltonianValue",
     "HamiltonianTable",
-    "evaluate",
-    "lagrangian",
     "drift_diffusion",
     "chi_bound",
     "check_nyquist",
@@ -188,22 +185,15 @@ class ChiParams:
         return self.c * s + self.d0
 
 
-class HamiltonianValue(NamedTuple):
-    H: float
-    H_p: np.ndarray
-    H_pp: np.ndarray
-    H_x: np.ndarray
-    H_t: float
-
-
 class HamiltonianTable:
     """lam*eta, lam*eta', lam*V, lam*grad V and lam*V_t at broadcastable coordinates, and the family's formulas on them.
 
     ``coords`` are d + 1 arrays, x_1..x_d then t: a grid's open mesh
-    (``TorusGrid.coords()``) or the components of one point.  Momenta and
-    velocities are lists of d components that broadcast against them.  The
-    solver, the certificates, ``evaluate``, ``lagrangian``,
-    ``drift_diffusion`` and ``chi_bound`` all read H, L and the drift here.
+    (``TorusGrid.coords()``), a stack of sample points, or the components of
+    one point.  Momenta and velocities are lists of d components that
+    broadcast against them.  The solver, the certificates, the ``check``
+    battery, ``drift_diffusion`` and ``chi_bound`` all read H, L and the
+    drift here.
     """
 
     def __init__(self, ham: MechanicalHamiltonian, coords: Sequence[np.ndarray]):
@@ -248,19 +238,6 @@ class HamiltonianTable:
         return out
 
 
-def evaluate(ham: MechanicalHamiltonian, z, p) -> HamiltonianValue:
-    """Pointwise H and its momentum/space/time derivatives at (z, p)."""
-    table = HamiltonianTable(ham, np.asarray(z, dtype=float).reshape(ham.d + 1))
-    w = np.array(table.H_p(np.asarray(p, dtype=float).reshape(ham.d)))
-    return HamiltonianValue(float(table.H(w)), w, np.eye(ham.d), np.array(table.gradV), float(table.H_t(w)))
-
-
-def lagrangian(ham: MechanicalHamiltonian, z, v) -> float:
-    """Legendre transform of H in p, in closed form for the mechanical family (``HamiltonianTable.L``)."""
-    table = HamiltonianTable(ham, np.asarray(z, dtype=float).reshape(ham.d + 1))
-    return float(table.L(np.asarray(v, dtype=float).reshape(ham.d)))
-
-
 def drift_diffusion(ham: MechanicalHamiltonian, k: float, z, q):
     """Coefficients of the nondivergence form of the critical-point equation.
 
@@ -268,8 +245,8 @@ def drift_diffusion(ham: MechanicalHamiltonian, k: float, z, q):
     mechanical family the momentum-space mixed Hessian vanishes, so the drift
     b = H_t + H_x . H_p carries no k dependence.
     """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+    if not (_is_finite_number(k) and k > 0):
+        raise ValueError(f"k must be a finite positive number, got {k}")
     d = ham.d
     table = HamiltonianTable(ham, np.asarray(z, dtype=float).reshape(ham.d + 1))
     w = np.array(table.H_p(np.asarray(q, dtype=float).reshape(d + 1)[:d]))

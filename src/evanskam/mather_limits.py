@@ -19,9 +19,9 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .evans_solver import SolveResult, SolverConfig, evaluate_state, minimize
+from .evans_solver import SolveResult, SolverConfig, _solve_grid, evaluate_state, minimize
 from .hamiltonians import FourierSpec, MechanicalHamiltonian
-from .torus_grid import TorusGrid, write_table
+from .torus_grid import ScalarField, TorusGrid, write_table
 
 __all__ = [
     "MatherDiagnostics",
@@ -35,8 +35,10 @@ __all__ = [
     "pendulum_reference",
 ]
 
-# Midpoint-rule nodes of the quadrature in ``pendulum_reference``.
+# Midpoint-rule nodes of the quadrature in ``pendulum_reference``, and the
+# width of the bracket at which its bisection stops.
 _N_QUAD = 10_000
+_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -186,7 +188,9 @@ def k_sweep(
 
     Per k the report records hbar, entropy over k, the positive part of the
     sup excess computed as (1/k) log(max m), the gradient sup norm, and the
-    sharp-limit equation residual.  When the Hamiltonian is one-dimensional,
+    sharp-limit equation residual.  Autonomous solves are constant in t, so
+    their state and diagnostics are evaluated on the one time plane the
+    solve ran on (``_solve_grid``).  When the Hamiltonian is one-dimensional,
     autonomous and drift-free, the classical cell-problem value is attached
     as the reference.
     """
@@ -195,13 +199,18 @@ def k_sweep(
         raise ValueError("k_list must be strictly increasing")
     base = config if config is not None else SolverConfig(k=ks[0])
     P_tuple = tuple(np.atleast_1d(np.asarray(P, dtype=float)))
+    plane = _solve_grid(ham, grid)
     rows: list[KSweepRow] = []
     res = None
     for k in ks:
         cfg = replace(base, k=k, P=P_tuple)
         res = minimize(ham, grid, cfg, warm_start=res)
-        st = evaluate_state(ham, grid, cfg, res.u)  # one evaluation serves both diagnostics
-        diag = _mather_diagnostics(grid, cfg, res, st)
+        on_plane = res
+        if plane is not grid:  # u and m repeat over t: keep their first plane
+            u, m = (ScalarField(plane, f.values[..., :1]) for f in (res.u, res.m))
+            on_plane = replace(res, u=u, m=m)
+        st = evaluate_state(ham, plane, cfg, on_plane)  # one evaluation serves both diagnostics
+        diag = _mather_diagnostics(plane, cfg, on_plane, st)
         sup_pos = max(0.0, math.log(float(np.max(res.m.values))) / k)
         rows.append(
             KSweepRow(
@@ -240,13 +249,14 @@ def classical_reference(ham: MechanicalHamiltonian, P: float) -> float | None:
     return pendulum_reference(scaled, float(P))
 
 
-def pendulum_reference(V: FourierSpec, P: float, tol: float = 1e-10) -> float:
+def pendulum_reference(V: FourierSpec, P: float) -> float:
     """Classical cell-problem value for H = p^2/2 + V(x) on the circle.
 
     Independent of the variational solver: below the critical momentum
     P* = integral sqrt(2*(max V - V)) the value is max V; above it, the unique
     E >= max V with integral sqrt(2*(E - V)) = |P|, found by bisection over a
-    midpoint-rule quadrature of ``_N_QUAD`` nodes.
+    midpoint-rule quadrature of ``_N_QUAD`` nodes, to a bracket of ``_TOL``
+    or of the float spacing at the root, whichever is wider.
     """
     if V.nvars == 2:
         if V.depends_on(1):
@@ -269,9 +279,9 @@ def pendulum_reference(V: FourierSpec, P: float, tol: float = 1e-10) -> float:
     if p_abs <= p_crit:
         return v_max
     lo, hi = v_max, v_max + 0.5 * p_abs**2 + 1.0
-    while hi - lo > tol:
+    while hi - lo > _TOL:
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # tol below the float spacing at the root
+        if mid in (lo, hi):  # _TOL below the float spacing at the root
             break
         if momentum_of(mid) < p_abs:
             lo = mid

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,8 +34,6 @@ __all__ = [
     "derivative_matrix",
     "TorusGrid",
     "ScalarField",
-    "integrate",
-    "project_zero_mean",
     "write_field",
     "read_field",
     "write_table",
@@ -87,6 +86,10 @@ class TorusGrid:
     n_t: int
 
     def __post_init__(self) -> None:
+        for name in ("d", "n_x", "n_t"):
+            size = getattr(self, name)
+            if isinstance(size, bool) or not isinstance(size, numbers.Integral):
+                raise GridError(f"{name} must be an integer, got {size!r}")
         if self.d not in (1, 2):
             raise GridError(f"spatial dimension must be 1 or 2, got {self.d}")
         if self.n_x < 2 or self.n_x % 2 != 0:
@@ -184,16 +187,6 @@ class ScalarField:
 
     def mean(self) -> float:
         return self.grid.integrate(self.values)
-
-
-def integrate(f: ScalarField) -> float:
-    """Integral over the unit-volume torus, i.e. the mean of node values."""
-    return f.grid.integrate(f.values)
-
-
-def project_zero_mean(f: ScalarField) -> ScalarField:
-    """Subtract the mean; idempotent."""
-    return ScalarField(f.grid, f.grid.project_zero_mean(f.values))
 
 
 # -- serialization -----------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from evanskam.battery import INJECTION_POINTS, run_battery
 from evanskam.cli_io import main
+from evanskam.hamiltonians import HamiltonianTable
 from evanskam.torus_grid import read_field
 
 
@@ -506,6 +507,20 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert f"FAIL  {name}" in captured.out
         assert captured.err.strip() == f"failed invariants: {name}"
+
+    def test_hamiltonian_derivatives_sees_H_t(self, monkeypatch):
+        # the injection point of hamiltonian-derivatives flips H_p; a sign
+        # error in the eta' term of H_t must fail that check too, and only it
+        def flipped(table, w):
+            out = table.V_t
+            for w_i, e_i in zip(w, table.eta_prime):
+                out = out - w_i * e_i
+            return out
+
+        monkeypatch.setattr(HamiltonianTable, "H_t", flipped)
+        failed = [r for r in run_battery(seed=0) if not r.passed]
+        assert [r.name for r in failed] == ["hamiltonian-derivatives"]
+        assert failed[0].detail == "max relative defect 1.15e+01"
 
     @pytest.mark.parametrize("name", ["bogus", "objective-convexity"])
     def test_name_without_injection_point_exit_2(self, name, capsys):

@@ -7,17 +7,22 @@ from conftest import mixed_hamiltonian, pendulum_hamiltonian, t1_hamiltonian, tc
 from evanskam.evans_solver import SolverConfig, evaluate_state
 from evanskam.hamiltonians import (
     FourierSpec,
+    HamiltonianTable,
     MechanicalHamiltonian,
     NyquistError,
     check_nyquist,
     chi_bound,
     drift_diffusion,
-    evaluate,
     hamiltonian_from_json,
     hamiltonian_to_json,
-    lagrangian,
 )
 from evanskam.torus_grid import TorusGrid
+
+
+def H_at(ham, z, p):
+    """H at one point (z, p), from a one-point table."""
+    table = HamiltonianTable(ham, z)
+    return table.H(table.H_p(p))
 
 
 class TestFourierSpec:
@@ -51,28 +56,28 @@ class TestFourierSpec:
 
 
 class TestEvaluate:
+    """H, H_p = w, H_x = lam*grad V and H_t at single points, read from one-point tables."""
+
     def test_free_particle(self):
-        ham = trivial_hamiltonian()
-        val = evaluate(ham, [0.3, 0.6], [1.0])
-        assert val.H == pytest.approx(0.5)
-        assert val.H_p[0] == pytest.approx(1.0)
-        assert val.H_pp[0, 0] == 1.0
-        assert val.H_x[0] == 0.0 and val.H_t == 0.0
+        table = HamiltonianTable(trivial_hamiltonian(), [0.3, 0.6])
+        w = table.H_p([1.0])
+        assert table.H(w) == pytest.approx(0.5)
+        assert w[0] == pytest.approx(1.0)
+        assert table.gradV[0] == 0.0 and table.H_t(w) == 0.0
 
     def test_drift_at_origin(self):
         # derivative oracle: H_t = (p + eta) * eta'(0) = 1 * (-2 pi sin 0) = 0
-        ham = t1_hamiltonian()
-        val = evaluate(ham, [0.0, 0.0], [0.0])
-        assert val.H == pytest.approx(0.5)
-        assert val.H_p[0] == pytest.approx(1.0)
-        assert val.H_t == pytest.approx(0.0, abs=1e-14)
+        table = HamiltonianTable(t1_hamiltonian(), [0.0, 0.0])
+        w = table.H_p([0.0])
+        assert table.H(w) == pytest.approx(0.5)
+        assert w[0] == pytest.approx(1.0)
+        assert table.H_t(w) == pytest.approx(0.0, abs=1e-14)
 
     def test_potential_gradient(self):
         # H_x = -2 pi sin(pi/2) = -2 pi at x = 1/4
-        ham = pendulum_hamiltonian()
-        val = evaluate(ham, [0.25, 0.0], [1.0])
-        assert val.H == pytest.approx(0.5)
-        assert val.H_x[0] == pytest.approx(-2 * np.pi)
+        table = HamiltonianTable(pendulum_hamiltonian(), [0.25, 0.0])
+        assert table.H(table.H_p([1.0])) == pytest.approx(0.5)
+        assert table.gradV[0] == pytest.approx(-2 * np.pi)
 
     def test_derivatives_match_finite_differences(self, rng):
         h = 1e-6
@@ -81,34 +86,33 @@ class TestEvaluate:
             for _ in range(100):
                 z = rng.uniform(0, 1, size=d + 1)
                 p = rng.uniform(-2, 2, size=d)
-                val = evaluate(ham, z, p)
-                scale = 1.0 + abs(val.H)
+                table = HamiltonianTable(ham, z)
+                w = table.H_p(p)
+                scale = 1.0 + abs(table.H(w))
                 for a, step in enumerate(h * np.eye(d)):
-                    fd_p = (evaluate(ham, z, p + step).H - evaluate(ham, z, p - step).H) / (2 * h)
-                    assert abs(val.H_p[a] - fd_p) / scale <= 1e-7
+                    fd_p = (H_at(ham, z, p + step) - H_at(ham, z, p - step)) / (2 * h)
+                    assert abs(w[a] - fd_p) / scale <= 1e-7
                 # x (and y for d = 2), then t
                 for a, step in enumerate(h * np.eye(d + 1)):
-                    fd_z = (evaluate(ham, z + step, p).H - evaluate(ham, z - step, p).H) / (2 * h)
-                    exact = val.H_t if a == d else val.H_x[a]
+                    fd_z = (H_at(ham, z + step, p) - H_at(ham, z - step, p)) / (2 * h)
+                    exact = table.H_t(w) if a == d else table.gradV[a]
                     assert abs(exact - fd_z) / scale <= 1e-7
 
     def test_lambda_scaling(self):
         ham = replace(pendulum_hamiltonian(), lam=0.5)
-        val = evaluate(ham, [0.0, 0.0], [0.0])
-        assert val.H == pytest.approx(0.5)  # 0.5 * V(0) = 0.5
+        assert H_at(ham, [0.0, 0.0], [0.0]) == pytest.approx(0.5)  # 0.5 * V(0) = 0.5
 
     def test_d2(self):
         eta = (FourierSpec.build(1, [((1,), 1.0, 0.0)]), FourierSpec.zero(1))
         V = FourierSpec.build(3, [((1, 0, 0), 1.0, 0.0)])
-        ham = MechanicalHamiltonian(d=2, eta=eta, V=V)
-        val = evaluate(ham, [0.0, 0.0, 0.0], [0.0, 0.0])
-        assert val.H == pytest.approx(0.5 + 1.0)
-        assert np.allclose(val.H_p, [1.0, 0.0])
-        assert np.allclose(val.H_pp, np.eye(2))
+        table = HamiltonianTable(MechanicalHamiltonian(d=2, eta=eta, V=V), [0.0, 0.0, 0.0])
+        w = table.H_p([0.0, 0.0])
+        assert table.H(w) == pytest.approx(0.5 + 1.0)
+        assert np.allclose(w, [1.0, 0.0])
 
 
 class TestPointwiseMatchesGrid:
-    """The pointwise API gives, node by node, what the solver and the certificates read from the grid."""
+    """One-point tables give, node by node, what the solver and the certificates read from the grid's table."""
 
     @pytest.mark.parametrize(
         "ham, grid, P",
@@ -134,10 +138,11 @@ class TestPointwiseMatchesGrid:
         for idx in np.ndindex(grid.shape):
             z = [c[idx] for c in coords]
             p = [P[i] + st.du[i][idx] for i in range(d)]
-            val = evaluate(ham, z, p)
-            pointwise["H_p"][(slice(None), *idx)] = val.H_p
-            pointwise["H"][idx] = val.H
-            pointwise["L"][idx] = lagrangian(ham, z, val.H_p)
+            table = HamiltonianTable(ham, z)
+            w = table.H_p(p)
+            pointwise["H_p"][(slice(None), *idx)] = w
+            pointwise["H"][idx] = table.H(w)
+            pointwise["L"][idx] = table.L(w)
             pointwise["drift"][idx] = drift_diffusion(ham, 4.0, z, [*p, st.ut[idx]])[2]
         for name, field in fields.items():
             err = np.max(np.abs(pointwise[name] - field))
@@ -146,23 +151,23 @@ class TestPointwiseMatchesGrid:
 
 class TestLagrangian:
     def test_free_case(self):
-        ham = trivial_hamiltonian()
-        assert lagrangian(ham, [0.2, 0.9], [2.0]) == pytest.approx(2.0)
+        assert HamiltonianTable(trivial_hamiltonian(), [0.2, 0.9]).L([2.0]) == pytest.approx(2.0)
 
     def test_closed_form_value(self):
         # L(0, 0, v=2) = 2 - eta(0)*2 - V(0) = 2 - 2 - 1 = -1
         eta = FourierSpec.build(1, [((1,), 1.0, 0.0)])
         V = FourierSpec.build(2, [((1, 0), 1.0, 0.0)])
         ham = MechanicalHamiltonian(d=1, eta=(eta,), V=V)
-        assert lagrangian(ham, [0.0, 0.0], [2.0]) == pytest.approx(-1.0)
+        assert HamiltonianTable(ham, [0.0, 0.0]).L([2.0]) == pytest.approx(-1.0)
 
     def test_fenchel_equality(self, rng):
         ham = mixed_hamiltonian()
         for _ in range(50):
             z = rng.uniform(0, 1, size=2)
             p = rng.uniform(-3, 3, size=1)
-            val = evaluate(ham, z, p)
-            gap = lagrangian(ham, z, val.H_p) + val.H - float(p @ val.H_p)
+            table = HamiltonianTable(ham, z)
+            w = table.H_p(p)
+            gap = table.L(w) + table.H(w) - p[0] * w[0]
             assert abs(gap) <= 1e-12
 
     def test_fenchel_inequality_on_grid(self, rng):
@@ -170,9 +175,10 @@ class TestLagrangian:
         for _ in range(10):
             z = rng.uniform(0, 1, size=2)
             p = rng.uniform(-2, 2, size=1)
-            val = evaluate(ham, z, p)
-            v_grid = val.H_p[0] + np.arange(-1.0, 1.0001, 0.01)
-            gaps = np.array([lagrangian(ham, z, [v]) + val.H - p[0] * v for v in v_grid])
+            table = HamiltonianTable(ham, z)
+            w = table.H_p(p)
+            v_grid = w[0] + np.arange(-1.0, 1.0001, 0.01)
+            gaps = table.L([v_grid]) + table.H(w) - p[0] * v_grid
             assert -1e-9 <= gaps.min() <= 1e-3
 
 
@@ -212,8 +218,10 @@ class TestDriftDiffusion:
             assert b1 == b2
 
     def test_nonpositive_k_rejected(self):
-        with pytest.raises(ValueError):
-            drift_diffusion(trivial_hamiltonian(), 0.0, [0.0, 0.0], [0.0, 0.0])
+        # k = inf made a singular a (1/k = 0), k = nan NaN entries in a and sigma
+        for k in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="k must be a finite positive number"):
+                drift_diffusion(trivial_hamiltonian(), k, [0.0, 0.0], [0.0, 0.0])
 
 
 class TestChiBound:

@@ -235,6 +235,29 @@ class TestKSweep:
             for x, y in zip(astuple(row), astuple(expected)):
                 assert_bitwise(x, y)
 
+    def test_autonomous_rows_match_full_grid_diagnostics(self):
+        # the rows are evaluated on the one time plane the solve ran on; a
+        # full-grid evaluation gives the same bits except entropy_over_k, a
+        # node mean over n_t times as many repeated values
+        ham, grid, P = pendulum_hamiltonian(), TorusGrid(1, 128, 128), (2.0,)
+        rep = k_sweep(ham, grid, P, [4, 32])
+        res = None
+        for row in rep.rows:
+            cfg = SolverConfig(k=row.k, P=P)
+            res = minimize(ham, grid, cfg, warm_start=res)
+            full = mather_diagnostics(ham, grid, cfg, res).entropy_over_k
+            assert abs(row.entropy_over_k - full) <= 1e-15 * abs(full)
+            expected = replace(
+                row,
+                hbar=res.hbar,
+                sup_excess_pos=max(0.0, np.log(np.max(res.m.values)) / res.k),
+                lip_norm=res.lip_norm,
+                aronsson_residual=aronsson_residual(ham, grid, cfg, res.u),
+                converged=res.converged,
+            )
+            for x, y in zip(astuple(row), astuple(expected)):
+                assert_bitwise(x, y)
+
     def test_increasing_k_required(self):
         grid = TorusGrid(1, 16, 16)
         with pytest.raises(ValueError):
@@ -258,10 +281,13 @@ class TestPendulumReference:
             assert pendulum_reference(V, P) == pytest.approx(0.5 * P**2, abs=1e-9)
 
     def test_bisection_honours_tol(self):
-        # V = 0: the root of sqrt(2E) = P is E = P^2/2, bracketed to within tol
-        V = FourierSpec.zero(1)
-        assert pendulum_reference(V, 2.0, tol=1e-12) == pytest.approx(2.0, abs=1e-12)
-        assert pendulum_reference(V, 2.0, tol=0.0) == pytest.approx(2.0, abs=1e-14)
+        # V = 0: the root of sqrt(2E) = P is E = P^2/2, bracketed to within _TOL = 1e-10
+        assert pendulum_reference(FourierSpec.zero(1), 2.0) == pytest.approx(2.0, abs=1e-10)
+
+    def test_bisection_stops_at_the_float_spacing(self):
+        # at E = 2e6 the float spacing, 2.3e-10, exceeds _TOL: only the guard
+        # mid in (lo, hi) ends the loop
+        assert pendulum_reference(FourierSpec.zero(1), 2e3) == 2e6
 
     def test_flat_branch_is_max_V(self):
         V = FourierSpec.build(1, [((1,), 1.0, 0.0)])

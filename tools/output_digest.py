@@ -8,8 +8,9 @@ temporary directory, and prints one JSON object:
 
 - for ``solve`` on both solve configs, ``sweep``, ``limit`` on
   ``configs/pendulum_limit.json`` and ``perfbench/pendulum_limit_p2.json``,
-  ``check --seed 0`` and ``oracle``: the exit code and the sha256 of stdout
-  and of every file the command writes;
+  ``check --seed 0``, ``check --seed 7`` and ``oracle``: the exit code and
+  the sha256 of stdout and of every file the command writes (the second
+  ``check`` seed shows a change in the battery's draw order);
 - for the criterion-6 sweep shifted by 0.01*j, j = -4..4, built as
   ``perfbench`` builds it (base grid plus the shift, not re-rounded): one
   sha256 over the 369 solve records (u, m, hbar, Q, grad_norm, iterations,
@@ -59,6 +60,7 @@ COMMANDS = {
     "limit-p0": ["limit", "--config", "configs/pendulum_limit.json", "--out", "out/limit-p0"],
     "limit-p2": ["limit", "--config", "perfbench/pendulum_limit_p2.json", "--out", "out/limit-p2"],
     "check": ["check", "--seed", "0"],
+    "check-seed-7": ["check", "--seed", "7"],
     "oracle": ["oracle", "--config", "configs/pendulum_sweep.json"],
 }
 CRITERION6_FIELDS = ("u", "m", "hbar", "rotation", "grad_norm", "iterations", "converged")
