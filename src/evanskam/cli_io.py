@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .battery import INJECTION_POINTS, run_battery
-from .effective import _as_points, _convexity_grid, legendre_transform, sweep_P, write_effective_csv, write_legendre_csv
+from .effective import (NonconvexTableError, _as_points, _convexity_grid, legendre_transform, sweep_P,
+                        write_effective_csv, write_legendre_csv)
 from .evans_solver import SolverConfig, minimize
 from .hamiltonians import NyquistError, _is_finite_number, _json_integer, check_nyquist, hamiltonian_from_json
 from .mather_limits import classical_reference, k_sweep, write_ksweep_csv
@@ -182,13 +183,18 @@ def cmd_sweep(args) -> int:
         "solver": {k: v for k, v in cfg.solver.__dict__.items() if k != "P"},
     }
     write_effective_csv(table, out / "effective_table.csv", sidecar=sidecar)
+    code = EXIT_OK
     if Q_grid is not None:
-        write_legendre_csv(legendre_transform(table, Q_grid), out / "legendre_table.csv")
+        try:
+            write_legendre_csv(legendre_transform(table, Q_grid), out / "legendre_table.csv")
+        except NonconvexTableError as exc:
+            print(f"legendre transform skipped: {exc}", file=sys.stderr)
+            code = EXIT_INVARIANT
     if not bool(np.all(table.converged)):
         bad = np.flatnonzero(~table.converged).tolist()
         print(f"sweep entries did not converge: {bad}", file=sys.stderr)
         return EXIT_NONCONVERGED
-    return EXIT_OK
+    return code
 
 
 def cmd_limit(args) -> int:

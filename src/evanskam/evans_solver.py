@@ -197,12 +197,21 @@ def _is_autonomous(ham: MechanicalHamiltonian) -> bool:
     return not ham.V.depends_on(ham.d) and not any(spec.depends_on(0) for spec in ham.eta)
 
 
+@lru_cache(maxsize=8)
+def _grid_table(ham: MechanicalHamiltonian, grid: TorusGrid) -> HamiltonianTable:
+    """``ham`` tabulated on ``grid``, read-only: the solves, states and bounds on one grid share it."""
+    table = HamiltonianTable(ham, grid.coords())
+    for arr in (*table.eta, *table.eta_prime, table.V, *table.gradV, table.V_t):
+        arr.flags.writeable = False
+    return table
+
+
 class _State:
     """Everything derived from one iterate u: derivatives, momenta, J, m.
 
     ``table`` is the grid's HamiltonianTable that the state was evaluated
-    against; ``transport`` and ``flux_divergence`` differentiate on its
-    ``grid`` with its ``method``.
+    against, and f = u_t + H comes from its ``H``; ``transport`` and
+    ``flux_divergence`` differentiate on its ``grid`` with its ``method``.
     """
 
     __slots__ = ("grid", "method", "table", "u", "du", "ut", "w", "f", "J", "m")
@@ -217,11 +226,8 @@ class _State:
         self.du = [grid.deriv(u, a, method) for a in range(d)]
         self.ut = grid.deriv(u, d, method) if timed else np.zeros(grid.shape)
         self.w = table.H_p([P[i] + self.du[i] for i in range(d)])
-        f = self.ut + table.V if timed else table.V
-        for wi in self.w:
-            f = f + 0.5 * wi**2  # grad u has the grid's shape, so f has it too
-        self.f = f
-        self.J, self.m = _softmax(grid, cfg.k, f)
+        self.f = table.H(self.w, self.ut if timed else None)  # w has the grid's shape, so f has it too
+        self.J, self.m = _softmax(grid, cfg.k, self.f)
 
     def transport(self, x: np.ndarray) -> np.ndarray:
         """T x = x_t + sum_i w_i * D_i x, the derivative along the momenta w = H_p (no x_t on one time plane)."""
@@ -447,25 +453,21 @@ def _as_array(grid: TorusGrid, u) -> np.ndarray:
         if u.u.grid != grid or u.m.grid != grid:
             raise ValueError("result fields live on a different grid")
         u = u.u
-    arr = u.values if isinstance(u, ScalarField) else np.asarray(u, dtype=float)
-    arr = grid._check_values(arr)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("field values must be finite")
-    return arr
+    return ScalarField(grid, getattr(u, "values", u)).values
 
 
 def evaluate_state(ham: MechanicalHamiltonian, grid: TorusGrid, config: SolverConfig, u) -> _State:
     """Evaluate the iterate u: derivatives, momenta H_p, f = u_t + H, J and m.
 
     u is a field, or a ``SolveResult`` whose u and m must both live on
-    ``grid``.  The Hamiltonian is tabulated on ``grid``
-    (``HamiltonianTable``); certificates call this with the result and
-    their own Hamiltonian and config, so a result paired with the wrong
-    ones shows.
+    ``grid``.  The state reads the grid's cached, read-only table
+    (``_grid_table``), the one a solve on ``grid`` read; certificates call
+    this with the result and their own Hamiltonian and config, so a result
+    paired with the wrong ones shows.
     """
     check_nyquist(ham, grid)
     arr = _as_array(grid, u)
-    return _State(grid, HamiltonianTable(ham, grid.coords()), config, config.momentum(ham.d), arr)
+    return _State(grid, _grid_table(ham, grid), config, config.momentum(ham.d), arr)
 
 
 def objective(
@@ -511,7 +513,7 @@ def hbar_bounds(ham: MechanicalHamiltonian, grid: TorusGrid, P=None) -> tuple[fl
     """
     P = SolverConfig(k=1.0, P=None if P is None else tuple(np.atleast_1d(P))).momentum(ham.d)
     check_nyquist(ham, grid)
-    table = HamiltonianTable(ham, grid.coords())
+    table = _grid_table(ham, grid)
     return float(np.min(table.V)), float(np.max(table.H(table.H_p(P))))
 
 
@@ -596,15 +598,6 @@ def _newton_stage(
         iterations += 1
 
 
-@lru_cache(maxsize=8)
-def _plane_table(ham: MechanicalHamiltonian, plane: TorusGrid) -> HamiltonianTable:
-    """``ham`` tabulated on the solve grid ``plane``, read-only: every solve of a P sweep shares it."""
-    table = HamiltonianTable(ham, plane.coords())
-    for arr in (*table.eta, *table.eta_prime, table.V, *table.gradV, table.V_t):
-        arr.flags.writeable = False
-    return table
-
-
 def _solve_grid(ham: MechanicalHamiltonian, grid: TorusGrid) -> TorusGrid:
     """The grid the Newton loop runs on: one time plane for autonomous Hamiltonians.
 
@@ -642,7 +635,7 @@ def minimize(
     check_nyquist(ham, grid)
     P = config.momentum(ham.d)
     plane = _solve_grid(ham, grid)
-    table = _plane_table(ham, plane)
+    table = _grid_table(ham, plane)
     stages, u, start = [config], plane.zeros(), None
     k0 = warm_start.k if isinstance(warm_start, SolveResult) else 2.0 if warm_start is None else config.k
     rung = 2.0 * k0

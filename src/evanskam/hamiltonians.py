@@ -209,11 +209,11 @@ class HamiltonianTable:
         """w = H_p(z, p) = p + lam*eta, per axis."""
         return [p_i + eta_i for p_i, eta_i in zip(p, self.eta)]
 
-    def H(self, w):
-        """H = lam*V + |w|^2/2 at w = H_p, summed from lam*V in axis order."""
-        out = self.V
+    def H(self, w, start=None):
+        """start + H = start + lam*V + |w|^2/2 at w = H_p, summed in that order (start: u_t, or None for H)."""
+        out = self.V if start is None else start + self.V
         for w_i in w:
-            out = out + 0.5 * w_i**2
+            out = out + 0.5 * (w_i * w_i)
         return out
 
     def H_t(self, w):
@@ -234,7 +234,7 @@ class HamiltonianTable:
         """L = |v|^2/2 - lam*eta.v - lam*V, the Legendre transform of H in p; L + H = p.v at v = H_p."""
         out = -self.V
         for v_i, e_i in zip(v, self.eta):
-            out = out + 0.5 * v_i**2 - e_i * v_i
+            out = out + 0.5 * (v_i * v_i) - e_i * v_i
         return out
 
 

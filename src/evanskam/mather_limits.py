@@ -195,8 +195,8 @@ def k_sweep(
     as the reference.
     """
     ks = [float(k) for k in k_list]
-    if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValueError("k_list must be strictly increasing")
+    if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError("k_list must be nonempty and strictly increasing")
     base = config if config is not None else SolverConfig(k=ks[0])
     P_tuple = tuple(np.atleast_1d(np.asarray(P, dtype=float)))
     plane = _solve_grid(ham, grid)

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from evanskam import cli_io
 from evanskam.battery import INJECTION_POINTS, run_battery
 from evanskam.cli_io import main
+from evanskam.effective import NonconvexTableError
 from evanskam.hamiltonians import HamiltonianTable
 from evanskam.torus_grid import read_field
 
@@ -324,6 +326,33 @@ class TestSweepCommand:
         lines = (tmp_path / "out" / "effective_table.csv").read_text().splitlines()[1:]
         assert lines[0].endswith(",1")
         assert lines[1].endswith(",0")
+
+    def test_nonconvex_table_skips_legendre_exit_3(self, tmp_path, capsys):
+        # one Newton step per stage leaves the k = 256 table nonconvex; the
+        # unconverged entries must still be reported, without a traceback
+        cfg = json.loads((Path(__file__).parents[1] / "configs" / "pendulum_sweep.json").read_text())
+        cfg["solver"].update(k=256.0, max_newton=1)
+        cfg["output"]["dir"] = str(tmp_path / "out")
+        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "legendre transform skipped: midpoint convexity violated" in err
+        assert "sweep entries did not converge: [" in err
+        assert "Traceback" not in err
+        assert (tmp_path / "out" / "effective_table.csv").exists()
+        assert not (tmp_path / "out" / "legendre_table.csv").exists()
+
+    def test_nonconvex_table_on_a_converged_sweep_exit_1(self, tmp_path, capsys, monkeypatch):
+        def nonconvex(table, Q_grid):
+            raise NonconvexTableError("midpoint convexity violated along axis 0")
+
+        monkeypatch.setattr(cli_io, "legendre_transform", nonconvex)
+        cfg = pendulum_config(tmp_path / "out", sweep={"P_grid": [-0.5, 0.0, 0.5], "Q_grid": [0.0]})
+        cfg["grid"] = {"d": 1, "n_x": 32, "n_t": 8}
+        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == "legendre transform skipped: midpoint convexity violated along axis 0\n"
+        assert (tmp_path / "out" / "effective_table.csv").exists()
+        assert not (tmp_path / "out" / "legendre_table.csv").exists()
 
     def test_jobs_parallel_matches(self, tmp_path):
         base = pendulum_config(tmp_path / "seq", sweep={"P_grid": [-0.5, 0.0, 0.5]})

@@ -30,8 +30,16 @@ from evanskam.evans_solver import (
     minimize,
     objective,
 )
-from evanskam.hamiltonians import ChiParams, FourierSpec, MechanicalHamiltonian, NyquistError, chi_bound
-from evanskam.mather_limits import aronsson_residual
+from evanskam.hamiltonians import (
+    ChiParams,
+    FourierSpec,
+    HamiltonianTable,
+    MechanicalHamiltonian,
+    NyquistError,
+    chi_bound,
+)
+from evanskam.mather_limits import aronsson_residual, holonomy_residual, k_sweep, mather_diagnostics
+from evanskam.mfg_diagnostics import mfg_residuals
 from evanskam.torus_grid import ScalarField, TorusGrid
 
 
@@ -718,3 +726,50 @@ class TestTimePlane:
         assert not st.ut.any()
         assert res.lip_norm == float(np.sqrt(np.max(st.du[0] ** 2)))
         assert math.isfinite(aronsson_residual(ham, plane, cfg, u))
+
+
+class TestGridTable:
+    """One cached, read-only HamiltonianTable per (Hamiltonian, grid): solves, states and certificates share it."""
+
+    @staticmethod
+    def count_tables(monkeypatch):
+        evans_solver._grid_table.cache_clear()
+        built = []
+        init = HamiltonianTable.__init__
+
+        def counting(self, ham, coords):
+            built.append(np.broadcast_shapes(*(np.shape(c) for c in coords)))
+            init(self, ham, coords)
+
+        monkeypatch.setattr(HamiltonianTable, "__init__", counting)
+        return built
+
+    @staticmethod
+    def certify(ham, grid, cfg, res):
+        mfg_residuals(ham, grid, cfg, res)
+        holonomy_residual(ham, grid, cfg, res)
+        mather_diagnostics(ham, grid, cfg, res)
+        aronsson_residual(ham, grid, cfg, res)
+
+    def test_time_coupled_solve_and_certificates_build_one_table(self, monkeypatch):
+        built = self.count_tables(monkeypatch)
+        ham, grid, cfg = tc1_hamiltonian(), TorusGrid(1, 16, 16), SolverConfig(k=8.0)
+        self.certify(ham, grid, cfg, minimize(ham, grid, cfg))
+        assert built == [grid.shape]
+
+    def test_autonomous_solve_builds_the_plane_and_the_full_grid(self, monkeypatch):
+        built = self.count_tables(monkeypatch)
+        ham, grid, cfg = pendulum_hamiltonian(), TorusGrid(1, 64, 16), SolverConfig(k=8.0, P=(1.0,))
+        self.certify(ham, grid, cfg, minimize(ham, grid, cfg))
+        assert built == [(64, 1), grid.shape]
+
+    def test_k_sweep_reads_the_plane_table_of_its_solves(self, monkeypatch):
+        built = self.count_tables(monkeypatch)
+        k_sweep(pendulum_hamiltonian(), TorusGrid(1, 128, 128), (0.0,), [4, 8, 16, 32, 64])
+        assert built == [(128, 1)]
+
+    def test_state_table_is_read_only(self):
+        grid = TorusGrid(1, 16, 16)
+        st = evaluate_state(tc1_hamiltonian(), grid, SolverConfig(k=4.0), grid.zeros())
+        with pytest.raises(ValueError):
+            st.table.V[0, 0] = 1.0

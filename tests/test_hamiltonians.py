@@ -3,7 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import mixed_hamiltonian, pendulum_hamiltonian, t1_hamiltonian, tc2_hamiltonian, trivial_hamiltonian
+from conftest import (
+    assert_bitwise,
+    mixed_hamiltonian,
+    pendulum_hamiltonian,
+    t1_hamiltonian,
+    tc2_hamiltonian,
+    trivial_hamiltonian,
+)
 from evanskam.evans_solver import SolverConfig, evaluate_state
 from evanskam.hamiltonians import (
     FourierSpec,
@@ -112,7 +119,7 @@ class TestEvaluate:
 
 
 class TestPointwiseMatchesGrid:
-    """One-point tables give, node by node, what the solver and the certificates read from the grid's table."""
+    """One-point tables give, node by node and bit for bit, what the solver and the certificates read from the grid."""
 
     @pytest.mark.parametrize(
         "ham, grid, P",
@@ -130,7 +137,8 @@ class TestPointwiseMatchesGrid:
         coords = [np.broadcast_to(c, grid.shape) for c in grid.coords()]
         fields = {
             "H_p": np.stack(st.w),
-            "H": st.f - st.ut,
+            "H": st.table.H(st.w),
+            "f": st.f,
             "L": st.table.L(st.w),
             "drift": st.table.drift(st.w),
         }
@@ -142,11 +150,11 @@ class TestPointwiseMatchesGrid:
             w = table.H_p(p)
             pointwise["H_p"][(slice(None), *idx)] = w
             pointwise["H"][idx] = table.H(w)
+            pointwise["f"][idx] = table.H(w, st.ut[idx])  # f = u_t + H
             pointwise["L"][idx] = table.L(w)
             pointwise["drift"][idx] = drift_diffusion(ham, 4.0, z, [*p, st.ut[idx]])[2]
         for name, field in fields.items():
-            err = np.max(np.abs(pointwise[name] - field))
-            assert err <= 1e-13 * np.max(np.abs(field)), name
+            assert_bitwise(pointwise[name], field)
 
 
 class TestLagrangian:

@@ -177,6 +177,12 @@ class TestKSweep:
             assert row.entropy_over_k == pytest.approx(0.0, abs=1e-12)
             assert row.aronsson_residual <= 1e-10
 
+    @pytest.mark.parametrize("k_list", [[], [8, 4], [4, 4]], ids=["empty", "decreasing", "repeated"])
+    def test_k_list_must_be_nonempty_and_increasing(self, k_list):
+        # an empty list used to raise IndexError from ks[0]
+        with pytest.raises(ValueError, match="k_list must be nonempty and strictly increasing"):
+            k_sweep(pendulum_hamiltonian(), TorusGrid(1, 16, 8), (0.0,), k_list)
+
     def test_analytic_drift_k_independent(self):
         grid = TorusGrid(1, 32, 64)
         rep = k_sweep(t1_hamiltonian(), grid, (0.0,), [4, 8, 16])

@@ -1,4 +1,4 @@
-"""Time the derivative kernel, the matrix-free apply, the dense-block step and the criterion-6 sweep of source trees.
+"""Time the derivative, state, apply and dense-block kernels and the criterion-6 sweep of source trees.
 
     python tools/bench_block_step.py NAME=TREE [NAME=TREE ...] [--rounds N] > BENCH_block_step.json
 
@@ -21,6 +21,10 @@ and reports, as medians over its own repeats:
   Newton step;
 - for each grid of ``DERIV_SHAPES``: ``axis<a>_s``, one ``TorusGrid.deriv``
   call along each axis longer than one node;
+- for each case of ``STATE_CASES`` (the pendulum on 64x8 and 128x128, the
+  grids of perfbench's kernel costs): ``evaluate_state_s``, one
+  ``evaluate_state`` call, and ``objective_s``, one ``objective`` call, at
+  a smooth iterate; every certificate evaluates one such state;
 - for each case of ``APPLY_CASES``: ``apply_s``, one ``_operator_apply``
   of the Newton coefficients at a smooth iterate to a random field.
 
@@ -60,7 +64,11 @@ DERIV_SHAPES = {
     "32x32x16": (2, 32, 16),
     "128x128": (1, 128, 128),
 }
-# name: (Hamiltonian, TorusGrid arguments (d, n_x, n_t), k, P)
+# name: (Hamiltonian, TorusGrid arguments (d, n_x, n_t), k, P), here and in APPLY_CASES
+STATE_CASES = {
+    "pendulum-64x8": ("pendulum", (1, 64, 8), 16.0, (0.0,)),
+    "pendulum-128x128": ("pendulum", (1, 128, 128), 16.0, (2.0,)),
+}
 APPLY_CASES = {
     "tc1-64x16": ("tc1", (1, 64, 16), 4.0, (0.0,)),
     "tc1-256x16": ("tc1", (1, 256, 16), 4.0, (0.0,)),
@@ -222,6 +230,26 @@ def deriv_case(shape: tuple[int, int, int]) -> dict:
     }
 
 
+def smooth_iterate(grid):
+    import numpy as np
+
+    x, t = grid.coords()[0], grid.coords()[-1]
+    return grid.project_zero_mean(0.05 * np.sin(2 * np.pi * (x + t)) * np.ones(grid.shape))
+
+
+def state_case(name: str) -> dict:
+    from evanskam import SolverConfig, TorusGrid, evans_solver
+
+    ham_name, shape, k, P = STATE_CASES[name]
+    ham, grid, cfg = hamiltonians()[ham_name], TorusGrid(*shape), SolverConfig(k=k, P=P)
+    u = smooth_iterate(grid)
+    return {
+        "nodes": grid.n_nodes,
+        "evaluate_state_s": per_call_s(lambda: evans_solver.evaluate_state(ham, grid, cfg, u)),
+        "objective_s": per_call_s(lambda: evans_solver.objective(ham, grid, cfg, u)),
+    }
+
+
 def apply_case(name: str) -> dict:
     import numpy as np
 
@@ -229,8 +257,7 @@ def apply_case(name: str) -> dict:
 
     ham_name, shape, k, P = APPLY_CASES[name]
     grid, cfg = TorusGrid(*shape), SolverConfig(k=k, P=P)
-    x, t = grid.coords()[0], grid.coords()[-1]
-    u = grid.project_zero_mean(0.05 * np.sin(2 * np.pi * (x + t)) * np.ones(grid.shape))
+    u = smooth_iterate(grid)
     st = evans_solver.evaluate_state(hamiltonians()[ham_name], grid, cfg, u)
     coef = evans_solver._newton_coefficients(grid, k, st.m, st.w)
     v = np.random.default_rng(0).normal(size=grid.shape)
@@ -243,6 +270,7 @@ def child() -> dict:
         "blocks": {name: block_case(name) for name in BLOCK_CASES},
         "criterion6_sweep": criterion6_sweep(),
         "deriv": {name: deriv_case(shape) for name, shape in DERIV_SHAPES.items()},
+        "state": {name: state_case(name) for name in STATE_CASES},
         "operator_apply": {name: apply_case(name) for name in APPLY_CASES},
     }
 
