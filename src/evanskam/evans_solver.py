@@ -19,10 +19,13 @@ once, on the evaluated state (``_State.transport`` and
 
 Newton steps use the positive-semidefinite linearized critical-point
 operator (the Gauss-Newton choice: the softmax covariance rank-one term is
-dropped, so the operator equals the true Hessian at critical points).  On
-small solve grids the damped operator is one dense block and each step is
-one direct solve with it; larger grids solve it by conjugate gradients with
-a Fourier preconditioner, restricted to the zero-mean subspace.  J is
+dropped, so the operator equals the true Hessian at critical points).  On a
+one-plane 1-d solve grid, at any n, the operator D^T diag(c) D is diagonal
+in the flux y = D s up to D's null modes, and each step is a closed-form
+solve there, two matvecs with the antiderivative D+.  On other small solve
+grids the damped operator is one dense block and each step is one direct
+solve with it; larger grids solve it by conjugate gradients with a Fourier
+preconditioner, restricted to the zero-mean subspace.  J is
 convex at every k, so a cold start needs no homotopy in the Hamiltonian: it
 climbs a doubling ladder in k from u = 0, each stage warm-started from the
 last, and a solve warm-started from another solve climbs the same ladder
@@ -38,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .hamiltonians import ChiParams, HamiltonianTable, MechanicalHamiltonian, _is_finite_number, check_nyquist
-from .torus_grid import ScalarField, TorusGrid, derivative_matrix
+from .torus_grid import ScalarField, TorusGrid, antiderivative_matrix, derivative_matrix
 
 __all__ = [
     "SolverConfig",
@@ -62,7 +65,7 @@ _CG_MAX = 500
 # At the rounding floor every step redraws a gradient of about 1e-11, the
 # size of the criterion-6 grad_tol, so a short limit stops steep sweep
 # entries by rounding luck.  Over the nine shifted criterion-6 grids (369
-# secant-started entries, direct block steps), every limit from 3 to 6
+# secant-started entries, direct steps), every limit from 3 to 6
 # leaves none unconverged; with FFT derivatives 3 left 11, 5 left one.
 _STALL_LIMIT = 6
 _TINY = np.finfo(float).tiny
@@ -299,14 +302,14 @@ def _operator_apply(grid: TorusGrid, method: str, coef: list[list[np.ndarray]], 
 
 
 # Largest solve grid, in nodes, on which a Newton step is a direct solve with
-# a dense block of the Newton operator (one LU per Newton step).  The block
-# spans the solve grid's axes: the spatial ones on the one time plane of an
-# autonomous solve (``_solve_grid``), every space-time axis when n_t > 1.
-# At 512 the 1-d time-coupled case on 32x16 converges in 11-37 Newton steps
-# where the surrogate's CG stalled after 38k-86k iterations, and one-plane
-# grids of 257-512 nodes converge in 13-16 steps where PCG left them
-# unconverged; at 1024 the factor costs 32x32 problems more than the
-# surrogate's CG iterations do (drift only: 0.02 s -> 0.93 s per solve).
+# a dense block of the Newton operator (one LU per Newton step); one-plane
+# 1-d grids take the flux step instead, at every size (``_flux_block``).  The
+# block spans the solve grid's axes: the spatial ones on the one time plane
+# of an autonomous d = 2 solve (``_solve_grid``), every space-time axis when
+# n_t > 1.  At 512 the 1-d time-coupled case on 32x16 converges in 11-37
+# Newton steps where the surrogate's CG stalled after 38k-86k iterations;
+# at 1024 the factor costs 32x32 problems more than the surrogate's CG
+# iterations do (drift only: 0.02 s -> 0.93 s per solve).
 _BLOCK_MAX_NODES = 512
 
 
@@ -376,13 +379,45 @@ def _dense_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
     The operator is A = sum_ab D_a^T diag(c_ab) D_b + mu over the axes of the
     solve grid (``_newton_coefficients``).  The Newton step is this map
     applied to -g, with no CG iteration.  None above ``_BLOCK_MAX_NODES``
-    nodes.
+    nodes.  Not used on one-plane 1-d grids, which take ``_flux_block``.
     """
     if grid.n_nodes > _BLOCK_MAX_NODES:
         return None
     coef = _newton_coefficients(grid, cfg.k, st.m, st.w)
     shape = grid.shape[: len(coef)]
     return _block_solve(_assemble(shape, cfg.method, [[c.reshape(shape) for c in row] for row in coef], mu))
+
+
+def _flux_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
+    """Exact solve with the damped Newton operator on a one-plane 1-d solve grid, in flux coordinates.
+
+    There the operator is D^T diag(c) D with c = m*(k*w^2 + 1), and in the
+    flux y = D s it is diagonal, up to the null modes of D: the constant and,
+    for even n, the Nyquist mode, which together span the constants on the
+    even and on the odd nodes.  The damping is kappa*mu*|D s|^2 with
+    kappa = (D+^T D+)_00, the diagonal of mu*|s|^2 written in y.  The map
+    solves D^T diag(q) D s = r with q = c + kappa*mu: q y = h - a with
+    h = (D^T)+ r and one constant a per parity of node (one in all for odd
+    n), the 1/q-weighted mean of h there, which puts y in the range of D;
+    then s = D+ y.  Where q spans more decades than a double holds, h - a
+    cancels and leaves y off that range, which a second pass restores.
+    That is two matvecs with D+ and O(n) work, at every n; the map is
+    symmetric, returns zero-mean, Nyquist-free steps and drops the null
+    modes of r.
+    """
+    Dp = antiderivative_matrix(grid.n_x, cfg.method)
+    kappa = float(Dp[:, 0] @ Dp[:, 0])
+    parities = 2 - grid.n_x % 2
+    qinv = 1.0 / (_newton_coefficients(grid, cfg.k, st.m, st.w)[0][0] + kappa * mu).reshape(-1, parities)
+    qinv_sum = qinv.sum(axis=0)
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        y = -np.dot(Dp, r).reshape(-1, parities) * qinv  # h/q, with (D^T)+ = -D+
+        for _ in range(2):
+            y -= y.sum(axis=0) / qinv_sum * qinv
+        return np.dot(Dp, y.reshape(r.shape))
+
+    return solve
 
 
 def _fourier_surrogate(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
@@ -529,9 +564,11 @@ def _newton_stage(
     ``st0``, when given, is the state of the zero-mean u0 at this k, already
     evaluated by the caller.  The gradient is taken at the top of every
     iterate, the last included.
-    The step solves the damped Newton system directly with the dense block
-    where it forms (``_dense_block``) and gives a finite step, else by PCG
-    with the Fourier surrogate to an inexact-Newton forcing tolerance.  The
+    The step solves the damped Newton system directly: in closed form on a
+    one-plane 1-d grid (``_flux_block``, damping kappa*mu*|D s|^2), else with
+    the dense block where it forms (``_dense_block``, damping mu*|s|^2).
+    Where neither gives a finite step it runs PCG with the Fourier surrogate
+    to an inexact-Newton forcing tolerance.  The
     loop stops at ``grad_tol``, after ``max_newton`` steps or after
     ``_STALL_LIMIT`` consecutive stalled steps, each of which neither lowers
     J beyond rounding nor halves the gradient norm.
@@ -550,7 +587,7 @@ def _newton_stage(
         # worst-conditioned directions in the global phase and vanishes near
         # the solution, so local quadratic convergence is untouched.
         mu = min(1.0, grad_norm)
-        block, step = _dense_block(grid, cfg, st, mu), None
+        block, step = (_flux_block if grid.d == 1 and grid.n_t == 1 else _dense_block)(grid, cfg, st, mu), None
         if block is not None:
             try:
                 step = block(-g)  # exact: the line search projects it
@@ -661,8 +698,8 @@ def minimize(
         u=ScalarField(grid, u.repeat(n_rep, axis=-1)),
         hbar=st.J,
         m=ScalarField(grid, st.m.repeat(n_rep, axis=-1)),
-        # the caller's node mean of m*H_p, the bits that mather_diagnostics gives
-        rotation=np.array([grid.integrate((st.m * wi).repeat(n_rep, axis=-1)) for wi in st.w]),
+        # the node mean of m*H_p on the solve grid, the bits that mather_diagnostics gives
+        rotation=np.array([plane.integrate(st.m * wi) for wi in st.w]),
         grad_norm=grad_norm,
         lip_norm=float(np.sqrt(np.max(st.grad_sq()))),
         iterations=total_iterations,

@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .evans_solver import SolveResult, SolverConfig, _solve_grid, evaluate_state, minimize
+from .evans_solver import SolveResult, SolverConfig, _as_array, _solve_grid, evaluate_state, minimize
 from .hamiltonians import FourierSpec, MechanicalHamiltonian
 from .torus_grid import ScalarField, TorusGrid, write_table
 
@@ -71,9 +71,26 @@ def mather_diagnostics(
 
     The entropy uses the closed form k * mean(m * (f - hbar)) rather than
     m log m, which is exact by the pointwise identity and immune to underflow
-    where m is negligible.
+    where m is negligible.  An autonomous solve is constant in t, so it is
+    evaluated on the one time plane it ran on (``_on_solve_plane``), as
+    ``k_sweep``'s rows are.
     """
-    return _mather_diagnostics(grid, config, result, evaluate_state(ham, grid, config, result))
+    plane, on_plane = _on_solve_plane(ham, grid, result)
+    return _mather_diagnostics(plane, config, on_plane, evaluate_state(ham, plane, config, on_plane))
+
+
+def _on_solve_plane(ham: MechanicalHamiltonian, grid: TorusGrid, result: SolveResult) -> tuple[TorusGrid, SolveResult]:
+    """The grid ``minimize`` solved ``result`` on (``_solve_grid``), and the result there.
+
+    An autonomous result's u and m repeat over t, so they keep their first
+    time plane; any other result is returned as it is.
+    """
+    plane = _solve_grid(ham, grid)
+    if plane is grid:
+        return grid, result
+    u = _as_array(grid, result)  # refuses a result whose u or m lives on another grid
+    u, m = (ScalarField(plane, f[..., :1]) for f in (u, result.m.values))
+    return plane, replace(result, u=u, m=m)
 
 
 def _mather_diagnostics(grid: TorusGrid, config: SolverConfig, result: SolveResult, st) -> MatherDiagnostics:
@@ -190,25 +207,21 @@ def k_sweep(
     sup excess computed as (1/k) log(max m), the gradient sup norm, and the
     sharp-limit equation residual.  Autonomous solves are constant in t, so
     their state and diagnostics are evaluated on the one time plane the
-    solve ran on (``_solve_grid``).  When the Hamiltonian is one-dimensional,
-    autonomous and drift-free, the classical cell-problem value is attached
-    as the reference.
+    solve ran on (``_on_solve_plane``).  When the Hamiltonian is
+    one-dimensional, autonomous and drift-free, the classical cell-problem
+    value is attached as the reference.
     """
     ks = [float(k) for k in k_list]
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("k_list must be nonempty and strictly increasing")
     base = config if config is not None else SolverConfig(k=ks[0])
     P_tuple = tuple(np.atleast_1d(np.asarray(P, dtype=float)))
-    plane = _solve_grid(ham, grid)
     rows: list[KSweepRow] = []
     res = None
     for k in ks:
         cfg = replace(base, k=k, P=P_tuple)
         res = minimize(ham, grid, cfg, warm_start=res)
-        on_plane = res
-        if plane is not grid:  # u and m repeat over t: keep their first plane
-            u, m = (ScalarField(plane, f.values[..., :1]) for f in (res.u, res.m))
-            on_plane = replace(res, u=u, m=m)
+        plane, on_plane = _on_solve_plane(ham, grid, res)
         st = evaluate_state(ham, plane, cfg, on_plane)  # one evaluation serves both diagnostics
         diag = _mather_diagnostics(plane, cfg, on_plane, st)
         sup_pos = max(0.0, math.log(float(np.max(res.m.values))) / k)

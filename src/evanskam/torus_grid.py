@@ -12,7 +12,8 @@ axis length (``derivative_matrix``), exactly skew (D^T = -D to the bit), and
 ``deriv`` maps constants to exact zeros, which downstream code relies on: the
 discrete gradient of the exponential objective is then literally the
 discrete transport residual.  A second derivative is two ``deriv`` calls,
-so it drops the Nyquist mode too.
+so it drops the Nyquist mode too.  ``antiderivative_matrix`` is the
+pseudo-inverse of each, built once from its FFT eigenvalues.
 
 Solves call the kernels thousands of times on small grids, so node means are
 one sum and one division (the bits of ``np.mean``), and a derivative is one
@@ -32,6 +33,7 @@ import numpy as np
 __all__ = [
     "GridError",
     "derivative_matrix",
+    "antiderivative_matrix",
     "TorusGrid",
     "ScalarField",
     "write_field",
@@ -67,9 +69,35 @@ def derivative_matrix(n: int, method: str) -> np.ndarray:
     else:
         raise GridError(f"unknown differentiation method {method!r}")
     col[n - k] = -col[k]
-    D = np.stack([np.roll(col, j) for j in range(n)], axis=1)  # D_ij = col[(i - j) mod n]
-    D.flags.writeable = False  # shared by every later call
-    return D
+    return _skew_circulant(col)
+
+
+@lru_cache(maxsize=None)
+def antiderivative_matrix(n: int, method: str) -> np.ndarray:
+    """The pseudo-inverse D+ of ``derivative_matrix(n, method)``, cached and read-only.
+
+    D is circulant, so D+ is the circulant whose eigenvalues are the
+    reciprocals of D's FFT eigenvalues, with D's null modes (the constant
+    and, for even n, the Nyquist mode) kept at zero.  Offsets k and n - k
+    take opposite weights, so D+^T = -D+ to the bit.  D+ maps onto the
+    zero-mean, Nyquist-free fields, where D+ D and D D+ are the identity.
+    """
+    k = np.arange(1, (n + 1) // 2)  # D keeps the frequencies k and n - k; 0 and n/2 are its null modes
+    eig = np.fft.fft(derivative_matrix(n, method)[:, 0])
+    inv = np.zeros(n, complex)
+    inv[k], inv[n - k] = 1.0 / eig[k], 1.0 / eig[n - k]
+    col = np.zeros(n)
+    col[k] = np.fft.ifft(inv).real[k]
+    col[n - k] = -col[k]
+    return _skew_circulant(col)
+
+
+def _skew_circulant(col: np.ndarray) -> np.ndarray:
+    """The read-only circulant M_ij = col[(i - j) mod n] of an odd weight column."""
+    offsets = np.arange(col.size)
+    M = col[(offsets[:, None] - offsets) % col.size]
+    M.flags.writeable = False  # shared by every later call
+    return M
 
 
 @dataclass(frozen=True)

@@ -242,20 +242,19 @@ class TestKSweep:
                 assert_bitwise(x, y)
 
     def test_autonomous_rows_match_full_grid_diagnostics(self):
-        # the rows are evaluated on the one time plane the solve ran on; a
-        # full-grid evaluation gives the same bits except entropy_over_k, a
-        # node mean over n_t times as many repeated values
+        # the rows and mather_diagnostics both evaluate an autonomous result
+        # on the one time plane the solve ran on, so the public certificates
+        # on the full grid give the rows' bits
         ham, grid, P = pendulum_hamiltonian(), TorusGrid(1, 128, 128), (2.0,)
         rep = k_sweep(ham, grid, P, [4, 32])
         res = None
         for row in rep.rows:
             cfg = SolverConfig(k=row.k, P=P)
             res = minimize(ham, grid, cfg, warm_start=res)
-            full = mather_diagnostics(ham, grid, cfg, res).entropy_over_k
-            assert abs(row.entropy_over_k - full) <= 1e-15 * abs(full)
             expected = replace(
                 row,
                 hbar=res.hbar,
+                entropy_over_k=mather_diagnostics(ham, grid, cfg, res).entropy_over_k,
                 sup_excess_pos=max(0.0, np.log(np.max(res.m.values)) / res.k),
                 lip_norm=res.lip_norm,
                 aronsson_residual=aronsson_residual(ham, grid, cfg, res.u),

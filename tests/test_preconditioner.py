@@ -1,10 +1,11 @@
-"""The Newton step's inner solve: one dense block on small solve grids, PCG with a Fourier surrogate elsewhere.
+"""The Newton step's inner solve: a direct solve map on small solve grids, PCG with a Fourier surrogate elsewhere.
 
-The block is a direct solve with the damped Newton operator on the grid
-the Newton loop runs on (``_solve_grid``), and a Newton step that gets it
-runs no CG.  One rule picks it: the solve grid has at most
-``_BLOCK_MAX_NODES`` nodes.  Autonomous Hamiltonians are solved on one time
-plane, where the block spans the spatial axes; a grid with n_t > 1 gets the
+On a one-plane 1-d solve grid the map is the flux step (``_flux_block``):
+the damped Gauss-Newton system D^T diag(q) D s = r in closed form, with
+q = m*(k*w^2 + 1) + kappa*mu, at every n_x.  Any other solve grid of at
+most ``_BLOCK_MAX_NODES`` nodes gets the dense block, a direct solve with
+the operator plus mu; autonomous d = 2 Hamiltonians are solved on one time
+plane, where it spans the spatial axes, and a grid with n_t > 1 gets the
 whole space-time operator.  Larger solve grids, and states whose block
 solve raises or gives a step that is not finite, run PCG with the m-blind
 Fourier surrogate.  Autonomous states below are therefore built on
@@ -26,6 +27,7 @@ from evanskam.evans_solver import (
     _BLOCK_MAX_NODES,
     SolverConfig,
     _dense_block,
+    _flux_block,
     _fourier_surrogate,
     _newton_coefficients,
     _operator_apply,
@@ -34,7 +36,7 @@ from evanskam.evans_solver import (
     minimize,
 )
 from evanskam.hamiltonians import FourierSpec, MechanicalHamiltonian
-from evanskam.torus_grid import TorusGrid
+from evanskam.torus_grid import TorusGrid, antiderivative_matrix, derivative_matrix
 
 
 def damped_operator(grid, cfg, st, mu):
@@ -70,14 +72,37 @@ def states():
     yield solved_state(pendulum_hamiltonian(), TorusGrid(1, 64, 8), SolverConfig(k=16.0, P=(-0.1,), grad_tol=1e-11))
 
 
+def one_plane_1d(grid):
+    return grid.d == 1 and grid.n_t == 1
+
+
 def block(grid, cfg, st, mu):
-    M = _dense_block(grid, cfg, st, mu)
+    """The direct solve map of a Newton step on ``grid``: the flux step on one plane in 1-d, else the dense block."""
+    M = (_flux_block if one_plane_1d(grid) else _dense_block)(grid, cfg, st, mu)
     assert M is not None
     return M
 
 
+def block_operator(grid, cfg, st, mu):
+    """The damped operator that ``block`` inverts.
+
+    On one plane in 1-d it is D^T diag(q) D with q = m*(k*w^2 + 1) +
+    kappa*mu, kappa = (D+^T D+)_00; elsewhere the Newton operator plus mu.
+    """
+    if not one_plane_1d(grid):
+        return damped_operator(grid, cfg, st, mu)
+    D, Dp = derivative_matrix(grid.n_x, cfg.method), antiderivative_matrix(grid.n_x, cfg.method)
+    q = st.m * (cfg.k * st.w[0] ** 2 + 1.0) + np.sum(Dp[:, 0] ** 2) * mu
+    return lambda v: D.T @ (q * (D @ v))
+
+
 def random_zero_mean(rng, grid):
     return grid.project_zero_mean(rng.standard_normal(grid.shape))
+
+
+def alternating(grid):
+    """The Nyquist mode (-1)^j of a 1-d grid, constant in t."""
+    return (-1.0) ** np.arange(grid.n_x)[:, None] * np.ones(grid.shape)
 
 
 def check_symmetric_positive(rng, grid, M):
@@ -96,19 +121,23 @@ def check_positive(rng, grid, M):
 
 
 def check_exact(rng, grid, cfg, st, mus=(1e-9, 1e-4, 1.0)):
+    """The map inverts ``block_operator`` on time-independent zero-mean fields, Nyquist-free on one plane in 1-d."""
     spatial = (grid.n_x,) * grid.d + (1,)
     for mu in mus:
-        A = damped_operator(grid, cfg, st, mu)
+        A = block_operator(grid, cfg, st, mu)
         M = block(grid, cfg, st, mu)
         for _ in range(3):
-            v = grid.project_zero_mean(rng.standard_normal(spatial) * np.ones(grid.shape))
+            if one_plane_1d(grid):
+                v = nyquist_free_field(rng, grid)
+            else:
+                v = grid.project_zero_mean(rng.standard_normal(spatial) * np.ones(grid.shape))
             r = A(v)
             assert grid.norm(A(M(r)) - r) <= 1e-8 * grid.norm(r)
 
 
 def check_block_and_surrogate(rng, grid, cfg, st, mu):
-    """The block is positive and exact at mu; the surrogate is symmetric and positive."""
-    check_positive(rng, grid, block(grid, cfg, st, mu))
+    """The block map is positive (symmetric too on one plane in 1-d) and exact at mu; the surrogate is symmetric and positive."""
+    (check_symmetric_positive if one_plane_1d(grid) else check_positive)(rng, grid, block(grid, cfg, st, mu))
     check_exact(rng, grid, cfg, st, mus=(mu,))
     check_symmetric_positive(rng, grid, _fourier_surrogate(grid, cfg, st, mu))
 
@@ -122,18 +151,20 @@ class TestSymmetricPositive:
     def test_constants_not_amplified(self):
         # constants are never part of a residual, but round-off puts them
         # there; like the surrogate's unit DC bin, the block must not return
-        # them scaled by 1/mu
+        # them scaled by 1/mu.  The flux step drops the Nyquist mode too.
         for grid, cfg, st in states():
-            ones = np.ones(grid.shape)
+            fields = [np.ones(grid.shape)] + ([alternating(grid)] if one_plane_1d(grid) else [])
             for M in (block(grid, cfg, st, 1e-11), _fourier_surrogate(grid, cfg, st, 1e-11)):
-                assert grid.norm(M(ones)) <= grid.norm(ones)
+                for x in fields:
+                    assert grid.norm(M(x)) <= grid.norm(x)
 
 
 def nyquist_free_field(rng, grid):
-    """A random zero-mean field with no content on the Nyquist bin of any axis."""
+    """A random zero-mean field with no content on the Nyquist bin of any axis (a one-node axis has none)."""
     spec = np.fft.fftn(rng.standard_normal(grid.shape))
     for axis, n in enumerate(grid.shape):
-        spec[(slice(None),) * axis + (n // 2,)] = 0.0
+        if n > 1:
+            spec[(slice(None),) * axis + (n // 2,)] = 0.0
     spec.flat[0] = 0.0
     return np.real(np.fft.ifftn(spec))
 
@@ -187,9 +218,9 @@ def test_no_block_above_the_cap(ham, grid, P):
 
 
 class TestAtTheCap:
-    # the largest block, one plane of 512 nodes with m down to about 6e-10,
-    # and a damping near the Newton loop's floor: the block solve must not
-    # raise or lose exactness
+    # one plane of 512 nodes, the dense cap, with m down to about 6e-10 and
+    # a damping near the Newton loop's floor: the flux step, which has no
+    # cap, must stay symmetric, positive and exact
     @pytest.fixture(scope="class")
     def cap_state(self):
         grid, cfg, st = solved_state(pendulum_hamiltonian(), TorusGrid(1, 512, 8), SolverConfig(k=16.0, P=(0.3,)))
@@ -252,18 +283,51 @@ def test_criterion_6_grid_converges_everywhere():
     assert table.converged.tolist() == [True] * 41
 
 
-def test_shifted_criterion_6_grids_stop_only_at_the_known_floor():
-    # the nine seed shifts of the benchmark's sweep, built the same way: the
-    # shifted grid is not re-rounded, which would change the set below.  With
-    # direct block steps and a stall limit of 6 no entry stops at the floor
+@pytest.fixture(scope="module")
+def shifted_criterion_6_grids():
+    """(P grid, table, the sweep's solve records) of each of the nine seed shifts of the benchmark's sweep.
+
+    Built the same way: the shifted grid is not re-rounded, which would
+    change the solves.
+    """
     base = np.round(np.arange(-2.0, 2.0001, 0.1), 10)
     cfg = SolverConfig(k=16.0, grad_tol=1e-11)
+    solve, records = effective.minimize, []
+
+    def recording(*args, **kwargs):
+        records.append(solve(*args, **kwargs))
+        return records[-1]
+
+    effective.minimize = recording
+    try:
+        sweeps = []
+        for j in range(-4, 5):
+            P_grid = base + 0.01 * j
+            table = sweep_P(pendulum_hamiltonian(), TorusGrid(1, 64, 8), 16.0, P_grid, config=cfg)
+            sweeps.append((P_grid, table, records[-len(P_grid) :]))
+    finally:
+        effective.minimize = solve
+    return sweeps
+
+
+def test_shifted_criterion_6_grids_stop_only_at_the_known_floor(shifted_criterion_6_grids):
+    # with direct steps and a stall limit of 6 no entry stops at the floor
     unconverged = set()
-    for j in range(-4, 5):
-        P_grid = base + 0.01 * j
-        table = sweep_P(pendulum_hamiltonian(), TorusGrid(1, 64, 8), 16.0, P_grid, config=cfg)
+    for P_grid, table, _ in shifted_criterion_6_grids:
         unconverged |= {round(float(P), 2) for P in P_grid[~table.converged]}
     assert unconverged == set()
+
+
+def test_shifted_criterion_6_entries_carry_no_nyquist_mode(shifted_criterion_6_grids):
+    # the flux step never puts the alternating mode, which J cannot see,
+    # into u; with the dense block warm starts carried up to 1.1e-4 of it
+    amplitudes = [
+        abs(np.mean(res.u.values * alternating(res.u.grid)))
+        for _, _, records in shifted_criterion_6_grids
+        for res in records
+    ]
+    assert len(amplitudes) == 369
+    assert max(amplitudes) <= 1e-12
 
 
 def test_secant_started_criterion_6_sweep_newton_steps(monkeypatch):
@@ -375,6 +439,20 @@ def test_criterion_6_sweep_takes_no_cg(monkeypatch):
     table = sweep_P(pendulum_hamiltonian(), TorusGrid(1, 64, 8), 16.0, P_grid, config=cfg)
     assert table.converged.all()
     assert counts == []
+
+
+def test_one_plane_1d_solve_above_the_cap_takes_the_flux_step(monkeypatch):
+    # the flux step has no cap: the pendulum on 1,024 nodes runs no CG and
+    # reaches the 256-node value (the surrogate's PCG took 73 steps and
+    # stopped unconverged at 1.6e-6)
+    counts = pcg_iterations(monkeypatch)
+    cfg = SolverConfig(k=16.0, P=(0.5,), grad_tol=1e-9)
+    fine = minimize(pendulum_hamiltonian(), TorusGrid(1, 1024, 1), cfg)
+    assert fine.converged
+    assert fine.iterations <= 20
+    assert counts == []
+    coarse = minimize(pendulum_hamiltonian(), TorusGrid(1, 256, 1), cfg)
+    assert abs(fine.hbar - coarse.hbar) <= 1e-12
 
 
 def test_solve_above_the_cap_runs_pcg(monkeypatch):

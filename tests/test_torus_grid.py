@@ -245,6 +245,30 @@ class TestKernelBits:
         assert np.array_equal(D.T, -D)  # exact float equality; zeros only differ in sign
 
     @pytest.mark.parametrize("method", ["spectral", "central4"])
+    @pytest.mark.parametrize("n", [6, 8, 16, 64, 65])
+    def test_antiderivative_matrix_is_the_pseudo_inverse(self, method, n):
+        # the FFT construction against an SVD; odd and exactly skew, and read-only in the cache
+        Dp = torus_grid.antiderivative_matrix(n, method)
+        assert torus_grid.antiderivative_matrix(n, method) is Dp
+        assert np.array_equal(Dp.T, -Dp)
+        assert np.max(np.abs(Dp - np.linalg.pinv(torus_grid.derivative_matrix(n, method)))) <= 1e-14
+        with pytest.raises(ValueError):
+            Dp[1, 0] = 0.0
+
+    @pytest.mark.parametrize("method", ["spectral", "central4"])
+    def test_antiderivative_maps_onto_zero_mean_nyquist_free_fields(self, method, rng):
+        n = 1024
+        D, Dp = torus_grid.derivative_matrix(n, method), torus_grid.antiderivative_matrix(n, method)
+        alternating = (-1.0) ** np.arange(n)
+        for x in (rng.standard_normal(n), np.ones(n), alternating):
+            y = Dp @ x
+            assert abs(y.sum()) <= 1e-14 * np.abs(x).sum()
+            assert abs(alternating @ y) <= 1e-14 * np.abs(x).sum()
+        x = rng.standard_normal(n)
+        x -= x.mean() + (alternating @ x) / n * alternating
+        assert np.max(np.abs(D @ (Dp @ x) - x)) <= 1e-12 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("method", ["spectral", "central4"])
     @pytest.mark.parametrize("shape", [(1, 8, 8), (1, 64, 1), (2, 6, 6), (2, 16, 8)])
     def test_constants_along_the_axis_map_to_exact_zeros(self, method, shape, rng):
         # constant along the differentiated axis, varying along the others

@@ -7,15 +7,19 @@ interpreter per tree, with BLAS pinned to one thread, and alternates the
 order of the trees from round to round.  A child imports TREE's evanskam
 and reports, as medians over its own repeats:
 
-- for each block case (64, 128, 256 and 512 nodes on one time plane of
-  the pendulum, 512 space-time nodes of tc1 32x16): ``block_s``, the time
-  of one damped block step, ``_dense_block(...)`` built and applied to the
-  negative gradient (the case is null for a tree whose ``_dense_block``
-  forms no block there); its split into ``assemble_s`` (``_assemble``),
-  ``lu_solve_s`` (``np.linalg.solve``) and ``other_s`` (the rest:
-  coefficients, equilibration, matrix products); and ``newton_step_s``,
-  one whole step of ``_newton_stage`` (gradient, inner solve, line search)
-  from the same state;
+- for each block case (64 to 1,024 nodes on one time plane of the
+  pendulum, 512 space-time nodes of tc1 32x16): ``block_s``, the time of
+  one damped direct step, the tree's solve map built and applied to the
+  negative gradient, and ``step``, which map that is.  A one-plane 1-d
+  case takes ``_flux_block`` in a tree that has it, split into
+  ``matvec_s`` (its two ``np.dot`` matvecs with the antiderivative) and
+  ``other_s`` (the rest: coefficients and O(n) work).  Any other case
+  takes ``_dense_block`` (null for a tree whose ``_dense_block`` forms no
+  block there), split into ``assemble_s`` (``_assemble``), ``lu_solve_s``
+  (``np.linalg.solve``) and ``other_s`` (coefficients, equilibration,
+  matrix products).  Each case also gives ``newton_step_s``, one whole step
+  of ``_newton_stage`` (gradient, inner solve, line search) from the same
+  state;
 - for the criterion-6 sweep (41 entries, pendulum 64x8, k = 16,
   ``grad_tol`` 1e-11): its wall time, its Newton steps, and the time per
   Newton step;
@@ -46,11 +50,12 @@ from pathlib import Path
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 # name: (Hamiltonian, TorusGrid arguments (d, n_x, n_t), k, P, damping mu, repeats)
 BLOCK_CASES = {
+    "spacetime-512": ("tc1", (1, 32, 16), 8.0, 0.0, 1e-6, 20),
     "plane-64": ("pendulum", (1, 64, 8), 16.0, 0.5, 1e-6, 200),
     "plane-128": ("pendulum", (1, 128, 8), 16.0, 0.5, 1e-6, 100),
     "plane-256": ("pendulum", (1, 256, 8), 16.0, 0.5, 1e-6, 40),
     "plane-512": ("pendulum", (1, 512, 8), 16.0, 0.5, 1e-6, 20),
-    "spacetime-512": ("tc1", (1, 32, 16), 8.0, 0.0, 1e-6, 20),
+    "plane-1024": ("pendulum", (1, 1024, 8), 16.0, 0.5, 1e-6, 10),
 }
 SWEEP_REPEATS = 3
 # name: TorusGrid arguments (d, n_x, n_t)
@@ -143,20 +148,21 @@ def block_case(name: str) -> dict | None:
     u = grid.project_zero_mean(0.3 * np.sin(2 * np.pi * (grid.coords()[0] + 0.25)) * np.ones(grid.shape))
     st = evans_solver.evaluate_state(ham, grid, cfg, u)
     g = evans_solver.gradient(ham, grid, cfg, u).values
-    if evans_solver._dense_block(grid, cfg, st, mu) is None:
+    if grid.d == 1 and grid.n_t == 1 and hasattr(evans_solver, "_flux_block"):
+        step, phases = "flux", {"matvec_s": (np, "dot")}
+    else:
+        step, phases = "dense", {"assemble_s": (evans_solver, "_assemble"), "lu_solve_s": (np.linalg, "solve")}
+    solve_map = getattr(evans_solver, f"_{step}_block")
+    if solve_map(grid, cfg, st, mu) is None:
         return None
-    phases = {
-        "assemble_s": (evans_solver, "_assemble"),
-        "lu_solve_s": (np.linalg, "solve"),
-    }
     totals, splits = [], []
     for _ in range(repeats):
         with PhaseClock(phases) as clock:
             start = perf_counter()
-            evans_solver._dense_block(grid, cfg, st, mu)(-g)
+            solve_map(grid, cfg, st, mu)(-g)
             totals.append(perf_counter() - start)
         splits.append(clock.spent)
-    out = {"nodes": grid.n_nodes, "block_s": statistics.median(totals)}
+    out = {"nodes": grid.n_nodes, "step": step, "block_s": statistics.median(totals)}
     for phase in phases:
         out[phase] = statistics.median(s[phase] for s in splits)
     out["other_s"] = statistics.median(t - sum(s.values()) for t, s in zip(totals, splits))
@@ -266,13 +272,16 @@ def apply_case(name: str) -> dict:
 
 
 def child() -> dict:
-    return {
-        "blocks": {name: block_case(name) for name in BLOCK_CASES},
+    rest = {
         "criterion6_sweep": criterion6_sweep(),
         "deriv": {name: deriv_case(shape) for name, shape in DERIV_SHAPES.items()},
         "state": {name: state_case(name) for name in STATE_CASES},
         "operator_apply": {name: apply_case(name) for name in APPLY_CASES},
     }
+    # the blocks last, the case both trees take densely first: a tree's own
+    # earlier megabyte-sized arrays make malloc serve later ones faster
+    # (spacetime-512 read 9-12 ms after the dense plane cases, 15 ms alone)
+    return {"blocks": {name: block_case(name) for name in BLOCK_CASES}, **rest}
 
 
 def summarize(runs: list[dict]) -> dict:
