@@ -225,7 +225,7 @@ def run_battery(seed: int = 0, inject_error: str | None = None) -> list[CheckRes
     _, m_field = es.objective(ham, grid, cfg, u0)
     st_m = m_field.values
     du0 = [grid.deriv(u0, 0)]
-    w0 = [cfg.momentum(1)[0] + du0[0] + ham.lam * ham.eta[0].evaluate(t)]
+    w0 = [cfg.momentum(1)[0] + du0[0] + ham.eta[0].evaluate(t)]
     dv = grid.deriv(v1, 0)
     vt = grid.deriv(v1, 1)
     quad_direct = grid.integrate(st_m * (cfg.k * (vt + w0[0] * dv) ** 2 + dv**2)) / cfg.k

@@ -205,7 +205,7 @@ def cmd_limit(args) -> int:
     k_list = _numeric(block["k_list"], "limit.k_list")
     if k_list.ndim != 1 or k_list.size == 0 or not (k_list[0] > 0 and np.all(np.diff(k_list) > 0)):
         raise ConfigError("limit.k_list must be a nonempty, positive, strictly increasing list")
-    P = np.atleast_1d(_numeric(block.get("P", [0.0] * cfg.ham.d), "limit.P"))
+    P = np.atleast_1d(_numeric(block.get("P", cfg.solver.momentum(cfg.ham.d)), "limit.P"))
     if P.shape != (cfg.ham.d,):
         raise ConfigError(f"limit.P has shape {P.shape}, expected ({cfg.ham.d},)")
     out = cfg.ensure_out_dir()
@@ -237,7 +237,7 @@ def cmd_check(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _load_config(args)
-    P = _numeric(cfg.block("oracle", required=False).get("P", 0.0), "oracle.P")
+    P = _numeric(cfg.block("oracle", required=False).get("P", cfg.solver.momentum(cfg.ham.d)[0]), "oracle.P")
     if P.ndim != 0:
         raise ConfigError("oracle.P must be a single number")
     value = classical_reference(cfg.ham, float(P))

@@ -145,14 +145,12 @@ class SolveResult:
     converged: bool
     k: float
     P: np.ndarray
-    lam: float
     method: str
 
     def metadata(self) -> dict:
         return {
             "k": self.k,
             "P": [float(p) for p in self.P],
-            "lambda": self.lam,
             "hbar": self.hbar,
             "grad_norm": self.grad_norm,
             "lip_norm": self.lip_norm,
@@ -325,8 +323,6 @@ def _derivative_columns(shape: tuple[int, ...], method: str) -> list[np.ndarray]
 
 
 def _along(D: np.ndarray, X: np.ndarray, axis: int) -> np.ndarray:
-    if X.ndim == 2 and axis == 0:
-        return np.dot(D, X)  # the product tensordot forms here, without its set-up
     return np.moveaxis(np.tensordot(D, X, axes=(1, axis)), 0, axis)
 
 
@@ -544,7 +540,7 @@ def hbar_bounds(ham: MechanicalHamiltonian, grid: TorusGrid, P=None) -> tuple[fl
 
     With the momentum shift the solve targets the shifted Hamiltonian
     H(z, P + .), whose value at zero momentum is H(z, P); the pointwise
-    minimum over p is lam*V regardless of P.
+    minimum over p is V regardless of P.
     """
     P = SolverConfig(k=1.0, P=None if P is None else tuple(np.atleast_1d(P))).momentum(ham.d)
     check_nyquist(ham, grid)
@@ -706,7 +702,6 @@ def minimize(
         converged=converged,
         k=config.k,
         P=P,
-        lam=ham.lam,
         method=config.method,
     )
 

@@ -1,10 +1,11 @@
 """The mechanical Hamiltonian family and its calculus on the torus.
 
-The family is H(x,t,p) = |p + lam*eta(t)|^2/2 + lam*V(x,t) with a weight
-lam in [0,1]; eta has one component per spatial axis and depends on
-time only, V lives on the full space-time torus.  Both are finite Fourier
-series rather than callables so a configuration serializes exactly and runs
-reproduce bit for bit.
+The family is H(x,t,p) = |p + eta(t)|^2/2 + V(x,t); eta has one
+component per spatial axis and depends on time only, V lives on the full
+space-time torus.  Both are finite Fourier series rather than callables so
+a configuration serializes exactly and runs reproduce bit for bit.  A
+config's weight "lambda" in [0,1] scales every coefficient of eta and V
+when it is read (``hamiltonian_from_json``); the solver never sees it.
 
 The drift of the equivalent nondivergence form is sublinear: |b(z,q)| is
 bounded by a linear function chi(s) = c*s + d0 of |q|, and ``chi_bound``
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -145,16 +146,15 @@ class FourierSpec:
 
 @dataclass(frozen=True)
 class MechanicalHamiltonian:
-    """H(x,t,p) = |p + lam*eta(t)|^2/2 + lam*V(x,t).
+    """H(x,t,p) = |p + eta(t)|^2/2 + V(x,t).
 
     Immutable.  The momentum Hessian is the identity, so the family is
-    strictly convex and superlinear for every lam.
+    strictly convex and superlinear.
     """
 
     d: int
     eta: tuple[FourierSpec, ...]
     V: FourierSpec
-    lam: float = 1.0
 
     def __post_init__(self) -> None:
         if self.d not in (1, 2):
@@ -166,8 +166,6 @@ class MechanicalHamiltonian:
                 raise ValueError("eta components must be functions of time alone")
         if self.V.nvars != self.d + 1:
             raise ValueError(f"V must have arity d+1={self.d + 1}, got {self.V.nvars}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must lie in [0,1], got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -186,7 +184,7 @@ class ChiParams:
 
 
 class HamiltonianTable:
-    """lam*eta, lam*eta', lam*V, lam*grad V and lam*V_t at broadcastable coordinates, and the family's formulas on them.
+    """eta, eta', V, grad V and V_t at broadcastable coordinates, and the family's formulas on them.
 
     ``coords`` are d + 1 arrays, x_1..x_d then t: a grid's open mesh
     (``TorusGrid.coords()``), a stack of sample points, or the components of
@@ -197,27 +195,27 @@ class HamiltonianTable:
     """
 
     def __init__(self, ham: MechanicalHamiltonian, coords: Sequence[np.ndarray]):
-        t, lam = coords[-1], ham.lam
+        t = coords[-1]
         self.d = ham.d
-        self.eta = [lam * spec.evaluate(t) for spec in ham.eta]
-        self.eta_prime = [lam * spec.partial(0).evaluate(t) for spec in ham.eta]
-        self.V = lam * ham.V.evaluate(*coords)
-        self.gradV = [lam * ham.V.partial(a).evaluate(*coords) for a in range(ham.d)]
-        self.V_t = lam * ham.V.partial(ham.d).evaluate(*coords)
+        self.eta = [spec.evaluate(t) for spec in ham.eta]
+        self.eta_prime = [spec.partial(0).evaluate(t) for spec in ham.eta]
+        self.V = ham.V.evaluate(*coords)
+        self.gradV = [ham.V.partial(a).evaluate(*coords) for a in range(ham.d)]
+        self.V_t = ham.V.partial(ham.d).evaluate(*coords)
 
     def H_p(self, p) -> list:
-        """w = H_p(z, p) = p + lam*eta, per axis."""
+        """w = H_p(z, p) = p + eta, per axis."""
         return [p_i + eta_i for p_i, eta_i in zip(p, self.eta)]
 
     def H(self, w, start=None):
-        """start + H = start + lam*V + |w|^2/2 at w = H_p, summed in that order (start: u_t, or None for H)."""
+        """start + H = start + V + |w|^2/2 at w = H_p, summed in that order (start: u_t, or None for H)."""
         out = self.V if start is None else start + self.V
         for w_i in w:
             out = out + 0.5 * (w_i * w_i)
         return out
 
     def H_t(self, w):
-        """H_t = lam*V_t + w . lam*eta' at w = H_p."""
+        """H_t = V_t + w . eta' at w = H_p."""
         out = self.V_t
         for w_i, e_i in zip(w, self.eta_prime):
             out = out + w_i * e_i
@@ -231,7 +229,7 @@ class HamiltonianTable:
         return out
 
     def L(self, v):
-        """L = |v|^2/2 - lam*eta.v - lam*V, the Legendre transform of H in p; L + H = p.v at v = H_p."""
+        """L = |v|^2/2 - eta.v - V, the Legendre transform of H in p; L + H = p.v at v = H_p."""
         out = -self.V
         for v_i, e_i in zip(v, self.eta):
             out = out + 0.5 * (v_i * v_i) - e_i * v_i
@@ -280,7 +278,8 @@ def chi_bound(ham: MechanicalHamiltonian, grid: TorusGrid, rng_seed: int = 0) ->
     """Fit and verify a linear bound |b(z,q)| <= c|q| + d0 for the drift.
 
     The maxima are taken on a dense refinement of ``grid`` (which contains the
-    grid nodes), at lam = 1 so one bound covers every weight lam in [0, 1]:
+    grid nodes).  Scaling (eta, V) by s in [0, 1] scales c by s and d0 by
+    at most s, so the bound also covers the Hamiltonian of every s*(eta, V):
 
         c  = max(|eta'(t)| + |grad V(x,t)|),
         d0 = c * max|eta(t)| + max|V_t(x,t)|.
@@ -292,19 +291,17 @@ def chi_bound(ham: MechanicalHamiltonian, grid: TorusGrid, rng_seed: int = 0) ->
     fine = _refinement(grid)
     coords = fine.coords()
     d = ham.d
-    unit = HamiltonianTable(replace(ham, lam=1.0), coords)
+    table = HamiltonianTable(ham, coords)
 
-    abs_eta = np.sqrt(sum(e**2 for e in unit.eta))
-    abs_eta_p = np.sqrt(sum(e**2 for e in unit.eta_prime))
-    abs_gradV = np.sqrt(sum(g**2 for g in unit.gradV))
+    abs_eta = np.sqrt(sum(e**2 for e in table.eta))
+    abs_eta_p = np.sqrt(sum(e**2 for e in table.eta_prime))
+    abs_gradV = np.sqrt(sum(g**2 for g in table.gradV))
 
     c = float(np.max(abs_eta_p + abs_gradV))
     max_eta = float(np.max(abs_eta))
-    d0 = c * max_eta + float(np.max(np.abs(unit.V_t)))
+    d0 = c * max_eta + float(np.max(np.abs(table.V_t)))
     params = ChiParams(c=c, d0=d0)
 
-    # spot-check at the instance's own lam
-    own = unit if ham.lam == 1.0 else HamiltonianTable(ham, coords)
     q_max = 10.0 * (1.0 + max_eta)
     rng = np.random.default_rng(rng_seed)
     dirs = rng.normal(size=(_CHI_SAMPLES, d + 1))
@@ -313,7 +310,7 @@ def chi_bound(ham: MechanicalHamiltonian, grid: TorusGrid, rng_seed: int = 0) ->
     tol = 1e-9 * (1.0 + c + d0)
     for q_vec, r in zip(dirs, radii):
         q = r * q_vec
-        b = own.drift(own.H_p(q[:d]))
+        b = table.drift(table.H_p(q[:d]))
         excess = np.abs(b) - (params(r) + tol)
         if np.any(excess > 0):
             idx = np.unravel_index(int(np.argmax(excess)), fine.shape)
@@ -348,7 +345,6 @@ def hamiltonian_to_json(ham: MechanicalHamiltonian) -> dict:
         "d": ham.d,
         "eta": [spec.to_json_obj() for spec in ham.eta],
         "V": ham.V.to_json_obj(),
-        "lambda": ham.lam,
     }
 
 
@@ -379,8 +375,11 @@ def _json_integer(value, what: str) -> int:
 def hamiltonian_from_json(obj: dict) -> MechanicalHamiltonian:
     """The Hamiltonian of a JSON object.
 
-    A non-finite, boolean or string number, or a field of the wrong shape,
-    raises ValueError naming the field; a missing field raises KeyError.
+    The optional weight "lambda" in [0,1] (default 1) multiplies every cos
+    and sin coefficient of eta and V; the result carries the scaled series.
+    A non-finite, boolean or string number, a lambda outside [0,1], or a
+    field of the wrong shape raises ValueError naming the field; a missing
+    field raises KeyError.
     """
     if not isinstance(obj, dict):
         raise ValueError(f'the block must be an object with "d", "eta", "V" and "lambda", got {obj!r}')
@@ -392,4 +391,11 @@ def hamiltonian_from_json(obj: dict) -> MechanicalHamiltonian:
     if len(eta) != d:
         raise ValueError(f"expected {d} eta components, got {len(eta)}")
     V = FourierSpec.from_json_obj(obj["V"], d + 1, "V")
-    return MechanicalHamiltonian(d=d, eta=eta, V=V, lam=_json_number(obj.get("lambda", 1.0), "lambda"))
+    lam = _json_number(obj.get("lambda", 1.0), "lambda")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda must lie in [0,1], got {lam}")
+
+    def scaled(spec: FourierSpec) -> FourierSpec:
+        return FourierSpec(spec.nvars, tuple(FourierTerm(t.freq, lam * t.cos, lam * t.sin) for t in spec.terms))
+
+    return MechanicalHamiltonian(d=d, eta=tuple(map(scaled, eta)), V=scaled(V))

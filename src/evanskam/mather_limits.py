@@ -253,13 +253,11 @@ def classical_reference(ham: MechanicalHamiltonian, P: float) -> float | None:
     """Classical cell-problem value of ``ham`` at momentum P, when it applies.
 
     The oracle covers d = 1 with zero drift eta and a time-independent
-    potential; it is evaluated on lam*V.  Returns None for any other
-    Hamiltonian.
+    potential.  Returns None for any other Hamiltonian.
     """
     if ham.d != 1 or not all(spec.is_zero() for spec in ham.eta) or ham.V.depends_on(1):
         return None
-    scaled = FourierSpec.build(1, [(t.freq[:1], ham.lam * t.cos, ham.lam * t.sin) for t in ham.V.terms])
-    return pendulum_reference(scaled, float(P))
+    return pendulum_reference(ham.V, float(P))
 
 
 def pendulum_reference(V: FourierSpec, P: float) -> float:

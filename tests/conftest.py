@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from evanskam import FourierSpec, MechanicalHamiltonian
+from evanskam import FourierSpec, MechanicalHamiltonian, hamiltonian_from_json, hamiltonian_to_json
 
 
 def trivial_hamiltonian() -> MechanicalHamiltonian:
@@ -38,6 +38,36 @@ def mixed_hamiltonian() -> MechanicalHamiltonian:
     eta = FourierSpec.build(1, [((1,), 0.7, 0.0)])
     V = FourierSpec.build(2, [((1, 0), 1.0, 0.0), ((1, 1), 0.0, 0.25)])
     return MechanicalHamiltonian(d=1, eta=(eta,), V=V)
+
+
+def mixed3_json(lam: float) -> dict:
+    """A config's Hamiltonian block at weight lam: eta = 0.7 cos(2 pi t), and three terms in V,
+    cos(2 pi x) + 0.25 sin(2 pi (x + t)) + 0.3 cos(2 pi (2x + t)).
+    """
+    return {
+        "d": 1,
+        "eta": [[{"freq": [1], "cos": 0.7, "sin": 0.0}]],
+        "V": [
+            {"freq": [1, 0], "cos": 1.0, "sin": 0.0},
+            {"freq": [1, 1], "cos": 0.0, "sin": 0.25},
+            {"freq": [2, 1], "cos": 0.3, "sin": 0.0},
+        ],
+        "lambda": lam,
+    }
+
+
+def scaled(ham: MechanicalHamiltonian, s: float) -> MechanicalHamiltonian:
+    """The Hamiltonian of s*(eta, V), every coefficient multiplied by s."""
+
+    def times(spec: FourierSpec) -> FourierSpec:
+        return FourierSpec.build(spec.nvars, [(t.freq, s * t.cos, s * t.sin) for t in spec.terms])
+
+    return MechanicalHamiltonian(d=ham.d, eta=tuple(map(times, ham.eta)), V=times(ham.V))
+
+
+def weighted(ham: MechanicalHamiltonian, lam: float) -> MechanicalHamiltonian:
+    """``ham`` read back from its JSON object with the weight "lambda": lam."""
+    return hamiltonian_from_json({**hamiltonian_to_json(ham), "lambda": lam})
 
 
 def separable_2d() -> MechanicalHamiltonian:

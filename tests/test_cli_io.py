@@ -460,6 +460,20 @@ class TestLimitCommand:
         path = write_config(tmp_path, cfg)
         assert main(["limit", "--config", path]) == 2
 
+    def test_P_defaults_to_the_solver_P(self, tmp_path):
+        # without limit.P the sweep runs at solver.P, the momentum `solve` uses
+        cfg = pendulum_config(tmp_path / "out", limit={"k_list": [4, 8]})
+        cfg["grid"] = {"d": 1, "n_x": 32, "n_t": 8}
+        cfg["solver"] = {"k": 4.0, "P": [2.0]}
+        path = write_config(tmp_path, cfg)
+        assert main(["limit", "--config", path]) == 0
+        assert main(["solve", "--config", path]) == 0
+        sidecar = json.loads((tmp_path / "out" / "ksweep.csv.json").read_text())
+        assert sidecar["P"] == [2.0]
+        first = (tmp_path / "out" / "ksweep.csv").read_text().splitlines()[1].split(",")
+        assert float(first[0]) == 4.0
+        assert float(first[1]) == json.loads((tmp_path / "out" / "solve.json").read_text())["hbar"]
+
     @pytest.mark.parametrize(
         "limit",
         [
@@ -587,6 +601,18 @@ class TestOracleCommand:
         path = write_config(tmp_path, cfg)
         assert main(["oracle", "--config", path]) == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(1.0, abs=1e-9)
+
+    def test_P_defaults_to_the_solver_P(self, tmp_path, capsys):
+        cfg = pendulum_config(tmp_path / "out", oracle={"P": 2.0})
+        assert main(["oracle", "--config", write_config(tmp_path, cfg)]) == 0
+        explicit = capsys.readouterr().out
+        cfg = pendulum_config(tmp_path / "out", oracle={})
+        cfg["solver"] = {"k": 4.0, "P": [2.0]}
+        assert main(["oracle", "--config", write_config(tmp_path, cfg)]) == 0
+        assert capsys.readouterr().out == explicit
+        del cfg["oracle"]
+        assert main(["oracle", "--config", write_config(tmp_path, cfg)]) == 0
+        assert capsys.readouterr().out == explicit
 
     def test_drift_rejected_exit_2(self, tmp_path):
         cfg = t1_config(tmp_path / "out", oracle={"P": 0.0})

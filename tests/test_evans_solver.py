@@ -9,8 +9,10 @@ import pytest
 from conftest import (
     assert_bitwise,
     flux_oracle_hbar,
+    mixed3_json,
     mixed_hamiltonian,
     pendulum_hamiltonian,
+    scaled,
     separable_2d,
     t1_hamiltonian,
     t1_minimizer,
@@ -37,6 +39,7 @@ from evanskam.hamiltonians import (
     MechanicalHamiltonian,
     NyquistError,
     chi_bound,
+    hamiltonian_from_json,
 )
 from evanskam.mather_limits import aronsson_residual, holonomy_residual, k_sweep, mather_diagnostics
 from evanskam.mfg_diagnostics import mfg_residuals
@@ -255,7 +258,7 @@ class TestLinearizedOperator:
             u = random_zero_mean(grid, rng)
             _, m = objective(ham, grid, cfg, u)
             t = grid.coords()[-1]
-            w = [cfg.momentum(d)[i] + grid.deriv(u, i) + ham.lam * ham.eta[i].evaluate(t) for i in range(d)]
+            w = [cfg.momentum(d)[i] + grid.deriv(u, i) + ham.eta[i].evaluate(t) for i in range(d)]
             for _ in range(5):
                 v = random_zero_mean(grid, rng)
                 Bvv = grid.inner(v, linearized_el_apply(ham, grid, cfg, u, v).values)
@@ -311,6 +314,22 @@ class TestMinimize:
         assert lo - 1e-9 <= res.hbar <= hi + 1e-9
         assert -1.0 <= res.hbar <= 1.0
         assert res.grad_norm <= 1e-8
+
+    def test_metadata_has_no_lambda(self):
+        res = minimize(pendulum_hamiltonian(), TorusGrid(1, 16, 1), SolverConfig(k=4.0))
+        assert set(res.metadata()) == {
+            "k", "P", "hbar", "grad_norm", "lip_norm", "iterations", "converged", "method"
+        }
+
+    def test_json_lambda_solves_the_scaled_hamiltonian(self):
+        # "lambda": 0.75 is the three-term Hamiltonian with every coefficient times 0.75, bit for bit
+        grid, cfg = TorusGrid(1, 16, 16), SolverConfig(k=8.0, P=(0.5,))
+        res = minimize(hamiltonian_from_json(mixed3_json(0.75)), grid, cfg)
+        ref = minimize(scaled(hamiltonian_from_json(mixed3_json(1.0)), 0.75), grid, cfg)
+        assert res.converged and ref.converged
+        assert_bitwise(res.u.values, ref.u.values)
+        assert_bitwise(res.hbar, ref.hbar)
+        assert res.iterations == ref.iterations
 
     def test_pendulum_matches_flux_oracle(self):
         # independent constant-flux oracle for the autonomous reduction
@@ -616,8 +635,8 @@ class TestKContinuation:
 
     @pytest.mark.parametrize("k, max_total, max_entry", [(16.0, 640, 18), (64.0, 880, 28)], ids=["k16", "k64"])
     def test_cold_criterion_6_entries(self, k, max_total, max_entry):
-        # every entry of the criterion-6 grid solved cold, at lam = 1 from
-        # u = 0 up the k ladder: 632 Newton steps at k = 16 (at most 18 per
+        # every entry of the criterion-6 grid solved cold, from u = 0 up
+        # the k ladder: 632 Newton steps at k = 16 (at most 18 per
         # entry) and 878 at k = 64 (at most 28); the lam homotopy this
         # replaced took 1,150 (32) and 3,194 (106)
         grid, cfg = TorusGrid(1, 64, 8), SolverConfig(k=k, grad_tol=1e-10)

@@ -1,15 +1,18 @@
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conftest import (
     assert_bitwise,
+    mixed3_json,
     mixed_hamiltonian,
     pendulum_hamiltonian,
+    scaled,
     t1_hamiltonian,
     tc2_hamiltonian,
     trivial_hamiltonian,
+    weighted,
 )
 from evanskam.evans_solver import SolverConfig, evaluate_state
 from evanskam.hamiltonians import (
@@ -63,7 +66,7 @@ class TestFourierSpec:
 
 
 class TestEvaluate:
-    """H, H_p = w, H_x = lam*grad V and H_t at single points, read from one-point tables."""
+    """H, H_p = w, H_x = grad V and H_t at single points, read from one-point tables."""
 
     def test_free_particle(self):
         table = HamiltonianTable(trivial_hamiltonian(), [0.3, 0.6])
@@ -106,7 +109,7 @@ class TestEvaluate:
                     assert abs(exact - fd_z) / scale <= 1e-7
 
     def test_lambda_scaling(self):
-        ham = replace(pendulum_hamiltonian(), lam=0.5)
+        ham = weighted(pendulum_hamiltonian(), 0.5)  # "lambda": 0.5 in the JSON object
         assert H_at(ham, [0.0, 0.0], [0.0]) == pytest.approx(0.5)  # 0.5 * V(0) = 0.5
 
     def test_d2(self):
@@ -295,14 +298,15 @@ class TestNyquist:
 
 class TestJson:
     def test_round_trip(self):
-        ham = replace(mixed_hamiltonian(), lam=0.75)
-        obj = hamiltonian_to_json(ham)
-        back = hamiltonian_from_json(obj)
-        assert back == ham
+        ham = mixed_hamiltonian()
+        assert hamiltonian_from_json(hamiltonian_to_json(ham)) == ham
+        # the weight is folded into the coefficients when the object is read
+        assert weighted(ham, 0.75) == scaled(ham, 0.75)
+        assert hamiltonian_from_json(hamiltonian_to_json(weighted(ham, 0.75))) == scaled(ham, 0.75)
 
     def test_schema_shape(self):
         obj = hamiltonian_to_json(t1_hamiltonian())
-        assert set(obj) == {"d", "eta", "V", "lambda"}
+        assert set(obj) == {"d", "eta", "V"}
         assert obj["eta"][0][0] == {"freq": [1], "cos": 1.0, "sin": 0.0}
 
     def test_invalid_lambda_rejected(self):
@@ -310,3 +314,22 @@ class TestJson:
         obj["lambda"] = 1.5
         with pytest.raises(ValueError):
             hamiltonian_from_json(obj)
+
+
+class TestLambdaFold:
+    """A config's "lambda" scales eta and V when it is read; the Hamiltonian carries no weight of its own."""
+
+    def test_fields_are_d_eta_V(self):
+        assert [f.name for f in fields(MechanicalHamiltonian)] == ["d", "eta", "V"]
+
+    def test_default_weight_keeps_the_coefficients(self):
+        obj = mixed3_json(1.0)
+        del obj["lambda"]
+        assert hamiltonian_from_json(obj) == hamiltonian_from_json(mixed3_json(1.0))
+
+    def test_chi_bound_is_the_scaled_instance_bound(self):
+        grid = TorusGrid(1, 16, 16)
+        full = chi_bound(hamiltonian_from_json(mixed3_json(1.0)), grid)
+        chi = chi_bound(hamiltonian_from_json(mixed3_json(0.3)), grid)
+        assert chi == chi_bound(scaled(hamiltonian_from_json(mixed3_json(1.0)), 0.3), grid)
+        assert chi.c <= full.c and chi.d0 <= full.d0

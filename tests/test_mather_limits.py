@@ -10,6 +10,7 @@ from conftest import (
     t1_hamiltonian,
     tc1_hamiltonian,
     trivial_hamiltonian,
+    weighted,
 )
 from evanskam.evans_solver import SolverConfig, minimize, objective
 from evanskam.hamiltonians import FourierSpec
@@ -322,7 +323,7 @@ class TestPendulumReference:
 
     def test_classical_reference_scales_and_gates(self):
         V = FourierSpec.build(1, [((1,), 0.5, 0.0)])
-        assert classical_reference(replace(pendulum_hamiltonian(), lam=0.5), 2.0) == pendulum_reference(V, 2.0)
+        assert classical_reference(weighted(pendulum_hamiltonian(), 0.5), 2.0) == pendulum_reference(V, 2.0)
         assert classical_reference(t1_hamiltonian(), 0.0) is None
         assert classical_reference(mixed_hamiltonian(), 0.0) is None
 

@@ -21,7 +21,8 @@ temporary directory, and prints one JSON object:
   reaches (cold starts up a long k ladder, ``central4``, d = 2 grids, one
   of them a one-plane grid above 256 nodes and one a space-time grid above
   the dense-block cap, which runs PCG, a one-plane 1-d grid of 1,024
-  nodes, a ``max_newton`` cap): per
+  nodes, a ``max_newton`` cap, a Hamiltonian read from JSON with a
+  "lambda" below 1): per
   solve, the sha256 of its record
   (the fields above plus lip_norm) with its iterations and converged flag,
   and one sha256 per certificate of the solve, so that each shows on its
@@ -86,6 +87,8 @@ LIBRARY_SOLVES = {
     "pcg-tc2-12": ("tc2", (2, 12, 12), dict(k=4.0, P=(0.5, 0.2))),
     # one plane of 1,024 nodes, above the dense cap: the flux step
     "pendulum-1024": ("pendulum", (1, 1024, 1), dict(k=16.0, P=(0.5,))),
+    # a config's weight "lambda" = 0.75 on a time-coupled three-term potential
+    "mixed-lambda-0.75": ("mixed-lambda-0.75", (1, 16, 16), dict(k=8.0, P=(0.5,))),
 }
 # name: (Hamiltonian, TorusGrid arguments (d, n_x, n_t), P, k list)
 LIBRARY_K_SWEEPS = {
@@ -118,7 +121,7 @@ def record_digest(results, fields: tuple[str, ...]) -> str:
 
 def library_hamiltonians() -> dict:
     """The Hamiltonians of the library cases, built with the importable evanskam."""
-    from evanskam import FourierSpec, MechanicalHamiltonian
+    from evanskam import FourierSpec, MechanicalHamiltonian, hamiltonian_from_json
 
     zero_eta, pendulum = (FourierSpec.zero(1),), ((1, 0), 1.0, 0.0)
     return {
@@ -138,6 +141,18 @@ def library_hamiltonians() -> dict:
         "separable-2d": MechanicalHamiltonian(
             d=2, eta=zero_eta * 2, V=FourierSpec.build(3, [((1, 0, 0), 1.0, 0.0), ((0, 1, 0), 0.5, 0.0)])
         ),
+        # 0.75 * (eta = 0.7 cos(2 pi t), V = cos(2 pi x) + 0.25 sin(2 pi (x + t)) + 0.3 cos(2 pi (2x + t))),
+        # read as a config block is read
+        "mixed-lambda-0.75": hamiltonian_from_json({
+            "d": 1,
+            "eta": [[{"freq": [1], "cos": 0.7, "sin": 0.0}]],
+            "V": [
+                {"freq": [1, 0], "cos": 1.0, "sin": 0.0},
+                {"freq": [1, 1], "cos": 0.0, "sin": 0.25},
+                {"freq": [2, 1], "cos": 0.3, "sin": 0.0},
+            ],
+            "lambda": 0.75,
+        }),
     }
 
 
