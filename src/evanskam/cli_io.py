@@ -79,8 +79,8 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown solver fields: {sorted(unknown)}")
         try:
-            if "P" in solver_block and solver_block["P"] is not None:
-                solver_block["P"] = tuple(np.atleast_1d(solver_block["P"]))
+            if "max_newton" in solver_block:
+                solver_block["max_newton"] = _json_integer(solver_block["max_newton"], "max_newton")
             self.solver = SolverConfig(**solver_block)
             self.solver.momentum(self.ham.d)
             for n in {self.grid.n_x, self.grid.n_t} - {1}:  # the certificates differentiate every axis

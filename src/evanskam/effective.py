@@ -134,7 +134,7 @@ def sweep_P(
         # every CLI process would otherwise pay for at start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        cfgs = [replace(base, P=tuple(pts[i])) for i in range(n)]
+        cfgs = [replace(base, P=pts[i]) for i in range(n)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for i, res in enumerate(pool.map(minimize, [ham] * n, [grid] * n, cfgs)):
                 record(i, res)
@@ -146,7 +146,7 @@ def sweep_P(
                 c = _secant_coefficient(pts[i - 2], pts[i - 1], pts[i])
                 if c > 0.0:
                     start = u + c * (u - u_prev)
-            res = minimize(ham, grid, replace(base, P=tuple(pts[i])), warm_start=start)
+            res = minimize(ham, grid, replace(base, P=pts[i]), warm_start=start)
             record(i, res)
             u_prev, u = u, res.u.values
     return EffectiveTable(k=k, P_grid=pts, hbar=hbar, Q=Q, converged=converged)
@@ -198,24 +198,22 @@ def _convexity_grid(P_grid: np.ndarray) -> tuple[int, ...]:
     return shape
 
 
-def _check_table_convex(table: EffectiveTable, tol: float) -> None:
+def _check_table_convex(table: EffectiveTable) -> None:
+    """Raise the first ``convexity_check`` violation over ``_CONVEXITY_TOL`` on a grid line (axis 0 first)."""
     shape = _convexity_grid(table.P_grid)
-    if table.d == 1:
-        rep = convexity_check(table.hbar)
-        if rep.max_violation > tol:
-            i = rep.worst_index
-            raise NonconvexTableError(
-                f"midpoint convexity violated by {rep.max_violation:.3e} at entries "
-                f"({i - 1}, {i}, {i + 1}): P={table.P_grid[i - 1 : i + 2, 0].tolist()}, "
-                f"hbar={table.hbar[i - 1 : i + 2].tolist()}"
-            )
-        return
-    # d = 2: axis-wise second differences over each grid line
-    grid_vals = table.hbar.reshape(shape)
-    for axis in range(2):
-        second = np.diff(grid_vals, n=2, axis=axis)
-        if second.size and float(np.max(-0.5 * second)) > tol:
-            raise NonconvexTableError(f"midpoint convexity violated along axis {axis}")
+    entries = np.arange(len(table)).reshape(shape)
+    for axis, n in enumerate(shape):
+        if n < 3:
+            continue
+        for line in np.moveaxis(entries, axis, -1).reshape(-1, n):
+            rep = convexity_check(table.hbar[line])
+            if rep.max_violation > _CONVEXITY_TOL:
+                i = line[rep.worst_index - 1 : rep.worst_index + 2]
+                raise NonconvexTableError(
+                    f"midpoint convexity violated by {rep.max_violation:.3e} at entries "
+                    f"{tuple(i.tolist())}: P={table.P_grid[i].squeeze().tolist()}, "
+                    f"hbar={table.hbar[i].tolist()}"
+                )
 
 
 def legendre_transform(table: EffectiveTable, Q_values) -> LegendreTable:
@@ -225,7 +223,7 @@ def legendre_transform(table: EffectiveTable, Q_values) -> LegendreTable:
     applying the transform twice recovers the table up to grid resolution,
     since convex functions are biconjugate.
     """
-    _check_table_convex(table, _CONVEXITY_TOL)
+    _check_table_convex(table)
     Q_pts = _as_points(Q_values, table.d)
     scores = Q_pts @ table.P_grid.T - table.hbar[None, :]
     return LegendreTable(k=table.k, Q_grid=Q_pts, lbar=np.max(scores, axis=1))

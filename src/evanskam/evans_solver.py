@@ -89,6 +89,8 @@ class SolverConfig:
 
     ``P`` is the constant momentum shift (one entry per spatial axis); the
     shift enters as grad u -> P + grad u, which keeps every iterate periodic.
+    Given as None, a number or a flat sequence, it is stored as None or a
+    tuple of floats, so equal shifts compare and hash equal.
     The solve minimizes the plain objective J; the CG forcing floor and the
     CG cap are module constants.
     """
@@ -107,8 +109,11 @@ class SolverConfig:
             for name in names:
                 if not ok(getattr(self, name)):
                     raise ValueError(f"{name} must be {kind}, got {getattr(self, name)!r}")
-        if self.P is not None and not all(map(_is_finite_number, np.asarray(self.P, dtype=object).ravel())):
-            raise ValueError(f"P must be None or finite numbers, got {self.P!r}")
+        if self.P is not None:
+            P = np.asarray(self.P, dtype=object)
+            if P.ndim > 1 or not all(map(_is_finite_number, P.ravel())):
+                raise ValueError(f"P must be None or finite numbers, got {self.P!r}")
+            object.__setattr__(self, "P", tuple(float(p) for p in P.ravel()))
         if self.k <= 0:
             raise ValueError(f"k must be positive, got {self.k}")
         if self.grad_tol <= 0:
@@ -119,9 +124,7 @@ class SolverConfig:
             raise ValueError(f"unknown differentiation method {self.method!r}")
 
     def momentum(self, d: int) -> np.ndarray:
-        if self.P is None:
-            return np.zeros(d)
-        P = np.atleast_1d(np.asarray(self.P, dtype=float))
+        P = np.zeros(d) if self.P is None else np.array(self.P)
         if P.shape != (d,):
             raise ValueError(f"P has shape {P.shape}, expected ({d},)")
         return P
@@ -442,7 +445,7 @@ def _fourier_surrogate(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: flo
     return apply_inverse
 
 
-def _pcg(apply_op, apply_minv, b: np.ndarray, grid: TorusGrid, rel_tol: float, max_iter: int):
+def _pcg(apply_op, apply_minv, b: np.ndarray, grid: TorusGrid, rel_tol: float):
     """Preconditioned conjugate gradients in the node-mean inner product.
 
     The inner solve of a Newton step where no dense block forms, with the
@@ -459,7 +462,7 @@ def _pcg(apply_op, apply_minv, b: np.ndarray, grid: TorusGrid, rel_tol: float, m
     if b2 == 0.0:
         return x, 0
     it = 0
-    while it < max_iter and grid.inner(r, r) > rel_tol**2 * b2:
+    while it < _CG_MAX and grid.inner(r, r) > rel_tol**2 * b2:
         z = apply_minv(r)
         rz_new = grid.inner(r, z)
         p = z if it == 0 else z + (rz_new / rz) * p
@@ -542,7 +545,7 @@ def hbar_bounds(ham: MechanicalHamiltonian, grid: TorusGrid, P=None) -> tuple[fl
     H(z, P + .), whose value at zero momentum is H(z, P); the pointwise
     minimum over p is V regardless of P.
     """
-    P = SolverConfig(k=1.0, P=None if P is None else tuple(np.atleast_1d(P))).momentum(ham.d)
+    P = SolverConfig(k=1.0, P=P).momentum(ham.d)
     check_nyquist(ham, grid)
     table = _grid_table(ham, grid)
     return float(np.min(table.V)), float(np.max(table.H(table.H_p(P))))
@@ -597,7 +600,7 @@ def _newton_stage(
 
             forcing = max(_FORCING_FLOOR, min(0.1, math.sqrt(grad_norm)))
             surrogate = _fourier_surrogate(grid, cfg, st, mu)
-            step, _ = _pcg(apply_damped, surrogate, -g, grid, forcing, _CG_MAX)
+            step, _ = _pcg(apply_damped, surrogate, -g, grid, forcing)
         slope = grid.inner(g, step)
         if slope >= 0.0:  # roundoff produced a non-descent direction
             step = -g

@@ -117,7 +117,7 @@ def _mather_diagnostics(grid: TorusGrid, config: SolverConfig, result: SolveResu
 
 
 def holonomy_test_fields(grid: TorusGrid) -> list[np.ndarray]:
-    """A fixed battery of 20 low-frequency test functions: cos and sin of 10 frequencies."""
+    """A fixed battery of 20 low-frequency test functions: one-term ``FourierSpec``s, cos then sin of 10 frequencies."""
     if grid.d == 1:
         freq_list = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 0), (0, 2), (2, 1), (1, 2), (2, -1), (2, 2)]
     else:
@@ -126,13 +126,11 @@ def holonomy_test_fields(grid: TorusGrid) -> list[np.ndarray]:
             (0, 1, 1), (1, 1, 1), (2, 0, 0), (0, 2, 0), (1, -1, 0),
         ]
     coords = grid.coords()
-    fields = []
-    for freq in freq_list:
-        phase = sum((2.0 * np.pi * k) * c for k, c in zip(freq, coords))
-        phase = np.broadcast_to(np.asarray(phase), grid.shape)
-        fields.append(np.cos(phase))
-        fields.append(np.sin(phase))
-    return fields
+    return [
+        FourierSpec.build(grid.n_axes, [term]).evaluate(*coords)
+        for freq in freq_list
+        for term in ((freq, 1.0, 0.0), (freq, 0.0, 1.0))
+    ]
 
 
 def holonomy_residual(
@@ -214,12 +212,11 @@ def k_sweep(
     ks = [float(k) for k in k_list]
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("k_list must be nonempty and strictly increasing")
-    base = config if config is not None else SolverConfig(k=ks[0])
-    P_tuple = tuple(np.atleast_1d(np.asarray(P, dtype=float)))
+    base = replace(config if config is not None else SolverConfig(k=ks[0]), P=P)
     rows: list[KSweepRow] = []
     res = None
     for k in ks:
-        cfg = replace(base, k=k, P=P_tuple)
+        cfg = replace(base, k=k)
         res = minimize(ham, grid, cfg, warm_start=res)
         plane, on_plane = _on_solve_plane(ham, grid, res)
         st = evaluate_state(ham, plane, cfg, on_plane)  # one evaluation serves both diagnostics
@@ -237,7 +234,7 @@ def k_sweep(
             )
         )
 
-    return KSweepReport(rows=rows, hbar_ref=classical_reference(ham, P_tuple[0]))
+    return KSweepReport(rows=rows, hbar_ref=classical_reference(ham, base.momentum(ham.d)[0]))
 
 
 def write_ksweep_csv(report: KSweepReport, path, sidecar: dict | None = None) -> None:

@@ -70,5 +70,4 @@ def minmax_upper_bound(
     Any C^1 candidate gives a bound; feeding computed minimizers along a
     sharpness sweep tightens it.  Shift invariant, so u need not be zero-mean.
     """
-    cfg = SolverConfig(k=1.0, P=None if P is None else tuple(np.atleast_1d(P)))
-    return float(np.max(evaluate_state(ham, grid, cfg, u).f))
+    return float(np.max(evaluate_state(ham, grid, SolverConfig(k=1.0, P=P), u).f))

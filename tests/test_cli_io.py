@@ -114,6 +114,7 @@ class TestSolveCommand:
             ("P", [float("nan")]),
             ("P", [float("inf")]),
             pytest.param("k", 10**400, id="k-huge"),
+            ("max_newton", True),
         ],
     )
     def test_malformed_solver_field_exit_2(self, tmp_path, capsys, field, value):
@@ -123,6 +124,24 @@ class TestSolveCommand:
         assert main(["solve", "--config", path]) == 2
         assert "configuration error: invalid solver block:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # rejected before any solve
+
+    def test_nested_P_exit_2_naming_it(self, tmp_path, capsys):
+        cfg = pendulum_config(tmp_path / "out", grid={"d": 1, "n_x": 16, "n_t": 4})
+        cfg["solver"] = {"k": 8.0, "P": [[2.0]]}
+        assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "P must be None or finite numbers, got [[2.0]]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_max_newton_counts_as_an_integer(self, tmp_path):
+        # as "n_x": 16.0 counts as 16: the same solve, bit for bit
+        written = []
+        for max_newton in (60.0, 60):
+            out = tmp_path / f"out-{max_newton!r}"
+            cfg = pendulum_config(out, grid={"d": 1, "n_x": 16, "n_t": 4})
+            cfg["solver"] = {"k": 4.0, "max_newton": max_newton}
+            assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 0
+            written.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize("via", ["flag", "field"])
     def test_central4_on_a_short_axis_exit_2(self, tmp_path, capsys, via):

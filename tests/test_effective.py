@@ -228,7 +228,9 @@ class TestLegendre:
         )
         with pytest.raises(NonconvexTableError) as err:
             legendre_transform(tab, [0.0])
-        assert "(0, 1, 2)" in str(err.value)
+        assert str(err.value) == (
+            "midpoint convexity violated by 1.000e+00 at entries (0, 1, 2): P=[-1.0, 0.0, 1.0], hbar=[0.0, 1.0, 0.0]"
+        )
 
 
 class TestConvexityGrid:
@@ -250,6 +252,17 @@ class TestConvexityGrid:
     def test_d2_grid_must_be_row_major_rectangular(self, P):
         with pytest.raises(ValueError, match="rectangular"):
             legendre_transform(self.table(P), [[0.0, 0.0]])
+
+    def test_d2_nonconvex_table_rejected_with_triple(self):
+        # P1 in {-1, 0, 1} x P2 in {-1, 0, 1, 2}, row-major; entry 5 is P = (0, 0)
+        tab = self.table([[a, b] for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0, 2.0)])
+        tab.hbar[5] += 2.0
+        with pytest.raises(NonconvexTableError) as err:
+            legendre_transform(tab, [[0.0, 0.0]])
+        assert str(err.value) == (
+            "midpoint convexity violated by 1.500e+00 at entries (1, 5, 9): "
+            "P=[[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]], hbar=[0.5, 2.0, 0.5]"
+        )
 
     @pytest.mark.parametrize("P", [[-1.0, 0.0, 0.5, 1.0], [0.0, 0.0, 0.0], [[0.0, 0.0], [0.0, 1.0], [0.0, 3.0]]])
     def test_grid_must_be_uniformly_spaced(self, P):

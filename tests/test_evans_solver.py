@@ -101,6 +101,16 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             cfg1.momentum(2)
 
+    def test_equal_momenta_compare_and_hash_equal(self):
+        cfgs = [SolverConfig(k=1.0, P=p) for p in (0.5, [0.5], (0.5,), np.array([0.5]), np.float64(0.5))]
+        assert all(cfg.P == (0.5,) and type(cfg.P[0]) is float for cfg in cfgs)
+        assert all(cfg == cfgs[0] for cfg in cfgs)
+        assert len({hash(cfg) for cfg in cfgs}) == 1
+
+    def test_nested_P_rejected_at_construction(self):
+        with pytest.raises(ValueError, match=r"P must be None or finite numbers, got \[\[0.5\]\]"):
+            SolverConfig(k=1.0, P=[[0.5]])
+
 
 class TestObjective:
     def test_trivial_zero(self):

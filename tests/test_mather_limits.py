@@ -101,6 +101,26 @@ class TestHolonomy:
         for phi in fields:
             assert phi.shape == grid.shape
 
+    @pytest.mark.parametrize("shape", [(1, 16, 16), (2, 8, 4)], ids=["16x16", "8x8x4"])
+    def test_fields_equal_the_hand_built_battery(self, shape):
+        grid = TorusGrid(*shape)
+        if grid.d == 1:
+            freq_list = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 0), (0, 2), (2, 1), (1, 2), (2, -1), (2, 2)]
+        else:
+            freq_list = [
+                (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1),
+                (0, 1, 1), (1, 1, 1), (2, 0, 0), (0, 2, 0), (1, -1, 0),
+            ]
+        reference = []
+        for freq in freq_list:
+            phase = sum((2.0 * np.pi * k) * c for k, c in zip(freq, grid.coords()))
+            phase = np.broadcast_to(np.asarray(phase), grid.shape)
+            reference += [np.cos(phase), np.sin(phase)]
+        fields = holonomy_test_fields(grid)
+        assert len(fields) == len(reference) == 20
+        for phi, ref in zip(fields, reference):
+            assert_bitwise(phi, ref)
+
     def test_trivial(self):
         grid = TorusGrid(1, 16, 16)
         cfg = SolverConfig(k=8.0)

@@ -11,15 +11,13 @@ and reports, as medians over its own repeats:
   pendulum, 512 space-time nodes of tc1 32x16): ``block_s``, the time of
   one damped direct step, the tree's solve map built and applied to the
   negative gradient, and ``step``, which map that is.  A one-plane 1-d
-  case takes ``_flux_block`` in a tree that has it, split into
-  ``matvec_s`` (its two ``np.dot`` matvecs with the antiderivative) and
-  ``other_s`` (the rest: coefficients and O(n) work).  Any other case
-  takes ``_dense_block`` (null for a tree whose ``_dense_block`` forms no
-  block there), split into ``assemble_s`` (``_assemble``), ``lu_solve_s``
-  (``np.linalg.solve``) and ``other_s`` (coefficients, equilibration,
-  matrix products).  Each case also gives ``newton_step_s``, one whole step
-  of ``_newton_stage`` (gradient, inner solve, line search) from the same
-  state;
+  case takes ``_flux_block``, split into ``matvec_s`` (its two ``np.dot``
+  matvecs with the antiderivative) and ``other_s`` (the rest: coefficients
+  and O(n) work).  The space-time case takes ``_dense_block``, split into
+  ``assemble_s`` (``_assemble``), ``lu_solve_s`` (``np.linalg.solve``) and
+  ``other_s`` (coefficients, equilibration, matrix products).  Each case
+  also gives ``newton_step_s``, one whole step of ``_newton_stage``
+  (gradient, inner solve, line search) from the same state;
 - for the criterion-6 sweep (41 entries, pendulum 64x8, k = 16,
   ``grad_tol`` 1e-11): its wall time, its Newton steps, and the time per
   Newton step;
@@ -34,7 +32,8 @@ and reports, as medians over its own repeats:
 
 The report gives, per tree and per number, the median over the rounds and
 the range.  Timings depend on the machine and its load; compare trees only
-within one report.
+within one report.  The Hamiltonians are ``tools/output_digest.py``'s
+library cases.
 """
 
 from __future__ import annotations
@@ -47,7 +46,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+from output_digest import ONE_THREAD, library_hamiltonians
+
 # name: (Hamiltonian, TorusGrid arguments (d, n_x, n_t), k, P, damping mu, repeats)
 BLOCK_CASES = {
     "spacetime-512": ("tc1", (1, 32, 16), 8.0, 0.0, 1e-6, 20),
@@ -78,29 +78,8 @@ APPLY_CASES = {
     "tc1-64x16": ("tc1", (1, 64, 16), 4.0, (0.0,)),
     "tc1-256x16": ("tc1", (1, 256, 16), 4.0, (0.0,)),
     "tc2-12x12x12": ("tc2", (2, 12, 12), 4.0, (0.5, 0.2)),
-    "drift-64x64": ("drift", (1, 64, 64), 8.0, (0.3,)),
+    "drift-64x64": ("t1", (1, 64, 64), 8.0, (0.3,)),
 }
-
-
-def hamiltonians() -> dict:
-    from evanskam import FourierSpec, MechanicalHamiltonian
-
-    pendulum = ((1, 0), 1.0, 0.0)
-    return {
-        "pendulum": MechanicalHamiltonian(d=1, eta=(FourierSpec.zero(1),), V=FourierSpec.build(2, [pendulum])),
-        # V = cos(2 pi x) + 0.3 sin(2 pi (x + t)), eta = cos(2 pi t)/2: time-coupled
-        "tc1": MechanicalHamiltonian(
-            d=1, eta=(FourierSpec.build(1, [((1,), 0.5, 0.0)]),), V=FourierSpec.build(2, [pendulum, ((1, 1), 0.0, 0.3)])
-        ),
-        # V = cos(2 pi x) + cos(2 pi y)/2 + 0.3 sin(2 pi (x + t)), eta = (cos(2 pi t)/2, 0)
-        "tc2": MechanicalHamiltonian(
-            d=2,
-            eta=(FourierSpec.build(1, [((1,), 0.5, 0.0)]), FourierSpec.zero(1)),
-            V=FourierSpec.build(3, [((1, 0, 0), 1.0, 0.0), ((0, 1, 0), 0.5, 0.0), ((1, 0, 1), 0.0, 0.3)]),
-        ),
-        # eta = cos(2 pi t), V = 0: drift only
-        "drift": MechanicalHamiltonian(d=1, eta=(FourierSpec.build(1, [((1,), 1.0, 0.0)]),), V=FourierSpec.zero(2)),
-    }
 
 
 class PhaseClock:
@@ -133,7 +112,7 @@ class PhaseClock:
             setattr(owner, attr, self.saved[name])
 
 
-def block_case(name: str) -> dict | None:
+def block_case(name: str) -> dict:
     from dataclasses import replace
     from time import perf_counter
 
@@ -142,19 +121,17 @@ def block_case(name: str) -> dict | None:
     from evanskam import SolverConfig, TorusGrid, evans_solver
 
     ham_name, shape, k, P, mu, repeats = BLOCK_CASES[name]
-    ham = hamiltonians()[ham_name]
+    ham = library_hamiltonians()[ham_name]
     grid = evans_solver._solve_grid(ham, TorusGrid(*shape))
-    cfg = SolverConfig(k=k, P=(P,))
+    cfg = SolverConfig(k=k, P=P)
     u = grid.project_zero_mean(0.3 * np.sin(2 * np.pi * (grid.coords()[0] + 0.25)) * np.ones(grid.shape))
     st = evans_solver.evaluate_state(ham, grid, cfg, u)
     g = evans_solver.gradient(ham, grid, cfg, u).values
-    if grid.d == 1 and grid.n_t == 1 and hasattr(evans_solver, "_flux_block"):
+    if grid.d == 1 and grid.n_t == 1:
         step, phases = "flux", {"matvec_s": (np, "dot")}
     else:
         step, phases = "dense", {"assemble_s": (evans_solver, "_assemble"), "lu_solve_s": (np.linalg, "solve")}
     solve_map = getattr(evans_solver, f"_{step}_block")
-    if solve_map(grid, cfg, st, mu) is None:
-        return None
     totals, splits = [], []
     for _ in range(repeats):
         with PhaseClock(phases) as clock:
@@ -166,12 +143,11 @@ def block_case(name: str) -> dict | None:
     for phase in phases:
         out[phase] = statistics.median(s[phase] for s in splits)
     out["other_s"] = statistics.median(t - sum(s.values()) for t, s in zip(totals, splits))
-    # the state's tabulated Hamiltonian: ``table`` here, ``hog`` in trees before HamiltonianTable
-    table, one_step = getattr(st, "table", None) or st.hog, replace(cfg, max_newton=1)
+    one_step = replace(cfg, max_newton=1)
     steps = []
     for _ in range(repeats):
         start = perf_counter()
-        evans_solver._newton_stage(grid, table, one_step, cfg.momentum(1), u)
+        evans_solver._newton_stage(grid, st.table, one_step, cfg.momentum(1), u)
         steps.append(perf_counter() - start)
     out["newton_step_s"] = statistics.median(steps)
     return out
@@ -184,7 +160,7 @@ def criterion6_sweep() -> dict:
 
     from evanskam import SolverConfig, TorusGrid, effective
 
-    ham, grid = hamiltonians()["pendulum"], TorusGrid(1, 64, 8)
+    ham, grid = library_hamiltonians()["pendulum"], TorusGrid(1, 64, 8)
     config = SolverConfig(k=16.0, grad_tol=1e-11)
     P_grid = np.round(np.arange(-2.0, 2.0001, 0.1), 10)
     solve, steps = effective.minimize, []
@@ -247,7 +223,7 @@ def state_case(name: str) -> dict:
     from evanskam import SolverConfig, TorusGrid, evans_solver
 
     ham_name, shape, k, P = STATE_CASES[name]
-    ham, grid, cfg = hamiltonians()[ham_name], TorusGrid(*shape), SolverConfig(k=k, P=P)
+    ham, grid, cfg = library_hamiltonians()[ham_name], TorusGrid(*shape), SolverConfig(k=k, P=P)
     u = smooth_iterate(grid)
     return {
         "nodes": grid.n_nodes,
@@ -264,10 +240,10 @@ def apply_case(name: str) -> dict:
     ham_name, shape, k, P = APPLY_CASES[name]
     grid, cfg = TorusGrid(*shape), SolverConfig(k=k, P=P)
     u = smooth_iterate(grid)
-    st = evans_solver.evaluate_state(hamiltonians()[ham_name], grid, cfg, u)
+    st = evans_solver.evaluate_state(library_hamiltonians()[ham_name], grid, cfg, u)
     coef = evans_solver._newton_coefficients(grid, k, st.m, st.w)
     v = np.random.default_rng(0).normal(size=grid.shape)
-    apply_s = per_call_s(lambda: evans_solver._operator_apply(grid, "spectral", coef, v))
+    apply_s = per_call_s(lambda: evans_solver._operator_apply(grid, cfg.method, coef, v))
     return {"nodes": grid.n_nodes, "apply_s": apply_s}
 
 
