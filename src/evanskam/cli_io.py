@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -135,16 +137,19 @@ def _load_config(args) -> RunConfig:
     return RunConfig(raw, out_override=getattr(args, "out", None), method_override=getattr(args, "method", None))
 
 
-def _points(values, d: int, what: str) -> np.ndarray:
-    pts = _numeric(values, what)
+def _checked(value, what: str, parse):
+    """``parse(value)`` once ``_numeric`` accepts ``value``; a ValueError from ``parse`` names ``what``."""
+    _numeric(value, what)
     try:
-        return _as_points(pts, d)
+        return parse(value)
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _field_ext(fmt: str) -> str:
-    return "csv" if fmt == "csv" else "bin"
+def _block_momentum(cfg: RunConfig, block: dict, what: str) -> np.ndarray:
+    """``block``'s P read as ``solver.P`` is read, or ``solver.P`` where the block sets none."""
+    value = block.get("P", cfg.solver.momentum(cfg.ham.d))
+    return _checked(value, what, lambda P: replace(cfg.solver, P=P).momentum(cfg.ham.d))
 
 
 def cmd_solve(args) -> int:
@@ -154,7 +159,7 @@ def cmd_solve(args) -> int:
     report = mfg_residuals(cfg.ham, cfg.grid, cfg.solver, result)
     write_json(out / "solve.json", result.metadata())
     write_json(out / "residuals.json", report.to_json_dict())
-    ext = _field_ext(cfg.field_format)
+    ext = "csv" if cfg.field_format == "csv" else "bin"
     write_field(out / f"u.field.{ext}", result.u, cfg.field_format)
     write_field(out / f"m.field.{ext}", result.m, cfg.field_format)
     if not result.converged:
@@ -168,10 +173,10 @@ def cmd_sweep(args) -> int:
     block = cfg.block("sweep")
     if "P_grid" not in block:
         raise ConfigError("sweep block must set P_grid")
-    P_grid = _points(block["P_grid"], cfg.ham.d, "sweep.P_grid")
+    P_grid = _checked(block["P_grid"], "sweep.P_grid", partial(_as_points, d=cfg.ham.d))
     Q_grid = None
     if "Q_grid" in block:
-        Q_grid = _points(block["Q_grid"], cfg.ham.d, "sweep.Q_grid")
+        Q_grid = _checked(block["Q_grid"], "sweep.Q_grid", partial(_as_points, d=cfg.ham.d))
         try:
             _convexity_grid(P_grid)
         except ValueError as exc:
@@ -205,9 +210,7 @@ def cmd_limit(args) -> int:
     k_list = _numeric(block["k_list"], "limit.k_list")
     if k_list.ndim != 1 or k_list.size == 0 or not (k_list[0] > 0 and np.all(np.diff(k_list) > 0)):
         raise ConfigError("limit.k_list must be a nonempty, positive, strictly increasing list")
-    P = np.atleast_1d(_numeric(block.get("P", cfg.solver.momentum(cfg.ham.d)), "limit.P"))
-    if P.shape != (cfg.ham.d,):
-        raise ConfigError(f"limit.P has shape {P.shape}, expected ({cfg.ham.d},)")
+    P = _block_momentum(cfg, block, "limit.P")
     out = cfg.ensure_out_dir()
     report = k_sweep(cfg.ham, cfg.grid, P, k_list, config=cfg.solver)
     sidecar = {
@@ -237,10 +240,8 @@ def cmd_check(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _load_config(args)
-    P = _numeric(cfg.block("oracle", required=False).get("P", cfg.solver.momentum(cfg.ham.d)[0]), "oracle.P")
-    if P.ndim != 0:
-        raise ConfigError("oracle.P must be a single number")
-    value = classical_reference(cfg.ham, float(P))
+    P = _block_momentum(cfg, cfg.block("oracle", required=False), "oracle.P")
+    value = classical_reference(cfg.ham, P[0])
     if value is None:
         raise ConfigError("the classical reference needs d=1, zero drift eta and a time-independent potential")
     print(repr(value))
@@ -275,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs": dict(
             type=_int_at_least(1, "jobs must be a positive integer"),
             default=1,
-            help="parallel cold-start workers for sweep entries",
+            help="solve the sweep as N contiguous slices of P_grid, one warm-started chain per worker process",
         ),
         "--seed": dict(
             type=_int_at_least(0, "seed must be a nonnegative integer"),  # numpy takes no negative seed

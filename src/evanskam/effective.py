@@ -11,6 +11,7 @@ correctness over speed).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -77,8 +78,8 @@ def _as_points(values, d: int) -> np.ndarray:
     pts = np.asarray(values, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.ndim != 2:
-        raise ValueError(f"expected a list of momentum vectors, got shape {pts.shape}")
+    if pts.ndim != 2 or len(pts) == 0:
+        raise ValueError(f"expected a nonempty list of momentum vectors, got shape {pts.shape}")
     if pts.shape[1] != d:
         raise ValueError(f"momentum vectors have dimension {pts.shape[1]}, expected {d}")
     return pts
@@ -94,6 +95,27 @@ def _secant_coefficient(P0: np.ndarray, P1: np.ndarray, P2: np.ndarray) -> float
     return float((P2 - P1) @ prev) / norm2 if norm2 > 0.0 else 0.0
 
 
+def _chain(ham: MechanicalHamiltonian, grid: TorusGrid, base: SolverConfig, pts: np.ndarray) -> list[SolveResult]:
+    """Solve ``pts`` in order: the first entry cold, the second from the first's u.
+
+    Entry i+1 starts from the secant predictor u_i + c*(u_i - u_{i-1}), c from
+    ``_secant_coefficient`` (1 on a uniform 1-d grid): u_P is smooth in P, so the
+    predictor is O(dP^2) from the solution where u_i is O(dP) off.  Where the path
+    turns back or stands still (c <= 0, as at a 2-d raster's row ends), from u_i.
+    """
+    results: list[SolveResult] = []
+    u_prev = u = None
+    for i in range(len(pts)):
+        start = u
+        if u_prev is not None:
+            c = _secant_coefficient(pts[i - 2], pts[i - 1], pts[i])
+            if c > 0.0:
+                start = u + c * (u - u_prev)
+        results.append(minimize(ham, grid, replace(base, P=pts[i]), warm_start=start))
+        u_prev, u = u, results[-1].u.values
+    return results
+
+
 def sweep_P(
     ham: MechanicalHamiltonian,
     grid: TorusGrid,
@@ -102,54 +124,30 @@ def sweep_P(
     config: SolverConfig | None = None,
     jobs: int = 1,
 ) -> EffectiveTable:
-    """Solve across a momentum grid and tabulate hbar(P) and Q(P).
+    """Solve across a momentum grid as one ``_chain`` and tabulate hbar(P) and Q(P).
 
-    Entries are solved in order by default.  The first starts cold, the
-    second from the first's u, and entry i+1 from the secant predictor
-    u_i + c*(u_i - u_{i-1}) with c from ``_secant_coefficient`` (1 on a
-    uniform 1-d grid): u_P is smooth in P, so the predictor is O(dP^2) from
-    the solution where u_i is O(dP) off.  Where the path turns back or stands
-    still (c <= 0, as at the row ends of a 2-d raster) the entry starts from
-    u_i.  ``jobs > 1`` switches to independent cold starts in a process pool;
-    cold-start values must agree with the warm-started chain to solver
-    accuracy, which the test suite checks.  Failed entries are flagged and
-    the sweep continues.
+    ``jobs > 1`` cuts the grid into ``min(jobs, n)`` contiguous slices and runs
+    a ``_chain`` on each in a process pool: each slice's rows equal a serial
+    sweep of that slice bit for bit.  Failed entries are flagged and the sweep
+    continues.
     """
     base = config if config is not None else SolverConfig(k=k)
     if base.k != k:
         base = replace(base, k=k)
     pts = _as_points(P_values, ham.d)
-    n = pts.shape[0]
-    hbar = np.full(n, np.nan)
-    Q = np.full((n, ham.d), np.nan)
-    converged = np.zeros(n, dtype=bool)
-
-    def record(i: int, res: SolveResult) -> None:
-        hbar[i] = res.hbar
-        Q[i] = res.rotation
-        converged[i] = res.converged
-
     if jobs > 1:
         # imported here: the process pool drags in multiprocessing, which
         # every CLI process would otherwise pay for at start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        cfgs = [replace(base, P=pts[i]) for i in range(n)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for i, res in enumerate(pool.map(minimize, [ham] * n, [grid] * n, cfgs)):
-                record(i, res)
+        slices = np.array_split(pts, min(jobs, len(pts)))
+        with ProcessPoolExecutor(max_workers=len(slices)) as pool:
+            results = [res for part in pool.map(partial(_chain, ham, grid, base), slices) for res in part]
     else:
-        u_prev = u = None
-        for i in range(n):
-            start = u
-            if u_prev is not None:
-                c = _secant_coefficient(pts[i - 2], pts[i - 1], pts[i])
-                if c > 0.0:
-                    start = u + c * (u - u_prev)
-            res = minimize(ham, grid, replace(base, P=pts[i]), warm_start=start)
-            record(i, res)
-            u_prev, u = u, res.u.values
-    return EffectiveTable(k=k, P_grid=pts, hbar=hbar, Q=Q, converged=converged)
+        results = _chain(ham, grid, base, pts)
+    return EffectiveTable(k=k, P_grid=pts, hbar=np.array([res.hbar for res in results]),
+                          Q=np.array([res.rotation for res in results]),
+                          converged=np.array([res.converged for res in results]))
 
 
 def convexity_check(values) -> ConvexityReport:

@@ -428,6 +428,17 @@ class TestSweepCommand:
         assert "configuration error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # rejected before any entry is solved
 
+    @pytest.mark.parametrize("field", ["P_grid", "Q_grid"])
+    def test_empty_grid_exit_2(self, tmp_path, capsys, field):
+        # an empty P_grid used to exit 0 with a header-only table
+        cfg = t1_config(tmp_path / "out", sweep={"P_grid": [-1.0, 0.0, 1.0], field: []})
+        cfg["grid"] = {"d": 1, "n_x": 16, "n_t": 16}
+        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert f"configuration error: sweep.{field}: expected a nonempty list of momentum vectors" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_wrong_dimension_P_grid_exit_2(self, tmp_path, capsys):
         cfg = t1_config(tmp_path / "out", sweep={"P_grid": [[0.0, 1.0]]})
         cfg["grid"] = {"d": 1, "n_x": 16, "n_t": 16}
@@ -510,6 +521,15 @@ class TestLimitCommand:
         assert main(["limit", "--config", path]) == 2
         assert "configuration error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # rejected before any solve
+
+    def test_nested_P_exit_2_naming_it(self, tmp_path, capsys):
+        # limit.P is read as solver.P is: a nested list is refused with its value
+        path = write_config(tmp_path, pendulum_config(tmp_path / "out", limit={"k_list": [4], "P": [[0.0]]}))
+        assert main(["limit", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert "configuration error: limit.P: P must be None or finite numbers, got [[0.0]]" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
 
 class TestCheckCommand:
@@ -639,16 +659,22 @@ class TestOracleCommand:
         assert main(["oracle", "--config", path]) == 2
 
     @pytest.mark.parametrize(
-        "oracle",
-        [5, {"P": [2.0]}, {"P": "x"}, {"P": float("nan")}, {"P": float("-inf")}],
+        "oracle, code",
+        [(5, 2), ({"P": [2.0]}, 0), ({"P": "x"}, 2), ({"P": float("nan")}, 2), ({"P": float("-inf")}, 2)],
         ids=["not-object", "list-P", "nonnumeric-P", "nan-P", "infinite-P"],
     )
-    def test_malformed_oracle_block_exit_2(self, tmp_path, capsys, oracle):
+    def test_malformed_oracle_block_exit_2(self, tmp_path, capsys, oracle, code):
+        # [2.0] is well formed: oracle.P is read as solver.P is, so it prints what 2.0 prints
         path = write_config(tmp_path, pendulum_config(tmp_path / "out", oracle=oracle))
-        assert main(["oracle", "--config", path]) == 2
+        assert main(["oracle", "--config", path]) == code
         captured = capsys.readouterr()
-        assert "configuration error:" in captured.err
-        assert captured.out == ""
+        if code == 0:
+            scalar = write_config(tmp_path, pendulum_config(tmp_path / "out", oracle={"P": 2.0}), name="scalar.json")
+            assert main(["oracle", "--config", scalar]) == 0
+            assert captured.out == capsys.readouterr().out
+        else:
+            assert "configuration error:" in captured.err
+            assert captured.out == ""
 
 
 class TestNumericBlocks:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    assert_bitwise,
     flux_oracle_dhbar,
     flux_oracle_hbar,
     pendulum_hamiltonian,
@@ -77,6 +78,28 @@ class TestSweep:
         seq = sweep_P(ham, grid, 8.0, P_vals)
         par = sweep_P(ham, grid, 8.0, P_vals, jobs=2)
         assert np.max(np.abs(seq.hbar - par.hbar)) <= 1e-8
+
+    def test_parallel_slices_equal_serial_sweeps_of_each_slice(self):
+        # jobs = 2 cuts five entries into the contiguous slices [0, 3) and [3, 5)
+        ham, grid = pendulum_hamiltonian(), TorusGrid(1, 32, 8)
+        P_vals = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+        par = sweep_P(ham, grid, 8.0, P_vals, jobs=2)
+        seq, tail = sweep_P(ham, grid, 8.0, P_vals), sweep_P(ham, grid, 8.0, P_vals[3:])
+        assert par.converged.all()
+        assert_bitwise(par.hbar[:3], seq.hbar[:3])
+        assert_bitwise(par.Q[:3], seq.Q[:3])
+        assert_bitwise(par.hbar[3:], tail.hbar)
+        assert_bitwise(par.Q[3:], tail.Q)
+
+    def test_one_entry_per_slice_solves_cold(self):
+        # more jobs than entries: min(jobs, n) slices of one entry, each started cold
+        ham, grid = pendulum_hamiltonian(), TorusGrid(1, 32, 8)
+        P_vals = [-1.0, -0.5, 0.0, 0.5, 1.0]
+        par = sweep_P(ham, grid, 8.0, P_vals, jobs=6)
+        cold = [minimize(ham, grid, SolverConfig(k=8.0, P=(P,))) for P in P_vals]
+        assert_bitwise(par.hbar, [res.hbar for res in cold])
+        assert_bitwise(par.Q, [res.rotation for res in cold])
+        assert_bitwise(par.converged, [res.converged for res in cold])
 
     def test_time_coupled_serial_sweep_matches_cold_solves(self):
         # a secant start worse than u = 0 starts cold: without that rule 6 of

@@ -6,7 +6,8 @@ TREE is a checkout of this repository.  The script runs TREE's CLI in a
 fresh interpreter per command, with BLAS pinned to one thread, inside a
 temporary directory, and prints one JSON object:
 
-- for ``solve`` on both solve configs, ``sweep``, ``limit`` on
+- for ``solve`` on both solve configs, ``sweep`` serial and with
+  ``--jobs 2`` (two slices, each solved in a worker process), ``limit`` on
   ``configs/pendulum_limit.json`` and ``perfbench/pendulum_limit_p2.json``,
   ``check --seed 0``, ``check --seed 7`` and ``oracle``: the exit code and
   the sha256 of stdout and of every file the command writes (the second
@@ -59,6 +60,7 @@ COMMANDS = {
     "solve-pendulum": ["solve", "--config", "configs/pendulum_solve.json", "--out", "out/solve-pendulum"],
     "solve-drift": ["solve", "--config", "configs/drift_solve.json", "--out", "out/solve-drift"],
     "sweep": ["sweep", "--config", "configs/pendulum_sweep.json", "--out", "out/sweep"],
+    "sweep-jobs-2": ["sweep", "--config", "configs/pendulum_sweep.json", "--out", "out/sweep-jobs-2", "--jobs", "2"],
     "limit-p0": ["limit", "--config", "configs/pendulum_limit.json", "--out", "out/limit-p0"],
     "limit-p2": ["limit", "--config", "perfbench/pendulum_limit_p2.json", "--out", "out/limit-p2"],
     "check": ["check", "--seed", "0"],
