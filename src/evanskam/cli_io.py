@@ -20,7 +20,8 @@ from .battery import INJECTION_POINTS, run_battery
 from .effective import (NonconvexTableError, _as_points, _convexity_grid, legendre_transform, sweep_P,
                         write_effective_csv, write_legendre_csv)
 from .evans_solver import SolverConfig, minimize
-from .hamiltonians import NyquistError, _is_finite_number, _json_integer, check_nyquist, hamiltonian_from_json
+from .hamiltonians import (NyquistError, _is_finite_number, _json_fields, _json_integer, check_nyquist,
+                           hamiltonian_from_json)
 from .mather_limits import classical_reference, k_sweep, write_ksweep_csv
 from .mfg_diagnostics import mfg_residuals
 from .torus_grid import GridError, TorusGrid, derivative_matrix, write_field, write_json
@@ -35,6 +36,19 @@ EXIT_NONCONVERGED = 3
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
+
+
+# The fields of each block of a run configuration besides "hamiltonian",
+# whose fields ``hamiltonian_from_json`` checks.  Any other block or field
+# is refused before any output: a misspelled key never runs at its default.
+_BLOCK_FIELDS = {
+    "grid": ("d", "n_x", "n_t"),
+    "solver": tuple(SolverConfig.__dataclass_fields__),
+    "output": ("dir", "field_format"),
+    "sweep": ("P_grid", "Q_grid"),
+    "limit": ("k_list", "P"),
+    "oracle": ("P",),
+}
 
 
 def _numeric(value, what: str) -> np.ndarray:
@@ -52,6 +66,11 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("top-level configuration must be a JSON object")
         self.raw = raw
+        unknown = set(raw) - {"hamiltonian", *_BLOCK_FIELDS}
+        if unknown:
+            raise ConfigError(f"unknown top-level blocks: {sorted(unknown)}")
+        for name in _BLOCK_FIELDS:
+            self.block(name, required=False)
         if "hamiltonian" not in raw:
             raise ConfigError("missing required block 'hamiltonian'")
         try:
@@ -61,11 +80,9 @@ class RunConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid hamiltonian block: {exc}") from exc
 
-        grid_block = raw.get("grid")
-        if not isinstance(grid_block, dict):
-            raise ConfigError("missing required block 'grid'")
+        grid_block = self.block("grid")
         try:
-            self.grid = TorusGrid(**{name: _json_integer(grid_block[name], name) for name in ("d", "n_x", "n_t")})
+            self.grid = TorusGrid(**{name: _json_integer(grid_block[name], name) for name in _BLOCK_FIELDS["grid"]})
         except KeyError as exc:
             raise ConfigError(f"grid block missing field {exc}") from exc
         except (GridError, ValueError, TypeError) as exc:
@@ -76,10 +93,6 @@ class RunConfig:
             raise ConfigError("solver block must set k")
         if method_override is not None:
             solver_block["method"] = method_override
-        known = set(SolverConfig.__dataclass_fields__)
-        unknown = set(solver_block) - known
-        if unknown:
-            raise ConfigError(f"unknown solver fields: {sorted(unknown)}")
         try:
             if "max_newton" in solver_block:
                 solver_block["max_newton"] = _json_integer(solver_block["max_newton"], "max_newton")
@@ -105,6 +118,7 @@ class RunConfig:
             raise ConfigError(f"unknown field_format {self.field_format!r}")
 
     def block(self, name: str, required: bool = True) -> dict:
+        """Block ``name``'s JSON object, {} where an optional block is absent; an unknown field in it is refused."""
         if name not in self.raw:
             if required:
                 raise ConfigError(f"missing required block {name!r}")
@@ -112,6 +126,10 @@ class RunConfig:
         blk = self.raw[name]
         if not isinstance(blk, dict):
             raise ConfigError(f"block {name!r} must be a JSON object")
+        try:
+            _json_fields(blk, _BLOCK_FIELDS[name], name)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         return blk
 
     def ensure_out_dir(self) -> Path:
@@ -276,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs": dict(
             type=_int_at_least(1, "jobs must be a positive integer"),
             default=1,
-            help="solve the sweep as N contiguous slices of P_grid, one warm-started chain per worker process",
+            help="solve the sweep as N contiguous slices of P_grid, each a warm-started chain, on at most one "
+            "worker process per CPU",
         ),
         "--seed": dict(
             type=_int_at_least(0, "seed must be a nonnegative integer"),  # numpy takes no negative seed

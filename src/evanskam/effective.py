@@ -10,6 +10,7 @@ correctness over speed).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -127,9 +128,9 @@ def sweep_P(
     """Solve across a momentum grid as one ``_chain`` and tabulate hbar(P) and Q(P).
 
     ``jobs > 1`` cuts the grid into ``min(jobs, n)`` contiguous slices and runs
-    a ``_chain`` on each in a process pool: each slice's rows equal a serial
-    sweep of that slice bit for bit.  Failed entries are flagged and the sweep
-    continues.
+    a ``_chain`` on each in a process pool of at most ``os.cpu_count()``
+    workers: each slice's rows equal a serial sweep of that slice bit for bit,
+    on any machine.  Failed entries are flagged and the sweep continues.
     """
     base = config if config is not None else SolverConfig(k=k)
     if base.k != k:
@@ -141,7 +142,7 @@ def sweep_P(
         from concurrent.futures import ProcessPoolExecutor
 
         slices = np.array_split(pts, min(jobs, len(pts)))
-        with ProcessPoolExecutor(max_workers=len(slices)) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(slices), os.cpu_count() or 1)) as pool:
             results = [res for part in pool.map(partial(_chain, ham, grid, base), slices) for res in part]
     else:
         results = _chain(ham, grid, base, pts)

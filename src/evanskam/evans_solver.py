@@ -19,13 +19,13 @@ once, on the evaluated state (``_State.transport`` and
 
 Newton steps use the positive-semidefinite linearized critical-point
 operator (the Gauss-Newton choice: the softmax covariance rank-one term is
-dropped, so the operator equals the true Hessian at critical points).  On a
-one-plane 1-d solve grid, at any n, the operator D^T diag(c) D is diagonal
-in the flux y = D s up to D's null modes, and each step is a closed-form
-solve there, two matvecs with the antiderivative D+.  On other small solve
-grids the damped operator is one dense block and each step is one direct
-solve with it; larger grids solve it by conjugate gradients with a Fourier
-preconditioner, restricted to the zero-mean subspace.  J is
+dropped, so the operator equals the true Hessian at critical points).  One
+function, ``_step_solve``, picks the damped solve of every step from the
+solve grid alone.  On a one-plane 1-d grid, at any n, the operator
+D^T diag(c) D is diagonal in the flux y = D s up to D's null modes, and a
+step is two matvecs with the antiderivative D+.  On other small grids it
+is one direct solve with a dense block; larger grids run conjugate
+gradients with a Fourier preconditioner on the zero-mean subspace.  J is
 convex at every k, so a cold start needs no homotopy in the Hamiltonian: it
 climbs a doubling ladder in k from u = 0, each stage warm-started from the
 last, and a solve warm-started from another solve climbs the same ladder
@@ -302,18 +302,6 @@ def _operator_apply(grid: TorusGrid, method: str, coef: list[list[np.ndarray]], 
     return -out
 
 
-# Largest solve grid, in nodes, on which a Newton step is a direct solve with
-# a dense block of the Newton operator (one LU per Newton step); one-plane
-# 1-d grids take the flux step instead, at every size (``_flux_block``).  The
-# block spans the solve grid's axes: the spatial ones on the one time plane
-# of an autonomous d = 2 solve (``_solve_grid``), every space-time axis when
-# n_t > 1.  At 512 the 1-d time-coupled case on 32x16 converges in 11-37
-# Newton steps where the surrogate's CG stalled after 38k-86k iterations;
-# at 1024 the factor costs 32x32 problems more than the surrogate's CG
-# iterations do (drift only: 0.02 s -> 0.93 s per solve).
-_BLOCK_MAX_NODES = 512
-
-
 @lru_cache(maxsize=4)
 def _derivative_columns(shape: tuple[int, ...], method: str) -> list[np.ndarray]:
     """Each D_b of ``method`` over the axes of ``shape`` as a column stack: ``cols[b][..., j]`` = D_b e_j."""
@@ -373,15 +361,12 @@ def _block_solve(A: np.ndarray):
 
 
 def _dense_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
-    """Exact solve with the damped Newton operator on small solve grids, or None.
+    """Exact solve with the damped Newton operator as one dense block, for small solve grids.
 
     The operator is A = sum_ab D_a^T diag(c_ab) D_b + mu over the axes of the
     solve grid (``_newton_coefficients``).  The Newton step is this map
-    applied to -g, with no CG iteration.  None above ``_BLOCK_MAX_NODES``
-    nodes.  Not used on one-plane 1-d grids, which take ``_flux_block``.
+    applied to -g, with no CG iteration.
     """
-    if grid.n_nodes > _BLOCK_MAX_NODES:
-        return None
     coef = _newton_coefficients(grid, cfg.k, st.m, st.w)
     shape = grid.shape[: len(coef)]
     return _block_solve(_assemble(shape, cfg.method, [[c.reshape(shape) for c in row] for row in coef], mu))
@@ -419,15 +404,49 @@ def _flux_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
     return solve
 
 
-def _fourier_surrogate(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
-    """Approximate inverse of the damped Newton operator, the PCG preconditioner where no dense block forms.
+def _pcg_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
+    """Inexact solve with the damped Newton operator: PCG with the Fourier surrogate, matrix-free.
 
-    Above the block cap, or where the block's solve fails, the operator's
-    coefficients are frozen at m = 1 (its mean) and H_p = wbar, the rotation
-    vector.  The surrogate mu + sum_ab cbar_ab*xi_a*xi_b is then diagonal in
-    Fourier space and captures the transport anisotropy that otherwise
-    throttles the inner solve, but it is blind to m, which spans many decades
-    where the Mather measure concentrates.
+    CG stops at the inexact-Newton forcing term max(``_FORCING_FLOOR``,
+    min(0.1, sqrt(mu))), which is sqrt(grad_norm) for mu = min(1, grad_norm).
+    """
+    coef = _newton_coefficients(grid, cfg.k, st.m, st.w)
+    forcing = max(_FORCING_FLOOR, min(0.1, math.sqrt(mu)))
+    surrogate = _fourier_surrogate(grid, cfg, st, mu)
+
+    def apply_damped(v: np.ndarray) -> np.ndarray:
+        return _operator_apply(grid, cfg.method, coef, v) + mu * v
+
+    return lambda r: _pcg(apply_damped, surrogate, r, grid, forcing)[0]
+
+
+# Largest solve grid, in nodes, on which ``_step_solve`` picks the dense block.
+_BLOCK_MAX_NODES = 512
+
+
+def _step_solve(grid: TorusGrid):
+    """The solve map (grid, cfg, st, mu) -> (r -> s) of every Newton step on the solve grid ``grid``.
+
+    A one-plane 1-d grid takes ``_flux_block``, at every size.  Other grids
+    of at most ``_BLOCK_MAX_NODES`` nodes take ``_dense_block`` (one LU per
+    step), larger ones ``_pcg_block``.  At 512 the 1-d time-coupled case on
+    32x16 converges in 11-37 Newton steps where the surrogate's CG stalled
+    after 38k-86k iterations; at 1024 the factor costs 32x32 problems more
+    than the surrogate's CG iterations do (drift only: 0.02 s -> 0.93 s).
+    """
+    if grid.d == 1 and grid.n_t == 1:
+        return _flux_block
+    return _dense_block if grid.n_nodes <= _BLOCK_MAX_NODES else _pcg_block
+
+
+def _fourier_surrogate(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
+    """Approximate inverse of the damped Newton operator, the preconditioner of ``_pcg_block``.
+
+    The operator's coefficients are frozen at m = 1 (its mean) and H_p =
+    wbar, the rotation vector.  The surrogate mu + sum_ab cbar_ab*xi_a*xi_b
+    is then diagonal in Fourier space and captures the transport anisotropy
+    that otherwise throttles the inner solve, but it is blind to m, which
+    spans many decades where the Mather measure concentrates.
     """
     d = grid.d
     cbar = _newton_coefficients(grid, cfg.k, 1.0, [grid.integrate(st.m * wi) for wi in st.w])
@@ -446,15 +465,13 @@ def _fourier_surrogate(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: flo
 
 
 def _pcg(apply_op, apply_minv, b: np.ndarray, grid: TorusGrid, rel_tol: float):
-    """Preconditioned conjugate gradients in the node-mean inner product.
+    """Preconditioned conjugate gradients in the node-mean inner product, ``_pcg_block``'s inner solve.
 
-    The inner solve of a Newton step where no dense block forms, with the
-    Fourier surrogate as preconditioner.  The operator and the
-    preconditioner both map zero-mean fields to zero-mean fields; starting
-    from zero, every iterate stays in the subspace, where the operator is
-    positive definite.  The preconditioner is applied at the top of an
-    iteration, so the residual that meets ``rel_tol`` or the cap is never
-    preconditioned.
+    The operator and the preconditioner (the Fourier surrogate) map
+    zero-mean fields to zero-mean fields; starting from zero, every iterate
+    stays in the subspace, where the operator is positive definite.  The
+    preconditioner is applied at the top of an iteration, so the residual
+    that meets ``rel_tol`` or the cap is never preconditioned.
     """
     x = np.zeros_like(b)
     r = b.copy()
@@ -558,79 +575,63 @@ def _newton_stage(
     grid: TorusGrid, table: HamiltonianTable, cfg: SolverConfig, P: np.ndarray, u0: np.ndarray,
     st0: _State | None = None,
 ):
-    """Damped Newton at one k from u0: (u, state, grad_norm, iterations, grad_norm <= grad_tol).
+    """Damped Newton at one k from u0: (state, grad_norm, iterations) at the last iterate.
 
     ``st0``, when given, is the state of the zero-mean u0 at this k, already
     evaluated by the caller.  The gradient is taken at the top of every
-    iterate, the last included.
-    The step solves the damped Newton system directly: in closed form on a
-    one-plane 1-d grid (``_flux_block``, damping kappa*mu*|D s|^2), else with
-    the dense block where it forms (``_dense_block``, damping mu*|s|^2).
-    Where neither gives a finite step it runs PCG with the Fourier surrogate
-    to an inexact-Newton forcing tolerance.  The
-    loop stops at ``grad_tol``, after ``max_newton`` steps or after
-    ``_STALL_LIMIT`` consecutive stalled steps, each of which neither lowers
-    J beyond rounding nor halves the gradient norm.
+    iterate, the last included.  A step is the map ``_step_solve(grid)``
+    applied to -g, or ``_pcg_block``'s where a direct map raises
+    ``LinAlgError`` or gives a step that is not finite.  The loop stops at
+    ``grad_tol``, after ``max_newton`` steps or after ``_STALL_LIMIT``
+    consecutive stalled steps, each of which neither lowers J beyond
+    rounding nor halves the gradient norm.
     """
-
     st = st0 if st0 is not None else _State(grid, table, cfg, P, grid.project_zero_mean(u0))
-    u = st.u
+    solve = _step_solve(grid)
     iterations = stalled = 0
     prev_grad_norm = math.inf
     while True:
         g = -st.flux_divergence(st.m)
         grad_norm = grid.norm(g)
         if grad_norm <= cfg.grad_tol or iterations == cfg.max_newton or stalled >= _STALL_LIMIT:
-            return u, st, grad_norm, iterations, grad_norm <= cfg.grad_tol
+            return st, grad_norm, iterations
         # Levenberg damping proportional to the gradient norm: bounds the
         # worst-conditioned directions in the global phase and vanishes near
         # the solution, so local quadratic convergence is untouched.
         mu = min(1.0, grad_norm)
-        block, step = (_flux_block if grid.d == 1 and grid.n_t == 1 else _dense_block)(grid, cfg, st, mu), None
-        if block is not None:
-            try:
-                step = block(-g)  # exact: the line search projects it
-            except np.linalg.LinAlgError:  # B exactly singular
-                pass
-        if step is None or not np.isfinite(step).all():
-            coef = _newton_coefficients(grid, cfg.k, st.m, st.w)
-
-            def apply_damped(v: np.ndarray) -> np.ndarray:
-                return _operator_apply(grid, cfg.method, coef, v) + mu * v
-
-            forcing = max(_FORCING_FLOOR, min(0.1, math.sqrt(grad_norm)))
-            surrogate = _fourier_surrogate(grid, cfg, st, mu)
-            step, _ = _pcg(apply_damped, surrogate, -g, grid, forcing)
+        try:
+            step = solve(grid, cfg, st, mu)(-g)  # the line search projects it
+        except np.linalg.LinAlgError:  # a dense block exactly singular
+            step = None
+        if solve is not _pcg_block and (step is None or not np.isfinite(step).all()):
+            step = _pcg_block(grid, cfg, st, mu)(-g)
         slope = grid.inner(g, step)
         if slope >= 0.0:  # roundoff produced a non-descent direction
             step = -g
             slope = -grad_norm**2
         alpha = 1.0
-        accepted = None
         # Armijo backtracking; the small additive floor absorbs rounding when
         # objective differences drop below representable resolution.
         floor = 1e-14 * (1.0 + abs(st.J))
-        while alpha >= 1e-12:
-            u_try = grid.project_zero_mean(u + alpha * step)
-            st_try = _State(grid, table, cfg, P, u_try)
-            if st_try.J <= st.J + 1e-4 * alpha * slope + floor:
-                accepted = (u_try, st_try)
+        while True:
+            accepted = _State(grid, table, cfg, P, grid.project_zero_mean(st.u + alpha * step))
+            if accepted.J <= st.J + 1e-4 * alpha * slope + floor:
                 break
             alpha *= 0.5
-        if accepted is None:
-            raise LineSearchError(
-                f"no descent along the Newton direction (grad_norm={grad_norm:.3e}); "
-                "the objective is convex, so this indicates an operator/gradient bug"
-            )
+            if alpha < 1e-12:
+                raise LineSearchError(
+                    f"no descent along the Newton direction (grad_norm={grad_norm:.3e}); "
+                    "the objective is convex, so this indicates an operator/gradient bug"
+                )
         # stall: objective changes below representable resolution AND the
         # gradient no longer shrinking means the double-precision floor of
         # this configuration is reached (a plummeting gradient with flat J is
         # the healthy quadratic endgame and must not trigger this)
-        no_descent = st.J - accepted[1].J <= floor
+        no_descent = st.J - accepted.J <= floor
         no_grad_progress = grad_norm >= 0.5 * prev_grad_norm
         stalled = stalled + 1 if (no_descent and no_grad_progress) else 0
         prev_grad_norm = grad_norm
-        u, st = accepted
+        st = accepted
         iterations += 1
 
 
@@ -663,8 +664,8 @@ def minimize(
     one stage at ``config.k``.  Where J at a warm start exceeds J at u = 0,
     at the first stage's k, the solve starts cold instead, because such a
     start (a secant predictor that overshoots, say) can need more than
-    ``max_newton`` steps.  ``converged`` is the flag of the last stage, the
-    only one at ``config.k``.  Autonomous solves run on one time plane
+    ``max_newton`` steps.  ``converged`` is grad_norm <= ``grad_tol`` at the
+    end of the last stage, the only one at ``config.k``.  Autonomous solves run on one time plane
     (``_solve_grid``), a warm start from its time mean, and return u and m
     repeated over the time axis of ``grid``.
     """
@@ -688,11 +689,10 @@ def minimize(
             return minimize(ham, grid, config)
     total_iterations = 0
     for cfg in stages:
-        u, st, grad_norm, iters, converged = _newton_stage(plane, table, cfg, P, u, start)
-        start = None  # evaluated at the first stage's k: it can only start that stage
+        st, grad_norm, iters = _newton_stage(plane, table, cfg, P, u, start)
+        u, start = st.u, None  # start is evaluated at the first stage's k: it can only start that stage
         total_iterations += iters
     n_rep = grid.n_t // plane.n_t
-
     return SolveResult(
         u=ScalarField(grid, u.repeat(n_rep, axis=-1)),
         hbar=st.J,
@@ -702,7 +702,7 @@ def minimize(
         grad_norm=grad_norm,
         lip_norm=float(np.sqrt(np.max(st.grad_sq()))),
         iterations=total_iterations,
-        converged=converged,
+        converged=grad_norm <= config.grad_tol,
         k=config.k,
         P=P,
         method=config.method,

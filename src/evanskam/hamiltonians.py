@@ -126,8 +126,8 @@ class FourierSpec:
     def from_json_obj(obj: list, nvars: int, what: str = "a Fourier series") -> "FourierSpec":
         """The series of a JSON list of terms {"freq": [nvars integers], "cos": c, "sin": s}.
 
-        A value of the wrong shape raises ValueError naming ``what`` and the
-        expected shape; a term without "freq" raises KeyError.
+        A value of the wrong shape, or a term with any other key, raises
+        ValueError naming ``what``; a term without "freq" raises KeyError.
         """
         integers = "1 integer" if nvars == 1 else f"{nvars} integers"
         term = f'{{"freq": [{integers}], "cos": c, "sin": s}}'
@@ -137,6 +137,7 @@ class FourierSpec:
         for t in obj:
             if not isinstance(t, dict):
                 raise ValueError(f"each term of {what} must be an object {term}, got {t!r}")
+            _json_fields(t, ("freq", "cos", "sin"), f"{what} term")
             if not isinstance(t["freq"], list):
                 raise ValueError(f"'freq' of a term of {what} must be a list of {integers}, got {t['freq']!r}")
             freq = [_json_integer(f, "a frequency") for f in t["freq"]]
@@ -372,17 +373,25 @@ def _json_integer(value, what: str) -> int:
     return int(value)
 
 
+def _json_fields(obj: dict, known: Iterable[str], what: str) -> None:
+    """Raise ValueError naming every key of the JSON object ``obj`` outside ``known``: no typo is dropped silently."""
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+
+
 def hamiltonian_from_json(obj: dict) -> MechanicalHamiltonian:
     """The Hamiltonian of a JSON object.
 
     The optional weight "lambda" in [0,1] (default 1) multiplies every cos
     and sin coefficient of eta and V; the result carries the scaled series.
-    A non-finite, boolean or string number, a lambda outside [0,1], or a
-    field of the wrong shape raises ValueError naming the field; a missing
-    field raises KeyError.
+    A non-finite, boolean or string number, a lambda outside [0,1], a
+    field of the wrong shape or an unknown field raises ValueError naming
+    the field; a missing field raises KeyError.
     """
     if not isinstance(obj, dict):
         raise ValueError(f'the block must be an object with "d", "eta", "V" and "lambda", got {obj!r}')
+    _json_fields(obj, ("d", "eta", "V", "lambda"), "hamiltonian")
     d = _json_integer(obj["d"], "d")
     eta_obj = obj.get("eta", [[]] * d)
     if not isinstance(eta_obj, list):

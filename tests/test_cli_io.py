@@ -709,6 +709,42 @@ class TestNumericBlocks:
         assert not (tmp_path / "out").exists()
 
 
+class TestUnknownFields:
+    # every block refuses a key it does not read, before any output, as the
+    # solver block does: "lamda" solved at lambda = 1, a "coss" term read as
+    # V = 0 and "limit.p" ran at solver.P, each with exit 0
+    @pytest.mark.parametrize(
+        "command, path, key, value, message",
+        [
+            ("solve", ("hamiltonian",), "lamda", 0.5, "unknown hamiltonian fields: ['lamda']"),
+            ("solve", ("hamiltonian", "V", 0), "coss", 1.0, "unknown V term fields: ['coss']"),
+            ("solve", ("hamiltonian", "eta", 0, 0), "sine", 0.0, "unknown eta[0] term fields: ['sine']"),
+            ("solve", ("grid",), "nx", 16, "unknown grid fields: ['nx']"),
+            ("solve", ("output",), "field_fromat", "binary", "unknown output fields: ['field_fromat']"),
+            ("sweep", ("sweep",), "Q_gird", [0.0], "unknown sweep fields: ['Q_gird']"),
+            ("limit", ("limit",), "p", [0.0], "unknown limit fields: ['p']"),
+            ("oracle", ("oracle",), "p", 2.0, "unknown oracle fields: ['p']"),
+            ("solve", (), "oracel", {"P": 2.0}, "unknown top-level blocks: ['oracel']"),
+        ],
+        ids=["hamiltonian", "V-term", "eta-term", "grid", "output", "sweep", "limit", "oracle", "top-level"],
+    )
+    def test_unknown_key_exit_2(self, tmp_path, capsys, command, path, key, value, message):
+        cfg = pendulum_config(
+            tmp_path / "out", grid={"d": 1, "n_x": 16, "n_t": 4},
+            sweep={"P_grid": [0.0, 0.5, 1.0]}, limit={"k_list": [4, 8]}, oracle={"P": 2.0},
+        )
+        cfg["hamiltonian"]["eta"] = [[{"freq": [1], "cos": 0.5, "sin": 0.0}]]
+        block = cfg
+        for step in path:
+            block = block[step]
+        block[key] = value
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+
 class TestParser:
     @pytest.mark.parametrize(
         "argv",

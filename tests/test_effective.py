@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -100,6 +101,38 @@ class TestSweep:
         assert_bitwise(par.hbar, [res.hbar for res in cold])
         assert_bitwise(par.Q, [res.rotation for res in cold])
         assert_bitwise(par.converged, [res.converged for res in cold])
+
+    @pytest.mark.parametrize("cpus", [2, None], ids=["two-cpus", "unknown-count"])
+    def test_workers_capped_at_the_cpu_count(self, monkeypatch, cpus):
+        # the pool opens at most os.cpu_count() workers (one where the count
+        # is unknown) and keeps min(jobs, n) slices, so no machine changes a
+        # row; the recording pool maps in this process and starts none
+        import concurrent.futures
+
+        opened = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        ham, grid = pendulum_hamiltonian(), TorusGrid(1, 32, 8)
+        P_vals = [-1.0, -0.5, 0.0, 0.5, 1.0]
+        par = sweep_P(ham, grid, 8.0, P_vals, jobs=4096)
+        assert opened == [cpus or 1]
+        cold = [minimize(ham, grid, SolverConfig(k=8.0, P=(P,))) for P in P_vals]
+        assert_bitwise(par.hbar, [res.hbar for res in cold])
+        assert_bitwise(par.Q, [res.rotation for res in cold])
 
     def test_time_coupled_serial_sweep_matches_cold_solves(self):
         # a secant start worse than u = 0 starts cold: without that rule 6 of

@@ -1,15 +1,15 @@
-"""The Newton step's inner solve: a direct solve map on small solve grids, PCG with a Fourier surrogate elsewhere.
+"""The Newton step's inner solve: the map that ``_step_solve`` picks for the solve grid.
 
 On a one-plane 1-d solve grid the map is the flux step (``_flux_block``):
 the damped Gauss-Newton system D^T diag(q) D s = r in closed form, with
 q = m*(k*w^2 + 1) + kappa*mu, at every n_x.  Any other solve grid of at
-most ``_BLOCK_MAX_NODES`` nodes gets the dense block, a direct solve with
-the operator plus mu; autonomous d = 2 Hamiltonians are solved on one time
-plane, where it spans the spatial axes, and a grid with n_t > 1 gets the
-whole space-time operator.  Larger solve grids, and states whose block
-solve raises or gives a step that is not finite, run PCG with the m-blind
-Fourier surrogate.  Autonomous states below are therefore built on
-``_solve_grid(ham, grid)``.
+most ``_BLOCK_MAX_NODES`` nodes gets the dense block (``_dense_block``), a
+direct solve with the operator plus mu; autonomous d = 2 Hamiltonians are
+solved on one time plane, where it spans the spatial axes, and a grid with
+n_t > 1 gets the whole space-time operator.  Larger solve grids get
+``_pcg_block``, PCG with the m-blind Fourier surrogate, and so do states
+whose direct solve raises or gives a step that is not finite.  Autonomous
+states below are therefore built on ``_solve_grid(ham, grid)``.
 """
 
 import json
@@ -31,7 +31,9 @@ from evanskam.evans_solver import (
     _fourier_surrogate,
     _newton_coefficients,
     _operator_apply,
+    _pcg_block,
     _solve_grid,
+    _step_solve,
     evaluate_state,
     minimize,
 )
@@ -77,10 +79,10 @@ def one_plane_1d(grid):
 
 
 def block(grid, cfg, st, mu):
-    """The direct solve map of a Newton step on ``grid``: the flux step on one plane in 1-d, else the dense block."""
-    M = (_flux_block if one_plane_1d(grid) else _dense_block)(grid, cfg, st, mu)
-    assert M is not None
-    return M
+    """The direct solve map of a Newton step on ``grid``, as ``_step_solve`` picks it."""
+    solve = _step_solve(grid)
+    assert solve is not _pcg_block
+    return solve(grid, cfg, st, mu)
 
 
 def block_operator(grid, cfg, st, mu):
@@ -204,17 +206,34 @@ class TestTimeMeanBlockExact:
 
 
 @pytest.mark.parametrize(
-    "ham, grid, P",
-    [(separable_2d, TorusGrid(2, 24, 2), (0.1, 0.2)), (mixed_hamiltonian, TorusGrid(1, 32, 32), (0.5,))],
+    "ham, grid",
+    [(separable_2d, TorusGrid(2, 24, 2)), (mixed_hamiltonian, TorusGrid(1, 32, 32))],
     ids=["one-plane-24x24", "spacetime-32x32"],
 )
-def test_no_block_above_the_cap(ham, grid, P):
+def test_no_block_above_the_cap(ham, grid):
     # one cap for either kind of solve grid
     grid = _solve_grid(ham(), grid)
     assert grid.n_nodes > _BLOCK_MAX_NODES
-    cfg = SolverConfig(k=4.0, P=P)
-    st = evaluate_state(ham(), grid, cfg, grid.zeros())
-    assert _dense_block(grid, cfg, st, 1.0) is None
+    assert _step_solve(grid) is _pcg_block
+
+
+@pytest.mark.parametrize(
+    "shape, solve",
+    [
+        ((1, 64, 1), _flux_block),
+        ((1, 1024, 1), _flux_block),
+        ((2, 22, 1), _dense_block),
+        ((1, 32, 16), _dense_block),
+        ((2, 24, 1), _pcg_block),
+        ((1, 64, 16), _pcg_block),
+        ((2, 12, 12), _pcg_block),
+    ],
+    ids=["flux-64", "flux-1024", "dense-484", "dense-512", "pcg-576", "pcg-1024", "pcg-1728"],
+)
+def test_step_solve_picks_by_the_solve_grid(shape, solve):
+    # either side of each boundary: the flux step has no cap, the dense
+    # block stops at the cap on one plane and in space-time alike
+    assert _step_solve(TorusGrid(*shape)) is solve
 
 
 class TestAtTheCap:
@@ -332,9 +351,9 @@ def test_shifted_criterion_6_entries_carry_no_nyquist_mode(shifted_criterion_6_g
 
 def test_secant_started_criterion_6_sweep_newton_steps(monkeypatch):
     # every entry after the second starts from the secant predictor, whose
-    # error is O(dP^2) against the previous u's O(dP): 340 Newton steps and
-    # 18 for the worst warm entry with the previous u, 221 and 11 with it,
-    # 197 and 7 once the cold first entry climbs the k ladder (16 steps)
+    # error is O(dP^2) against the previous u's O(dP): 252 Newton steps and
+    # 8 for the worst warm entry with the previous u, 188 and 7 with the
+    # predictor, 17 of them for the cold first entry up the k ladder
     steps = []
     solve = effective.minimize
 
@@ -453,6 +472,17 @@ def test_one_plane_1d_solve_above_the_cap_takes_the_flux_step(monkeypatch):
     assert counts == []
     coarse = minimize(pendulum_hamiltonian(), TorusGrid(1, 256, 1), cfg)
     assert abs(fine.hbar - coarse.hbar) <= 1e-12
+
+
+def test_one_plane_solve_above_the_cap_runs_pcg(monkeypatch):
+    # separable 24^2 x 4 solves on one plane of 576 nodes, above the cap:
+    # every Newton step is one PCG solve with the surrogate
+    counts = pcg_iterations(monkeypatch)
+    res = minimize(separable_2d(), TorusGrid(2, 24, 4), SolverConfig(k=4.0, P=(0.3, 0.1)))
+    assert _solve_grid(separable_2d(), TorusGrid(2, 24, 4)).n_nodes == 576
+    assert res.converged
+    assert len(counts) == res.iterations > 0
+    assert min(counts) >= 1
 
 
 def test_solve_above_the_cap_runs_pcg(monkeypatch):

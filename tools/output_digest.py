@@ -20,11 +20,10 @@ temporary directory, and prints one JSON object:
   unconverged P values;
 - for the library solves in ``LIBRARY_SOLVES``, cases that no config
   reaches (cold starts up a long k ladder, ``central4``, d = 2 grids, one
-  of them a one-plane grid above 256 nodes and one a space-time grid above
-  the dense-block cap, which runs PCG, a one-plane 1-d grid of 1,024
-  nodes, a ``max_newton`` cap, a Hamiltonian read from JSON with a
-  "lambda" below 1): per
-  solve, the sha256 of its record
+  of them a one-plane grid above 256 nodes, and a one-plane and a
+  space-time grid above the dense-block cap, which run PCG, a one-plane
+  1-d grid of 1,024 nodes, a ``max_newton`` cap, a Hamiltonian read from
+  JSON with a "lambda" below 1): per solve, the sha256 of its record
   (the fields above plus lip_norm) with its iterations and converged flag,
   and one sha256 per certificate of the solve, so that each shows on its
   own: the ``mfg_residuals`` fields, ``holonomy_residual`` and
@@ -87,6 +86,8 @@ LIBRARY_SOLVES = {
     "separable-2d-18": ("separable-2d", (2, 18, 4), dict(k=16.0, P=(0.3, 0.1))),
     # 1,728 space-time nodes: every Newton step runs PCG with the surrogate
     "pcg-tc2-12": ("tc2", (2, 12, 12), dict(k=4.0, P=(0.5, 0.2))),
+    # one plane of 576 nodes, above the dense cap: every Newton step runs PCG
+    "pcg-separable-24": ("separable-2d", (2, 24, 4), dict(k=4.0, P=(0.3, 0.1))),
     # one plane of 1,024 nodes, above the dense cap: the flux step
     "pendulum-1024": ("pendulum", (1, 1024, 1), dict(k=16.0, P=(0.5,))),
     # a config's weight "lambda" = 0.75 on a time-coupled three-term potential
