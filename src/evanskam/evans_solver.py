@@ -102,18 +102,13 @@ class SolverConfig:
     method: str = "spectral"
 
     def __post_init__(self) -> None:
-        for names, kind, ok in (
-            (("k", "grad_tol"), "a finite number", _is_finite_number),
-            (("max_newton",), "an integer", lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool)),
-        ):
-            for name in names:
-                if not ok(getattr(self, name)):
-                    raise ValueError(f"{name} must be {kind}, got {getattr(self, name)!r}")
+        for name in ("k", "grad_tol"):
+            if not _is_finite_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        if not isinstance(self.max_newton, (int, np.integer)) or isinstance(self.max_newton, bool):
+            raise ValueError(f"max_newton must be an integer, got {self.max_newton!r}")
         if self.P is not None:
-            P = np.asarray(self.P, dtype=object)
-            if P.ndim > 1 or not all(map(_is_finite_number, P.ravel())):
-                raise ValueError(f"P must be None or finite numbers, got {self.P!r}")
-            object.__setattr__(self, "P", tuple(float(p) for p in P.ravel()))
+            object.__setattr__(self, "P", _momentum_tuple(self.P))
         if self.k <= 0:
             raise ValueError(f"k must be positive, got {self.k}")
         if self.grad_tol <= 0:
@@ -128,6 +123,22 @@ class SolverConfig:
         if P.shape != (d,):
             raise ValueError(f"P has shape {P.shape}, expected ({d},)")
         return P
+
+
+def _momentum_tuple(P) -> tuple[float, ...]:
+    """P, a number or a flat sequence of finite numbers, as a tuple of floats; ValueError otherwise.
+
+    A tuple of finite floats (a parsed P, as ``replace`` passes it on) and
+    a 1-d float64 array of finite values (a sweep's row) skip the parse
+    through an object array: they give the floats it gives.
+    """
+    floats = tuple(P.tolist()) if isinstance(P, np.ndarray) and P.dtype == np.float64 and P.ndim == 1 else P
+    if type(floats) is tuple and all(type(p) is float and math.isfinite(p) for p in floats):
+        return floats
+    arr = np.asarray(P, dtype=object)
+    if arr.ndim > 1 or not all(map(_is_finite_number, arr.ravel())):
+        raise ValueError(f"P must be None or finite numbers, got {P!r}")
+    return tuple(float(p) for p in arr.ravel())
 
 
 @dataclass(eq=False)
@@ -216,9 +227,11 @@ class _State:
     ``table`` is the grid's HamiltonianTable that the state was evaluated
     against, and f = u_t + H comes from its ``H``; ``transport`` and
     ``flux_divergence`` differentiate on its ``grid`` with its ``method``.
+    On one time plane u_t is exactly zero: it is neither computed nor
+    stored, and ``ut`` reads as zeros.
     """
 
-    __slots__ = ("grid", "method", "table", "u", "du", "ut", "w", "f", "J", "m")
+    __slots__ = ("grid", "method", "table", "u", "du", "_ut", "w", "f", "J", "m")
 
     def __init__(self, grid: TorusGrid, table: HamiltonianTable, cfg: SolverConfig, P: np.ndarray, u: np.ndarray):
         d = table.d
@@ -226,12 +239,15 @@ class _State:
         self.grid, self.method = grid, method
         self.table = table
         self.u = u
-        timed = grid.n_t > 1  # on one time plane u_t is exactly zero
         self.du = [grid.deriv(u, a, method) for a in range(d)]
-        self.ut = grid.deriv(u, d, method) if timed else np.zeros(grid.shape)
+        self._ut = grid.deriv(u, d, method) if grid.n_t > 1 else None
         self.w = table.H_p([P[i] + self.du[i] for i in range(d)])
-        self.f = table.H(self.w, self.ut if timed else None)  # w has the grid's shape, so f has it too
+        self.f = table.H(self.w, self._ut)  # w has the grid's shape, so f has it too
         self.J, self.m = _softmax(grid, cfg.k, self.f)
+
+    @property
+    def ut(self) -> np.ndarray:
+        return np.zeros(self.grid.shape) if self._ut is None else self._ut
 
     def transport(self, x: np.ndarray) -> np.ndarray:
         """T x = x_t + sum_i w_i * D_i x, the derivative along the momenta w = H_p (no x_t on one time plane)."""
@@ -257,7 +273,7 @@ class _State:
 
     def grad_sq(self) -> np.ndarray:
         """|Du|^2 over the space-time axes."""
-        sq = self.ut**2
+        sq = 0.0 if self._ut is None else self._ut**2  # 0.0 + g**2 has the bits of g**2
         for g in self.du:
             sq = sq + g**2
         return sq
@@ -265,7 +281,7 @@ class _State:
 
 def _softmax(grid: TorusGrid, k: float, f: np.ndarray) -> tuple[float, np.ndarray]:
     """J = (1/k) log mean(exp(k*f)), shifted by max f, and the weights m with mean one."""
-    fmax = float(f.max())
+    fmax = float(np.maximum.reduce(f, None))
     # clamp at the smallest positive normal: keeps m strictly positive
     # even where exp underflows, at no visible cost to the mass
     weights = np.maximum(np.exp(k * (f - fmax)), _TINY)
@@ -372,6 +388,13 @@ def _dense_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
     return _block_solve(_assemble(shape, cfg.method, [[c.reshape(shape) for c in row] for row in coef], mu))
 
 
+@lru_cache(maxsize=8)
+def _flux_kappa(n: int, method: str) -> float:
+    """kappa = (D+^T D+)_00 on n nodes, the weight ``_flux_block`` gives the damping in flux coordinates."""
+    Dp = antiderivative_matrix(n, method)
+    return float(Dp[:, 0] @ Dp[:, 0])
+
+
 def _flux_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
     """Exact solve with the damped Newton operator on a one-plane 1-d solve grid, in flux coordinates.
 
@@ -385,20 +408,21 @@ def _flux_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
     n), the 1/q-weighted mean of h there, which puts y in the range of D;
     then s = D+ y.  Where q spans more decades than a double holds, h - a
     cancels and leaves y off that range, which a second pass restores.
-    That is two matvecs with D+ and O(n) work, at every n; the map is
-    symmetric, returns zero-mean, Nyquist-free steps and drops the null
-    modes of r.
+    That is two matvecs with D+ and O(n) work, at every n, with kappa
+    computed once per n (``_flux_kappa``); the map is symmetric, returns
+    zero-mean, Nyquist-free steps and drops the null modes of r.
     """
-    Dp = antiderivative_matrix(grid.n_x, cfg.method)
-    kappa = float(Dp[:, 0] @ Dp[:, 0])
+    Dp, kappa = antiderivative_matrix(grid.n_x, cfg.method), _flux_kappa(grid.n_x, cfg.method)
     parities = 2 - grid.n_x % 2
-    qinv = 1.0 / (_newton_coefficients(grid, cfg.k, st.m, st.w)[0][0] + kappa * mu).reshape(-1, parities)
-    qinv_sum = qinv.sum(axis=0)
+    # -1/q carries the sign of (D^T)+ = -D+; the weighted means of h/q read
+    # the same with -1/q in place of 1/q, bit for bit
+    nqinv = -1.0 / (_newton_coefficients(grid, cfg.k, st.m, st.w)[0][0] + kappa * mu).reshape(-1, parities)
+    nqinv_sum = np.add.reduce(nqinv, 0)
 
     def solve(r: np.ndarray) -> np.ndarray:
-        y = -np.dot(Dp, r).reshape(-1, parities) * qinv  # h/q, with (D^T)+ = -D+
+        y = np.dot(Dp, r).reshape(-1, parities) * nqinv  # h/q
         for _ in range(2):
-            y -= y.sum(axis=0) / qinv_sum * qinv
+            y -= np.add.reduce(y, 0) / nqinv_sum * nqinv
         return np.dot(Dp, y.reshape(r.shape))
 
     return solve
@@ -591,8 +615,10 @@ def _newton_stage(
     iterations = stalled = 0
     prev_grad_norm = math.inf
     while True:
-        g = -st.flux_divergence(st.m)
-        grad_norm = grid.norm(g)
+        # r = -g, minus the gradient: every use below reads g through it,
+        # with the bits of g (a negation is exact and sums round symmetrically)
+        r = st.flux_divergence(st.m)
+        grad_norm = grid.norm(r)
         if grad_norm <= cfg.grad_tol or iterations == cfg.max_newton or stalled >= _STALL_LIMIT:
             return st, grad_norm, iterations
         # Levenberg damping proportional to the gradient norm: bounds the
@@ -600,21 +626,25 @@ def _newton_stage(
         # the solution, so local quadratic convergence is untouched.
         mu = min(1.0, grad_norm)
         try:
-            step = solve(grid, cfg, st, mu)(-g)  # the line search projects it
+            step = solve(grid, cfg, st, mu)(r)  # the line search projects it
         except np.linalg.LinAlgError:  # a dense block exactly singular
             step = None
-        if solve is not _pcg_block and (step is None or not np.isfinite(step).all()):
-            step = _pcg_block(grid, cfg, st, mu)(-g)
-        slope = grid.inner(g, step)
+        # the slope inner(g, step); a finite one proves the step finite, since
+        # a NaN or an infinity in the step would reach the sum
+        slope = math.nan if step is None else -grid.inner(r, step)
+        if solve is not _pcg_block and not math.isfinite(slope) and (step is None or not np.isfinite(step).all()):
+            step = _pcg_block(grid, cfg, st, mu)(r)
+            slope = -grid.inner(r, step)
         if slope >= 0.0:  # roundoff produced a non-descent direction
-            step = -g
+            step = r  # -g
             slope = -grad_norm**2
         alpha = 1.0
         # Armijo backtracking; the small additive floor absorbs rounding when
         # objective differences drop below representable resolution.
         floor = 1e-14 * (1.0 + abs(st.J))
         while True:
-            accepted = _State(grid, table, cfg, P, grid.project_zero_mean(st.u + alpha * step))
+            trial = st.u + step if alpha == 1.0 else st.u + alpha * step  # 1.0 * step has the bits of step
+            accepted = _State(grid, table, cfg, P, grid.project_zero_mean(trial))
             if accepted.J <= st.J + 1e-4 * alpha * slope + floor:
                 break
             alpha *= 0.5
@@ -645,7 +675,13 @@ def _solve_grid(ham: MechanicalHamiltonian, grid: TorusGrid) -> TorusGrid:
     """
     if grid.n_t == 1 or not _is_autonomous(ham):
         return grid
-    return TorusGrid(grid.d, grid.n_x, 1)
+    return _one_plane(grid.d, grid.n_x)
+
+
+@lru_cache(maxsize=8)
+def _one_plane(d: int, n_x: int) -> TorusGrid:
+    """``TorusGrid(d, n_x, 1)``, one object per size: the solves of a sweep share it (grids are immutable)."""
+    return TorusGrid(d, n_x, 1)
 
 
 def minimize(
@@ -665,9 +701,13 @@ def minimize(
     at the first stage's k, the solve starts cold instead, because such a
     start (a secant predictor that overshoots, say) can need more than
     ``max_newton`` steps.  ``converged`` is grad_norm <= ``grad_tol`` at the
-    end of the last stage, the only one at ``config.k``.  Autonomous solves run on one time plane
-    (``_solve_grid``), a warm start from its time mean, and return u and m
-    repeated over the time axis of ``grid``.
+    end of the last stage, the only one at ``config.k``.  Autonomous solves
+    run on one time plane (``_solve_grid``, one shared grid object per
+    size), a warm start from its time mean, and return u and m repeated
+    over the time axis of ``grid``.  Outside its Newton steps a warm-started
+    solve evaluates the start's state, J at u = 0 for the guard, the
+    gradient that ends each stage, and the result's rotation and Lipschitz
+    norm.
     """
     check_nyquist(ham, grid)
     P = config.momentum(ham.d)
@@ -681,8 +721,8 @@ def minimize(
         rung *= 2.0
     if warm_start is not None:
         warm = _as_array(grid, warm_start)
-        if plane is not grid:
-            warm = warm.mean(axis=-1, keepdims=True)
+        if plane is not grid:  # the time mean, with np.mean's bits
+            warm = np.add.reduce(warm, -1, keepdims=True) / grid.n_t
         start = _State(plane, table, stages[0], P, plane.project_zero_mean(warm))
         # f at u = 0 has the bits _State gives it, and table.V gives it the plane's shape
         if start.J > _softmax(plane, stages[0].k, table.H(table.H_p(P)))[0]:
@@ -700,7 +740,7 @@ def minimize(
         # the node mean of m*H_p on the solve grid, the bits that mather_diagnostics gives
         rotation=np.array([plane.integrate(st.m * wi) for wi in st.w]),
         grad_norm=grad_norm,
-        lip_norm=float(np.sqrt(np.max(st.grad_sq()))),
+        lip_norm=math.sqrt(np.maximum.reduce(st.grad_sq(), None)),
         iterations=total_iterations,
         converged=grad_norm <= config.grad_tol,
         k=config.k,

@@ -351,6 +351,8 @@ def hamiltonian_to_json(ham: MechanicalHamiltonian) -> dict:
 
 def _is_finite_number(v) -> bool:
     """A finite real number that fits a float; booleans, which Python counts as integers, are not one."""
+    if type(v) is float:  # the common case, without the abstract-class check
+        return math.isfinite(v)
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         return False
     try:

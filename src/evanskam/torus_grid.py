@@ -18,15 +18,19 @@ pseudo-inverse of each, built once from its FFT eigenvalues.
 Solves call the kernels thousands of times on small grids, so node means are
 one sum and one division (the bits of ``np.mean``), and a derivative is one
 BLAS matvec per grid line, whose bits do not depend on the number of lines.
+The per-call set-up is kept short: ``shape`` is built once per grid, a
+field's checks are one shape comparison and one sum (a finite sum proves
+every value finite), and a field of one line is one plain matvec.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,7 +53,9 @@ class GridError(ValueError):
     """Invalid grid construction or a field/grid mismatch."""
 
 
-@lru_cache(maxsize=None)
+# Both matrix caches keep 8 (n, method) pairs: a solve reads at most two
+# lengths (n_x and n_t), and one 4,096-node matrix is 128 MiB.
+@lru_cache(maxsize=8)
 def derivative_matrix(n: int, method: str) -> np.ndarray:
     """The circulant first-derivative matrix on n periodic nodes, cached and read-only.
 
@@ -72,7 +78,7 @@ def derivative_matrix(n: int, method: str) -> np.ndarray:
     return _skew_circulant(col)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def antiderivative_matrix(n: int, method: str) -> np.ndarray:
     """The pseudo-inverse D+ of ``derivative_matrix(n, method)``, cached and read-only.
 
@@ -134,8 +140,9 @@ class TorusGrid:
     def n_axes(self) -> int:
         return self.d + 1
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
+        # built on first read and kept on the instance: solves read it on every state
         return (self.n_x,) * self.d + (self.n_t,)
 
     @property
@@ -164,10 +171,21 @@ class TorusGrid:
         if not 0 <= axis < self.n_axes:
             raise GridError(f"axis {axis} out of range for d={self.d} (+ time)")
 
-    def _check_values(self, values: np.ndarray) -> np.ndarray:
+    def _checked(self, values: np.ndarray, nonfinite: str) -> np.ndarray:
+        """``values`` as a float array of the grid's shape with finite values.
+
+        A shape other than the grid's raises GridError, then a NaN or an
+        infinity raises GridError(``nonfinite``).  A finite sum proves every
+        value finite in one reduction, since a NaN or an infinity makes every
+        sum that contains it NaN or infinite; only a sum that meets one of
+        them, or overflows (values near the largest double, where numpy warns
+        of the overflow), reads the values one by one.
+        """
         arr = np.asarray(values, dtype=float)
         if arr.shape != self.shape:
             raise GridError(f"field shape {arr.shape} does not match grid {self.shape}")
+        if not (math.isfinite(np.add.reduce(arr, None)) or np.isfinite(arr).all()):
+            raise GridError(nonfinite)
         return arr
 
     # -- calculus ------------------------------------------------------------
@@ -175,26 +193,36 @@ class TorusGrid:
     def integrate(self, values: np.ndarray) -> float:
         # Unit-volume torus: periodic trapezoidal quadrature is the node mean.
         # One reduction, then the division np.mean makes: the same bits.
-        return float(values.sum()) / values.size
+        return float(np.add.reduce(values, None)) / values.size
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         return self.integrate(a * b)
 
     def norm(self, values: np.ndarray) -> float:
-        return float(np.sqrt(self.integrate(np.square(values))))
+        return math.sqrt(self.integrate(np.square(values)))
 
     def project_zero_mean(self, values: np.ndarray) -> np.ndarray:
         return values - self.integrate(values)
 
     def deriv(self, values: np.ndarray, axis: int, method: str = "spectral") -> np.ndarray:
+        """The derivative of a field along ``axis``: ``derivative_matrix`` applied to each grid line.
+
+        Each line is first shifted by its own first value, which maps
+        constant lines to exact zeros.  A field of one line (a one-plane 1-d
+        grid) is one plain matvec; more lines take one batched ``matmul``,
+        which does one matvec per line (one GEMM would round differently),
+        so a line's bits do not depend on the number of lines.  An axis out
+        of range, a shape other than the grid's and a non-finite value raise
+        GridError, in that order; an axis of one node gives zeros.
+        """
         self._check_axis(axis)
-        arr = self._check_values(values)
-        if not np.isfinite(arr).all():
-            raise GridError("cannot differentiate a field with non-finite values")
+        arr = self._checked(values, "cannot differentiate a field with non-finite values")
         n = arr.shape[axis]
         if n == 1:
             return np.zeros_like(arr)
-        # one matvec per line (one GEMM rounds differently); the shift by its first value zeroes constant lines
+        if arr.size == n:  # one line
+            line = arr.ravel()
+            return np.dot(derivative_matrix(n, method), line - line[0]).reshape(arr.shape)
         x, out = arr.swapaxes(axis, -1), np.empty(arr.shape)
         np.matmul(derivative_matrix(n, method), (x - x[..., :1])[..., None], out=out.swapaxes(axis, -1)[..., None])
         return out
@@ -208,10 +236,7 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = self.grid._check_values(self.values)
-        if not np.all(np.isfinite(arr)):
-            raise GridError("field values must be finite")
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", self.grid._checked(self.values, "field values must be finite"))
 
     def mean(self) -> float:
         return self.grid.integrate(self.values)

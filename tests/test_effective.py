@@ -194,6 +194,13 @@ class TestSweep:
         assert not bool(tab.converged[1])
         assert np.all(np.isfinite(tab.hbar))
 
+    def test_nonfinite_momentum_refused_with_its_row(self):
+        # the entry's P reaches SolverConfig as a row of the momentum grid
+        with pytest.raises(ValueError) as info:
+            sweep_P(pendulum_hamiltonian(), TorusGrid(1, 16, 4), 4.0, [0.1, np.nan, 0.3])
+        assert info.type is ValueError
+        assert str(info.value) == "P must be None or finite numbers, got array([nan])"
+
     def test_symmetry_in_momentum(self):
         # V even in x and no drift: the sweep is even in P
         grid = TorusGrid(1, 32, 8)

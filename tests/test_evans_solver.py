@@ -43,7 +43,7 @@ from evanskam.hamiltonians import (
 )
 from evanskam.mather_limits import aronsson_residual, holonomy_residual, k_sweep, mather_diagnostics
 from evanskam.mfg_diagnostics import mfg_residuals
-from evanskam.torus_grid import ScalarField, TorusGrid
+from evanskam.torus_grid import GridError, ScalarField, TorusGrid
 
 
 def random_zero_mean(grid, rng, max_freq=4, n_terms=6, scale=0.2):
@@ -416,6 +416,27 @@ class TestMinimize:
         assert warm.converged
         assert warm.iterations <= 1
         assert warm.hbar == pytest.approx(cold.hbar, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "make_start, error, message",
+        [
+            (lambda: np.full((16, 4), np.nan), GridError, "field values must be finite"),
+            (lambda: np.zeros((16, 2)), GridError, "field shape (16, 2) does not match grid (16, 4)"),
+            (
+                lambda: minimize(pendulum_hamiltonian(), TorusGrid(1, 32, 4), SolverConfig(k=4.0, P=(0.5,))),
+                ValueError,
+                "result fields live on a different grid",
+            ),
+        ],
+        ids=["nan", "shape", "other-grid-result"],
+    )
+    def test_warm_start_refusals(self, make_start, error, message):
+        # the type and the message of each refusal, before any Newton step
+        grid, cfg = TorusGrid(1, 16, 4), SolverConfig(k=4.0, P=(0.5,))
+        with pytest.raises(ValueError) as info:
+            minimize(pendulum_hamiltonian(), grid, cfg, warm_start=make_start())
+        assert info.type is error
+        assert str(info.value) == message
 
     def test_k_continuation_agrees(self):
         # the cold solve climbs 4, 8, 16, 32; the warm one jumps from 4 to 32

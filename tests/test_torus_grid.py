@@ -291,6 +291,31 @@ class TestKernelBits:
             assert_bitwise(whole.take([j], axis=1 - axis), alone)
 
 
+class TestMatrixCaches:
+    """The derivative and antiderivative matrices are cached per (n, method) in bounded caches."""
+
+    BUILDERS = [torus_grid.derivative_matrix, torus_grid.antiderivative_matrix]
+
+    @pytest.mark.parametrize("build", BUILDERS, ids=["derivative", "antiderivative"])
+    def test_cache_is_bounded(self, build):
+        maxsize = build.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 64
+
+    @pytest.mark.parametrize("method", ["spectral", "central4"])
+    @pytest.mark.parametrize("build", BUILDERS, ids=["derivative", "antiderivative"])
+    def test_rebuilt_after_eviction_bit_identical_and_read_only(self, build, method):
+        first = build(64, method)
+        kept = first.copy()
+        for n in range(65, 65 + 2 * build.cache_info().maxsize, 2):  # as many other lengths as the cache holds
+            build(n, method)
+        assert build.cache_info().currsize <= build.cache_info().maxsize
+        rebuilt = build(64, method)
+        assert rebuilt is not first
+        assert_bitwise(rebuilt, kept)
+        with pytest.raises(ValueError):
+            rebuilt[1, 0] = 0.0
+
+
 class TestIntegrate:
     def test_unit_volume(self):
         g = TorusGrid(1, 8, 8)
@@ -350,6 +375,14 @@ class TestFieldTypes:
         vals[1, 1] = np.inf
         with pytest.raises(GridError):
             ScalarField(g, vals)
+
+    def test_values_whose_sum_overflows_are_accepted(self):
+        # the one-sum finiteness test overflows here and reads the values one by one
+        g = TorusGrid(1, 8, 1)
+        big = np.full(g.shape, 1e308)
+        with np.errstate(over="ignore"):
+            assert ScalarField(g, big).values is big
+            assert np.all(g.deriv(big, 0) == 0.0)
 
 
 class TestFieldIO:

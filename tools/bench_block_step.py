@@ -1,4 +1,4 @@
-"""Time the derivative, state, apply and dense-block kernels and the criterion-6 sweep of source trees.
+"""Time the derivative, state, apply and Newton-step kernels, a sweep entry and the criterion-6 sweep of source trees.
 
     python tools/bench_block_step.py NAME=TREE [NAME=TREE ...] [--rounds N] > BENCH_block_step.json
 
@@ -9,15 +9,22 @@ and reports, as medians over its own repeats:
 
 - for each block case (64 to 1,024 nodes on one time plane of the
   pendulum, 512 space-time nodes of tc1 32x16): ``block_s``, the time of
-  one damped direct step, the tree's solve map built and applied to the
-  negative gradient, and ``step``, which map that is.  A one-plane 1-d
-  case takes ``_flux_block``, split into ``matvec_s`` (its two ``np.dot``
-  matvecs with the antiderivative) and ``other_s`` (the rest: coefficients
-  and O(n) work).  The space-time case takes ``_dense_block``, split into
-  ``assemble_s`` (``_assemble``), ``lu_solve_s`` (``np.linalg.solve``) and
-  ``other_s`` (coefficients, equilibration, matrix products).  Each case
-  also gives ``newton_step_s``, one whole step of ``_newton_stage``
-  (gradient, inner solve, line search) from the same state;
+  one damped Newton step's solve, the map that ``evans_solver._step_solve``
+  picks for the solve grid, built and applied to the negative gradient,
+  and ``step``, that map's name (``flux``, ``dense`` or ``pcg``).  The
+  map's name sets the split.  ``flux`` (one-plane 1-d grids): ``matvec_s``
+  (its two ``np.dot`` matvecs with the antiderivative) and ``other_s``
+  (the rest: coefficients and O(n) work).  ``dense``: ``assemble_s``
+  (``_assemble``), ``lu_solve_s`` (``np.linalg.solve``) and ``other_s``
+  (coefficients, equilibration, matrix products).  ``pcg``:
+  ``operator_apply_s`` (``_operator_apply``) and ``other_s`` (the
+  surrogate's FFTs and CG's vector work).  Each case also gives
+  ``newton_step_s``, one whole step of ``_newton_stage`` (gradient, inner
+  solve, line search) from the same state;
+- for one sweep entry: ``entry_s``, one ``minimize`` of the pendulum on
+  64x8 at k = 16, P = 1, ``grad_tol`` 1e-11, warm-started from its own
+  converged u, so that it takes ``newton_steps`` = 0 Newton steps: the
+  fixed cost of an entry outside its Newton steps;
 - for the criterion-6 sweep (41 entries, pendulum 64x8, k = 16,
   ``grad_tol`` 1e-11): its wall time, its Newton steps, and the time per
   Newton step;
@@ -127,11 +134,13 @@ def block_case(name: str) -> dict:
     u = grid.project_zero_mean(0.3 * np.sin(2 * np.pi * (grid.coords()[0] + 0.25)) * np.ones(grid.shape))
     st = evans_solver.evaluate_state(ham, grid, cfg, u)
     g = evans_solver.gradient(ham, grid, cfg, u).values
-    if grid.d == 1 and grid.n_t == 1:
-        step, phases = "flux", {"matvec_s": (np, "dot")}
-    else:
-        step, phases = "dense", {"assemble_s": (evans_solver, "_assemble"), "lu_solve_s": (np.linalg, "solve")}
-    solve_map = getattr(evans_solver, f"_{step}_block")
+    solve_map = evans_solver._step_solve(grid)
+    step = solve_map.__name__.removeprefix("_").removesuffix("_block")
+    phases = {
+        "flux": {"matvec_s": (np, "dot")},
+        "dense": {"assemble_s": (evans_solver, "_assemble"), "lu_solve_s": (np.linalg, "solve")},
+        "pcg": {"operator_apply_s": (evans_solver, "_operator_apply")},
+    }[step]
     totals, splits = [], []
     for _ in range(repeats):
         with PhaseClock(phases) as clock:
@@ -151,6 +160,16 @@ def block_case(name: str) -> dict:
         steps.append(perf_counter() - start)
     out["newton_step_s"] = statistics.median(steps)
     return out
+
+
+def entry_case() -> dict:
+    from evanskam import SolverConfig, TorusGrid, evans_solver
+
+    ham, grid = library_hamiltonians()["pendulum"], TorusGrid(1, 64, 8)
+    cfg = SolverConfig(k=16.0, P=1.0, grad_tol=1e-11)
+    u = evans_solver.minimize(ham, grid, cfg).u.values
+    steps = evans_solver.minimize(ham, grid, cfg, warm_start=u).iterations
+    return {"entry_s": per_call_s(lambda: evans_solver.minimize(ham, grid, cfg, warm_start=u)), "newton_steps": steps}
 
 
 def criterion6_sweep() -> dict:
@@ -249,6 +268,7 @@ def apply_case(name: str) -> dict:
 
 def child() -> dict:
     rest = {
+        "entry": entry_case(),
         "criterion6_sweep": criterion6_sweep(),
         "deriv": {name: deriv_case(shape) for name, shape in DERIV_SHAPES.items()},
         "state": {name: state_case(name) for name in STATE_CASES},
