@@ -295,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=_int_at_least(1, "jobs must be a positive integer"),
             default=1,
             help="solve the sweep as N contiguous slices of P_grid, each a warm-started chain, on at most one "
-            "worker process per CPU",
+            "worker process per CPU; pays off on time-coupled grids, not on one-plane sweeps (2 CPUs, N=2: "
+            "tc1 32x16 at k=16, 9 P, 1.8 s against 2.9 s serial; 41 pendulum entries 0.031 s against 0.014 s)",
         ),
         "--seed": dict(
             type=_int_at_least(0, "seed must be a nonnegative integer"),  # numpy takes no negative seed

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .evans_solver import SolveResult, SolverConfig, minimize
+from .evans_solver import SolveResult, SolverConfig, _solve_grid, minimize
 from .hamiltonians import MechanicalHamiltonian
 from .torus_grid import TorusGrid, write_table
 
@@ -86,33 +86,36 @@ def _as_points(values, d: int) -> np.ndarray:
     return pts
 
 
-def _secant_coefficient(P0: np.ndarray, P1: np.ndarray, P2: np.ndarray) -> float:
+def _secant_coefficient(P0: list[float], P1: list[float], P2: list[float]) -> float:
     """c = <P2 - P1, P1 - P0> / |P1 - P0|^2: the step to P2 measured along the step to P1.
 
     1 on a uniform line; at most 0 where the path turns back or stands still.
     """
-    prev = P1 - P0
-    norm2 = float(prev @ prev)
-    return float((P2 - P1) @ prev) / norm2 if norm2 > 0.0 else 0.0
+    along = norm2 = 0.0
+    for a, b, c in zip(P0, P1, P2):
+        along += (c - b) * (b - a)
+        norm2 += (b - a) * (b - a)
+    return along / norm2 if norm2 > 0.0 else 0.0
 
 
 def _chain(ham: MechanicalHamiltonian, grid: TorusGrid, base: SolverConfig, pts: np.ndarray) -> list[SolveResult]:
-    """Solve ``pts`` in order: the first entry cold, the second from the first's u.
+    """Solve ``pts`` in order on ``_solve_grid(ham, grid)``: the first entry cold, the second from the first's u.
 
     Entry i+1 starts from the secant predictor u_i + c*(u_i - u_{i-1}), c from
     ``_secant_coefficient`` (1 on a uniform 1-d grid): u_P is smooth in P, so the
     predictor is O(dP^2) from the solution where u_i is O(dP) off.  Where the path
     turns back or stands still (c <= 0, as at a 2-d raster's row ends), from u_i.
     """
+    plane, rows = _solve_grid(ham, grid), pts.tolist()
     results: list[SolveResult] = []
     u_prev = u = None
     for i in range(len(pts)):
         start = u
         if u_prev is not None:
-            c = _secant_coefficient(pts[i - 2], pts[i - 1], pts[i])
+            c = _secant_coefficient(rows[i - 2], rows[i - 1], rows[i])
             if c > 0.0:
                 start = u + c * (u - u_prev)
-        results.append(minimize(ham, grid, replace(base, P=pts[i]), warm_start=start))
+        results.append(minimize(ham, plane, replace(base, P=pts[i]), warm_start=start))
         u_prev, u = u, results[-1].u.values
     return results
 

@@ -671,17 +671,24 @@ def _solve_grid(ham: MechanicalHamiltonian, grid: TorusGrid) -> TorusGrid:
     For an autonomous Hamiltonian J is convex and invariant under time
     shifts, so J(mean_t u) <= J(u) and the minimizer is constant in t
     (Evans, Calc. Var. PDE 17, 2003).  Such solves run on one plane,
-    ``TorusGrid(d, n_x, 1)``; all others on ``grid`` itself.
+    ``TorusGrid(d, n_x, 1)``; all others, and one-plane grids, on ``grid`` itself.
     """
     if grid.n_t == 1 or not _is_autonomous(ham):
         return grid
-    return _one_plane(grid.d, grid.n_x)
+    return TorusGrid(grid.d, grid.n_x, 1)
 
 
-@lru_cache(maxsize=8)
-def _one_plane(d: int, n_x: int) -> TorusGrid:
-    """``TorusGrid(d, n_x, 1)``, one object per size: the solves of a sweep share it (grids are immutable)."""
-    return TorusGrid(d, n_x, 1)
+def _on_solve_grid(ham: MechanicalHamiltonian, grid: TorusGrid, x) -> tuple[TorusGrid, np.ndarray]:
+    """``(plane, v)``: plane = ``_solve_grid(ham, grid)`` and v the field x of ``grid`` moved there.
+
+    x is a field, or a ``SolveResult`` (its u), as ``_as_array`` reads it.
+    v = v0 + mean_t(x - v0), v0 the first time plane of x: exactly v0 where
+    x is constant in t, as a solve's u and m are, its time mean otherwise.
+    """
+    plane, v = _solve_grid(ham, grid), _as_array(grid, x)
+    if plane is not grid:
+        v = v[..., :1] + np.add.reduce(v - v[..., :1], -1, keepdims=True) / grid.n_t
+    return plane, v
 
 
 def minimize(
@@ -702,16 +709,15 @@ def minimize(
     start (a secant predictor that overshoots, say) can need more than
     ``max_newton`` steps.  ``converged`` is grad_norm <= ``grad_tol`` at the
     end of the last stage, the only one at ``config.k``.  Autonomous solves
-    run on one time plane (``_solve_grid``, one shared grid object per
-    size), a warm start from its time mean, and return u and m repeated
-    over the time axis of ``grid``.  Outside its Newton steps a warm-started
-    solve evaluates the start's state, J at u = 0 for the guard, the
-    gradient that ends each stage, and the result's rotation and Lipschitz
-    norm.
+    run on one time plane (``_solve_grid``), a warm start moved there by
+    ``_on_solve_grid``, and return u and m repeated over the time axis of
+    ``grid``.  Outside its Newton steps a warm-started solve evaluates the
+    start's state, J at u = 0 for the guard, the gradient that ends each
+    stage, and the result's rotation and Lipschitz norm.
     """
     check_nyquist(ham, grid)
     P = config.momentum(ham.d)
-    plane = _solve_grid(ham, grid)
+    plane, warm = (_solve_grid(ham, grid), None) if warm_start is None else _on_solve_grid(ham, grid, warm_start)
     table = _grid_table(ham, plane)
     stages, u, start = [config], plane.zeros(), None
     k0 = warm_start.k if isinstance(warm_start, SolveResult) else 2.0 if warm_start is None else config.k
@@ -719,10 +725,7 @@ def minimize(
     while rung < config.k:
         stages.insert(-1, replace(config, k=rung))
         rung *= 2.0
-    if warm_start is not None:
-        warm = _as_array(grid, warm_start)
-        if plane is not grid:  # the time mean, with np.mean's bits
-            warm = np.add.reduce(warm, -1, keepdims=True) / grid.n_t
+    if warm is not None:
         start = _State(plane, table, stages[0], P, plane.project_zero_mean(warm))
         # f at u = 0 has the bits _State gives it, and table.V gives it the plane's shape
         if start.J > _softmax(plane, stages[0].k, table.H(table.H_p(P)))[0]:
@@ -732,11 +735,11 @@ def minimize(
         st, grad_norm, iters = _newton_stage(plane, table, cfg, P, u, start)
         u, start = st.u, None  # start is evaluated at the first stage's k: it can only start that stage
         total_iterations += iters
-    n_rep = grid.n_t // plane.n_t
+    u, m = (u, st.m) if plane is grid else (u.repeat(grid.n_t, axis=-1), st.m.repeat(grid.n_t, axis=-1))
     return SolveResult(
-        u=ScalarField(grid, u.repeat(n_rep, axis=-1)),
+        u=ScalarField(grid, u),
         hbar=st.J,
-        m=ScalarField(grid, st.m.repeat(n_rep, axis=-1)),
+        m=ScalarField(grid, m),
         # the node mean of m*H_p on the solve grid, the bits that mather_diagnostics gives
         rotation=np.array([plane.integrate(st.m * wi) for wi in st.w]),
         grad_norm=grad_norm,

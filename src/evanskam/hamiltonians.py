@@ -110,10 +110,12 @@ class FourierSpec:
         return FourierSpec(self.nvars, tuple(terms))
 
     def max_abs_freq(self) -> tuple[int, ...]:
+        """The largest |frequency| per axis over the terms with a nonzero coefficient, as ``depends_on`` reads them."""
         out = [0] * self.nvars
         for t in self.terms:
-            for a, k in enumerate(t.freq):
-                out[a] = max(out[a], abs(k))
+            if t.cos != 0.0 or t.sin != 0.0:
+                for a, k in enumerate(t.freq):
+                    out[a] = max(out[a], abs(k))
         return tuple(out)
 
     def depends_on(self, axis: int) -> bool:

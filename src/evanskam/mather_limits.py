@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .evans_solver import SolveResult, SolverConfig, _as_array, _solve_grid, evaluate_state, minimize
+from .evans_solver import SolveResult, SolverConfig, _on_solve_grid, _solve_grid, evaluate_state, minimize
 from .hamiltonians import FourierSpec, MechanicalHamiltonian
 from .torus_grid import ScalarField, TorusGrid, write_table
 
@@ -72,25 +72,13 @@ def mather_diagnostics(
     The entropy uses the closed form k * mean(m * (f - hbar)) rather than
     m log m, which is exact by the pointwise identity and immune to underflow
     where m is negligible.  An autonomous solve is constant in t, so it is
-    evaluated on the one time plane it ran on (``_on_solve_plane``), as
+    evaluated on the one time plane it ran on (``_on_solve_grid``), as
     ``k_sweep``'s rows are.
     """
-    plane, on_plane = _on_solve_plane(ham, grid, result)
-    return _mather_diagnostics(plane, config, on_plane, evaluate_state(ham, plane, config, on_plane))
-
-
-def _on_solve_plane(ham: MechanicalHamiltonian, grid: TorusGrid, result: SolveResult) -> tuple[TorusGrid, SolveResult]:
-    """The grid ``minimize`` solved ``result`` on (``_solve_grid``), and the result there.
-
-    An autonomous result's u and m repeat over t, so they keep their first
-    time plane; any other result is returned as it is.
-    """
-    plane = _solve_grid(ham, grid)
-    if plane is grid:
-        return grid, result
-    u = _as_array(grid, result)  # refuses a result whose u or m lives on another grid
-    u, m = (ScalarField(plane, f[..., :1]) for f in (u, result.m.values))
-    return plane, replace(result, u=u, m=m)
+    plane, u = _on_solve_grid(ham, grid, result)
+    m = ScalarField(plane, _on_solve_grid(ham, grid, result.m)[1])
+    on_plane = replace(result, u=ScalarField(plane, u), m=m)
+    return _mather_diagnostics(plane, config, on_plane, evaluate_state(ham, plane, config, u))
 
 
 def _mather_diagnostics(grid: TorusGrid, config: SolverConfig, result: SolveResult, st) -> MatherDiagnostics:
@@ -203,24 +191,24 @@ def k_sweep(
 
     Per k the report records hbar, entropy over k, the positive part of the
     sup excess computed as (1/k) log(max m), the gradient sup norm, and the
-    sharp-limit equation residual.  Autonomous solves are constant in t, so
-    their state and diagnostics are evaluated on the one time plane the
-    solve ran on (``_on_solve_plane``).  When the Hamiltonian is
-    one-dimensional, autonomous and drift-free, the classical cell-problem
-    value is attached as the reference.
+    sharp-limit equation residual.  The solves, their states and their
+    diagnostics run on ``_solve_grid(ham, grid)``, one time plane for an
+    autonomous Hamiltonian.  When the Hamiltonian is one-dimensional,
+    autonomous and drift-free, the classical cell-problem value is attached
+    as the reference.
     """
     ks = [float(k) for k in k_list]
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("k_list must be nonempty and strictly increasing")
     base = replace(config if config is not None else SolverConfig(k=ks[0]), P=P)
+    plane = _solve_grid(ham, grid)
     rows: list[KSweepRow] = []
     res = None
     for k in ks:
         cfg = replace(base, k=k)
-        res = minimize(ham, grid, cfg, warm_start=res)
-        plane, on_plane = _on_solve_plane(ham, grid, res)
-        st = evaluate_state(ham, plane, cfg, on_plane)  # one evaluation serves both diagnostics
-        diag = _mather_diagnostics(plane, cfg, on_plane, st)
+        res = minimize(ham, plane, cfg, warm_start=res)
+        st = evaluate_state(ham, plane, cfg, res)  # one evaluation serves both diagnostics
+        diag = _mather_diagnostics(plane, cfg, res, st)
         sup_pos = max(0.0, math.log(float(np.max(res.m.values))) / k)
         rows.append(
             KSweepRow(

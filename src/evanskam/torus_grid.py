@@ -168,6 +168,8 @@ class TorusGrid:
         return np.zeros(self.shape)
 
     def _check_axis(self, axis: int) -> None:
+        if type(axis) is not int and not isinstance(axis, numbers.Integral):
+            raise GridError(f"axis must be an integer, got {axis!r}")
         if not 0 <= axis < self.n_axes:
             raise GridError(f"axis {axis} out of range for d={self.d} (+ time)")
 

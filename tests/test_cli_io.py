@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -776,5 +777,26 @@ def test_cli_import_does_not_load_the_process_pool():
         "loaded = [m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules]; "
         "assert not loaded, loaded"
     )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_every_module_the_tracer_wraps():
+    # perfbench/tracing.py imports cli_io and then reads each module of its
+    # SPANNED from sys.modules; a module loaded lazily would break --trace 1
+    root = Path(__file__).resolve().parents[1]
+    tree = ast.parse((root / "perfbench" / "tracing.py").read_text())
+    spanned = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "SPANNED"
+    )
+    modules = sorted({module for module, _ in spanned})
+    assert modules == [
+        f"evanskam.{name}"
+        for name in ("battery", "effective", "evans_solver", "hamiltonians", "mather_limits", "mfg_diagnostics", "torus_grid")
+    ]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    code = f"import evanskam.cli_io, sys; missing = [m for m in {modules!r} if m not in sys.modules]; assert not missing, missing"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

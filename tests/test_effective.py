@@ -13,7 +13,7 @@ from conftest import (
     tc1_hamiltonian,
     trivial_hamiltonian,
 )
-from evanskam import effective
+from evanskam import effective, evans_solver
 from evanskam.effective import (
     EffectiveTable,
     NonconvexTableError,
@@ -26,6 +26,7 @@ from evanskam.effective import (
     write_legendre_csv,
 )
 from evanskam.evans_solver import SolverConfig, minimize
+from evanskam.hamiltonians import NyquistError
 from evanskam.torus_grid import TorusGrid
 
 
@@ -160,6 +161,44 @@ class TestSweep:
     )
     def test_secant_coefficient(self, P0, P1, P2, c):
         assert effective._secant_coefficient(np.array(P0), np.array(P1), np.array(P2)) == pytest.approx(c, abs=1e-12)
+
+    def test_secant_coefficient_has_the_bits_of_the_vector_formula(self):
+        # d = 1: one product per inner product, so the float loop rounds as numpy's @ does
+        for P0, P1, P2 in np.random.default_rng(5).normal(size=(200, 3, 1)):
+            prev = P1 - P0
+            expected = float((P2 - P1) @ prev) / float(prev @ prev)
+            assert_bitwise(effective._secant_coefficient(P0.tolist(), P1.tolist(), P2.tolist()), expected)
+
+    @staticmethod
+    def recorded_calls(monkeypatch):
+        calls = []
+        solve = effective.minimize
+
+        def recording(ham, grid, config, warm_start=None):
+            calls.append((grid, config.momentum(1)[0], warm_start))
+            return solve(ham, grid, config, warm_start=warm_start)
+
+        monkeypatch.setattr(effective, "minimize", recording)
+        return calls
+
+    def test_serial_sweep_calls_effective_minimize_once_per_entry(self, monkeypatch):
+        # perfbench's sweep-1d times each entry by swapping effective.minimize
+        calls = self.recorded_calls(monkeypatch)
+        P_vals = [0.0, 0.25, 0.5, 0.25]
+        sweep_P(pendulum_hamiltonian(), TorusGrid(1, 32, 8), 4.0, P_vals)
+        assert [P for _, P, _ in calls] == P_vals
+
+    @pytest.mark.parametrize("ham, shape", [(pendulum_hamiltonian, (1, 32, 8)), (tc1_hamiltonian, (1, 16, 16))])
+    def test_chain_solves_and_starts_on_the_solve_grid(self, monkeypatch, ham, shape):
+        calls = self.recorded_calls(monkeypatch)
+        sweep_P(ham(), TorusGrid(*shape), 4.0, [0.0, 0.25, 0.5])
+        plane = evans_solver._solve_grid(ham(), TorusGrid(*shape))
+        assert all(grid == plane for grid, _, _ in calls)
+        assert calls[0][2] is None and all(start.shape == plane.shape for _, _, start in calls[1:])
+
+    def test_grid_of_another_dimension_refused(self):
+        with pytest.raises(NyquistError, match="^grid dimension 2 does not match Hamiltonian d=1$"):
+            sweep_P(pendulum_hamiltonian(), TorusGrid(2, 8, 4), 4.0, [0.0, 0.5])
 
     @pytest.mark.parametrize(
         "P_vals, secant", [([0.0, 0.5, 1.0, 1.25], True), ([0.0, 0.5, 0.25, 0.5], False)], ids=["onward", "zigzag"]

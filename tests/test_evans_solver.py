@@ -778,6 +778,55 @@ class TestTimePlane:
         assert math.isfinite(aronsson_residual(ham, plane, cfg, u))
 
 
+    def test_field_constant_in_t_moves_to_its_first_plane_bit_for_bit(self, rng):
+        # a time mean of 128 equal columns misses the column in most nodes;
+        # the rule adds the mean of exact zeros to it
+        grid, v = TorusGrid(1, 64, 128), rng.normal(size=(64, 1))
+        full = v.repeat(128, axis=-1)
+        assert np.any(np.add.reduce(full, -1, keepdims=True) / 128 != v)
+        plane, on_plane = evans_solver._on_solve_grid(pendulum_hamiltonian(), grid, full)
+        assert plane == TorusGrid(1, 64, 1)
+        assert_bitwise(on_plane, v)
+
+    def test_time_dependent_field_moves_to_its_time_mean(self, rng):
+        grid = TorusGrid(2, 6, 8)
+        v = rng.normal(size=grid.shape)
+        plane, on_plane = evans_solver._on_solve_grid(separable_2d(), grid, v)
+        assert plane == TorusGrid(2, 6, 1)
+        assert np.max(np.abs(on_plane - v.mean(axis=-1, keepdims=True))) <= 1e-15
+
+    def test_result_moves_as_its_u(self):
+        ham, grid, cfg = pendulum_hamiltonian(), TorusGrid(1, 32, 8), SolverConfig(k=8.0, P=(1.0,))
+        res = minimize(ham, grid, cfg)
+        plane, u = evans_solver._on_solve_grid(ham, grid, res)
+        assert plane == TorusGrid(1, 32, 1)
+        assert_bitwise(u, res.u.values[:, :1])
+        assert_bitwise(evans_solver._on_solve_grid(ham, grid, res.m)[1], res.m.values[:, :1])
+        with pytest.raises(ValueError, match="result fields live on a different grid"):
+            evans_solver._on_solve_grid(ham, TorusGrid(1, 32, 4), res)
+
+    @pytest.mark.parametrize("ham, shape", [(pendulum_hamiltonian, (1, 32, 1)), (tc1_hamiltonian, (1, 16, 16))])
+    def test_solve_grid_passes_through(self, ham, shape):
+        # a one-plane grid, and any grid of a time-dependent Hamiltonian, is its own solve grid
+        grid = TorusGrid(*shape)
+        res = minimize(ham(), grid, SolverConfig(k=4.0))
+        plane, u = evans_solver._on_solve_grid(ham(), grid, res)
+        assert plane is grid and res.u.grid == res.m.grid == grid
+        assert_bitwise(u, res.u.values)
+
+    def test_repeated_warm_start_starts_from_its_plane(self):
+        # a plane warm start and its repeat over 128 time nodes give the same solve, bit for bit
+        ham, plane, grid = pendulum_hamiltonian(), TorusGrid(1, 64, 1), TorusGrid(1, 64, 128)
+        u = minimize(ham, plane, SolverConfig(k=16.0, P=(1.9,))).u.values
+        cfg = SolverConfig(k=16.0, P=(2.0,))
+        on_plane = minimize(ham, plane, cfg, warm_start=u)
+        full = minimize(ham, grid, cfg, warm_start=u.repeat(128, axis=-1))
+        assert on_plane.iterations == full.iterations > 0
+        assert on_plane.hbar == full.hbar
+        assert_bitwise(full.u.values, on_plane.u.values.repeat(128, axis=-1))
+        assert_bitwise(full.m.values, on_plane.m.values.repeat(128, axis=-1))
+
+
 class TestGridTable:
     """One cached, read-only HamiltonianTable per (Hamiltonian, grid): solves, states and certificates share it."""
 

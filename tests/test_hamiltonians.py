@@ -295,6 +295,14 @@ class TestNyquist:
         with pytest.raises(NyquistError):
             check_nyquist(trivial_hamiltonian(), TorusGrid(2, 8, 8))
 
+    def test_zero_amplitude_terms_carry_no_frequency(self):
+        # as in depends_on: such a term adds nothing to H, so nothing aliases
+        V = FourierSpec.build(2, [((1, 0), 1.0, 0.0), ((9, 3), 0.0, 0.0)])
+        eta = FourierSpec.build(1, [((5,), 0.0, 0.0)])
+        assert V.max_abs_freq() == (1, 0) and eta.max_abs_freq() == (0,)
+        for grid in (TorusGrid(1, 16, 8), TorusGrid(1, 16, 1)):
+            check_nyquist(MechanicalHamiltonian(d=1, eta=(eta,), V=V), grid)
+
 
 class TestJson:
     def test_round_trip(self):

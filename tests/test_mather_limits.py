@@ -12,8 +12,10 @@ from conftest import (
     trivial_hamiltonian,
     weighted,
 )
+from evanskam import mather_limits
+from evanskam.effective import sweep_P
 from evanskam.evans_solver import SolverConfig, minimize, objective
-from evanskam.hamiltonians import FourierSpec
+from evanskam.hamiltonians import FourierSpec, MechanicalHamiltonian, NyquistError
 from evanskam.mather_limits import (
     KSweepRow,
     aronsson_residual,
@@ -283,6 +285,42 @@ class TestKSweep:
             )
             for x, y in zip(astuple(row), astuple(expected)):
                 assert_bitwise(x, y)
+
+    def test_solves_pass_plane_results(self, monkeypatch):
+        # each k warm-starts from the last result as it came back, on the one plane
+        calls = []
+        solve = mather_limits.minimize
+
+        def recording(ham, grid, config, warm_start=None):
+            calls.append((grid, warm_start))
+            return solve(ham, grid, config, warm_start=warm_start)
+
+        monkeypatch.setattr(mather_limits, "minimize", recording)
+        k_sweep(pendulum_hamiltonian(), TorusGrid(1, 32, 16), (1.0,), [4, 8, 16])
+        plane = TorusGrid(1, 32, 1)
+        assert [grid for grid, _ in calls] == [plane] * 3
+        assert calls[0][1] is None
+        assert all(start.u.grid == start.m.grid == plane for _, start in calls[1:])
+
+    def test_grid_of_another_dimension_refused(self):
+        with pytest.raises(NyquistError, match="^grid dimension 2 does not match Hamiltonian d=1$"):
+            k_sweep(pendulum_hamiltonian(), TorusGrid(2, 8, 4), (0.0,), [4, 8])
+
+    def test_zero_amplitude_time_frequency_is_autonomous(self):
+        # a term 0 * cos(2 pi (x + 3t)) leaves H the pendulum's: on the plane
+        # too, where frequency 3 in t would be above the Nyquist limit
+        V = FourierSpec.build(2, [((1, 0), 1.0, 0.0), ((1, 3), 0.0, 0.0)])
+        ham = MechanicalHamiltonian(d=1, eta=(FourierSpec.zero(1),), V=V)
+        grid, cfg = TorusGrid(1, 32, 8), SolverConfig(k=8.0, P=(1.0,))
+
+        def outputs(h):
+            rows = k_sweep(h, grid, (1.0,), [4, 8]).rows
+            diag = mather_diagnostics(h, grid, cfg, minimize(h, grid, cfg))
+            table = sweep_P(h, grid, 8.0, [0.5, 1.0], config=cfg)
+            return [*(x for row in rows for x in astuple(row)), *astuple(diag), table.hbar, table.Q]
+
+        for x, y in zip(outputs(ham), outputs(pendulum_hamiltonian()), strict=True):
+            assert_bitwise(x, y)
 
     def test_increasing_k_required(self):
         grid = TorusGrid(1, 16, 16)

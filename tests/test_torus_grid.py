@@ -106,6 +106,21 @@ class TestPartialDerivative:
         with pytest.raises(GridError):
             g.deriv(bad, 0)
 
+    @pytest.mark.parametrize("axis", [0.5, 1.0])
+    def test_non_integer_axis_refused(self, axis):
+        # both pass the range test; the integer test comes first
+        g = TorusGrid(1, 8, 8)
+        with pytest.raises(GridError, match=f"axis must be an integer, got {axis}"):
+            g.deriv(g.zeros(), axis)
+        with pytest.raises(GridError, match=f"axis must be an integer, got {axis}"):
+            g.axis_size(axis)
+
+    def test_numpy_integer_axis_accepted(self, rng):
+        g = TorusGrid(1, 8, 8)
+        f = rng.normal(size=g.shape)
+        assert g.axis_size(np.int64(1)) == 8
+        assert_bitwise(g.deriv(f, np.int64(1)), g.deriv(f, 1))
+
     @pytest.mark.parametrize("shape", [(1, 8, 8), (1, 8, 1), (2, 6, 4), (2, 6, 1)])
     @pytest.mark.parametrize("method", ["spectral", "central4"])
     def test_nonfinite_rejected_on_every_axis(self, shape, method):

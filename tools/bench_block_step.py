@@ -21,10 +21,13 @@ and reports, as medians over its own repeats:
   surrogate's FFTs and CG's vector work).  Each case also gives
   ``newton_step_s``, one whole step of ``_newton_stage`` (gradient, inner
   solve, line search) from the same state;
-- for one sweep entry: ``entry_s``, one ``minimize`` of the pendulum on
-  64x8 at k = 16, P = 1, ``grad_tol`` 1e-11, warm-started from its own
-  converged u, so that it takes ``newton_steps`` = 0 Newton steps: the
-  fixed cost of an entry outside its Newton steps;
+- for one sweep entry on each grid of ``ENTRY_SHAPES``: ``entry_s``, one
+  ``minimize`` of the pendulum at k = 16, P = 1, ``grad_tol`` 1e-11,
+  warm-started from the u of its own converged solve on that grid, so that
+  it takes ``newton_steps`` = 0 Newton steps: the fixed cost of an entry
+  outside its Newton steps.  On 64x8 the call moves the start to the solve
+  plane and repeats the result back; on the 64x1 plane, where a sweep's
+  chain runs its entries, it does neither;
 - for the criterion-6 sweep (41 entries, pendulum 64x8, k = 16,
   ``grad_tol`` 1e-11): its wall time, its Newton steps, and the time per
   Newton step;
@@ -65,6 +68,8 @@ BLOCK_CASES = {
     "plane-1024": ("pendulum", (1, 1024, 8), 16.0, 0.5, 1e-6, 10),
 }
 SWEEP_REPEATS = 3
+# name: TorusGrid arguments (d, n_x, n_t) of a sweep entry
+ENTRY_SHAPES = {"64x8": (1, 64, 8), "plane-64x1": (1, 64, 1)}
 # name: TorusGrid arguments (d, n_x, n_t)
 DERIV_SHAPES = {
     "64x1": (1, 64, 1),
@@ -162,10 +167,10 @@ def block_case(name: str) -> dict:
     return out
 
 
-def entry_case() -> dict:
+def entry_case(shape: tuple[int, int, int]) -> dict:
     from evanskam import SolverConfig, TorusGrid, evans_solver
 
-    ham, grid = library_hamiltonians()["pendulum"], TorusGrid(1, 64, 8)
+    ham, grid = library_hamiltonians()["pendulum"], TorusGrid(*shape)
     cfg = SolverConfig(k=16.0, P=1.0, grad_tol=1e-11)
     u = evans_solver.minimize(ham, grid, cfg).u.values
     steps = evans_solver.minimize(ham, grid, cfg, warm_start=u).iterations
@@ -268,7 +273,7 @@ def apply_case(name: str) -> dict:
 
 def child() -> dict:
     rest = {
-        "entry": entry_case(),
+        "entry": {name: entry_case(shape) for name, shape in ENTRY_SHAPES.items()},
         "criterion6_sweep": criterion6_sweep(),
         "deriv": {name: deriv_case(shape) for name, shape in DERIV_SHAPES.items()},
         "state": {name: state_case(name) for name in STATE_CASES},
