@@ -16,8 +16,8 @@ from functools import partial
 
 import numpy as np
 
-from .evans_solver import SolveResult, SolverConfig, _solve_grid, minimize
-from .hamiltonians import MechanicalHamiltonian
+from .evans_solver import SolveResult, SolverConfig, _grid_table, _solve_grid, minimize
+from .hamiltonians import MechanicalHamiltonian, _is_finite_number
 from .torus_grid import TorusGrid, write_table
 
 __all__ = [
@@ -75,7 +75,8 @@ class ConvexityReport:
     worst_index: int
 
 
-def _as_points(values, d: int) -> np.ndarray:
+def _as_points(values, d: int, refusal: str = "P must be None or finite numbers") -> np.ndarray:
+    """``values`` as (n, d) rows; a boolean, a string or a non-finite entry raises ValueError(``refusal``, row)."""
     pts = np.asarray(values, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -83,6 +84,10 @@ def _as_points(values, d: int) -> np.ndarray:
         raise ValueError(f"expected a nonempty list of momentum vectors, got shape {pts.shape}")
     if pts.shape[1] != d:
         raise ValueError(f"momentum vectors have dimension {pts.shape[1]}, expected {d}")
+    for row, given in zip(pts, np.asarray(values, dtype=object).reshape(pts.shape)):
+        if not all(map(_is_finite_number, given)):
+            shown = given.tolist() if np.isfinite(row).all() else row
+            raise ValueError(f"{refusal}, got {shown!r}")
     return pts
 
 
@@ -134,7 +139,9 @@ def sweep_P(
     a ``_chain`` on each in a process pool of at most ``os.cpu_count()``
     workers: each slice's rows equal a serial sweep of that slice bit for bit,
     on any machine.  Failed entries are flagged and the sweep continues.
+    Every entry runs at ``k``; a Nyquist violation, then a malformed k or P, is refused before any solve.
     """
+    _grid_table(ham, _solve_grid(ham, grid))  # the Nyquist gate
     base = config if config is not None else SolverConfig(k=k)
     if base.k != k:
         base = replace(base, k=k)
@@ -226,7 +233,7 @@ def legendre_transform(table: EffectiveTable, Q_values) -> LegendreTable:
     since convex functions are biconjugate.
     """
     _check_table_convex(table)
-    Q_pts = _as_points(Q_values, table.d)
+    Q_pts = _as_points(Q_values, table.d, "Q must be finite numbers")
     scores = Q_pts @ table.P_grid.T - table.hbar[None, :]
     return LegendreTable(k=table.k, Q_grid=Q_pts, lbar=np.max(scores, axis=1))
 

@@ -21,10 +21,10 @@ Newton steps use the positive-semidefinite linearized critical-point
 operator (the Gauss-Newton choice: the softmax covariance rank-one term is
 dropped, so the operator equals the true Hessian at critical points).  One
 function, ``_step_solve``, picks the damped solve of every step from the
-solve grid alone.  On a one-plane 1-d grid, at any n, the operator
-D^T diag(c) D is diagonal in the flux y = D s up to D's null modes, and a
-step is two matvecs with the antiderivative D+.  On other small grids it
-is one direct solve with a dense block; larger grids run conjugate
+solve grid alone, a map of the evaluated state.  On a one-plane 1-d grid,
+at any n, D^T diag(c) D is diagonal in the flux y = D s up to D's null
+modes, and a step is two matvecs with the antiderivative D+.  On other small
+grids it is one direct solve with a dense block; larger grids run conjugate
 gradients with a Fourier preconditioner on the zero-mean subspace.  J is
 convex at every k, so a cold start needs no homotopy in the Hamiltonian: it
 climbs a doubling ladder in k from u = 0, each stage warm-started from the
@@ -214,7 +214,8 @@ def _is_autonomous(ham: MechanicalHamiltonian) -> bool:
 
 @lru_cache(maxsize=8)
 def _grid_table(ham: MechanicalHamiltonian, grid: TorusGrid) -> HamiltonianTable:
-    """``ham`` tabulated on ``grid``, read-only: the solves, states and bounds on one grid share it."""
+    """``ham`` tabulated on ``grid`` after ``check_nyquist``, the solver's one Nyquist gate; read-only and shared."""
+    check_nyquist(ham, grid)
     table = HamiltonianTable(ham, grid.coords())
     for arr in (*table.eta, *table.eta_prime, table.V, *table.gradV, table.V_t):
         arr.flags.writeable = False
@@ -224,26 +225,27 @@ def _grid_table(ham: MechanicalHamiltonian, grid: TorusGrid) -> HamiltonianTable
 class _State:
     """Everything derived from one iterate u: derivatives, momenta, J, m.
 
-    ``table`` is the grid's HamiltonianTable that the state was evaluated
-    against, and f = u_t + H comes from its ``H``; ``transport`` and
-    ``flux_divergence`` differentiate on its ``grid`` with its ``method``.
-    On one time plane u_t is exactly zero: it is neither computed nor
-    stored, and ``ut`` reads as zeros.
+    The state keeps what it was evaluated with: the grid's HamiltonianTable
+    ``table`` (f = u_t + H comes from its ``H``), the config ``cfg`` (its k
+    and its method) and the momentum ``P``; ``at`` evaluates another iterate
+    with them.  On one time plane u_t is exactly zero: it is neither
+    computed nor stored, and ``ut`` reads as zeros.
     """
 
-    __slots__ = ("grid", "method", "table", "u", "du", "_ut", "w", "f", "J", "m")
+    __slots__ = ("grid", "table", "cfg", "P", "u", "du", "_ut", "w", "f", "J", "m")
 
     def __init__(self, grid: TorusGrid, table: HamiltonianTable, cfg: SolverConfig, P: np.ndarray, u: np.ndarray):
-        d = table.d
-        method = cfg.method
-        self.grid, self.method = grid, method
-        self.table = table
-        self.u = u
+        d, method = table.d, cfg.method
+        self.grid, self.table, self.cfg, self.P, self.u = grid, table, cfg, P, u
         self.du = [grid.deriv(u, a, method) for a in range(d)]
         self._ut = grid.deriv(u, d, method) if grid.n_t > 1 else None
         self.w = table.H_p([P[i] + self.du[i] for i in range(d)])
         self.f = table.H(self.w, self._ut)  # w has the grid's shape, so f has it too
         self.J, self.m = _softmax(grid, cfg.k, self.f)
+
+    def at(self, u: np.ndarray, cfg: SolverConfig | None = None) -> _State:
+        """The state of u's zero-mean projection with this state's grid, table and P, at ``cfg`` (default its own)."""
+        return _State(self.grid, self.table, self.cfg if cfg is None else cfg, self.P, self.grid.project_zero_mean(u))
 
     @property
     def ut(self) -> np.ndarray:
@@ -251,7 +253,7 @@ class _State:
 
     def transport(self, x: np.ndarray) -> np.ndarray:
         """T x = x_t + sum_i w_i * D_i x, the derivative along the momenta w = H_p (no x_t on one time plane)."""
-        grid, method = self.grid, self.method
+        grid, method = self.grid, self.cfg.method
         out = grid.deriv(x, grid.d, method) if grid.n_t > 1 else None
         for i, wi in enumerate(self.w):
             term = grid.deriv(x, i, method) * wi
@@ -264,7 +266,7 @@ class _State:
         At y = m it is the transport residual of the mean-field-game system,
         and minus the gradient of J.
         """
-        grid, method = self.grid, self.method
+        grid, method = self.grid, self.cfg.method
         out = grid.deriv(y, grid.d, method) if grid.n_t > 1 else None
         for i, wi in enumerate(self.w):
             term = grid.deriv(y * wi, i, method)
@@ -376,16 +378,16 @@ def _block_solve(A: np.ndarray):
     return solve
 
 
-def _dense_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
+def _dense_block(st: _State, mu: float):
     """Exact solve with the damped Newton operator as one dense block, for small solve grids.
 
     The operator is A = sum_ab D_a^T diag(c_ab) D_b + mu over the axes of the
     solve grid (``_newton_coefficients``).  The Newton step is this map
     applied to -g, with no CG iteration.
     """
-    coef = _newton_coefficients(grid, cfg.k, st.m, st.w)
-    shape = grid.shape[: len(coef)]
-    return _block_solve(_assemble(shape, cfg.method, [[c.reshape(shape) for c in row] for row in coef], mu))
+    coef = _newton_coefficients(st.grid, st.cfg.k, st.m, st.w)
+    shape = st.grid.shape[: len(coef)]
+    return _block_solve(_assemble(shape, st.cfg.method, [[c.reshape(shape) for c in row] for row in coef], mu))
 
 
 @lru_cache(maxsize=8)
@@ -395,7 +397,7 @@ def _flux_kappa(n: int, method: str) -> float:
     return float(Dp[:, 0] @ Dp[:, 0])
 
 
-def _flux_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
+def _flux_block(st: _State, mu: float):
     """Exact solve with the damped Newton operator on a one-plane 1-d solve grid, in flux coordinates.
 
     There the operator is D^T diag(c) D with c = m*(k*w^2 + 1), and in the
@@ -412,11 +414,12 @@ def _flux_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
     computed once per n (``_flux_kappa``); the map is symmetric, returns
     zero-mean, Nyquist-free steps and drops the null modes of r.
     """
-    Dp, kappa = antiderivative_matrix(grid.n_x, cfg.method), _flux_kappa(grid.n_x, cfg.method)
-    parities = 2 - grid.n_x % 2
+    n, method = st.grid.n_x, st.cfg.method
+    Dp, kappa = antiderivative_matrix(n, method), _flux_kappa(n, method)
+    parities = 2 - n % 2
     # -1/q carries the sign of (D^T)+ = -D+; the weighted means of h/q read
     # the same with -1/q in place of 1/q, bit for bit
-    nqinv = -1.0 / (_newton_coefficients(grid, cfg.k, st.m, st.w)[0][0] + kappa * mu).reshape(-1, parities)
+    nqinv = -1.0 / (_newton_coefficients(st.grid, st.cfg.k, st.m, st.w)[0][0] + kappa * mu).reshape(-1, parities)
     nqinv_sum = np.add.reduce(nqinv, 0)
 
     def solve(r: np.ndarray) -> np.ndarray:
@@ -428,20 +431,20 @@ def _flux_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
     return solve
 
 
-def _pcg_block(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
+def _pcg_block(st: _State, mu: float):
     """Inexact solve with the damped Newton operator: PCG with the Fourier surrogate, matrix-free.
 
     CG stops at the inexact-Newton forcing term max(``_FORCING_FLOOR``,
     min(0.1, sqrt(mu))), which is sqrt(grad_norm) for mu = min(1, grad_norm).
     """
-    coef = _newton_coefficients(grid, cfg.k, st.m, st.w)
+    coef = _newton_coefficients(st.grid, st.cfg.k, st.m, st.w)
     forcing = max(_FORCING_FLOOR, min(0.1, math.sqrt(mu)))
-    surrogate = _fourier_surrogate(grid, cfg, st, mu)
+    surrogate = _fourier_surrogate(st, mu)
 
     def apply_damped(v: np.ndarray) -> np.ndarray:
-        return _operator_apply(grid, cfg.method, coef, v) + mu * v
+        return _operator_apply(st.grid, st.cfg.method, coef, v) + mu * v
 
-    return lambda r: _pcg(apply_damped, surrogate, r, grid, forcing)[0]
+    return lambda r: _pcg(apply_damped, surrogate, r, st.grid, forcing)[0]
 
 
 # Largest solve grid, in nodes, on which ``_step_solve`` picks the dense block.
@@ -449,7 +452,7 @@ _BLOCK_MAX_NODES = 512
 
 
 def _step_solve(grid: TorusGrid):
-    """The solve map (grid, cfg, st, mu) -> (r -> s) of every Newton step on the solve grid ``grid``.
+    """The solve map (st, mu) -> (r -> s) of every Newton step on the solve grid ``grid``, the state's grid.
 
     A one-plane 1-d grid takes ``_flux_block``, at every size.  Other grids
     of at most ``_BLOCK_MAX_NODES`` nodes take ``_dense_block`` (one LU per
@@ -463,7 +466,7 @@ def _step_solve(grid: TorusGrid):
     return _dense_block if grid.n_nodes <= _BLOCK_MAX_NODES else _pcg_block
 
 
-def _fourier_surrogate(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: float):
+def _fourier_surrogate(st: _State, mu: float):
     """Approximate inverse of the damped Newton operator, the preconditioner of ``_pcg_block``.
 
     The operator's coefficients are frozen at m = 1 (its mean) and H_p =
@@ -472,8 +475,8 @@ def _fourier_surrogate(grid: TorusGrid, cfg: SolverConfig, st: "_State", mu: flo
     that otherwise throttles the inner solve, but it is blind to m, which
     spans many decades where the Mather measure concentrates.
     """
-    d = grid.d
-    cbar = _newton_coefficients(grid, cfg.k, 1.0, [grid.integrate(st.m * wi) for wi in st.w])
+    grid, d = st.grid, st.grid.d
+    cbar = _newton_coefficients(grid, st.cfg.k, 1.0, [grid.integrate(st.m * wi) for wi in st.w])
     freqs = [np.fft.fftfreq(n, d=1.0 / n) for n in grid.shape[:d]] + [np.fft.rfftfreq(grid.n_t, d=1.0 / grid.n_t)]
     xi = [2.0 * np.pi * f.reshape([-1 if i == a else 1 for i in range(d + 1)]) for a, f in enumerate(freqs)]
     # every pair of the solve grid's axes has a term: sym spans the rfftn bins
@@ -536,18 +539,15 @@ def evaluate_state(ham: MechanicalHamiltonian, grid: TorusGrid, config: SolverCo
 
     u is a field, or a ``SolveResult`` whose u and m must both live on
     ``grid``.  The state reads the grid's cached, read-only table
-    (``_grid_table``), the one a solve on ``grid`` read; certificates call
-    this with the result and their own Hamiltonian and config, so a result
-    paired with the wrong ones shows.
+    (``_grid_table``, checked before u and P), the one a solve on ``grid``
+    read; certificates call this with the result and their own Hamiltonian
+    and config, so a result paired with the wrong ones shows.
     """
-    check_nyquist(ham, grid)
-    arr = _as_array(grid, u)
-    return _State(grid, _grid_table(ham, grid), config, config.momentum(ham.d), arr)
+    table, arr = _grid_table(ham, grid), _as_array(grid, u)
+    return _State(grid, table, config, config.momentum(ham.d), arr)
 
 
-def objective(
-    ham: MechanicalHamiltonian, grid: TorusGrid, config: SolverConfig, u
-) -> tuple[float, ScalarField]:
+def objective(ham: MechanicalHamiltonian, grid: TorusGrid, config: SolverConfig, u) -> tuple[float, ScalarField]:
     """Value of J at u together with the softmax density m (mean one)."""
     st = evaluate_state(ham, grid, config, u)
     return st.J, ScalarField(grid, st.m)
@@ -563,9 +563,7 @@ def gradient(ham: MechanicalHamiltonian, grid: TorusGrid, config: SolverConfig, 
     return ScalarField(grid, -st.flux_divergence(st.m))
 
 
-def linearized_el_apply(
-    ham: MechanicalHamiltonian, grid: TorusGrid, config: SolverConfig, u, v
-) -> ScalarField:
+def linearized_el_apply(ham: MechanicalHamiltonian, grid: TorusGrid, config: SolverConfig, u, v) -> ScalarField:
     """Apply the normalized linearized critical-point operator at u to v.
 
     The induced bilinear form B(v, w) = mean(w * apply(v)) is symmetric and
@@ -584,33 +582,28 @@ def hbar_bounds(ham: MechanicalHamiltonian, grid: TorusGrid, P=None) -> tuple[fl
 
     With the momentum shift the solve targets the shifted Hamiltonian
     H(z, P + .), whose value at zero momentum is H(z, P); the pointwise
-    minimum over p is V regardless of P.
+    minimum over p is V regardless of P.  The table is checked before P.
     """
-    P = SolverConfig(k=1.0, P=P).momentum(ham.d)
-    check_nyquist(ham, grid)
     table = _grid_table(ham, grid)
+    P = SolverConfig(k=1.0, P=P).momentum(ham.d)
     return float(np.min(table.V)), float(np.max(table.H(table.H_p(P))))
 
 
 # -- Newton / continuation driver ----------------------------------------------
 
 
-def _newton_stage(
-    grid: TorusGrid, table: HamiltonianTable, cfg: SolverConfig, P: np.ndarray, u0: np.ndarray,
-    st0: _State | None = None,
-):
-    """Damped Newton at one k from u0: (state, grad_norm, iterations) at the last iterate.
+def _newton_stage(st: _State):
+    """Damped Newton at the k of ``st.cfg`` from ``st``, the stage's zero-mean start: (state, grad_norm, iterations).
 
-    ``st0``, when given, is the state of the zero-mean u0 at this k, already
-    evaluated by the caller.  The gradient is taken at the top of every
-    iterate, the last included.  A step is the map ``_step_solve(grid)``
-    applied to -g, or ``_pcg_block``'s where a direct map raises
-    ``LinAlgError`` or gives a step that is not finite.  The loop stops at
-    ``grad_tol``, after ``max_newton`` steps or after ``_STALL_LIMIT``
-    consecutive stalled steps, each of which neither lowers J beyond
-    rounding nor halves the gradient norm.
+    The gradient is taken at the top of every iterate, the last included.
+    A step is the map ``_step_solve(st.grid)`` applied to -g, or
+    ``_pcg_block``'s where a direct map raises ``LinAlgError`` or gives a
+    step that is not finite; line-search trials are ``st.at`` the trial u.
+    The loop stops at ``grad_tol``, after ``max_newton`` steps or after
+    ``_STALL_LIMIT`` consecutive stalled steps, each of which neither lowers
+    J beyond rounding nor halves the gradient norm.
     """
-    st = st0 if st0 is not None else _State(grid, table, cfg, P, grid.project_zero_mean(u0))
+    grid, cfg = st.grid, st.cfg
     solve = _step_solve(grid)
     iterations = stalled = 0
     prev_grad_norm = math.inf
@@ -626,14 +619,14 @@ def _newton_stage(
         # the solution, so local quadratic convergence is untouched.
         mu = min(1.0, grad_norm)
         try:
-            step = solve(grid, cfg, st, mu)(r)  # the line search projects it
+            step = solve(st, mu)(r)  # the line search projects it
         except np.linalg.LinAlgError:  # a dense block exactly singular
             step = None
         # the slope inner(g, step); a finite one proves the step finite, since
         # a NaN or an infinity in the step would reach the sum
         slope = math.nan if step is None else -grid.inner(r, step)
         if solve is not _pcg_block and not math.isfinite(slope) and (step is None or not np.isfinite(step).all()):
-            step = _pcg_block(grid, cfg, st, mu)(r)
+            step = _pcg_block(st, mu)(r)
             slope = -grid.inner(r, step)
         if slope >= 0.0:  # roundoff produced a non-descent direction
             step = r  # -g
@@ -644,7 +637,7 @@ def _newton_stage(
         floor = 1e-14 * (1.0 + abs(st.J))
         while True:
             trial = st.u + step if alpha == 1.0 else st.u + alpha * step  # 1.0 * step has the bits of step
-            accepted = _State(grid, table, cfg, P, grid.project_zero_mean(trial))
+            accepted = st.at(trial)
             if accepted.J <= st.J + 1e-4 * alpha * slope + floor:
                 break
             alpha *= 0.5
@@ -709,33 +702,32 @@ def minimize(
     start (a secant predictor that overshoots, say) can need more than
     ``max_newton`` steps.  ``converged`` is grad_norm <= ``grad_tol`` at the
     end of the last stage, the only one at ``config.k``.  Autonomous solves
-    run on one time plane (``_solve_grid``), a warm start moved there by
-    ``_on_solve_grid``, and return u and m repeated over the time axis of
-    ``grid``.  Outside its Newton steps a warm-started solve evaluates the
-    start's state, J at u = 0 for the guard, the gradient that ends each
-    stage, and the result's rotation and Lipschitz norm.
+    run on one time plane (``_solve_grid``), whose table is checked before P
+    and the warm start (it passes exactly where ``grid`` does), a warm start
+    moved there by ``_on_solve_grid``, and return u and m repeated over the
+    time axis of ``grid``.  Outside its Newton steps a warm-started solve
+    evaluates the start's state, J at u = 0 for the guard, the gradient that
+    ends each stage, and the result's rotation and Lipschitz norm.
     """
-    check_nyquist(ham, grid)
-    P = config.momentum(ham.d)
-    plane, warm = (_solve_grid(ham, grid), None) if warm_start is None else _on_solve_grid(ham, grid, warm_start)
+    plane = _solve_grid(ham, grid)
     table = _grid_table(ham, plane)
-    stages, u, start = [config], plane.zeros(), None
+    P = config.momentum(ham.d)
+    stages = [config]
     k0 = warm_start.k if isinstance(warm_start, SolveResult) else 2.0 if warm_start is None else config.k
     rung = 2.0 * k0
     while rung < config.k:
         stages.insert(-1, replace(config, k=rung))
         rung *= 2.0
-    if warm is not None:
-        start = _State(plane, table, stages[0], P, plane.project_zero_mean(warm))
-        # f at u = 0 has the bits _State gives it, and table.V gives it the plane's shape
-        if start.J > _softmax(plane, stages[0].k, table.H(table.H_p(P)))[0]:
-            return minimize(ham, grid, config)
-    total_iterations = 0
-    for cfg in stages:
-        st, grad_norm, iters = _newton_stage(plane, table, cfg, P, u, start)
-        u, start = st.u, None  # start is evaluated at the first stage's k: it can only start that stage
-        total_iterations += iters
-    u, m = (u, st.m) if plane is grid else (u.repeat(grid.n_t, axis=-1), st.m.repeat(grid.n_t, axis=-1))
+    u = plane.zeros() if warm_start is None else plane.project_zero_mean(_on_solve_grid(ham, grid, warm_start)[1])
+    st = _State(plane, table, stages[0], P, u)
+    # f at u = 0 has the bits _State gives it, and table.V gives it the plane's shape
+    if warm_start is not None and st.J > _softmax(plane, stages[0].k, table.H(table.H_p(P)))[0]:
+        return minimize(ham, grid, config)
+    st, grad_norm, iterations = _newton_stage(st)
+    for cfg in stages[1:]:
+        st, grad_norm, iters = _newton_stage(st.at(st.u, cfg))
+        iterations += iters
+    u, m = (st.u, st.m) if plane is grid else (st.u.repeat(grid.n_t, axis=-1), st.m.repeat(grid.n_t, axis=-1))
     return SolveResult(
         u=ScalarField(grid, u),
         hbar=st.J,
@@ -744,7 +736,7 @@ def minimize(
         rotation=np.array([plane.integrate(st.m * wi) for wi in st.w]),
         grad_norm=grad_norm,
         lip_norm=math.sqrt(np.maximum.reduce(st.grad_sq(), None)),
-        iterations=total_iterations,
+        iterations=iterations,
         converged=grad_norm <= config.grad_tol,
         k=config.k,
         P=P,

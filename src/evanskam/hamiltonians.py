@@ -143,7 +143,7 @@ class FourierSpec:
             if not isinstance(t["freq"], list):
                 raise ValueError(f"'freq' of a term of {what} must be a list of {integers}, got {t['freq']!r}")
             freq = [_json_integer(f, "a frequency") for f in t["freq"]]
-            terms.append((freq, _json_number(t.get("cos", 0.0), "cos"), _json_number(t.get("sin", 0.0), "sin")))
+            terms.append((freq, _finite_float(t.get("cos", 0.0), "cos"), _finite_float(t.get("sin", 0.0), "sin")))
         return FourierSpec.build(nvars, terms)
 
 
@@ -363,8 +363,8 @@ def _is_finite_number(v) -> bool:
         return False
 
 
-def _json_number(value, what: str) -> float:
-    """A finite number of a JSON config as a float; strings, booleans and NaN raise ValueError."""
+def _finite_float(value, what: str) -> float:
+    """A finite number (of a JSON config, or a k of a sweep) as a float; strings, booleans and NaN raise ValueError."""
     if not _is_finite_number(value):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
     return float(value)
@@ -404,7 +404,7 @@ def hamiltonian_from_json(obj: dict) -> MechanicalHamiltonian:
     if len(eta) != d:
         raise ValueError(f"expected {d} eta components, got {len(eta)}")
     V = FourierSpec.from_json_obj(obj["V"], d + 1, "V")
-    lam = _json_number(obj.get("lambda", 1.0), "lambda")
+    lam = _finite_float(obj.get("lambda", 1.0), "lambda")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0,1], got {lam}")
 

@@ -19,8 +19,8 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .evans_solver import SolveResult, SolverConfig, _on_solve_grid, _solve_grid, evaluate_state, minimize
-from .hamiltonians import FourierSpec, MechanicalHamiltonian
+from .evans_solver import SolveResult, SolverConfig, _grid_table, _on_solve_grid, _solve_grid, evaluate_state, minimize
+from .hamiltonians import FourierSpec, MechanicalHamiltonian, _finite_float
 from .torus_grid import ScalarField, TorusGrid, write_table
 
 __all__ = [
@@ -67,7 +67,7 @@ def mather_diagnostics(
     config: SolverConfig,
     result: SolveResult,
 ) -> MatherDiagnostics:
-    """Action integral, entropy and rotation vector of the solve's measure.
+    """Action integral, entropy and rotation vector of the solve's measure, weighted by the stored ``result.m``.
 
     The entropy uses the closed form k * mean(m * (f - hbar)) rather than
     m log m, which is exact by the pointwise identity and immune to underflow
@@ -78,20 +78,18 @@ def mather_diagnostics(
     plane, u = _on_solve_grid(ham, grid, result)
     m = ScalarField(plane, _on_solve_grid(ham, grid, result.m)[1])
     on_plane = replace(result, u=ScalarField(plane, u), m=m)
-    return _mather_diagnostics(plane, config, on_plane, evaluate_state(ham, plane, config, u))
+    return _mather_diagnostics(on_plane, evaluate_state(ham, plane, config, u))
 
 
-def _mather_diagnostics(grid: TorusGrid, config: SolverConfig, result: SolveResult, st) -> MatherDiagnostics:
-    """``mather_diagnostics`` on the state ``st`` evaluated at ``result.u``."""
-    d = grid.d
-    P = config.momentum(d)
+def _mather_diagnostics(result: SolveResult, st) -> MatherDiagnostics:
+    """``mather_diagnostics`` on the state ``st`` evaluated at ``result.u``, at the state's grid, k and P."""
+    grid, k = st.grid, st.cfg.k
     m = result.m.values
-    k = config.k
 
     action = grid.integrate(m * st.table.L(st.w))  # L(z, v) at the velocity v = H_p
     entropy = k * grid.integrate(m * (st.f - result.hbar))
-    rotation = np.array([grid.integrate(m * st.w[i]) for i in range(d)])
-    gap = abs(action + entropy / k + result.hbar - float(P @ rotation))
+    rotation = np.array([grid.integrate(m * wi) for wi in st.w])
+    gap = abs(action + entropy / k + result.hbar - float(st.P @ rotation))
     return MatherDiagnostics(
         k=k,
         action=action,
@@ -127,7 +125,7 @@ def holonomy_residual(
     config: SolverConfig,
     result: SolveResult,
 ) -> float:
-    """max_j |mean(m * (phi_j_t + grad phi_j . H_p))| over the test battery.
+    """max_j |mean(m * (phi_j_t + grad phi_j . H_p))| over the test battery: the stored m, H_p from ``result.u``.
 
     Each term equals mean(gradient * phi_j) by skew-adjointness, so the
     residual is bounded by the test-field norms times the transport residual.
@@ -195,20 +193,21 @@ def k_sweep(
     diagnostics run on ``_solve_grid(ham, grid)``, one time plane for an
     autonomous Hamiltonian.  When the Hamiltonian is one-dimensional,
     autonomous and drift-free, the classical cell-problem value is attached
-    as the reference.
+    as the reference.  A Nyquist violation, then a malformed k or P, is refused before any solve.
     """
-    ks = [float(k) for k in k_list]
+    plane = _solve_grid(ham, grid)
+    _grid_table(ham, plane)  # the Nyquist gate
+    ks = [_finite_float(k, "k") for k in k_list]
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("k_list must be nonempty and strictly increasing")
     base = replace(config if config is not None else SolverConfig(k=ks[0]), P=P)
-    plane = _solve_grid(ham, grid)
     rows: list[KSweepRow] = []
     res = None
     for k in ks:
         cfg = replace(base, k=k)
         res = minimize(ham, plane, cfg, warm_start=res)
         st = evaluate_state(ham, plane, cfg, res)  # one evaluation serves both diagnostics
-        diag = _mather_diagnostics(plane, cfg, res, st)
+        diag = _mather_diagnostics(res, st)
         sup_pos = max(0.0, math.log(float(np.max(res.m.values))) / k)
         rows.append(
             KSweepRow(

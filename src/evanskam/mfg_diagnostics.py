@@ -43,7 +43,7 @@ def mfg_residuals(
     config: SolverConfig,
     result: SolveResult,
 ) -> MfgResidualReport:
-    """Residuals of the discrete mean-field-game system for a solve."""
+    """Residuals of the discrete mean-field-game system for a solve: its stored m against f and H_p from its u."""
     st = evaluate_state(ham, grid, config, result)
     m = result.m.values
     # log of stored m; entries that underflowed to zero are clamped at the

@@ -122,7 +122,7 @@ class TorusGrid:
     def __post_init__(self) -> None:
         for name in ("d", "n_x", "n_t"):
             size = getattr(self, name)
-            if isinstance(size, bool) or not isinstance(size, numbers.Integral):
+            if type(size) is not int and (isinstance(size, bool) or not isinstance(size, numbers.Integral)):
                 raise GridError(f"{name} must be an integer, got {size!r}")
         if self.d not in (1, 2):
             raise GridError(f"spatial dimension must be 1 or 2, got {self.d}")

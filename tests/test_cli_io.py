@@ -505,6 +505,21 @@ class TestLimitCommand:
         assert float(first[0]) == 4.0
         assert float(first[1]) == json.loads((tmp_path / "out" / "solve.json").read_text())["hbar"]
 
+    def test_unconverged_solves_exit_3_naming_their_ks(self, tmp_path, capsys):
+        # one Newton step per stage leaves the solves at P = 2 unconverged:
+        # the table is still written, and stderr lists the ks it flags
+        cfg = pendulum_config(tmp_path / "out", limit={"k_list": [4, 16], "P": [2.0]})
+        cfg["grid"] = {"d": 1, "n_x": 32, "n_t": 8}
+        cfg["solver"] = {"k": 4.0, "max_newton": 1}
+        assert main(["limit", "--config", write_config(tmp_path, cfg)]) == 3
+        rows = [line.split(",") for line in (tmp_path / "out" / "ksweep.csv").read_text().splitlines()[1:]]
+        assert [float(row[0]) for row in rows] == [4.0, 16.0]
+        bad = [float(row[0]) for row in rows if row[-1] == "0"]
+        assert bad
+        err = capsys.readouterr().err
+        assert f"k-sweep entries did not converge: {bad}\n" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "limit",
         [

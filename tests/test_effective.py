@@ -9,6 +9,7 @@ from conftest import (
     flux_oracle_dhbar,
     flux_oracle_hbar,
     pendulum_hamiltonian,
+    separable_2d,
     t1_hamiltonian,
     tc1_hamiltonian,
     trivial_hamiltonian,
@@ -240,6 +241,43 @@ class TestSweep:
         assert info.type is ValueError
         assert str(info.value) == "P must be None or finite numbers, got array([nan])"
 
+    @pytest.mark.parametrize(
+        "ham, shape, P_vals, shown",
+        [
+            (pendulum_hamiltonian, (1, 16, 4), [True, False, True], "[True]"),
+            (pendulum_hamiltonian, (1, 16, 4), ["0.5", "1.0", "1.5"], "['0.5']"),
+            (pendulum_hamiltonian, (1, 16, 4), [0.1, np.inf, 0.3], "array([inf])"),
+            (separable_2d, (2, 8, 2), [[0.1, 0.2], [0.3, True]], "[0.3, True]"),
+        ],
+        ids=["booleans", "strings", "infinite", "boolean-in-a-row"],
+    )
+    def test_malformed_momenta_refused_before_any_solve(self, monkeypatch, ham, shape, P_vals, shown):
+        # read as SolverConfig reads P: the parent solved True as 1.0 and
+        # "0.5" as 0.5, and raised at an infinite entry after solving the first
+        calls = self.recorded_calls(monkeypatch)
+        with pytest.raises(ValueError) as info:
+            sweep_P(ham(), TorusGrid(*shape), 4.0, P_vals)
+        assert info.type is ValueError
+        assert str(info.value) == f"P must be None or finite numbers, got {shown}"
+        assert calls == []
+
+    def test_entries_run_at_the_k_argument_not_the_config_k(self, monkeypatch):
+        calls = []
+        solve = effective.minimize
+
+        def recording(ham, grid, config, warm_start=None):
+            calls.append((config.k, config.grad_tol))
+            return solve(ham, grid, config, warm_start=warm_start)
+
+        monkeypatch.setattr(effective, "minimize", recording)
+        ham, grid, P_vals = pendulum_hamiltonian(), TorusGrid(1, 32, 8), [0.0, 0.5, 1.0]
+        table = sweep_P(ham, grid, 4.0, P_vals, config=SolverConfig(k=8.0, grad_tol=1e-10))
+        assert table.k == 4.0
+        assert calls == [(4.0, 1e-10)] * 3
+        same = sweep_P(ham, grid, 4.0, P_vals, config=SolverConfig(k=4.0, grad_tol=1e-10))
+        assert_bitwise(table.hbar, same.hbar)
+        assert_bitwise(table.Q, same.Q)
+
     def test_symmetry_in_momentum(self):
         # V even in x and no drift: the sweep is even in P
         grid = TorusGrid(1, 32, 8)
@@ -322,6 +360,14 @@ class TestLegendre:
         leg = legendre_transform(tab, Q)
         gaps = tab.hbar[None, :] + leg.lbar[:, None] - leg.Q_grid @ tab.P_grid.T
         assert float(gaps.min()) >= -1e-9
+
+    @pytest.mark.parametrize("Q, shown", [([0.0, np.nan], "array([nan])"), ([0.0, True], "[True]")], ids=["nan", "boolean"])
+    def test_malformed_velocities_refused_naming_Q(self, Q, shown):
+        # the momentum reader serves Q too; the parent returned a NaN lbar for the NaN
+        with pytest.raises(ValueError) as info:
+            legendre_transform(quadratic_table(), Q)
+        assert info.type is ValueError
+        assert str(info.value) == f"Q must be finite numbers, got {shown}"
 
     def test_nonconvex_table_rejected_with_triple(self):
         P = np.array([-1.0, 0.0, 1.0])

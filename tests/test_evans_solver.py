@@ -38,9 +38,11 @@ from evanskam.hamiltonians import (
     HamiltonianTable,
     MechanicalHamiltonian,
     NyquistError,
+    check_nyquist,
     chi_bound,
     hamiltonian_from_json,
 )
+from evanskam.effective import sweep_P
 from evanskam.mather_limits import aronsson_residual, holonomy_residual, k_sweep, mather_diagnostics
 from evanskam.mfg_diagnostics import mfg_residuals
 from evanskam.torus_grid import GridError, ScalarField, TorusGrid
@@ -611,9 +613,9 @@ class TestKContinuation:
         ks = []
         stage = evans_solver._newton_stage
 
-        def recording(grid, hog, cfg, *args):
-            ks.append(cfg.k)
-            return stage(grid, hog, cfg, *args)
+        def recording(st):
+            ks.append(st.cfg.k)
+            return stage(st)
 
         monkeypatch.setattr(evans_solver, "_newton_stage", recording)
         return ks
@@ -688,9 +690,9 @@ class TestTimePlane:
         grids = []
         stage = evans_solver._newton_stage
 
-        def recording(grid, *args):
-            grids.append(grid)
-            return stage(grid, *args)
+        def recording(st):
+            grids.append(st.grid)
+            return stage(st)
 
         monkeypatch.setattr(evans_solver, "_newton_stage", recording)
         return grids
@@ -872,3 +874,69 @@ class TestGridTable:
         st = evaluate_state(tc1_hamiltonian(), grid, SolverConfig(k=4.0), grid.zeros())
         with pytest.raises(ValueError):
             st.table.V[0, 0] = 1.0
+
+
+def aliased_pendulum() -> MechanicalHamiltonian:
+    """V = cos(2 pi 9x): frequency 9 is at or above Nyquist on 16 nodes, on any time axis."""
+    return MechanicalHamiltonian(d=1, eta=(FourierSpec.zero(1),), V=FourierSpec.build(2, [((9, 0), 1.0, 0.0)]))
+
+
+def nyquist_refusal(ham, grid) -> str | None:
+    try:
+        check_nyquist(ham, grid)
+    except NyquistError as exc:
+        return str(exc)
+    return None
+
+
+class TestNyquistGate:
+    """``_grid_table`` is the solver's one Nyquist gate: each entry point refuses through it before it reads P or u."""
+
+    # each call also passes a malformed P, field or k, which the pendulum refuses on its own
+    CALLS = {
+        "minimize-P": lambda ham, grid: minimize(ham, grid, SolverConfig(k=4.0, P=(0.1, 0.2))),
+        "minimize-warm-start": lambda ham, grid: minimize(ham, grid, SolverConfig(k=4.0), warm_start=np.zeros(3)),
+        "evaluate-state-P": lambda ham, grid: evaluate_state(ham, grid, SolverConfig(k=4.0, P=(0.1, 0.2)), grid.zeros()),
+        "evaluate-state-u": lambda ham, grid: evaluate_state(ham, grid, SolverConfig(k=4.0), np.zeros(3)),
+        "hbar-bounds-P": lambda ham, grid: hbar_bounds(ham, grid, P="0.5"),
+        "sweep-P-infinite": lambda ham, grid: sweep_P(ham, grid, 4.0, [0.1, np.inf]),
+        "sweep-P-dimension": lambda ham, grid: sweep_P(ham, grid, 4.0, [[0.1, 0.2]]),
+        "k-sweep-P": lambda ham, grid: k_sweep(ham, grid, (0.1, 0.2), [4, 8]),
+        "k-sweep-ks": lambda ham, grid: k_sweep(ham, grid, (0.1,), ["4", "8"]),
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_refused_before_a_malformed_argument_on_every_call(self, name):
+        call, grid = self.CALLS[name], TorusGrid(1, 16, 8)
+        with pytest.raises(ValueError) as info:
+            call(pendulum_hamiltonian(), grid)
+        assert not isinstance(info.value, NyquistError)
+        evans_solver._grid_table.cache_clear()
+        for _ in range(2):  # lru_cache keeps no exception: the second call is refused too
+            with pytest.raises(NyquistError, match="^V has frequency 9 on axis 0, at or above Nyquist for n=16$"):
+                call(aliased_pendulum(), grid)
+
+    def test_time_dependent_solve_gated_on_the_callers_grid(self):
+        with pytest.raises(NyquistError, match=r"^eta\[0\] has temporal frequency 1, at or above Nyquist for n_t=2$"):
+            minimize(tc1_hamiltonian(), TorusGrid(1, 16, 2), SolverConfig(k=4.0))
+
+    @pytest.mark.parametrize("shape", [(1, 2, 8), (1, 4, 2), (1, 8, 4), (1, 16, 8), (2, 2, 4), (2, 4, 2), (2, 8, 8)])
+    def test_autonomous_plane_passes_exactly_where_the_grid_does(self, shape):
+        # minimize gates on its solve plane; an autonomous Hamiltonian has no
+        # frequency in t, so the plane refuses with the grid's own message
+        const_eta = FourierSpec.build(1, [((0,), 0.4, 0.0), ((3,), 0.0, 0.0)])
+        hams = [
+            pendulum_hamiltonian(),
+            aliased_pendulum(),
+            MechanicalHamiltonian(d=1, eta=(const_eta,), V=FourierSpec.build(2, [((3, 0), 1.0, 0.0), ((1, 5), 0.0, 0.0)])),
+            separable_2d(),
+            MechanicalHamiltonian(d=2, eta=(const_eta,) * 2, V=FourierSpec.build(3, [((1, 2, 0), 0.5, 0.0)])),
+        ]
+        grid = TorusGrid(*shape)
+        outcomes = []
+        for ham in hams:
+            plane = evans_solver._solve_grid(ham, grid)
+            assert plane.n_t == 1
+            outcomes.append(nyquist_refusal(ham, grid))
+            assert nyquist_refusal(ham, plane) == outcomes[-1]
+        assert any(outcomes)

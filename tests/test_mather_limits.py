@@ -322,6 +322,22 @@ class TestKSweep:
         for x, y in zip(outputs(ham), outputs(pendulum_hamiltonian()), strict=True):
             assert_bitwise(x, y)
 
+    @pytest.mark.parametrize(
+        "k_list, shown",
+        [(["4", "8"], "'4'"), ([4, True], "True"), ([4, np.nan], "nan"), ([4, np.inf], "inf")],
+        ids=["strings", "boolean", "nan", "infinite"],
+    )
+    def test_malformed_k_refused_before_any_solve(self, monkeypatch, k_list, shown):
+        # read as SolverConfig reads k: the parent ran "4" and "8" as 4 and 8,
+        # and refused a non-finite k only after solving the ks before it
+        calls = []
+        monkeypatch.setattr(mather_limits, "minimize", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError) as info:
+            k_sweep(pendulum_hamiltonian(), TorusGrid(1, 16, 4), (0.5,), k_list)
+        assert info.type is ValueError
+        assert str(info.value) == f"k must be a finite number, got {shown}"
+        assert calls == []
+
     def test_increasing_k_required(self):
         grid = TorusGrid(1, 16, 16)
         with pytest.raises(ValueError):

@@ -82,7 +82,7 @@ def block(grid, cfg, st, mu):
     """The direct solve map of a Newton step on ``grid``, as ``_step_solve`` picks it."""
     solve = _step_solve(grid)
     assert solve is not _pcg_block
-    return solve(grid, cfg, st, mu)
+    return solve(st, mu)
 
 
 def block_operator(grid, cfg, st, mu):
@@ -141,7 +141,7 @@ def check_block_and_surrogate(rng, grid, cfg, st, mu):
     """The block map is positive (symmetric too on one plane in 1-d) and exact at mu; the surrogate is symmetric and positive."""
     (check_symmetric_positive if one_plane_1d(grid) else check_positive)(rng, grid, block(grid, cfg, st, mu))
     check_exact(rng, grid, cfg, st, mus=(mu,))
-    check_symmetric_positive(rng, grid, _fourier_surrogate(grid, cfg, st, mu))
+    check_symmetric_positive(rng, grid, _fourier_surrogate(st, mu))
 
 
 class TestSymmetricPositive:
@@ -156,7 +156,7 @@ class TestSymmetricPositive:
         # them scaled by 1/mu.  The flux step drops the Nyquist mode too.
         for grid, cfg, st in states():
             fields = [np.ones(grid.shape)] + ([alternating(grid)] if one_plane_1d(grid) else [])
-            for M in (block(grid, cfg, st, 1e-11), _fourier_surrogate(grid, cfg, st, 1e-11)):
+            for M in (block(grid, cfg, st, 1e-11), _fourier_surrogate(st, 1e-11)):
                 for x in fields:
                     assert grid.norm(M(x)) <= grid.norm(x)
 
@@ -183,7 +183,7 @@ def test_surrogate_inverts_the_constant_coefficient_operator(rng, grid, P, mu):
     ham = MechanicalHamiltonian(d=d, eta=(FourierSpec.zero(1),) * d, V=FourierSpec.zero(d + 1))
     cfg = SolverConfig(k=4.0, P=P)
     st = evaluate_state(ham, grid, cfg, grid.zeros())
-    A, M = damped_operator(grid, cfg, st, mu), _fourier_surrogate(grid, cfg, st, mu)
+    A, M = damped_operator(grid, cfg, st, mu), _fourier_surrogate(st, mu)
     for _ in range(3):
         v = nyquist_free_field(rng, grid)
         assert grid.norm(M(A(v)) - v) <= 1e-11 * grid.norm(v)
@@ -268,7 +268,7 @@ def test_block_steps_where_m_underflows(rng):
     assert np.isfinite(step).all()
     assert grid.inner(g, step) < 0.0
     assert grid.norm(damped_operator(grid, cfg, st, 1e-11)(step) + g) <= 1e-12 * grid.norm(g)
-    check_symmetric_positive(rng, grid, _fourier_surrogate(grid, cfg, st, 1e-11))
+    check_symmetric_positive(rng, grid, _fourier_surrogate(st, 1e-11))
 
 
 def test_failed_factor_falls_back_to_the_surrogate(monkeypatch):
@@ -421,7 +421,7 @@ class TestSpacetimeBlockExact:
         grid = TorusGrid(1, 16, 16)
         cfg = SolverConfig(k=4.0, P=(0.5,))
         st = evaluate_state(pendulum_hamiltonian(), grid, cfg, grid.zeros())
-        A, M = damped_operator(grid, cfg, st, 1.0), _dense_block(grid, cfg, st, 1.0)
+        A, M = damped_operator(grid, cfg, st, 1.0), _dense_block(st, 1.0)
         for _ in range(3):
             r = residual_field(rng, grid)
             assert grid.norm(A(M(r)) - r) <= 1e-8 * grid.norm(r)

@@ -4,8 +4,10 @@
 
 Each TREE is a checkout of this repository.  Every round runs one fresh
 interpreter per tree, with BLAS pinned to one thread, and alternates the
-order of the trees from round to round.  A child imports TREE's evanskam
-and reports, as medians over its own repeats:
+order of the trees from round to round.  The child is TREE's own copy of
+this script (``TREE/tools/bench_block_step.py --child``), so each tree is
+timed through its own internal signatures.  A child imports TREE's
+evanskam and reports, as medians over its own repeats:
 
 - for each block case (64 to 1,024 nodes on one time plane of the
   pendulum, 512 space-time nodes of tc1 32x16): ``block_s``, the time of
@@ -150,7 +152,7 @@ def block_case(name: str) -> dict:
     for _ in range(repeats):
         with PhaseClock(phases) as clock:
             start = perf_counter()
-            solve_map(grid, cfg, st, mu)(-g)
+            solve_map(st, mu)(-g)
             totals.append(perf_counter() - start)
         splits.append(clock.spent)
     out = {"nodes": grid.n_nodes, "step": step, "block_s": statistics.median(totals)}
@@ -161,7 +163,7 @@ def block_case(name: str) -> dict:
     steps = []
     for _ in range(repeats):
         start = perf_counter()
-        evans_solver._newton_stage(grid, st.table, one_step, cfg.momentum(1), u)
+        evans_solver._newton_stage(st.at(u, one_step))
         steps.append(perf_counter() - start)
     out["newton_step_s"] = statistics.median(steps)
     return out
@@ -315,9 +317,10 @@ def main(argv: list[str]) -> int:
     runs = {name: [] for name in names}
     for r in range(rounds):
         for name in names if r % 2 == 0 else names[::-1]:
-            env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(Path(trees[name]).resolve() / "src")}
+            tree = Path(trees[name]).resolve()
+            env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(tree / "src")}
             proc = subprocess.run(
-                [sys.executable, str(Path(__file__).resolve()), "--child"],
+                [sys.executable, str(tree / "tools" / "bench_block_step.py"), "--child"],
                 env=env, capture_output=True, text=True, timeout=600,
             )
             if proc.returncode != 0:
