@@ -24,7 +24,7 @@ from .hamiltonians import (NyquistError, _is_finite_number, _json_fields, _json_
                            hamiltonian_from_json)
 from .mather_limits import classical_reference, k_sweep, write_ksweep_csv
 from .mfg_diagnostics import mfg_residuals
-from .torus_grid import GridError, TorusGrid, derivative_matrix, write_field, write_json
+from .torus_grid import GridError, TorusGrid, write_field, write_json
 
 __all__ = ["ConfigError", "RunConfig", "main", "cmd_solve", "cmd_sweep", "cmd_limit", "cmd_check", "cmd_oracle"]
 
@@ -62,7 +62,7 @@ def _numeric(value, what: str) -> np.ndarray:
 class RunConfig:
     """Validated view of a JSON run configuration."""
 
-    def __init__(self, raw: dict, out_override: str | None = None, method_override: str | None = None):
+    def __init__(self, raw: dict, out_override: str | None = None):
         if not isinstance(raw, dict):
             raise ConfigError("top-level configuration must be a JSON object")
         self.raw = raw
@@ -91,15 +91,11 @@ class RunConfig:
         solver_block = dict(self.block("solver", required=False))
         if "k" not in solver_block:
             raise ConfigError("solver block must set k")
-        if method_override is not None:
-            solver_block["method"] = method_override
         try:
             if "max_newton" in solver_block:
                 solver_block["max_newton"] = _json_integer(solver_block["max_newton"], "max_newton")
             self.solver = SolverConfig(**solver_block)
             self.solver.momentum(self.ham.d)
-            for n in {self.grid.n_x, self.grid.n_t} - {1}:  # the certificates differentiate every axis
-                derivative_matrix(n, self.solver.method)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid solver block: {exc}") from exc
 
@@ -152,7 +148,7 @@ def _load_config(args) -> RunConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return RunConfig(raw, out_override=getattr(args, "out", None), method_override=getattr(args, "method", None))
+    return RunConfig(raw, out_override=getattr(args, "out", None))
 
 
 def _checked(value, what: str, parse):
@@ -194,7 +190,7 @@ def cmd_sweep(args) -> int:
     P_grid = _checked(block["P_grid"], "sweep.P_grid", partial(_as_points, d=cfg.ham.d))
     Q_grid = None
     if "Q_grid" in block:
-        Q_grid = _checked(block["Q_grid"], "sweep.Q_grid", partial(_as_points, d=cfg.ham.d))
+        Q_grid = _checked(block["Q_grid"], "sweep.Q_grid", partial(_as_points, d=cfg.ham.d, kind="Q"))
         try:
             _convexity_grid(P_grid)
         except ValueError as exc:
@@ -290,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     flags = {
         "--config": dict(default=None, help="path to a JSON run configuration"),
         "--out": dict(default=None, help="output directory (overrides config)"),
-        "--method": dict(choices=["spectral", "central4"], default=None, help="override differentiation method"),
         "--jobs": dict(
             type=_int_at_least(1, "jobs must be a positive integer"),
             default=1,
@@ -305,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         "--inject-error": dict(choices=INJECTION_POINTS, help="test hook: flip a sign inside the named invariant"),
     }
-    run_flags = ("--config", "--out", "--method")
+    run_flags = ("--config", "--out")
     specs = {
         "solve": (cmd_solve, "minimize once and persist (u, m, hbar) with residual certificates", run_flags),
         "sweep": (

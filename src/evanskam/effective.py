@@ -75,15 +75,23 @@ class ConvexityReport:
     worst_index: int
 
 
-def _as_points(values, d: int, refusal: str = "P must be None or finite numbers") -> np.ndarray:
-    """``values`` as (n, d) rows; a boolean, a string or a non-finite entry raises ValueError(``refusal``, row)."""
+# Each kind of point list: the noun of its shape refusals, and its refusal of a non-number.
+_POINT_KINDS = {"P": ("momentum", "P must be None or finite numbers"), "Q": ("velocity", "Q must be finite numbers")}
+
+
+def _as_points(values, d: int, kind: str = "P") -> np.ndarray:
+    """``values`` as (n, d) rows of momenta (``kind`` "P") or velocities ("Q"), refused in the kind's words.
+
+    A boolean, a string or a non-finite entry raises ValueError(the kind's refusal, row).
+    """
+    noun, refusal = _POINT_KINDS[kind]
     pts = np.asarray(values, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2 or len(pts) == 0:
-        raise ValueError(f"expected a nonempty list of momentum vectors, got shape {pts.shape}")
+        raise ValueError(f"expected a nonempty list of {noun} vectors, got shape {pts.shape}")
     if pts.shape[1] != d:
-        raise ValueError(f"momentum vectors have dimension {pts.shape[1]}, expected {d}")
+        raise ValueError(f"{noun} vectors have dimension {pts.shape[1]}, expected {d}")
     for row, given in zip(pts, np.asarray(values, dtype=object).reshape(pts.shape)):
         if not all(map(_is_finite_number, given)):
             shown = given.tolist() if np.isfinite(row).all() else row
@@ -233,7 +241,7 @@ def legendre_transform(table: EffectiveTable, Q_values) -> LegendreTable:
     since convex functions are biconjugate.
     """
     _check_table_convex(table)
-    Q_pts = _as_points(Q_values, table.d, "Q must be finite numbers")
+    Q_pts = _as_points(Q_values, table.d, "Q")
     scores = Q_pts @ table.P_grid.T - table.hbar[None, :]
     return LegendreTable(k=table.k, Q_grid=Q_pts, lbar=np.max(scores, axis=1))
 

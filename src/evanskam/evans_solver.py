@@ -91,15 +91,15 @@ class SolverConfig:
     shift enters as grad u -> P + grad u, which keeps every iterate periodic.
     Given as None, a number or a flat sequence, it is stored as None or a
     tuple of floats, so equal shifts compare and hash equal.
-    The solve minimizes the plain objective J; the CG forcing floor and the
-    CG cap are module constants.
+    The solve minimizes the plain objective J with the spectral derivative
+    (``torus_grid.derivative_matrix``); the CG forcing floor and the CG cap
+    are module constants.
     """
 
     k: float
     P: tuple[float, ...] | float | None = None
     grad_tol: float = 1e-9
     max_newton: int = 60
-    method: str = "spectral"
 
     def __post_init__(self) -> None:
         for name in ("k", "grad_tol"):
@@ -115,8 +115,6 @@ class SolverConfig:
             raise ValueError("grad_tol must be positive")
         if self.max_newton < 1:
             raise ValueError("max_newton must be at least 1")
-        if self.method not in ("spectral", "central4"):
-            raise ValueError(f"unknown differentiation method {self.method!r}")
 
     def momentum(self, d: int) -> np.ndarray:
         P = np.zeros(d) if self.P is None else np.array(self.P)
@@ -159,7 +157,6 @@ class SolveResult:
     converged: bool
     k: float
     P: np.ndarray
-    method: str
 
     def metadata(self) -> dict:
         return {
@@ -170,7 +167,6 @@ class SolveResult:
             "lip_norm": self.lip_norm,
             "iterations": self.iterations,
             "converged": self.converged,
-            "method": self.method,
         }
 
 
@@ -226,19 +222,19 @@ class _State:
     """Everything derived from one iterate u: derivatives, momenta, J, m.
 
     The state keeps what it was evaluated with: the grid's HamiltonianTable
-    ``table`` (f = u_t + H comes from its ``H``), the config ``cfg`` (its k
-    and its method) and the momentum ``P``; ``at`` evaluates another iterate
-    with them.  On one time plane u_t is exactly zero: it is neither
-    computed nor stored, and ``ut`` reads as zeros.
+    ``table`` (f = u_t + H comes from its ``H``), the config ``cfg`` (its k)
+    and the momentum ``P``; ``at`` evaluates another iterate with them.  On
+    one time plane u_t is exactly zero: it is neither computed nor stored,
+    and ``ut`` reads as zeros.
     """
 
     __slots__ = ("grid", "table", "cfg", "P", "u", "du", "_ut", "w", "f", "J", "m")
 
     def __init__(self, grid: TorusGrid, table: HamiltonianTable, cfg: SolverConfig, P: np.ndarray, u: np.ndarray):
-        d, method = table.d, cfg.method
+        d = table.d
         self.grid, self.table, self.cfg, self.P, self.u = grid, table, cfg, P, u
-        self.du = [grid.deriv(u, a, method) for a in range(d)]
-        self._ut = grid.deriv(u, d, method) if grid.n_t > 1 else None
+        self.du = [grid.deriv(u, a) for a in range(d)]
+        self._ut = grid.deriv(u, d) if grid.n_t > 1 else None
         self.w = table.H_p([P[i] + self.du[i] for i in range(d)])
         self.f = table.H(self.w, self._ut)  # w has the grid's shape, so f has it too
         self.J, self.m = _softmax(grid, cfg.k, self.f)
@@ -253,10 +249,10 @@ class _State:
 
     def transport(self, x: np.ndarray) -> np.ndarray:
         """T x = x_t + sum_i w_i * D_i x, the derivative along the momenta w = H_p (no x_t on one time plane)."""
-        grid, method = self.grid, self.cfg.method
-        out = grid.deriv(x, grid.d, method) if grid.n_t > 1 else None
+        grid = self.grid
+        out = grid.deriv(x, grid.d) if grid.n_t > 1 else None
         for i, wi in enumerate(self.w):
-            term = grid.deriv(x, i, method) * wi
+            term = grid.deriv(x, i) * wi
             out = term if out is None else out + term
         return out
 
@@ -266,10 +262,10 @@ class _State:
         At y = m it is the transport residual of the mean-field-game system,
         and minus the gradient of J.
         """
-        grid, method = self.grid, self.cfg.method
-        out = grid.deriv(y, grid.d, method) if grid.n_t > 1 else None
+        grid = self.grid
+        out = grid.deriv(y, grid.d) if grid.n_t > 1 else None
         for i, wi in enumerate(self.w):
-            term = grid.deriv(y * wi, i, method)
+            term = grid.deriv(y * wi, i)
             out = term if out is None else out + term
         return out
 
@@ -305,7 +301,7 @@ def _newton_coefficients(grid: TorusGrid, k: float, m, w: list) -> list[list]:
     return [[m * (k * v[a] * v[b] + float(a == b and a < d)) for b in axes] for a in axes]
 
 
-def _operator_apply(grid: TorusGrid, method: str, coef: list[list[np.ndarray]], v: np.ndarray) -> np.ndarray:
+def _operator_apply(grid: TorusGrid, coef: list[list[np.ndarray]], v: np.ndarray) -> np.ndarray:
     """-sum_a D_a(sum_b c_ab * D_b v), the Newton operator of ``coef`` applied to v matrix-free.
 
     With ``_newton_coefficients`` at the iterate it is the Gauss-Newton
@@ -313,19 +309,19 @@ def _operator_apply(grid: TorusGrid, method: str, coef: list[list[np.ndarray]], 
     |grad v|^2)) for the mechanical family, k times the normalized operator
     exposed publicly.
     """
-    dv = [grid.deriv(v, b, method) for b in range(len(coef))]
+    dv = [grid.deriv(v, b) for b in range(len(coef))]
     out = 0.0
     for a, row in enumerate(coef):
-        out = out + grid.deriv(sum(c * g for c, g in zip(row, dv)), a, method)
+        out = out + grid.deriv(sum(c * g for c, g in zip(row, dv)), a)
     return -out
 
 
 @lru_cache(maxsize=4)
-def _derivative_columns(shape: tuple[int, ...], method: str) -> list[np.ndarray]:
-    """Each D_b of ``method`` over the axes of ``shape`` as a column stack: ``cols[b][..., j]`` = D_b e_j."""
+def _derivative_columns(shape: tuple[int, ...]) -> list[np.ndarray]:
+    """Each D_b over the axes of ``shape`` as a column stack: ``cols[b][..., j]`` = D_b e_j."""
     N = math.prod(shape)
     unit = np.eye(N).reshape(shape + (N,))
-    cols = [_along(derivative_matrix(n, method), unit, b) for b, n in enumerate(shape)]
+    cols = [_along(derivative_matrix(n), unit, b) for b, n in enumerate(shape)]
     for arr in cols:
         arr.flags.writeable = False  # shared by every caller through the cache
     return cols
@@ -335,18 +331,18 @@ def _along(D: np.ndarray, X: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(D, X, axes=(1, axis)), 0, axis)
 
 
-def _assemble(shape: tuple[int, ...], method: str, coef: list[list[np.ndarray]], mu: float) -> np.ndarray:
+def _assemble(shape: tuple[int, ...], coef: list[list[np.ndarray]], mu: float) -> np.ndarray:
     """Dense sum_ab D_a^T diag(coef[a][b]) D_b + mu over the axes of ``shape``.
 
     Each term costs O(N^2 * n_a) through the column stacks, not O(N^3).
     """
-    cols = _derivative_columns(shape, method)
+    cols = _derivative_columns(shape)
     N = math.prod(shape)
     for a, n in enumerate(shape):
         flux = coef[a][0][..., None] * cols[0]
         for b in range(1, len(coef[a])):
             flux += coef[a][b][..., None] * cols[b]
-        term = _along(derivative_matrix(n, method).T, flux, a).reshape(N, N)
+        term = _along(derivative_matrix(n).T, flux, a).reshape(N, N)
         if a:
             A += term
         else:  # mu joins the first term, in the order of mu*I + term_0 + term_1 + ...
@@ -387,13 +383,13 @@ def _dense_block(st: _State, mu: float):
     """
     coef = _newton_coefficients(st.grid, st.cfg.k, st.m, st.w)
     shape = st.grid.shape[: len(coef)]
-    return _block_solve(_assemble(shape, st.cfg.method, [[c.reshape(shape) for c in row] for row in coef], mu))
+    return _block_solve(_assemble(shape, [[c.reshape(shape) for c in row] for row in coef], mu))
 
 
 @lru_cache(maxsize=8)
-def _flux_kappa(n: int, method: str) -> float:
+def _flux_kappa(n: int) -> float:
     """kappa = (D+^T D+)_00 on n nodes, the weight ``_flux_block`` gives the damping in flux coordinates."""
-    Dp = antiderivative_matrix(n, method)
+    Dp = antiderivative_matrix(n)
     return float(Dp[:, 0] @ Dp[:, 0])
 
 
@@ -414,8 +410,8 @@ def _flux_block(st: _State, mu: float):
     computed once per n (``_flux_kappa``); the map is symmetric, returns
     zero-mean, Nyquist-free steps and drops the null modes of r.
     """
-    n, method = st.grid.n_x, st.cfg.method
-    Dp, kappa = antiderivative_matrix(n, method), _flux_kappa(n, method)
+    n = st.grid.n_x
+    Dp, kappa = antiderivative_matrix(n), _flux_kappa(n)
     parities = 2 - n % 2
     # -1/q carries the sign of (D^T)+ = -D+; the weighted means of h/q read
     # the same with -1/q in place of 1/q, bit for bit
@@ -442,7 +438,7 @@ def _pcg_block(st: _State, mu: float):
     surrogate = _fourier_surrogate(st, mu)
 
     def apply_damped(v: np.ndarray) -> np.ndarray:
-        return _operator_apply(st.grid, st.cfg.method, coef, v) + mu * v
+        return _operator_apply(st.grid, coef, v) + mu * v
 
     return lambda r: _pcg(apply_damped, surrogate, r, st.grid, forcing)[0]
 
@@ -573,7 +569,7 @@ def linearized_el_apply(ham: MechanicalHamiltonian, grid: TorusGrid, config: Sol
     """
     st = evaluate_state(ham, grid, config, u)
     coef = _newton_coefficients(grid, config.k, st.m, st.w)
-    out = _operator_apply(grid, config.method, coef, _as_array(grid, v)) / config.k
+    out = _operator_apply(grid, coef, _as_array(grid, v)) / config.k
     return ScalarField(grid, out)
 
 
@@ -740,7 +736,6 @@ def minimize(
         converged=grad_norm <= config.grad_tol,
         k=config.k,
         P=P,
-        method=config.method,
     )
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .evans_solver import SolveResult, SolverConfig, _grid_table, _on_solve_grid, _solve_grid, evaluate_state, minimize
 from .hamiltonians import FourierSpec, MechanicalHamiltonian, _finite_float
-from .torus_grid import ScalarField, TorusGrid, write_table
+from .torus_grid import TorusGrid, write_table
 
 __all__ = [
     "MatherDiagnostics",
@@ -76,29 +76,26 @@ def mather_diagnostics(
     ``k_sweep``'s rows are.
     """
     plane, u = _on_solve_grid(ham, grid, result)
-    m = ScalarField(plane, _on_solve_grid(ham, grid, result.m)[1])
-    on_plane = replace(result, u=ScalarField(plane, u), m=m)
-    return _mather_diagnostics(on_plane, evaluate_state(ham, plane, config, u))
+    m = _on_solve_grid(ham, grid, result.m)[1]
+    return _mather_diagnostics(evaluate_state(ham, plane, config, u), m, result.hbar, result.converged)
 
 
-def _mather_diagnostics(result: SolveResult, st) -> MatherDiagnostics:
-    """``mather_diagnostics`` on the state ``st`` evaluated at ``result.u``, at the state's grid, k and P."""
+def _mather_diagnostics(st, m: np.ndarray, hbar: float, converged: bool) -> MatherDiagnostics:
+    """``mather_diagnostics`` on the evaluated state ``st``, weighted by m of the state's grid, at its k and P."""
     grid, k = st.grid, st.cfg.k
-    m = result.m.values
-
     action = grid.integrate(m * st.table.L(st.w))  # L(z, v) at the velocity v = H_p
-    entropy = k * grid.integrate(m * (st.f - result.hbar))
+    entropy = k * grid.integrate(m * (st.f - hbar))
     rotation = np.array([grid.integrate(m * wi) for wi in st.w])
-    gap = abs(action + entropy / k + result.hbar - float(st.P @ rotation))
+    gap = abs(action + entropy / k + hbar - float(st.P @ rotation))
     return MatherDiagnostics(
         k=k,
         action=action,
         entropy=entropy,
         entropy_over_k=entropy / k,
         rotation=rotation,
-        sup_excess=float(np.max(st.f)) - result.hbar,
+        sup_excess=float(np.max(st.f)) - hbar,
         identity_gap=gap,
-        converged=result.converged,
+        converged=converged,
     )
 
 
@@ -207,7 +204,7 @@ def k_sweep(
         cfg = replace(base, k=k)
         res = minimize(ham, plane, cfg, warm_start=res)
         st = evaluate_state(ham, plane, cfg, res)  # one evaluation serves both diagnostics
-        diag = _mather_diagnostics(res, st)
+        diag = _mather_diagnostics(st, res.m.values, res.hbar, res.converged)
         sup_pos = max(0.0, math.log(float(np.max(res.m.values))) / k)
         rows.append(
             KSweepRow(

@@ -5,15 +5,14 @@ temporal axis with ``n_t`` points, nodes at ``j/n``.  Fields are float64
 arrays of shape ``grid.shape``, stored row-major with the time axis last;
 that ordering is also the on-disk serialization order.
 
-The default derivative is the discrete Fourier one (exact for trigonometric
-polynomials below the Nyquist frequency); a fourth-order centered stencil is
-available as a robustness fallback.  Each is one cached circulant matrix per
-axis length (``derivative_matrix``), exactly skew (D^T = -D to the bit), and
-``deriv`` maps constants to exact zeros, which downstream code relies on: the
-discrete gradient of the exponential objective is then literally the
+The derivative is the discrete Fourier one, exact for trigonometric
+polynomials below the Nyquist frequency.  It is one cached circulant matrix
+per axis length (``derivative_matrix``), exactly skew (D^T = -D to the bit),
+and ``deriv`` maps constants to exact zeros, which downstream code relies on:
+the discrete gradient of the exponential objective is then literally the
 discrete transport residual.  A second derivative is two ``deriv`` calls,
-so it drops the Nyquist mode too.  ``antiderivative_matrix`` is the
-pseudo-inverse of each, built once from its FFT eigenvalues.
+so it drops the Nyquist mode too.  ``antiderivative_matrix`` is its
+pseudo-inverse, built once from its FFT eigenvalues.
 
 Solves call the kernels thousands of times on small grids, so node means are
 one sum and one division (the bits of ``np.mean``), and a derivative is one
@@ -53,34 +52,26 @@ class GridError(ValueError):
     """Invalid grid construction or a field/grid mismatch."""
 
 
-# Both matrix caches keep 8 (n, method) pairs: a solve reads at most two
-# lengths (n_x and n_t), and one 4,096-node matrix is 128 MiB.
+# Both matrix caches keep 8 lengths: a solve reads at most two (n_x and
+# n_t), and one 4,096-node matrix is 128 MiB.
 @lru_cache(maxsize=8)
-def derivative_matrix(n: int, method: str) -> np.ndarray:
-    """The circulant first-derivative matrix on n periodic nodes, cached and read-only.
+def derivative_matrix(n: int) -> np.ndarray:
+    """The spectral first-derivative matrix on n periodic nodes, cached and read-only.
 
-    ``spectral``: D_ij = pi*(-1)^(i-j)*cot(pi*(i-j)/n), Nyquist mode dropped
-    (Trefethen, Spectral Methods in MATLAB, ch. 3); ``central4``: the
-    five-point stencil.  Offsets k and n - k take opposite weights from one
-    evaluation, so D^T = -D to the bit.
+    D_ij = pi*(-1)^(i-j)*cot(pi*(i-j)/n), Nyquist mode dropped (Trefethen,
+    Spectral Methods in MATLAB, ch. 3).  Offsets k and n - k take opposite
+    weights from one evaluation, so D^T = -D to the bit.
     """
     col = np.zeros(n)  # the weight at offset i - j; the Nyquist offset n/2 keeps 0
     k = np.arange(1, (n + 1) // 2)
-    if method == "spectral":
-        col[k] = np.pi * (-1.0) ** k / np.tan(np.pi * k / n)
-    elif method == "central4":
-        if n < 5:
-            raise GridError("central4 differentiation needs at least 5 points per axis")
-        col[1:3] = -8.0 * n / 12.0, n / 12.0
-    else:
-        raise GridError(f"unknown differentiation method {method!r}")
+    col[k] = np.pi * (-1.0) ** k / np.tan(np.pi * k / n)
     col[n - k] = -col[k]
     return _skew_circulant(col)
 
 
 @lru_cache(maxsize=8)
-def antiderivative_matrix(n: int, method: str) -> np.ndarray:
-    """The pseudo-inverse D+ of ``derivative_matrix(n, method)``, cached and read-only.
+def antiderivative_matrix(n: int) -> np.ndarray:
+    """The pseudo-inverse D+ of ``derivative_matrix(n)``, cached and read-only.
 
     D is circulant, so D+ is the circulant whose eigenvalues are the
     reciprocals of D's FFT eigenvalues, with D's null modes (the constant
@@ -89,7 +80,7 @@ def antiderivative_matrix(n: int, method: str) -> np.ndarray:
     zero-mean, Nyquist-free fields, where D+ D and D D+ are the identity.
     """
     k = np.arange(1, (n + 1) // 2)  # D keeps the frequencies k and n - k; 0 and n/2 are its null modes
-    eig = np.fft.fft(derivative_matrix(n, method)[:, 0])
+    eig = np.fft.fft(derivative_matrix(n)[:, 0])
     inv = np.zeros(n, complex)
     inv[k], inv[n - k] = 1.0 / eig[k], 1.0 / eig[n - k]
     col = np.zeros(n)
@@ -206,7 +197,7 @@ class TorusGrid:
     def project_zero_mean(self, values: np.ndarray) -> np.ndarray:
         return values - self.integrate(values)
 
-    def deriv(self, values: np.ndarray, axis: int, method: str = "spectral") -> np.ndarray:
+    def deriv(self, values: np.ndarray, axis: int) -> np.ndarray:
         """The derivative of a field along ``axis``: ``derivative_matrix`` applied to each grid line.
 
         Each line is first shifted by its own first value, which maps
@@ -224,9 +215,9 @@ class TorusGrid:
             return np.zeros_like(arr)
         if arr.size == n:  # one line
             line = arr.ravel()
-            return np.dot(derivative_matrix(n, method), line - line[0]).reshape(arr.shape)
+            return np.dot(derivative_matrix(n), line - line[0]).reshape(arr.shape)
         x, out = arr.swapaxes(axis, -1), np.empty(arr.shape)
-        np.matmul(derivative_matrix(n, method), (x - x[..., :1])[..., None], out=out.swapaxes(axis, -1)[..., None])
+        np.matmul(derivative_matrix(n), (x - x[..., :1])[..., None], out=out.swapaxes(axis, -1)[..., None])
         return out
 
 

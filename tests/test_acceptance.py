@@ -78,7 +78,6 @@ def battery():
         ("pendulum-k16-P2", pendulum_hamiltonian(), TorusGrid(1, 64, 16), SolverConfig(k=16.0, P=(2.0,))),
         ("pendulum-k64-P2", pendulum_hamiltonian(), TorusGrid(1, 64, 16), SolverConfig(k=64.0, P=(2.0,))),
         ("mixed-k4", mixed_hamiltonian(), TorusGrid(1, 32, 32), SolverConfig(k=4.0, P=(0.5,))),
-        ("central4-drift", t1_hamiltonian(), TorusGrid(1, 32, 64), SolverConfig(k=8.0, method="central4", grad_tol=1e-9)),
     ]
     out = []
     for name, ham, grid, cfg in cases:

@@ -144,18 +144,6 @@ class TestSolveCommand:
             written.append({f.name: f.read_bytes() for f in out.iterdir()})
         assert written[0] == written[1]
 
-    @pytest.mark.parametrize("via", ["flag", "field"])
-    def test_central4_on_a_short_axis_exit_2(self, tmp_path, capsys, via):
-        # the 4-node time axis is differentiated only by the certificates,
-        # after the solve; the check comes before any output exists
-        cfg = pendulum_config(tmp_path / "out", grid={"d": 1, "n_x": 16, "n_t": 4})
-        flag = ["--method", "central4"] if via == "flag" else []
-        if via == "field":
-            cfg["solver"]["method"] = "central4"
-        assert main(["solve", "--config", write_config(tmp_path, cfg), *flag]) == 2
-        assert "configuration error: invalid solver block: central4" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize(
         "path, value",
         [
@@ -255,6 +243,7 @@ class TestSolveCommand:
             ("lambda_schedule", [0.0, 0.5, 1.0]),
             ("cg_tol", 1e-12),
             ("cg_max", 500),
+            ("method", "central4"),
             ("k_continuation", "false"),
             ("k_continuation", True),
         ],
@@ -436,7 +425,8 @@ class TestSweepCommand:
         cfg["grid"] = {"d": 1, "n_x": 16, "n_t": 16}
         assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
         captured = capsys.readouterr()
-        assert f"configuration error: sweep.{field}: expected a nonempty list of momentum vectors" in captured.err
+        noun = {"P_grid": "momentum", "Q_grid": "velocity"}[field]
+        assert f"configuration error: sweep.{field}: expected a nonempty list of {noun} vectors" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
@@ -736,13 +726,19 @@ class TestUnknownFields:
             ("solve", ("hamiltonian", "V", 0), "coss", 1.0, "unknown V term fields: ['coss']"),
             ("solve", ("hamiltonian", "eta", 0, 0), "sine", 0.0, "unknown eta[0] term fields: ['sine']"),
             ("solve", ("grid",), "nx", 16, "unknown grid fields: ['nx']"),
+            ("solve", ("solver",), "method", "spectral", "unknown solver fields: ['method']"),
+            ("sweep", ("solver",), "method", "spectral", "unknown solver fields: ['method']"),
+            ("limit", ("solver",), "method", "spectral", "unknown solver fields: ['method']"),
             ("solve", ("output",), "field_fromat", "binary", "unknown output fields: ['field_fromat']"),
             ("sweep", ("sweep",), "Q_gird", [0.0], "unknown sweep fields: ['Q_gird']"),
             ("limit", ("limit",), "p", [0.0], "unknown limit fields: ['p']"),
             ("oracle", ("oracle",), "p", 2.0, "unknown oracle fields: ['p']"),
             ("solve", (), "oracel", {"P": 2.0}, "unknown top-level blocks: ['oracel']"),
         ],
-        ids=["hamiltonian", "V-term", "eta-term", "grid", "output", "sweep", "limit", "oracle", "top-level"],
+        ids=[
+            "hamiltonian", "V-term", "eta-term", "grid", "solver", "solver-sweep", "solver-limit",
+            "output", "sweep", "limit", "oracle", "top-level",
+        ],
     )
     def test_unknown_key_exit_2(self, tmp_path, capsys, command, path, key, value, message):
         cfg = pendulum_config(
@@ -764,8 +760,15 @@ class TestUnknownFields:
 class TestParser:
     @pytest.mark.parametrize(
         "argv",
-        [["check", "--method", "central4"], ["solve", "--config", "cfg.json", "--jobs", "2"], ["oracle", "--out", "d"]],
-        ids=["check-method", "solve-jobs", "oracle-out"],
+        [
+            ["check", "--method", "spectral"],
+            ["solve", "--config", "cfg.json", "--method", "spectral"],
+            ["sweep", "--config", "cfg.json", "--method", "spectral"],
+            ["limit", "--config", "cfg.json", "--method", "central4"],
+            ["solve", "--config", "cfg.json", "--jobs", "2"],
+            ["oracle", "--out", "d"],
+        ],
+        ids=["check-method", "solve-method", "sweep-method", "limit-method", "solve-jobs", "oracle-out"],
     )
     def test_flag_not_read_by_command_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

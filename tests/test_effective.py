@@ -361,13 +361,22 @@ class TestLegendre:
         gaps = tab.hbar[None, :] + leg.lbar[:, None] - leg.Q_grid @ tab.P_grid.T
         assert float(gaps.min()) >= -1e-9
 
-    @pytest.mark.parametrize("Q, shown", [([0.0, np.nan], "array([nan])"), ([0.0, True], "[True]")], ids=["nan", "boolean"])
-    def test_malformed_velocities_refused_naming_Q(self, Q, shown):
-        # the momentum reader serves Q too; the parent returned a NaN lbar for the NaN
+    @pytest.mark.parametrize(
+        "Q, message",
+        [
+            ([0.0, np.nan], "Q must be finite numbers, got array([nan])"),
+            ([0.0, True], "Q must be finite numbers, got [True]"),
+            ([[0.0, 0.0]], "velocity vectors have dimension 2, expected 1"),
+        ],
+        ids=["nan", "boolean", "dimension"],
+    )
+    def test_malformed_velocities_refused_naming_Q(self, Q, message):
+        # the momentum reader serves Q too; the parent returned a NaN lbar for
+        # the NaN and called a Q of the wrong dimension a momentum vector
         with pytest.raises(ValueError) as info:
             legendre_transform(quadratic_table(), Q)
         assert info.type is ValueError
-        assert str(info.value) == f"Q must be finite numbers, got {shown}"
+        assert str(info.value) == message
 
     def test_nonconvex_table_rejected_with_triple(self):
         P = np.array([-1.0, 0.0, 1.0])

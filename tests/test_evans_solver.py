@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ from conftest import (
 from evanskam import evans_solver
 from evanskam.cli_io import RunConfig
 from evanskam.evans_solver import (
+    SolveResult,
     SolverConfig,
     evaluate_state,
     gradient,
@@ -64,8 +65,12 @@ class TestSolverConfig:
             SolverConfig(k=0.0)
         with pytest.raises(ValueError):
             SolverConfig(k=1.0, grad_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(k=1.0, method="upwind")
+
+    def test_no_differentiation_method(self):
+        # one discretization: neither the config nor the result names a method
+        assert "method" not in {f.name for f in fields(SolverConfig)} | {f.name for f in fields(SolveResult)}
+        with pytest.raises(TypeError):
+            SolverConfig(k=1.0, method="spectral")
 
     @pytest.mark.parametrize(
         "field, value",
@@ -223,15 +228,16 @@ class TestGradient:
 
 
 class TestTransport:
-    @pytest.mark.parametrize("method", ["spectral", "central4"])
-    @pytest.mark.parametrize("case", ["tc1-16x16", "tc2-8x8x8"])
-    def test_flux_divergence_is_minus_the_adjoint(self, rng, case, method):
+    @pytest.mark.parametrize("case", ["tc1-16x16", "tc2-8x8x8", "mixed-16x16", "pendulum-32x8"])
+    def test_flux_divergence_is_minus_the_adjoint(self, rng, case):
         # mean(y * T x) = -mean(x * (y_t + div(y w))), since every D is skew;
         # relative to the Cauchy-Schwarz bound on mean(y * T x).  White-noise
         # x and y overlap in every Fourier mode, so no term of T can hide.
         ham, grid = {"tc1-16x16": (tc1_hamiltonian(), TorusGrid(1, 16, 16)),
-                     "tc2-8x8x8": (tc2_hamiltonian(), TorusGrid(2, 8, 8))}[case]
-        st = evaluate_state(ham, grid, SolverConfig(k=8.0, method=method), random_zero_mean(grid, rng))
+                     "tc2-8x8x8": (tc2_hamiltonian(), TorusGrid(2, 8, 8)),
+                     "mixed-16x16": (mixed_hamiltonian(), TorusGrid(1, 16, 16)),
+                     "pendulum-32x8": (pendulum_hamiltonian(), TorusGrid(1, 32, 8))}[case]
+        st = evaluate_state(ham, grid, SolverConfig(k=8.0), random_zero_mean(grid, rng))
         for _ in range(3):
             x, y = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
             Tx = st.transport(x)
@@ -330,7 +336,7 @@ class TestMinimize:
     def test_metadata_has_no_lambda(self):
         res = minimize(pendulum_hamiltonian(), TorusGrid(1, 16, 1), SolverConfig(k=4.0))
         assert set(res.metadata()) == {
-            "k", "P", "hbar", "grad_norm", "lip_norm", "iterations", "converged", "method"
+            "k", "P", "hbar", "grad_norm", "lip_norm", "iterations", "converged"
         }
 
     def test_json_lambda_solves_the_scaled_hamiltonian(self):
@@ -463,12 +469,6 @@ class TestMinimize:
         # same closed form as d=1: hbar = mean |eta|^2 / 2 = 1/4
         assert res.converged
         assert res.hbar == pytest.approx(0.25, abs=1e-8)
-
-    def test_central4_method(self):
-        grid = TorusGrid(1, 64, 64)
-        res = minimize(t1_hamiltonian(), grid, SolverConfig(k=8.0, method="central4"))
-        assert res.converged
-        assert res.hbar == pytest.approx(0.25, abs=1e-6)
 
     def test_lip_norm_is_max_gradient_magnitude(self):
         grid = TorusGrid(1, 64, 64)
@@ -706,14 +706,13 @@ class TestTimePlane:
         assert res.u.values.shape == res.m.values.shape == grid.shape
         assert np.all(res.u.values == res.u.values[:, :1])
 
-    @pytest.mark.parametrize("method", ["spectral", "central4"])
-    def test_time_mean_never_raises_the_objective(self, method):
+    def test_time_mean_never_raises_the_objective(self):
         # J is convex and invariant under time shifts for an autonomous
         # Hamiltonian, so J(mean_t u) <= J(u): the routing to one plane rests on this
         rng = np.random.default_rng(11)
         cases = [(pendulum_hamiltonian(), TorusGrid(1, 32, 8), (0.7,)), (separable_2d(), TorusGrid(2, 8, 6), (0.3, 0.1))]
         for ham, grid, P in cases:
-            cfg = SolverConfig(k=8.0, P=P, method=method)
+            cfg = SolverConfig(k=8.0, P=P)
             for _ in range(5):
                 u = random_zero_mean(grid, rng)
                 assert np.ptp(u - u.mean(axis=-1, keepdims=True)) > 0.1
@@ -754,9 +753,9 @@ class TestTimePlane:
         axes = []
         deriv = TorusGrid.deriv
 
-        def counting(grid, values, axis, method="spectral"):
+        def counting(grid, values, axis):
             axes.append((grid.n_t, axis == grid.d))
-            return deriv(grid, values, axis, method)
+            return deriv(grid, values, axis)
 
         monkeypatch.setattr(TorusGrid, "deriv", counting)
         res = minimize(pendulum_hamiltonian(), TorusGrid(1, 64, 8), SolverConfig(k=16.0, P=(0.5,)))

@@ -73,8 +73,7 @@ class TestPartialDerivative:
     def test_constant_derivative_zero(self):
         g = TorusGrid(1, 8, 8)
         for axis in (0, 1):
-            for method in ("spectral", "central4"):
-                assert np.max(np.abs(g.deriv(np.ones(g.shape), axis, method))) == 0.0
+            assert np.max(np.abs(g.deriv(np.ones(g.shape), axis))) == 0.0
 
     def test_time_derivative_against_closed_form(self):
         # oracle: d/dt [cos(2 pi x) cos(4 pi t)] = -4 pi cos(2 pi x) sin(4 pi t)
@@ -84,15 +83,28 @@ class TestPartialDerivative:
         df = g.deriv(np.cos(2 * np.pi * x) * np.cos(4 * np.pi * t), 1)
         assert np.max(np.abs(df - exact)) <= 1e-10
 
-    def test_central4_fourth_order(self):
-        errs = []
-        for n in (16, 32):
-            g = TorusGrid(1, n, 2)
-            x, _ = g.coords()
-            f = np.broadcast_to(np.sin(2 * np.pi * x), g.shape)
-            exact = 2 * np.pi * np.cos(2 * np.pi * np.broadcast_to(x, g.shape))
-            errs.append(np.max(np.abs(g.deriv(f, 0, "central4") - exact)))
-        assert errs[0] / errs[1] > 12  # ratio 16 expected at fourth order
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+    def test_exact_on_every_mode_below_nyquist(self, n):
+        # no truncation error: each mode below n/2 is differentiated to
+        # round-off, and the Nyquist mode, which D drops, maps to zero
+        g = TorusGrid(1, n, 2)
+        x = np.broadcast_to(g.coords()[0], g.shape)
+        for j in range(1, n // 2):
+            y = 2 * np.pi * j * x
+            for f, exact in ((np.sin(y), 2 * np.pi * j * np.cos(y)), (np.cos(y), -2 * np.pi * j * np.sin(y))):
+                assert np.max(np.abs(g.deriv(f, 0) - exact)) <= 1e-14 * n * n
+        assert np.max(np.abs(g.deriv(np.cos(np.pi * n * x), 0))) <= 1e-14 * n * n
+
+    @pytest.mark.parametrize("shape", [(1, 16, 16), (2, 8, 8)])
+    def test_axes_of_one_length_share_one_matrix(self, shape, rng):
+        # D is chosen by the axis length alone: any axis of a given length is
+        # differentiated as the first one is, to the bit
+        g = TorusGrid(*shape)
+        u = rng.normal(size=g.shape)
+        ref = g.deriv(u, 0)
+        for axis in range(1, g.n_axes):
+            moved = np.ascontiguousarray(u.swapaxes(0, axis))
+            assert_bitwise(g.deriv(moved, axis).swapaxes(0, axis), ref)
 
     def test_axis_out_of_range(self):
         g = TorusGrid(1, 8, 8)
@@ -121,9 +133,8 @@ class TestPartialDerivative:
         assert g.axis_size(np.int64(1)) == 8
         assert_bitwise(g.deriv(f, np.int64(1)), g.deriv(f, 1))
 
-    @pytest.mark.parametrize("shape", [(1, 8, 8), (1, 8, 1), (2, 6, 4), (2, 6, 1)])
-    @pytest.mark.parametrize("method", ["spectral", "central4"])
-    def test_nonfinite_rejected_on_every_axis(self, shape, method):
+    @pytest.mark.parametrize("shape", [(1, 8, 8), (1, 8, 1), (2, 6, 4), (2, 6, 1), (1, 2, 2)])
+    def test_nonfinite_rejected_on_every_axis(self, shape):
         # a time axis of length 1 returns zeros, but only after the check
         g = TorusGrid(*shape)
         for bad_value in (np.nan, np.inf):
@@ -131,25 +142,25 @@ class TestPartialDerivative:
             bad.flat[3] = bad_value
             for axis in range(g.n_axes):
                 with pytest.raises(GridError):
-                    g.deriv(bad, axis, method)
+                    g.deriv(bad, axis)
 
-    @pytest.mark.parametrize("method", ["spectral", "central4"])
-    def test_mean_annihilation(self, method, rng):
-        g = TorusGrid(1, 16, 16)
+    @pytest.mark.parametrize("shape", [(1, 16, 16), (1, 32, 1), (2, 8, 6)])
+    def test_mean_annihilation(self, shape, rng):
+        g = TorusGrid(*shape)
         f = random_band_limited(g, rng) + 2.1
-        for axis in (0, 1):
-            assert abs(g.integrate(g.deriv(f, axis, method))) <= 1e-13
+        for axis in range(g.n_axes):
+            assert abs(g.integrate(g.deriv(f, axis))) <= 1e-13
 
-    @pytest.mark.parametrize("method", ["spectral", "central4"])
-    def test_skew_adjointness(self, method, rng):
+    @pytest.mark.parametrize("shape", [(1, 16, 16), (1, 32, 1), (2, 8, 6)])
+    def test_skew_adjointness(self, shape, rng):
         # makes the objective gradient identical to the transport residual
-        g = TorusGrid(1, 16, 16)
+        g = TorusGrid(*shape)
         for _ in range(5):
             a = random_band_limited(g, rng)
             b = random_band_limited(g, rng)
-            for axis in (0, 1):
-                lhs = g.inner(b, g.deriv(a, axis, method))
-                rhs = -g.inner(a, g.deriv(b, axis, method))
+            for axis in range(g.n_axes):
+                lhs = g.inner(b, g.deriv(a, axis))
+                rhs = -g.inner(a, g.deriv(b, axis))
                 assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
 
     def test_second_derivative(self):
@@ -168,16 +179,6 @@ def uncached_spectral(arr: np.ndarray, axis: int) -> np.ndarray:
     shp = [1] * arr.ndim
     shp[axis] = mult.size
     return np.fft.irfft(np.fft.rfft(arr, axis=axis) * mult.reshape(shp), n=n, axis=axis)
-
-
-def roll_central4(arr: np.ndarray, axis: int) -> np.ndarray:
-    """The five-point stencil by shifted copies of the field."""
-    n = arr.shape[axis]
-
-    def sh(off: int) -> np.ndarray:
-        return np.roll(arr, -off, axis=axis)
-
-    return (8.0 * (sh(1) - sh(-1)) - (sh(2) - sh(-2))) * (n / 12.0)
 
 
 def fresh_spectral_matrix(n: int) -> np.ndarray:
@@ -217,7 +218,7 @@ class TestKernelBits:
         assert_bitwise(g.norm(a), float(np.sqrt(np.mean(np.square(a)))))
         assert_bitwise(g.project_zero_mean(a), a - np.mean(a))
 
-    @pytest.mark.parametrize("shape", [(1, 64, 8), (2, 16, 4)])
+    @pytest.mark.parametrize("shape", [(1, 64, 8), (2, 16, 4), (1, 6, 8), (2, 16, 6)])
     def test_spectral_deriv_matches_the_uncached_formula(self, shape, rng):
         # a freshly built matrix applied to each line, shifted by its first value
         g = TorusGrid(*shape)
@@ -231,8 +232,8 @@ class TestKernelBits:
     def test_cached_multiplier_is_read_only(self):
         g = TorusGrid(1, 16, 4)
         g.deriv(g.zeros(), 0)
-        D = torus_grid.derivative_matrix(16, "spectral")
-        assert torus_grid.derivative_matrix(16, "spectral") is D
+        D = torus_grid.derivative_matrix(16)
+        assert torus_grid.derivative_matrix(16) is D
         with pytest.raises(ValueError):
             D[1, 0] = 0.0
 
@@ -245,35 +246,24 @@ class TestKernelBits:
                     err = np.max(np.abs(g.deriv(u, axis) - ref))
                     assert err <= 1e-14 * np.max(np.abs(ref)), (g, axis, err)
 
-    @pytest.mark.parametrize("shape", [(1, 6, 8), (1, 64, 16), (2, 16, 6)])
-    def test_central4_agrees_with_the_roll_formula(self, shape, rng):
-        g = TorusGrid(*shape)
-        u = self.wide_field(rng, g.shape)
-        for axis in range(g.n_axes):
-            ref = roll_central4(u, axis)
-            assert np.max(np.abs(g.deriv(u, axis, "central4") - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-    @pytest.mark.parametrize("method", ["spectral", "central4"])
-    @pytest.mark.parametrize("n", [6, 8, 16, 64, 128, 256])
-    def test_derivative_matrix_is_exactly_odd(self, method, n):
-        D = torus_grid.derivative_matrix(n, method)
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 16, 32, 64, 65, 128, 256])
+    def test_derivative_matrix_is_exactly_odd(self, n):
+        D = torus_grid.derivative_matrix(n)
         assert np.array_equal(D.T, -D)  # exact float equality; zeros only differ in sign
 
-    @pytest.mark.parametrize("method", ["spectral", "central4"])
-    @pytest.mark.parametrize("n", [6, 8, 16, 64, 65])
-    def test_antiderivative_matrix_is_the_pseudo_inverse(self, method, n):
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 16, 32, 64, 65])
+    def test_antiderivative_matrix_is_the_pseudo_inverse(self, n):
         # the FFT construction against an SVD; odd and exactly skew, and read-only in the cache
-        Dp = torus_grid.antiderivative_matrix(n, method)
-        assert torus_grid.antiderivative_matrix(n, method) is Dp
+        Dp = torus_grid.antiderivative_matrix(n)
+        assert torus_grid.antiderivative_matrix(n) is Dp
         assert np.array_equal(Dp.T, -Dp)
-        assert np.max(np.abs(Dp - np.linalg.pinv(torus_grid.derivative_matrix(n, method)))) <= 1e-14
+        assert np.max(np.abs(Dp - np.linalg.pinv(torus_grid.derivative_matrix(n)))) <= 1e-14
         with pytest.raises(ValueError):
             Dp[1, 0] = 0.0
 
-    @pytest.mark.parametrize("method", ["spectral", "central4"])
-    def test_antiderivative_maps_onto_zero_mean_nyquist_free_fields(self, method, rng):
+    def test_antiderivative_maps_onto_zero_mean_nyquist_free_fields(self, rng):
         n = 1024
-        D, Dp = torus_grid.derivative_matrix(n, method), torus_grid.antiderivative_matrix(n, method)
+        D, Dp = torus_grid.derivative_matrix(n), torus_grid.antiderivative_matrix(n)
         alternating = (-1.0) ** np.arange(n)
         for x in (rng.standard_normal(n), np.ones(n), alternating):
             y = Dp @ x
@@ -283,14 +273,13 @@ class TestKernelBits:
         x -= x.mean() + (alternating @ x) / n * alternating
         assert np.max(np.abs(D @ (Dp @ x) - x)) <= 1e-12 * np.max(np.abs(x))
 
-    @pytest.mark.parametrize("method", ["spectral", "central4"])
-    @pytest.mark.parametrize("shape", [(1, 8, 8), (1, 64, 1), (2, 6, 6), (2, 16, 8)])
-    def test_constants_along_the_axis_map_to_exact_zeros(self, method, shape, rng):
+    @pytest.mark.parametrize("shape", [(1, 8, 8), (1, 64, 1), (2, 6, 6), (2, 16, 8), (1, 2, 2), (2, 4, 1)])
+    def test_constants_along_the_axis_map_to_exact_zeros(self, shape, rng):
         # constant along the differentiated axis, varying along the others
         g = TorusGrid(*shape)
         for axis in range(g.n_axes):
             u = np.repeat(self.wide_field(rng, g.shape).take([0], axis=axis), g.shape[axis], axis=axis)
-            assert np.all(g.deriv(u, axis, method) == 0.0)
+            assert np.all(g.deriv(u, axis) == 0.0)
 
     @pytest.mark.parametrize("L", [1, 3, 8, 17])
     @pytest.mark.parametrize("axis", [0, 1])
@@ -306,8 +295,26 @@ class TestKernelBits:
             assert_bitwise(whole.take([j], axis=1 - axis), alone)
 
 
+class TestNoMethodArgument:
+    """One derivative: the matrix builders and ``deriv`` take no differentiation method."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: torus_grid.derivative_matrix(16, "spectral"),
+            lambda: torus_grid.antiderivative_matrix(16, "spectral"),
+            lambda: TorusGrid(1, 8, 8).deriv(np.zeros((8, 8)), 0, "spectral"),
+            lambda: TorusGrid(1, 8, 8).deriv(np.zeros((8, 8)), 0, method="central4"),
+        ],
+        ids=["derivative_matrix", "antiderivative_matrix", "deriv", "deriv-keyword"],
+    )
+    def test_method_argument_refused(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+
 class TestMatrixCaches:
-    """The derivative and antiderivative matrices are cached per (n, method) in bounded caches."""
+    """The derivative and antiderivative matrices are cached per length n in bounded caches."""
 
     BUILDERS = [torus_grid.derivative_matrix, torus_grid.antiderivative_matrix]
 
@@ -316,15 +323,14 @@ class TestMatrixCaches:
         maxsize = build.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize < 64
 
-    @pytest.mark.parametrize("method", ["spectral", "central4"])
     @pytest.mark.parametrize("build", BUILDERS, ids=["derivative", "antiderivative"])
-    def test_rebuilt_after_eviction_bit_identical_and_read_only(self, build, method):
-        first = build(64, method)
+    def test_rebuilt_after_eviction_bit_identical_and_read_only(self, build):
+        first = build(64)
         kept = first.copy()
         for n in range(65, 65 + 2 * build.cache_info().maxsize, 2):  # as many other lengths as the cache holds
-            build(n, method)
+            build(n)
         assert build.cache_info().currsize <= build.cache_info().maxsize
-        rebuilt = build(64, method)
+        rebuilt = build(64)
         assert rebuilt is not first
         assert_bitwise(rebuilt, kept)
         with pytest.raises(ValueError):

@@ -269,7 +269,7 @@ def apply_case(name: str) -> dict:
     st = evans_solver.evaluate_state(library_hamiltonians()[ham_name], grid, cfg, u)
     coef = evans_solver._newton_coefficients(grid, k, st.m, st.w)
     v = np.random.default_rng(0).normal(size=grid.shape)
-    apply_s = per_call_s(lambda: evans_solver._operator_apply(grid, cfg.method, coef, v))
+    apply_s = per_call_s(lambda: evans_solver._operator_apply(grid, coef, v))
     return {"nodes": grid.n_nodes, "apply_s": apply_s}
 
 

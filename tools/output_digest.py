@@ -19,9 +19,9 @@ temporary directory, and prints one JSON object:
   iterations, so a change in step count shows as its own line, and the
   unconverged P values;
 - for the library solves in ``LIBRARY_SOLVES``, cases that no config
-  reaches (cold starts up a long k ladder, ``central4``, d = 2 grids, one
-  of them a one-plane grid above 256 nodes, and a one-plane and a
-  space-time grid above the dense-block cap, which run PCG, a one-plane
+  reaches (cold starts up a long k ladder, d = 2 grids, one of them a
+  one-plane grid above 256 nodes, and a one-plane and a space-time grid
+  above the dense-block cap, which run PCG, a one-plane
   1-d grid of 1,024 nodes, a ``max_newton`` cap, a Hamiltonian read from
   JSON with a "lambda" below 1): per solve, the sha256 of its record
   (the fields above plus lip_norm) with its iterations and converged flag,
@@ -79,8 +79,6 @@ LIBRARY_SOLVES = {
     "ladder-capped": ("tc1", (1, 16, 16), dict(k=64.0, P=(0.0,), max_newton=5)),
     "ladder-odd-k": ("pendulum", (1, 32, 8), dict(k=20.0, P=(1.0,))),
     "capped": ("pendulum", (1, 32, 32), dict(k=16.0, P=(2.0,), max_newton=1)),
-    "central4-t1": ("t1", (1, 64, 64), dict(k=8.0, method="central4")),
-    "central4-tc1": ("tc1", (1, 16, 16), dict(k=8.0, method="central4")),
     "separable-2d": ("separable-2d", (2, 16, 4), dict(k=16.0, P=(0.3, 0.1))),
     # one plane of 324 nodes: converges only with the dense block step
     "separable-2d-18": ("separable-2d", (2, 18, 4), dict(k=16.0, P=(0.3, 0.1))),
