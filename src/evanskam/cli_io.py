@@ -233,8 +233,8 @@ def cmd_limit(args) -> int:
         "grid": {"d": cfg.grid.d, "n_x": cfg.grid.n_x, "n_t": cfg.grid.n_t},
     }
     write_ksweep_csv(report, out / "ksweep.csv", sidecar=sidecar)
-    if not all(r.converged for r in report.rows):
-        bad = [r.k for r in report.rows if not r.converged]
+    bad = [r.record["k"] for r in report.rows if not r.record["converged"]]
+    if bad:
         print(f"k-sweep entries did not converge: {bad}", file=sys.stderr)
         return EXIT_NONCONVERGED
     return EXIT_OK

@@ -43,13 +43,18 @@ class NonconvexTableError(ValueError):
 
 @dataclass(eq=False)
 class EffectiveTable:
-    """hbar and rotation vectors per momentum shift at one sharpness k."""
+    """hbar and rotation vectors per momentum shift at one sharpness k, and each entry's ``SolveResult.metadata()``."""
 
     k: float
     P_grid: np.ndarray  # (n, d)
     hbar: np.ndarray  # (n,)
     Q: np.ndarray  # (n, d)
-    converged: np.ndarray  # (n,) bool
+    records: list[dict]
+
+    @property
+    def converged(self) -> np.ndarray:
+        """Each entry's converged flag, as an (n,) bool array."""
+        return np.array([rec["converged"] for rec in self.records], dtype=bool)
 
     @property
     def d(self) -> int:
@@ -164,9 +169,9 @@ def sweep_P(
             results = [res for part in pool.map(partial(_chain, ham, grid, base), slices) for res in part]
     else:
         results = _chain(ham, grid, base, pts)
-    return EffectiveTable(k=k, P_grid=pts, hbar=np.array([res.hbar for res in results]),
-                          Q=np.array([res.rotation for res in results]),
-                          converged=np.array([res.converged for res in results]))
+    records = [res.metadata() for res in results]
+    return EffectiveTable(k=k, P_grid=pts, hbar=np.array([rec["hbar"] for rec in records]),
+                          Q=np.array([res.rotation for res in results]), records=records)
 
 
 def convexity_check(values) -> ConvexityReport:
@@ -274,12 +279,14 @@ def rotation_consistency(table: EffectiveTable) -> tuple[float, np.ndarray]:
 
 
 def write_effective_csv(table: EffectiveTable, path, sidecar: dict | None = None) -> None:
+    """P0.., hbar, Q0.., converged per entry, then the rest of each entry's record; k goes to the sidecar."""
     d = table.d
     write_table(
         path,
         [f"P{i}" for i in range(d)] + ["hbar"] + [f"Q{i}" for i in range(d)] + ["converged"],
-        ([*table.P_grid[i], table.hbar[i], *table.Q[i], table.converged[i]] for i in range(len(table))),
+        ([*P, hbar, *Q, rec["converged"]] for P, hbar, Q, rec in zip(table.P_grid, table.hbar, table.Q, table.records)),
         None if sidecar is None else {"k": table.k, **sidecar},
+        records=table.records, shown=("P", "k"),
     )
 
 

@@ -76,10 +76,12 @@ _MONITOR_SLACK = 0.10
 
 
 class LineSearchError(RuntimeError):
-    """Backtracking found a genuine increase along a Newton direction.
+    """A Newton step that is not a descent direction, or backtracking that found a genuine increase along one.
 
-    The objective is convex and the search direction is a descent direction,
-    so this signals a broken operator or gradient, not a hard problem.
+    The objective is convex and the damped Newton operator positive definite,
+    so a step whose slope inner(g, step) is not negative (NaN included), a
+    dense block that is exactly singular, or an increase along a descent
+    direction signals a broken operator or gradient, not a hard problem.
     """
 
 
@@ -592,9 +594,10 @@ def _newton_stage(st: _State):
     """Damped Newton at the k of ``st.cfg`` from ``st``, the stage's zero-mean start: (state, grad_norm, iterations).
 
     The gradient is taken at the top of every iterate, the last included.
-    A step is the map ``_step_solve(st.grid)`` applied to -g, or
-    ``_pcg_block``'s where a direct map raises ``LinAlgError`` or gives a
-    step that is not finite; line-search trials are ``st.at`` the trial u.
+    A step is the map ``_step_solve(st.grid)`` applied to -g; where that map
+    raises ``LinAlgError`` or gives a step whose slope inner(g, step) is not
+    negative, the stage raises ``LineSearchError``.  Line-search trials are
+    ``st.at`` the trial u.
     The loop stops at ``grad_tol``, after ``max_newton`` steps or after
     ``_STALL_LIMIT`` consecutive stalled steps, each of which neither lowers
     J beyond rounding nor halves the gradient norm.
@@ -618,15 +621,10 @@ def _newton_stage(st: _State):
             step = solve(st, mu)(r)  # the line search projects it
         except np.linalg.LinAlgError:  # a dense block exactly singular
             step = None
-        # the slope inner(g, step); a finite one proves the step finite, since
-        # a NaN or an infinity in the step would reach the sum
+        # the slope inner(g, step); a NaN in the step reaches the sum
         slope = math.nan if step is None else -grid.inner(r, step)
-        if solve is not _pcg_block and not math.isfinite(slope) and (step is None or not np.isfinite(step).all()):
-            step = _pcg_block(st, mu)(r)
-            slope = -grid.inner(r, step)
-        if slope >= 0.0:  # roundoff produced a non-descent direction
-            step = r  # -g
-            slope = -grad_norm**2
+        if not slope < 0.0:
+            raise LineSearchError(f"the Newton step is not a descent direction (grad_norm={grad_norm:.3e})")
         alpha = 1.0
         # Armijo backtracking; the small additive floor absorbs rounding when
         # objective differences drop below representable resolution.
@@ -667,17 +665,18 @@ def _solve_grid(ham: MechanicalHamiltonian, grid: TorusGrid) -> TorusGrid:
     return TorusGrid(grid.d, grid.n_x, 1)
 
 
-def _on_solve_grid(ham: MechanicalHamiltonian, grid: TorusGrid, x) -> tuple[TorusGrid, np.ndarray]:
-    """``(plane, v)``: plane = ``_solve_grid(ham, grid)`` and v the field x of ``grid`` moved there.
+def _on_solve_grid(plane: TorusGrid, grid: TorusGrid, x) -> np.ndarray:
+    """The field x of ``grid`` moved to ``plane``, the ``_solve_grid`` of ``grid`` that the caller holds.
 
     x is a field, or a ``SolveResult`` (its u), as ``_as_array`` reads it.
-    v = v0 + mean_t(x - v0), v0 the first time plane of x: exactly v0 where
-    x is constant in t, as a solve's u and m are, its time mean otherwise.
+    The move is v0 + mean_t(x - v0), v0 the first time plane of x: exactly
+    v0 where x is constant in t, as a solve's u and m are, its time mean
+    otherwise.
     """
-    plane, v = _solve_grid(ham, grid), _as_array(grid, x)
+    v = _as_array(grid, x)
     if plane is not grid:
         v = v[..., :1] + np.add.reduce(v - v[..., :1], -1, keepdims=True) / grid.n_t
-    return plane, v
+    return v
 
 
 def minimize(
@@ -714,7 +713,7 @@ def minimize(
     while rung < config.k:
         stages.insert(-1, replace(config, k=rung))
         rung *= 2.0
-    u = plane.zeros() if warm_start is None else plane.project_zero_mean(_on_solve_grid(ham, grid, warm_start)[1])
+    u = plane.zeros() if warm_start is None else plane.project_zero_mean(_on_solve_grid(plane, grid, warm_start))
     st = _State(plane, table, stages[0], P, u)
     # f at u = 0 has the bits _State gives it, and table.V gives it the plane's shape
     if warm_start is not None and st.J > _softmax(plane, stages[0].k, table.H(table.H_p(P)))[0]:

@@ -14,8 +14,7 @@ state's transport derivative T = D_t + H_p . grad, the latter twice.
 
 from __future__ import annotations
 
-import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,17 +47,15 @@ class MatherDiagnostics:
     ``identity_gap`` is |action + entropy/k + hbar - P.Q|; integrating the
     holonomy constraint with the minimizer itself as test function shows the
     gap is bounded by ||u|| times the transport residual, hence vanishes at
-    discrete critical points.
+    discrete critical points.  ``sup_excess`` = max f - hbar is (1/k) log(max m) up to rounding.
     """
 
-    k: float
     action: float
     entropy: float
     entropy_over_k: float
     rotation: np.ndarray
     sup_excess: float
     identity_gap: float
-    converged: bool
 
 
 def mather_diagnostics(
@@ -75,28 +72,19 @@ def mather_diagnostics(
     evaluated on the one time plane it ran on (``_on_solve_grid``), as
     ``k_sweep``'s rows are.
     """
-    plane, u = _on_solve_grid(ham, grid, result)
-    m = _on_solve_grid(ham, grid, result.m)[1]
-    return _mather_diagnostics(evaluate_state(ham, plane, config, u), m, result.hbar, result.converged)
+    plane = _solve_grid(ham, grid)
+    u, m = _on_solve_grid(plane, grid, result), _on_solve_grid(plane, grid, result.m)
+    return _mather_diagnostics(evaluate_state(ham, plane, config, u), m, result.hbar)
 
 
-def _mather_diagnostics(st, m: np.ndarray, hbar: float, converged: bool) -> MatherDiagnostics:
+def _mather_diagnostics(st, m: np.ndarray, hbar: float) -> MatherDiagnostics:
     """``mather_diagnostics`` on the evaluated state ``st``, weighted by m of the state's grid, at its k and P."""
     grid, k = st.grid, st.cfg.k
     action = grid.integrate(m * st.table.L(st.w))  # L(z, v) at the velocity v = H_p
     entropy = k * grid.integrate(m * (st.f - hbar))
     rotation = np.array([grid.integrate(m * wi) for wi in st.w])
     gap = abs(action + entropy / k + hbar - float(st.P @ rotation))
-    return MatherDiagnostics(
-        k=k,
-        action=action,
-        entropy=entropy,
-        entropy_over_k=entropy / k,
-        rotation=rotation,
-        sup_excess=float(np.max(st.f)) - hbar,
-        identity_gap=gap,
-        converged=converged,
-    )
+    return MatherDiagnostics(action, entropy, entropy / k, rotation, float(np.max(st.f)) - hbar, gap)
 
 
 def holonomy_test_fields(grid: TorusGrid) -> list[np.ndarray]:
@@ -155,13 +143,12 @@ def _aronsson_residual(st) -> float:
 
 @dataclass(eq=False)
 class KSweepRow:
-    k: float
-    hbar: float
+    """One reported k: its solve's ``SolveResult.metadata()`` and diagnostics; sup_excess_pos = max(0, sup_excess)."""
+
+    record: dict
     entropy_over_k: float
     sup_excess_pos: float
-    lip_norm: float
     aronsson_residual: float
-    converged: bool
 
 
 @dataclass(eq=False)
@@ -184,9 +171,9 @@ def k_sweep(
     times the previous k below k first: one warm stage over a wider jump in
     k can run out of Newton steps.
 
-    Per k the report records hbar, entropy over k, the positive part of the
-    sup excess computed as (1/k) log(max m), the gradient sup norm, and the
-    sharp-limit equation residual.  The solves, their states and their
+    Per k the report records the solve's ``metadata()``, whose iterations
+    count the unreported rungs' steps too, entropy over k, the positive part
+    of the sup excess and the sharp-limit equation residual.  The solves, their states and their
     diagnostics run on ``_solve_grid(ham, grid)``, one time plane for an
     autonomous Hamiltonian.  When the Hamiltonian is one-dimensional,
     autonomous and drift-free, the classical cell-problem value is attached
@@ -204,29 +191,24 @@ def k_sweep(
         cfg = replace(base, k=k)
         res = minimize(ham, plane, cfg, warm_start=res)
         st = evaluate_state(ham, plane, cfg, res)  # one evaluation serves both diagnostics
-        diag = _mather_diagnostics(st, res.m.values, res.hbar, res.converged)
-        sup_pos = max(0.0, math.log(float(np.max(res.m.values))) / k)
-        rows.append(
-            KSweepRow(
-                k=k,
-                hbar=res.hbar,
-                entropy_over_k=diag.entropy_over_k,
-                sup_excess_pos=sup_pos,
-                lip_norm=res.lip_norm,
-                aronsson_residual=_aronsson_residual(st),
-                converged=res.converged,
-            )
-        )
+        diag = _mather_diagnostics(st, res.m.values, res.hbar)
+        rows.append(KSweepRow(res.metadata(), diag.entropy_over_k, max(0.0, diag.sup_excess), _aronsson_residual(st)))
 
     return KSweepReport(rows=rows, hbar_ref=classical_reference(ham, base.momentum(ham.d)[0]))
 
 
 def write_ksweep_csv(report: KSweepReport, path, sidecar: dict | None = None) -> None:
+    """The columns named below per row, then each other field of its record but P (the CLI's sidecar holds P)."""
+    records = [r.record for r in report.rows]
     write_table(
         path,
         ["k", "hbar", "entropy_over_k", "sup_excess_pos", "lip_norm", "aronsson_residual", "converged"],
-        (astuple(r) for r in report.rows),
+        (
+            [rec["k"], rec["hbar"], r.entropy_over_k, r.sup_excess_pos, rec["lip_norm"], r.aronsson_residual, rec["converged"]]
+            for r, rec in zip(report.rows, records)
+        ),
         None if sidecar is None else {"hbar_ref": report.hbar_ref, **sidecar},
+        records=records, shown=("P",),
     )
 
 

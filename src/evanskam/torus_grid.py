@@ -267,15 +267,20 @@ def write_field(path, f: ScalarField, fmt: str = "csv") -> None:
             fh.write(flat.astype("<f8").tobytes())
 
 
-def write_table(path, header: list[str], rows, sidecar: dict | None = None) -> None:
-    """A CSV table of numbers, each float as its repr and each flag as 0 or 1.
+def write_table(path, header: list[str], rows, sidecar: dict | None = None, records=None, shown=()) -> None:
+    """A CSV table of numbers, each float as its repr, each integer as its digits and each flag as 0 or 1.
 
-    ``sidecar``, when given, goes to ``path`` + ".json" (``write_json``).
+    ``records`` holds one dict per row (a ``SolveResult.metadata()``); each key of the first that is neither
+    in ``header`` nor in ``shown`` is a trailing column.  ``sidecar`` goes to ``path`` + ".json" (``write_json``).
     """
+    if records:
+        extra = [key for key in records[0] if key not in header and key not in shown]
+        header = header + extra
+        rows = ([*row, *(rec[key] for key in extra)] for row, rec in zip(rows, records, strict=True))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([int(v) if isinstance(v, (bool, np.bool_)) else repr(float(v)) for v in row] for row in rows)
+        writer.writerows([int(v) if isinstance(v, (int, np.integer, np.bool_)) else repr(float(v)) for v in row] for row in rows)
     if sidecar is not None:
         write_json(str(path) + ".json", sidecar)
 

@@ -258,10 +258,10 @@ def test_criterion_7_limit_trends():
     ham = pendulum_hamiltonian()
     grid = TorusGrid(1, 128, 128)
     rep = k_sweep(ham, grid, (0.0,), [4, 8, 16, 32, 64])
-    hbar = np.array([r.hbar for r in rep.rows])
+    hbar = np.array([r.record["hbar"] for r in rep.rows])
     s_over_k = np.abs([r.entropy_over_k for r in rep.rows])
     aron = np.array([r.aronsson_residual for r in rep.rows])
-    lip = np.array([r.lip_norm for r in rep.rows])
+    lip = np.array([r.record["lip_norm"] for r in rep.rows])
     sup_pos = np.array([r.sup_excess_pos for r in rep.rows])
 
     ref = rep.hbar_ref

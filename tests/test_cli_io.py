@@ -12,6 +12,7 @@ from evanskam import cli_io
 from evanskam.battery import INJECTION_POINTS, run_battery
 from evanskam.cli_io import main
 from evanskam.effective import NonconvexTableError
+from evanskam.evans_solver import SolveResult
 from evanskam.hamiltonians import HamiltonianTable
 from evanskam.torus_grid import read_field
 
@@ -303,7 +304,7 @@ class TestSweepCommand:
         path = write_config(tmp_path, cfg)
         assert main(["sweep", "--config", path]) == 0
         lines = (tmp_path / "out" / "effective_table.csv").read_text().splitlines()
-        assert lines[0] == "P0,hbar,Q0,converged"
+        assert lines[0] == "P0,hbar,Q0,converged,grad_norm,lip_norm,iterations"
         rows = [line.split(",") for line in lines[1:]]
         assert [float(r[0]) for r in rows] == [-1.0, 0.0, 1.0]
         assert np.allclose([float(r[1]) for r in rows], [0.5, 0.0, 0.5], atol=1e-9)
@@ -333,8 +334,7 @@ class TestSweepCommand:
         path = write_config(tmp_path, cfg)
         assert main(["sweep", "--config", path]) == 3
         lines = (tmp_path / "out" / "effective_table.csv").read_text().splitlines()[1:]
-        assert lines[0].endswith(",1")
-        assert lines[1].endswith(",0")
+        assert [line.split(",")[3] for line in lines] == ["1", "0"]  # the converged column
 
     def test_nonconvex_table_skips_legendre_exit_3(self, tmp_path, capsys):
         # one Newton step per stage leaves the k = 256 table nonconvex; the
@@ -504,7 +504,7 @@ class TestLimitCommand:
         assert main(["limit", "--config", write_config(tmp_path, cfg)]) == 3
         rows = [line.split(",") for line in (tmp_path / "out" / "ksweep.csv").read_text().splitlines()[1:]]
         assert [float(row[0]) for row in rows] == [4.0, 16.0]
-        bad = [float(row[0]) for row in rows if row[-1] == "0"]
+        bad = [float(row[0]) for row in rows if row[6] == "0"]  # the converged column
         assert bad
         err = capsys.readouterr().err
         assert f"k-sweep entries did not converge: {bad}\n" in err
@@ -536,6 +536,63 @@ class TestLimitCommand:
         assert "configuration error: limit.P: P must be None or finite numbers, got [[0.0]]" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+
+def as_written(value):
+    """A solve.json or sidecar value as a table writes it: a float's repr, an integer's digits, a flag as 0 or 1."""
+    if isinstance(value, list):
+        return [as_written(v) for v in value]
+    return str(int(value)) if isinstance(value, int) else repr(value)
+
+
+class TestOneRecord:
+    """``solve.json``, ``effective_table.csv`` and ``ksweep.csv`` show one per-solve record, ``SolveResult.metadata()``."""
+
+    @staticmethod
+    def run_all(tmp_path):
+        """solve.json, then the one row and the sidecar of a one-entry sweep and of a one-k limit of the same solve."""
+        cfg = pendulum_config(tmp_path / "out", sweep={"P_grid": [1.5]}, limit={"k_list": [8.0]})
+        cfg["grid"] = {"d": 1, "n_x": 32, "n_t": 8}
+        cfg["solver"] = {"k": 8.0, "P": [1.5]}
+        path = write_config(tmp_path, cfg)
+        for command in ("solve", "sweep", "limit"):
+            assert main([command, "--config", path]) == 0
+        out = tmp_path / "out"
+
+        def table(name):
+            header, row = (out / name).read_text().splitlines()
+            return dict(zip(header.split(","), row.split(","), strict=True)), json.loads((out / f"{name}.json").read_text())
+
+        return json.loads((out / "solve.json").read_text()), table("effective_table.csv"), table("ksweep.csv")
+
+    def test_each_solve_field_reads_alike_in_the_sweep_and_limit_rows(self, tmp_path):
+        # the one cold solve is the sweep's first entry and the limit's first k
+        meta, (sweep, sweep_side), (limit, limit_side) = self.run_all(tmp_path)
+        for key, value in meta.items():
+            # the sweep shows P as its P columns and k in its sidecar, the limit P in its sidecar
+            in_sweep = [sweep["P0"]] if key == "P" else as_written(sweep_side["k"]) if key == "k" else sweep[key]
+            in_limit = as_written(limit_side["P"]) if key == "P" else limit[key]
+            assert as_written(value) == in_sweep == in_limit, key
+
+    def test_headers_extend_the_old_ones(self, tmp_path):
+        # the leading columns keep their names and positions (perfbench reads
+        # ksweep.csv's columns 1 and 6); the rest of the record trails
+        _, (sweep, _), (limit, _) = self.run_all(tmp_path)
+        assert list(sweep) == ["P0", "hbar", "Q0", "converged"] + ["grad_norm", "lip_norm", "iterations"]
+        assert list(limit) == (
+            ["k", "hbar", "entropy_over_k", "sup_excess_pos", "lip_norm", "aronsson_residual", "converged"]
+            + ["grad_norm", "iterations"]
+        )
+        assert sweep["iterations"].isdigit() and limit["iterations"].isdigit()
+
+    def test_a_new_metadata_field_trails_both_tables(self, tmp_path, monkeypatch):
+        metadata = SolveResult.metadata
+        monkeypatch.setattr(SolveResult, "metadata", lambda self: {**metadata(self), "probe": 0.25})
+        meta, (sweep, _), (limit, _) = self.run_all(tmp_path)
+        assert meta["probe"] == 0.25
+        for row in (sweep, limit):
+            assert list(row)[-2:] == ["iterations", "probe"]
+            assert row["probe"] == "0.25"
 
 
 class TestCheckCommand:

@@ -31,10 +31,18 @@ from evanskam.hamiltonians import NyquistError
 from evanskam.torus_grid import TorusGrid
 
 
+def exact_records(k, P_grid, hbar):
+    """Per-entry records as ``SolveResult.metadata()`` lays them out, for a table built by hand: exact solves."""
+    return [
+        {"k": k, "P": P, "hbar": h, "grad_norm": 0.0, "lip_norm": 0.0, "iterations": 0, "converged": True}
+        for P, h in zip(np.asarray(P_grid).tolist(), np.asarray(hbar).tolist())
+    ]
+
+
 def quadratic_table(step=0.1, span=3.0):
     P = np.round(np.arange(-span, span + step / 2, step), 12)
     return EffectiveTable(
-        k=8.0, P_grid=P[:, None], hbar=0.5 * P**2, Q=P[:, None].copy(), converged=np.ones(P.size, bool)
+        k=8.0, P_grid=P[:, None], hbar=0.5 * P**2, Q=P[:, None].copy(), records=exact_records(8.0, P[:, None], 0.5 * P**2)
     )
 
 
@@ -82,8 +90,9 @@ class TestSweep:
         par = sweep_P(ham, grid, 8.0, P_vals, jobs=2)
         assert np.max(np.abs(seq.hbar - par.hbar)) <= 1e-8
 
-    def test_parallel_slices_equal_serial_sweeps_of_each_slice(self):
-        # jobs = 2 cuts five entries into the contiguous slices [0, 3) and [3, 5)
+    def test_parallel_slices_equal_serial_sweeps_of_each_slice(self, tmp_path):
+        # jobs = 2 cuts five entries into the contiguous slices [0, 3) and [3, 5);
+        # every written column, each record's grad_norm and iterations included, matches
         ham, grid = pendulum_hamiltonian(), TorusGrid(1, 32, 8)
         P_vals = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
         par = sweep_P(ham, grid, 8.0, P_vals, jobs=2)
@@ -93,6 +102,13 @@ class TestSweep:
         assert_bitwise(par.Q[:3], seq.Q[:3])
         assert_bitwise(par.hbar[3:], tail.hbar)
         assert_bitwise(par.Q[3:], tail.Q)
+        assert par.records == seq.records[:3] + tail.records
+        lines = {}
+        for name, table in (("par", par), ("seq", seq), ("tail", tail)):
+            write_effective_csv(table, tmp_path / f"{name}.csv")
+            lines[name] = (tmp_path / f"{name}.csv").read_text().splitlines()
+        assert lines["par"][0].endswith(",grad_norm,lip_norm,iterations")
+        assert lines["par"] == lines["seq"][:4] + lines["tail"][1:]
 
     def test_one_entry_per_slice_solves_cold(self):
         # more jobs than entries: min(jobs, n) slices of one entry, each started cold
@@ -380,9 +396,8 @@ class TestLegendre:
 
     def test_nonconvex_table_rejected_with_triple(self):
         P = np.array([-1.0, 0.0, 1.0])
-        tab = EffectiveTable(
-            k=4.0, P_grid=P[:, None], hbar=np.array([0.0, 1.0, 0.0]), Q=P[:, None], converged=np.ones(3, bool)
-        )
+        hbar = np.array([0.0, 1.0, 0.0])
+        tab = EffectiveTable(k=4.0, P_grid=P[:, None], hbar=hbar, Q=P[:, None], records=exact_records(4.0, P[:, None], hbar))
         with pytest.raises(NonconvexTableError) as err:
             legendre_transform(tab, [0.0])
         assert str(err.value) == (
@@ -394,9 +409,8 @@ class TestConvexityGrid:
     @staticmethod
     def table(P):
         P = np.asarray(P, dtype=float).reshape(len(P), -1)
-        return EffectiveTable(
-            k=4.0, P_grid=P, hbar=0.5 * np.sum(P**2, axis=1), Q=P.copy(), converged=np.ones(len(P), bool)
-        )
+        hbar = 0.5 * np.sum(P**2, axis=1)
+        return EffectiveTable(k=4.0, P_grid=P, hbar=hbar, Q=P.copy(), records=exact_records(4.0, P, hbar))
 
     @pytest.mark.parametrize(
         "P",
@@ -466,7 +480,7 @@ class TestRotationConsistency:
             P_grid=np.zeros((4, 2)),
             hbar=np.zeros(4),
             Q=np.zeros((4, 2)),
-            converged=np.ones(4, bool),
+            records=exact_records(1.0, np.zeros((4, 2)), np.zeros(4)),
         )
         with pytest.raises(ValueError):
             rotation_consistency(tab)
@@ -478,11 +492,12 @@ class TestCsv:
         path = tmp_path / "eff.csv"
         write_effective_csv(tab, path, sidecar={"note": 1})
         lines = path.read_text().splitlines()
-        assert lines[0] == "P0,hbar,Q0,converged"
+        assert lines[0] == "P0,hbar,Q0,converged,grad_norm,lip_norm,iterations"
         assert len(lines) == 1 + len(tab)
         first = lines[1].split(",")
         assert float(first[0]) == tab.P_grid[0, 0]
         assert float(first[1]) == tab.hbar[0]
+        assert first[3:] == ["1", "0.0", "0.0", "0"]  # the record's flag, floats and iteration count
         assert (tmp_path / "eff.csv.json").exists()
 
     def test_legendre_csv(self, tmp_path):

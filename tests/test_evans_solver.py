@@ -785,33 +785,37 @@ class TestTimePlane:
         grid, v = TorusGrid(1, 64, 128), rng.normal(size=(64, 1))
         full = v.repeat(128, axis=-1)
         assert np.any(np.add.reduce(full, -1, keepdims=True) / 128 != v)
-        plane, on_plane = evans_solver._on_solve_grid(pendulum_hamiltonian(), grid, full)
+        plane = evans_solver._solve_grid(pendulum_hamiltonian(), grid)
+        on_plane = evans_solver._on_solve_grid(plane, grid, full)
         assert plane == TorusGrid(1, 64, 1)
         assert_bitwise(on_plane, v)
 
     def test_time_dependent_field_moves_to_its_time_mean(self, rng):
         grid = TorusGrid(2, 6, 8)
         v = rng.normal(size=grid.shape)
-        plane, on_plane = evans_solver._on_solve_grid(separable_2d(), grid, v)
+        plane = evans_solver._solve_grid(separable_2d(), grid)
+        on_plane = evans_solver._on_solve_grid(plane, grid, v)
         assert plane == TorusGrid(2, 6, 1)
         assert np.max(np.abs(on_plane - v.mean(axis=-1, keepdims=True))) <= 1e-15
 
     def test_result_moves_as_its_u(self):
         ham, grid, cfg = pendulum_hamiltonian(), TorusGrid(1, 32, 8), SolverConfig(k=8.0, P=(1.0,))
         res = minimize(ham, grid, cfg)
-        plane, u = evans_solver._on_solve_grid(ham, grid, res)
+        plane = evans_solver._solve_grid(ham, grid)
+        u = evans_solver._on_solve_grid(plane, grid, res)
         assert plane == TorusGrid(1, 32, 1)
         assert_bitwise(u, res.u.values[:, :1])
-        assert_bitwise(evans_solver._on_solve_grid(ham, grid, res.m)[1], res.m.values[:, :1])
+        assert_bitwise(evans_solver._on_solve_grid(plane, grid, res.m), res.m.values[:, :1])
         with pytest.raises(ValueError, match="result fields live on a different grid"):
-            evans_solver._on_solve_grid(ham, TorusGrid(1, 32, 4), res)
+            evans_solver._on_solve_grid(plane, TorusGrid(1, 32, 4), res)
 
     @pytest.mark.parametrize("ham, shape", [(pendulum_hamiltonian, (1, 32, 1)), (tc1_hamiltonian, (1, 16, 16))])
     def test_solve_grid_passes_through(self, ham, shape):
         # a one-plane grid, and any grid of a time-dependent Hamiltonian, is its own solve grid
         grid = TorusGrid(*shape)
         res = minimize(ham(), grid, SolverConfig(k=4.0))
-        plane, u = evans_solver._on_solve_grid(ham(), grid, res)
+        plane = evans_solver._solve_grid(ham(), grid)
+        u = evans_solver._on_solve_grid(plane, grid, res)
         assert plane is grid and res.u.grid == res.m.grid == grid
         assert_bitwise(u, res.u.values)
 

@@ -1,4 +1,4 @@
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -29,6 +29,11 @@ from evanskam.mather_limits import (
 )
 from evanskam.mfg_diagnostics import mfg_residuals
 from evanskam.torus_grid import ScalarField, TorusGrid
+
+
+def row_values(row):
+    """Every value of a k-sweep row: its record's, then its diagnostics'."""
+    return [*row.record.values(), *(getattr(row, f.name) for f in fields(row)[1:])]
 
 
 class TestMatherDiagnostics:
@@ -195,8 +200,8 @@ class TestKSweep:
         grid = TorusGrid(1, 16, 16)
         rep = k_sweep(trivial_hamiltonian(), grid, (0.0,), [4, 8, 16])
         for row in rep.rows:
-            assert row.converged
-            assert row.hbar == pytest.approx(0.0, abs=1e-12)
+            assert row.record["converged"]
+            assert row.record["hbar"] == pytest.approx(0.0, abs=1e-12)
             assert row.entropy_over_k == pytest.approx(0.0, abs=1e-12)
             assert row.aronsson_residual <= 1e-10
 
@@ -210,8 +215,8 @@ class TestKSweep:
         grid = TorusGrid(1, 32, 64)
         rep = k_sweep(t1_hamiltonian(), grid, (0.0,), [4, 8, 16])
         for row in rep.rows:
-            assert row.converged
-            assert row.hbar == pytest.approx(0.25, abs=1e-8)
+            assert row.record["converged"]
+            assert row.record["hbar"] == pytest.approx(0.25, abs=1e-8)
             assert abs(row.entropy_over_k) <= 1e-9
             assert row.aronsson_residual <= 1e-8
         assert rep.hbar_ref is None  # drift present, no classical reference
@@ -220,7 +225,7 @@ class TestKSweep:
         grid = TorusGrid(1, 64, 8)
         rep = k_sweep(pendulum_hamiltonian(), grid, (0.0,), [4, 8, 16, 32, 64])
         assert rep.hbar_ref == pytest.approx(1.0, abs=1e-9)
-        hbar = np.array([r.hbar for r in rep.rows])
+        hbar = np.array([r.record["hbar"] for r in rep.rows])
         assert np.all(np.diff(hbar) > 0)
         assert hbar[-1] > 0.8
         s_over_k = np.abs([r.entropy_over_k for r in rep.rows])
@@ -235,33 +240,34 @@ class TestKSweep:
         # 32 and 64 carry it
         ham, grid = tc1_hamiltonian(), TorusGrid(1, 16, 16)
         rep = k_sweep(ham, grid, (0.0,), [8, 128])
-        assert [row.k for row in rep.rows] == [8.0, 128.0]
-        assert all(row.converged for row in rep.rows)
+        assert [row.record["k"] for row in rep.rows] == [8.0, 128.0]
+        assert all(row.record["converged"] for row in rep.rows)
         cold = minimize(ham, grid, SolverConfig(k=128.0, P=(0.0,)))
         assert cold.converged
-        assert abs(rep.rows[-1].hbar - cold.hbar) <= 1e-9
+        assert abs(rep.rows[-1].record["hbar"] - cold.hbar) <= 1e-9
 
     def test_rungs_match_the_public_chain(self):
         # the reported rows equal those of public solves at every doubling
-        # rung, each warm-started from the last solve's u
+        # rung, each warm-started from the last solve's u; a row's iterations
+        # count the Newton steps of its unreported rungs too
         ham, grid = tc1_hamiltonian(), TorusGrid(1, 16, 16)
         rep = k_sweep(ham, grid, (0.0,), [8, 128])
         chain = []
         for k in (8.0, 16.0, 32.0, 64.0, 128.0):
             warm = chain[-1].u if chain else None
             chain.append(minimize(ham, grid, SolverConfig(k=k, P=(0.0,)), warm_start=warm))
-        for row, res in zip(rep.rows, (chain[0], chain[-1])):
+        steps = (chain[0].iterations, sum(res.iterations for res in chain[1:]))
+        for row, res, iterations in zip(rep.rows, (chain[0], chain[-1]), steps):
             cfg = SolverConfig(k=res.k, P=(0.0,))
+            diag = mather_diagnostics(ham, grid, cfg, res)
             expected = KSweepRow(
-                k=res.k,
-                hbar=res.hbar,
-                entropy_over_k=mather_diagnostics(ham, grid, cfg, res).entropy_over_k,
-                sup_excess_pos=max(0.0, np.log(np.max(res.m.values)) / res.k),
-                lip_norm=res.lip_norm,
+                record={**res.metadata(), "iterations": iterations},
+                entropy_over_k=diag.entropy_over_k,
+                sup_excess_pos=max(0.0, diag.sup_excess),
                 aronsson_residual=aronsson_residual(ham, grid, cfg, res.u),
-                converged=res.converged,
             )
-            for x, y in zip(astuple(row), astuple(expected)):
+            assert row.record.keys() == expected.record.keys()
+            for x, y in zip(row_values(row), row_values(expected), strict=True):
                 assert_bitwise(x, y)
 
     def test_autonomous_rows_match_full_grid_diagnostics(self):
@@ -272,18 +278,17 @@ class TestKSweep:
         rep = k_sweep(ham, grid, P, [4, 32])
         res = None
         for row in rep.rows:
-            cfg = SolverConfig(k=row.k, P=P)
+            cfg = SolverConfig(k=row.record["k"], P=P)
             res = minimize(ham, grid, cfg, warm_start=res)
-            expected = replace(
-                row,
-                hbar=res.hbar,
-                entropy_over_k=mather_diagnostics(ham, grid, cfg, res).entropy_over_k,
-                sup_excess_pos=max(0.0, np.log(np.max(res.m.values)) / res.k),
-                lip_norm=res.lip_norm,
+            diag = mather_diagnostics(ham, grid, cfg, res)
+            expected = KSweepRow(
+                record=res.metadata(),
+                entropy_over_k=diag.entropy_over_k,
+                sup_excess_pos=max(0.0, diag.sup_excess),
                 aronsson_residual=aronsson_residual(ham, grid, cfg, res.u),
-                converged=res.converged,
             )
-            for x, y in zip(astuple(row), astuple(expected)):
+            assert row.record.keys() == expected.record.keys()
+            for x, y in zip(row_values(row), row_values(expected), strict=True):
                 assert_bitwise(x, y)
 
     def test_solves_pass_plane_results(self, monkeypatch):
@@ -317,7 +322,7 @@ class TestKSweep:
             rows = k_sweep(h, grid, (1.0,), [4, 8]).rows
             diag = mather_diagnostics(h, grid, cfg, minimize(h, grid, cfg))
             table = sweep_P(h, grid, 8.0, [0.5, 1.0], config=cfg)
-            return [*(x for row in rows for x in astuple(row)), *astuple(diag), table.hbar, table.Q]
+            return [*(x for row in rows for x in row_values(row)), *astuple(diag), table.hbar, table.Q]
 
         for x, y in zip(outputs(ham), outputs(pendulum_hamiltonian()), strict=True):
             assert_bitwise(x, y)
@@ -349,8 +354,9 @@ class TestKSweep:
         path = tmp_path / "ks.csv"
         write_ksweep_csv(rep, path, sidecar={"P": [0.0]})
         lines = path.read_text().splitlines()
-        assert lines[0].startswith("k,hbar,entropy_over_k")
+        assert lines[0] == "k,hbar,entropy_over_k,sup_excess_pos,lip_norm,aronsson_residual,converged,grad_norm,iterations"
         assert len(lines) == 3
+        assert [line.split(",")[-1] for line in lines[1:]] == [str(r.record["iterations"]) for r in rep.rows]
         assert (tmp_path / "ks.csv.json").exists()
 
 

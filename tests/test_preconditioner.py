@@ -7,9 +7,10 @@ most ``_BLOCK_MAX_NODES`` nodes gets the dense block (``_dense_block``), a
 direct solve with the operator plus mu; autonomous d = 2 Hamiltonians are
 solved on one time plane, where it spans the spatial axes, and a grid with
 n_t > 1 gets the whole space-time operator.  Larger solve grids get
-``_pcg_block``, PCG with the m-blind Fourier surrogate, and so do states
-whose direct solve raises or gives a step that is not finite.  Autonomous
-states below are therefore built on ``_solve_grid(ham, grid)``.
+``_pcg_block``, PCG with the m-blind Fourier surrogate.  Autonomous states
+below are therefore built on ``_solve_grid(ham, grid)``.  A direct solve
+that raises or gives no descent step ends the stage with
+``LineSearchError``.
 """
 
 import json
@@ -25,6 +26,7 @@ from evanskam.cli_io import RunConfig
 from evanskam.effective import sweep_P
 from evanskam.evans_solver import (
     _BLOCK_MAX_NODES,
+    LineSearchError,
     SolverConfig,
     _dense_block,
     _flux_block,
@@ -268,9 +270,10 @@ def test_block_steps_where_m_underflows(rng):
     check_symmetric_positive(rng, grid, _fourier_surrogate(st, 1e-11))
 
 
-def test_failed_factor_falls_back_to_the_surrogate(monkeypatch):
-    # a block solve that raises, or returns a step that is not finite, gives
-    # way to PCG with the surrogate in every Newton step
+def test_failed_factor_raises_line_search_error(monkeypatch):
+    # a block solve that raises, returns a step that is not finite, or
+    # returns an ascent step has no descent slope: the first Newton step
+    # raises, with no second step path (PCG or -g) in its place
     def singular(A):
         def solve(r):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -280,14 +283,15 @@ def test_failed_factor_falls_back_to_the_surrogate(monkeypatch):
     def overflowing(A):
         return lambda r: np.full(r.shape, np.nan)
 
+    def ascending(A):
+        return lambda r: -r  # the gradient g itself: slope |g|^2 > 0
+
     counts = pcg_iterations(monkeypatch)
-    for failing in (singular, overflowing):
-        counts.clear()
+    for failing in (singular, overflowing, ascending):
         monkeypatch.setattr(evans_solver, "_block_solve", failing)
-        res = minimize(_battery_hamiltonian(), TorusGrid(1, 16, 16), SolverConfig(k=4.0))
-        assert res.converged
-        assert len(counts) == res.iterations > 0
-        assert min(counts) >= 1
+        with pytest.raises(LineSearchError, match=r"^the Newton step is not a descent direction \(grad_norm=\d\.\d{3}e[+-]\d+\)$"):
+            minimize(_battery_hamiltonian(), TorusGrid(1, 16, 16), SolverConfig(k=4.0))
+    assert counts == []
 
 
 def test_criterion_6_grid_converges_everywhere():

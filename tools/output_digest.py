@@ -31,7 +31,9 @@ temporary directory, and prints one JSON object:
 - for the library k sweeps in ``LIBRARY_K_SWEEPS``, listed ks more than
   twice apart, so the doubling rungs between them run unreported (one
   time-coupled sweep, one autonomous sweep with odd ks): one sha256 per
-  reported row over every field of the row, and the reference value.
+  reported row over every value of its solve record (``SolveResult.metadata()``,
+  in its order) and then every other field of the row, and the reference
+  value.
 
 Two trees produce identical output exactly when these results agree to the
 bit, so ``diff`` of two digests is the whole comparison.
@@ -187,16 +189,19 @@ def library_solves() -> dict:
 
 def library_k_sweeps() -> dict:
     """Run every case of ``LIBRARY_K_SWEEPS`` with the importable evanskam; digest each reported row."""
-    from dataclasses import astuple
+    from dataclasses import fields
 
     from evanskam import TorusGrid
     from evanskam.mather_limits import k_sweep
+
+    def row_values(row):
+        return [*row.record.values(), *(getattr(row, f.name) for f in fields(row) if f.name != "record")]
 
     hams = library_hamiltonians()
     out = {}
     for name, (ham_name, shape, P, ks) in LIBRARY_K_SWEEPS.items():
         rep = k_sweep(hams[ham_name], TorusGrid(*shape), P, ks)
-        out[name] = {"rows": [value_digest(astuple(row)) for row in rep.rows], "hbar_ref": rep.hbar_ref}
+        out[name] = {"rows": [value_digest(row_values(row)) for row in rep.rows], "hbar_ref": rep.hbar_ref}
     return out
 
 
