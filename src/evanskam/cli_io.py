@@ -3,6 +3,13 @@
 Subcommands: solve, sweep, limit, check, oracle.  Exit codes are scriptable:
 0 success, 1 invariant failure, 2 configuration error, 3 non-convergence.
 Outputs are deterministic: identical configs produce bit-identical files.
+
+Every number of a configuration meets the library's own reader once:
+``SolverConfig`` reads the solver block, ``limit.P`` and ``oracle.P``,
+``effective._as_points`` the sweep grids and ``mather_limits._read_k_list``
+the k list.  This module adds only the config key in front of the
+library's message (``_checked``), and refuses every malformed value before
+the output directory exists.
 """
 
 from __future__ import annotations
@@ -20,9 +27,8 @@ from .battery import INJECTION_POINTS, run_battery
 from .effective import (NonconvexTableError, _as_points, _convexity_grid, legendre_transform, sweep_P,
                         write_effective_csv, write_legendre_csv)
 from .evans_solver import SolverConfig, minimize
-from .hamiltonians import (NyquistError, _is_finite_number, _json_fields, _json_integer, check_nyquist,
-                           hamiltonian_from_json)
-from .mather_limits import classical_reference, k_sweep, write_ksweep_csv
+from .hamiltonians import NyquistError, _json_fields, _json_integer, check_nyquist, hamiltonian_from_json
+from .mather_limits import _read_k_list, classical_reference, k_sweep, write_ksweep_csv
 from .mfg_diagnostics import mfg_residuals
 from .torus_grid import GridError, TorusGrid, write_field, write_json
 
@@ -44,19 +50,11 @@ class ConfigError(ValueError):
 _BLOCK_FIELDS = {
     "grid": ("d", "n_x", "n_t"),
     "solver": tuple(SolverConfig.__dataclass_fields__),
-    "output": ("dir", "field_format"),
+    "output": ("dir",),
     "sweep": ("P_grid", "Q_grid"),
     "limit": ("k_list", "P"),
     "oracle": ("P",),
 }
-
-
-def _numeric(value, what: str) -> np.ndarray:
-    """A JSON number, or nested lists of them, as a float array; strings and booleans are not numbers."""
-    bad = [v for v in np.asarray(value, dtype=object).ravel() if not _is_finite_number(v)]
-    if bad:
-        raise ConfigError(f"{what} must hold finite numbers only, got {bad[0]!r}")
-    return np.asarray(value, dtype=float)
 
 
 class RunConfig:
@@ -92,8 +90,6 @@ class RunConfig:
         if "k" not in solver_block:
             raise ConfigError("solver block must set k")
         try:
-            if "max_newton" in solver_block:
-                solver_block["max_newton"] = _json_integer(solver_block["max_newton"], "max_newton")
             self.solver = SolverConfig(**solver_block)
             self.solver.momentum(self.ham.d)
         except (ValueError, TypeError) as exc:
@@ -109,9 +105,6 @@ class RunConfig:
         if not isinstance(out_dir, str):
             raise ConfigError(f"output.dir must be a string, got {out_dir!r}")
         self.out_dir = Path(out_override) if out_override else Path(out_dir)
-        self.field_format = out_block.get("field_format", "csv")
-        if self.field_format not in ("csv", "binary"):
-            raise ConfigError(f"unknown field_format {self.field_format!r}")
 
     def block(self, name: str, required: bool = True) -> dict:
         """Block ``name``'s JSON object, {} where an optional block is absent; an unknown field in it is refused."""
@@ -152,8 +145,7 @@ def _load_config(args) -> RunConfig:
 
 
 def _checked(value, what: str, parse):
-    """``parse(value)`` once ``_numeric`` accepts ``value``; a ValueError from ``parse`` names ``what``."""
-    _numeric(value, what)
+    """``parse(value)``, a library reader's result; its ValueError is refused as a ConfigError named ``what``."""
     try:
         return parse(value)
     except ValueError as exc:
@@ -173,9 +165,8 @@ def cmd_solve(args) -> int:
     report = mfg_residuals(cfg.ham, cfg.grid, cfg.solver, result)
     write_json(out / "solve.json", result.metadata())
     write_json(out / "residuals.json", report.to_json_dict())
-    ext = "csv" if cfg.field_format == "csv" else "bin"
-    write_field(out / f"u.field.{ext}", result.u, cfg.field_format)
-    write_field(out / f"m.field.{ext}", result.m, cfg.field_format)
+    write_field(out / "u.field.csv", result.u)
+    write_field(out / "m.field.csv", result.m)
     if not result.converged:
         print(f"solve did not converge: grad_norm={result.grad_norm:.3e}", file=sys.stderr)
         return EXIT_NONCONVERGED
@@ -221,15 +212,13 @@ def cmd_limit(args) -> int:
     block = cfg.block("limit")
     if "k_list" not in block:
         raise ConfigError("limit block must set k_list")
-    k_list = _numeric(block["k_list"], "limit.k_list")
-    if k_list.ndim != 1 or k_list.size == 0 or not (k_list[0] > 0 and np.all(np.diff(k_list) > 0)):
-        raise ConfigError("limit.k_list must be a nonempty, positive, strictly increasing list")
+    k_list = _checked(block["k_list"], "limit.k_list", _read_k_list)
     P = _block_momentum(cfg, block, "limit.P")
     out = cfg.ensure_out_dir()
     report = k_sweep(cfg.ham, cfg.grid, P, k_list, config=cfg.solver)
     sidecar = {
         "P": list(P),
-        "k_list": [float(k) for k in k_list],
+        "k_list": k_list,
         "grid": {"d": cfg.grid.d, "n_x": cfg.grid.n_x, "n_t": cfg.grid.n_t},
     }
     write_ksweep_csv(report, out / "ksweep.csv", sidecar=sidecar)

@@ -10,6 +10,7 @@ correctness over speed).
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, replace
 from functools import partial
@@ -87,21 +88,25 @@ _POINT_KINDS = {"P": ("momentum", "P must be None or finite numbers"), "Q": ("ve
 def _as_points(values, d: int, kind: str = "P") -> np.ndarray:
     """``values`` as (n, d) rows of momenta (``kind`` "P") or velocities ("Q"), refused in the kind's words.
 
-    A boolean, a string or a non-finite entry raises ValueError(the kind's refusal, row).
+    Every entry is checked before any is converted.  A value that is not a
+    nonempty list of rows of d entries (a string, a dict, a ragged list)
+    raises ValueError naming the shape; a row with a boolean, a string, a
+    list or a non-finite entry raises ValueError(the kind's refusal, row),
+    the row shown as a float array where all its entries are floats.
     """
     noun, refusal = _POINT_KINDS[kind]
-    pts = np.asarray(values, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or len(pts) == 0:
-        raise ValueError(f"expected a nonempty list of {noun} vectors, got shape {pts.shape}")
-    if pts.shape[1] != d:
-        raise ValueError(f"{noun} vectors have dimension {pts.shape[1]}, expected {d}")
-    for row, given in zip(pts, np.asarray(values, dtype=object).reshape(pts.shape)):
-        if not all(map(_is_finite_number, given)):
-            shown = given.tolist() if np.isfinite(row).all() else row
+    given = np.asarray(values, dtype=object)  # a ragged list gives a 1-d array of lists
+    if given.ndim == 1:
+        given = given[:, None]
+    if given.ndim != 2 or len(given) == 0:
+        raise ValueError(f"expected a nonempty list of {noun} vectors, got shape {given.shape}")
+    if given.shape[1] != d:
+        raise ValueError(f"{noun} vectors have dimension {given.shape[1]}, expected {d}")
+    for row in given:
+        if not all(map(_is_finite_number, row)):
+            shown = row.astype(float) if all(isinstance(v, float) for v in row) else row.tolist()
             raise ValueError(f"{refusal}, got {shown!r}")
-    return pts
+    return given.astype(float)
 
 
 def _secant_coefficient(P0: list[float], P1: list[float], P2: list[float]) -> float:
@@ -152,13 +157,15 @@ def sweep_P(
     a ``_chain`` on each in a process pool of at most ``os.cpu_count()``
     workers: each slice's rows equal a serial sweep of that slice bit for bit,
     on any machine.  Failed entries are flagged and the sweep continues.
-    Every entry runs at ``k``; a Nyquist violation, then a malformed k or P, is refused before any solve.
+    Every entry runs at ``k``, read as ``SolverConfig`` reads it.  A Nyquist
+    violation, then a malformed k, P or ``jobs`` (anything but a positive
+    integer, booleans included), raises ValueError before any solve.
     """
     _grid_table(ham, _solve_grid(ham, grid))  # the Nyquist gate
-    base = config if config is not None else SolverConfig(k=k)
-    if base.k != k:
-        base = replace(base, k=k)
+    base = replace(config, k=k) if config is not None else SolverConfig(k=k)
     pts = _as_points(P_values, ham.d)
+    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
     if jobs > 1:
         # imported here: the process pool drags in multiprocessing, which
         # every CLI process would otherwise pay for at start-up
@@ -170,7 +177,7 @@ def sweep_P(
     else:
         results = _chain(ham, grid, base, pts)
     records = [res.metadata() for res in results]
-    return EffectiveTable(k=k, P_grid=pts, hbar=np.array([rec["hbar"] for rec in records]),
+    return EffectiveTable(k=base.k, P_grid=pts, hbar=np.array([rec["hbar"] for rec in records]),
                           Q=np.array([res.rotation for res in results]), records=records)
 
 

@@ -40,7 +40,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hamiltonians import ChiParams, HamiltonianTable, MechanicalHamiltonian, _is_finite_number, check_nyquist
+from .hamiltonians import (ChiParams, HamiltonianTable, MechanicalHamiltonian, _finite_float, _is_finite_number,
+                           _json_integer, check_nyquist)
 from .torus_grid import ScalarField, TorusGrid, antiderivative_matrix, derivative_matrix
 
 __all__ = [
@@ -92,7 +93,10 @@ class SolverConfig:
     ``P`` is the constant momentum shift (one entry per spatial axis); the
     shift enters as grad u -> P + grad u, which keeps every iterate periodic.
     Given as None, a number or a flat sequence, it is stored as None or a
-    tuple of floats, so equal shifts compare and hash equal.
+    tuple of floats.  ``k`` and ``grad_tol`` are stored as floats and
+    ``max_newton`` as an int (16.0 counts as 16; 16.5, strings and booleans
+    are refused), so equal configs compare and hash equal and every field
+    is JSON-ready.
     The solve minimizes the plain objective J with the spectral derivative
     (``torus_grid.derivative_matrix``); the CG forcing floor and the CG cap
     are module constants.
@@ -104,11 +108,8 @@ class SolverConfig:
     max_newton: int = 60
 
     def __post_init__(self) -> None:
-        for name in ("k", "grad_tol"):
-            if not _is_finite_number(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-        if not isinstance(self.max_newton, (int, np.integer)) or isinstance(self.max_newton, bool):
-            raise ValueError(f"max_newton must be an integer, got {self.max_newton!r}")
+        for name, parse in (("k", _finite_float), ("grad_tol", _finite_float), ("max_newton", _json_integer)):
+            object.__setattr__(self, name, parse(getattr(self, name), name))
         if self.P is not None:
             object.__setattr__(self, "P", _momentum_tuple(self.P))
         if self.k <= 0:

@@ -364,14 +364,14 @@ def _is_finite_number(v) -> bool:
 
 
 def _finite_float(value, what: str) -> float:
-    """A finite number (of a JSON config, or a k of a sweep) as a float; strings, booleans and NaN raise ValueError."""
+    """A finite number (of a JSON config or ``SolverConfig``) as a float; strings, booleans and NaN raise ValueError."""
     if not _is_finite_number(value):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
 
 def _json_integer(value, what: str) -> int:
-    """An integral number of a JSON config (16 or 16.0) as an int; 16.7, strings and booleans raise ValueError."""
+    """An integral number (16 or 16.0, of a config or ``SolverConfig``) as an int; 16.7, strings and booleans raise ValueError."""
     if not (_is_finite_number(value) and float(value).is_integer()):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)

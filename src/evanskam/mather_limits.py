@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .evans_solver import SolveResult, SolverConfig, _grid_table, _on_solve_grid, _solve_grid, evaluate_state, minimize
-from .hamiltonians import FourierSpec, MechanicalHamiltonian, _finite_float
+from .hamiltonians import FourierSpec, MechanicalHamiltonian
 from .torus_grid import TorusGrid, write_table
 
 __all__ = [
@@ -157,6 +157,22 @@ class KSweepReport:
     hbar_ref: float | None
 
 
+def _read_k_list(k_list) -> list[float]:
+    """``k_list`` as floats, each k read as ``SolverConfig`` reads k (a finite, positive number).
+
+    A value that is not a list, tuple or 1-d array, or a k that is not a
+    number (a nested list included), raises ValueError, as does a list that
+    is empty or not strictly increasing.
+    """
+    given = k_list.tolist() if isinstance(k_list, np.ndarray) else k_list
+    if not isinstance(given, (list, tuple)):
+        raise ValueError(f"k_list must be a list of numbers, got {k_list!r}")
+    ks = [SolverConfig(k=k).k for k in given]
+    if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError("k_list must be nonempty and strictly increasing")
+    return ks
+
+
 def k_sweep(
     ham: MechanicalHamiltonian,
     grid: TorusGrid,
@@ -177,13 +193,12 @@ def k_sweep(
     diagnostics run on ``_solve_grid(ham, grid)``, one time plane for an
     autonomous Hamiltonian.  When the Hamiltonian is one-dimensional,
     autonomous and drift-free, the classical cell-problem value is attached
-    as the reference.  A Nyquist violation, then a malformed k or P, is refused before any solve.
+    as the reference.  A Nyquist violation, then a malformed k list (``_read_k_list``) or P, is refused
+    before any solve.
     """
     plane = _solve_grid(ham, grid)
     _grid_table(ham, plane)  # the Nyquist gate
-    ks = [_finite_float(k, "k") for k in k_list]
-    if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValueError("k_list must be nonempty and strictly increasing")
+    ks = _read_k_list(k_list)
     base = replace(config if config is not None else SolverConfig(k=ks[0]), P=P)
     rows: list[KSweepRow] = []
     res = None

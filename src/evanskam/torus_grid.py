@@ -58,13 +58,15 @@ class GridError(ValueError):
 def derivative_matrix(n: int) -> np.ndarray:
     """The spectral first-derivative matrix on n periodic nodes, cached and read-only.
 
-    D_ij = pi*(-1)^(i-j)*cot(pi*(i-j)/n), Nyquist mode dropped (Trefethen,
-    Spectral Methods in MATLAB, ch. 3).  Offsets k and n - k take opposite
-    weights from one evaluation, so D^T = -D to the bit.
+    D_ij = pi*(-1)^(i-j)*cot(pi*(i-j)/n) for even n, Nyquist mode dropped,
+    and pi*(-1)^(i-j)/sin(pi*(i-j)/n) for odd n, which has no Nyquist mode
+    (Trefethen, Spectral Methods in MATLAB, ch. 3): exact on every mode
+    below n/2.  Offsets k and n - k take opposite weights from one
+    evaluation, so D^T = -D to the bit.
     """
     col = np.zeros(n)  # the weight at offset i - j; the Nyquist offset n/2 keeps 0
     k = np.arange(1, (n + 1) // 2)
-    col[k] = np.pi * (-1.0) ** k / np.tan(np.pi * k / n)
+    col[k] = np.pi * (-1.0) ** k / (np.tan(np.pi * k / n) if n % 2 == 0 else np.sin(np.pi * k / n))
     col[n - k] = -col[k]
     return _skew_circulant(col)
 
@@ -237,34 +239,17 @@ class ScalarField:
 
 # -- serialization -----------------------------------------------------------
 #
-# Dump format: one JSON header line, then node values in row-major, time-last
-# order, either one decimal repr per line ("csv") or raw little-endian float64
-# ("binary").  Both round-trip bit-exactly.
+# Dump format ("csv"): one JSON header line, then the node values in
+# row-major, time-last order, one decimal repr per line.  It round-trips
+# bit-exactly.
 
 
-def _header(grid: TorusGrid, fmt: str) -> dict:
-    return {
-        "d": grid.d,
-        "n_x": grid.n_x,
-        "n_t": grid.n_t,
-        "ordering": _ORDERING,
-        "format": fmt,
-    }
-
-
-def write_field(path, f: ScalarField, fmt: str = "csv") -> None:
-    if fmt not in ("csv", "binary"):
-        raise GridError(f"unknown field format {fmt!r}")
-    header = json.dumps(_header(f.grid, fmt), sort_keys=True)
-    flat = f.values.ravel(order="C")
-    if fmt == "csv":
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            fh.writelines(repr(float(v)) + "\n" for v in flat)
-    else:
-        with open(path, "wb") as fh:
-            fh.write((header + "\n").encode("ascii"))
-            fh.write(flat.astype("<f8").tobytes())
+def write_field(path, f: ScalarField) -> None:
+    """``f`` as a field dump: its grid's header, then one repr per node."""
+    header = {"d": f.grid.d, "n_x": f.grid.n_x, "n_t": f.grid.n_t, "ordering": _ORDERING, "format": "csv"}
+    with open(path, "w") as fh:
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        fh.writelines(repr(float(v)) + "\n" for v in f.values.ravel(order="C"))
 
 
 def write_table(path, header: list[str], rows, sidecar: dict | None = None, records=None, shown=()) -> None:
@@ -292,15 +277,15 @@ def write_json(path, obj) -> None:
 
 
 def read_field(path) -> ScalarField:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("ascii"))
+    """The field of a ``write_field`` dump; another ordering or format, or a wrong count of values, raises GridError."""
+    with open(path, encoding="ascii") as fh:
+        header = json.loads(fh.readline())
         grid = TorusGrid(d=header["d"], n_x=header["n_x"], n_t=header["n_t"])
         if header.get("ordering") != _ORDERING:
             raise GridError(f"unsupported ordering {header.get('ordering')!r}")
-        if header.get("format") == "binary":
-            vals = np.frombuffer(fh.read(), dtype="<f8").astype(float)
-        else:
-            vals = np.array([float(tok) for tok in fh.read().decode("ascii").split()])
+        if header.get("format") != "csv":
+            raise GridError(f"unsupported format {header.get('format')!r}")
+        vals = np.array([float(tok) for tok in fh.read().split()])
     if vals.size != grid.n_nodes:
         raise GridError(f"expected {grid.n_nodes} values, found {vals.size}")
     return ScalarField(grid, vals.reshape(grid.shape))

@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evanskam import cli_io
+from evanskam import battery, cli_io
 from evanskam.battery import INJECTION_POINTS, run_battery
 from evanskam.cli_io import main
 from evanskam.effective import NonconvexTableError
 from evanskam.evans_solver import SolveResult
-from evanskam.hamiltonians import HamiltonianTable
+from evanskam.hamiltonians import ChiVerificationError, HamiltonianTable
 from evanskam.torus_grid import read_field
 
 
@@ -279,13 +279,25 @@ class TestSolveCommand:
         assert main(["solve", "--config", path, "--out", str(out)]) == 0
         assert (out / "solve.json").exists()
 
-    def test_binary_field_format(self, tmp_path):
+    def test_binary_field_format(self, tmp_path, capsys):
+        # csv is the one field format: field_format is an unknown output field
         cfg = t1_config(tmp_path / "out")
         cfg["output"]["field_format"] = "binary"
-        path = write_config(tmp_path, cfg)
-        assert main(["solve", "--config", path]) == 0
-        u = read_field(tmp_path / "out" / "u.field.bin")
-        assert u.grid.n_t == 64
+        assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "configuration error: unknown output fields: ['field_format']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_k_writes_the_files_of_its_float(self, tmp_path):
+        # SolverConfig stores k as a float: "k": 16 used to write "k": 16 into solve.json
+        written = []
+        for k in (16, 16.0):
+            out = tmp_path / f"out-{k!r}"
+            cfg = pendulum_config(out, grid={"d": 1, "n_x": 16, "n_t": 4})
+            cfg["solver"] = {"k": k, "P": [2.0]}
+            assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 0
+            written.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert written[0] == written[1]
+        assert json.loads(written[0]["solve.json"])["k"] == 16.0
 
     def test_determinism_bit_identical(self, tmp_path):
         path = write_config(tmp_path, pendulum_config(tmp_path / "a"))
@@ -653,6 +665,16 @@ class TestCheckCommand:
         assert f"FAIL  {name}" in captured.out
         assert captured.err.strip() == f"failed invariants: {name}"
 
+    def test_failed_chi_bound_fails_the_lipschitz_certificate(self, monkeypatch):
+        # the certificate is built from chi: without a verified chi it cannot pass
+        def violated(*args, **kwargs):
+            raise ChiVerificationError("|b| = 100.0 exceeds chi(|q|) = 0.0")
+
+        monkeypatch.setattr(battery, "chi_bound", violated)
+        failed = [r for r in run_battery(seed=0) if not r.passed]
+        assert [r.name for r in failed] == ["chi-bound-verification", "lipschitz-certificate"]
+        assert failed[0].detail == "|b| = 100.0 exceeds chi(|q|) = 0.0"
+
     def test_hamiltonian_derivatives_sees_H_t(self, monkeypatch):
         # the injection point of hamiltonian-derivatives flips H_p; a sign
         # error in the eta' term of H_t must fail that check too, and only it
@@ -741,35 +763,68 @@ class TestOracleCommand:
 
 
 class TestNumericBlocks:
+    """Each number meets the library's own reader; the CLI puts the config key in front of its message."""
+
+    @staticmethod
+    def refused(tmp_path, capsys, command, field, value) -> str:
+        """The stderr of ``command`` on a config whose ``command.field`` is ``value``, which must exit 2 early."""
+        block = {"oracle": {}, "limit": {"k_list": [4, 8], "P": [0.0]}, "sweep": {"P_grid": [0.0, 0.5, 1.0]}}[command]
+        cfg = pendulum_config(tmp_path / "out", grid={"d": 1, "n_x": 16, "n_t": 4})
+        cfg[command] = {**block, field: value}
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+        return captured.err
+
     @pytest.mark.parametrize(
-        "command, field, value",
+        "command, field, value, message",
         [
-            ("oracle", "P", "2.0"),
-            ("oracle", "P", True),
-            ("limit", "k_list", ["4", "8"]),
-            ("limit", "k_list", [True, 8]),
-            ("limit", "P", ["2.0"]),
-            ("limit", "P", True),
-            ("sweep", "P_grid", ["0.0", "0.5", "1.0"]),
-            ("sweep", "P_grid", [False, True, 0.5]),
-            ("sweep", "Q_grid", ["0.0"]),
-            ("sweep", "Q_grid", [True]),
+            ("oracle", "P", "2.0", "P must be None or finite numbers, got '2.0'"),
+            ("oracle", "P", True, "P must be None or finite numbers, got True"),
+            ("limit", "k_list", ["4", "8"], "k must be a finite number, got '4'"),
+            ("limit", "k_list", [True, 8], "k must be a finite number, got True"),
+            ("limit", "P", ["2.0"], "P must be None or finite numbers, got ['2.0']"),
+            ("limit", "P", True, "P must be None or finite numbers, got True"),
+            ("sweep", "P_grid", ["0.0", "0.5", "1.0"], "P must be None or finite numbers, got ['0.0']"),
+            ("sweep", "P_grid", [False, True, 0.5], "P must be None or finite numbers, got [False]"),
+            ("sweep", "Q_grid", ["0.0"], "Q must be finite numbers, got ['0.0']"),
+            ("sweep", "Q_grid", [True], "Q must be finite numbers, got [True]"),
         ],
         ids=[
             "string-oracle-P", "bool-oracle-P", "string-k-list", "bool-k-list", "string-limit-P", "bool-limit-P",
             "string-P-grid", "bool-P-grid", "string-Q-grid", "bool-Q-grid",
         ],
     )
-    def test_string_or_boolean_exit_2(self, tmp_path, capsys, command, field, value):
+    def test_string_or_boolean_exit_2(self, tmp_path, capsys, command, field, value, message):
         # numpy converts "2.0" and true to numbers; JSON strings and booleans are not
-        block = {"oracle": {}, "limit": {"k_list": [4, 8], "P": [0.0]}, "sweep": {"P_grid": [0.0, 0.5, 1.0]}}[command]
-        cfg = pendulum_config(tmp_path / "out", grid={"d": 1, "n_x": 16, "n_t": 4})
-        cfg[command] = {**block, field: value}
-        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
-        captured = capsys.readouterr()
-        assert f"configuration error: {command}.{field} must hold finite numbers only" in captured.err
-        assert captured.out == ""
-        assert not (tmp_path / "out").exists()
+        err = self.refused(tmp_path, capsys, command, field, value)
+        assert f"configuration error: {command}.{field}: {message}\n" in err
+
+    @pytest.mark.parametrize(
+        "command, field, value, message",
+        [
+            ("sweep", "P_grid", {"a": 1.0}, "expected a nonempty list of momentum vectors, got shape ()"),
+            ("sweep", "P_grid", "abc", "expected a nonempty list of momentum vectors, got shape ()"),
+            ("sweep", "P_grid", [[0.0], [0.5, 1.0]], "P must be None or finite numbers, got [[0.0]]"),
+            ("sweep", "Q_grid", [[0.0], [0.5, 1.0]], "Q must be finite numbers, got [[0.0]]"),
+            ("limit", "k_list", 4, "k_list must be a list of numbers, got 4"),
+            ("limit", "k_list", [[4, 8]], "k must be a finite number, got [4, 8]"),
+            ("limit", "k_list", [], "k_list must be nonempty and strictly increasing"),
+            ("limit", "k_list", [0, 4], "k must be positive, got 0.0"),
+            ("limit", "P", {"a": 1.0}, "P must be None or finite numbers, got {'a': 1.0}"),
+            ("oracle", "P", [[0.0], [0.5, 1.0]], "P must be None or finite numbers, got [[0.0], [0.5, 1.0]]"),
+        ],
+        ids=[
+            "dict-P-grid", "string-P-grid", "ragged-P-grid", "ragged-Q-grid", "scalar-k-list", "nested-k-list",
+            "empty-k-list", "zero-k", "dict-limit-P", "ragged-oracle-P",
+        ],
+    )
+    def test_malformed_shape_exit_2(self, tmp_path, capsys, command, field, value, message):
+        # numpy alone raises TypeError on a dict and its own ValueError on a string or a ragged list
+        err = self.refused(tmp_path, capsys, command, field, value)
+        assert f"configuration error: {command}.{field}: {message}\n" in err
+        assert "Traceback" not in err
 
 
 class TestUnknownFields:

@@ -277,6 +277,16 @@ class TestSweep:
         assert str(info.value) == f"P must be None or finite numbers, got {shown}"
         assert calls == []
 
+    @pytest.mark.parametrize("jobs", [0, -1, True, 2.5, 2.0, "2", None])
+    def test_jobs_must_be_a_positive_integer(self, monkeypatch, jobs):
+        # read as --jobs is read: 0, -1 and True used to run serially and 2.5 two slices
+        calls = self.recorded_calls(monkeypatch)
+        with pytest.raises(ValueError) as info:
+            sweep_P(pendulum_hamiltonian(), TorusGrid(1, 16, 4), 4.0, [0.0, 0.5, 1.0], jobs=jobs)
+        assert info.type is ValueError
+        assert str(info.value) == f"jobs must be a positive integer, got {jobs!r}"
+        assert calls == []
+
     def test_entries_run_at_the_k_argument_not_the_config_k(self, monkeypatch):
         calls = []
         solve = effective.minimize
@@ -482,7 +492,13 @@ class TestRotationConsistency:
             Q=np.zeros((4, 2)),
             records=exact_records(1.0, np.zeros((4, 2)), np.zeros(4)),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^rotation consistency is defined for d=1 tables$"):
+            rotation_consistency(tab)
+
+    def test_three_entries_needed(self):
+        tab = quadratic_table(step=0.5, span=0.25)
+        assert len(tab) == 2
+        with pytest.raises(ValueError, match="^need at least 3 entries$"):
             rotation_consistency(tab)
 
 

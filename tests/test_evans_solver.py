@@ -90,6 +90,7 @@ class TestSolverConfig:
             ("P", (math.nan,)),
             ("P", [math.inf]),
             ("P", -math.inf),
+            ("max_newton", 0),
         ],
     )
     def test_malformed_fields_rejected(self, field, value):
@@ -99,6 +100,17 @@ class TestSolverConfig:
     def test_well_formed_fields_accepted(self):
         cfg = SolverConfig(k=8, max_newton=np.int64(5))
         assert (cfg.k, cfg.max_newton) == (8, 5)
+
+    def test_numbers_stored_in_one_representation(self):
+        # k and grad_tol as floats, max_newton as an int: k = np.int64(16) used
+        # to make json.dumps of the solve's metadata raise TypeError
+        given = [(16, 1e-9, 60), (np.int64(16), np.float64(1e-9), 60.0), (16.0, 1e-9, np.int64(60))]
+        cfgs = [SolverConfig(k=k, P=0.5, grad_tol=tol, max_newton=n) for k, tol, n in given]
+        assert all((type(c.k), type(c.grad_tol), type(c.max_newton)) == (float, float, int) for c in cfgs)
+        assert all(c == cfgs[0] for c in cfgs)
+        assert len({hash(c) for c in cfgs}) == 1
+        grid = TorusGrid(1, 16, 1)
+        assert len({json.dumps(minimize(pendulum_hamiltonian(), grid, c).metadata()) for c in cfgs}) == 1
 
     def test_momentum_resolution(self):
         cfg = SolverConfig(k=1.0)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -16,6 +17,7 @@ from conftest import (
 )
 from evanskam.evans_solver import SolverConfig, evaluate_state
 from evanskam.hamiltonians import (
+    ChiVerificationError,
     FourierSpec,
     HamiltonianTable,
     MechanicalHamiltonian,
@@ -52,6 +54,9 @@ class TestFourierSpec:
         spec = FourierSpec.build(2, [((1, 0), 1.0, 0.0)])
         with pytest.raises(ValueError):
             spec.evaluate(np.zeros(3))
+        for axis in (-1, 2):
+            with pytest.raises(ValueError, match=f"^axis {axis} out of range for arity 2$"):
+                spec.partial(axis)
 
     def test_max_freq_and_depends_on(self):
         spec = FourierSpec.build(2, [((1, 0), 1.0, 0.0), ((2, -3), 0.0, 1.0)])
@@ -63,6 +68,23 @@ class TestFourierSpec:
         spec = FourierSpec.build(2, [((1, 0), 1.0, 0.5), ((0, 2), -0.25, 0.0)])
         back = FourierSpec.from_json_obj(spec.to_json_obj(), 2)
         assert back == spec
+
+
+class TestMechanicalHamiltonian:
+    @pytest.mark.parametrize(
+        "d, eta_arities, V_arity, message",
+        [
+            (3, (1, 1, 1), 4, "spatial dimension must be 1 or 2, got 3"),
+            (2, (1,), 3, "expected 2 eta components, got 1"),
+            (1, (2,), 2, "eta components must be functions of time alone"),
+            (1, (1,), 3, "V must have arity d+1=2, got 3"),
+        ],
+        ids=["dimension", "eta-count", "eta-arity", "V-arity"],
+    )
+    def test_malformed_parts_refused(self, d, eta_arities, V_arity, message):
+        eta = tuple(FourierSpec.zero(a) for a in eta_arities)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MechanicalHamiltonian(d=d, eta=eta, V=FourierSpec.zero(V_arity))
 
 
 class TestEvaluate:
@@ -261,6 +283,13 @@ class TestChiBound:
             q = rng.uniform(-8, 8, size=2)
             _, _, b = drift_diffusion(ham, 4.0, z, q)
             assert abs(b) <= chi(float(np.linalg.norm(q))) + 1e-9
+
+    def test_violated_bound_raises_with_the_sample(self, monkeypatch):
+        # a drift of 100 everywhere exceeds the trivial Hamiltonian's bound chi = 0 at the first sample
+        monkeypatch.setattr(HamiltonianTable, "drift", lambda table, w: np.full(np.shape(table.V_t), 100.0))
+        with pytest.raises(ChiVerificationError) as info:
+            chi_bound(trivial_hamiltonian(), TorusGrid(1, 8, 8))
+        assert str(info.value).startswith("|b| = 100.0 exceeds chi(|q|) = 0.0 at z=(0.0, 0.0), q=[")
 
     def test_shrunken_bound_is_violated(self):
         # negative control: a deliberately undersized chi fails on a sample the

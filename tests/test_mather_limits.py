@@ -1,3 +1,4 @@
+import re
 from dataclasses import astuple, fields, replace
 
 import numpy as np
@@ -205,7 +206,9 @@ class TestKSweep:
             assert row.entropy_over_k == pytest.approx(0.0, abs=1e-12)
             assert row.aronsson_residual <= 1e-10
 
-    @pytest.mark.parametrize("k_list", [[], [8, 4], [4, 4]], ids=["empty", "decreasing", "repeated"])
+    @pytest.mark.parametrize(
+        "k_list", [[], [8, 4], [4, 4], np.array([8.0, 4.0])], ids=["empty", "decreasing", "repeated", "array"]
+    )
     def test_k_list_must_be_nonempty_and_increasing(self, k_list):
         # an empty list used to raise IndexError from ks[0]
         with pytest.raises(ValueError, match="k_list must be nonempty and strictly increasing"):
@@ -329,8 +332,8 @@ class TestKSweep:
 
     @pytest.mark.parametrize(
         "k_list, shown",
-        [(["4", "8"], "'4'"), ([4, True], "True"), ([4, np.nan], "nan"), ([4, np.inf], "inf")],
-        ids=["strings", "boolean", "nan", "infinite"],
+        [(["4", "8"], "'4'"), ([4, True], "True"), ([4, np.nan], "nan"), ([4, np.inf], "inf"), ([[4, 8]], "[4, 8]")],
+        ids=["strings", "boolean", "nan", "infinite", "nested"],
     )
     def test_malformed_k_refused_before_any_solve(self, monkeypatch, k_list, shown):
         # read as SolverConfig reads k: the parent ran "4" and "8" as 4 and 8,
@@ -341,6 +344,23 @@ class TestKSweep:
             k_sweep(pendulum_hamiltonian(), TorusGrid(1, 16, 4), (0.5,), k_list)
         assert info.type is ValueError
         assert str(info.value) == f"k must be a finite number, got {shown}"
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "k_list, message",
+        [
+            (4, "k_list must be a list of numbers, got 4"),
+            ("48", "k_list must be a list of numbers, got '48'"),
+            ([0, 4], "k must be positive, got 0.0"),
+        ],
+        ids=["number", "string", "zero"],
+    )
+    def test_k_list_read_as_solver_config_reads_k(self, monkeypatch, k_list, message):
+        # one reader for k_sweep and the CLI's limit.k_list: a list of ks, each read as SolverConfig reads k
+        calls = []
+        monkeypatch.setattr(mather_limits, "minimize", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            k_sweep(pendulum_hamiltonian(), TorusGrid(1, 16, 4), (0.5,), k_list)
         assert calls == []
 
     def test_increasing_k_required(self):

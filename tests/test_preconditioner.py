@@ -497,3 +497,14 @@ def test_solve_above_the_cap_runs_pcg(monkeypatch):
     assert res.converged
     assert len(counts) == res.iterations
     assert min(counts) >= 1
+
+
+def test_pcg_on_a_zero_right_hand_side():
+    # a zero right-hand side is solved by the zero step at once, with no apply
+    def never(_):
+        raise AssertionError("applied")
+
+    grid = TorusGrid(1, 8, 4)
+    x, iterations = evans_solver._pcg(never, never, grid.zeros(), grid, 1e-8)
+    assert iterations == 0
+    assert np.array_equal(x, grid.zeros())

@@ -246,6 +246,17 @@ class TestKernelBits:
                     err = np.max(np.abs(g.deriv(u, axis) - ref))
                     assert err <= 1e-14 * np.max(np.abs(ref)), (g, axis, err)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 9, 16, 64, 65, 255, 256])
+    def test_derivative_matrix_is_exact_below_half_the_nodes(self, n):
+        # odd n has no Nyquist mode: its weights are pi*(-1)^k/sin(pi*k/n), not the
+        # even-n cot weights, which missed sin(2 pi x) by 0.35 at n = 7
+        D = torus_grid.derivative_matrix(n)
+        x = np.arange(n) / n
+        for m in range(1, (n + 1) // 2):  # every mode below n/2
+            phase = 2 * np.pi * m * x
+            for f, df in ((np.sin(phase), np.cos(phase)), (np.cos(phase), -np.sin(phase))):
+                assert np.max(np.abs(D @ f - 2 * np.pi * m * df)) <= 1e-12 * 2 * np.pi * m, (n, m)
+
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 16, 32, 64, 65, 128, 256])
     def test_derivative_matrix_is_exactly_odd(self, n):
         D = torus_grid.derivative_matrix(n)
@@ -407,12 +418,11 @@ class TestFieldTypes:
 
 
 class TestFieldIO:
-    @pytest.mark.parametrize("fmt", ["csv", "binary"])
-    def test_bit_exact_round_trip(self, fmt, tmp_path, rng):
+    def test_bit_exact_round_trip(self, tmp_path, rng):
         g = TorusGrid(1, 8, 6)
         f = ScalarField(g, rng.normal(size=g.shape) * np.pi)
-        path = tmp_path / f"field.{fmt}"
-        write_field(path, f, fmt)
+        path = tmp_path / "field.csv"
+        write_field(path, f)
         back = read_field(path)
         assert back.grid == g
         assert np.array_equal(back.values, f.values)  # bit exact
@@ -420,14 +430,37 @@ class TestFieldIO:
     def test_header_contents(self, tmp_path):
         g = TorusGrid(2, 4, 6)
         path = tmp_path / "f.csv"
-        write_field(path, ScalarField(g, np.zeros(g.shape)), "csv")
+        write_field(path, ScalarField(g, np.zeros(g.shape)))
         header = json.loads(path.read_text().splitlines()[0])
         assert header == {"d": 2, "n_x": 4, "n_t": 6, "ordering": "row-major, time-last", "format": "csv"}
+
+    def test_format_argument_refused(self, tmp_path):
+        # csv is the one field format
+        g = TorusGrid(1, 4, 4)
+        with pytest.raises(TypeError):
+            write_field(tmp_path / "f.bin", ScalarField(g, np.zeros(g.shape)), "binary")
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("format", "binary", "unsupported format 'binary'"),
+            ("ordering", "column-major", "unsupported ordering 'column-major'"),
+        ],
+        ids=["format", "ordering"],
+    )
+    def test_foreign_header_refused(self, tmp_path, key, value, message):
+        g = TorusGrid(1, 4, 4)
+        path = tmp_path / "f.csv"
+        write_field(path, ScalarField(g, np.zeros(g.shape)))
+        header, *values = path.read_text().splitlines()
+        path.write_text("\n".join([json.dumps({**json.loads(header), key: value}), *values]) + "\n")
+        with pytest.raises(GridError, match=f"^{message}$"):
+            read_field(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         g = TorusGrid(1, 4, 4)
         path = tmp_path / "f.csv"
-        write_field(path, ScalarField(g, np.zeros(g.shape)), "csv")
+        write_field(path, ScalarField(g, np.zeros(g.shape)))
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(GridError):

@@ -4,10 +4,15 @@
 
 Each TREE is a checkout of this repository.  Every round runs one fresh
 interpreter per tree, with BLAS pinned to one thread, and alternates the
-order of the trees from round to round.  The child is TREE's own copy of
-this script (``TREE/tools/bench_block_step.py --child``), so each tree is
-timed through its own internal signatures.  A child imports TREE's
-evanskam and reports, as medians over its own repeats:
+order of the trees from round to round.  The child is this script
+(``--child``) with TREE's ``src`` as PYTHONPATH, so every tree is timed by
+one method, through the internal names it shares with this tree
+(``_solve_grid``, ``_step_solve``, ``_newton_stage``, ``_assemble``,
+``_newton_coefficients``, ``_operator_apply``).  A child imports TREE's
+evanskam and reports loop minima: each number is the least, over
+``LOOPS`` loops of about ``LOOP_S``, of the mean time of one call in the loop
+(one sweep per loop for the criterion-6 sweep), so a slow phase of the
+machine that spans a loop does not set the number:
 
 - for each block case (64 to 1,024 nodes on one time plane of the
   pendulum, 512 space-time nodes of tc1 32x16): ``block_s``, the time of
@@ -43,9 +48,13 @@ evanskam and reports, as medians over its own repeats:
   of the Newton coefficients at a smooth iterate to a random field.
 
 The report gives, per tree and per number, the median over the rounds and
-the range.  Timings depend on the machine and its load; compare trees only
-within one report.  The Hamiltonians are ``tools/output_digest.py``'s
-library cases.
+the range.  Under ``ratios``, for each tree after the first, it gives per
+timed number (a key ending in ``_s``) the median over rounds of the ratio
+of that tree's number to the first tree's in the same round: both children
+of a round run back to back, so a slow phase of the machine that spans a
+round moves both sides of its ratio.  Timings depend on the machine and
+its load; compare trees only within one report.  The Hamiltonians are
+``tools/output_digest.py``'s library cases.
 """
 
 from __future__ import annotations
@@ -60,16 +69,18 @@ from pathlib import Path
 
 from output_digest import ONE_THREAD, library_hamiltonians
 
-# name: (Hamiltonian, TorusGrid arguments (d, n_x, n_t), k, P, damping mu, repeats)
+# Timed loops per number, each of about LOOP_S seconds; the criterion-6
+# sweep is timed once per loop.
+LOOPS, LOOP_S = 7, 0.02
+# name: (Hamiltonian, TorusGrid arguments (d, n_x, n_t), k, P, damping mu)
 BLOCK_CASES = {
-    "spacetime-512": ("tc1", (1, 32, 16), 8.0, 0.0, 1e-6, 20),
-    "plane-64": ("pendulum", (1, 64, 8), 16.0, 0.5, 1e-6, 200),
-    "plane-128": ("pendulum", (1, 128, 8), 16.0, 0.5, 1e-6, 100),
-    "plane-256": ("pendulum", (1, 256, 8), 16.0, 0.5, 1e-6, 40),
-    "plane-512": ("pendulum", (1, 512, 8), 16.0, 0.5, 1e-6, 20),
-    "plane-1024": ("pendulum", (1, 1024, 8), 16.0, 0.5, 1e-6, 10),
+    "spacetime-512": ("tc1", (1, 32, 16), 8.0, 0.0, 1e-6),
+    "plane-64": ("pendulum", (1, 64, 8), 16.0, 0.5, 1e-6),
+    "plane-128": ("pendulum", (1, 128, 8), 16.0, 0.5, 1e-6),
+    "plane-256": ("pendulum", (1, 256, 8), 16.0, 0.5, 1e-6),
+    "plane-512": ("pendulum", (1, 512, 8), 16.0, 0.5, 1e-6),
+    "plane-1024": ("pendulum", (1, 1024, 8), 16.0, 0.5, 1e-6),
 }
-SWEEP_REPEATS = 3
 # name: TorusGrid arguments (d, n_x, n_t) of a sweep entry
 ENTRY_SHAPES = {"64x8": (1, 64, 8), "plane-64x1": (1, 64, 1)}
 # name: TorusGrid arguments (d, n_x, n_t)
@@ -128,13 +139,12 @@ class PhaseClock:
 
 def block_case(name: str) -> dict:
     from dataclasses import replace
-    from time import perf_counter
 
     import numpy as np
 
     from evanskam import SolverConfig, TorusGrid, evans_solver
 
-    ham_name, shape, k, P, mu, repeats = BLOCK_CASES[name]
+    ham_name, shape, k, P, mu = BLOCK_CASES[name]
     ham = library_hamiltonians()[ham_name]
     grid = evans_solver._solve_grid(ham, TorusGrid(*shape))
     cfg = SolverConfig(k=k, P=P)
@@ -148,24 +158,13 @@ def block_case(name: str) -> dict:
         "dense": {"assemble_s": (evans_solver, "_assemble"), "lu_solve_s": (np.linalg, "solve")},
         "pcg": {"operator_apply_s": (evans_solver, "_operator_apply")},
     }[step]
-    totals, splits = [], []
-    for _ in range(repeats):
-        with PhaseClock(phases) as clock:
-            start = perf_counter()
-            solve_map(st, mu)(-g)
-            totals.append(perf_counter() - start)
-        splits.append(clock.spent)
-    out = {"nodes": grid.n_nodes, "step": step, "block_s": statistics.median(totals)}
+    loops = loop_times(lambda: solve_map(st, mu)(-g), phases)
+    out = {"nodes": grid.n_nodes, "step": step, "block_s": min(t["total"] for t in loops)}
     for phase in phases:
-        out[phase] = statistics.median(s[phase] for s in splits)
-    out["other_s"] = statistics.median(t - sum(s.values()) for t, s in zip(totals, splits))
+        out[phase] = min(t[phase] for t in loops)
+    out["other_s"] = min(t["total"] - sum(t[phase] for phase in phases) for t in loops)
     one_step = replace(cfg, max_newton=1)
-    steps = []
-    for _ in range(repeats):
-        start = perf_counter()
-        evans_solver._newton_stage(st.at(u, one_step))
-        steps.append(perf_counter() - start)
-    out["newton_step_s"] = statistics.median(steps)
+    out["newton_step_s"] = per_call_s(lambda: evans_solver._newton_stage(st.at(u, one_step)))
     return out
 
 
@@ -199,31 +198,38 @@ def criterion6_sweep() -> dict:
     effective.minimize = counting
     walls = []
     try:
-        for _ in range(SWEEP_REPEATS):
+        for _ in range(LOOPS):
             steps.clear()
             start = perf_counter()
             effective.sweep_P(ham, grid, 16.0, P_grid, config=config)
             walls.append(perf_counter() - start)
     finally:
         effective.minimize = solve
-    wall = statistics.median(walls)
+    wall = min(walls)
     return {"wall_s": wall, "newton_steps": sum(steps), "s_per_newton_step": wall / sum(steps)}
 
 
-def per_call_s(call, repeats: int = 7, target_s: float = 0.02) -> float:
-    """Median over ``repeats`` of the mean time of one call, in loops of about ``target_s``."""
+def loop_times(call, phases: dict | None = None) -> list[dict]:
+    """Per loop of about ``LOOP_S``: the mean seconds of one call ("total") and of each ``PhaseClock`` phase in it."""
     from time import perf_counter
 
     start = perf_counter()
     call()
-    number = max(1, int(target_s / max(perf_counter() - start, 1e-7)))
-    times = []
-    for _ in range(repeats):
-        start = perf_counter()
-        for _ in range(number):
-            call()
-        times.append((perf_counter() - start) / number)
-    return statistics.median(times)
+    number = max(1, int(LOOP_S / max(perf_counter() - start, 1e-7)))
+    loops = []
+    for _ in range(LOOPS):
+        with PhaseClock(phases or {}) as clock:
+            start = perf_counter()
+            for _ in range(number):
+                call()
+            total = perf_counter() - start
+        loops.append({"total": total / number, **{name: spent / number for name, spent in clock.spent.items()}})
+    return loops
+
+
+def per_call_s(call) -> float:
+    """The least, over ``LOOPS`` loops, of the mean time of one call."""
+    return min(t["total"] for t in loop_times(call))
 
 
 def deriv_case(shape: tuple[int, int, int]) -> dict:
@@ -287,6 +293,21 @@ def child() -> dict:
     return {"blocks": {name: block_case(name) for name in BLOCK_CASES}, **rest}
 
 
+def paired_ratios(runs: list[dict], base: list[dict]) -> dict:
+    """Per timed number (key ending in ``_s``): the median over rounds of ``runs``' value over ``base``'s that round."""
+
+    def merge(values: list, bases: list, key: str):
+        if isinstance(values[0], dict):
+            bases = [b if isinstance(b, dict) else {} for b in bases]
+            merged = {k: merge([v[k] for v in values], [b.get(k) for b in bases], k) for k in values[0]}
+            return {k: m for k, m in merged.items() if m not in (None, {})}
+        if key.endswith("_s") and all(isinstance(x, float) and x > 0 for x in (*values, *bases)):
+            return statistics.median(v / b for v, b in zip(values, bases))
+        return None
+
+    return merge(runs, base, "")
+
+
 def summarize(runs: list[dict]) -> dict:
     """Median and range over the rounds of every number a child reports."""
 
@@ -320,7 +341,7 @@ def main(argv: list[str]) -> int:
             tree = Path(trees[name]).resolve()
             env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(tree / "src")}
             proc = subprocess.run(
-                [sys.executable, str(tree / "tools" / "bench_block_step.py"), "--child"],
+                [sys.executable, str(Path(__file__).resolve()), "--child"],
                 env=env, capture_output=True, text=True, timeout=600,
             )
             if proc.returncode != 0:
@@ -339,6 +360,7 @@ def main(argv: list[str]) -> int:
         },
         "rounds": rounds,
         **{name: summarize(runs[name]) for name in names},
+        "ratios": {f"{name}/{names[0]}": paired_ratios(runs[name], runs[names[0]]) for name in names[1:]},
     }
     print(json.dumps(report, indent=1))
     return 0
