@@ -405,8 +405,8 @@ def _flux_block(st: _State, mu: float):
     even and on the odd nodes.  The damping is kappa*mu*|D s|^2 with
     kappa = (D+^T D+)_00, the diagonal of mu*|s|^2 written in y.  The map
     solves D^T diag(q) D s = r with q = c + kappa*mu: q y = h - a with
-    h = (D^T)+ r and one constant a per parity of node (one in all for odd
-    n), the 1/q-weighted mean of h there, which puts y in the range of D;
+    h = (D^T)+ r and one constant a per parity of node (one in all on an odd
+    n_x), the 1/q-weighted mean of h there, which puts y in the range of D;
     then s = D+ y.  Where q spans more decades than a double holds, h - a
     cancels and leaves y off that range, which a second pass restores.
     That is two matvecs with D+ and O(n) work, at every n, with kappa

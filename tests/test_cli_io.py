@@ -236,6 +236,24 @@ class TestSolveCommand:
         assert read_field(tmp_path / "out" / "u.field.csv").grid.shape == (16, 4)
         assert meta["converged"] is True
 
+    def test_odd_grid_solves_and_its_fields_read_back(self, tmp_path):
+        # tc1 on 33 x 15: V = cos(2 pi x) + 0.3 sin(2 pi (x + t)), eta = cos(2 pi t)/2
+        cfg = t1_config(tmp_path / "out", grid={"d": 1, "n_x": 33, "n_t": 15})
+        cfg["hamiltonian"]["eta"] = [[{"freq": [1], "cos": 0.5, "sin": 0.0}]]
+        cfg["hamiltonian"]["V"] = [{"freq": [1, 0], "cos": 1.0, "sin": 0.0}, {"freq": [1, 1], "cos": 0.0, "sin": 0.3}]
+        assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 0
+        assert json.loads((tmp_path / "out" / "solve.json").read_text())["converged"] is True
+        for name in ("u", "m"):
+            assert read_field(tmp_path / "out" / f"{name}.field.csv").grid.shape == (33, 15)
+
+    @pytest.mark.parametrize("field, value", [("n_x", 1), ("n_t", 0)])
+    def test_grid_below_the_size_rule_exit_2(self, tmp_path, capsys, field, value):
+        cfg = pendulum_config(tmp_path / "out", grid={"d": 1, "n_x": 16, "n_t": 4})
+        cfg["grid"][field] = value
+        assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "invalid grid block: grid sizes must be n_x >= 2 and n_t >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "field, value",
         [

@@ -575,6 +575,54 @@ class TestTimeCoupledRegression:
         assert abs(res.hbar - hbar) <= 1e-9
 
 
+class TestOddGrids:
+    """Odd sizes on every step path; on an odd axis D's only null mode is the constant, so u is determined."""
+
+    def test_flux_step_on_a_33_node_plane(self):
+        # an autonomous solve runs on its one plane: 33 x 7 gives the bits of 33 x 1
+        cfg = SolverConfig(k=16.0, P=(2.0,))
+        assert evans_solver._step_solve(TorusGrid(1, 33, 1)) is evans_solver._flux_block
+        plane = minimize(pendulum_hamiltonian(), TorusGrid(1, 33, 1), cfg)
+        full = minimize(pendulum_hamiltonian(), TorusGrid(1, 33, 7), cfg)
+        assert plane.converged and full.converged
+        assert_bitwise(full.hbar, plane.hbar)
+        assert_bitwise(full.u.values, np.repeat(plane.u.values, 7, axis=1))
+        assert abs(plane.hbar - flux_oracle_hbar(16.0, 2.0)) <= 1e-6
+
+    def test_dense_block_on_tc1_33x15(self):
+        # within 3e-6 of the 64x32 value, where 32x16 is 3.0e-6 off
+        grid = TorusGrid(1, 33, 15)
+        assert evans_solver._step_solve(grid) is evans_solver._dense_block
+        res = minimize(tc1_hamiltonian(), grid, SolverConfig(k=16.0, P=(0.0,)))
+        assert res.converged, res.grad_norm
+        assert abs(res.hbar - 0.900091333177) <= 3e-6
+
+    def test_pcg_on_drift_33x33(self):
+        grid = TorusGrid(1, 33, 33)
+        assert evans_solver._step_solve(grid) is evans_solver._pcg_block
+        res = minimize(t1_hamiltonian(), grid, SolverConfig(k=8.0, P=(0.3,)))
+        assert res.converged
+        assert abs(res.hbar - (0.3**2 / 2 + 0.25)) <= 1e-10
+
+    def test_dense_block_on_tc2_7_cubed(self):
+        grid = TorusGrid(2, 7, 7)
+        assert evans_solver._step_solve(grid) is evans_solver._dense_block
+        assert minimize(tc2_hamiltonian(), grid, SolverConfig(k=4.0, P=(0.5, 0.2))).converged
+
+    @pytest.mark.parametrize(
+        "shape, low, high", [((33, 15), 0.0, 1e-5), ((32, 16), 0.99e-3, 1.01e-3)], ids=["33x15", "32x16"]
+    )
+    def test_a_perturbed_solve_returns_only_on_an_odd_grid(self, shape, low, high):
+        # 1e-3 (-1)^j is D's null Nyquist mode on an even x axis, and an ordinary mode on an odd one
+        grid, cfg = TorusGrid(1, *shape), SolverConfig(k=16.0, P=(0.0,))
+        res = minimize(tc1_hamiltonian(), grid, cfg)
+        kicked = res.u.values + 1e-3 * (-1.0) ** np.arange(shape[0])[:, None]
+        again = minimize(tc1_hamiltonian(), grid, cfg, warm_start=kicked)
+        assert res.converged and again.converged
+        moved = again.u.values - res.u.values
+        assert low <= np.max(np.abs(moved - moved.mean())) <= high
+
+
 def continuation_chain(ham, grid, cfg):
     """The public solves that a cold start's k ladder stands for: cold at k = 4, then warm at 8, 16, ... and cfg.k."""
     ks = [4.0]

@@ -23,7 +23,8 @@ temporary directory, and prints one JSON object:
   one-plane grid above 256 nodes, and a one-plane and a space-time grid
   above the dense-block cap, which run PCG, a one-plane
   1-d grid of 1,024 nodes, a ``max_newton`` cap, a Hamiltonian read from
-  JSON with a "lambda" below 1): per solve, the sha256 of its record
+  JSON with a "lambda" below 1, and odd grid sizes on the flux, dense-block
+  and PCG step paths): per solve, the sha256 of its record
   (the fields above plus lip_norm) with its iterations and converged flag,
   and one sha256 per certificate of the solve, so that each shows on its
   own: the ``mfg_residuals`` fields, ``holonomy_residual`` and
@@ -92,6 +93,10 @@ LIBRARY_SOLVES = {
     "pendulum-1024": ("pendulum", (1, 1024, 1), dict(k=16.0, P=(0.5,))),
     # a config's weight "lambda" = 0.75 on a time-coupled three-term potential
     "mixed-lambda-0.75": ("mixed-lambda-0.75", (1, 16, 16), dict(k=8.0, P=(0.5,))),
+    # odd sizes, where D's only null mode is the constant: the flux step, the dense block and PCG
+    "odd-pendulum-33x1": ("pendulum", (1, 33, 1), dict(k=16.0, P=(2.0,))),
+    "odd-tc1-33x15": ("tc1", (1, 33, 15), dict(k=16.0, P=(0.0,))),
+    "odd-t1-33x33": ("t1", (1, 33, 33), dict(k=8.0, P=(0.3,))),
 }
 # name: (Hamiltonian, TorusGrid arguments (d, n_x, n_t), P, k list)
 LIBRARY_K_SWEEPS = {
