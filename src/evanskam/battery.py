@@ -1,9 +1,7 @@
 """Named invariant battery behind the ``check`` command.
 
 Each check is small enough to run on a 16x16 grid in well under a second;
-the whole battery stays below ten seconds.  ``inject_error`` flips a sign
-inside the named check, which must then fail: a negative control proving the
-battery can catch a broken build; only the ``INJECTION_POINTS`` have a sign.
+the whole battery stays below ten seconds.
 """
 
 from __future__ import annotations
@@ -26,12 +24,8 @@ from .hamiltonians import (
 from .mfg_diagnostics import mfg_residuals, minmax_upper_bound
 from .torus_grid import TorusGrid
 
-__all__ = ["CheckResult", "run_battery", "INJECTION_POINTS"]
+__all__ = ["CheckResult", "run_battery"]
 
-INJECTION_POINTS = (
-    "spectral-adjointness", "hamiltonian-derivatives", "diffusion-factorization", "gradient-finite-difference",
-    "state-legendre-identity",
-)
 # Largest frequency per axis of the terms of ``_random_field``.
 _MAX_FREQ = 3
 
@@ -69,9 +63,7 @@ def _sample_points(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.nda
     return np.array([z for z, _ in draws]).T, np.array([p for _, p in draws]).T
 
 
-def run_battery(seed: int = 0, inject_error: str | None = None) -> list[CheckResult]:
-    if inject_error is not None and inject_error not in INJECTION_POINTS:
-        raise ValueError(f"no injection point {inject_error!r}; choose from {', '.join(INJECTION_POINTS)}")
+def run_battery(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     grid = TorusGrid(1, 16, 16)
     ham = _battery_hamiltonian()
@@ -80,9 +72,6 @@ def run_battery(seed: int = 0, inject_error: str | None = None) -> list[CheckRes
 
     def check(name: str, passed: bool, detail: str) -> None:
         results.append(CheckResult(name, bool(passed), detail))
-
-    def injected(name: str) -> float:
-        return -1.0 if inject_error == name else 1.0
 
     x, t = grid.coords()
 
@@ -102,7 +91,7 @@ def run_battery(seed: int = 0, inject_error: str | None = None) -> list[CheckRes
     worst = 0.0
     for axis in (0, 1):
         lhs = grid.inner(b_f, grid.deriv(a_f, axis))
-        rhs = -grid.inner(a_f, grid.deriv(b_f, axis)) * injected("spectral-adjointness")
+        rhs = -grid.inner(a_f, grid.deriv(b_f, axis))
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
     check("spectral-adjointness", worst <= 1e-12, f"max relative defect {worst:.2e}")
 
@@ -132,7 +121,7 @@ def run_battery(seed: int = 0, inject_error: str | None = None) -> list[CheckRes
     fd_t = (H_at(z + e_t) - H_at(z - e_t)) / (2 * h)
     scale = 1.0 + np.abs(base.H(w))
     worst = max(
-        float(np.max(np.abs(injected("hamiltonian-derivatives") * w[0] - fd_p) / scale)),
+        float(np.max(np.abs(w[0] - fd_p) / scale)),
         float(np.max(np.abs(base.gradV[0] - fd_x) / scale)),
         float(np.max(np.abs(base.H_t(w) - fd_t) / scale)),
     )
@@ -145,7 +134,7 @@ def run_battery(seed: int = 0, inject_error: str | None = None) -> list[CheckRes
         q_vec = rng.uniform(-3, 3, size=2)
         k_val = float(rng.uniform(0.5, 64.0))
         a_mat, sigma, _ = drift_diffusion(ham, k_val, z, q_vec)
-        worst = max(worst, float(np.max(np.abs(a_mat - injected("diffusion-factorization") * sigma @ sigma.T))))
+        worst = max(worst, float(np.max(np.abs(a_mat - sigma @ sigma.T))))
     check("diffusion-factorization", worst <= 1e-14, f"max |a - sigma sigma^T| {worst:.2e}")
 
     # 8. drift independent of k for the mechanical family
@@ -201,7 +190,7 @@ def run_battery(seed: int = 0, inject_error: str | None = None) -> list[CheckRes
 
     # 14. analytic gradient vs directional finite differences of J
     u0 = _random_field(grid, rng)
-    g_arr = es.gradient(ham, grid, cfg, u0).values * injected("gradient-finite-difference")
+    g_arr = es.gradient(ham, grid, cfg, u0).values
     worst = 0.0
     for _ in range(5):
         v = _random_field(grid, rng)
@@ -244,7 +233,7 @@ def run_battery(seed: int = 0, inject_error: str | None = None) -> list[CheckRes
         f_s = es.evaluate_state(ham, grid, state_cfg, u_s).f
         p_s = [state_cfg.momentum(1)[0] + grid.deriv(u_s, 0)]
         w_s = table.H_p(p_s)
-        legendre = grid.deriv(u_s, 1) + p_s[0] * w_s[0] - injected("state-legendre-identity") * table.L(w_s)
+        legendre = grid.deriv(u_s, 1) + p_s[0] * w_s[0] - table.L(w_s)
         worst = max(worst, float(np.max(np.abs(f_s - legendre)) / np.max(np.abs(legendre))))
     check("state-legendre-identity", worst <= 1e-13, f"max relative |f - (u_t + p.w - L)| {worst:.2e}")
 

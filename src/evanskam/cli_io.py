@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .battery import INJECTION_POINTS, run_battery
+from .battery import run_battery
 from .effective import (NonconvexTableError, _as_points, _convexity_grid, legendre_transform, sweep_P,
                         write_effective_csv, write_legendre_csv)
 from .evans_solver import SolverConfig, minimize
@@ -230,7 +230,7 @@ def cmd_limit(args) -> int:
 
 
 def cmd_check(args) -> int:
-    results = run_battery(seed=args.seed, inject_error=args.inject_error)
+    results = run_battery(seed=args.seed)
     failed = [r for r in results if not r.passed]
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}")
@@ -287,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=0,
             help="nonnegative seed for randomized check batteries",
         ),
-        "--inject-error": dict(choices=INJECTION_POINTS, help="test hook: flip a sign inside the named invariant"),
     }
     run_flags = ("--config", "--out")
     specs = {
@@ -296,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd_sweep, "effective-Hamiltonian table over a momentum grid, plus Legendre dual", (*run_flags, "--jobs")
         ),
         "limit": (cmd_limit, "sharpness sweep with limit-trend diagnostics", run_flags),
-        "check": (cmd_check, "run the named invariant battery", ("--seed", "--inject-error")),
+        "check": (cmd_check, "run the named invariant battery", ("--seed",)),
         "oracle": (cmd_oracle, "classical cell-problem reference value for autonomous d=1 potentials", ("--config",)),
     }
     for name, (fn, help_text, names) in specs.items():

@@ -696,7 +696,11 @@ def minimize(
     one stage at ``config.k``.  Where J at a warm start exceeds J at u = 0,
     at the first stage's k, the solve starts cold instead, because such a
     start (a secant predictor that overshoots, say) can need more than
-    ``max_newton`` steps.  ``converged`` is grad_norm <= ``grad_tol`` at the
+    ``max_newton`` steps.  A warm-started solve whose last stage stops at
+    ``max_newton`` steps above ``grad_tol`` (Newton can wander from a far
+    start at large k where the cold ladder converges) is solved again cold,
+    and the result with the lower gradient norm is kept; its ``iterations``
+    count both solves.  ``converged`` is grad_norm <= ``grad_tol`` at the
     end of the last stage, the only one at ``config.k``.  Autonomous solves
     run on one time plane (``_solve_grid``), whose table is checked before P
     and the warm start (it passes exactly where ``grid`` does), a warm start
@@ -719,10 +723,16 @@ def minimize(
     # f at u = 0 has the bits _State gives it, and table.V gives it the plane's shape
     if warm_start is not None and st.J > _softmax(plane, stages[0].k, table.H(table.H_p(P)))[0]:
         return minimize(ham, grid, config)
-    st, grad_norm, iterations = _newton_stage(st)
+    st, grad_norm, iters = _newton_stage(st)
+    iterations = iters
     for cfg in stages[1:]:
         st, grad_norm, iters = _newton_stage(st.at(st.u, cfg))
         iterations += iters
+    if warm_start is not None and iters == config.max_newton and grad_norm > config.grad_tol:
+        cold = minimize(ham, grid, config)
+        iterations += cold.iterations
+        if cold.grad_norm < grad_norm:
+            return replace(cold, iterations=iterations)
     u, m = (st.u, st.m) if plane is grid else (st.u.repeat(grid.n_t, axis=-1), st.m.repeat(grid.n_t, axis=-1))
     return SolveResult(
         u=ScalarField(grid, u),

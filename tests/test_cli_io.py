@@ -8,13 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evanskam import battery, cli_io
-from evanskam.battery import INJECTION_POINTS, run_battery
+from evanskam import battery, cli_io, evans_solver, torus_grid
+from evanskam.battery import run_battery
 from evanskam.cli_io import main
 from evanskam.effective import NonconvexTableError
 from evanskam.evans_solver import SolveResult
 from evanskam.hamiltonians import ChiVerificationError, HamiltonianTable
-from evanskam.torus_grid import read_field
+from evanskam.torus_grid import ScalarField, read_field
 
 
 def t1_config(out_dir, **extra):
@@ -48,6 +48,84 @@ def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg, indent=2))
     return str(path)
+
+
+# -- negative controls of the check battery: a library fault at the seam a check reads --
+
+
+def negated_gradient(mp):
+    """Check 14 alone calls ``evans_solver.gradient``; the solver reads the gradient off its state."""
+    gradient = evans_solver.gradient
+
+    def negated(ham, grid, cfg, u):
+        return ScalarField(grid, -gradient(ham, grid, cfg, u).values)
+
+    mp.setattr(evans_solver, "gradient", negated)
+
+
+def doubled_sigma(mp):
+    """The battery's ``drift_diffusion`` returns 2*sigma; check 8 reads only b, and chi_bound has its own import."""
+    drift_diffusion = battery.drift_diffusion
+
+    def doubled(*args):
+        a, sigma, b = drift_diffusion(*args)
+        return a, 2.0 * sigma, b
+
+    mp.setattr(battery, "drift_diffusion", doubled)
+
+
+def shifted_lagrangian(mp):
+    """L + 1: checks 9, 10 and 18 read ``HamiltonianTable.L``, and the solver's f reads H."""
+    L = HamiltonianTable.L
+    mp.setattr(HamiltonianTable, "L", lambda table, v: L(table, v) + 1.0)
+
+
+def non_skew_derivative(mp):
+    """D + 1e-6*S, S the symmetric second difference, for the grid and the solver's dense step alike.
+
+    S annihilates constants, so means stay annihilated; D^T = -D fails.  The
+    caches built from D (``clear_derivative_caches``) must be cleared around it.
+    """
+    D = torus_grid.derivative_matrix
+
+    def faulty(n):
+        return D(n) + 1e-6 * (np.roll(np.eye(n), 1, 0) + np.roll(np.eye(n), -1, 0) - 2.0 * np.eye(n))
+
+    for module in (torus_grid, evans_solver):
+        mp.setattr(module, "derivative_matrix", faulty)
+
+
+def clear_derivative_caches():
+    for cache in (torus_grid.antiderivative_matrix, evans_solver._derivative_columns, evans_solver._flux_kappa):
+        cache.cache_clear()
+
+
+def flipped_H_t(mp):
+    """H_t = V_t - w.eta': a sign error in the eta' term."""
+
+    def flipped(table, w):
+        out = table.V_t
+        for w_i, e_i in zip(w, table.eta_prime):
+            out = out - w_i * e_i
+        return out
+
+    mp.setattr(HamiltonianTable, "H_t", flipped)
+
+
+# check name: (fault, the checks that fail under it, in battery order)
+NEGATIVE_CONTROLS = {
+    "spectral-adjointness": (
+        non_skew_derivative,
+        ["spectral-exactness", "spectral-adjointness", "operator-symmetry", "operator-positivity"],
+    ),
+    "hamiltonian-derivatives": (flipped_H_t, ["hamiltonian-derivatives"]),
+    "diffusion-factorization": (doubled_sigma, ["diffusion-factorization"]),
+    "gradient-finite-difference": (negated_gradient, ["gradient-finite-difference"]),
+    "state-legendre-identity": (
+        shifted_lagrangian,
+        ["fenchel-equality", "fenchel-grid-inequality", "state-legendre-identity"],
+    ),
+}
 
 
 class TestSolveCommand:
@@ -367,10 +445,11 @@ class TestSweepCommand:
         assert [line.split(",")[3] for line in lines] == ["1", "0"]  # the converged column
 
     def test_nonconvex_table_skips_legendre_exit_3(self, tmp_path, capsys):
-        # one Newton step per stage leaves the k = 256 table nonconvex; the
+        # one Newton step per stage leaves the k = 16 table nonconvex (at k = 256 the
+        # cold re-solves of the capped warm entries leave it convex); the
         # unconverged entries must still be reported, without a traceback
         cfg = json.loads((Path(__file__).parents[1] / "configs" / "pendulum_sweep.json").read_text())
-        cfg["solver"].update(k=256.0, max_newton=1)
+        cfg["solver"].update(k=16.0, max_newton=1)
         cfg["output"]["dir"] = str(tmp_path / "out")
         assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 3
         err = capsys.readouterr().err
@@ -666,22 +745,35 @@ class TestCheckCommand:
             "convexity-check-quadratic",
         ]
 
-    def test_injected_error_exit_1(self, capsys):
-        assert main(["check", "--inject-error", "gradient-finite-difference"]) == 1
+    def test_injected_error_exit_1(self, monkeypatch, capsys):
+        # a fault changes its own check's line and the tally, and nothing else
+        assert main(["check"]) == 0
+        clean = capsys.readouterr().out.splitlines()
+        negated_gradient(monkeypatch)
+        assert main(["check"]) == 1
         captured = capsys.readouterr()
-        assert "FAIL  gradient-finite-difference" in captured.out
-        assert "gradient-finite-difference" in captured.err
+        lines = captured.out.splitlines()
+        changed = [i for i, (a, b) in enumerate(zip(clean, lines)) if a != b]
+        assert len(lines) == len(clean) and changed == [13, 23]
+        assert lines[13].startswith("FAIL  gradient-finite-difference: max relative defect ")
+        assert lines[23] == "22/23 invariants passed"
+        assert captured.err == "failed invariants: gradient-finite-difference\n"
 
-    def test_injected_error_other_check(self, capsys):
-        assert main(["check", "--inject-error", "diffusion-factorization"]) == 1
-        assert "FAIL  diffusion-factorization" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("name", INJECTION_POINTS)
+    @pytest.mark.parametrize("name", NEGATIVE_CONTROLS)
     def test_every_injection_point_fails_its_check(self, name, capsys):
-        assert main(["check", "--inject-error", name]) == 1
+        # each check that had a sign to flip, under a library fault at the seam it reads
+        fault, failed = NEGATIVE_CONTROLS[name]
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                clear_derivative_caches()
+                fault(mp)
+                assert main(["check"]) == 1
+        finally:
+            clear_derivative_caches()
         captured = capsys.readouterr()
+        assert name in failed
         assert f"FAIL  {name}" in captured.out
-        assert captured.err.strip() == f"failed invariants: {name}"
+        assert captured.err == f"failed invariants: {', '.join(failed)}\n"
 
     def test_failed_chi_bound_fails_the_lipschitz_certificate(self, monkeypatch):
         # the certificate is built from chi: without a verified chi it cannot pass
@@ -694,27 +786,20 @@ class TestCheckCommand:
         assert failed[0].detail == "|b| = 100.0 exceeds chi(|q|) = 0.0"
 
     def test_hamiltonian_derivatives_sees_H_t(self, monkeypatch):
-        # the injection point of hamiltonian-derivatives flips H_p; a sign
-        # error in the eta' term of H_t must fail that check too, and only it
-        def flipped(table, w):
-            out = table.V_t
-            for w_i, e_i in zip(w, table.eta_prime):
-                out = out - w_i * e_i
-            return out
-
-        monkeypatch.setattr(HamiltonianTable, "H_t", flipped)
+        # a sign error in the eta' term of H_t must fail that check, and only it
+        flipped_H_t(monkeypatch)
         failed = [r for r in run_battery(seed=0) if not r.passed]
         assert [r.name for r in failed] == ["hamiltonian-derivatives"]
         assert failed[0].detail == "max relative defect 1.15e+01"
 
     @pytest.mark.parametrize("name", ["bogus", "objective-convexity"])
     def test_name_without_injection_point_exit_2(self, name, capsys):
-        # objective-convexity is a check, but it has no sign to flip: a clean run would exit 0
+        # the battery has no injection points: its negative controls are NEGATIVE_CONTROLS' faults
         with pytest.raises(SystemExit) as exc:
             main(["check", "--inject-error", name])
         assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
-        with pytest.raises(ValueError, match="no injection point"):
+        assert f"unrecognized arguments: --inject-error {name}" in capsys.readouterr().err
+        with pytest.raises(TypeError):
             run_battery(inject_error=name)
 
     @pytest.mark.parametrize("seed", ["-1", "-7", "1.5", "abc"])

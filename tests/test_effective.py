@@ -242,6 +242,40 @@ class TestSweep:
             expected = u[i - 1] + c * (u[i - 1] - u[i - 2]) if secant else u[i - 1]
             assert np.array_equal(starts[i], expected)
 
+    @pytest.mark.parametrize(
+        "ham, shape, k, P_vals",
+        [
+            (pendulum_hamiltonian, (1, 128, 1), 256.0, np.linspace(-2.0, 2.0, 41)),
+            (tc1_hamiltonian, (1, 16, 16), 64.0, [1.2, 1.4, 1.6]),
+        ],
+        ids=["pendulum-128-k256", "tc1-k64"],
+    )
+    def test_no_entry_ends_worse_than_its_cold_solve(self, ham, shape, k, P_vals):
+        # at large k Newton can wander from a secant start for all max_newton steps where the
+        # cold ladder converges: most often just past 4/pi on the pendulum, and at P = 1.6 on tc1
+        grid = TorusGrid(*shape)
+        tab = sweep_P(ham(), grid, k, P_vals)
+        assert np.all(tab.converged)
+        cold = [minimize(ham(), grid, SolverConfig(k=k, P=(float(P),))).hbar for P in P_vals]
+        assert np.max(np.abs(tab.hbar - cold)) <= 1e-12
+
+    def test_resolved_entry_is_its_cold_solve(self, monkeypatch):
+        results = []
+        solve = effective.minimize
+
+        def recording(*args, warm_start=None):
+            results.append(solve(*args, warm_start=warm_start))
+            return results[-1]
+
+        monkeypatch.setattr(effective, "minimize", recording)
+        ham, grid = tc1_hamiltonian(), TorusGrid(1, 16, 16)
+        sweep_P(ham, grid, 64.0, [1.2, 1.4, 1.6])
+        res, cold = results[-1], minimize(ham, grid, SolverConfig(k=64.0, P=(1.6,)))
+        for x, y in ((res.u.values, cold.u.values), (res.m.values, cold.m.values), (res.hbar, cold.hbar)):
+            assert_bitwise(x, y)
+        # the secant start is one stage at k = 64, stopped at max_newton; then the cold solve
+        assert res.iterations == SolverConfig(k=64.0).max_newton + cold.iterations
+
     def test_failed_entries_flagged_sweep_continues(self):
         grid = TorusGrid(1, 32, 8)
         cfg = SolverConfig(k=16.0, max_newton=1)

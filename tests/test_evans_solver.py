@@ -650,9 +650,14 @@ class TestKContinuation:
         ],
         ids=["pendulum-k64", "pendulum-k20", "tc1-k64", "separable-2d", "capped-rungs", "capped"],
     )
-    def test_matches_the_public_chain(self, ham, grid, k, P, max_newton, rungs_converged):
+    def test_matches_the_public_chain(self, monkeypatch, ham, grid, k, P, max_newton, rungs_converged):
         cfg = SolverConfig(k=k, P=P, max_newton=max_newton)
         res = minimize(ham(), grid, cfg)
+        if not rungs_converged:
+            # a public warm solve stopped at the cap is solved again cold, a rung of the
+            # ladder is not: here every such re-solve loses and adds no step
+            lost = replace(res, grad_norm=math.inf, iterations=0)
+            monkeypatch.setattr(evans_solver, "minimize", lambda ham, grid, config: lost)
         chain = continuation_chain(ham(), grid, cfg)
         final = chain[-1]
         for x, y in (

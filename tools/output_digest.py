@@ -29,6 +29,11 @@ temporary directory, and prints one JSON object:
   and one sha256 per certificate of the solve, so that each shows on its
   own: the ``mfg_residuals`` fields, ``holonomy_residual`` and
   ``aronsson_residual``;
+- for the library sweeps in ``LIBRARY_SWEEPS`` (one at k = 256, where chained
+  warm starts stop at ``max_newton`` and are solved again cold): one sha256
+  over hbar, Q and every value of every record, and the total of the
+  records' Newton iterations, so a change to that fallback shows as its
+  own line;
 - for the library k sweeps in ``LIBRARY_K_SWEEPS``, listed ks more than
   twice apart, so the doubling rungs between them run unreported (one
   time-coupled sweep, one autonomous sweep with odd ks): one sha256 per
@@ -97,6 +102,10 @@ LIBRARY_SOLVES = {
     "odd-pendulum-33x1": ("pendulum", (1, 33, 1), dict(k=16.0, P=(2.0,))),
     "odd-tc1-33x15": ("tc1", (1, 33, 15), dict(k=16.0, P=(0.0,))),
     "odd-t1-33x33": ("t1", (1, 33, 33), dict(k=8.0, P=(0.3,))),
+}
+# name: (Hamiltonian, TorusGrid arguments (d, n_x, n_t), k, P grid as numpy.linspace arguments)
+LIBRARY_SWEEPS = {
+    "sweep-pendulum-128-k256": ("pendulum", (1, 128, 1), 256.0, (-2.0, 2.0, 41)),
 }
 # name: (Hamiltonian, TorusGrid arguments (d, n_x, n_t), P, k list)
 LIBRARY_K_SWEEPS = {
@@ -192,6 +201,24 @@ def library_solves() -> dict:
     return out
 
 
+def library_sweeps() -> dict:
+    """Run every case of ``LIBRARY_SWEEPS`` with the importable evanskam; digest each table."""
+    import numpy as np
+
+    from evanskam import TorusGrid
+    from evanskam.effective import sweep_P
+
+    hams = library_hamiltonians()
+    out = {}
+    for name, (ham_name, shape, k, span) in LIBRARY_SWEEPS.items():
+        tab = sweep_P(hams[ham_name], TorusGrid(*shape), k, np.linspace(*span))
+        out[name] = {
+            "sha256": value_digest([tab.hbar, tab.Q, *(v for rec in tab.records for v in rec.values())]),
+            "newton_iterations": sum(rec["iterations"] for rec in tab.records),
+        }
+    return out
+
+
 def library_k_sweeps() -> dict:
     """Run every case of ``LIBRARY_K_SWEEPS`` with the importable evanskam; digest each reported row."""
     from dataclasses import fields
@@ -263,7 +290,8 @@ def run_commands(tree: Path, env: dict) -> dict:
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--records"]:
         print(json.dumps(
-            {"criterion6": criterion6_entries(), "library": library_solves(), "k_sweeps": library_k_sweeps()}
+            {"criterion6": criterion6_entries(), "library": library_solves(), "sweeps": library_sweeps(),
+             "k_sweeps": library_k_sweeps()}
         ))
         return 0
     if len(argv) != 1 or argv[0].startswith("-"):
