@@ -25,7 +25,9 @@ solve grid alone, a map of the evaluated state.  On a one-plane 1-d grid,
 at any n, D^T diag(c) D is diagonal in the flux y = D s up to D's null
 modes, and a step is two matvecs with the antiderivative D+.  On other small
 grids it is one direct solve with a dense block; larger grids run conjugate
-gradients with a Fourier preconditioner on the zero-mean subspace.  J is
+gradients on the zero-mean subspace, preconditioned by a Fourier surrogate
+scaled to the operator's exact diagonal.  The dense block and the
+matrix-free apply are one function, ``_operator_apply``.  J is
 convex at every k, so a cold start needs no homotopy in the Hamiltonian: it
 climbs a doubling ladder in k from u = 0, each stage warm-started from the
 last, and a solve warm-started from another solve climbs the same ladder
@@ -58,9 +60,7 @@ __all__ = [
     "lipschitz_bound",
 ]
 
-# Floor of the inexact-Newton forcing term (CG's relative residual target),
-# and the cap on CG iterations per Newton step.
-_FORCING_FLOOR = 1e-12
+# The cap on CG iterations per Newton step.
 _CG_MAX = 500
 # Consecutive stalled Newton steps after which a stage stops unconverged.
 # At the rounding floor every step redraws a gradient of about 1e-11, the
@@ -98,8 +98,7 @@ class SolverConfig:
     are refused), so equal configs compare and hash equal and every field
     is JSON-ready.
     The solve minimizes the plain objective J with the spectral derivative
-    (``torus_grid.derivative_matrix``); the CG forcing floor and the CG cap
-    are module constants.
+    (``torus_grid.derivative_matrix``); the CG cap is a module constant.
     """
 
     k: float
@@ -304,19 +303,25 @@ def _newton_coefficients(grid: TorusGrid, k: float, m, w: list) -> list[list]:
     return [[m * (k * v[a] * v[b] + float(a == b and a < d)) for b in axes] for a in axes]
 
 
-def _operator_apply(grid: TorusGrid, coef: list[list[np.ndarray]], v: np.ndarray) -> np.ndarray:
-    """-sum_a D_a(sum_b c_ab * D_b v), the Newton operator of ``coef`` applied to v matrix-free.
+def _operator_apply(coef: list[list[np.ndarray]], dv: list[np.ndarray], deriv) -> np.ndarray:
+    """-sum_a D_a(sum_b c_ab * dv_b), the Newton operator of ``coef`` applied to the derivatives dv_b = D_b v.
 
-    With ``_newton_coefficients`` at the iterate it is the Gauss-Newton
-    Hessian of J: its quadratic form is mean(m * (k*(v_t + H_p.grad v)^2 +
+    ``deriv(x, a)`` is D_a x: ``grid.deriv`` on a field v matrix-free (PCG,
+    ``linearized_el_apply``), ``_along`` on the ``_derivative_columns``
+    stacks for the dense block, where v runs over the unit fields.  D is
+    skew, so this is sum_ab D_a^T c_ab D_b v, written once.  With
+    ``_newton_coefficients`` at the iterate it is the Gauss-Newton Hessian
+    of J: its quadratic form is mean(m * (k*(v_t + H_p.grad v)^2 +
     |grad v|^2)) for the mechanical family, k times the normalized operator
-    exposed publicly.
+    exposed publicly.  The sums accumulate in place, into the first term's
+    arrays.
     """
-    dv = [grid.deriv(v, b) for b in range(len(coef))]
-    out = 0.0
     for a, row in enumerate(coef):
-        out = out + grid.deriv(sum(c * g for c, g in zip(row, dv)), a)
-    return -out
+        flux = row[0] * dv[0]
+        for c, g in zip(row[1:], dv[1:]):
+            flux += c * g
+        out = deriv(flux, a) if a == 0 else np.add(out, deriv(flux, a), out=out)
+    return np.negative(out, out=out)
 
 
 @lru_cache(maxsize=4)
@@ -335,22 +340,15 @@ def _along(D: np.ndarray, X: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _assemble(shape: tuple[int, ...], coef: list[list[np.ndarray]], mu: float) -> np.ndarray:
-    """Dense sum_ab D_a^T diag(coef[a][b]) D_b + mu over the axes of ``shape``.
+    """Dense sum_ab D_a^T diag(coef[a][b]) D_b + mu over the axes of ``shape``: ``_operator_apply`` on every unit field.
 
-    Each term costs O(N^2 * n_a) through the column stacks, not O(N^3).
+    Each coefficient carries a trailing unit axis for the columns.  Each
+    term costs O(N^2 * n_a) through the column stacks, not O(N^3).
     """
-    cols = _derivative_columns(shape)
     N = math.prod(shape)
-    for a, n in enumerate(shape):
-        flux = coef[a][0][..., None] * cols[0]
-        for b in range(1, len(coef[a])):
-            flux += coef[a][b][..., None] * cols[b]
-        term = _along(derivative_matrix(n).T, flux, a).reshape(N, N)
-        if a:
-            A += term
-        else:  # mu joins the first term, in the order of mu*I + term_0 + term_1 + ...
-            A = term
-            np.einsum("ii->i", A)[:] += mu
+    A = _operator_apply(coef, _derivative_columns(shape), lambda x, a: _along(derivative_matrix(shape[a]), x, a))
+    A = A.reshape(N, N)
+    np.einsum("ii->i", A)[:] += mu
     return A
 
 
@@ -386,7 +384,7 @@ def _dense_block(st: _State, mu: float):
     """
     coef = _newton_coefficients(st.grid, st.cfg.k, st.m, st.w)
     shape = st.grid.shape[: len(coef)]
-    return _block_solve(_assemble(shape, [[c.reshape(shape) for c in row] for row in coef], mu))
+    return _block_solve(_assemble(shape, [[c.reshape(shape + (1,)) for c in row] for row in coef], mu))
 
 
 @lru_cache(maxsize=8)
@@ -431,17 +429,18 @@ def _flux_block(st: _State, mu: float):
 
 
 def _pcg_block(st: _State, mu: float):
-    """Inexact solve with the damped Newton operator: PCG with the Fourier surrogate, matrix-free.
+    """Inexact solve with the damped Newton operator: PCG with the scaled Fourier surrogate, matrix-free.
 
-    CG stops at the inexact-Newton forcing term max(``_FORCING_FLOOR``,
-    min(0.1, sqrt(mu))), which is sqrt(grad_norm) for mu = min(1, grad_norm).
+    The operator is ``_operator_apply`` on the derivatives of each CG
+    direction, plus mu.  CG stops at the inexact-Newton forcing term
+    min(0.1, sqrt(mu)), which is sqrt(grad_norm) for mu = min(1, grad_norm).
     """
     coef = _newton_coefficients(st.grid, st.cfg.k, st.m, st.w)
-    forcing = max(_FORCING_FLOOR, min(0.1, math.sqrt(mu)))
+    forcing = min(0.1, math.sqrt(mu))
     surrogate = _fourier_surrogate(st, mu)
 
     def apply_damped(v: np.ndarray) -> np.ndarray:
-        return _operator_apply(st.grid, coef, v) + mu * v
+        return _operator_apply(coef, [st.grid.deriv(v, b) for b in range(len(coef))], st.grid.deriv) + mu * v
 
     return lambda r: _pcg(apply_damped, surrogate, r, st.grid, forcing)[0]
 
@@ -466,15 +465,23 @@ def _step_solve(grid: TorusGrid):
 
 
 def _fourier_surrogate(st: _State, mu: float):
-    """Approximate inverse of the damped Newton operator, the preconditioner of ``_pcg_block``.
+    """Approximate inverse of the damped Newton operator A, the preconditioner of ``_pcg_block``.
 
-    The operator's coefficients are frozen at m = 1 (its mean) and H_p =
-    wbar, the rotation vector.  The surrogate mu + sum_ab cbar_ab*xi_a*xi_b
-    is then diagonal in Fourier space and captures the transport anisotropy
-    that otherwise throttles the inner solve, but it is blind to m, which
-    spans many decades where the Mather measure concentrates.
+    F is A with its coefficients frozen at m = 1 (its mean) and H_p = wbar,
+    the rotation vector: mu + sum_ab cbar_ab*xi_a*xi_b, diagonal in Fourier
+    space, which captures the transport anisotropy that otherwise throttles
+    the inner solve.  F^-1 is scaled to A's exact diagonal, which follows m
+    where it spans decades: diag A = mu + sum_a (D_a o D_a)^T c_aa along
+    axis a with c_ab at the iterate (the cross terms a != b meet D's zero
+    diagonal), diag F = mu + sum_a cbar_aa * sum_j D_a[j, 0]^2, and with
+    s = sqrt(diag F / diag A) the map is Pi s Pi F^-1 Pi s Pi.  Pi subtracts
+    the mean of each node-parity class (the zero-mean projection on an
+    all-odd grid), which removes D's null modes: without it s would carry
+    them into and out of F^-1, which scales them by about 1/mu.  The map is
+    symmetric and positive on the range, at one rfftn/irfftn pair per apply.
     """
     grid, d = st.grid, st.grid.d
+    coef = _newton_coefficients(grid, st.cfg.k, st.m, st.w)
     cbar = _newton_coefficients(grid, st.cfg.k, 1.0, [grid.integrate(st.m * wi) for wi in st.w])
     freqs = [np.fft.fftfreq(n, d=1.0 / n) for n in grid.shape[:d]] + [np.fft.rfftfreq(grid.n_t, d=1.0 / grid.n_t)]
     xi = [2.0 * np.pi * f.reshape([-1 if i == a else 1 for i in range(d + 1)]) for a, f in enumerate(freqs)]
@@ -483,9 +490,24 @@ def _fourier_surrogate(st: _State, mu: float):
     sym.flat[0] = 1.0  # DC bin is never excited (zero-mean subspace)
     inv = 1.0 / sym
     axes = tuple(range(d + 1))
+    squares = [derivative_matrix(grid.shape[a]) ** 2 for a in range(len(coef))]
+    diag_A = mu + sum(_along(sq, coef[a][a], a) for a, sq in enumerate(squares))
+    diag_F = mu + sum(cbar[a][a] * sq[:, 0].sum() for a, sq in enumerate(squares))
+    s = np.sqrt(diag_F / diag_A)
+    # every even axis n split as (n/2, 2): the means over the half-axes are the parity classes' means
+    split, halves = [], []
+    for n in grid.shape:
+        halves.append(len(split))
+        split += [n // 2, 2] if n % 2 == 0 else [n]
+    halves, class_size = tuple(halves), math.prod(split[h] for h in halves)
+
+    def parity_free(x: np.ndarray) -> np.ndarray:
+        y = x.reshape(split)
+        return (y - np.add.reduce(y, halves, keepdims=True) / class_size).reshape(grid.shape)
 
     def apply_inverse(r: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv, s=grid.shape, axes=axes)
+        x = np.fft.irfftn(np.fft.rfftn(parity_free(s * parity_free(r)), axes=axes) * inv, s=grid.shape, axes=axes)
+        return parity_free(s * parity_free(x))
 
     return apply_inverse
 
@@ -502,8 +524,6 @@ def _pcg(apply_op, apply_minv, b: np.ndarray, grid: TorusGrid, rel_tol: float):
     x = np.zeros_like(b)
     r = b.copy()
     b2 = grid.inner(b, b)
-    if b2 == 0.0:
-        return x, 0
     it = 0
     while it < _CG_MAX and grid.inner(r, r) > rel_tol**2 * b2:
         z = apply_minv(r)
@@ -572,7 +592,8 @@ def linearized_el_apply(ham: MechanicalHamiltonian, grid: TorusGrid, config: Sol
     """
     st = evaluate_state(ham, grid, config, u)
     coef = _newton_coefficients(grid, config.k, st.m, st.w)
-    out = _operator_apply(grid, coef, _as_array(grid, v)) / config.k
+    v = _as_array(grid, v)
+    out = _operator_apply(coef, [grid.deriv(v, b) for b in range(len(coef))], grid.deriv) / config.k
     return ScalarField(grid, out)
 
 

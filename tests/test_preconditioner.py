@@ -7,9 +7,12 @@ most ``_BLOCK_MAX_NODES`` nodes gets the dense block (``_dense_block``), a
 direct solve with the operator plus mu; autonomous d = 2 Hamiltonians are
 solved on one time plane, where it spans the spatial axes, and a grid with
 n_t > 1 gets the whole space-time operator.  Larger solve grids get
-``_pcg_block``, PCG with the m-blind Fourier surrogate.  Autonomous states
-below are therefore built on ``_solve_grid(ham, grid)``.  A direct solve
-that raises or gives no descent step ends the stage with
+``_pcg_block``, PCG with the Fourier surrogate scaled to the operator's
+exact diagonal.  The dense block and PCG's matrix-free apply are one
+writer, ``_operator_apply``, given the derivative columns or a field's
+derivatives; ``damped_operator`` below calls it as PCG does.  Autonomous
+states below are therefore built on ``_solve_grid(ham, grid)``.  A direct
+solve that raises or gives no descent step ends the stage with
 ``LineSearchError``.
 """
 
@@ -45,7 +48,7 @@ from evanskam.torus_grid import TorusGrid, antiderivative_matrix, derivative_mat
 
 def damped_operator(grid, cfg, st, mu):
     coef = _newton_coefficients(grid, cfg.k, st.m, st.w)
-    return lambda v: _operator_apply(grid, coef, v) + mu * v
+    return lambda v: _operator_apply(coef, [grid.deriv(v, b) for b in range(len(coef))], grid.deriv) + mu * v
 
 
 def solved_state(ham, grid, cfg):
@@ -508,3 +511,76 @@ def test_pcg_on_a_zero_right_hand_side():
     x, iterations = evans_solver._pcg(never, never, grid.zeros(), grid, 1e-8)
     assert iterations == 0
     assert np.array_equal(x, grid.zeros())
+
+
+def test_dense_block_is_the_operator_on_unit_fields(monkeypatch):
+    # the block is _operator_apply on the derivative columns, PCG's apply is
+    # it on a field's derivatives: only the derivative kernels differ, so
+    # each column matches the apply to the unit field to rounding
+    blocks = []
+    monkeypatch.setattr(evans_solver, "_block_solve", lambda A: blocks.append(A.copy()))
+    cases = [
+        (tc1_hamiltonian(), TorusGrid(1, 16, 16), SolverConfig(k=8.0, P=(0.0,))),
+        (separable_2d(), TorusGrid(2, 12, 1), SolverConfig(k=8.0, P=(0.3, 0.1))),
+    ]
+    for ham, grid, cfg in cases:
+        u = 0.3 * np.sin(2 * np.pi * (grid.coords()[0] + grid.coords()[-1])) * np.ones(grid.shape)
+        st = evaluate_state(ham, grid, cfg, grid.project_zero_mean(u))
+        _dense_block(st, 1e-3)
+        A, apply = blocks[-1], damped_operator(grid, cfg, st, 1e-3)
+        assert A.shape == (grid.n_nodes, grid.n_nodes)
+        for j, unit in enumerate(np.eye(grid.n_nodes)):
+            col = apply(unit.reshape(grid.shape)).ravel()
+            assert np.linalg.norm(A[:, j] - col) <= 1e-12 * np.linalg.norm(col)
+
+
+@pytest.mark.parametrize(
+    "ham, shape, P, hbar",
+    [
+        (tc1_hamiltonian, (1, 64, 16), (0.0,), 0.801487320595),
+        (tc1_hamiltonian, (1, 256, 16), (0.0,), 0.801487320595),
+        (tc2_hamiltonian, (2, 12, 12), (0.5, 0.2), 1.103260369473),
+        (tc2_hamiltonian, (2, 16, 16), (0.5, 0.2), 1.104972240508),
+    ],
+    ids=["tc1-64x16", "tc1-256x16", "tc2-12x12x12", "tc2-16x16x16"],
+)
+def test_scaled_surrogate_converges_above_the_cap(monkeypatch, ham, shape, P, hbar):
+    # m spans decades at k = 8: with coefficients frozen at m = 1 the
+    # surrogate's CG stalled at its cap and these solves ended unconverged
+    # after 69-99 Newton steps; scaled to the operator's diagonal they take
+    # 17-28 steps (the tc1 references are the 64x16 value)
+    counts = pcg_iterations(monkeypatch)
+    res = minimize(ham(), TorusGrid(*shape), SolverConfig(k=8.0, P=P))
+    assert res.converged
+    assert len(counts) == res.iterations > 0
+    assert abs(res.hbar - hbar) <= 1e-9
+
+
+def parity_fields(grid):
+    """The constant and the products of the sign fields (-1)^j of every set of even axes: D's null modes."""
+    fields = [np.ones(grid.shape)]
+    for axis, n in enumerate(grid.shape):
+        if n % 2 == 0:
+            sign = (-1.0) ** np.arange(n).reshape([-1 if i == axis else 1 for i in range(grid.n_axes)])
+            fields += [f * sign for f in fields]
+    return fields
+
+
+@pytest.mark.parametrize("shape", [(1, 64, 16), (1, 33, 31)], ids=["even-64x16", "odd-33x31"])
+def test_scaled_surrogate_above_the_cap_is_symmetric_positive(rng, shape):
+    # m at the clamp over whole x-ranges, where the scaling s reaches
+    # sqrt(diag F / mu): the map stays symmetric and positive, and returns
+    # no null mode of D (the constant; on even axes the sign fields) scaled
+    grid = TorusGrid(*shape)
+    assert grid.n_nodes > _BLOCK_MAX_NODES
+    cfg = SolverConfig(k=16.0, P=(0.3,))
+    u = 3.0 * np.cos(2 * np.pi * grid.coords()[0]) * np.ones(grid.shape)
+    st = evaluate_state(mixed_hamiltonian(), grid, cfg, grid.project_zero_mean(u))
+    assert np.min(st.m) < 1e-300
+    fields = parity_fields(grid)
+    assert len(fields) == (4 if shape[1] % 2 == 0 else 1)
+    for mu in (1e-11, 1e-4, 1.0):
+        M = _fourier_surrogate(st, mu)
+        check_symmetric_positive(rng, grid, M)
+        for x in fields:
+            assert grid.norm(M(x)) <= grid.norm(x)

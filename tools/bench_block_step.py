@@ -15,17 +15,21 @@ evanskam and reports loop minima: each number is the least, over
 machine that spans a loop does not set the number:
 
 - for each block case (64 to 1,024 nodes on one time plane of the
-  pendulum, 512 space-time nodes of tc1 32x16): ``block_s``, the time of
-  one damped Newton step's solve, the map that ``evans_solver._step_solve``
-  picks for the solve grid, built and applied to the negative gradient,
-  and ``step``, that map's name (``flux``, ``dense`` or ``pcg``).  The
-  map's name sets the split.  ``flux`` (one-plane 1-d grids): ``matvec_s``
-  (its two ``np.dot`` matvecs with the antiderivative) and ``other_s``
-  (the rest: coefficients and O(n) work).  ``dense``: ``assemble_s``
-  (``_assemble``), ``lu_solve_s`` (``np.linalg.solve``) and ``other_s``
-  (coefficients, equilibration, matrix products).  ``pcg``:
+  pendulum, 512 and 1,024 space-time nodes of tc1 32x16 and 64x16):
+  ``block_s``, the time of one damped Newton step's solve, the map that
+  ``evans_solver._step_solve`` picks for the solve grid, built and applied
+  to the negative gradient, and ``step``, that map's name (``flux``,
+  ``dense`` or ``pcg``).  The map's name sets the split.  ``flux``
+  (one-plane 1-d grids): ``matvec_s`` (its two ``np.dot`` matvecs with
+  the antiderivative) and ``other_s`` (the rest: coefficients and O(n)
+  work).  ``dense``: ``assemble_s`` (``_assemble``), ``lu_solve_s``
+  (``np.linalg.solve``) and ``other_s`` (coefficients, equilibration,
+  matrix products).  ``pcg``:
   ``operator_apply_s`` (``_operator_apply``) and ``other_s`` (the
-  surrogate's FFTs and CG's vector work).  Each case also gives
+  surrogate's set-up and applies and CG's vector work).  A tree whose
+  ``_operator_apply`` takes a field's derivatives, ``(coef, dv, deriv)``,
+  takes those first derivatives in ``other_s``; one that takes the field,
+  ``(grid, coef, v)``, in ``operator_apply_s``.  Each case also gives
   ``newton_step_s``, one whole step of ``_newton_stage`` (gradient, inner
   solve, line search) from the same state;
 - for one sweep entry on each grid of ``ENTRY_SHAPES``: ``entry_s``, one
@@ -45,7 +49,8 @@ machine that spans a loop does not set the number:
   ``evaluate_state`` call, and ``objective_s``, one ``objective`` call, at
   a smooth iterate; every certificate evaluates one such state;
 - for each case of ``APPLY_CASES``: ``apply_s``, one ``_operator_apply``
-  of the Newton coefficients at a smooth iterate to a random field.
+  of the Newton coefficients at a smooth iterate to a random field, the
+  field's first derivatives included under either signature.
 
 The report gives, per tree and per number, the median over the rounds and
 the range.  Under ``ratios``, for each tree after the first, it gives per
@@ -75,6 +80,7 @@ LOOPS, LOOP_S = 7, 0.02
 # name: (Hamiltonian, TorusGrid arguments (d, n_x, n_t), k, P, damping mu)
 BLOCK_CASES = {
     "spacetime-512": ("tc1", (1, 32, 16), 8.0, 0.0, 1e-6),
+    "spacetime-1024": ("tc1", (1, 64, 16), 8.0, 0.0, 1e-6),
     "plane-64": ("pendulum", (1, 64, 8), 16.0, 0.5, 1e-6),
     "plane-128": ("pendulum", (1, 128, 8), 16.0, 0.5, 1e-6),
     "plane-256": ("pendulum", (1, 256, 8), 16.0, 0.5, 1e-6),
@@ -265,6 +271,8 @@ def state_case(name: str) -> dict:
 
 
 def apply_case(name: str) -> dict:
+    import inspect
+
     import numpy as np
 
     from evanskam import SolverConfig, TorusGrid, evans_solver
@@ -275,7 +283,12 @@ def apply_case(name: str) -> dict:
     st = evans_solver.evaluate_state(library_hamiltonians()[ham_name], grid, cfg, u)
     coef = evans_solver._newton_coefficients(grid, k, st.m, st.w)
     v = np.random.default_rng(0).normal(size=grid.shape)
-    apply_s = per_call_s(lambda: evans_solver._operator_apply(grid, coef, v))
+    if "deriv" in inspect.signature(evans_solver._operator_apply).parameters:  # (coef, dv, deriv)
+        apply_s = per_call_s(
+            lambda: evans_solver._operator_apply(coef, [grid.deriv(v, b) for b in range(len(coef))], grid.deriv)
+        )
+    else:  # (grid, coef, v)
+        apply_s = per_call_s(lambda: evans_solver._operator_apply(grid, coef, v))
     return {"nodes": grid.n_nodes, "apply_s": apply_s}
 
 

@@ -20,7 +20,7 @@ temporary directory, and prints one JSON object:
   unconverged P values;
 - for the library solves in ``LIBRARY_SOLVES``, cases that no config
   reaches (cold starts up a long k ladder, d = 2 grids, one of them a
-  one-plane grid above 256 nodes, and a one-plane and a space-time grid
+  one-plane grid above 256 nodes, and a one-plane and two space-time grids
   above the dense-block cap, which run PCG, a one-plane
   1-d grid of 1,024 nodes, a ``max_newton`` cap, a Hamiltonian read from
   JSON with a "lambda" below 1, and odd grid sizes on the flux, dense-block
@@ -94,6 +94,8 @@ LIBRARY_SOLVES = {
     "pcg-tc2-12": ("tc2", (2, 12, 12), dict(k=4.0, P=(0.5, 0.2))),
     # one plane of 576 nodes, above the dense cap: every Newton step runs PCG
     "pcg-separable-24": ("separable-2d", (2, 24, 4), dict(k=4.0, P=(0.3, 0.1))),
+    # 1,024 space-time nodes at k = 8, where m spans decades: PCG with the scaled surrogate
+    "pcg-tc1-64x16-k8": ("tc1", (1, 64, 16), dict(k=8.0, P=(0.0,))),
     # one plane of 1,024 nodes, above the dense cap: the flux step
     "pendulum-1024": ("pendulum", (1, 1024, 1), dict(k=16.0, P=(0.5,))),
     # a config's weight "lambda" = 0.75 on a time-coupled three-term potential
