@@ -455,9 +455,10 @@ def _step_solve(grid: TorusGrid):
     A one-plane 1-d grid takes ``_flux_block``, at every size.  Other grids
     of at most ``_BLOCK_MAX_NODES`` nodes take ``_dense_block`` (one LU per
     step), larger ones ``_pcg_block``.  At 512 the 1-d time-coupled case on
-    32x16 converges in 11-37 Newton steps where the surrogate's CG stalled
-    after 38k-86k iterations; at 1024 the factor costs 32x32 problems more
-    than the surrogate's CG iterations do (drift only: 0.02 s -> 0.93 s).
+    32x16 converges in 11 (k = 8) and 37 (k = 16) Newton steps, where PCG
+    with the scaled surrogate takes 20 and stops unconverged after 80; at
+    1024 the factor costs 32x32 problems more than the surrogate's CG
+    iterations do (drift only: 0.02 s -> 0.93 s).
     """
     if grid.d == 1 and grid.n_t == 1:
         return _flux_block
@@ -474,21 +475,23 @@ def _fourier_surrogate(st: _State, mu: float):
     where it spans decades: diag A = mu + sum_a (D_a o D_a)^T c_aa along
     axis a with c_ab at the iterate (the cross terms a != b meet D's zero
     diagonal), diag F = mu + sum_a cbar_aa * sum_j D_a[j, 0]^2, and with
-    s = sqrt(diag F / diag A) the map is Pi s Pi F^-1 Pi s Pi.  Pi subtracts
-    the mean of each node-parity class (the zero-mean projection on an
-    all-odd grid), which removes D's null modes: without it s would carry
-    them into and out of F^-1, which scales them by about 1/mu.  The map is
-    symmetric and positive on the range, at one rfftn/irfftn pair per apply.
+    s = sqrt(diag F / diag A) the map is Pi s Fhat^-1 s Pi.  Pi subtracts the
+    mean of each node-parity class (the zero-mean projection on an all-odd
+    grid), which removes D's null modes, the Fourier modes at frequency 0 or
+    Nyquist on every axis; Fhat^-1 is F^-1 with their bins zeroed, exactly
+    Pi F^-1 Pi.  Left in, s would carry them into and out of F^-1, which
+    scales them by about 1/mu.  The map is symmetric and positive on the
+    range, at one rfftn/irfftn pair and two projections per apply.
     """
     grid, d = st.grid, st.grid.d
     coef = _newton_coefficients(grid, st.cfg.k, st.m, st.w)
     cbar = _newton_coefficients(grid, st.cfg.k, 1.0, [grid.integrate(st.m * wi) for wi in st.w])
     freqs = [np.fft.fftfreq(n, d=1.0 / n) for n in grid.shape[:d]] + [np.fft.rfftfreq(grid.n_t, d=1.0 / grid.n_t)]
     xi = [2.0 * np.pi * f.reshape([-1 if i == a else 1 for i in range(d + 1)]) for a, f in enumerate(freqs)]
-    # every pair of the solve grid's axes has a term: sym spans the rfftn bins
-    sym = mu + sum(c * xi[a] * xi[b] for a, row in enumerate(cbar) for b, c in enumerate(row))
-    sym.flat[0] = 1.0  # DC bin is never excited (zero-mean subspace)
-    inv = 1.0 / sym
+    # every pair of the solve grid's axes has a term: F's symbol spans the rfftn bins
+    inv = 1.0 / (mu + sum(c * xi[a] * xi[b] for a, row in enumerate(cbar) for b, c in enumerate(row)))
+    # D's null modes are the bins at frequency 0 or Nyquist on every axis: zeroing them is Pi F^-1 Pi
+    inv[np.ix_(*[[0, n // 2] if n % 2 == 0 else [0] for n in grid.shape])] = 0.0
     axes = tuple(range(d + 1))
     squares = [derivative_matrix(grid.shape[a]) ** 2 for a in range(len(coef))]
     diag_A = mu + sum(_along(sq, coef[a][a], a) for a, sq in enumerate(squares))
@@ -506,8 +509,8 @@ def _fourier_surrogate(st: _State, mu: float):
         return (y - np.add.reduce(y, halves, keepdims=True) / class_size).reshape(grid.shape)
 
     def apply_inverse(r: np.ndarray) -> np.ndarray:
-        x = np.fft.irfftn(np.fft.rfftn(parity_free(s * parity_free(r)), axes=axes) * inv, s=grid.shape, axes=axes)
-        return parity_free(s * parity_free(x))
+        x = np.fft.irfftn(np.fft.rfftn(s * parity_free(r), axes=axes) * inv, s=grid.shape, axes=axes)
+        return parity_free(s * x)
 
     return apply_inverse
 

@@ -567,7 +567,8 @@ class TestLipschitzBound:
 
 class TestTimeCoupledRegression:
     # hbar from dense direct inner solves of the same Newton loop; with the
-    # Fourier surrogate alone the solves stalled at gradient norms 3e-5 and 6e-4
+    # m-blind Fourier surrogate alone the solves stalled at gradient norms
+    # 3e-5 and 6e-4, and PCG with the scaled one stops at 6e-5 at k = 16
     @pytest.mark.parametrize("k, hbar", [(8.0, 0.8014873205), (16.0, 0.9000883414)])
     def test_tc1_converges_to_the_dense_reference(self, k, hbar):
         res = minimize(tc1_hamiltonian(), TorusGrid(1, 32, 16), SolverConfig(k=k, P=(0.0,), grad_tol=1e-9))

@@ -31,6 +31,7 @@ from evanskam.evans_solver import (
     _BLOCK_MAX_NODES,
     LineSearchError,
     SolverConfig,
+    _along,
     _dense_block,
     _flux_block,
     _fourier_surrogate,
@@ -157,8 +158,9 @@ class TestSymmetricPositive:
 
     def test_constants_not_amplified(self):
         # constants are never part of a residual, but round-off puts them
-        # there; like the surrogate's unit DC bin, the block must not return
-        # them scaled by 1/mu.  The flux step drops the Nyquist mode too.
+        # there; like the surrogate, whose null-mode bins are zero, the block
+        # must not return them scaled by 1/mu.  The flux step drops the
+        # Nyquist mode too.
         for grid, cfg, st in states():
             fields = [np.ones(grid.shape)] + ([alternating(grid)] if one_plane_1d(grid) else [])
             for M in (block(grid, cfg, st, 1e-11), _fourier_surrogate(st, 1e-11)):
@@ -584,3 +586,62 @@ def test_scaled_surrogate_above_the_cap_is_symmetric_positive(rng, shape):
         check_symmetric_positive(rng, grid, M)
         for x in fields:
             assert grid.norm(M(x)) <= grid.norm(x)
+
+
+def four_projection_surrogate(st, mu):
+    """The surrogate written as Pi s Pi F^-1 Pi s Pi: F's DC bin set to one, Pi the parity-class means."""
+    grid, d = st.grid, st.grid.d
+    coef = _newton_coefficients(grid, st.cfg.k, st.m, st.w)
+    cbar = _newton_coefficients(grid, st.cfg.k, 1.0, [grid.integrate(st.m * wi) for wi in st.w])
+    freqs = [np.fft.fftfreq(n, d=1.0 / n) for n in grid.shape[:d]] + [np.fft.rfftfreq(grid.n_t, d=1.0 / grid.n_t)]
+    xi = [2.0 * np.pi * f.reshape([-1 if i == a else 1 for i in range(d + 1)]) for a, f in enumerate(freqs)]
+    sym = mu + sum(c * xi[a] * xi[b] for a, row in enumerate(cbar) for b, c in enumerate(row))
+    sym.flat[0] = 1.0
+    inv, axes = 1.0 / sym, tuple(range(d + 1))
+    squares = [derivative_matrix(grid.shape[a]) ** 2 for a in range(len(coef))]
+    diag_A = mu + sum(_along(sq, coef[a][a], a) for a, sq in enumerate(squares))
+    diag_F = mu + sum(cbar[a][a] * sq[:, 0].sum() for a, sq in enumerate(squares))
+    s = np.sqrt(diag_F / diag_A)
+    split, halves = [], []
+    for n in grid.shape:
+        halves.append(len(split))
+        split += [n // 2, 2] if n % 2 == 0 else [n]
+
+    def parity_free(x):
+        y = x.reshape(split)
+        return (y - y.mean(axis=tuple(halves), keepdims=True)).reshape(grid.shape)
+
+    def apply_inverse(r):
+        x = np.fft.irfftn(np.fft.rfftn(parity_free(s * parity_free(r)), axes=axes) * inv, s=grid.shape, axes=axes)
+        return parity_free(s * parity_free(x))
+
+    return apply_inverse
+
+
+@pytest.mark.parametrize("mu", [1e-11, 1e-4, 1.0])
+@pytest.mark.parametrize(
+    "ham, shape, P",
+    [
+        (tc1_hamiltonian, (1, 64, 16), (0.0,)),
+        (tc1_hamiltonian, (1, 33, 31), (0.0,)),
+        (tc1_hamiltonian, (1, 33, 32), (0.0,)),
+        (tc1_hamiltonian, (1, 32, 33), (0.0,)),
+        (tc1_hamiltonian, (1, 16, 3), (0.0,)),
+        (tc2_hamiltonian, (2, 12, 12), (0.5, 0.2)),
+        (separable_2d, (2, 24, 1), (0.5, 0.2)),
+        (separable_2d, (2, 23, 1), (0.5, 0.2)),
+    ],
+    ids=["tc1-64x16", "tc1-33x31", "tc1-33x32", "tc1-32x33", "tc1-16x3", "tc2-12x12x12", "separable-24", "separable-23"],
+)
+def test_surrogate_is_the_four_projection_map(rng, ham, shape, P, mu):
+    # D's null modes are the bins at frequency 0 or Nyquist on every axis,
+    # so zeroing those bins of F^-1 is Pi F^-1 Pi: the two inner projections
+    # and the DC special case say nothing more, on either parity of any axis
+    grid = TorusGrid(*shape)
+    cfg = SolverConfig(k=8.0, P=P)
+    u = np.sin(2 * np.pi * (grid.coords()[0] + grid.coords()[-1])) * np.ones(grid.shape)
+    st = evaluate_state(ham(), grid, cfg, grid.project_zero_mean(u))
+    M, reference = _fourier_surrogate(st, mu), four_projection_surrogate(st, mu)
+    for _ in range(3):
+        r = rng.standard_normal(grid.shape)
+        assert grid.norm(M(r) - reference(r)) <= 1e-13 * grid.norm(reference(r))

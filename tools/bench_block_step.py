@@ -24,14 +24,12 @@ machine that spans a loop does not set the number:
   the antiderivative) and ``other_s`` (the rest: coefficients and O(n)
   work).  ``dense``: ``assemble_s`` (``_assemble``), ``lu_solve_s``
   (``np.linalg.solve``) and ``other_s`` (coefficients, equilibration,
-  matrix products).  ``pcg``:
-  ``operator_apply_s`` (``_operator_apply``) and ``other_s`` (the
-  surrogate's set-up and applies and CG's vector work).  A tree whose
-  ``_operator_apply`` takes a field's derivatives, ``(coef, dv, deriv)``,
-  takes those first derivatives in ``other_s``; one that takes the field,
-  ``(grid, coef, v)``, in ``operator_apply_s``.  Each case also gives
-  ``newton_step_s``, one whole step of ``_newton_stage`` (gradient, inner
-  solve, line search) from the same state;
+  matrix products).  ``pcg``: ``operator_apply_s`` (``_operator_apply``)
+  and ``other_s`` (the surrogate's set-up and applies, CG's vector work
+  and the first derivatives of each direction, which ``_operator_apply``
+  takes as its ``dv`` argument).  Each case also gives ``newton_step_s``,
+  one whole step of ``_newton_stage`` (gradient, inner solve, line search)
+  from the same state;
 - for one sweep entry on each grid of ``ENTRY_SHAPES``: ``entry_s``, one
   ``minimize`` of the pendulum at k = 16, P = 1, ``grad_tol`` 1e-11,
   warm-started from the u of its own converged solve on that grid, so that
@@ -50,7 +48,7 @@ machine that spans a loop does not set the number:
   a smooth iterate; every certificate evaluates one such state;
 - for each case of ``APPLY_CASES``: ``apply_s``, one ``_operator_apply``
   of the Newton coefficients at a smooth iterate to a random field, the
-  field's first derivatives included under either signature.
+  field's first derivatives included.
 
 The report gives, per tree and per number, the median over the rounds and
 the range.  Under ``ratios``, for each tree after the first, it gives per
@@ -271,8 +269,6 @@ def state_case(name: str) -> dict:
 
 
 def apply_case(name: str) -> dict:
-    import inspect
-
     import numpy as np
 
     from evanskam import SolverConfig, TorusGrid, evans_solver
@@ -283,12 +279,9 @@ def apply_case(name: str) -> dict:
     st = evans_solver.evaluate_state(library_hamiltonians()[ham_name], grid, cfg, u)
     coef = evans_solver._newton_coefficients(grid, k, st.m, st.w)
     v = np.random.default_rng(0).normal(size=grid.shape)
-    if "deriv" in inspect.signature(evans_solver._operator_apply).parameters:  # (coef, dv, deriv)
-        apply_s = per_call_s(
-            lambda: evans_solver._operator_apply(coef, [grid.deriv(v, b) for b in range(len(coef))], grid.deriv)
-        )
-    else:  # (grid, coef, v)
-        apply_s = per_call_s(lambda: evans_solver._operator_apply(grid, coef, v))
+    apply_s = per_call_s(
+        lambda: evans_solver._operator_apply(coef, [grid.deriv(v, b) for b in range(len(coef))], grid.deriv)
+    )
     return {"nodes": grid.n_nodes, "apply_s": apply_s}
 
 

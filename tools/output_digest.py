@@ -23,8 +23,9 @@ temporary directory, and prints one JSON object:
   one-plane grid above 256 nodes, and a one-plane and two space-time grids
   above the dense-block cap, which run PCG, a one-plane
   1-d grid of 1,024 nodes, a ``max_newton`` cap, a Hamiltonian read from
-  JSON with a "lambda" below 1, and odd grid sizes on the flux, dense-block
-  and PCG step paths): per solve, the sha256 of its record
+  JSON with a "lambda" below 1, odd grid sizes on the flux, dense-block
+  and PCG step paths, and PCG on grids with one odd and one even axis,
+  either way round): per solve, the sha256 of its record
   (the fields above plus lip_norm) with its iterations and converged flag,
   and one sha256 per certificate of the solve, so that each shows on its
   own: the ``mfg_residuals`` fields, ``holonomy_residual`` and
@@ -104,6 +105,9 @@ LIBRARY_SOLVES = {
     "odd-pendulum-33x1": ("pendulum", (1, 33, 1), dict(k=16.0, P=(2.0,))),
     "odd-tc1-33x15": ("tc1", (1, 33, 15), dict(k=16.0, P=(0.0,))),
     "odd-t1-33x33": ("t1", (1, 33, 33), dict(k=8.0, P=(0.3,))),
+    # one odd and one even axis, where D's null modes are the constant and one sign field: PCG
+    "pcg-tc1-33x32-k4": ("tc1", (1, 33, 32), dict(k=4.0, P=(0.0,))),
+    "pcg-t1-32x33-k8": ("t1", (1, 32, 33), dict(k=8.0, P=(0.3,))),
 }
 # name: (Hamiltonian, TorusGrid arguments (d, n_x, n_t), k, P grid as numpy.linspace arguments)
 LIBRARY_SWEEPS = {
