@@ -25,13 +25,13 @@ solve grid alone, a map of the evaluated state.  On a one-plane 1-d grid,
 at any n, D^T diag(c) D is diagonal in the flux y = D s up to D's null
 modes, and a step is two matvecs with the antiderivative D+.  On other small
 grids it is one direct solve with a dense block; larger grids run conjugate
-gradients on the zero-mean subspace, preconditioned by a Fourier surrogate
-scaled to the operator's exact diagonal.  The dense block and the
-matrix-free apply are one function, ``_operator_apply``.  J is
-convex at every k, so a cold start needs no homotopy in the Hamiltonian: it
-climbs a doubling ladder in k from u = 0, each stage warm-started from the
-last, and a solve warm-started from another solve climbs the same ladder
-from that solve's k.
+gradients on the zero-mean subspace, preconditioned by a Fourier surrogate:
+the operator with every coefficient at its node mean, scaled to the
+operator's exact diagonal.  The dense block and the matrix-free apply are
+one function, ``_operator_apply``.  J is convex at every k, so a cold start
+needs no homotopy in the Hamiltonian: it climbs a doubling ladder in k from
+u = 0, each stage warm-started from the last, and a solve warm-started from
+another solve climbs the same ladder from that solve's k.
 """
 
 from __future__ import annotations
@@ -289,14 +289,14 @@ def _softmax(grid: TorusGrid, k: float, f: np.ndarray) -> tuple[float, np.ndarra
     return fmax + math.log(Z) / k, weights / Z
 
 
-def _newton_coefficients(grid: TorusGrid, k: float, m, w: list) -> list[list]:
-    """The coefficients c_ab of the Newton operator sum_ab D_a^T diag(c_ab) D_b.
+def _newton_coefficients(grid: TorusGrid, k: float, m: np.ndarray, w: list[np.ndarray]) -> list[list[np.ndarray]]:
+    """The coefficient fields c_ab of the Newton operator sum_ab D_a^T diag(c_ab) D_b.
 
     c_ab = m*(k*v_a*v_b + delta_ab*[a spatial]) with v = (w, 1), w = H_p:
     k*T^T diag(m) T for the transport derivative T = D_t + sum_i diag(w_i) D_i,
     plus sum_i D_i^T diag(m) D_i.  The axes are the solve grid's: the spatial
     ones alone on one time plane, where D_t is zero, every space-time axis
-    otherwise.  ``m`` and ``w`` are fields, or numbers for frozen coefficients.
+    otherwise.
     """
     d, v = grid.d, [*w, 1.0]
     axes = range(grid.n_axes if grid.n_t > 1 else d)
@@ -431,13 +431,14 @@ def _flux_block(st: _State, mu: float):
 def _pcg_block(st: _State, mu: float):
     """Inexact solve with the damped Newton operator: PCG with the scaled Fourier surrogate, matrix-free.
 
-    The operator is ``_operator_apply`` on the derivatives of each CG
-    direction, plus mu.  CG stops at the inexact-Newton forcing term
+    The operator is ``_operator_apply`` of the coefficients at the iterate on
+    the derivatives of each CG direction, plus mu; the surrogate is read off
+    the same coefficients.  CG stops at the inexact-Newton forcing term
     min(0.1, sqrt(mu)), which is sqrt(grad_norm) for mu = min(1, grad_norm).
     """
     coef = _newton_coefficients(st.grid, st.cfg.k, st.m, st.w)
     forcing = min(0.1, math.sqrt(mu))
-    surrogate = _fourier_surrogate(st, mu)
+    surrogate = _fourier_surrogate(st.grid, coef, mu)
 
     def apply_damped(v: np.ndarray) -> np.ndarray:
         return _operator_apply(coef, [st.grid.deriv(v, b) for b in range(len(coef))], st.grid.deriv) + mu * v
@@ -465,27 +466,26 @@ def _step_solve(grid: TorusGrid):
     return _dense_block if grid.n_nodes <= _BLOCK_MAX_NODES else _pcg_block
 
 
-def _fourier_surrogate(st: _State, mu: float):
-    """Approximate inverse of the damped Newton operator A, the preconditioner of ``_pcg_block``.
+def _fourier_surrogate(grid: TorusGrid, coef: list[list[np.ndarray]], mu: float):
+    """Approximate inverse of the damped Newton operator A of ``coef``, the preconditioner of ``_pcg_block``.
 
-    F is A with its coefficients frozen at m = 1 (its mean) and H_p = wbar,
-    the rotation vector: mu + sum_ab cbar_ab*xi_a*xi_b, diagonal in Fourier
-    space, which captures the transport anisotropy that otherwise throttles
-    the inner solve.  F^-1 is scaled to A's exact diagonal, which follows m
-    where it spans decades: diag A = mu + sum_a (D_a o D_a)^T c_aa along
-    axis a with c_ab at the iterate (the cross terms a != b meet D's zero
-    diagonal), diag F = mu + sum_a cbar_aa * sum_j D_a[j, 0]^2, and with
-    s = sqrt(diag F / diag A) the map is Pi s Fhat^-1 s Pi.  Pi subtracts the
-    mean of each node-parity class (the zero-mean projection on an all-odd
-    grid), which removes D's null modes, the Fourier modes at frequency 0 or
-    Nyquist on every axis; Fhat^-1 is F^-1 with their bins zeroed, exactly
-    Pi F^-1 Pi.  Left in, s would carry them into and out of F^-1, which
-    scales them by about 1/mu.  The map is symmetric and positive on the
-    range, at one rfftn/irfftn pair and two projections per apply.
+    F is A with every coefficient c_ab at its node mean cbar_ab: mu +
+    sum_ab cbar_ab*xi_a*xi_b, diagonal in Fourier space, which captures the
+    transport anisotropy that otherwise throttles the inner solve.  F^-1 is
+    scaled to A's exact diagonal, which follows m where it spans decades:
+    diag A = mu + sum_a (D_a o D_a)^T c_aa along axis a (the cross terms
+    a != b meet D's zero diagonal), and as every column of D_a o D_a has one
+    sum, diag F is the node mean of diag A.  With s = sqrt(diag F / diag A)
+    the map is Pi s Fhat^-1 s Pi.  Pi subtracts the mean of each node-parity
+    class (the zero-mean projection on an all-odd grid), which removes D's
+    null modes, the Fourier modes at frequency 0 or Nyquist on every axis;
+    Fhat^-1 is F^-1 with their bins zeroed, exactly Pi F^-1 Pi.  Left in, s
+    would carry them into and out of F^-1, which scales them by about 1/mu.
+    The map is symmetric and positive on the range, at one rfftn/irfftn
+    pair and two projections per apply.
     """
-    grid, d = st.grid, st.grid.d
-    coef = _newton_coefficients(grid, st.cfg.k, st.m, st.w)
-    cbar = _newton_coefficients(grid, st.cfg.k, 1.0, [grid.integrate(st.m * wi) for wi in st.w])
+    d = grid.d
+    cbar = [[grid.integrate(c) for c in row] for row in coef]
     freqs = [np.fft.fftfreq(n, d=1.0 / n) for n in grid.shape[:d]] + [np.fft.rfftfreq(grid.n_t, d=1.0 / grid.n_t)]
     xi = [2.0 * np.pi * f.reshape([-1 if i == a else 1 for i in range(d + 1)]) for a, f in enumerate(freqs)]
     # every pair of the solve grid's axes has a term: F's symbol spans the rfftn bins
@@ -493,10 +493,8 @@ def _fourier_surrogate(st: _State, mu: float):
     # D's null modes are the bins at frequency 0 or Nyquist on every axis: zeroing them is Pi F^-1 Pi
     inv[np.ix_(*[[0, n // 2] if n % 2 == 0 else [0] for n in grid.shape])] = 0.0
     axes = tuple(range(d + 1))
-    squares = [derivative_matrix(grid.shape[a]) ** 2 for a in range(len(coef))]
-    diag_A = mu + sum(_along(sq, coef[a][a], a) for a, sq in enumerate(squares))
-    diag_F = mu + sum(cbar[a][a] * sq[:, 0].sum() for a, sq in enumerate(squares))
-    s = np.sqrt(diag_F / diag_A)
+    diag_A = mu + sum(_along(derivative_matrix(grid.shape[a]) ** 2, row[a], a) for a, row in enumerate(coef))
+    s = np.sqrt(grid.integrate(diag_A) / diag_A)
     # every even axis n split as (n/2, 2): the means over the half-axes are the parity classes' means
     split, halves = [], []
     for n in grid.shape:

@@ -219,8 +219,6 @@ class TorusGrid:
         self._check_axis(axis)
         arr = self._checked(values, "cannot differentiate a field with non-finite values")
         n = arr.shape[axis]
-        if n == 1:
-            return np.zeros_like(arr)
         if arr.size == n:  # one line
             line = arr.ravel()
             return np.dot(derivative_matrix(n), line - line[0]).reshape(arr.shape)

@@ -47,8 +47,16 @@ from evanskam.hamiltonians import FourierSpec, MechanicalHamiltonian
 from evanskam.torus_grid import TorusGrid, antiderivative_matrix, derivative_matrix
 
 
+def coefficients(st):
+    """The Newton coefficients c_ab at the state, the ones ``_pcg_block`` builds."""
+    return _newton_coefficients(st.grid, st.cfg.k, st.m, st.w)
+
+
 def damped_operator(grid, cfg, st, mu):
-    coef = _newton_coefficients(grid, cfg.k, st.m, st.w)
+    return coefficient_operator(grid, coefficients(st), mu)
+
+
+def coefficient_operator(grid, coef, mu):
     return lambda v: _operator_apply(coef, [grid.deriv(v, b) for b in range(len(coef))], grid.deriv) + mu * v
 
 
@@ -147,7 +155,7 @@ def check_block_and_surrogate(rng, grid, cfg, st, mu):
     """The block map is positive (symmetric too on one plane in 1-d) and exact at mu; the surrogate is symmetric and positive."""
     (check_symmetric_positive if one_plane_1d(grid) else check_positive)(rng, grid, block(grid, cfg, st, mu))
     check_exact(rng, grid, cfg, st, mus=(mu,))
-    check_symmetric_positive(rng, grid, _fourier_surrogate(st, mu))
+    check_symmetric_positive(rng, grid, _fourier_surrogate(grid, coefficients(st), mu))
 
 
 class TestSymmetricPositive:
@@ -163,7 +171,7 @@ class TestSymmetricPositive:
         # Nyquist mode too.
         for grid, cfg, st in states():
             fields = [np.ones(grid.shape)] + ([alternating(grid)] if one_plane_1d(grid) else [])
-            for M in (block(grid, cfg, st, 1e-11), _fourier_surrogate(st, 1e-11)):
+            for M in (block(grid, cfg, st, 1e-11), _fourier_surrogate(grid, coefficients(st), 1e-11)):
                 for x in fields:
                     assert grid.norm(M(x)) <= grid.norm(x)
 
@@ -183,17 +191,33 @@ def nyquist_free_field(rng, grid):
     "grid, P", [(TorusGrid(1, 16, 16), (0.5,)), (TorusGrid(2, 8, 8), (0.5, 0.2))], ids=["d1-16x16", "d2-8x8x8"]
 )
 def test_surrogate_inverts_the_constant_coefficient_operator(rng, grid, P, mu):
-    # V = eta = 0 at u = 0 gives m = 1 and H_p = P everywhere, the frozen
-    # coefficients of the surrogate, so the surrogate is the exact inverse of
-    # the damped operator on every mode the spectral derivative keeps
+    # V = eta = 0 at u = 0 gives m = 1 and H_p = P everywhere: every
+    # coefficient is its own node mean, so the surrogate is the exact inverse
+    # of the damped operator on every mode the spectral derivative keeps
     d = grid.d
     ham = MechanicalHamiltonian(d=d, eta=(FourierSpec.zero(1),) * d, V=FourierSpec.zero(d + 1))
     cfg = SolverConfig(k=4.0, P=P)
     st = evaluate_state(ham, grid, cfg, grid.zeros())
-    A, M = damped_operator(grid, cfg, st, mu), _fourier_surrogate(st, mu)
+    A, M = damped_operator(grid, cfg, st, mu), _fourier_surrogate(grid, coefficients(st), mu)
     for _ in range(3):
         v = nyquist_free_field(rng, grid)
         assert grid.norm(M(A(v)) - v) <= 1e-11 * grid.norm(v)
+
+
+@pytest.mark.parametrize("mu", [1e-11, 1e-4, 1.0])
+@pytest.mark.parametrize("grid", [TorusGrid(1, 33, 31), TorusGrid(2, 23, 1)], ids=["spacetime-33x31", "plane-23x23"])
+def test_surrogate_is_the_inverse_for_constant_coefficients(rng, grid, mu):
+    # F is A with every coefficient at its node mean: for constant fields of
+    # any symmetric positive-definite c_ab it is A itself, and on an all-odd
+    # grid every zero-mean field is in D's range, where the surrogate inverts it
+    n_axes = grid.n_axes if grid.n_t > 1 else grid.d
+    for _ in range(3):
+        B = rng.standard_normal((n_axes, n_axes))
+        C = B @ B.T + 0.1 * np.eye(n_axes)
+        coef = [[np.full(grid.shape, C[a, b]) for b in range(n_axes)] for a in range(n_axes)]
+        A, M = coefficient_operator(grid, coef, mu), _fourier_surrogate(grid, coef, mu)
+        v = random_zero_mean(rng, grid)
+        assert grid.norm(M(A(v)) - v) <= 1e-10 * grid.norm(v)
 
 
 class TestTimeMeanBlockExact:
@@ -272,7 +296,7 @@ def test_block_steps_where_m_underflows(rng):
     assert np.isfinite(step).all()
     assert grid.inner(g, step) < 0.0
     assert grid.norm(damped_operator(grid, cfg, st, 1e-11)(step) + g) <= 1e-12 * grid.norm(g)
-    check_symmetric_positive(rng, grid, _fourier_surrogate(st, 1e-11))
+    check_symmetric_positive(rng, grid, _fourier_surrogate(grid, coefficients(st), 1e-11))
 
 
 def test_failed_factor_raises_line_search_error(monkeypatch):
@@ -582,26 +606,23 @@ def test_scaled_surrogate_above_the_cap_is_symmetric_positive(rng, shape):
     fields = parity_fields(grid)
     assert len(fields) == (4 if shape[1] % 2 == 0 else 1)
     for mu in (1e-11, 1e-4, 1.0):
-        M = _fourier_surrogate(st, mu)
+        M = _fourier_surrogate(grid, coefficients(st), mu)
         check_symmetric_positive(rng, grid, M)
         for x in fields:
             assert grid.norm(M(x)) <= grid.norm(x)
 
 
-def four_projection_surrogate(st, mu):
+def four_projection_surrogate(grid, coef, mu):
     """The surrogate written as Pi s Pi F^-1 Pi s Pi: F's DC bin set to one, Pi the parity-class means."""
-    grid, d = st.grid, st.grid.d
-    coef = _newton_coefficients(grid, st.cfg.k, st.m, st.w)
-    cbar = _newton_coefficients(grid, st.cfg.k, 1.0, [grid.integrate(st.m * wi) for wi in st.w])
+    d = grid.d
+    cbar = [[grid.integrate(c) for c in row] for row in coef]
     freqs = [np.fft.fftfreq(n, d=1.0 / n) for n in grid.shape[:d]] + [np.fft.rfftfreq(grid.n_t, d=1.0 / grid.n_t)]
     xi = [2.0 * np.pi * f.reshape([-1 if i == a else 1 for i in range(d + 1)]) for a, f in enumerate(freqs)]
     sym = mu + sum(c * xi[a] * xi[b] for a, row in enumerate(cbar) for b, c in enumerate(row))
     sym.flat[0] = 1.0
     inv, axes = 1.0 / sym, tuple(range(d + 1))
-    squares = [derivative_matrix(grid.shape[a]) ** 2 for a in range(len(coef))]
-    diag_A = mu + sum(_along(sq, coef[a][a], a) for a, sq in enumerate(squares))
-    diag_F = mu + sum(cbar[a][a] * sq[:, 0].sum() for a, sq in enumerate(squares))
-    s = np.sqrt(diag_F / diag_A)
+    diag_A = mu + sum(_along(derivative_matrix(grid.shape[a]) ** 2, coef[a][a], a) for a in range(len(coef)))
+    s = np.sqrt(np.mean(diag_A) / diag_A)
     split, halves = [], []
     for n in grid.shape:
         halves.append(len(split))
@@ -641,7 +662,8 @@ def test_surrogate_is_the_four_projection_map(rng, ham, shape, P, mu):
     cfg = SolverConfig(k=8.0, P=P)
     u = np.sin(2 * np.pi * (grid.coords()[0] + grid.coords()[-1])) * np.ones(grid.shape)
     st = evaluate_state(ham(), grid, cfg, grid.project_zero_mean(u))
-    M, reference = _fourier_surrogate(st, mu), four_projection_surrogate(st, mu)
+    coef = coefficients(st)
+    M, reference = _fourier_surrogate(grid, coef, mu), four_projection_surrogate(grid, coef, mu)
     for _ in range(3):
         r = rng.standard_normal(grid.shape)
         assert grid.norm(M(r) - reference(r)) <= 1e-13 * grid.norm(reference(r))

@@ -27,9 +27,11 @@ machine that spans a loop does not set the number:
   matrix products).  ``pcg``: ``operator_apply_s`` (``_operator_apply``)
   and ``other_s`` (the surrogate's set-up and applies, CG's vector work
   and the first derivatives of each direction, which ``_operator_apply``
-  takes as its ``dv`` argument).  Each case also gives ``newton_step_s``,
-  one whole step of ``_newton_stage`` (gradient, inner solve, line search)
-  from the same state;
+  takes as its ``dv`` argument), with ``cg_iterations``, the iterations of
+  the solve's ``_pcg`` call, and ``cg_iteration_s``, ``block_s`` over
+  them, which set the solve's cost apart from its iteration count.  Each
+  case also gives ``newton_step_s``, one whole step of ``_newton_stage``
+  (gradient, inner solve, line search) from the same state;
 - for one sweep entry on each grid of ``ENTRY_SHAPES``: ``entry_s``, one
   ``minimize`` of the pendulum at k = 16, P = 1, ``grad_tol`` 1e-11,
   warm-started from the u of its own converged solve on that grid, so that
@@ -167,9 +169,29 @@ def block_case(name: str) -> dict:
     for phase in phases:
         out[phase] = min(t[phase] for t in loops)
     out["other_s"] = min(t["total"] - sum(t[phase] for phase in phases) for t in loops)
+    if step == "pcg":
+        out["cg_iterations"] = pcg_iterations(evans_solver, lambda: solve_map(st, mu)(-g))
+        out["cg_iteration_s"] = out["block_s"] / out["cg_iterations"]
     one_step = replace(cfg, max_newton=1)
     out["newton_step_s"] = per_call_s(lambda: evans_solver._newton_stage(st.at(u, one_step)))
     return out
+
+
+def pcg_iterations(evans_solver, call) -> int:
+    """The iterations of the ``evans_solver._pcg`` calls in one ``call()``, which every tree returns as ``(x, it)``."""
+    pcg, counts = evans_solver._pcg, []
+
+    def counting(*args, **kwargs):
+        x, it = pcg(*args, **kwargs)
+        counts.append(it)
+        return x, it
+
+    evans_solver._pcg = counting
+    try:
+        call()
+    finally:
+        evans_solver._pcg = pcg
+    return sum(counts)
 
 
 def entry_case(shape: tuple[int, int, int]) -> dict:

@@ -25,8 +25,10 @@ temporary directory, and prints one JSON object:
   1-d grid of 1,024 nodes, a ``max_newton`` cap, a Hamiltonian read from
   JSON with a "lambda" below 1, odd grid sizes on the flux, dense-block
   and PCG step paths, and PCG on grids with one odd and one even axis,
-  either way round): per solve, the sha256 of its record
-  (the fields above plus lip_norm) with its iterations and converged flag,
+  either way round, one of them at k = 8, ``pcg-tc1-63x16-k8``, where the
+  surrogate's coefficients move the Newton steps most): per solve, the
+  sha256 of its record (the fields above plus lip_norm) with its
+  iterations and converged flag,
   and one sha256 per certificate of the solve, so that each shows on its
   own: the ``mfg_residuals`` fields, ``holonomy_residual`` and
   ``aronsson_residual``;
@@ -97,6 +99,9 @@ LIBRARY_SOLVES = {
     "pcg-separable-24": ("separable-2d", (2, 24, 4), dict(k=4.0, P=(0.3, 0.1))),
     # 1,024 space-time nodes at k = 8, where m spans decades: PCG with the scaled surrogate
     "pcg-tc1-64x16-k8": ("tc1", (1, 64, 16), dict(k=8.0, P=(0.0,))),
+    # an odd spatial and an even time axis at k = 8: the PCG case whose Newton steps hang most on
+    # how the surrogate's coefficients are frozen
+    "pcg-tc1-63x16-k8": ("tc1", (1, 63, 16), dict(k=8.0, P=(0.0,))),
     # one plane of 1,024 nodes, above the dense cap: the flux step
     "pendulum-1024": ("pendulum", (1, 1024, 1), dict(k=16.0, P=(0.5,))),
     # a config's weight "lambda" = 0.75 on a time-coupled three-term potential
