@@ -17,8 +17,8 @@ from functools import partial
 
 import numpy as np
 
-from .evans_solver import SolveResult, SolverConfig, _grid_table, _solve_grid, minimize
-from .hamiltonians import MechanicalHamiltonian, _is_finite_number
+from .evans_solver import SolveResult, SolverConfig, _solve_grid, minimize
+from .hamiltonians import MechanicalHamiltonian, _is_finite_number, check_nyquist
 from .torus_grid import TorusGrid, write_table
 
 __all__ = [
@@ -158,10 +158,11 @@ def sweep_P(
     workers: each slice's rows equal a serial sweep of that slice bit for bit,
     on any machine.  Failed entries are flagged and the sweep continues.
     Every entry runs at ``k``, read as ``SolverConfig`` reads it.  A Nyquist
-    violation, then a malformed k, P or ``jobs`` (anything but a positive
-    integer, booleans included), raises ValueError before any solve.
+    violation on ``grid`` (``check_nyquist``), then a malformed k, P or
+    ``jobs`` (anything but a positive integer, booleans included), raises
+    ValueError before any solve.
     """
-    _grid_table(ham, _solve_grid(ham, grid))  # the Nyquist gate
+    check_nyquist(ham, grid)
     base = replace(config, k=k) if config is not None else SolverConfig(k=k)
     pts = _as_points(P_values, ham.d)
     if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:

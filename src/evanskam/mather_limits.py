@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evans_solver import SolveResult, SolverConfig, _grid_table, _on_solve_grid, _solve_grid, evaluate_state, minimize
-from .hamiltonians import FourierSpec, MechanicalHamiltonian
+from .evans_solver import SolveResult, SolverConfig, _on_solve_grid, _solve_grid, evaluate_state, minimize
+from .hamiltonians import FourierSpec, MechanicalHamiltonian, check_nyquist
 from .torus_grid import TorusGrid, write_table
 
 __all__ = [
@@ -66,23 +66,19 @@ def mather_diagnostics(
 ) -> MatherDiagnostics:
     """Action integral, entropy and rotation vector of the solve's measure, weighted by the stored ``result.m``.
 
-    The entropy uses the closed form k * mean(m * (f - hbar)) rather than
-    m log m, which is exact by the pointwise identity and immune to underflow
-    where m is negligible.  An autonomous solve is constant in t, so it is
-    evaluated on the one time plane it ran on (``_on_solve_grid``), as
-    ``k_sweep``'s rows are.
+    H_p and f are re-derived from ``result.u``.  The entropy uses the closed
+    form k * mean(m * (f - hbar)) rather than m log m, which is exact by the
+    pointwise identity and immune to underflow where m is negligible.  An
+    autonomous solve is constant in t, so it is evaluated on the one time
+    plane it ran on (``_on_solve_grid``).  ``k_sweep`` reports each row's
+    entropy over k and sup excess from this function.
     """
-    plane = _solve_grid(ham, grid)
-    u, m = _on_solve_grid(plane, grid, result), _on_solve_grid(plane, grid, result.m)
-    return _mather_diagnostics(evaluate_state(ham, plane, config, u), m, result.hbar)
-
-
-def _mather_diagnostics(st, m: np.ndarray, hbar: float) -> MatherDiagnostics:
-    """``mather_diagnostics`` on the evaluated state ``st``, weighted by m of the state's grid, at its k and P."""
-    grid, k = st.grid, st.cfg.k
-    action = grid.integrate(m * st.table.L(st.w))  # L(z, v) at the velocity v = H_p
-    entropy = k * grid.integrate(m * (st.f - hbar))
-    rotation = np.array([grid.integrate(m * wi) for wi in st.w])
+    plane, k, hbar = _solve_grid(ham, grid), config.k, result.hbar
+    st = evaluate_state(ham, plane, config, _on_solve_grid(plane, grid, result))
+    m = _on_solve_grid(plane, grid, result.m)
+    action = plane.integrate(m * st.table.L(st.w))  # L(z, v) at the velocity v = H_p
+    entropy = k * plane.integrate(m * (st.f - hbar))
+    rotation = np.array([plane.integrate(m * wi) for wi in st.w])
     gap = abs(action + entropy / k + hbar - float(st.P @ rotation))
     return MatherDiagnostics(action, entropy, entropy / k, rotation, float(np.max(st.f)) - hbar, gap)
 
@@ -129,13 +125,10 @@ def aronsson_residual(ham: MechanicalHamiltonian, grid: TorusGrid, config: Solve
     -(1/k) * (laplacian of u, for the mechanical family) at exact critical
     points, so it shrinks along sharpness sweeps.  Every second derivative
     is a product of first-derivative matrices, which drop the Nyquist mode
-    of u that the solve does not determine.
+    of u that the solve does not determine.  The sum is
+    sum_b v_b * T(D_b u) with v = (H_p, 1).
     """
-    return _aronsson_residual(evaluate_state(ham, grid, config, u))
-
-
-def _aronsson_residual(st) -> float:
-    """``aronsson_residual`` on the evaluated state ``st``: sum_b v_b * T(D_b u) with v = (H_p, 1)."""
+    st = evaluate_state(ham, grid, config, u)
     res = sum(vb * st.transport(du) for vb, du in zip([*st.w, 1.0], [*st.du, st.ut]))
     res = st.table.drift(st.w, res)  # + H_t + H_x . H_p
     return float(np.max(np.abs(res)))
@@ -188,26 +181,27 @@ def k_sweep(
     k can run out of Newton steps.
 
     Per k the report records the solve's ``metadata()``, whose iterations
-    count the unreported rungs' steps too, entropy over k, the positive part
-    of the sup excess and the sharp-limit equation residual.  The solves, their states and their
-    diagnostics run on ``_solve_grid(ham, grid)``, one time plane for an
-    autonomous Hamiltonian.  When the Hamiltonian is one-dimensional,
+    count the unreported rungs' steps too, then entropy over k and the
+    positive part of the sup excess from ``mather_diagnostics`` and the
+    sharp-limit equation residual from ``aronsson_residual``.  The solves
+    and both certificates run on ``_solve_grid(ham, grid)``, one time plane
+    for an autonomous Hamiltonian.  When the Hamiltonian is one-dimensional,
     autonomous and drift-free, the classical cell-problem value is attached
-    as the reference.  A Nyquist violation, then a malformed k list (``_read_k_list``) or P, is refused
-    before any solve.
+    as the reference.  A Nyquist violation on ``grid`` (``check_nyquist``),
+    then a malformed k list (``_read_k_list``) or P, is refused before any
+    solve.
     """
-    plane = _solve_grid(ham, grid)
-    _grid_table(ham, plane)  # the Nyquist gate
-    ks = _read_k_list(k_list)
+    check_nyquist(ham, grid)
+    plane, ks = _solve_grid(ham, grid), _read_k_list(k_list)
     base = replace(config if config is not None else SolverConfig(k=ks[0]), P=P)
     rows: list[KSweepRow] = []
     res = None
     for k in ks:
         cfg = replace(base, k=k)
         res = minimize(ham, plane, cfg, warm_start=res)
-        st = evaluate_state(ham, plane, cfg, res)  # one evaluation serves both diagnostics
-        diag = _mather_diagnostics(st, res.m.values, res.hbar)
-        rows.append(KSweepRow(res.metadata(), diag.entropy_over_k, max(0.0, diag.sup_excess), _aronsson_residual(st)))
+        diag = mather_diagnostics(ham, plane, cfg, res)
+        rows.append(KSweepRow(res.metadata(), diag.entropy_over_k, max(0.0, diag.sup_excess),
+                              aronsson_residual(ham, plane, cfg, res)))
 
     return KSweepReport(rows=rows, hbar_ref=classical_reference(ham, base.momentum(ham.d)[0]))
 

@@ -12,9 +12,9 @@ from evanskam import battery, cli_io, evans_solver, torus_grid
 from evanskam.battery import run_battery
 from evanskam.cli_io import main
 from evanskam.effective import NonconvexTableError
-from evanskam.evans_solver import SolveResult
-from evanskam.hamiltonians import ChiVerificationError, HamiltonianTable
-from evanskam.torus_grid import ScalarField, read_field
+from evanskam.evans_solver import SolveResult, SolverConfig, minimize
+from evanskam.hamiltonians import ChiVerificationError, HamiltonianTable, hamiltonian_from_json
+from evanskam.torus_grid import ScalarField, TorusGrid, read_field
 
 
 def t1_config(out_dir, **extra):
@@ -577,6 +577,22 @@ class TestLimitCommand:
         assert len(lines) == 6
         sidecar = json.loads((tmp_path / "out" / "ksweep.csv.json").read_text())
         assert sidecar["hbar_ref"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_entropy_column_is_the_mean_of_m_log_m_over_k(self, tmp_path):
+        # an oracle apart from mather_diagnostics: m = exp(k (f - hbar)) has
+        # unit mean, so S/k = mean(m log m)/k over the same warm-started solves
+        cfg = pendulum_config(tmp_path / "out", limit={"k_list": [4, 16], "P": [0.8]})
+        cfg["grid"] = {"d": 1, "n_x": 32, "n_t": 8}
+        assert main(["limit", "--config", write_config(tmp_path, cfg)]) == 0
+        rows = [line.split(",") for line in (tmp_path / "out" / "ksweep.csv").read_text().splitlines()[1:]]
+        ham, grid, res = hamiltonian_from_json(cfg["hamiltonian"]), TorusGrid(1, 32, 8), None
+        for row in rows:
+            k = float(row[0])
+            res = minimize(ham, grid, SolverConfig(k=k, P=(0.8,)), warm_start=res)
+            m = res.m.values
+            direct = grid.integrate(m * np.log(np.maximum(m, np.finfo(float).tiny))) / k
+            assert float(row[2]) == pytest.approx(direct, abs=1e-9)
+            assert direct > 1e-3
 
     def test_single_k(self, tmp_path):
         cfg = t1_config(tmp_path / "out", limit={"k_list": [8]})

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 from dataclasses import fields, replace
@@ -504,12 +505,21 @@ class TestHbarBounds:
         assert hi == pytest.approx(1.0)
 
 
+def barrier_integral(chi: ChiParams, K: float) -> float:
+    """g(a) = integral_a^K 2 du / (chi(u) + 1) at a = ``_A_RATIO`` * K: the definition ``lipschitz_bound``'s K must meet."""
+    a, c, d0 = evans_solver._A_RATIO * K, chi.c, chi.d0
+    if c > 0:
+        return (2.0 / c) * math.log((c * K + d0 + 1.0) / (c * a + d0 + 1.0))
+    return 2.0 * (K - a) / (d0 + 1.0)
+
+
 class TestLipschitzBound:
     def test_zero_chi(self):
-        cert = lipschitz_bound(ChiParams(c=0.0, d0=0.0))
+        chi = ChiParams(c=0.0, d0=0.0)
+        cert = lipschitz_bound(chi)
         assert cert.K == pytest.approx(1.0, abs=1e-6)
-        assert cert.K > cert.a > 0
-        assert cert.g(cert.a) >= 2.0
+        assert cert.K > evans_solver._A_RATIO * cert.K > 0
+        assert barrier_integral(chi, cert.K) >= 2.0
 
     def test_unit_slope(self):
         # closed form: 2 log((K+1)/(a+1)) = 2 with a -> 0 gives K = e - 1
@@ -522,9 +532,10 @@ class TestLipschitzBound:
 
     def test_steep_slope_below_limit_is_finite(self):
         # c = 20 sits just below log(1/a_ratio) = 20.72 at a_ratio = 1e-9
-        cert = lipschitz_bound(ChiParams(c=20.0, d0=0.0))
+        chi = ChiParams(c=20.0, d0=0.0)
+        cert = lipschitz_bound(chi)
         assert math.isfinite(cert.K)
-        assert cert.g(cert.a) >= 2.0
+        assert barrier_integral(chi, cert.K) >= 2.0
 
     @pytest.mark.parametrize("c", [21.0, 25.0, 800.0])
     def test_no_certificate_beyond_limit(self, c):
@@ -945,6 +956,21 @@ class TestGridTable:
             st.table.V[0, 0] = 1.0
 
 
+def test_other_modules_import_only_public_solver_names():
+    # the solve plane and the move onto it are the only private names another module reads
+    allowed = {*evans_solver.__all__, "_solve_grid", "_on_solve_grid"}
+    reached = [
+        (path.name, alias.name)
+        for path in sorted(Path(evans_solver.__file__).parent.glob("*.py"))
+        if path.name != "evans_solver.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "evans_solver"
+        for alias in node.names
+        if alias.name not in allowed
+    ]
+    assert reached == []
+
+
 def aliased_pendulum() -> MechanicalHamiltonian:
     """V = cos(2 pi 9x): frequency 9 is at or above Nyquist on 16 nodes, on any time axis."""
     return MechanicalHamiltonian(d=1, eta=(FourierSpec.zero(1),), V=FourierSpec.build(2, [((9, 0), 1.0, 0.0)]))
@@ -959,7 +985,11 @@ def nyquist_refusal(ham, grid) -> str | None:
 
 
 class TestNyquistGate:
-    """``_grid_table`` is the solver's one Nyquist gate: each entry point refuses through it before it reads P or u."""
+    """Each entry point refuses through ``check_nyquist`` before it reads P or u.
+
+    ``minimize``, ``evaluate_state`` and ``hbar_bounds`` reach it through
+    ``_grid_table``; ``sweep_P`` and ``k_sweep`` call it on the caller's grid.
+    """
 
     # each call also passes a malformed P, field or k, which the pendulum refuses on its own
     CALLS = {

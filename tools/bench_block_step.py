@@ -31,7 +31,12 @@ machine that spans a loop does not set the number:
   the solve's ``_pcg`` call, and ``cg_iteration_s``, ``block_s`` over
   them, which set the solve's cost apart from its iteration count.  Each
   case also gives ``newton_step_s``, one whole step of ``_newton_stage``
-  (gradient, inner solve, line search) from the same state;
+  (gradient, inner solve, line search) from the same state, and a PCG
+  case ``newton_step_cg_iterations``, the iterations of the ``_pcg`` call
+  inside that step.  ``block_s`` runs at the case's damping mu, but the
+  whole step runs at mu = min(1, grad_norm) with CG's forcing term set by
+  that mu, so its inner solve is not the one ``block_s`` times and
+  ``newton_step_s`` - ``block_s`` is not the step's overhead;
 - for one sweep entry on each grid of ``ENTRY_SHAPES``: ``entry_s``, one
   ``minimize`` of the pendulum at k = 16, P = 1, ``grad_tol`` 1e-11,
   warm-started from the u of its own converged solve on that grid, so that
@@ -173,7 +178,13 @@ def block_case(name: str) -> dict:
         out["cg_iterations"] = pcg_iterations(evans_solver, lambda: solve_map(st, mu)(-g))
         out["cg_iteration_s"] = out["block_s"] / out["cg_iterations"]
     one_step = replace(cfg, max_newton=1)
-    out["newton_step_s"] = per_call_s(lambda: evans_solver._newton_stage(st.at(u, one_step)))
+
+    def newton_step():
+        return evans_solver._newton_stage(st.at(u, one_step))
+
+    out["newton_step_s"] = per_call_s(newton_step)
+    if step == "pcg":
+        out["newton_step_cg_iterations"] = pcg_iterations(evans_solver, newton_step)
     return out
 
 
