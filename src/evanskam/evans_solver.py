@@ -13,9 +13,12 @@ matrix per axis (``torus_grid.derivative_matrix``), exactly skew, so the
 discrete gradient of J is literally the discrete transport residual
 -(m_t + div(m H_p)); driving the gradient norm below grad_tol therefore
 certifies the discrete mean-field-game system at that tolerance.  The
-transport derivative T = D_t + H_p . grad and its adjoint form are written
-once, on the evaluated state (``_State.transport`` and
-``_State.flux_divergence``), for the gradient and every certificate.
+transport derivative T = sum_a v_a D_a with v = (H_p, 1) and its adjoint
+form are written once, on the evaluated state (``_State.transport`` and
+``_State.flux_divergence``), for the gradient and every certificate.  The
+state decides once which axes T differentiates: the spatial ones, and time
+unless the grid has one time plane; the Newton coefficients read the same
+v and axes.
 
 Newton steps use the positive-semidefinite linearized critical-point
 operator (the Gauss-Newton choice: the softmax covariance rank-one term is
@@ -218,58 +221,51 @@ class _State:
 
     The state keeps what it was evaluated with: the grid's HamiltonianTable
     ``table`` (f = u_t + H comes from its ``H``), the config ``cfg`` (its k)
-    and the momentum ``P``; ``at`` evaluates another iterate with them.  On
-    one time plane u_t is exactly zero: it is neither computed nor stored,
-    and ``ut`` reads as zeros.
+    and the momentum ``P``; ``at`` evaluates another iterate with them.
+    ``du`` holds D_a u over the axes the transport derivative T differentiates:
+    the spatial ones, then time unless the grid has one time plane, where u_t
+    is exactly zero and is not formed.  ``v`` = (H_p, 1), cut to the length
+    of ``du``, holds T's coefficient per axis, T x = sum_a v_a * D_a x.
     """
 
-    __slots__ = ("grid", "table", "cfg", "P", "u", "du", "_ut", "w", "f", "J", "m")
+    __slots__ = ("grid", "table", "cfg", "P", "u", "du", "w", "v", "f", "J", "m")
 
     def __init__(self, grid: TorusGrid, table: HamiltonianTable, cfg: SolverConfig, P: np.ndarray, u: np.ndarray):
         d = table.d
         self.grid, self.table, self.cfg, self.P, self.u = grid, table, cfg, P, u
-        self.du = [grid.deriv(u, a) for a in range(d)]
-        self._ut = grid.deriv(u, d) if grid.n_t > 1 else None
+        self.du = [grid.deriv(u, a) for a in range(grid.n_axes if grid.n_t > 1 else d)]
         self.w = table.H_p([P[i] + self.du[i] for i in range(d)])
-        self.f = table.H(self.w, self._ut)  # w has the grid's shape, so f has it too
+        self.v = [*self.w, 1.0][: len(self.du)]
+        self.f = table.H(self.w, *self.du[d:])  # w has the grid's shape, so f has it too
         self.J, self.m = _softmax(grid, cfg.k, self.f)
 
     def at(self, u: np.ndarray, cfg: SolverConfig | None = None) -> _State:
         """The state of u's zero-mean projection with this state's grid, table and P, at ``cfg`` (default its own)."""
         return _State(self.grid, self.table, self.cfg if cfg is None else cfg, self.P, self.grid.project_zero_mean(u))
 
-    @property
-    def ut(self) -> np.ndarray:
-        return np.zeros(self.grid.shape) if self._ut is None else self._ut
-
     def transport(self, x: np.ndarray) -> np.ndarray:
-        """T x = x_t + sum_i w_i * D_i x, the derivative along the momenta w = H_p (no x_t on one time plane)."""
-        grid = self.grid
-        out = grid.deriv(x, grid.d) if grid.n_t > 1 else None
-        for i, wi in enumerate(self.w):
-            term = grid.deriv(x, i) * wi
+        """T x = sum_a v_a * D_a x = x_t + H_p . grad x, the derivative along the momenta (no x_t on one time plane)."""
+        out = None
+        for a, va in enumerate(self.v):
+            term = self.grid.deriv(x, a) * va
             out = term if out is None else out + term
         return out
 
     def flux_divergence(self, y: np.ndarray) -> np.ndarray:
-        """y_t + div(y w) = -T^T y, the transport derivative's adjoint form (no y_t on one time plane).
+        """sum_a D_a(v_a * y) = y_t + div(y H_p) = -T^T y, the transport derivative's adjoint form.
 
         At y = m it is the transport residual of the mean-field-game system,
         and minus the gradient of J.
         """
-        grid = self.grid
-        out = grid.deriv(y, grid.d) if grid.n_t > 1 else None
-        for i, wi in enumerate(self.w):
-            term = grid.deriv(y * wi, i)
+        out = None
+        for a, va in enumerate(self.v):
+            term = self.grid.deriv(y * va, a)
             out = term if out is None else out + term
         return out
 
     def grad_sq(self) -> np.ndarray:
-        """|Du|^2 over the space-time axes."""
-        sq = 0.0 if self._ut is None else self._ut**2  # 0.0 + g**2 has the bits of g**2
-        for g in self.du:
-            sq = sq + g**2
-        return sq
+        """|Du|^2 over the axes of ``du``."""
+        return sum(g**2 for g in self.du)  # 0 + g**2 has the bits of g**2
 
 
 def _softmax(grid: TorusGrid, k: float, f: np.ndarray) -> tuple[float, np.ndarray]:
@@ -282,18 +278,15 @@ def _softmax(grid: TorusGrid, k: float, f: np.ndarray) -> tuple[float, np.ndarra
     return fmax + math.log(Z) / k, weights / Z
 
 
-def _newton_coefficients(grid: TorusGrid, k: float, m: np.ndarray, w: list[np.ndarray]) -> list[list[np.ndarray]]:
-    """The coefficient fields c_ab of the Newton operator sum_ab D_a^T diag(c_ab) D_b.
+def _newton_coefficients(st: _State) -> list[list[np.ndarray]]:
+    """The coefficient fields c_ab of the Newton operator sum_ab D_a^T diag(c_ab) D_b at the state ``st``.
 
-    c_ab = m*(k*v_a*v_b + delta_ab*[a spatial]) with v = (w, 1), w = H_p:
-    k*T^T diag(m) T for the transport derivative T = D_t + sum_i diag(w_i) D_i,
-    plus sum_i D_i^T diag(m) D_i.  The axes are the solve grid's: the spatial
-    ones alone on one time plane, where D_t is zero, every space-time axis
-    otherwise.
+    c_ab = m*(k*v_a*v_b + delta_ab*[a spatial]) with the state's v = (H_p, 1):
+    k*T^T diag(m) T for the transport derivative T = sum_a diag(v_a) D_a,
+    plus sum_i D_i^T diag(m) D_i.  The axes are the state's, those of ``du``.
     """
-    d, v = grid.d, [*w, 1.0]
-    axes = range(grid.n_axes if grid.n_t > 1 else d)
-    return [[m * (k * v[a] * v[b] + float(a == b and a < d)) for b in axes] for a in axes]
+    d, k, v = st.grid.d, st.cfg.k, st.v
+    return [[st.m * (k * va * vb + float(a == b and a < d)) for b, vb in enumerate(v)] for a, va in enumerate(v)]
 
 
 def _operator_apply(coef: list[list[np.ndarray]], dv: list[np.ndarray], deriv) -> np.ndarray:
@@ -375,7 +368,7 @@ def _dense_block(st: _State, mu: float):
     solve grid (``_newton_coefficients``).  The Newton step is this map
     applied to -g, with no CG iteration.
     """
-    coef = _newton_coefficients(st.grid, st.cfg.k, st.m, st.w)
+    coef = _newton_coefficients(st)
     shape = st.grid.shape[: len(coef)]
     return _block_solve(_assemble(shape, [[c.reshape(shape + (1,)) for c in row] for row in coef], mu))
 
@@ -409,7 +402,7 @@ def _flux_block(st: _State, mu: float):
     parities = 2 - n % 2
     # -1/q carries the sign of (D^T)+ = -D+; the weighted means of h/q read
     # the same with -1/q in place of 1/q, bit for bit
-    nqinv = -1.0 / (_newton_coefficients(st.grid, st.cfg.k, st.m, st.w)[0][0] + kappa * mu).reshape(-1, parities)
+    nqinv = -1.0 / (_newton_coefficients(st)[0][0] + kappa * mu).reshape(-1, parities)
     nqinv_sum = np.add.reduce(nqinv, 0)
 
     def solve(r: np.ndarray) -> np.ndarray:
@@ -429,7 +422,7 @@ def _pcg_block(st: _State, mu: float):
     the same coefficients.  CG stops at the inexact-Newton forcing term
     min(0.1, sqrt(mu)), which is sqrt(grad_norm) for mu = min(1, grad_norm).
     """
-    coef = _newton_coefficients(st.grid, st.cfg.k, st.m, st.w)
+    coef = _newton_coefficients(st)
     forcing = min(0.1, math.sqrt(mu))
     surrogate = _fourier_surrogate(st.grid, coef, mu)
 
@@ -585,7 +578,7 @@ def linearized_el_apply(ham: MechanicalHamiltonian, grid: TorusGrid, config: Sol
     points the form is the Hessian of J divided by k.
     """
     st = evaluate_state(ham, grid, config, u)
-    coef = _newton_coefficients(grid, config.k, st.m, st.w)
+    coef = _newton_coefficients(st)
     v = _as_array(grid, v)
     out = _operator_apply(coef, [grid.deriv(v, b) for b in range(len(coef))], grid.deriv) / config.k
     return ScalarField(grid, out)

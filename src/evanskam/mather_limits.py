@@ -126,10 +126,10 @@ def aronsson_residual(ham: MechanicalHamiltonian, grid: TorusGrid, config: Solve
     points, so it shrinks along sharpness sweeps.  Every second derivative
     is a product of first-derivative matrices, which drop the Nyquist mode
     of u that the solve does not determine.  The sum is
-    sum_b v_b * T(D_b u) with v = (H_p, 1).
+    sum_b v_b * T(D_b u) over the state's axes, with v = (H_p, 1).
     """
     st = evaluate_state(ham, grid, config, u)
-    res = sum(vb * st.transport(du) for vb, du in zip([*st.w, 1.0], [*st.du, st.ut]))
+    res = sum(vb * st.transport(du) for vb, du in zip(st.v, st.du))
     res = st.table.drift(st.w, res)  # + H_t + H_x . H_p
     return float(np.max(np.abs(res)))
 

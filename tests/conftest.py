@@ -65,6 +65,20 @@ def scaled(ham: MechanicalHamiltonian, s: float) -> MechanicalHamiltonian:
     return MechanicalHamiltonian(d=ham.d, eta=tuple(map(times, ham.eta)), V=times(ham.V))
 
 
+def time_reversed(ham: MechanicalHamiltonian) -> MechanicalHamiltonian:
+    """The Hamiltonian of eta~(t) = -eta(-t) and V~(x, t) = V(x, -t), an oracle for time-coupled solves.
+
+    With u~(x, t) = -u(x, -t), P + grad u maps to minus itself at -t and f~(x, t)
+    = f(x, -t), so on any grid hbar_k(-P) of the reversed Hamiltonian is
+    hbar_k(P) of ``ham`` and its rotation vector is -Q.  An eta term keeps
+    its frequency with the cosine coefficient negated; a V term keeps its
+    coefficients with its time frequency negated.
+    """
+    eta = tuple(FourierSpec.build(1, [(t.freq, -t.cos, t.sin) for t in spec.terms]) for spec in ham.eta)
+    V = FourierSpec.build(ham.V.nvars, [((*t.freq[:-1], -t.freq[-1]), t.cos, t.sin) for t in ham.V.terms])
+    return MechanicalHamiltonian(d=ham.d, eta=eta, V=V)
+
+
 def weighted(ham: MechanicalHamiltonian, lam: float) -> MechanicalHamiltonian:
     """``ham`` read back from its JSON object with the weight "lambda": lam."""
     return hamiltonian_from_json({**hamiltonian_to_json(ham), "lambda": lam})

@@ -881,6 +881,46 @@ class TestOracleCommand:
             assert captured.out == ""
 
 
+class TestConfigRefusals:
+    """Each refusal exits 2 with its own message, before any output directory is made."""
+
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("solve", lambda out: [pendulum_config(out)], "top-level configuration must be a JSON object"),
+            (
+                "solve",
+                lambda out: {name: block for name, block in pendulum_config(out).items() if name != "hamiltonian"},
+                "missing required block 'hamiltonian'",
+            ),
+            (
+                "solve",
+                lambda out: pendulum_config(out, grid={"d": 1, "n_x": 16}),
+                "grid block missing field 'n_t'",
+            ),
+            ("solve", lambda out: pendulum_config(out, solver={"P": [0.5]}), "solver block must set k"),
+            ("solve", None, "--config PATH is required for this command"),
+            ("sweep", lambda out: pendulum_config(out, sweep={}), "sweep block must set P_grid"),
+            ("limit", lambda out: pendulum_config(out, limit={"P": [0.5]}), "limit block must set k_list"),
+        ],
+        ids=["top-level-list", "no-hamiltonian", "grid-without-n_t", "solver-without-k", "no-config",
+             "sweep-without-P_grid", "limit-without-k_list"],
+    )
+    def test_refusal_exit_2_with_its_message(self, tmp_path, monkeypatch, capsys, command, config, message):
+        monkeypatch.chdir(tmp_path)  # the output directory "." of a run without a config
+        argv = [command]
+        if config is not None:
+            path = tmp_path / "cfg" / "config.json"
+            path.parent.mkdir()
+            path.write_text(json.dumps(config(str(tmp_path / "out"))))
+            argv += ["--config", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {message}\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if config is None else ["cfg"])
+
+
 class TestNumericBlocks:
     """Each number meets the library's own reader; the CLI puts the config key in front of its message."""
 

@@ -19,11 +19,13 @@ from conftest import (
     t1_minimizer,
     tc1_hamiltonian,
     tc2_hamiltonian,
+    time_reversed,
     trivial_hamiltonian,
 )
 from evanskam import evans_solver
 from evanskam.cli_io import RunConfig
 from evanskam.evans_solver import (
+    LipschitzCertificate,
     SolveResult,
     SolverConfig,
     evaluate_state,
@@ -543,6 +545,12 @@ class TestLipschitzBound:
         with pytest.raises(ValueError, match=f"c={c}"):
             lipschitz_bound(ChiParams(c=c, d0=0.0))
 
+    def test_refusals(self):
+        with pytest.raises(ValueError, match=r"^chi parameters must be nonnegative$"):
+            ChiParams(c=-1.0, d0=0.0)
+        with pytest.raises(ValueError, match=r"^certificate requires K > 0$"):
+            LipschitzCertificate(K=0.0)
+
     def test_monitor_on_solver_battery(self):
         # the named mechanical cases converge to 1e-9 across the full k range;
         # the strongly time-coupled mixed case is checked separately below,
@@ -585,6 +593,21 @@ class TestTimeCoupledRegression:
         res = minimize(tc1_hamiltonian(), TorusGrid(1, 32, 16), SolverConfig(k=k, P=(0.0,), grad_tol=1e-9))
         assert res.converged, res.grad_norm
         assert abs(res.hbar - hbar) <= 1e-9
+
+
+class TestTimeReversal:
+    """hbar_k(-P) of the time-reversed Hamiltonian is hbar_k(P), and its rotation is -Q: an oracle for the time axis."""
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 32, 16), (1, 33, 15), (1, 64, 16)], ids=["dense-32x16", "dense-33x15", "pcg-64x16"]
+    )
+    def test_tc1_reversed_in_time(self, shape):
+        grid, cfg = TorusGrid(*shape), SolverConfig(k=8.0, P=(0.3,))
+        res = minimize(tc1_hamiltonian(), grid, cfg)
+        rev = minimize(time_reversed(tc1_hamiltonian()), grid, replace(cfg, P=(-0.3,)))
+        assert res.converged and rev.converged
+        assert abs(rev.hbar - res.hbar) <= 1e-12
+        assert np.max(np.abs(rev.rotation + res.rotation)) <= 10 * cfg.grad_tol
 
 
 class TestOddGrids:
@@ -840,9 +863,10 @@ class TestTimePlane:
         assert axes and set(axes) == {(1, False)}
 
     @pytest.mark.parametrize("n_t", [1, 8])
-    def test_state_keeps_a_zero_time_derivative_field(self, n_t):
-        # _lip_norm and the Aronsson residual read st.ut; the solve grid is
-        # the plane TorusGrid(1, 32, 1) for either caller's grid
+    def test_plane_state_forms_no_time_derivative(self, n_t):
+        # the Lipschitz norm and the Aronsson residual read st.du, which on
+        # the plane TorusGrid(1, 32, 1), the solve grid for either caller's
+        # grid, holds D_x u alone
         ham, cfg = pendulum_hamiltonian(), SolverConfig(k=8.0, P=(1.0,))
         grid = TorusGrid(1, 32, n_t)
         plane = evans_solver._solve_grid(ham, grid)
@@ -850,8 +874,7 @@ class TestTimePlane:
         res = minimize(ham, grid, cfg)
         u = ScalarField(plane, res.u.values[..., :1])
         st = evaluate_state(ham, plane, cfg, u)
-        assert isinstance(st.ut, np.ndarray) and st.ut.shape == st.f.shape == plane.shape
-        assert not st.ut.any()
+        assert len(st.du) == len(st.v) == 1 and st.du[0].shape == st.f.shape == plane.shape
         assert res.lip_norm == float(np.sqrt(np.max(st.du[0] ** 2)))
         assert math.isfinite(aronsson_residual(ham, plane, cfg, u))
 

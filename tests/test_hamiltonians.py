@@ -22,6 +22,7 @@ from evanskam.hamiltonians import (
     HamiltonianTable,
     MechanicalHamiltonian,
     NyquistError,
+    _refinement,
     check_nyquist,
     chi_bound,
     drift_diffusion,
@@ -175,9 +176,9 @@ class TestPointwiseMatchesGrid:
             w = table.H_p(p)
             pointwise["H_p"][(slice(None), *idx)] = w
             pointwise["H"][idx] = table.H(w)
-            pointwise["f"][idx] = table.H(w, st.ut[idx])  # f = u_t + H
+            pointwise["f"][idx] = table.H(w, st.du[d][idx])  # f = u_t + H
             pointwise["L"][idx] = table.L(w)
-            pointwise["drift"][idx] = drift_diffusion(ham, 4.0, z, [*p, st.ut[idx]])[2]
+            pointwise["drift"][idx] = drift_diffusion(ham, 4.0, z, [*p, st.du[d][idx]])[2]
         for name, field in fields.items():
             assert_bitwise(pointwise[name], field)
 
@@ -291,6 +292,11 @@ class TestChiBound:
             chi_bound(trivial_hamiltonian(), TorusGrid(1, 8, 8))
         assert str(info.value).startswith("|b| = 100.0 exceeds chi(|q|) = 0.0 at z=(0.0, 0.0), q=[")
 
+    def test_refinement_beyond_the_budget_is_the_grid_itself(self):
+        # 600^2 nodes exceed the refinement budget already at factor 1
+        grid = TorusGrid(2, 600, 1)
+        assert _refinement(grid) is grid
+
     def test_shrunken_bound_is_violated(self):
         # negative control: a deliberately undersized chi fails on a sample the
         # fitted one covers, so the verification inequality has teeth
@@ -350,6 +356,12 @@ class TestJson:
         obj = hamiltonian_to_json(trivial_hamiltonian())
         obj["lambda"] = 1.5
         with pytest.raises(ValueError):
+            hamiltonian_from_json(obj)
+
+    def test_wrong_number_of_eta_components_rejected(self):
+        obj = hamiltonian_to_json(trivial_hamiltonian())
+        obj["eta"] = [[], []]
+        with pytest.raises(ValueError, match=r"^expected 1 eta components, got 2$"):
             hamiltonian_from_json(obj)
 
 

@@ -421,6 +421,11 @@ class TestPendulumReference:
         with pytest.raises(ValueError):
             pendulum_reference(V, 0.0)
 
+    def test_rejects_a_potential_of_three_variables(self):
+        V = FourierSpec.build(3, [((1, 0, 0), 1.0, 0.0)])
+        with pytest.raises(ValueError, match=r"^reference requires a one-dimensional potential$"):
+            pendulum_reference(V, 0.0)
+
     def test_classical_reference_scales_and_gates(self):
         V = FourierSpec.build(1, [((1,), 0.5, 0.0)])
         assert classical_reference(weighted(pendulum_hamiltonian(), 0.5), 2.0) == pendulum_reference(V, 2.0)

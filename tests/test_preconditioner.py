@@ -17,6 +17,7 @@ solve that raises or gives no descent step ends the stage with
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ from evanskam.torus_grid import TorusGrid, antiderivative_matrix, derivative_mat
 
 def coefficients(st):
     """The Newton coefficients c_ab at the state, the ones ``_pcg_block`` builds."""
-    return _newton_coefficients(st.grid, st.cfg.k, st.m, st.w)
+    return _newton_coefficients(st)
 
 
 def damped_operator(grid, cfg, st, mu):
@@ -323,6 +324,15 @@ def test_failed_factor_raises_line_search_error(monkeypatch):
     assert counts == []
 
 
+def test_overlong_descent_step_raises_line_search_error(monkeypatch):
+    # a step 1e30 times -g has a descent slope, but J rises at every trial
+    # until backtracking passes alpha = 1e-12: the stage raises
+    monkeypatch.setattr(evans_solver, "_step_solve", lambda grid: lambda st, mu: lambda r: 1e30 * r)
+    message = r"^no descent along the Newton direction \(grad_norm=\d\.\d{3}e[+-]\d+\); "
+    with pytest.raises(LineSearchError, match=message):
+        minimize(pendulum_hamiltonian(), TorusGrid(1, 16, 1), SolverConfig(k=4.0, P=(0.5,)))
+
+
 def test_criterion_6_grid_converges_everywhere():
     # the flat branch |P| <= 0.4, where m spans about 1e-13 to 10, used to
     # leave entries unconverged at the CG cap
@@ -535,6 +545,18 @@ def test_pcg_on_a_zero_right_hand_side():
 
     grid = TorusGrid(1, 8, 4)
     x, iterations = evans_solver._pcg(never, never, grid.zeros(), grid, 1e-8)
+    assert iterations == 0
+    assert np.array_equal(x, grid.zeros())
+
+
+def test_pcg_stops_where_curvature_is_lost():
+    # an operator that returns zeros has no curvature along the first
+    # direction: CG keeps the zero iterate, after 0 iterations, silently
+    grid = TorusGrid(1, 8, 4)
+    b = grid.project_zero_mean(np.cos(2 * np.pi * grid.coords()[0]) * np.ones(grid.shape))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, iterations = evans_solver._pcg(np.zeros_like, lambda r: r, b, grid, 1e-8)
     assert iterations == 0
     assert np.array_equal(x, grid.zeros())
 

@@ -8,7 +8,8 @@ order of the trees from round to round.  The child is this script
 (``--child``) with TREE's ``src`` as PYTHONPATH, so every tree is timed by
 one method, through the internal names it shares with this tree
 (``_solve_grid``, ``_step_solve``, ``_newton_stage``, ``_assemble``,
-``_newton_coefficients``, ``_operator_apply``).  A child imports TREE's
+``_newton_coefficients``, ``_operator_apply``; ``_newton_coefficients``
+takes the state, or (grid, k, m, w) on an older tree).  A child imports TREE's
 evanskam and reports loop minima: each number is the least, over
 ``LOOPS`` loops of about ``LOOP_S``, of the mean time of one call in the loop
 (one sweep per loop for the criterion-6 sweep), so a slow phase of the
@@ -69,6 +70,7 @@ its load; compare trees only within one report.  The Hamiltonians are
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import platform
@@ -301,6 +303,13 @@ def state_case(name: str) -> dict:
     }
 
 
+def newton_coefficients(evans_solver, st) -> list:
+    """``_newton_coefficients`` at the state ``st``, on a tree where it takes the state or (grid, k, m, w)."""
+    if len(inspect.signature(evans_solver._newton_coefficients).parameters) == 1:
+        return evans_solver._newton_coefficients(st)
+    return evans_solver._newton_coefficients(st.grid, st.cfg.k, st.m, st.w)
+
+
 def apply_case(name: str) -> dict:
     import numpy as np
 
@@ -310,7 +319,7 @@ def apply_case(name: str) -> dict:
     grid, cfg = TorusGrid(*shape), SolverConfig(k=k, P=P)
     u = smooth_iterate(grid)
     st = evans_solver.evaluate_state(library_hamiltonians()[ham_name], grid, cfg, u)
-    coef = evans_solver._newton_coefficients(grid, k, st.m, st.w)
+    coef = newton_coefficients(evans_solver, st)
     v = np.random.default_rng(0).normal(size=grid.shape)
     apply_s = per_call_s(
         lambda: evans_solver._operator_apply(coef, [grid.deriv(v, b) for b in range(len(coef))], grid.deriv)
