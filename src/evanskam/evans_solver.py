@@ -24,7 +24,8 @@ Newton steps use the positive-semidefinite linearized critical-point
 operator (the Gauss-Newton choice: the softmax covariance rank-one term is
 dropped, so the operator equals the true Hessian at critical points).  One
 function, ``_step_solve``, picks the damped solve of every step from the
-solve grid alone, a map of the evaluated state.  On a one-plane 1-d grid,
+solve grid alone; it takes the evaluated state, the damping and the
+residual and returns the step.  On a one-plane 1-d grid,
 at any n, D^T diag(c) D is diagonal in the flux y = D s up to D's null
 modes, and a step is two matvecs with the antiderivative D+.  On other small
 grids it is one direct solve with a dense block; larger grids run conjugate
@@ -84,8 +85,8 @@ class LineSearchError(RuntimeError):
     """A Newton step that is not a descent direction, or backtracking that found a genuine increase along one.
 
     The objective is convex and the damped Newton operator positive definite,
-    so a step whose slope inner(g, step) is not negative (NaN included), a
-    dense block that is exactly singular, or an increase along a descent
+    so a step whose slope inner(g, step) is not negative (NaN included, as
+    an exactly singular dense block gives), or an increase along a descent
     direction signals a broken operator or gradient, not a hard problem.
     """
 
@@ -338,15 +339,15 @@ def _assemble(shape: tuple[int, ...], coef: list[list[np.ndarray]], mu: float) -
     return A
 
 
-def _block_solve(A: np.ndarray):
-    """Solve map of a damped Newton block A = mu + (symmetric positive semidefinite), overwriting A.
+def _block_solve(A: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The solution x of A x = r for a damped Newton block A = mu + (symmetric positive semidefinite), overwriting A.
 
     Constants are an eigenvector of A with eigenvalue mu and never part of a
     residual, so they are lifted to the mean diagonal (the solve on
     zero-mean fields is unchanged).  A is then equilibrated by its diagonal,
-    B = s A s with s = diag^-1/2, and shifted by a round-off 1e-14.  The
-    returned map is one LU solve with B, which is not symmetric to rounding;
-    it raises ``LinAlgError`` where B is exactly singular.
+    B = s A s with s = diag^-1/2, and shifted by a round-off 1e-14.  x is
+    one LU solve with B, which is not symmetric to rounding; where B is
+    exactly singular x is NaN, a Newton step with no slope.
     """
     diag = np.einsum("ii->i", A)  # a writable view of A's diagonal
     A += diag.sum() / diag.size / diag.size  # the mean diagonal over N, with np.mean's bits
@@ -354,23 +355,22 @@ def _block_solve(A: np.ndarray):
     A *= s[:, None]
     A *= s
     diag += 1e-14
-
-    def solve(r: np.ndarray) -> np.ndarray:
+    try:
         return (s * np.linalg.solve(A, s * r.ravel())).reshape(r.shape)
+    except np.linalg.LinAlgError:
+        return np.full(r.shape, np.nan)
 
-    return solve
 
-
-def _dense_block(st: _State, mu: float):
-    """Exact solve with the damped Newton operator as one dense block, for small solve grids.
+def _dense_block(st: _State, mu: float, r: np.ndarray) -> np.ndarray:
+    """Exact solve of A s = r with the damped Newton operator as one dense block, for small solve grids.
 
     The operator is A = sum_ab D_a^T diag(c_ab) D_b + mu over the axes of the
-    solve grid (``_newton_coefficients``).  The Newton step is this map
-    applied to -g, with no CG iteration.
+    solve grid (``_newton_coefficients``).  At r = -g the step is the Newton
+    step, with no CG iteration.
     """
     coef = _newton_coefficients(st)
     shape = st.grid.shape[: len(coef)]
-    return _block_solve(_assemble(shape, [[c.reshape(shape + (1,)) for c in row] for row in coef], mu))
+    return _block_solve(_assemble(shape, [[c.reshape(shape + (1,)) for c in row] for row in coef], mu), r)
 
 
 @lru_cache(maxsize=8)
@@ -380,22 +380,22 @@ def _flux_kappa(n: int) -> float:
     return float(Dp[:, 0] @ Dp[:, 0])
 
 
-def _flux_block(st: _State, mu: float):
-    """Exact solve with the damped Newton operator on a one-plane 1-d solve grid, in flux coordinates.
+def _flux_block(st: _State, mu: float, r: np.ndarray) -> np.ndarray:
+    """Exact solve of A s = r with the damped Newton operator on a one-plane 1-d solve grid, in flux coordinates.
 
     There the operator is D^T diag(c) D with c = m*(k*w^2 + 1), and in the
     flux y = D s it is diagonal, up to the null modes of D: the constant and,
     for even n, the Nyquist mode, which together span the constants on the
     even and on the odd nodes.  The damping is kappa*mu*|D s|^2 with
-    kappa = (D+^T D+)_00, the diagonal of mu*|s|^2 written in y.  The map
+    kappa = (D+^T D+)_00, the diagonal of mu*|s|^2 written in y.  The step
     solves D^T diag(q) D s = r with q = c + kappa*mu: q y = h - a with
     h = (D^T)+ r and one constant a per parity of node (one in all on an odd
     n_x), the 1/q-weighted mean of h there, which puts y in the range of D;
     then s = D+ y.  Where q spans more decades than a double holds, h - a
     cancels and leaves y off that range, which a second pass restores.
     That is two matvecs with D+ and O(n) work, at every n, with kappa
-    computed once per n (``_flux_kappa``); the map is symmetric, returns
-    zero-mean, Nyquist-free steps and drops the null modes of r.
+    computed once per n (``_flux_kappa``); as a map of r it is symmetric,
+    returns zero-mean, Nyquist-free steps and drops the null modes of r.
     """
     n = st.grid.n_x
     Dp, kappa = antiderivative_matrix(n), _flux_kappa(n)
@@ -404,18 +404,14 @@ def _flux_block(st: _State, mu: float):
     # the same with -1/q in place of 1/q, bit for bit
     nqinv = -1.0 / (_newton_coefficients(st)[0][0] + kappa * mu).reshape(-1, parities)
     nqinv_sum = np.add.reduce(nqinv, 0)
-
-    def solve(r: np.ndarray) -> np.ndarray:
-        y = np.dot(Dp, r).reshape(-1, parities) * nqinv  # h/q
-        for _ in range(2):
-            y -= np.add.reduce(y, 0) / nqinv_sum * nqinv
-        return np.dot(Dp, y.reshape(r.shape))
-
-    return solve
+    y = np.dot(Dp, r).reshape(-1, parities) * nqinv  # h/q
+    for _ in range(2):
+        y -= np.add.reduce(y, 0) / nqinv_sum * nqinv
+    return np.dot(Dp, y.reshape(r.shape))
 
 
-def _pcg_block(st: _State, mu: float):
-    """Inexact solve with the damped Newton operator: PCG with the scaled Fourier surrogate, matrix-free.
+def _pcg_block(st: _State, mu: float, r: np.ndarray) -> np.ndarray:
+    """Inexact solve of A s = r with the damped Newton operator: PCG with the scaled Fourier surrogate, matrix-free.
 
     The operator is ``_operator_apply`` of the coefficients at the iterate on
     the derivatives of each CG direction, plus mu; the surrogate is read off
@@ -423,13 +419,11 @@ def _pcg_block(st: _State, mu: float):
     min(0.1, sqrt(mu)), which is sqrt(grad_norm) for mu = min(1, grad_norm).
     """
     coef = _newton_coefficients(st)
-    forcing = min(0.1, math.sqrt(mu))
-    surrogate = _fourier_surrogate(st.grid, coef, mu)
 
     def apply_damped(v: np.ndarray) -> np.ndarray:
         return _operator_apply(coef, [st.grid.deriv(v, b) for b in range(len(coef))], st.grid.deriv) + mu * v
 
-    return lambda r: _pcg(apply_damped, surrogate, r, st.grid, forcing)[0]
+    return _pcg(apply_damped, _fourier_surrogate(st.grid, coef, mu), r, st.grid, min(0.1, math.sqrt(mu)))[0]
 
 
 # Largest solve grid, in nodes, on which ``_step_solve`` picks the dense block.
@@ -437,7 +431,7 @@ _BLOCK_MAX_NODES = 512
 
 
 def _step_solve(grid: TorusGrid):
-    """The solve map (st, mu) -> (r -> s) of every Newton step on the solve grid ``grid``, the state's grid.
+    """The solve (st, mu, r) -> s of every Newton step on the solve grid ``grid``, the state's grid.
 
     A one-plane 1-d grid takes ``_flux_block``, at every size.  Other grids
     of at most ``_BLOCK_MAX_NODES`` nodes take ``_dense_block`` (one LU per
@@ -603,10 +597,9 @@ def _newton_stage(st: _State):
     """Damped Newton at the k of ``st.cfg`` from ``st``, the stage's zero-mean start: (state, grad_norm, iterations).
 
     The gradient is taken at the top of every iterate, the last included.
-    A step is the map ``_step_solve(st.grid)`` applied to -g; where that map
-    raises ``LinAlgError`` or gives a step whose slope inner(g, step) is not
-    negative, the stage raises ``LineSearchError``.  Line-search trials are
-    ``st.at`` the trial u.
+    A step is the solve ``_step_solve(st.grid)`` at r = -g; where its slope
+    inner(g, step) is not negative (a NaN step included), the stage raises
+    ``LineSearchError``.  Line-search trials are ``st.at`` the trial u.
     The loop stops at ``grad_tol``, after ``max_newton`` steps or after
     ``_STALL_LIMIT`` consecutive stalled steps, each of which neither lowers
     J beyond rounding nor halves the gradient norm.
@@ -626,12 +619,9 @@ def _newton_stage(st: _State):
         # worst-conditioned directions in the global phase and vanishes near
         # the solution, so local quadratic convergence is untouched.
         mu = min(1.0, grad_norm)
-        try:
-            step = solve(st, mu)(r)  # the line search projects it
-        except np.linalg.LinAlgError:  # a dense block exactly singular
-            step = None
+        step = solve(st, mu, r)  # the line search projects it
         # the slope inner(g, step); a NaN in the step reaches the sum
-        slope = math.nan if step is None else -grid.inner(r, step)
+        slope = -grid.inner(r, step)
         if not slope < 0.0:
             raise LineSearchError(f"the Newton step is not a descent direction (grad_norm={grad_norm:.3e})")
         alpha = 1.0

@@ -90,6 +90,24 @@ def separable_2d() -> MechanicalHamiltonian:
     return MechanicalHamiltonian(d=2, eta=(FourierSpec.zero(1),) * 2, V=V)
 
 
+def nonseparable_2d() -> MechanicalHamiltonian:
+    """V = cos(2 pi x) + cos(2 pi y)/2 + 0.3 cos(2 pi (x + y)), eta = 0: autonomous d = 2, not separable."""
+    V = FourierSpec.build(3, [((1, 0, 0), 1.0, 0.0), ((0, 1, 0), 0.5, 0.0), ((1, 1, 0), 0.3, 0.0)])
+    return MechanicalHamiltonian(d=2, eta=(FourierSpec.zero(1),) * 2, V=V)
+
+
+def axes_swapped(ham: MechanicalHamiltonian) -> MechanicalHamiltonian:
+    """The d = 2 Hamiltonian with x and y exchanged, an oracle for d = 2 solves.
+
+    Every V term swaps its two spatial frequencies and eta its two
+    components.  With u~(x, y, t) = u(y, x, t), on a grid whose spatial
+    axes have one length, hbar_k(P2, P1) of the swapped Hamiltonian is
+    hbar_k(P1, P2) of ``ham`` and its rotation vector is Q reversed.
+    """
+    V = FourierSpec.build(ham.V.nvars, [((t.freq[1], t.freq[0], *t.freq[2:]), t.cos, t.sin) for t in ham.V.terms])
+    return MechanicalHamiltonian(d=2, eta=ham.eta[::-1], V=V)
+
+
 def tc1_hamiltonian() -> MechanicalHamiltonian:
     """V = cos(2 pi x) + 0.3 sin(2 pi (x + t)), eta = cos(2 pi t)/2: time-coupled d = 1."""
     eta = FourierSpec.build(1, [((1,), 0.5, 0.0)])

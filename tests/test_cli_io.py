@@ -920,6 +920,24 @@ class TestConfigRefusals:
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ([] if config is None else ["cfg"])
 
+    def test_unwritable_out_dir_exit_2_before_any_solve(self, tmp_path, monkeypatch, capsys):
+        # --out below a regular file cannot be made; permission bits would not
+        # show it to a process that runs as root
+        def never(*args, **kwargs):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(cli_io, "minimize", never)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        out = blocker / "out"
+        path = write_config(tmp_path, pendulum_config(tmp_path / "unused"))
+        assert main(["solve", "--config", path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: output directory {out} is not writable: ")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
+        assert blocker.read_text() == "kept"
+
 
 class TestNumericBlocks:
     """Each number meets the library's own reader; the CLI puts the config key in front of its message."""

@@ -1,4 +1,4 @@
-"""The Newton step's inner solve: the map that ``_step_solve`` picks for the solve grid.
+"""The Newton step's inner solve: the solve (st, mu, r) -> s that ``_step_solve`` picks for the solve grid.
 
 On a one-plane 1-d solve grid the map is the flux step (``_flux_block``):
 the damped Gauss-Newton system D^T diag(q) D s = r in closed form, with
@@ -8,16 +8,18 @@ direct solve with the operator plus mu; autonomous d = 2 Hamiltonians are
 solved on one time plane, where it spans the spatial axes, and a grid with
 n_t > 1 gets the whole space-time operator.  Larger solve grids get
 ``_pcg_block``, PCG with the Fourier surrogate scaled to the operator's
-exact diagonal.  The dense block and PCG's matrix-free apply are one
-writer, ``_operator_apply``, given the derivative columns or a field's
+exact diagonal.  The maps r -> s below fix (st, mu) of the direct
+solves.  The dense block and PCG's matrix-free apply are one writer,
+``_operator_apply``, given the derivative columns or a field's
 derivatives; ``damped_operator`` below calls it as PCG does.  Autonomous
 states below are therefore built on ``_solve_grid(ham, grid)``.  A direct
-solve that raises or gives no descent step ends the stage with
-``LineSearchError``.
+solve whose step has no descent slope, a singular block's NaN step
+included, ends the stage with ``LineSearchError``.
 """
 
 import json
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -94,10 +96,10 @@ def one_plane_1d(grid):
 
 
 def block(grid, cfg, st, mu):
-    """The direct solve map of a Newton step on ``grid``, as ``_step_solve`` picks it."""
+    """The direct solve of a Newton step on ``grid``, as ``_step_solve`` picks it, as a map r -> s."""
     solve = _step_solve(grid)
     assert solve is not _pcg_block
-    return solve(st, mu)
+    return partial(solve, st, mu)
 
 
 def block_operator(grid, cfg, st, mu):
@@ -301,24 +303,25 @@ def test_block_steps_where_m_underflows(rng):
 
 
 def test_failed_factor_raises_line_search_error(monkeypatch):
-    # a block solve that raises, returns a step that is not finite, or
-    # returns an ascent step has no descent slope: the first Newton step
-    # raises, with no second step path (PCG or -g) in its place
-    def singular(A):
-        def solve(r):
-            raise np.linalg.LinAlgError("Singular matrix")
+    # a block whose LU raises (the NaN step), a step that is not finite, or
+    # an ascent step has no descent slope: the first Newton step raises,
+    # with no second step path (PCG or -g) in its place
+    def singular(A, b):
+        raise np.linalg.LinAlgError("Singular matrix")
 
-        return solve
+    def overflowing(A, r):
+        return np.full(r.shape, np.nan)
 
-    def overflowing(A):
-        return lambda r: np.full(r.shape, np.nan)
-
-    def ascending(A):
-        return lambda r: -r  # the gradient g itself: slope |g|^2 > 0
+    def ascending(A, r):
+        return -r  # the gradient g itself: slope |g|^2 > 0
 
     counts = pcg_iterations(monkeypatch)
-    for failing in (singular, overflowing, ascending):
-        monkeypatch.setattr(evans_solver, "_block_solve", failing)
+    for owner, name, failing in (
+        (np.linalg, "solve", singular),
+        (evans_solver, "_block_solve", overflowing),
+        (evans_solver, "_block_solve", ascending),
+    ):
+        monkeypatch.setattr(owner, name, failing)
         with pytest.raises(LineSearchError, match=r"^the Newton step is not a descent direction \(grad_norm=\d\.\d{3}e[+-]\d+\)$"):
             minimize(_battery_hamiltonian(), TorusGrid(1, 16, 16), SolverConfig(k=4.0))
     assert counts == []
@@ -327,7 +330,7 @@ def test_failed_factor_raises_line_search_error(monkeypatch):
 def test_overlong_descent_step_raises_line_search_error(monkeypatch):
     # a step 1e30 times -g has a descent slope, but J rises at every trial
     # until backtracking passes alpha = 1e-12: the stage raises
-    monkeypatch.setattr(evans_solver, "_step_solve", lambda grid: lambda st, mu: lambda r: 1e30 * r)
+    monkeypatch.setattr(evans_solver, "_step_solve", lambda grid: lambda st, mu, r: 1e30 * r)
     message = r"^no descent along the Newton direction \(grad_norm=\d\.\d{3}e[+-]\d+\); "
     with pytest.raises(LineSearchError, match=message):
         minimize(pendulum_hamiltonian(), TorusGrid(1, 16, 1), SolverConfig(k=4.0, P=(0.5,)))
@@ -461,7 +464,7 @@ class TestSpacetimeBlockExact:
         grid = TorusGrid(1, 16, 16)
         cfg = SolverConfig(k=4.0, P=(0.5,))
         st = evaluate_state(pendulum_hamiltonian(), grid, cfg, grid.zeros())
-        A, M = damped_operator(grid, cfg, st, 1.0), _dense_block(st, 1.0)
+        A, M = damped_operator(grid, cfg, st, 1.0), partial(_dense_block, st, 1.0)
         for _ in range(3):
             r = residual_field(rng, grid)
             assert grid.norm(A(M(r)) - r) <= 1e-8 * grid.norm(r)
@@ -566,7 +569,7 @@ def test_dense_block_is_the_operator_on_unit_fields(monkeypatch):
     # it on a field's derivatives: only the derivative kernels differ, so
     # each column matches the apply to the unit field to rounding
     blocks = []
-    monkeypatch.setattr(evans_solver, "_block_solve", lambda A: blocks.append(A.copy()))
+    monkeypatch.setattr(evans_solver, "_block_solve", lambda A, r: blocks.append(A.copy()))
     cases = [
         (tc1_hamiltonian(), TorusGrid(1, 16, 16), SolverConfig(k=8.0, P=(0.0,))),
         (separable_2d(), TorusGrid(2, 12, 1), SolverConfig(k=8.0, P=(0.3, 0.1))),
@@ -574,7 +577,7 @@ def test_dense_block_is_the_operator_on_unit_fields(monkeypatch):
     for ham, grid, cfg in cases:
         u = 0.3 * np.sin(2 * np.pi * (grid.coords()[0] + grid.coords()[-1])) * np.ones(grid.shape)
         st = evaluate_state(ham, grid, cfg, grid.project_zero_mean(u))
-        _dense_block(st, 1e-3)
+        _dense_block(st, 1e-3, grid.zeros())
         A, apply = blocks[-1], damped_operator(grid, cfg, st, 1e-3)
         assert A.shape == (grid.n_nodes, grid.n_nodes)
         for j, unit in enumerate(np.eye(grid.n_nodes)):

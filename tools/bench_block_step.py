@@ -8,8 +8,9 @@ order of the trees from round to round.  The child is this script
 (``--child``) with TREE's ``src`` as PYTHONPATH, so every tree is timed by
 one method, through the internal names it shares with this tree
 (``_solve_grid``, ``_step_solve``, ``_newton_stage``, ``_assemble``,
-``_newton_coefficients``, ``_operator_apply``; ``_newton_coefficients``
-takes the state, or (grid, k, m, w) on an older tree).  A child imports TREE's
+``_newton_coefficients``, ``_operator_apply``; the step that ``_step_solve``
+picks takes (st, mu, r) and returns the step, or (st, mu) and returns a
+map of r on an older tree).  A child imports TREE's
 evanskam and reports loop minima: each number is the least, over
 ``LOOPS`` loops of about ``LOOP_S``, of the mean time of one call in the loop
 (one sweep per loop for the criterion-6 sweep), so a slow phase of the
@@ -17,10 +18,10 @@ machine that spans a loop does not set the number:
 
 - for each block case (64 to 1,024 nodes on one time plane of the
   pendulum, 512 and 1,024 space-time nodes of tc1 32x16 and 64x16):
-  ``block_s``, the time of one damped Newton step's solve, the map that
-  ``evans_solver._step_solve`` picks for the solve grid, built and applied
-  to the negative gradient, and ``step``, that map's name (``flux``,
-  ``dense`` or ``pcg``).  The map's name sets the split.  ``flux``
+  ``block_s``, the time of one damped Newton step's solve, the one that
+  ``evans_solver._step_solve`` picks for the solve grid, called on the
+  negative gradient, and ``step``, that solve's name (``flux``, ``dense``
+  or ``pcg``).  The solve's name sets the split.  ``flux``
   (one-plane 1-d grids): ``matvec_s`` (its two ``np.dot`` matvecs with
   the antiderivative) and ``other_s`` (the rest: coefficients and O(n)
   work).  ``dense``: ``assemble_s`` (``_assemble``), ``lu_solve_s``
@@ -164,20 +165,22 @@ def block_case(name: str) -> dict:
     u = grid.project_zero_mean(0.3 * np.sin(2 * np.pi * (grid.coords()[0] + 0.25)) * np.ones(grid.shape))
     st = evans_solver.evaluate_state(ham, grid, cfg, u)
     g = evans_solver.gradient(ham, grid, cfg, u).values
-    solve_map = evans_solver._step_solve(grid)
-    step = solve_map.__name__.removeprefix("_").removesuffix("_block")
+    solve = evans_solver._step_solve(grid)
+    step = solve.__name__.removeprefix("_").removesuffix("_block")
+    curried = len(inspect.signature(solve).parameters) == 2  # an older tree's step returns a map of r
+    call = (lambda: solve(st, mu)(-g)) if curried else (lambda: solve(st, mu, -g))
     phases = {
         "flux": {"matvec_s": (np, "dot")},
         "dense": {"assemble_s": (evans_solver, "_assemble"), "lu_solve_s": (np.linalg, "solve")},
         "pcg": {"operator_apply_s": (evans_solver, "_operator_apply")},
     }[step]
-    loops = loop_times(lambda: solve_map(st, mu)(-g), phases)
+    loops = loop_times(call, phases)
     out = {"nodes": grid.n_nodes, "step": step, "block_s": min(t["total"] for t in loops)}
     for phase in phases:
         out[phase] = min(t[phase] for t in loops)
     out["other_s"] = min(t["total"] - sum(t[phase] for phase in phases) for t in loops)
     if step == "pcg":
-        out["cg_iterations"] = pcg_iterations(evans_solver, lambda: solve_map(st, mu)(-g))
+        out["cg_iterations"] = pcg_iterations(evans_solver, call)
         out["cg_iteration_s"] = out["block_s"] / out["cg_iterations"]
     one_step = replace(cfg, max_newton=1)
 
@@ -303,13 +306,6 @@ def state_case(name: str) -> dict:
     }
 
 
-def newton_coefficients(evans_solver, st) -> list:
-    """``_newton_coefficients`` at the state ``st``, on a tree where it takes the state or (grid, k, m, w)."""
-    if len(inspect.signature(evans_solver._newton_coefficients).parameters) == 1:
-        return evans_solver._newton_coefficients(st)
-    return evans_solver._newton_coefficients(st.grid, st.cfg.k, st.m, st.w)
-
-
 def apply_case(name: str) -> dict:
     import numpy as np
 
@@ -319,7 +315,7 @@ def apply_case(name: str) -> dict:
     grid, cfg = TorusGrid(*shape), SolverConfig(k=k, P=P)
     u = smooth_iterate(grid)
     st = evans_solver.evaluate_state(library_hamiltonians()[ham_name], grid, cfg, u)
-    coef = newton_coefficients(evans_solver, st)
+    coef = evans_solver._newton_coefficients(st)
     v = np.random.default_rng(0).normal(size=grid.shape)
     apply_s = per_call_s(
         lambda: evans_solver._operator_apply(coef, [grid.deriv(v, b) for b in range(len(coef))], grid.deriv)
