@@ -292,6 +292,17 @@ class TestChiBound:
             chi_bound(trivial_hamiltonian(), TorusGrid(1, 8, 8))
         assert str(info.value).startswith("|b| = 100.0 exceeds chi(|q|) = 0.0 at z=(0.0, 0.0), q=[")
 
+    def test_violated_slope_raises_with_the_node(self, monkeypatch):
+        # an extra slope of 3 along axis 0 leaves b(q = 0) alone, so only the
+        # slope inequality sees it: |db/dq| = 2 pi + 3 where grad V = 2 pi
+        drift = HamiltonianTable.drift
+        monkeypatch.setattr(
+            HamiltonianTable, "drift", lambda table, w: drift(table, w) + 3.0 * (w[0] - table.eta[0])
+        )
+        with pytest.raises(ChiVerificationError) as info:
+            chi_bound(pendulum_hamiltonian(), TorusGrid(1, 16, 16))
+        assert str(info.value) == f"|db/dq| = {2 * np.pi + 3.0} exceeds c = {2 * np.pi} at z=(0.75, 0.0)"
+
     def test_refinement_beyond_the_budget_is_the_grid_itself(self):
         # 600^2 nodes exceed the refinement budget already at factor 1
         grid = TorusGrid(2, 600, 1)

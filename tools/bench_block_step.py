@@ -9,8 +9,7 @@ order of the trees from round to round.  The child is this script
 one method, through the internal names it shares with this tree
 (``_solve_grid``, ``_step_solve``, ``_newton_stage``, ``_assemble``,
 ``_newton_coefficients``, ``_operator_apply``; the step that ``_step_solve``
-picks takes (st, mu, r) and returns the step, or (st, mu) and returns a
-map of r on an older tree).  A child imports TREE's
+picks takes (st, mu, r) and returns the step).  A child imports TREE's
 evanskam and reports loop minima: each number is the least, over
 ``LOOPS`` loops of about ``LOOP_S``, of the mean time of one call in the loop
 (one sweep per loop for the criterion-6 sweep), so a slow phase of the
@@ -71,7 +70,6 @@ its load; compare trees only within one report.  The Hamiltonians are
 
 from __future__ import annotations
 
-import inspect
 import json
 import os
 import platform
@@ -153,6 +151,7 @@ class PhaseClock:
 
 def block_case(name: str) -> dict:
     from dataclasses import replace
+    from functools import partial
 
     import numpy as np
 
@@ -167,8 +166,7 @@ def block_case(name: str) -> dict:
     g = evans_solver.gradient(ham, grid, cfg, u).values
     solve = evans_solver._step_solve(grid)
     step = solve.__name__.removeprefix("_").removesuffix("_block")
-    curried = len(inspect.signature(solve).parameters) == 2  # an older tree's step returns a map of r
-    call = (lambda: solve(st, mu)(-g)) if curried else (lambda: solve(st, mu, -g))
+    call = partial(solve, st, mu, -g)
     phases = {
         "flux": {"matvec_s": (np, "dot")},
         "dense": {"assemble_s": (evans_solver, "_assemble"), "lu_solve_s": (np.linalg, "solve")},
